@@ -38,6 +38,9 @@ def test_expt1_local_inference(once):
     assert min(local_rows.column("mean_points_used")) < global_rows.column("mean_points_used")[0]
     assert min(local_rows.column("time_ms")) <= global_time * 6.0
 
+    # The vectorised retrieval selects what the paper's R-tree retrieval does.
+    assert local_rows.column("same_selection") == [1.0] * len(local_rows.rows)
+
     # Shape check 3: larger gamma selects fewer (or equal) points.
     points_used = local_rows.column("mean_points_used")
     assert points_used[-1] <= points_used[0] + 1e-9

@@ -2,8 +2,8 @@
 
 :class:`GPEmulator` owns the pieces shared by the offline and online
 algorithms: the wrapped UDF, the Gaussian process fitted to the UDF's
-input/output pairs, the R-tree over training inputs used by local inference,
-and hyperparameter training.  :func:`offline_gp_output` is the paper's
+input/output pairs, the (lazily built, reference-only) R-tree over training
+inputs, and hyperparameter training.  :func:`offline_gp_output` is the paper's
 Algorithm 2 — collect a fixed training set, learn the GP once, then compute
 output distributions for uncertain inputs by sampling the emulator.
 """
@@ -50,8 +50,8 @@ class GPEmulator:
     """A Gaussian-process emulator of one black-box UDF.
 
     The emulator owns the UDF's accumulated training data (input/output
-    pairs obtained by actually calling the UDF), the fitted GP, and a
-    spatial index over the training inputs for local inference.
+    pairs obtained by actually calling the UDF), the fitted GP, and the
+    paper's spatial index over the training inputs, built on access.
     """
 
     def __init__(
@@ -65,7 +65,8 @@ class GPEmulator:
             kernel=kernel if kernel is not None else SquaredExponential(),
             noise_variance=noise_variance,
         )
-        self.index = RTree(dimension=udf.dimension)
+        self._index = RTree(dimension=udf.dimension)
+        self._indexed_rows = np.empty((0, udf.dimension))
         self._trained_hyperparameters = False
 
     # -- training data management ---------------------------------------------------
@@ -73,6 +74,22 @@ class GPEmulator:
     def n_training(self) -> int:
         """Number of UDF evaluations collected as training data."""
         return self.gp.n_training
+
+    @property
+    def index(self) -> RTree:
+        """R-tree over the training inputs (§5.1), payload = training row.
+
+        The reference retrieval structure: inference scans and never reads
+        it.  It catches up with the model on access — new rows are appended;
+        when the rows it holds are no longer a prefix of the training set (a
+        rollback or refit; the tree cannot delete) it is rebuilt.
+        """
+        X = self.gp.X_train if self.gp.n_training else self._indexed_rows[:0]
+        if not np.array_equal(self._indexed_rows, X[: len(self._index)]):
+            self._index = RTree(dimension=self.udf.dimension)
+        self._index.bulk_load(X[len(self._index) :])
+        self._indexed_rows = X
+        return self._index
 
     def add_training_point(self, x: np.ndarray) -> float:
         """Evaluate the UDF at ``x`` and absorb the pair into the model."""
@@ -83,15 +100,14 @@ class GPEmulator:
             )
         y = self.udf(x)
         self.gp.add_point(x, y)
-        self.index.insert(x, self.gp.n_training - 1)
         return y
 
     def add_training_points(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the UDF at every row of ``X`` and absorb them in one step.
 
         Uses the blocked incremental-inverse update (``O(n^2 k)`` for ``k``
-        new points) instead of ``k`` rank-1 updates, and keeps the spatial
-        index in sync.  Returns the UDF values observed.
+        new points) instead of ``k`` rank-1 updates.  Returns the UDF values
+        observed.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
@@ -114,8 +130,8 @@ class GPEmulator:
         emulator, the speculative tuning loop re-committing observations it
         already paid for before a rollback, or the asynchronous refinement
         pipeline landing UDF results that were in flight.  Uses the blocked
-        incremental update and keeps the spatial index in sync, exactly like
-        :meth:`add_training_points` — minus the UDF evaluations.
+        incremental update, exactly like :meth:`add_training_points` — minus
+        the UDF evaluations.
 
         ``fence``, when given, must be the :meth:`snapshot` the observations
         were *selected against*: if the model mutated since that snapshot was
@@ -142,10 +158,7 @@ class GPEmulator:
                 f"(version {fence.gp_state.version} -> {self.gp.version}); "
                 "the observations were selected against a state that no longer exists"
             )
-        first_row = self.gp.n_training
         self.gp.add_points(X, y)
-        for offset, row in enumerate(X):
-            self.index.insert(row, first_row + offset)
 
     def snapshot(self) -> "EmulatorSnapshot":
         """Capture the model state for a later :meth:`restore` (rollback)."""
@@ -155,20 +168,9 @@ class GPEmulator:
         )
 
     def restore(self, state: "EmulatorSnapshot") -> None:
-        """Roll the model (and its spatial index) back to a snapshot.
-
-        The GP restore itself is free of factorization work; the R-tree does
-        not support deletion, so the index is rebuilt from the surviving
-        training inputs — O(n log n) inserts, acceptable because rollbacks
-        are the rare path of the speculative tuning loop.
-        """
+        """Roll the model back to a snapshot — free of factorization work."""
         self.gp.restore(state.gp_state)
         self._trained_hyperparameters = state.trained_hyperparameters
-        index = RTree(dimension=self.udf.dimension)
-        if self.gp.n_training:
-            for row_index, row in enumerate(self.gp.X_train):
-                index.insert(row, row_index)
-        self.index = index
 
     def train_initial(
         self,
@@ -205,8 +207,6 @@ class GPEmulator:
         else:
             values = self.udf.evaluate_batch(points)
         self.gp.fit(points, values)
-        for row_index, row in enumerate(points):
-            self.index.insert(row, row_index)
         if optimize_hyperparameters:
             self.retrain()
 

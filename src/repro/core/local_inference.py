@@ -6,8 +6,9 @@ points far from the input samples contribute almost nothing to the weighted
 average that forms the predictive mean.  Local inference therefore
 
 1. builds a bounding box around the input samples,
-2. retrieves from the R-tree the training points within a search radius of
-   that box,
+2. retrieves the training points within a search radius of that box (one
+   vectorised point-to-box distance pass; the paper's R-tree retrieval
+   survives as the reference :meth:`LocalInferenceEngine.select_points`),
 3. bounds the *omitted* contribution ``γ = max_j |Σ_{l excluded}
    k(x_j, x_l) α_l|`` using the nearest / farthest points of the box
    (optionally per sub-box for a tighter bound), and
@@ -157,32 +158,51 @@ class LocalInferenceEngine:
         sample_box: BoundingBox,
         samples: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, float, float]:
-        """Indices of the training points to keep, plus the achieved γ and radius."""
-        n = gp.n_training
-        if n == 0:
+        """Indices of the training points to keep, plus the achieved γ and radius.
+
+        The paper-mapped *reference* retrieval: each radius expansion walks
+        the R-tree and re-evaluates the kernel on the excluded points.  No
+        engine path calls it — :meth:`predict` makes the same selection from
+        one distance pass; tests and the Expt-1 bench compare the two.
+        """
+        if gp.n_training == 0:
             raise GPError("the GP has no training data")
         alpha = gp.alpha
         X = gp.X_train
-        use_exact = self.bound_method == "exact" and samples is not None
-        # Start from a small radius (half a lengthscale) and grow it until the
-        # omitted-weight bound drops below Γ.  Starting small lets a loose Γ
-        # select genuinely few points.
+        return self._expand_radius(
+            gp,
+            alpha,
+            sample_box,
+            lambda r: np.array(sorted(index.search_within_distance(sample_box, r)), dtype=int),
+            None if samples is None else lambda out: gp.kernel(samples, X[out]) @ alpha[out],
+        )
+
+    def _expand_radius(
+        self, gp: GaussianProcess, alpha: np.ndarray, sample_box: BoundingBox, within, omitted
+    ) -> tuple[np.ndarray, float, float]:
+        """The radius-expansion schedule both retrievals run.
+
+        ``within(radius)`` returns the sorted training rows within ``radius``
+        of the sample box; ``omitted(excluded_mask)``, when given, the excluded
+        points' contribution at every sample (the ``"exact"`` γ).  Starts from
+        half a lengthscale, so that a loose Γ selects genuinely few points,
+        and grows the radius until the omitted weight is below Γ.
+        """
+        n = alpha.size
         radius = 0.5 * gp.kernel.lengthscale
         all_indices = np.arange(n)
         for _ in range(self.max_expansions):
-            selected = np.array(sorted(index.search_within_distance(sample_box, radius)), dtype=int)
+            selected = within(radius)
             if selected.size == n:
                 return all_indices, 0.0, radius
             excluded_mask = np.ones(n, dtype=bool)
-            if selected.size:
-                excluded_mask[selected] = False
-            if use_exact:
-                omitted = gp.kernel(samples, X[excluded_mask]) @ alpha[excluded_mask]
-                gamma = float(np.max(np.abs(omitted)))
+            excluded_mask[selected] = False
+            if omitted is not None and self.bound_method == "exact":
+                gamma = float(np.max(np.abs(omitted(excluded_mask))))
             else:
                 gamma = omitted_weight_bound(
                     gp.kernel,
-                    X[excluded_mask],
+                    gp.X_train[excluded_mask],
                     alpha[excluded_mask],
                     sample_box,
                     subdivisions=self.subdivisions,
@@ -196,45 +216,31 @@ class LocalInferenceEngine:
     def predict(
         self,
         gp: GaussianProcess,
-        index: RTree,
         samples: np.ndarray,
         sample_box: Optional[BoundingBox] = None,
     ) -> LocalInferenceResult:
-        """Local inference at ``samples`` (rows), per Algorithm 4."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        box = sample_box if sample_box is not None else BoundingBox.from_points(samples)
-        selected, gamma, radius = self.select_points(gp, index, box, samples=samples)
-        X_local = gp.X_train[selected]
-        alpha_local = gp.alpha[selected]
-        y_local = gp.y_train[selected]
+        """Local inference at ``samples`` (rows), per Algorithm 4.
 
-        K_star = gp.kernel(samples, X_local)
-        # Mean: global weights restricted to the local subset (the paper's
-        # f̂_L approximation, whose error is bounded by γ), plus the GP's
-        # constant mean offset.
-        means = K_star @ alpha_local + gp.mean_offset
-        # Variance: exact GP variance of the local model.
-        K_local = gp.kernel(X_local, X_local) + gp.effective_noise() * np.eye(X_local.shape[0])
-        L, _ = jittered_cholesky(K_local)
-        K_local_inv = inverse_from_cholesky(L)
-        tmp = K_star @ K_local_inv
-        variances = gp.kernel.diag(samples) - np.sum(tmp * K_star, axis=1)
-        variances = np.maximum(variances, 0.0)
-        # y_local retained for debugging / introspection parity with the paper.
-        del y_local
-        return LocalInferenceResult(
-            means=means,
-            stds=np.sqrt(variances),
-            selected_indices=selected,
-            gamma=gamma,
-            radius=radius,
-        )
+        One kernel evaluation against the training set and one point-to-box
+        distance pass, which every radius expansion then reuses.
+        """
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        if gp.n_training == 0:
+            raise GPError("the GP has no training data")
+        box = sample_box if sample_box is not None else BoundingBox.from_points(samples)
+        X = gp.X_train
+        alpha = gp.alpha
+        K_rows = gp.kernel(samples, X)
+        distances = _distances_to_boxes(X, [box])[:, 0]
+        selection = self._select_from_distances(gp, alpha, distances, K_rows, box)
+        X_local = X[selection[0]]
+        K_local_inv = _noise_augmented_inverse(gp.kernel(X_local, X_local), gp.effective_noise())
+        return _subset_inference(gp, alpha, samples, K_rows, selection, K_local_inv)
 
     # -- multi-query (batched) inference -------------------------------------------
     def predict_multi(
         self,
         gp: GaussianProcess,
-        index: RTree,
         sample_sets: Sequence[np.ndarray],
         sample_boxes: Optional[Sequence[BoundingBox]] = None,
     ) -> list[LocalInferenceResult]:
@@ -242,11 +248,8 @@ class LocalInferenceEngine:
 
         Produces the same numbers as calling :meth:`predict` once per sample
         set, but shares the expensive pieces across the batch through a
-        :class:`BatchKernelCache`.  ``index`` is accepted for signature
-        parity with :meth:`predict`; the batched path computes the same
-        within-radius retrieval directly from the cached distance matrix.
+        :class:`BatchKernelCache`.
         """
-        del index  # retrieval is replaced by the vectorised distance matrix
         sample_sets = list(sample_sets)  # materialise once: generators welcome
         if not sample_sets:
             return []
@@ -263,11 +266,12 @@ class LocalInferenceEngine:
         is data-dependent), but tuples that selected the *same* training
         subset — the common case under a warm model, and always the case
         when every box sits within the first search radius — share one
-        tall GEMM for the predictive means and one for the variance
-        row-sums.  BLAS computes each row block of a tall product exactly
-        as it computes the block alone (verified at import by
+        tall GEMM for the variance row-sums.  BLAS computes each row block
+        of a tall matrix-matrix product exactly as it computes the block
+        alone (verified at import by
         :func:`repro.distributions.columns.stacking_supported`; callers
-        gate on it).
+        gate on it).  The means are matrix-*vector* products, whose blocking
+        depends on the row count, so they are taken per row block.
         """
         indices = list(indices)
         alpha = gp.alpha
@@ -284,45 +288,16 @@ class LocalInferenceEngine:
             groups.setdefault(selections[pos][0].tobytes(), []).append(pos)
         results: list[Optional[LocalInferenceResult]] = [None] * len(indices)
         for positions in groups.values():
-            selected = selections[positions[0]][0]
-            if len(positions) == 1:
-                pos = positions[0]
-                results[pos] = self.predict_cached(gp, cache, indices[pos])
-                continue
-            blocks = [row_blocks[pos] for pos in positions]
-            narrow = selected.size != blocks[0].shape[1]
-            K_local_inv = cache.local_inverse(gp, selected)
-            for batch in _row_batches([b.shape[0] for b in blocks], selected.size):
-                tall = _stacked_rows([blocks[k] for k in batch])
-                if narrow:
-                    # One column gather on the stacked view instead of one
-                    # per block: the gathered rows are the same per-block
-                    # ``block[:, selected]`` slices.
-                    tall = tall[:, selected]
-                sample_tall = _stacked_rows(
-                    [cache.sample_sets[indices[positions[k]]] for k in batch]
-                )
-                means_tall = tall @ alpha[selected] + gp.mean_offset
-                tmp_tall = tall @ K_local_inv
-                rowsum_tall = np.sum(tmp_tall * tall, axis=1)
-                # The prior variance is pointwise (``diag`` maps each sample
-                # row independently), so one tall subtract / clamp / sqrt is
-                # elementwise-identical to the per-tuple slices it replaces.
-                stds_tall = np.sqrt(
-                    np.maximum(gp.kernel.diag(sample_tall) - rowsum_tall, 0.0)
-                )
-                offset = 0
-                for k in batch:
-                    pos = positions[k]
-                    rows = blocks[k].shape[0]
-                    results[pos] = LocalInferenceResult(
-                        means=means_tall[offset : offset + rows],
-                        stds=stds_tall[offset : offset + rows],
-                        selected_indices=selections[pos][0],
-                        gamma=selections[pos][1],
-                        radius=selections[pos][2],
-                    )
-                    offset += rows
+            grouped = _grouped_inference(
+                gp,
+                alpha,
+                [cache.sample_sets[indices[pos]] for pos in positions],
+                [row_blocks[pos] for pos in positions],
+                [selections[pos] for pos in positions],
+                cache.local_inverse(gp, selections[positions[0]][0]),
+            )
+            for pos, result in zip(positions, grouped):
+                results[pos] = result
         return [result for result in results if result is not None]
 
     def predict_cached(
@@ -337,22 +312,11 @@ class LocalInferenceEngine:
         """
         K_rows = cache.rows(gp, i)
         alpha = gp.alpha
-        selected, gamma, radius = self._select_from_distances(
+        selection = self._select_from_distances(
             gp, alpha, cache.box_distances[:, i], K_rows, cache.boxes[i]
         )
-        K_star = K_rows if selected.size == K_rows.shape[1] else K_rows[:, selected]
-        means = K_star @ alpha[selected] + gp.mean_offset
-        K_local_inv = cache.local_inverse(gp, selected)
-        tmp = K_star @ K_local_inv
-        variances = gp.kernel.diag(cache.sample_sets[i]) - np.sum(tmp * K_star, axis=1)
-        variances = np.maximum(variances, 0.0)
-        return LocalInferenceResult(
-            means=means,
-            stds=np.sqrt(variances),
-            selected_indices=selected,
-            gamma=gamma,
-            radius=radius,
-        )
+        K_local_inv = cache.local_inverse(gp, selection[0])
+        return _subset_inference(gp, alpha, cache.sample_sets[i], K_rows, selection, K_local_inv)
 
     def _select_from_distances(
         self,
@@ -362,43 +326,22 @@ class LocalInferenceEngine:
         K_rows: np.ndarray,
         sample_box: BoundingBox,
     ) -> tuple[np.ndarray, float, float]:
-        """Replicate :meth:`select_points` from precomputed distances/kernels.
+        """The selection :meth:`select_points` makes, from one distance / kernel pass.
 
         ``distances`` holds each training point's distance to the tuple box
-        (what the R-tree's within-radius search tests); ``K_rows`` is the
-        tuple's slice of the stacked cross-covariance matrix, so the exact-γ
-        check is a slice + matvec instead of a fresh kernel evaluation.
+        (what the R-tree's within-radius search tests), so a radius expansion
+        is one threshold test; ``K_rows`` is the samples' cross-covariance
+        with the whole training set, so the exact-γ check is a matvec with
+        the kept weights zeroed (exact zeros contribute nothing) instead of
+        a fresh kernel evaluation on the excluded points.
         """
-        n = distances.size
-        radius = 0.5 * gp.kernel.lengthscale
-        all_indices = np.arange(n)
-        for _ in range(self.max_expansions):
-            selected = np.flatnonzero(distances <= radius)
-            if selected.size == n:
-                return all_indices, 0.0, radius
-            excluded_mask = np.ones(n, dtype=bool)
-            if selected.size:
-                excluded_mask[selected] = False
-            if self.bound_method == "exact":
-                # One matvec against the cached row block with the kept
-                # weights zeroed — exact zeros contribute nothing, so this
-                # equals the per-tuple kernel(samples, X_excluded) @ alpha
-                # computation without slicing a fresh matrix per expansion.
-                excluded_alpha = np.where(excluded_mask, alpha, 0.0)
-                omitted = K_rows @ excluded_alpha
-                gamma = float(np.max(np.abs(omitted)))
-            else:
-                gamma = omitted_weight_bound(
-                    gp.kernel,
-                    gp.X_train[excluded_mask],
-                    alpha[excluded_mask],
-                    sample_box,
-                    subdivisions=self.subdivisions,
-                )
-            if gamma <= self.gamma_threshold and selected.size > 0:
-                return selected, gamma, radius
-            radius *= self.expansion_factor
-        return all_indices, 0.0, radius
+        return self._expand_radius(
+            gp,
+            alpha,
+            sample_box,
+            lambda radius: np.flatnonzero(distances <= radius),
+            lambda excluded: K_rows @ np.where(excluded, alpha, 0.0),
+        )
 
     def _select_from_distances_block(
         self,
@@ -568,10 +511,11 @@ class BatchKernelCache:
     * per-tuple cross-covariance row blocks, built lazily by :meth:`rows` —
       one kernel evaluation per tuple that the radius-expansion exact-γ
       checks, the predictive mean and the predictive variance all reuse
-      (the per-tuple path re-evaluates the kernel on every expansion),
+      (:meth:`LocalInferenceEngine.predict` evaluates the same block once
+      per call),
     * ``K_train`` — training covariance (local sub-matrices slice it),
     * ``box_distances`` — every training point's distance to every tuple's
-      bounding box (replaces per-tuple R-tree searches), and
+      bounding box (the within-radius retrieval is a threshold test), and
     * a per-subset cache of local covariance inverses (with a warm model
       neighbouring tuples usually select the same subset, so the
       ``O(l^3)`` factorisation is paid once).
@@ -684,12 +628,9 @@ class BatchKernelCache:
         key = selected.tobytes()
         inverse = self._inverse_cache.get(key)
         if inverse is None:
-            K_local = self.K_train[np.ix_(selected, selected)] + gp.effective_noise() * np.eye(
-                selected.size
+            inverse = self._inverse_cache[key] = _noise_augmented_inverse(
+                self.K_train[np.ix_(selected, selected)], gp.effective_noise()
             )
-            L, _ = jittered_cholesky(K_local)
-            inverse = inverse_from_cholesky(L)
-            self._inverse_cache[key] = inverse
         return inverse
 
     def _rebuild(self, gp: GaussianProcess) -> None:
@@ -845,6 +786,83 @@ class ColumnarKernelCache(BatchKernelCache):
         return super().rows(gp, i)
 
 
+def _noise_augmented_inverse(K_local: np.ndarray, noise: float) -> np.ndarray:
+    """Inverse of a local covariance block with the model's noise on its diagonal."""
+    L, _ = jittered_cholesky(K_local + noise * np.eye(K_local.shape[0]))
+    return inverse_from_cholesky(L)
+
+
+def _subset_inference(
+    gp: GaussianProcess,
+    alpha: np.ndarray,
+    samples: np.ndarray,
+    K_rows: np.ndarray,
+    selection: tuple[np.ndarray, float, float],
+    K_local_inv: np.ndarray,
+) -> LocalInferenceResult:
+    """Predictive mean and variance on a selected subset (Algorithm 4).
+
+    The one body behind :meth:`LocalInferenceEngine.predict` and
+    :meth:`~LocalInferenceEngine.predict_cached`; they differ only in where
+    ``K_rows`` and ``K_local_inv`` come from.
+    """
+    selected, gamma, radius = selection
+    K_star = K_rows if selected.size == K_rows.shape[1] else K_rows[:, selected]
+    # Mean: global weights restricted to the local subset (the paper's f̂_L
+    # approximation, whose error is bounded by γ), plus the GP's constant
+    # mean offset.  Variance: exact GP variance of the local model.
+    means = K_star @ alpha[selected] + gp.mean_offset
+    tmp = K_star @ K_local_inv
+    variances = np.maximum(gp.kernel.diag(samples) - np.sum(tmp * K_star, axis=1), 0.0)
+    return LocalInferenceResult(
+        means=means,
+        stds=np.sqrt(variances),
+        selected_indices=selected,
+        gamma=gamma,
+        radius=radius,
+    )
+
+
+def _grouped_inference(
+    gp: GaussianProcess,
+    alpha: np.ndarray,
+    sample_sets: Sequence[np.ndarray],
+    blocks: Sequence[np.ndarray],
+    selections: Sequence[tuple[np.ndarray, float, float]],
+    K_inv: np.ndarray,
+) -> list[LocalInferenceResult]:
+    """:func:`_subset_inference` for tuples that selected one common subset.
+
+    The variance row-sums of all the tuples' row ``blocks`` come from one
+    tall GEMM per row batch, bit-identical per tuple; the means are
+    matrix-vector products and are taken per row block (see
+    :meth:`LocalInferenceEngine.predict_cached_block`).
+    """
+    selected = selections[0][0]
+    narrow = selected.size != blocks[0].shape[1]
+    alpha_selected = alpha[selected]
+    results = []
+    for batch in _row_batches([b.shape[0] for b in blocks], selected.size):
+        tall = _stacked_rows([blocks[k] for k in batch])
+        if narrow:
+            # One column gather on the stacked view instead of one per
+            # block: the gathered rows are the per-block ``block[:, selected]``.
+            tall = tall[:, selected]
+        rowsum_tall = np.sum((tall @ K_inv) * tall, axis=1)
+        # The prior variance is pointwise (``diag`` maps each sample row
+        # independently), so one tall subtract / clamp / sqrt is
+        # elementwise-identical to the per-tuple slices it replaces.
+        sample_tall = _stacked_rows([sample_sets[k] for k in batch])
+        stds_tall = np.sqrt(np.maximum(gp.kernel.diag(sample_tall) - rowsum_tall, 0.0))
+        offset = 0
+        for k in batch:
+            rows = slice(offset, offset + blocks[k].shape[0])
+            means = tall[rows] @ alpha_selected + gp.mean_offset
+            results.append(LocalInferenceResult(means, stds_tall[rows], *selections[k]))
+            offset = rows.stop
+    return results
+
+
 def _distances_to_boxes(X: np.ndarray, boxes: Sequence[BoundingBox]) -> np.ndarray:
     """``(n_points, n_boxes)`` Euclidean distances from points to boxes.
 
@@ -869,57 +887,33 @@ def global_inference_cached(
     model's own incrementally maintained ``K^{-1}``) with the kernel
     cross-covariance taken from the shared cache.
     """
-    K_star = cache.rows(gp, i)
-    means = K_star @ gp.alpha + gp.mean_offset
-    tmp = K_star @ gp.K_inv
-    variances = np.maximum(
-        gp.kernel.diag(cache.sample_sets[i]) - np.sum(tmp * K_star, axis=1), 0.0
-    )
-    return LocalInferenceResult(
-        means=means,
-        stds=np.sqrt(variances),
-        selected_indices=np.arange(gp.n_training),
-        gamma=0.0,
-        radius=float("inf"),
+    everything = (np.arange(gp.n_training), 0.0, float("inf"))
+    return _subset_inference(
+        gp, gp.alpha, cache.sample_sets[i], cache.rows(gp, i), everything, gp.K_inv
     )
 
 
 def global_inference_cached_block(
     gp: GaussianProcess, cache: BatchKernelCache, indices: Sequence[int]
 ) -> list[LocalInferenceResult]:
-    """Column-wise :func:`global_inference_cached` via one tall GEMM pair.
+    """Column-wise :func:`global_inference_cached` via one tall variance GEMM.
 
     Bit-identical per tuple (BLAS computes each row block of a stacked
-    product exactly as it computes the block alone; callers gate on
-    :func:`repro.distributions.columns.stacking_supported`).
+    matrix-matrix product exactly as it computes the block alone; callers
+    gate on :func:`repro.distributions.columns.stacking_supported`).
     """
     indices = list(indices)
     if not indices:
         return []
-    blocks = [cache.rows(gp, i) for i in indices]
-    results: list[Optional[LocalInferenceResult]] = [None] * len(indices)
-    for batch in _row_batches([b.shape[0] for b in blocks], gp.n_training):
-        tall = np.vstack([blocks[pos] for pos in batch])
-        means_tall = tall @ gp.alpha + gp.mean_offset
-        tmp_tall = tall @ gp.K_inv
-        rowsum_tall = np.sum(tmp_tall * tall, axis=1)
-        offset = 0
-        for pos in batch:
-            i = indices[pos]
-            rows = blocks[pos].shape[0]
-            variances = np.maximum(
-                gp.kernel.diag(cache.sample_sets[i]) - rowsum_tall[offset : offset + rows],
-                0.0,
-            )
-            results[pos] = LocalInferenceResult(
-                means=means_tall[offset : offset + rows],
-                stds=np.sqrt(variances),
-                selected_indices=np.arange(gp.n_training),
-                gamma=0.0,
-                radius=float("inf"),
-            )
-            offset += rows
-    return [result for result in results if result is not None]
+    everything = (np.arange(gp.n_training), 0.0, float("inf"))
+    return _grouped_inference(
+        gp,
+        gp.alpha,
+        [cache.sample_sets[i] for i in indices],
+        [cache.rows(gp, i) for i in indices],
+        [everything] * len(indices),
+        gp.K_inv,
+    )
 
 
 def global_inference(gp: GaussianProcess, samples: np.ndarray) -> LocalInferenceResult:

@@ -15,7 +15,7 @@ For every uncertain input tuple the algorithm:
 5. once the tuple is finished, consults the retraining policy and, when it
    fires, refits the kernel hyperparameters and re-runs inference.
 
-The training data, the GP, the R-tree index and the hyperparameters persist
+The training data, the GP and the hyperparameters persist
 across tuples — that is what makes the algorithm online: the model warms up
 on the first tuples and afterwards rarely needs to call the UDF at all.
 """
@@ -116,6 +116,8 @@ class FilteredOnlineResult:
     existence_probability: float
     charged_time: float
     elapsed_time: float
+    #: UDF calls charged on either branch: initialisation, pilot refinement, full pass.
+    udf_calls: int
 
     @property
     def dropped(self) -> bool:
@@ -441,11 +443,11 @@ class OLGAPRO:
         are drawn in the same tuple order.  The speedup comes from sharing
         the kernel algebra across the chunk through a
         :class:`~repro.core.local_inference.BatchKernelCache` (one stacked
-        cross-covariance evaluation, vectorised R-tree-equivalent retrieval,
-        cached local factorisations); only tuples whose error bound misses
-        the GP budget fall back to the per-tuple refinement loop, and even
-        that loop re-infers through the cache, which absorbs new training
-        points as appended kernel columns.
+        cross-covariance evaluation, one distance matrix for the chunk's
+        retrievals, cached local factorisations); only tuples whose error
+        bound misses the GP budget fall back to the per-tuple refinement
+        loop, and even that loop re-infers through the cache, which absorbs
+        new training points as appended kernel columns.
 
         ``timings``, when given, must expose ``add(phase, seconds)`` and
         receives per-phase wall-clock spent in ``"sampling"``,
@@ -711,6 +713,7 @@ class OLGAPRO:
         """
         started = time.perf_counter()
         rng = as_generator(random_state) if random_state is not None else self._rng
+        calls_before = self.udf.call_count
         charged_before = self.udf.charged_time
 
         self._ensure_initialized(input_distribution, rng)
@@ -743,6 +746,7 @@ class OLGAPRO:
                 existence_probability=rho_hat,
                 charged_time=self.udf.charged_time - charged_before + elapsed,
                 elapsed_time=elapsed,
+                udf_calls=self.udf.call_count - calls_before,
             )
         result = self.process(input_distribution, random_state=rng)
         existence = result.distribution.interval_probability(predicate.low, predicate.high)
@@ -754,9 +758,9 @@ class OLGAPRO:
             result=result,
             decision=final_decision,
             existence_probability=existence,
-            charged_time=self.udf.charged_time - charged_before + elapsed - result.elapsed_time
-            + result.elapsed_time,
+            charged_time=self.udf.charged_time - charged_before + elapsed,
             elapsed_time=elapsed,
+            udf_calls=self.udf.call_count - calls_before,
         )
 
     # -- internals ------------------------------------------------------------------------
@@ -807,7 +811,7 @@ class OLGAPRO:
             engine = LocalInferenceEngine(
                 gamma_threshold=self.gamma_threshold(), subdivisions=self.subdivisions
             )
-            return engine.predict(self.emulator.gp, self.emulator.index, samples, sample_box=box)
+            return engine.predict(self.emulator.gp, samples, sample_box=box)
         return global_inference(self.emulator.gp, samples)
 
     def _make_cached_infer(self, cache: BatchKernelCache, i: int):
@@ -988,12 +992,13 @@ class OLGAPRO:
 
         ``initial`` lets the batched pipeline seed the loop with an envelope
         and bound it already computed from the shared batch inference.  The
-        loop body itself always uses the stock per-tuple inference: the
-        tuning strategy's argmax over predictive variances would amplify the
-        last-ulp differences between cached and fresh kernel algebra into a
-        different training-point selection, so bitwise-reproducible inference
-        here is what keeps batched and per-tuple refinement trajectories
-        identical.
+        loop body itself always uses the stock per-tuple inference: it shares
+        the cached path's mean/variance body but evaluates its kernel blocks
+        fresh, whereas the chunk cache *grows* its blocks by appended columns
+        as the loop adds points.  The tuning strategy's argmax over
+        predictive variances would amplify a last-ulp difference between a
+        grown and a fresh block into a different training-point selection, so
+        fresh evaluation keeps batched and per-tuple trajectories identical.
         """
         if initial is None:
             envelope, bound = self._infer_and_bound(samples, box)

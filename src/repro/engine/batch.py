@@ -1,8 +1,8 @@
 """Batched query execution: set-at-a-time UDF evaluation over uncertain tuples.
 
 The per-tuple engine (:class:`~repro.engine.executor.UDFExecutionEngine`)
-re-enters Python-level loops — R-tree retrieval, kernel evaluations, local
-Cholesky factorisations, error-bound sweeps — for every tuple.
+re-enters Python-level loops — training-point retrieval, kernel evaluations,
+local Cholesky factorisations, error-bound sweeps — for every tuple.
 :class:`BatchExecutor` instead accepts a whole chunk of tuples, draws the
 Monte-Carlo input samples for all of them up front, runs GP inference over
 the stacked samples in one pass (see

@@ -571,7 +571,7 @@ class UDFExecutionEngine:
                 error_bound=self.requirement.epsilon,
                 existence_probability=filtered.existence_probability,
                 dropped=True,
-                udf_calls=0,
+                udf_calls=filtered.udf_calls,
                 charged_time=filtered.charged_time,
             )
         return ComputedOutput(
@@ -579,7 +579,7 @@ class UDFExecutionEngine:
             error_bound=filtered.result.error_bound.epsilon_total,
             existence_probability=filtered.existence_probability,
             dropped=False,
-            udf_calls=filtered.result.udf_calls,
+            udf_calls=filtered.udf_calls,
             charged_time=filtered.charged_time,
             failed=getattr(filtered.result, "quarantined", False),
         )

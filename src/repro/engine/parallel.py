@@ -10,9 +10,10 @@ shards trivially.  :class:`ParallelExecutor` therefore
 1. splits the input stream into fixed-size *shards* (``shard_size`` tuples,
    default ``batch_size`` — deliberately independent of the worker count so
    shard outputs do not depend on pool size),
-2. pickles the execution engine once — per-UDF processors, GP emulator,
-   kernel hyperparameters and R-tree included — as the model snapshot every
-   worker starts from,
+2. pickles the execution engine once — per-UDF processors, GP emulator and
+   kernel hyperparameters included (the emulator's reference R-tree is
+   built only on access, so no engine run ships one) — as the model snapshot every worker
+   starts from,
 3. runs one :class:`~repro.engine.batch.BatchExecutor` per shard inside a
    :class:`concurrent.futures.ProcessPoolExecutor`, each shard drawing from
    its own :func:`~repro.rng.spawn_keyed` random stream, and
@@ -26,7 +27,7 @@ Merge policies
     the parent process never computes, so its model is byte-for-byte
     untouched; with ``workers = 1`` the in-process run is rolled back via a
     model snapshot (training data, factorization, kernel hyperparameters,
-    index, hyperparameter-trained flag), while pure *accounting* state —
+    hyperparameter-trained flag), while pure *accounting* state —
     UDF call counters, GP operation counts, ``tuples_processed`` — keeps
     the work it genuinely performed.  Shard outputs depend only on
     ``(seed, shard_size, batch_size)`` — invariant to the worker count.

@@ -31,10 +31,22 @@ import numpy as np
 import pytest
 
 import repro.core.olgapro as olgapro_module
+from repro.config import DEFAULT_GAMMA_FRACTION, DEFAULT_MC_FRACTION
 from repro.core.accuracy import AccuracyRequirement
+from repro.core.emulator import GPEmulator
+from repro.core.local_inference import (
+    ColumnarKernelCache,
+    LocalInferenceEngine,
+    global_inference_cached,
+    global_inference_cached_block,
+)
 from repro.distributions.columns import attempt_encode, stacking_supported
 from repro.engine import BatchExecutor, ExecutionPlan, UDFExecutionEngine
-from repro.udf.synthetic import async_service_udf, high_dimensional_function
+from repro.udf.synthetic import (
+    async_service_udf,
+    high_dimensional_function,
+    reference_function,
+)
 from repro.workloads.generators import input_stream, workload_for_udf
 
 REQUIREMENT = AccuracyRequirement(epsilon=0.2, delta=0.05)
@@ -149,6 +161,44 @@ def test_columnar_matches_under_predicate_filtering():
     for ref, got in zip(ref_outputs, col_outputs):
         assert ref.error_bound == got.error_bound
         assert ref.udf_calls == got.udf_calls
+
+
+def test_block_inference_matches_per_tuple_at_production_shape():
+    """The column kernels at the shape a real query has, not the probe's 7 × 5.
+
+    ε = 0.12 draws m = 1239 Monte-Carlo rows per tuple and a warm F1 model
+    holds about 56 training points.  At that shape a tall matrix-*vector*
+    product no longer equals its per-block products in the last ulp (the
+    matrix-matrix identity still holds), which is why the block paths take
+    their means per row block.
+    """
+    if not stacking_supported():
+        pytest.skip("platform fails the stacking identity probes")
+    udf = reference_function("F1", simulated_eval_time=0.0)
+    emulator = GPEmulator(udf)
+    emulator.train_initial(56, random_state=np.random.default_rng(31))
+    gp = emulator.gp
+    m = AccuracyRequirement(epsilon=0.12, delta=0.05).split(DEFAULT_MC_FRACTION).mc_samples
+    assert m == 1239
+    rng = np.random.default_rng(4)
+    sample_sets = [d.sample(m, random_state=rng) for d in input_stream(
+        workload_for_udf(udf), 32, random_state=rng)]
+    cache = ColumnarKernelCache(gp, sample_sets)
+    engine = LocalInferenceEngine(
+        gamma_threshold=DEFAULT_GAMMA_FRACTION * float(np.ptp(gp.y_train))
+    )
+    indices = range(len(sample_sets))
+    local = engine.predict_cached_block(gp, cache, indices)
+    grouped = len({result.selected_indices.tobytes() for result in local}) < len(local)
+    assert grouped, "every tuple selected its own subset: the tall path never ran"
+    for i, block in zip(indices, local):
+        single = engine.predict_cached(gp, cache, i)
+        assert np.array_equal(block.means, single.means), i
+        assert np.array_equal(block.stds, single.stds), i
+    for i, block in zip(indices, global_inference_cached_block(gp, cache, indices)):
+        single = global_inference_cached(gp, cache, i)
+        assert np.array_equal(block.means, single.means), i
+        assert np.array_equal(block.stds, single.stds), i
 
 
 # ---------------------------------------------------------------------------

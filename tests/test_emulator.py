@@ -2,16 +2,94 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.accuracy import AccuracyRequirement
 from repro.core.emulator import GPEmulator, emulate_output, offline_gp_output
+from repro.core.filtering import SelectionPredicate
 from repro.core.metrics import ks_distance
 from repro.distributions.continuous import Gaussian
 from repro.distributions.multivariate import IndependentJoint
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.exceptions import GPError, UDFError
+from repro.index.bounding_box import BoundingBox
 from repro.udf.base import UDF
-from repro.workloads.generators import true_output_distribution
+from repro.workloads.generators import input_stream, true_output_distribution, workload_for_udf
+
+
+def assert_index_holds_training_rows(emulator):
+    """The R-tree holds exactly rows ``0..n-1`` of the training set."""
+    index = emulator.index
+    X = emulator.gp.X_train
+    assert sorted(index.all_payloads()) == list(range(emulator.n_training))
+    for row, x in enumerate(X):
+        assert row in index.search_within_distance(BoundingBox.from_point(x), 0.0)
+
+
+class TestLazyIndex:
+    """`GPEmulator.index` is derived state, materialised on access."""
+
+    @pytest.fixture
+    def emulator(self, f1_udf):
+        emulator = GPEmulator(f1_udf.with_simulated_eval_time(0.0))
+        emulator.train_initial(12, random_state=0, optimize_hyperparameters=False)
+        return emulator
+
+    def test_empty_before_training(self, f1_udf):
+        assert len(GPEmulator(f1_udf).index) == 0
+
+    def test_catches_up_with_additions(self, emulator):
+        assert len(emulator._index) == 0  # nothing built it yet
+        assert_index_holds_training_rows(emulator)
+        emulator.add_training_point(np.array([4.0, 4.5]))
+        assert len(emulator._index) == 12  # not touched by the addition ...
+        assert_index_holds_training_rows(emulator)  # ... appended on access
+        emulator.absorb_observations(np.array([[5.0, 5.5], [6.0, 3.5]]), np.array([0.1, 0.2]))
+        emulator.add_training_points(np.array([[3.0, 3.5], [6.5, 6.5]]))
+        assert_index_holds_training_rows(emulator)
+        assert len(emulator.index) == 17
+
+    def test_rebuilds_after_rollback(self, emulator):
+        state = emulator.snapshot()
+        emulator.add_training_points(np.array([[4.0, 4.5], [5.0, 5.5]]))
+        assert_index_holds_training_rows(emulator)
+        emulator.restore(state)
+        assert_index_holds_training_rows(emulator)
+        assert len(emulator.index) == 12
+
+    def test_rebuilds_when_rows_were_replaced_between_accesses(self, emulator):
+        """Shrink then regrow past the old size without an access in between."""
+        state = emulator.snapshot()
+        emulator.add_training_points(np.array([[4.0, 4.5], [5.0, 5.5]]))
+        assert len(emulator.index) == 14
+        emulator.restore(state)
+        emulator.add_training_points(np.array([[6.0, 3.5], [3.0, 3.5], [6.5, 6.5]]))
+        assert_index_holds_training_rows(emulator)
+
+    def test_survives_a_pickle_round_trip(self, emulator):
+        assert len(pickle.loads(pickle.dumps(emulator))._index) == 0  # never built: not shipped
+        assert len(emulator.index) == 12
+        clone = pickle.loads(pickle.dumps(emulator))
+        clone.add_training_point(np.array([4.0, 4.5]))
+        assert_index_holds_training_rows(clone)
+
+    @pytest.mark.parametrize("with_predicate", [False, True])
+    def test_default_plan_never_materialises_it(self, f1_udf, with_predicate):
+        udf = f1_udf.with_simulated_eval_time(0.0)
+        engine = UDFExecutionEngine(
+            strategy="gp", requirement=AccuracyRequirement(epsilon=0.15, delta=0.05),
+            random_state=5, n_samples=200,
+        )
+        dists = list(input_stream(workload_for_udf(udf), 6, random_state=np.random.default_rng(1)))
+        predicate = SelectionPredicate(low=0.0, high=0.4, threshold=0.1) if with_predicate else None
+        result = engine.compute_with_plan(udf, dists, plan=ExecutionPlan(), predicate=predicate)
+        assert len(result.outputs) == 6
+        emulator = engine._processor_for(udf).emulator
+        assert emulator.n_training > 0
+        assert len(emulator._index) == 0
 
 
 class TestGPEmulator:

@@ -18,11 +18,12 @@ from repro.core.local_inference import BatchKernelCache, LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
 from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.engine.query import Query
 from repro.engine.sdss import generate_galaxy_relation
 from repro.exceptions import QueryError
 from repro.udf.synthetic import reference_function
-from repro.workloads.generators import input_stream, workload_for_udf
+from repro.workloads.generators import input_stream, selectivity_predicate, workload_for_udf
 
 RTOL = 1e-8
 
@@ -216,6 +217,24 @@ def test_batch_with_predicate_matches_per_tuple():
             assert np.allclose(a.distribution.samples, b.distribution.samples, rtol=RTOL)
 
 
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_predicate_path_attributes_every_udf_call(batch_size):
+    """Dropped and kept tuples charge initialisation, pilot and full-pass calls."""
+    udf = reference_function("F3", simulated_eval_time=1e-4)
+    spec = workload_for_udf(udf)
+    predicate = selectivity_predicate(udf, spec, 0.5, random_state=np.random.default_rng(4))
+    calls_before = udf.call_count
+    engine = UDFExecutionEngine(strategy="gp", requirement=REQUIREMENT, random_state=7)
+    dists = list(input_stream(spec, 24, random_state=np.random.default_rng(9)))
+    result = engine.compute_with_plan(
+        udf, dists, plan=ExecutionPlan(batch_size=batch_size), predicate=predicate
+    )
+    dropped = [output.dropped for output in result.outputs]
+    assert any(dropped) and not all(dropped)
+    assert udf.call_count - calls_before > 5  # a cold model: the run did call the UDF
+    assert sum(output.udf_calls for output in result.outputs) == udf.call_count - calls_before
+
+
 # ---------------------------------------------------------------------------
 # Operator / query integration
 # ---------------------------------------------------------------------------
@@ -304,12 +323,13 @@ def test_predict_multi_matches_predict(trained_f1_emulator):
     engine = LocalInferenceEngine(
         gamma_threshold=0.05 * float(np.ptp(emulator.gp.y_train))
     )
-    per = [engine.predict(emulator.gp, emulator.index, s) for s in sample_sets]
-    multi = engine.predict_multi(emulator.gp, emulator.index, sample_sets)
+    per = [engine.predict(emulator.gp, s) for s in sample_sets]
+    multi = engine.predict_multi(emulator.gp, sample_sets)
     for a, b in zip(per, multi):
         assert np.array_equal(a.selected_indices, b.selected_indices)
-        assert np.allclose(a.means, b.means, rtol=RTOL)
-        assert np.allclose(a.stds, b.stds, rtol=RTOL, atol=1e-12)
+        assert a.gamma == b.gamma and a.radius == b.radius
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.stds, b.stds)
 
 
 def test_batch_kernel_cache_tracks_model_growth(trained_f1_emulator):

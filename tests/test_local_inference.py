@@ -102,7 +102,7 @@ class TestLocalInferenceEngine:
         gp, index = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.01)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.4, size=(200, 2))
-        local = engine.predict(gp, index, samples)
+        local = engine.predict(gp, samples)
         global_result = global_inference(gp, samples)
         # The γ threshold bounds the mean-prediction difference.
         assert np.max(np.abs(local.means - global_result.means)) <= 0.01 + 1e-6
@@ -111,22 +111,22 @@ class TestLocalInferenceEngine:
     def test_selects_fewer_points_for_larger_gamma(self, rng):
         gp, index = build_model(lengthscale=0.8)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.3, size=(100, 2))
-        tight = LocalInferenceEngine(gamma_threshold=1e-4).predict(gp, index, samples)
-        loose = LocalInferenceEngine(gamma_threshold=0.5).predict(gp, index, samples)
+        tight = LocalInferenceEngine(gamma_threshold=1e-4).predict(gp, samples)
+        loose = LocalInferenceEngine(gamma_threshold=0.5).predict(gp, samples)
         assert loose.n_selected <= tight.n_selected
 
     def test_gamma_reported_below_threshold(self, rng):
         gp, index = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.05)
         samples = rng.normal(loc=[3.0, 7.0], scale=0.3, size=(80, 2))
-        result = engine.predict(gp, index, samples)
+        result = engine.predict(gp, samples)
         assert result.gamma <= 0.05 + 1e-12
 
     def test_stds_are_non_negative_and_finite(self, rng):
         gp, index = build_model()
         engine = LocalInferenceEngine(gamma_threshold=0.02)
         samples = rng.normal(loc=[5.0, 5.0], scale=0.5, size=(60, 2))
-        result = engine.predict(gp, index, samples)
+        result = engine.predict(gp, samples)
         assert np.all(result.stds >= 0)
         assert np.all(np.isfinite(result.stds))
 
@@ -134,6 +134,23 @@ class TestLocalInferenceEngine:
         engine = LocalInferenceEngine(gamma_threshold=0.1)
         with pytest.raises(GPError):
             engine.select_points(GaussianProcess(), RTree(dimension=2), BoundingBox(np.zeros(2), np.ones(2)))
+        with pytest.raises(GPError):
+            engine.predict(GaussianProcess(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bound_method", ["exact", "box"])
+    @pytest.mark.parametrize("gamma_threshold", [1e-4, 0.02, 0.5])
+    def test_selection_matches_rtree_reference(self, rng, bound_method, gamma_threshold):
+        """One distance pass selects what the paper's R-tree retrieval selects."""
+        gp, index = build_model(lengthscale=0.8)
+        engine = LocalInferenceEngine(gamma_threshold=gamma_threshold, bound_method=bound_method)
+        samples = rng.normal(loc=[4.0, 6.0], scale=0.3, size=(90, 2))
+        reference, gamma, radius = engine.select_points(
+            gp, index, BoundingBox.from_points(samples), samples=samples
+        )
+        result = engine.predict(gp, samples)
+        assert np.array_equal(result.selected_indices, reference)
+        assert result.radius == radius
+        assert result.gamma == pytest.approx(gamma, rel=1e-9, abs=1e-15)
 
 
 class TestGlobalInference:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,6 +20,7 @@ from repro.core.error_bounds import (
     gp_discrepancy_bound_naive,
     interval_probability_bounds,
 )
+from repro.core.local_inference import _distances_to_boxes
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.gp.linalg import block_inverse_update
 from repro.index.bounding_box import BoundingBox
@@ -34,7 +35,38 @@ point_sets = hnp.arrays(
 )
 
 
+#: Coordinates on a 1/8 grid: gaps, squares and their sums are exact in
+#: floating point, so "exactly at the radius" (3-4-5 triangles, axis-aligned
+#: offsets) is decided identically however the norm is accumulated.
+grid = st.integers(min_value=-64, max_value=64).map(lambda k: k / 8.0)
+extent = st.integers(min_value=0, max_value=32).map(lambda k: k / 8.0)
+grid_point_sets = hnp.arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(min_value=1, max_value=60), st.just(2)),
+    elements=grid,
+)
+
+
 class TestRTreeProperties:
+    @given(grid_point_sets, grid, grid, extent, extent,
+           st.integers(min_value=0, max_value=160).map(lambda k: k / 8.0))
+    # A degenerate box with points exactly at the radius (3-4-5 and axis-aligned),
+    # just inside it and just outside it.
+    @example(np.array([[3.0, 4.0], [5.0, 0.0], [0.0, -5.0], [4.875, 0.0], [3.0, 4.125]]),
+             0.0, 0.0, 0.0, 0.0, 5.0)
+    # A proper box: the same offsets measured from its corner and its faces.
+    @example(np.array([[5.0, 5.0], [7.0, 1.5], [0.5, -4.0], [5.125, 5.0], [-3.0, -4.0]]),
+             0.0, 0.0, 2.0, 1.0, 5.0)
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_radius_test_matches_rtree(self, points, x, y, width, height, radius):
+        """The engine's one-pass retrieval ≡ the reference R-tree retrieval."""
+        box = BoundingBox(np.array([x, y]), np.array([x + width, y + height]))
+        tree = RTree(dimension=2, max_entries=6)
+        tree.bulk_load(points)
+        distances = _distances_to_boxes(points, [box])[:, 0]
+        within = np.flatnonzero(distances <= radius)
+        assert sorted(tree.search_within_distance(box, radius)) == within.tolist()
+
     @given(point_sets)
     @settings(max_examples=40, deadline=None)
     def test_structural_invariants(self, points):

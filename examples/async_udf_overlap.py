@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine import AsyncRefinementExecutor, BatchExecutor, UDFExecutionEngine
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -52,7 +52,7 @@ def main() -> None:
     # --- serial baseline: the batched pipeline, one UDF call at a time -------
     udf, engine, dists = make_run()
     started = time.perf_counter()
-    serial_outputs = BatchExecutor(engine, batch_size=N_TUPLES).compute_batch(udf, dists)
+    serial_outputs = ExecutionPlan(batch_size=N_TUPLES).resolve(engine).compute_batch(udf, dists)
     serial_wall = time.perf_counter() - started
     print("serial batched refinement")
     print(f"  wall-clock             : {serial_wall:.2f} s")
@@ -60,7 +60,7 @@ def main() -> None:
 
     # --- async_inflight=1: must be the serial path, bit for bit --------------
     udf, engine, dists = make_run()
-    executor = AsyncRefinementExecutor(engine, inflight=1, batch_size=N_TUPLES)
+    executor = ExecutionPlan(batch_size=N_TUPLES, async_inflight=1).resolve(engine)
     identity_outputs = executor.compute_batch(udf, dists)
     for a, b in zip(serial_outputs, identity_outputs):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)
@@ -70,7 +70,7 @@ def main() -> None:
 
     # --- async_inflight=8: overlap the black-box calls ------------------------
     udf, engine, dists = make_run()
-    executor = AsyncRefinementExecutor(engine, inflight=8, batch_size=N_TUPLES)
+    executor = ExecutionPlan(batch_size=N_TUPLES, async_inflight=8).resolve(engine)
     started = time.perf_counter()
     async_outputs = executor.compute_batch(udf, dists)
     async_wall = time.perf_counter() - started

@@ -24,12 +24,7 @@ import time
 import numpy as np
 
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine import (
-    AsyncRefinementExecutor,
-    BatchExecutor,
-    ExecutionPlan,
-    UDFExecutionEngine,
-)
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.rng import as_generator
 from repro.udf.synthetic import async_service_udf
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -59,7 +54,7 @@ def main() -> None:
     # --- serial baseline: the same async UDF, one awaited request at a time --
     udf, engine, dists = make_run()
     started = time.perf_counter()
-    serial_outputs = BatchExecutor(engine, batch_size=N_TUPLES).compute_batch(udf, dists)
+    serial_outputs = ExecutionPlan(batch_size=N_TUPLES).resolve(engine).compute_batch(udf, dists)
     serial_wall = time.perf_counter() - started
     print("serial batched refinement (blocking bridge of the async UDF)")
     print(f"  wall-clock             : {serial_wall:.2f} s")
@@ -67,9 +62,9 @@ def main() -> None:
 
     # --- asyncio transport, inflight=1: the serial path, bit for bit ---------
     udf, engine, dists = make_run()
-    executor = AsyncRefinementExecutor(
-        engine, inflight=1, batch_size=N_TUPLES, transport="asyncio"
-    )
+    executor = ExecutionPlan(
+        batch_size=N_TUPLES, async_inflight=1, transport="asyncio"
+    ).resolve(engine)
     identity_outputs = executor.compute_batch(udf, dists)
     for a, b in zip(serial_outputs, identity_outputs):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)

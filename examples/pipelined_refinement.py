@@ -29,12 +29,7 @@ import time
 import numpy as np
 
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine import (
-    AsyncRefinementExecutor,
-    BatchExecutor,
-    PipelinedExecutor,
-    UDFExecutionEngine,
-)
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -67,7 +62,7 @@ def main() -> None:
     # --- serial baseline ------------------------------------------------------
     udf, engine, dists = make_run()
     started = time.perf_counter()
-    serial_outputs = BatchExecutor(engine, batch_size=N_TUPLES).compute_batch(udf, dists)
+    serial_outputs = ExecutionPlan(batch_size=N_TUPLES).resolve(engine).compute_batch(udf, dists)
     serial_wall = time.perf_counter() - started
     print("serial batched refinement")
     print(f"  wall-clock             : {serial_wall:.2f} s")
@@ -75,9 +70,9 @@ def main() -> None:
 
     # --- pipeline_lookahead=1: must be the serial path, bit for bit ----------
     udf, engine, dists = make_run()
-    identity_outputs = PipelinedExecutor(
-        engine, lookahead=1, batch_size=N_TUPLES
-    ).compute_batch(udf, dists)
+    identity_outputs = ExecutionPlan(
+        batch_size=N_TUPLES, pipeline_lookahead=1
+    ).resolve(engine).compute_batch(udf, dists)
     for a, b in zip(serial_outputs, identity_outputs):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)
         assert a.error_bound == b.error_bound
@@ -87,9 +82,9 @@ def main() -> None:
     # --- within-tuple overlap only (PR 3) ------------------------------------
     udf, engine, dists = make_run()
     started = time.perf_counter()
-    async_outputs = AsyncRefinementExecutor(
-        engine, inflight=WINDOW, batch_size=N_TUPLES
-    ).compute_batch(udf, dists)
+    async_outputs = ExecutionPlan(
+        batch_size=N_TUPLES, async_inflight=WINDOW
+    ).resolve(engine).compute_batch(udf, dists)
     async_wall = time.perf_counter() - started
     print(f"\nasync_inflight={WINDOW} (within-tuple overlap only)")
     print(f"  wall-clock             : {async_wall:.2f} s")
@@ -97,9 +92,9 @@ def main() -> None:
 
     # --- cross-tuple pipelining on top ----------------------------------------
     udf, engine, dists = make_run()
-    executor = PipelinedExecutor(
-        engine, lookahead=4, inflight=WINDOW, batch_size=N_TUPLES
-    )
+    executor = ExecutionPlan(
+        batch_size=N_TUPLES, pipeline_lookahead=4, async_inflight=WINDOW
+    ).resolve(engine)
     started = time.perf_counter()
     pipelined_outputs = executor.compute_batch(udf, dists)
     pipelined_wall = time.perf_counter() - started

@@ -33,9 +33,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentTable
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.async_exec import AsyncRefinementExecutor
-from repro.engine.batch import BatchExecutor
 from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.rng import as_generator
 from repro.udf.synthetic import async_service_udf, reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -85,7 +84,10 @@ def udf_overlap(
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
     def run(inflight: int | None):
-        """One full run; ``inflight=None`` is the serial BatchExecutor baseline."""
+        """One full run; ``inflight=None`` is the serial batched baseline."""
+        plan = ExecutionPlan(
+            batch_size=batch_size, async_inflight=inflight, transport=transport
+        )
         best = float("inf")
         calls = 0
         outputs = None
@@ -106,13 +108,7 @@ def udf_overlap(
                 )
             )
             started = time.perf_counter()
-            if inflight is None:
-                outputs = BatchExecutor(engine, batch_size).compute_batch(udf, dists)
-            else:
-                outputs = AsyncRefinementExecutor(
-                    engine, inflight=inflight, batch_size=batch_size,
-                    transport=transport,
-                ).compute_batch(udf, dists)
+            outputs = plan.resolve(engine).compute_batch(udf, dists)
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls, outputs
@@ -185,6 +181,12 @@ def udf_transport(
 
     def run(transport: str | None, inflight: int | None):
         """One full run; ``transport=None`` is the serial batched baseline."""
+        if transport is None:
+            plan = ExecutionPlan(batch_size=batch_size)
+        else:
+            plan = ExecutionPlan(
+                batch_size=batch_size, async_inflight=inflight, transport=transport
+            )
         best = float("inf")
         calls = 0
         outputs = None
@@ -204,13 +206,7 @@ def udf_transport(
                 )
             )
             started = time.perf_counter()
-            if transport is None:
-                outputs = BatchExecutor(engine, batch_size).compute_batch(udf, dists)
-            else:
-                outputs = AsyncRefinementExecutor(
-                    engine, inflight=inflight, batch_size=batch_size,
-                    transport=transport,
-                ).compute_batch(udf, dists)
+            outputs = plan.resolve(engine).compute_batch(udf, dists)
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls, outputs

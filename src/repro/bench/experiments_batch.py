@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentTable
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.batch import BatchExecutor
 from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -88,7 +88,7 @@ def batch_pipeline_speedup(
                     mode_times.append(time.perf_counter() - started)
                     mode_phases.append({})
                 else:
-                    executor = BatchExecutor(engine, batch_size=batch_size)
+                    executor = ExecutionPlan(batch_size=batch_size).resolve(engine)
                     started = time.perf_counter()
                     executor.compute_batch(udf, tuples)
                     mode_times.append(time.perf_counter() - started)

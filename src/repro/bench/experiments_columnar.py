@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentTable
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.batch import BatchExecutor
 from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.rng import as_generator
 from repro.udf.synthetic import high_dimensional_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -111,8 +111,8 @@ def columnar_speedup(
             tuples = list(input_stream(spec, n_tuples, random_state=stream_rng))
             # Warm up through the tuple-store path in *both* modes so the
             # timed region starts from identical model state.
-            BatchExecutor(engine, batch_size=batch_size).compute_batch(udf, warmup)
-            executor = BatchExecutor(engine, batch_size=batch_size, storage=mode)
+            ExecutionPlan(batch_size=batch_size).resolve(engine).compute_batch(udf, warmup)
+            executor = ExecutionPlan(batch_size=batch_size, storage=mode).resolve(engine)
             started = time.perf_counter()
             results = executor.compute_batch(udf, tuples)
             mode_times.append(time.perf_counter() - started)

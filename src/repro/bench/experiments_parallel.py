@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentTable
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.batch import BatchExecutor
 from repro.engine.executor import UDFExecutionEngine
-from repro.engine.parallel import ParallelExecutor
+from repro.engine.plan import ExecutionPlan
 from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -74,7 +73,14 @@ def parallel_scaling(
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
     def timed_run(strategy: str, workers: int | None) -> tuple[float, int]:
-        """One full run; ``workers=None`` is the serial BatchExecutor baseline."""
+        """One full run; ``workers=None`` is the serial batched baseline."""
+        if workers is None:
+            plan = ExecutionPlan(batch_size=batch_size)
+        else:
+            plan = ExecutionPlan(
+                batch_size=batch_size, workers=workers, parallel_seed=shard_seed,
+                merge=merge,  # type: ignore[arg-type]
+            )
         best = float("inf")
         calls = 0
         for _ in range(max(1, trials)):
@@ -90,16 +96,7 @@ def parallel_scaling(
                 )
             )
             started = time.perf_counter()
-            if workers is None:
-                BatchExecutor(engine, batch_size).compute_batch(udf, dists)
-            else:
-                ParallelExecutor(
-                    engine,
-                    workers=workers,
-                    batch_size=batch_size,
-                    merge=merge,  # type: ignore[arg-type]
-                    seed=shard_seed,
-                ).compute_batch(udf, dists)
+            plan.resolve(engine).compute_batch(udf, dists)
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls
@@ -205,7 +202,14 @@ def shared_learning(
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
     def timed_run(merge: str | None, run_workers: int | None):
-        """One run; ``run_workers=None`` is the serial BatchExecutor baseline."""
+        """One run; ``run_workers=None`` is the serial batched baseline."""
+        if run_workers is None:
+            plan = ExecutionPlan(batch_size=batch_size)
+        else:
+            plan = ExecutionPlan(
+                batch_size=batch_size, workers=run_workers, parallel_seed=shard_seed,
+                merge=merge,  # type: ignore[arg-type]
+            )
         best = float("inf")
         calls = 0
         outputs = None
@@ -222,19 +226,10 @@ def shared_learning(
                 )
             )
             started = time.perf_counter()
-            if run_workers is None:
-                outputs = BatchExecutor(engine, batch_size).compute_batch(udf, dists)
-            else:
-                executor = ParallelExecutor(
-                    engine,
-                    workers=run_workers,
-                    batch_size=batch_size,
-                    merge=merge,  # type: ignore[arg-type]
-                    seed=shard_seed,
-                )
-                outputs = executor.compute_batch(udf, dists)
-                refresh_ms = executor.timings.get("model_refresh") * 1000.0
-                append_ms = executor.timings.get("model_append") * 1000.0
+            executor = plan.resolve(engine)
+            outputs = executor.compute_batch(udf, dists)
+            refresh_ms = executor.timings.get("model_refresh") * 1000.0
+            append_ms = executor.timings.get("model_append") * 1000.0
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls, outputs, refresh_ms, append_ms

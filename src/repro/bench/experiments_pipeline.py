@@ -36,10 +36,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentTable
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.async_exec import AsyncRefinementExecutor
-from repro.engine.batch import BatchExecutor
 from repro.engine.executor import UDFExecutionEngine
-from repro.engine.pipeline import PipelinedExecutor
+from repro.engine.plan import ExecutionPlan
 from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -86,6 +84,19 @@ def udf_pipeline(
 
     def run(mode: str, lookahead: int | None = None):
         """One full run; returns (best wall-clock, udf calls, outputs, waste)."""
+        if mode == "serial":
+            plan = ExecutionPlan(batch_size=batch_size)
+        elif mode == "async":
+            plan = ExecutionPlan(batch_size=batch_size, async_inflight=inflight)
+        else:
+            plan = ExecutionPlan(
+                batch_size=batch_size,
+                pipeline_lookahead=lookahead,
+                # lookahead=1 disengages the scheduler entirely: no
+                # window either, so the row checks bit-identity against
+                # the *serial* batched path (the acceptance contract).
+                async_inflight=None if lookahead == 1 else inflight,
+            )
         best = float("inf")
         calls = 0
         outputs = None
@@ -107,24 +118,9 @@ def udf_pipeline(
                 )
             )
             started = time.perf_counter()
-            if mode == "serial":
-                outputs = BatchExecutor(engine, batch_size).compute_batch(udf, dists)
-            elif mode == "async":
-                outputs = AsyncRefinementExecutor(
-                    engine, inflight=inflight, batch_size=batch_size
-                ).compute_batch(udf, dists)
-            else:
-                executor = PipelinedExecutor(
-                    engine,
-                    lookahead=lookahead,
-                    # lookahead=1 disengages the scheduler entirely: no
-                    # window either, so the row checks bit-identity against
-                    # the *serial* batched path (the acceptance contract).
-                    inflight=None if lookahead == 1 else inflight,
-                    batch_size=batch_size,
-                )
-                outputs = executor.compute_batch(udf, dists)
-                wasted = executor.last_wasted_calls
+            executor = plan.resolve(engine)
+            outputs = executor.compute_batch(udf, dists)
+            wasted = getattr(executor, "last_wasted_calls", 0)
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls, outputs, wasted

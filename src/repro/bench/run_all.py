@@ -47,6 +47,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.bench import (
@@ -315,184 +316,93 @@ def _metric_verdict(
     return verdict
 
 
-def check_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Compare a smoke report against the committed baseline artifact.
+@dataclass(frozen=True)
+class Gate:
+    """One row of the perf-gate table: where a ratio lives and how it gates.
 
-    The gated metric is the gp strategy's batched-vs-per-tuple speedup — a
-    wall-clock-derived but hardware-normalised ratio (both runs execute on
-    the same machine), so the gate transfers between the committed-baseline
-    machine and CI runners.  Returns the gate verdict as a JSON-ready dict
-    (see :func:`_metric_verdict` for the missing-metric semantics).
+    Every gated number is a within-run, hardware-normalised ratio (or a
+    sleep-dominated latency), so it transfers between the committed-baseline
+    machine and CI runners; ``min_cpus`` marks the two that need real cores
+    to overlap on.  The identity halves (bit-identity to the serial path)
+    are enforced separately and non-overridably through ``identity_failures``.
     """
-    current = report.get("batch_pipeline", {}).get("speedup", {}).get("gp")
-    reference = baseline.get("batch_pipeline", {}).get("speedup", {}).get("gp")
-    return _metric_verdict("batch_pipeline gp speedup", current, reference, max_regression)
+
+    #: Key of the verdict in the smoke report (``BENCH_*.json``).
+    key: str
+    #: Human-readable metric label recorded in the verdict.
+    metric: str
+    #: Where the number sits in a smoke artifact (nested dict keys).
+    path: tuple[str, ...]
+    #: Gate ``1 / value``: for a latency or a call ratio a *rise* regresses,
+    #: and :func:`_metric_verdict` flags a *drop*.
+    inverted: bool = False
+    #: Compare against this fixed ceiling on the raw value at zero slack
+    #: instead of the committed baseline — for a deterministic call-count
+    #: quotient there is no hardware drift to normalise away.
+    ceiling: float | None = None
+    #: Cores required before the gate arms; on fewer the ratio collapses for
+    #: hardware reasons the gate must not report as a code regression.
+    min_cpus: int = 1
 
 
-def check_columnar_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the columnar-over-tuple-store speedup ratio.
+#: The perf gates, in evaluation order.
+GATES: tuple[Gate, ...] = (
+    Gate("gate", "batch_pipeline gp speedup", ("batch_pipeline", "speedup", "gp")),
+    Gate("gate_columnar", "columnar storage speedup over tuple store",
+         ("columnar", "speedup")),
+    Gate("gate_shared_learning",
+         "shared-merge UDF-call efficiency at workers=4 (serial/shared calls)",
+         ("shared_learning", "udf_calls_ratio_workers4"),
+         inverted=True, ceiling=SHARED_CALLS_RATIO_LIMIT),
+    Gate("gate_parallel", "parallel_scaling gp speedup at workers=4",
+         ("parallel_scaling", "speedup_at_4", "gp", "speedup"),
+         min_cpus=PARALLEL_GATE_MIN_CPUS),
+    # Guards the store's synchronisation overhead: call savings must not be
+    # bought by giving the committed wall-clock speedup back.
+    Gate("gate_shared_speedup", "shared-merge wall-clock speedup at workers=4",
+         ("shared_learning", "speedup_at_4"), min_cpus=PARALLEL_GATE_MIN_CPUS),
+    Gate("gate_auto_plan", "auto-planned speedup over the naive default plan",
+         ("auto_plan", "speedup")),
+    Gate("gate_serving", "serving throughput scaling at 4 clients",
+         ("serving", "scaling_at_4")),
+    # On the smoke workload the p99 is dominated by the UDF service's
+    # simulated 20 ms/request await, so the absolute number transfers
+    # across runner hardware well enough to gate.
+    Gate("gate_serving_p99", "serving 4-client p99 latency (inverse, 1/ms)",
+         ("serving", "p99_at_4"), inverted=True),
+)
 
-    Hardware-normalised like the batched gate (both storages run on the
-    same machine within one invocation), so it arms on every runner.  The
-    storage layer's *identity* half is enforced separately and
-    non-overridably through the ``identity_failures`` list.
-    """
-    return _metric_verdict(
-        "columnar storage speedup over tuple store",
-        report.get("columnar", {}).get("speedup"),
-        baseline.get("columnar", {}).get("speedup"),
-        max_regression,
-    )
+
+def _raw_value(gate: Gate, artifact: dict):
+    """The number at ``gate.path`` in a smoke artifact, or ``None``."""
+    node = artifact
+    for key in gate.path:
+        if not isinstance(node, dict):
+            return None
+        node = node.get(key)
+    return node
 
 
-def _parallel_speedup_at_4(artifact: dict):
-    """The gp workers=4 speedup recorded in a smoke artifact, or ``None``."""
-    headline = (
-        artifact.get("parallel_scaling", {}).get("speedup_at_4", {}).get("gp")
-    )
-    if not isinstance(headline, dict):
+def _gated_value(gate: Gate, raw):
+    """What :func:`_metric_verdict` compares: ``raw``, or its inverse."""
+    if not gate.inverted:
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
         return None
-    return headline.get("speedup")
+    return 1.0 / float(raw)
 
 
-def check_parallel_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the parallel-scaling gp speedup at ``workers=4``.
-
-    Same semantics as :func:`check_regression`, on the sharded layer's
-    headline ratio.  Callers arm this gate only on machines with at least
-    :data:`PARALLEL_GATE_MIN_CPUS` cores (see :func:`gated_verdicts`): the
-    committed baseline was measured with four real cores to overlap on,
-    and on fewer cores the ratio collapses for hardware reasons the gate
-    must not report as a code regression.
-    """
-    return _metric_verdict(
-        "parallel_scaling gp speedup at workers=4",
-        _parallel_speedup_at_4(report),
-        _parallel_speedup_at_4(baseline),
-        max_regression,
-    )
-
-
-def check_shared_learning_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the shared-merge UDF-calls ratio at ``workers=4``.
-
-    Unlike the other gates this one compares against the *fixed*
-    :data:`SHARED_CALLS_RATIO_LIMIT` ceiling, not the committed baseline:
-    the ratio is a deterministic call-count quotient measured within one
-    invocation, so there is no hardware drift to normalise away and the
-    gate arms on every runner.  The metric is inverted (serial calls over
-    shared calls, a call *efficiency*) to reuse
-    :func:`_metric_verdict`'s lower-is-regression convention at a zero
-    slack margin: any ratio above the ceiling regresses.
-    """
-    del baseline, max_regression
-    ratio = report.get("shared_learning", {}).get("udf_calls_ratio_workers4")
-    efficiency = (1.0 / float(ratio)) if ratio else None
-    verdict = _metric_verdict(
-        "shared-merge UDF-call efficiency at workers=4 (serial/shared calls)",
-        efficiency,
-        1.0 / SHARED_CALLS_RATIO_LIMIT,
-        0.0,
-    )
-    verdict["udf_calls_ratio"] = ratio
-    verdict["ratio_limit"] = SHARED_CALLS_RATIO_LIMIT
+def gate_verdict(gate: Gate, report: dict, baseline: dict, max_regression: float) -> dict:
+    """One gate's verdict (see :func:`_metric_verdict` for the semantics)."""
+    raw = _raw_value(gate, report)
+    current = _gated_value(gate, raw)
+    if gate.ceiling is None:
+        reference = _gated_value(gate, _raw_value(gate, baseline))
+        return _metric_verdict(gate.metric, current, reference, max_regression)
+    verdict = _metric_verdict(gate.metric, current, 1.0 / gate.ceiling, 0.0)
+    verdict["udf_calls_ratio"] = raw
+    verdict["ratio_limit"] = gate.ceiling
     return verdict
-
-
-def check_shared_speedup_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the shared-merge wall-clock speedup at ``workers=4``.
-
-    Same semantics as :func:`check_parallel_regression` — a
-    wall-clock-derived ratio that needs real cores to reproduce, so
-    callers arm it only at :data:`PARALLEL_GATE_MIN_CPUS` cores or more.
-    It guards the store's synchronisation overhead: call savings must not
-    be bought by giving the committed wall-clock speedup back.
-    """
-    return _metric_verdict(
-        "shared-merge wall-clock speedup at workers=4",
-        report.get("shared_learning", {}).get("speedup_at_4"),
-        baseline.get("shared_learning", {}).get("speedup_at_4"),
-        max_regression,
-    )
-
-
-def check_auto_plan_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the auto-planned-over-naive-default speedup.
-
-    The ratio is hardware-normalised (both plans run on the same machine
-    within one invocation) and the smoke workload is sleep-dominated
-    (overlapping a declared 20 ms/request await needs no cores), so the
-    gate arms on every runner.  The auto≡explicit *identity* half is
-    enforced separately and non-overridably through the
-    ``identity_failures`` list.
-    """
-    return _metric_verdict(
-        "auto-planned speedup over the naive default plan",
-        report.get("auto_plan", {}).get("speedup"),
-        baseline.get("auto_plan", {}).get("speedup"),
-        max_regression,
-    )
-
-
-def check_serving_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the serving throughput scaling at 4 clients.
-
-    The ratio — 4-client closed-loop throughput over 1-client — is
-    hardware-normalised like the other gated speedups, and the smoke
-    workload is sleep-dominated, so the gate arms on every runner (no
-    core-count guard: overlapping awaited service latency needs no
-    cores).
-    """
-    return _metric_verdict(
-        "serving throughput scaling at 4 clients",
-        report.get("serving", {}).get("scaling_at_4"),
-        baseline.get("serving", {}).get("scaling_at_4"),
-        max_regression,
-    )
-
-
-def _inverse_p99(artifact: dict):
-    """1/p99 (in 1/ms) of the 4-client serving row, or ``None``.
-
-    Inverted so :func:`_metric_verdict`'s lower-is-regression convention
-    gates a latency *increase*: a p99 that grows past the allowed margin
-    shrinks ``1/p99`` below the baseline threshold.
-    """
-    p99 = artifact.get("serving", {}).get("p99_at_4")
-    if not isinstance(p99, (int, float)) or p99 <= 0:
-        return None
-    return 1.0 / float(p99)
-
-
-def check_serving_latency_regression(
-    report: dict, baseline: dict, max_regression: float
-) -> dict:
-    """Gate verdict for the 4-client p99 latency (as its inverse).
-
-    On the smoke workload the p99 is dominated by the UDF service's
-    simulated 20 ms/request await, so — unlike raw CPU wall-clock — the
-    absolute number transfers across runner hardware well enough to gate.
-    """
-    return _metric_verdict(
-        "serving 4-client p99 latency (inverse, 1/ms)",
-        _inverse_p99(report),
-        _inverse_p99(baseline),
-        max_regression,
-    )
 
 
 def gated_verdicts(
@@ -500,44 +410,16 @@ def gated_verdicts(
 ) -> list[tuple[str, dict]]:
     """Every perf-gate verdict that applies on a ``cpu_count``-core machine.
 
-    Always the batched-speedup gate, the columnar gate, the shared-learning
-    calls-ratio gate (a same-invocation count quotient, hardware-blind by
-    construction), the auto-planner gate and both serving gates (throughput
-    scaling and p99 latency — the smoke auto-plan and serving workloads
-    overlap awaited latency, so those arm regardless of cores); plus the
-    parallel-scaling and shared-merge wall-clock speedup gates when the
-    machine has at least :data:`PARALLEL_GATE_MIN_CPUS` cores — the
-    core-count guard that keeps single-core CI runners from disarming (or
-    spuriously failing) those metrics.  Returns ``(report_key, verdict)``
-    pairs in evaluation order.
+    Walks :data:`GATES`, skipping the rows whose ``min_cpus`` the machine
+    does not meet — the core-count guard that keeps single-core CI runners
+    from disarming (or spuriously failing) the wall-clock scaling metrics.
+    Returns ``(report_key, verdict)`` pairs in evaluation order.
     """
-    verdicts = [("gate", check_regression(report, baseline, max_regression))]
-    verdicts.append(
-        ("gate_columnar", check_columnar_regression(report, baseline, max_regression))
-    )
-    verdicts.append(
-        ("gate_shared_learning",
-         check_shared_learning_regression(report, baseline, max_regression))
-    )
-    if cpu_count >= PARALLEL_GATE_MIN_CPUS:
-        verdicts.append(
-            ("gate_parallel", check_parallel_regression(report, baseline, max_regression))
-        )
-        verdicts.append(
-            ("gate_shared_speedup",
-             check_shared_speedup_regression(report, baseline, max_regression))
-        )
-    verdicts.append(
-        ("gate_auto_plan", check_auto_plan_regression(report, baseline, max_regression))
-    )
-    verdicts.append(
-        ("gate_serving", check_serving_regression(report, baseline, max_regression))
-    )
-    verdicts.append(
-        ("gate_serving_p99",
-         check_serving_latency_regression(report, baseline, max_regression))
-    )
-    return verdicts
+    return [
+        (gate.key, gate_verdict(gate, report, baseline, max_regression))
+        for gate in GATES
+        if cpu_count >= gate.min_cpus
+    ]
 
 
 def run_smoke(

@@ -1,9 +1,8 @@
 """Live shared GP emulator state for concurrent learners (``merge="shared"``).
 
-The sharded executor historically made every worker relearn the emulator
-from scratch and reconciled training points only *after* the run
-(``"union"`` / ``"refit-threshold"``).  This module promotes the emulator's
-training matrix to a **live shared model**:
+Under ``merge="discard"`` every shard worker relearns the emulator from
+scratch.  This module promotes the emulator's training matrix to a **live
+shared model**:
 
 - :class:`SharedEmulatorStore` — a lock-protected, version-fenced,
   deduplicating append-only matrix of ``(x, y)`` training observations.

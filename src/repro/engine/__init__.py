@@ -25,14 +25,12 @@ from repro.engine.operators import (
     materialize,
 )
 from repro.engine.parallel import (
-    DEFAULT_REFIT_THRESHOLD,
     MERGE_POLICIES,
     MergePolicy,
     ParallelExecutor,
     default_worker_count,
 )
 from repro.engine.pipeline import (
-    DEFAULT_PIPELINE_LOOKAHEAD,
     PipelineEvaluationDriver,
     PipelinedExecutor,
     SpeculativeValuePool,
@@ -42,7 +40,6 @@ from repro.engine.plan import (
     PRECEDENCE,
     ExecutionPlan,
     is_auto_plan,
-    resolve_plan_argument,
 )
 from repro.engine.query import Query
 from repro.engine.result import (
@@ -93,7 +90,6 @@ __all__ = [
     "AUTO_PLAN",
     "PRECEDENCE",
     "is_auto_plan",
-    "resolve_plan_argument",
     "EvaluationTransport",
     "SerialTransport",
     "ThreadPoolTransport",
@@ -111,11 +107,9 @@ __all__ = [
     "ParallelExecutor",
     "MergePolicy",
     "MERGE_POLICIES",
-    "DEFAULT_REFIT_THRESHOLD",
     "PipelinedExecutor",
     "PipelineEvaluationDriver",
     "SpeculativeValuePool",
-    "DEFAULT_PIPELINE_LOOKAHEAD",
     "Operator",
     "Scan",
     "Project",

@@ -55,7 +55,7 @@ of ``k`` calls costs roughly one latency instead of ``k``.
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,19 +63,16 @@ from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
 from repro.core.olgapro import OLGAPRO, select_top_k_distinct
 from repro.distributions.base import Distribution
-from repro.engine.batch import DEFAULT_BATCH_SIZE, STORAGES, BatchExecutor
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
-from repro.engine.transport import (
-    DEFAULT_TRANSPORT,
-    EvaluationTransport,
-    TransportSpec,
-    make_transport,
-    transport_name,
-)
+from repro.engine.transport import EvaluationTransport, make_transport
 from repro.exceptions import QueryError
 from repro.index.bounding_box import BoundingBox
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
+
+if TYPE_CHECKING:  # plan.py imports this module
+    from repro.engine.batch import BatchExecutor
+    from repro.engine.plan import ExecutionPlan
 
 #: Default bound on concurrently in-flight UDF evaluations: deep enough to
 #: hide realistic black-box latency inside one refinement window, shallow
@@ -281,59 +278,32 @@ class AsyncRefinementExecutor:
         The execution engine whose per-UDF processors do the work.  The
         ``"mc"`` strategy has no refinement loop, so it runs the plain
         batched path unchanged.
-    inflight:
-        Maximum concurrently in-flight UDF evaluations (the refinement
-        window).  ``1`` disables overlap entirely and is bit-identical to
-        :class:`BatchExecutor` under the same seed.
-    batch_size:
-        Chunk size of the underlying batched pipeline.
-    transport:
-        How the window's evaluations reach the black box: a registry name
-        (``"threads"`` — the default bounded pool — or ``"asyncio"`` for
-        natively-async UDFs) or an
-        :class:`~repro.engine.transport.EvaluationTransport` instance.
-        The transport is opened per computation and closed on every exit
-        path, so the executor itself stays picklable and reusable.
+    plan:
+        The :class:`~repro.engine.plan.ExecutionPlan` this executor was
+        resolved from.  ``async_inflight`` is the refinement window (``1``
+        disables overlap entirely and is bit-identical to
+        :class:`BatchExecutor` under the same seed), ``transport`` how the
+        window's evaluations reach the black box — opened per computation
+        and closed on every exit path, so the executor itself stays
+        picklable and reusable — and :meth:`~repro.engine.plan
+        .ExecutionPlan.inner` the chunk pipeline underneath.
 
     Raises
     ------
     QueryError
-        On non-positive ``inflight`` / ``batch_size``, an unusable
-        transport (unknown name, or ``"serial"`` with ``inflight > 1`` —
-        inline evaluation cannot overlap a window), or when a driver is
-        already installed on the target processor (nested async execution).
+        From a compute call, on a UDF the transport cannot carry or when a
+        driver is already installed on the target processor (nested async
+        execution).
     """
 
-    def __init__(
-        self,
-        engine: UDFExecutionEngine,
-        inflight: int = DEFAULT_ASYNC_INFLIGHT,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        transport: Optional[TransportSpec] = None,
-        storage: str = "tuple",
-    ):
-        """Validate the configuration and bind the engine (no evaluation
-        resource yet — transports are opened per computation so the
-        executor itself stays picklable and reusable)."""
-        if inflight < 1:
-            raise QueryError(f"inflight must be positive, got {inflight}")
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be positive, got {batch_size}")
-        if storage not in STORAGES:
-            raise QueryError(f"unknown storage layout {storage!r}; choose from {STORAGES}")
-        self.transport = transport if transport is not None else DEFAULT_TRANSPORT
-        if transport_name(self.transport) == "serial" and inflight > 1:
-            raise QueryError(
-                "transport='serial' evaluates inline and cannot overlap "
-                f"inflight={inflight} calls; use 'threads' or 'asyncio'"
-            )
+    def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
+        """Bind the engine and the plan (no evaluation resource yet)."""
         self.engine = engine
-        self.inflight = int(inflight)
-        self.batch_size = int(batch_size)
-        #: Storage layout of the underlying chunk pipeline ("tuple" or
-        #: "columnar"); forwarded to the per-chunk BatchExecutor.
-        self.storage = storage
-        self.columnar = storage == "columnar"
+        self.plan = plan
+        self.inflight = plan.async_inflight
+        self.batch_size = plan.chunk_size
+        self.transport = plan.transport
+        self.columnar = plan.storage == "columnar"
         #: Per-phase wall-clock of the underlying batched pipeline.
         self.timings = PhaseTimings()
 
@@ -378,7 +348,7 @@ class AsyncRefinementExecutor:
         # raises the window.
         transport = make_transport(self.transport)
         transport.accepts(udf)
-        batch = BatchExecutor(self.engine, self.batch_size, storage=self.storage)
+        batch = self.plan.inner().resolve(self.engine)
         try:
             if self.inflight == 1 or self.engine.strategy == "mc":
                 return self._delegate(batch, udf, distributions, predicate)
@@ -402,7 +372,7 @@ class AsyncRefinementExecutor:
 
     def _delegate(
         self,
-        batch: BatchExecutor,
+        batch: "BatchExecutor",
         udf: UDF,
         distributions: list[Distribution],
         predicate: Optional[SelectionPredicate],

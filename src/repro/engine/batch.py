@@ -24,7 +24,7 @@ delegates tuple by tuple and stays equivalent by construction.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from repro.exceptions import QueryError, UDFError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
 
-#: Physical layouts the batch pipeline accepts (mirrors the plan knob).
-STORAGES = ("tuple", "columnar")
+if TYPE_CHECKING:  # plan.py imports this module
+    from repro.engine.plan import ExecutionPlan
 
 #: Default chunk size; large enough to amortise the stacked kernel algebra,
 #: small enough to keep the stacked sample matrix in cache-friendly territory.
@@ -134,23 +134,15 @@ class BatchExecutor:
     / ``inference`` / ``refinement``) accumulate on :attr:`timings`.
     """
 
-    def __init__(
-        self,
-        engine: UDFExecutionEngine,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        storage: str = "tuple",
-    ):
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be positive, got {batch_size}")
-        if storage not in STORAGES:
-            raise QueryError(f"unknown storage layout {storage!r}; choose from {STORAGES}")
+    def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
+        """Bind the engine; ``plan`` supplies ``batch_size`` and ``storage``."""
         self.engine = engine
-        self.batch_size = int(batch_size)
-        self.storage = storage
+        self.plan = plan
+        self.batch_size = plan.chunk_size
         #: Whether chunks run through the columnar hot paths (stacked MC
         #: draws, column-armed kernel cache, batched envelope sweeps).
         #: Gated bit-identical to the tuple store under the same seed.
-        self.columnar = storage == "columnar"
+        self.columnar = plan.storage == "columnar"
         self.timings = PhaseTimings()
 
     # -- evaluation without a predicate ------------------------------------------------
@@ -209,57 +201,65 @@ class BatchExecutor:
     ) -> list[ComputedOutput]:
         strategy = self.engine.strategy
         if strategy == "mc":
-            return self._mc_chunk(udf, chunk, self.engine.requirement, self.engine._rng)
+            return mc_chunk(
+                udf, chunk, self.engine.requirement, self.engine._rng,
+                self.timings, self.columnar,
+            )
         processor = self.engine._processor_for(udf)
         if isinstance(processor, HybridExecutor):
             decision = processor.decide(chunk[0])
             if decision.method == "mc":
-                return self._mc_chunk(udf, chunk, processor.requirement, processor._rng)
+                return mc_chunk(
+                    udf, chunk, processor.requirement, processor._rng,
+                    self.timings, self.columnar,
+                )
             processor = processor._olgapro
         results = processor.process_batch(chunk, timings=self.timings, columnar=self.columnar)
         return [online_result_to_output(result) for result in results]
 
-    def _mc_chunk(
-        self,
-        udf: UDF,
-        chunk: list[Distribution],
-        requirement,
-        rng: np.random.Generator,
-    ) -> list[ComputedOutput]:
-        """Algorithm 1 over a chunk: stack the input samples, evaluate once."""
-        m = mc_sample_count(requirement)
-        started = time.perf_counter()
-        column = None
-        if self.columnar and stacking_supported():
-            column = attempt_encode(chunk)
-        if column is not None:
-            # Columnar fast path: one stacked generator call fills the whole
-            # (n, m) block in the per-tuple draw order, so the shared stream
-            # advances identically and the stacked input is bit-identical.
-            stacked_inputs = sample_stacked(column, m, rng).reshape(len(chunk) * m, -1)
-        else:
-            # Per-tuple draws in tuple order keep the stream identical to the
-            # per-tuple path; stacking afterwards costs one copy.
-            inputs = [dist.sample(m, random_state=rng) for dist in chunk]
-            stacked_inputs = np.vstack(inputs)
-        self.timings.add("sampling", time.perf_counter() - started)
 
-        charged_before = udf.charged_time
-        started = time.perf_counter()
-        outputs = udf.evaluate_batch(stacked_inputs)
-        self.timings.add("inference", time.perf_counter() - started)
-        charged_share = (udf.charged_time - charged_before) / len(chunk)
+def mc_chunk(
+    udf: UDF,
+    chunk: list[Distribution],
+    requirement,
+    rng: np.random.Generator,
+    timings: PhaseTimings,
+    columnar: bool,
+) -> list[ComputedOutput]:
+    """Algorithm 1 over a chunk: stack the input samples, evaluate once."""
+    m = mc_sample_count(requirement)
+    started = time.perf_counter()
+    column = None
+    if columnar and stacking_supported():
+        column = attempt_encode(chunk)
+    if column is not None:
+        # Columnar fast path: one stacked generator call fills the whole
+        # (n, m) block in the per-tuple draw order, so the shared stream
+        # advances identically and the stacked input is bit-identical.
+        stacked_inputs = sample_stacked(column, m, rng).reshape(len(chunk) * m, -1)
+    else:
+        # Per-tuple draws in tuple order keep the stream identical to the
+        # per-tuple path; stacking afterwards costs one copy.
+        inputs = [dist.sample(m, random_state=rng) for dist in chunk]
+        stacked_inputs = np.vstack(inputs)
+    timings.add("sampling", time.perf_counter() - started)
 
-        results: list[ComputedOutput] = []
-        for i in range(len(chunk)):
-            results.append(
-                ComputedOutput(
-                    distribution=EmpiricalDistribution(outputs[i * m : (i + 1) * m]),
-                    error_bound=requirement.epsilon,
-                    existence_probability=1.0,
-                    dropped=False,
-                    udf_calls=m,
-                    charged_time=charged_share,
-                )
+    charged_before = udf.charged_time
+    started = time.perf_counter()
+    outputs = udf.evaluate_batch(stacked_inputs)
+    timings.add("inference", time.perf_counter() - started)
+    charged_share = (udf.charged_time - charged_before) / len(chunk)
+
+    results: list[ComputedOutput] = []
+    for i in range(len(chunk)):
+        results.append(
+            ComputedOutput(
+                distribution=EmpiricalDistribution(outputs[i * m : (i + 1) * m]),
+                error_bound=requirement.epsilon,
+                existence_probability=1.0,
+                dropped=False,
+                udf_calls=m,
+                charged_time=charged_share,
             )
-        return results
+        )
+    return results

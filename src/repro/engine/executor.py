@@ -12,7 +12,6 @@ strategies are available, mirroring the paper's evaluation:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional
 
@@ -31,23 +30,6 @@ from repro.udf.base import UDF
 if TYPE_CHECKING:  # imported lazily at runtime (plan.py imports this module)
     from repro.engine.plan import ExecutionPlan
     from repro.engine.result import QueryResult
-
-
-def _warn_legacy_shim(name: str) -> None:
-    """One deprecation warning per legacy ``compute_*`` entry point.
-
-    The supported paths are ``compute_with_plan(plan=...)`` for direct
-    engine use and :meth:`repro.engine.session.Session.submit` for served
-    queries; the per-layer shims remain only so existing call sites keep
-    working while they migrate.
-    """
-    warnings.warn(
-        f"UDFExecutionEngine.{name}() is a legacy shim; build an "
-        "ExecutionPlan and call compute_with_plan(..., plan=plan), or "
-        "submit the query through repro.engine.session.Session",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 Strategy = Literal["mc", "gp", "hybrid"]
 
@@ -218,10 +200,7 @@ class UDFExecutionEngine:
         the engine's default plan from construction, or the all-default
         per-tuple plan) is resolved to the composed executor stack and run
         over ``input_distributions``, optionally under a selection
-        ``predicate``.  The per-layer convenience methods below
-        (:meth:`compute_batch`, :meth:`compute_async`,
-        :meth:`compute_pipelined`, :meth:`compute_parallel`) are
-        deprecated shims over this.
+        ``predicate``.
 
         Returns
         -------
@@ -283,139 +262,6 @@ class UDFExecutionEngine:
             timings=timings,
             verdicts=classify_outputs(outputs, self.requirement.epsilon),
         )
-
-    # -- deprecated per-layer shims -----------------------------------------------------
-    def compute_batch(
-        self, udf: UDF, input_distributions, batch_size: int | None = None
-    ) -> "QueryResult":
-        """Evaluate ``udf`` on many tuples through the batched pipeline.
-
-        .. deprecated::
-            Legacy shim over :meth:`compute_with_plan` (a
-            :class:`DeprecationWarning` is emitted); pass
-            ``ExecutionPlan(batch_size=...)`` instead.  Under the same
-            seed and a deterministic tuning strategy the results match
-            calling :meth:`compute` once per tuple, in order.
-        """
-        _warn_legacy_shim("compute_batch")
-        from repro.engine.batch import DEFAULT_BATCH_SIZE
-        from repro.engine.plan import ExecutionPlan
-
-        plan = ExecutionPlan(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
-        )
-        return self.compute_with_plan(udf, input_distributions, plan)
-
-    def compute_parallel(
-        self,
-        udf: UDF,
-        input_distributions,
-        workers: int | None = None,
-        batch_size: int | None = None,
-        merge: str = "union",
-        seed: int | None = None,
-        async_inflight: int | None = None,
-        oversubscribe: float = 1.0,
-        transport=None,
-    ) -> "QueryResult":
-        """Evaluate ``udf`` on many tuples sharded across a process pool.
-
-        .. deprecated::
-            Legacy shim over :meth:`compute_with_plan` (a
-            :class:`DeprecationWarning` is emitted); pass
-            ``ExecutionPlan(workers=...)`` instead.  A plan has no
-            "scaled core-count default" spelling of ``workers=None``, so
-            the shim materialises it via
-            :func:`~repro.engine.parallel.default_worker_count` — the
-            built plan is explicit about the shard count it runs.  Knob
-            conflicts the old direct path resolved silently (an explicit
-            ``workers`` with ``oversubscribe``, a transport *instance*
-            with workers) now raise a typed
-            :class:`~repro.exceptions.PlanError`.
-        """
-        _warn_legacy_shim("compute_parallel")
-        from repro.engine.batch import DEFAULT_BATCH_SIZE
-        from repro.engine.parallel import default_worker_count
-        from repro.engine.plan import ExecutionPlan
-        from repro.engine.transport import DEFAULT_TRANSPORT
-
-        if workers is None and oversubscribe == 1.0:
-            workers = default_worker_count()
-        plan = ExecutionPlan(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
-            workers=workers,
-            merge=merge,  # type: ignore[arg-type]
-            parallel_seed=seed,
-            async_inflight=async_inflight,
-            oversubscribe=oversubscribe,
-            transport=transport if transport is not None else DEFAULT_TRANSPORT,
-        )
-        return self.compute_with_plan(udf, input_distributions, plan)
-
-    def compute_async(
-        self,
-        udf: UDF,
-        input_distributions,
-        inflight: int | None = None,
-        batch_size: int | None = None,
-        transport=None,
-    ) -> "QueryResult":
-        """Evaluate ``udf`` on many tuples with overlapped refinement calls.
-
-        .. deprecated::
-            Legacy shim over :meth:`compute_with_plan` (a
-            :class:`DeprecationWarning` is emitted); pass
-            ``ExecutionPlan(async_inflight=...)`` instead.  Up to
-            ``inflight`` refinement-loop UDF evaluations run concurrently
-            on the configured ``transport``; ``inflight=1`` is
-            bit-identical to the serial batched path under the same seed.
-        """
-        _warn_legacy_shim("compute_async")
-        from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT
-        from repro.engine.batch import DEFAULT_BATCH_SIZE
-        from repro.engine.plan import ExecutionPlan
-
-        plan = ExecutionPlan(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
-            async_inflight=inflight if inflight is not None else DEFAULT_ASYNC_INFLIGHT,
-            transport=transport if transport is not None else "threads",
-        )
-        return self.compute_with_plan(udf, input_distributions, plan)
-
-    def compute_pipelined(
-        self,
-        udf: UDF,
-        input_distributions,
-        lookahead: int | None = None,
-        inflight: int | None = None,
-        batch_size: int | None = None,
-        transport=None,
-    ) -> "QueryResult":
-        """Evaluate ``udf`` on many tuples with cross-tuple pipelining.
-
-        .. deprecated::
-            Legacy shim over :meth:`compute_with_plan` (a
-            :class:`DeprecationWarning` is emitted); pass
-            ``ExecutionPlan(pipeline_lookahead=...)`` instead.  While one
-            tuple's refinement waits on black-box UDF calls, the next
-            ``lookahead - 1`` tuples' stages already run; ``lookahead=1``
-            is bit-identical to the serial batched path under the same
-            seed.
-        """
-        _warn_legacy_shim("compute_pipelined")
-        from repro.engine.batch import DEFAULT_BATCH_SIZE
-        from repro.engine.pipeline import DEFAULT_PIPELINE_LOOKAHEAD
-        from repro.engine.plan import ExecutionPlan
-
-        plan = ExecutionPlan(
-            batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
-            pipeline_lookahead=(
-                lookahead if lookahead is not None else DEFAULT_PIPELINE_LOOKAHEAD
-            ),
-            async_inflight=inflight,
-            transport=transport if transport is not None else "threads",
-        )
-        return self.compute_with_plan(udf, input_distributions, plan)
 
     # -- quarantine ----------------------------------------------------------------
     @staticmethod

@@ -19,39 +19,20 @@ from __future__ import annotations
 
 import abc
 from contextlib import contextmanager
-from dataclasses import fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.filtering import SelectionPredicate
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.batch import iter_batches, truncate_columns
 from repro.engine.executor import UDFExecutionEngine
-from repro.engine.parallel import MergePolicy, ParallelExecutor
-from repro.engine.plan import ExecutionPlan, is_auto_plan, resolve_plan_argument
+from repro.engine.parallel import ParallelExecutor
+from repro.engine.plan import ExecutionPlan, PlannedExecutor, is_auto_plan
 from repro.engine.result import QueryResult, classify_rows
 from repro.engine.schema import Attribute, AttributeKind, Schema
-from repro.engine.transport import TransportSpec
 from repro.engine.tuples import Relation, UncertainTuple
 from repro.exceptions import QueryError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
-
-
-def legacy_knobs_supplied(**legacy) -> bool:
-    """Whether any legacy per-knob kwarg was actually set.
-
-    "Set" means different from the corresponding
-    :class:`~repro.engine.plan.ExecutionPlan` field default (``None`` for
-    most knobs, ``"union"`` for ``merge``) — the same rule
-    :func:`~repro.engine.plan.resolve_plan_argument` applies when deciding
-    whether to warn.  Shared by the operators and the query builder to
-    decide when the engine's default plan may stand in.
-    """
-    defaults = {field.name: field.default for field in fields(ExecutionPlan)}
-    return any(
-        value is not None and value != defaults.get(name)
-        for name, value in legacy.items()
-    )
 
 
 @contextmanager
@@ -109,40 +90,57 @@ def _scan_relation_size(child: Operator) -> int | None:
     return None
 
 
-def _plan_and_executors(
+def _plan_and_executor(
     plan: ExecutionPlan | str | None,
     engine: UDFExecutionEngine,
-    udf: UDF | None = None,
-    relation_size: int | None = None,
-    **legacy,
-) -> tuple[ExecutionPlan, ParallelExecutor | None, object | None]:
+    udf: UDF,
+    relation_size: int | None,
+) -> tuple[ExecutionPlan, PlannedExecutor | None]:
     """Shared plan/executor setup of :class:`ApplyUDF` and :class:`SelectUDF`.
 
-    Resolves ``plan=``-or-legacy-kwargs to one validated plan, then the
-    plan to its executor, split into the two shapes the operators
-    iterate over: ``(plan, parallel, chunked)`` where ``parallel`` is a
-    :class:`~repro.engine.parallel.ParallelExecutor` (whole-input fan-out)
-    and ``chunked`` any chunk-wise executor (``None``/``None`` = the
-    per-tuple path).
-
-    When neither ``plan=`` nor any legacy knob was given, the engine's
-    default plan (installed at engine construction, or by
-    :meth:`~repro.engine.session.Session.submit`) applies — the seam that
-    lets one plan configure a whole served query without threading it
-    through every builder call.  The ``"auto"`` spelling — passed
-    directly, or installed as the engine default — resolves here, where
-    the UDF and the input size are both known, via
-    :meth:`~repro.engine.plan.ExecutionPlan.auto`.
+    With no ``plan=``, the engine's default plan (installed at engine
+    construction, or by :meth:`~repro.engine.session.Session.submit`)
+    applies — the seam that lets one plan configure a whole served query
+    without threading it through every builder call.  The ``"auto"``
+    spelling — passed directly, or installed as the engine default —
+    resolves here, where the UDF and the input size are both known, via
+    :meth:`~repro.engine.plan.ExecutionPlan.auto`.  The executor is
+    ``None`` for the per-tuple path.
     """
-    if plan is None and engine.plan is not None and not legacy_knobs_supplied(**legacy):
-        plan = engine.plan
+    if plan is None:
+        plan = engine.plan if engine.plan is not None else ExecutionPlan()
     if is_auto_plan(plan):
         plan = ExecutionPlan.auto(udf, relation_size, engine=engine)
-    resolved = resolve_plan_argument(plan, warn_stacklevel=4, **legacy)
-    executor = resolved.resolve(engine)
-    if isinstance(executor, ParallelExecutor):
-        return resolved, executor, None
-    return resolved, None, executor
+    return plan, plan.resolve(engine)
+
+
+def _udf_blocks(node, predicate: SelectionPredicate | None = None):
+    """Yield ``(rows, outputs)`` blocks of a UDF node, as its plan executes.
+
+    Sharding needs the whole input (materialise, fan out, re-attach); a
+    chunk-wise executor takes ``batch_size`` rows at a time; with no
+    executor each tuple goes through the engine on its own.  The retry
+    policy is installed around the whole scan.
+    """
+    executor = node._executor
+    if executor is None:
+        blocks: Iterable = ([row] for row in node.child)
+    elif isinstance(executor, ParallelExecutor):
+        blocks = [list(node.child)]
+    else:
+        blocks = iter_batches(node.child, executor.batch_size)
+    with _installed_retry(node.udf, node.plan):
+        for rows in blocks:
+            inputs = [row.input_distribution(node.argument_names) for row in rows]
+            if executor is None and predicate is None:
+                outputs = [node.engine.compute(node.udf, inputs[0])]
+            elif executor is None:
+                outputs = [node.engine.compute_with_predicate(node.udf, inputs[0], predicate)]
+            elif predicate is None:
+                outputs = executor.compute_batch(node.udf, inputs)
+            else:
+                outputs = executor.compute_batch_with_predicate(node.udf, inputs, predicate)
+            yield rows, outputs
 
 
 class Operator(abc.ABC):
@@ -181,6 +179,15 @@ class Operator(abc.ABC):
                 return plan
         return None
 
+    def _merge_executor_timings(self, timings: PhaseTimings) -> None:
+        """Fold every UDF node's executor phases (``sampling`` /
+        ``inference`` / ``refinement`` / ``filtering`` / ``speculation``)
+        into ``timings`` — call once, after the tree has been consumed."""
+        for node in self._tree_nodes():
+            executor = getattr(node, "_executor", None)
+            if executor is not None:
+                timings.merge(executor.timings)
+
     def execute(self, name: str = "result") -> QueryResult:
         """Materialise the operator's output into a typed query result.
 
@@ -197,6 +204,7 @@ class Operator(abc.ABC):
         with timings.measure("execute"):
             for row in self:
                 result.insert(row)
+        self._merge_executor_timings(timings)
         return QueryResult(
             result,
             plan=self._tree_plan(),
@@ -313,11 +321,7 @@ class ApplyUDF(Operator):
     :class:`~repro.engine.plan.ExecutionPlan` (``plan=``): batching,
     sharding, overlapped refinement windows, cross-tuple pipelining and
     the evaluation transport, validated as a unit and resolved to the
-    composed executor stack.  The per-knob kwargs (``batch_size`` /
-    ``workers`` / ``merge`` / ``parallel_seed`` / ``async_inflight`` /
-    ``pipeline_lookahead`` / ``transport``) remain as a deprecation shim
-    that builds the same plan; passing both is a
-    :class:`~repro.exceptions.PlanError`.
+    composed executor stack.
     """
 
     def __init__(
@@ -328,13 +332,6 @@ class ApplyUDF(Operator):
         alias: str,
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: MergePolicy = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ):
         """Validate the UDF call against the child's schema and pick executors.
 
@@ -348,8 +345,8 @@ class ApplyUDF(Operator):
         QueryError
             When ``argument_names`` is empty or references unknown
             attributes, when ``alias`` collides with an existing attribute,
-            or (as :class:`~repro.exceptions.PlanError`) when the execution
-            plan — explicit or built from the legacy kwargs — is invalid.
+            or (as :class:`~repro.exceptions.PlanError`) when the plan
+            cannot be resolved against ``engine``.
         """
         if not argument_names:
             raise QueryError("a UDF call needs at least one argument attribute")
@@ -364,16 +361,9 @@ class ApplyUDF(Operator):
         self.argument_names = list(argument_names)
         self.alias = alias
         self.engine = engine
-        self.plan, self._parallel, self._batch = _plan_and_executors(
-            plan, engine, udf=udf, relation_size=_scan_relation_size(child),
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
+        self.plan, self._executor = _plan_and_executor(
+            plan, engine, udf, _scan_relation_size(child)
         )
-        self.batch_size = self.plan.batch_size
-        self.workers = self.plan.workers
-        self.async_inflight = self.plan.async_inflight
-        self.pipeline_lookahead = self.plan.pipeline_lookahead
 
     def schema(self) -> Schema:
         """The child schema plus the derived uncertain output attribute."""
@@ -398,26 +388,9 @@ class ApplyUDF(Operator):
         return out
 
     def __iter__(self) -> Iterator[UncertainTuple]:
-        with _installed_retry(self.udf, self.plan):
-            if self._parallel is not None:
-                # Sharding needs the whole input: materialise, fan out, re-attach.
-                rows = list(self.child)
-                distributions = [row.input_distribution(self.argument_names) for row in rows]
-                outputs = self._parallel.compute_batch(self.udf, distributions)
-                for row, output in zip(rows, outputs):
-                    yield self._annotated(row, output)
-                return
-            if self._batch is None:
-                for row in self.child:
-                    input_distribution = row.input_distribution(self.argument_names)
-                    output = self.engine.compute(self.udf, input_distribution)
-                    yield self._annotated(row, output)
-                return
-            for rows in iter_batches(self.child, self._batch.batch_size):
-                distributions = [row.input_distribution(self.argument_names) for row in rows]
-                outputs = self._batch.compute_batch(self.udf, distributions)
-                for row, output in zip(rows, outputs):
-                    yield self._annotated(row, output)
+        for rows, outputs in _udf_blocks(self):
+            for row, output in zip(rows, outputs):
+                yield self._annotated(row, output)
 
 
 class SelectUDF(Operator):
@@ -439,27 +412,20 @@ class SelectUDF(Operator):
         predicate: SelectionPredicate,
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: MergePolicy = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ):
         """Validate the predicated UDF call and pick executors.
 
         The execution configuration (``plan=``, including the ``"auto"``
-        spelling, or the legacy per-knob kwargs) and name-based ``udf``
-        resolution behave exactly as on :class:`ApplyUDF`.
+        spelling) and name-based ``udf`` resolution behave exactly as on
+        :class:`ApplyUDF`.
 
         Raises
         ------
         QueryError
             When ``argument_names`` references unknown attributes, when
             ``alias`` collides with an existing attribute, or (as
-            :class:`~repro.exceptions.PlanError`) when the execution plan
-            is invalid.
+            :class:`~repro.exceptions.PlanError`) when the plan cannot be
+            resolved against ``engine``.
         """
         for name in argument_names:
             if name not in child.schema():
@@ -473,16 +439,9 @@ class SelectUDF(Operator):
         self.alias = alias
         self.predicate = predicate
         self.engine = engine
-        self.plan, self._parallel, self._batch = _plan_and_executors(
-            plan, engine, udf=udf, relation_size=_scan_relation_size(child),
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
+        self.plan, self._executor = _plan_and_executor(
+            plan, engine, udf, _scan_relation_size(child)
         )
-        self.batch_size = self.plan.batch_size
-        self.workers = self.plan.workers
-        self.async_inflight = self.plan.async_inflight
-        self.pipeline_lookahead = self.plan.pipeline_lookahead
 
     def schema(self) -> Schema:
         """The child schema plus the predicate-restricted output attribute."""
@@ -532,7 +491,7 @@ class SelectUDF(Operator):
         tuple storage).  The block truncation is bit-identical to the scalar
         calls, so the columnar plan changes no filtering decision.
         """
-        if not (self._batch is not None and getattr(self._batch, "columnar", False)):
+        if not getattr(self._executor, "columnar", False):
             return [None] * len(outputs)
         eligible = [
             i
@@ -553,38 +512,12 @@ class SelectUDF(Operator):
         return truncations
 
     def __iter__(self) -> Iterator[UncertainTuple]:
-        with _installed_retry(self.udf, self.plan):
-            if self._parallel is not None:
-                rows = list(self.child)
-                distributions = [row.input_distribution(self.argument_names) for row in rows]
-                outputs = self._parallel.compute_batch_with_predicate(
-                    self.udf, distributions, self.predicate
-                )
-                for row, output in zip(rows, outputs):
-                    survivor = self._filtered(row, output)
-                    if survivor is not None:
-                        yield survivor
-                return
-            if self._batch is None:
-                for row in self.child:
-                    input_distribution = row.input_distribution(self.argument_names)
-                    output = self.engine.compute_with_predicate(
-                        self.udf, input_distribution, self.predicate
-                    )
-                    survivor = self._filtered(row, output)
-                    if survivor is not None:
-                        yield survivor
-                return
-            for rows in iter_batches(self.child, self._batch.batch_size):
-                distributions = [row.input_distribution(self.argument_names) for row in rows]
-                outputs = self._batch.compute_batch_with_predicate(
-                    self.udf, distributions, self.predicate
-                )
-                truncations = self._chunk_truncations(outputs)
-                for row, output, truncation in zip(rows, outputs, truncations):
-                    survivor = self._filtered(row, output, truncation)
-                    if survivor is not None:
-                        yield survivor
+        for rows, outputs in _udf_blocks(self, self.predicate):
+            truncations = self._chunk_truncations(outputs)
+            for row, output, truncation in zip(rows, outputs, truncations):
+                survivor = self._filtered(row, output, truncation)
+                if survivor is not None:
+                    yield survivor
 
 
 def materialize(rows: Iterable[UncertainTuple], schema: Schema, name: str = "result") -> Relation:

@@ -7,22 +7,24 @@ of Antova et al. (arXiv:0707.1644) applied to this engine: once a tuple's
 state is a compact input distribution plus a shared emulator, the relation
 shards trivially.  :class:`ParallelExecutor` therefore
 
-1. splits the input stream into fixed-size *shards* (``shard_size`` tuples,
-   default ``batch_size`` — deliberately independent of the worker count so
-   shard outputs do not depend on pool size),
+1. splits the input stream into fixed-size *shards* (``batch_size`` tuples —
+   deliberately independent of the worker count so shard outputs do not
+   depend on pool size),
 2. pickles the execution engine once — per-UDF processors, GP emulator and
    kernel hyperparameters included (the emulator's reference R-tree is
-   built only on access, so no engine run ships one) — as the model snapshot every worker
-   starts from,
-3. runs one :class:`~repro.engine.batch.BatchExecutor` per shard inside a
-   :class:`concurrent.futures.ProcessPoolExecutor`, each shard drawing from
-   its own :func:`~repro.rng.spawn_keyed` random stream, and
-4. merges shard outputs (always in shard order) and the training points the
-   workers added (according to the *merge policy*) back into the parent.
+   built only on access, so no engine run ships one) — together with the
+   shard's :class:`~repro.engine.plan.ExecutionPlan` (the plan with its
+   sharding fields cleared) as the snapshot every worker starts from,
+3. resolves that plan inside a
+   :class:`concurrent.futures.ProcessPoolExecutor` worker, one executor per
+   shard, each shard drawing from its own :func:`~repro.rng.spawn_keyed`
+   random stream, and
+4. merges shard outputs (always in shard order) back into the parent; what
+   the workers *learned* follows the *merge policy*.
 
 Merge policies
 --------------
-``"discard"``
+``"discard"`` (default)
     Worker-added training points are thrown away.  With ``workers >= 2``
     the parent process never computes, so its model is byte-for-byte
     untouched; with ``workers = 1`` the in-process run is rolled back via a
@@ -30,19 +32,10 @@ Merge policies
     hyperparameter-trained flag), while pure *accounting* state —
     UDF call counters, GP operation counts, ``tuples_processed`` — keeps
     the work it genuinely performed.  Shard outputs depend only on
-    ``(seed, shard_size, batch_size)`` — invariant to the worker count.
-``"union"`` (default)
-    Every worker's new ``(x, f(x))`` observations are absorbed into the
-    parent emulator through the blocked incremental update (exact duplicates
-    are dropped first).  The UDF values were already paid for in the
-    workers, so the parent model warms up without further UDF calls.
-``"refit-threshold"``
-    ``"union"``, plus a full hyperparameter retrain when at least
-    ``refit_threshold`` merged points arrived — the cross-shard analogue of
-    the §5.3 retraining policy.
+    ``(seed, batch_size)`` — invariant to the worker count.
 ``"shared"``
     The **live shared model**: instead of every worker relearning the
-    emulator from scratch and reconciling only after the run, a
+    emulator from scratch, a
     :class:`~repro.core.shared_model.SharedEmulatorStore` is served from a
     model-server endpoint on the parent
     (:func:`~repro.core.shared_model.serve_shared_store`), seeded with the
@@ -52,37 +45,36 @@ Merge policies
     the one initial design, the rest absorb it for zero UDF calls), and
     every tuple boundary publishes the rows the worker just paid for while
     absorbing what other shards learned meanwhile.  After the run the
-    parent absorbs the store in commit order — so the parent ends warm,
-    like ``"union"``, but total UDF calls stay close to the serial run
-    instead of scaling with the worker count.  At ``workers=1`` no store
-    exists and the policy is the serial fast path keeping its points
-    (bit-identical to the serial batched run); at ``workers >= 2`` shard
-    outputs depend on cross-shard absorption timing and are *not*
-    worker-count-invariant (use ``"discard"`` when that invariance matters
-    more than the UDF-call budget).
+    parent absorbs the store in commit order — so the parent ends warm and
+    total UDF calls stay close to the serial run instead of scaling with
+    the worker count.  At ``workers=1`` no store exists and the policy is
+    the serial fast path keeping its points (bit-identical to the serial
+    batched run); at ``workers >= 2`` shard outputs depend on cross-shard
+    absorption timing and are *not* worker-count-invariant (use
+    ``"discard"`` when that invariance matters more than the UDF-call
+    budget).
 
 Determinism contract
 --------------------
 ``workers=1`` bypasses the pool and the shard streams entirely and runs the
-serial batched path on the parent engine — numerically identical, same
-random stream, same model evolution.  ``workers >= 2`` uses the keyed shard
-streams; see :mod:`repro.rng` for the full contract.  Worker failures —
-a UDF raising inside the black box, an unpicklable engine, or a crashed
-pool process — surface as :class:`~repro.exceptions.QueryError`.
+shard plan on the parent engine — numerically identical to the serial
+path, same random stream, same model evolution.  ``workers >= 2`` uses the
+keyed shard streams; see :mod:`repro.rng` for the full contract.  Worker
+failures — a UDF raising inside the black box, an unpicklable engine, or a
+crashed pool process — surface as :class:`~repro.exceptions.QueryError`.
 
 Hiding UDF latency inside a shard
 ---------------------------------
 Sharding overlaps *whole shards* across processes; with a black box whose
 per-call latency dominates, each worker still sleeps through its own
-refinement loop.  ``async_inflight > 1`` runs every shard through an
-:class:`~repro.engine.async_exec.AsyncRefinementExecutor`, overlapping up
-to that many in-flight UDF calls on a thread pool *inside* the worker, and
-``oversubscribe`` raises the default pool size above the core count so
-latency-bound workers do not leave CPUs idle.  Both knobs preserve the
-determinism contract above (the async pipeline is completion-order
-invariant), but shard outputs then follow the async refinement trajectory,
-which differs numerically from the serial batched one at
-``async_inflight > 1``.
+refinement loop.  ``async_inflight`` / ``pipeline_lookahead`` in the plan
+apply *inside* every shard (overlapped refinement windows, cross-tuple
+pipelining), and ``workers=default_worker_count(2.0)`` raises the pool size
+above the core count so latency-bound workers do not leave CPUs idle.
+Both preserve the determinism contract above (the async pipeline is
+completion-order invariant), but shard outputs then follow the async
+refinement trajectory, which differs numerically from the serial batched
+one at ``async_inflight > 1``.
 """
 
 from __future__ import annotations
@@ -91,41 +83,37 @@ import os
 import pickle
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
 from repro.distributions.base import Distribution
-from repro.engine.batch import DEFAULT_BATCH_SIZE, STORAGES, BatchExecutor, iter_batches
+from repro.engine.batch import iter_batches
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
 from repro.exceptions import QueryError, ShardFailureError
 from repro.rng import derive_seed, spawn_keyed
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
-from repro.udf.retry import RetryPolicy
 
-MergePolicy = Literal["discard", "union", "refit-threshold", "shared"]
+if TYPE_CHECKING:  # plan.py imports this module
+    from repro.engine.plan import ExecutionPlan
 
-MERGE_POLICIES: tuple[str, ...] = ("discard", "union", "refit-threshold", "shared")
+MergePolicy = Literal["discard", "shared"]
 
-#: Default number of merged training points that triggers a hyperparameter
-#: retrain under the ``"refit-threshold"`` policy.
-DEFAULT_REFIT_THRESHOLD = 16
+MERGE_POLICIES: tuple[str, ...] = ("discard", "shared")
 
 
-def default_worker_count(oversubscribe: float = 1.0) -> int:
-    """The shard count used when ``workers`` is left unset.
+def default_worker_count(scale: float = 1.0) -> int:
+    """The core count scaled by ``scale``, floored at one worker.
 
-    The core count scaled by ``oversubscribe`` (floored at one worker) —
-    shared by :class:`ParallelExecutor` and the engine's
-    ``compute_parallel`` deprecation shim, which needs the same number to
-    build the equivalent :class:`~repro.engine.plan.ExecutionPlan` (a plan
-    has no "default worker count" spelling of its own: ``workers=None``
-    means *unsharded* there).
+    A plan has no "default worker count" spelling (``workers=None`` means
+    *unsharded*), so callers that want one shard per core write
+    ``ExecutionPlan(workers=default_worker_count())``.  With
+    UDF-latency-bound shards a worker spends most of its time sleeping in
+    the black box; ``default_worker_count(2.0)`` runs two shards per core
+    to keep the CPUs busy.
     """
-    return max(1, round((os.cpu_count() or 1) * oversubscribe))
+    return max(1, round((os.cpu_count() or 1) * scale))
 
 
 @dataclass
@@ -134,10 +122,6 @@ class ShardResult:
 
     shard_index: int
     outputs: list[ComputedOutput]
-    #: Training inputs/targets the worker added beyond the snapshot
-    #: (``None`` when the strategy has no model or nothing was added).
-    new_X: Optional[np.ndarray]
-    new_y: Optional[np.ndarray]
     #: The worker's per-phase wall-clock, merged into the parent's report.
     timings: dict[str, float]
     #: UDF cost deltas, credited back to the parent UDF's accounting.
@@ -155,65 +139,21 @@ def _emulator_of(engine: UDFExecutionEngine, udf: UDF):
     return processor.emulator
 
 
-def _shard_executor(
-    engine: UDFExecutionEngine,
-    batch_size: int,
-    async_inflight: Optional[int],
-    pipeline_lookahead: Optional[int] = None,
-    transport=None,
-    storage: str = "tuple",
-):
-    """The per-shard executor: batched, async-overlapped, or pipelined.
-
-    ``transport`` (a registry name or an
-    :class:`~repro.engine.transport.EvaluationTransport`) selects how each
-    shard's refinement windows reach the black box; ``None`` keeps the
-    sub-executor's default (a bounded thread pool).
-    """
-    if pipeline_lookahead is not None and pipeline_lookahead > 1:
-        from repro.engine.pipeline import PipelinedExecutor
-
-        return PipelinedExecutor(
-            engine,
-            lookahead=pipeline_lookahead,
-            inflight=async_inflight,
-            batch_size=batch_size,
-            transport=transport,
-            storage=storage,
-        )
-    if async_inflight is not None and async_inflight > 1:
-        from repro.engine.async_exec import AsyncRefinementExecutor
-
-        return AsyncRefinementExecutor(
-            engine, inflight=async_inflight, batch_size=batch_size,
-            transport=transport, storage=storage,
-        )
-    return BatchExecutor(engine, batch_size, storage=storage)
-
-
 def _run_shard(
     payload: bytes,
     shard_index: int,
     distributions: Sequence[Distribution],
-    batch_size: int,
     base_seed: int,
     predicate: Optional[SelectionPredicate],
-    async_inflight: Optional[int] = None,
-    pipeline_lookahead: Optional[int] = None,
-    transport=None,
-    storage: str = "tuple",
     shared_store=None,
 ) -> ShardResult:
-    """Pool-worker entry point: one shard through the batched pipeline.
+    """Pool-worker entry point: one shard through its resolved plan.
 
     Unpickles a private copy of the engine snapshot, switches it onto the
-    shard's keyed random stream, and runs :class:`BatchExecutor` exactly as
-    the serial path would — or, when ``async_inflight > 1``, an
-    :class:`~repro.engine.async_exec.AsyncRefinementExecutor`, which hides
-    UDF latency *inside* the worker process by overlapping the refinement
-    loop's black-box calls on a thread pool.  Runs in a separate process —
-    everything touched here is a copy, and everything returned is picked up
-    by the parent's merge step.
+    shard's keyed random stream, and resolves the shipped shard plan
+    against it — exactly the executor the serial path would run for the
+    same knobs.  Runs in a separate process — everything touched here is a
+    copy, and everything returned is picked up by the parent.
 
     ``shared_store`` (a :class:`~repro.core.shared_model.SharedEmulatorStore`
     proxy, ``merge="shared"`` only) binds the shard's emulator to the live
@@ -222,18 +162,12 @@ def _run_shard(
     publishes to — the store at tuple boundaries instead of relearning
     everything other shards already paid for.
     """
-    engine, udf = pickle.loads(payload)
+    engine, udf, plan = pickle.loads(payload)
     engine.reseed(spawn_keyed(base_seed, shard_index))
-    n_before = 0
-    emulator = _emulator_of(engine, udf)
-    if emulator is not None:
-        n_before = emulator.n_training
     calls_before = udf.call_count
     real_before = udf.real_time
 
-    executor = _shard_executor(
-        engine, batch_size, async_inflight, pipeline_lookahead, transport, storage
-    )
+    executor = plan.resolve(engine)
     sync = None
     if shared_store is not None and engine.strategy != "mc":
         from repro.core.shared_model import EmulatorSync
@@ -257,18 +191,9 @@ def _run_shard(
         # before the worker reports back (covers sub-executors that drive
         # refinement outside process_batch's tuple loop too).
         sync.sync()
-
-    new_X = new_y = None
-    emulator = _emulator_of(engine, udf)  # may have been created during the run
-    if emulator is not None and emulator.n_training > n_before:
-        gp = emulator.gp
-        new_X = gp.X_train[n_before:]
-        new_y = gp.y_train[n_before:]
     return ShardResult(
         shard_index=shard_index,
         outputs=outputs,
-        new_X=new_X,
-        new_y=new_y,
         timings=dict(executor.timings.seconds),
         udf_calls=udf.call_count - calls_before,
         udf_real_time=udf.real_time - real_before,
@@ -284,155 +209,49 @@ class ParallelExecutor:
         The parent execution engine.  Its current per-UDF model state is the
         snapshot every worker starts from; merge policies decide what flows
         back into it.
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.  ``workers=1`` runs the
-        serial batched path in-process (see the module docstring).
-    batch_size:
-        Chunk size of the per-shard :class:`BatchExecutor`.
-    shard_size:
-        Tuples per shard; defaults to ``batch_size``.  Kept independent of
-        ``workers`` so shard outputs are invariant to the pool size.
-    merge:
-        Merge policy for worker-added training points (module docstring).
-    refit_threshold:
-        Minimum merged points that trigger a retrain under
-        ``"refit-threshold"``.
-    seed:
-        Base seed for the per-shard :func:`~repro.rng.spawn_keyed` streams.
-        ``None`` derives one from the engine's stream (reproducible given
-        the engine seed, but advancing it — pass an explicit seed for
-        run-to-run stability of repeated calls).
-    async_inflight:
-        When ``> 1``, every shard runs through an
-        :class:`~repro.engine.async_exec.AsyncRefinementExecutor` that
-        overlaps up to this many refinement-loop UDF calls on a thread pool
-        inside the worker process.  Orthogonal to sharding: processes
-        overlap whole shards, threads overlap the black-box calls within
-        one.  Shard outputs then follow the async (not the serial batched)
-        refinement trajectory — still deterministic for a fixed
-        configuration, and still worker-count-invariant under ``"discard"``.
-    pipeline_lookahead:
-        When ``> 1``, every shard runs through a
-        :class:`~repro.engine.pipeline.PipelinedExecutor` that additionally
-        overlaps the refinement tail of each tuple with the sampling, first
-        inference and prefetched first UDF window of the next
-        ``pipeline_lookahead - 1`` tuples *within the shard*;
-        ``async_inflight`` then sets the within-tuple window of that
-        scheduler.  Shard outputs follow the pipelined trajectory (bitwise
-        the async trajectory at the same window) and remain deterministic
-        and worker-count-invariant under ``"discard"``.
-    oversubscribe:
-        Scales the *default* worker count (``os.cpu_count()``) when
-        ``workers`` is ``None``.  With UDF-latency-bound shards a worker
-        spends most of its time sleeping in the black box, so running more
-        shards than cores (e.g. ``oversubscribe=2.0``) keeps the CPUs busy.
-        Ignored when ``workers`` is set explicitly.
-    retry:
-        A :class:`~repro.udf.retry.RetryPolicy` enabling *shard-level
-        recovery*: when a worker process dies (the pool reports
-        :class:`concurrent.futures.BrokenExecutor`), the dead worker's
-        shard is re-executed on a fresh pool up to
-        ``retry.shard_attempts`` total attempts.  Re-execution is exact —
-        the shard re-derives the same :func:`~repro.rng.spawn_keyed`
-        stream from ``(base_seed, shard_index)`` and starts from the same
-        pickled snapshot, so a recovered run is bit-identical to one that
-        never crashed.  ``None`` (default) keeps the single-attempt
-        fail-fast behaviour.  Exhausted attempts (and every
-        non-crash worker failure) surface as
-        :class:`~repro.exceptions.ShardFailureError` whose message carries
-        the shard index, tuple range, base seed and spawn key — enough to
-        re-run the failing shard in isolation from the message alone.
+    plan:
+        The :class:`~repro.engine.plan.ExecutionPlan` this executor was
+        resolved from:
+
+        * ``workers`` — pool size.  ``workers=1`` runs the shard plan
+          in-process (see the module docstring).
+        * ``batch_size`` — tuples per shard, and the chunk size inside it.
+          Independent of ``workers`` so shard outputs are invariant to the
+          pool size.
+        * ``merge`` — what worker-learned training points do to the parent
+          model (module docstring).
+        * ``parallel_seed`` — base seed for the per-shard
+          :func:`~repro.rng.spawn_keyed` streams.  ``None`` derives one
+          from the engine's stream (reproducible given the engine seed,
+          but advancing it — set it for run-to-run stability of repeated
+          calls).
+        * ``retry`` — a :class:`~repro.udf.retry.RetryPolicy` enabling
+          *shard-level recovery*: when a worker process dies (the pool
+          reports :class:`concurrent.futures.BrokenExecutor`), the dead
+          worker's shard is re-executed on a fresh pool up to
+          ``retry.shard_attempts`` total attempts.  Re-execution is exact
+          — the shard re-derives the same :func:`~repro.rng.spawn_keyed`
+          stream from ``(base_seed, shard_index)`` and starts from the
+          same pickled snapshot, so a recovered run is bit-identical to
+          one that never crashed.  ``None`` (default) keeps the
+          single-attempt fail-fast behaviour.  Exhausted attempts (and
+          every non-crash worker failure) surface as
+          :class:`~repro.exceptions.ShardFailureError` whose message
+          carries the shard index, tuple range, base seed and spawn key —
+          enough to re-run the failing shard in isolation from the
+          message alone.
+        * everything else (:meth:`~repro.engine.plan.ExecutionPlan.inner`)
+          applies inside each shard; only the plan crosses the pickling
+          boundary, transports are opened inside each worker process.
     """
 
-    def __init__(
-        self,
-        engine: UDFExecutionEngine,
-        workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        shard_size: Optional[int] = None,
-        merge: MergePolicy = "union",
-        refit_threshold: int = DEFAULT_REFIT_THRESHOLD,
-        seed: Optional[int] = None,
-        async_inflight: Optional[int] = None,
-        pipeline_lookahead: Optional[int] = None,
-        oversubscribe: float = 1.0,
-        transport=None,
-        retry: Optional[RetryPolicy] = None,
-        storage: str = "tuple",
-    ):
-        """Validate the configuration; no pool is created until a compute call.
-
-        ``transport`` selects how each shard's refinement windows reach the
-        black box (forwarded to the per-shard sub-executor; ``None`` keeps
-        their default thread pool).  Transports are opened inside each
-        worker process — only the *spec* crosses the pickling boundary.
-
-        Raises
-        ------
-        QueryError
-            On a non-positive ``workers`` / ``batch_size`` / ``shard_size``
-            / ``refit_threshold`` / ``async_inflight`` /
-            ``pipeline_lookahead``, an unknown ``merge`` policy or
-            ``transport``, a serial transport under an overlapped schedule,
-            ``oversubscribe < 1``, or a ``retry`` that is not a
-            :class:`~repro.udf.retry.RetryPolicy`.
-        """
-        if workers is not None and workers < 1:
-            raise QueryError(f"workers must be positive, got {workers}")
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be positive, got {batch_size}")
-        if shard_size is not None and shard_size < 1:
-            raise QueryError(f"shard_size must be positive, got {shard_size}")
-        if merge not in MERGE_POLICIES:
-            raise QueryError(f"unknown merge policy {merge!r}; choose from {MERGE_POLICIES}")
-        if refit_threshold < 1:
-            raise QueryError(f"refit_threshold must be positive, got {refit_threshold}")
-        if async_inflight is not None and async_inflight < 1:
-            raise QueryError(f"async_inflight must be positive, got {async_inflight}")
-        if pipeline_lookahead is not None and pipeline_lookahead < 1:
-            raise QueryError(
-                f"pipeline_lookahead must be positive, got {pipeline_lookahead}"
-            )
-        if oversubscribe < 1.0:
-            raise QueryError(f"oversubscribe must be at least 1, got {oversubscribe}")
-        if transport is not None:
-            from repro.engine.transport import transport_name
-
-            if transport_name(transport) == "serial" and (
-                (async_inflight is not None and async_inflight > 1)
-                or (pipeline_lookahead is not None and pipeline_lookahead > 1)
-            ):
-                raise QueryError(
-                    "transport='serial' cannot carry an overlapped per-shard "
-                    "schedule; use 'threads' or 'asyncio'"
-                )
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise QueryError(
-                f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
-            )
-        if storage not in STORAGES:
-            raise QueryError(f"unknown storage layout {storage!r}; choose from {STORAGES}")
-        self.retry = retry
-        #: Storage layout of every per-shard chunk pipeline ("tuple" or
-        #: "columnar"); only the string crosses the pickling boundary.
-        self.storage = storage
-        self.columnar = storage == "columnar"
-        self.transport = transport
+    def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
+        """Bind the engine and the plan; no pool is created until a compute call."""
         self.engine = engine
-        self.async_inflight = int(async_inflight) if async_inflight is not None else None
-        self.pipeline_lookahead = (
-            int(pipeline_lookahead) if pipeline_lookahead is not None else None
-        )
-        self.oversubscribe = float(oversubscribe)
-        if workers is not None:
-            self.workers = int(workers)
-        else:
-            self.workers = default_worker_count(self.oversubscribe)
-        self.batch_size = int(batch_size)
-        self.shard_size = int(shard_size) if shard_size is not None else self.batch_size
-        self.merge: MergePolicy = merge
-        self.refit_threshold = int(refit_threshold)
-        self.seed = seed
+        self.plan = plan
+        self.workers = plan.workers
+        self.batch_size = plan.chunk_size
+        self.merge: MergePolicy = plan.merge
         #: Aggregate of per-worker phase timings (total work, not wall-clock —
         #: worker phases overlap in time).
         self.timings = PhaseTimings()
@@ -464,21 +283,16 @@ class ParallelExecutor:
     ) -> list[ComputedOutput]:
         """``workers=1``: the serial path on the parent engine, no pool.
 
-        Numerically identical to :class:`BatchExecutor` under the same
-        engine seed (or, when ``async_inflight > 1``, to the equivalent
-        :class:`~repro.engine.async_exec.AsyncRefinementExecutor` run).
-        Merge policies still apply: ``"discard"`` rolls the model back
-        afterwards, ``"refit-threshold"`` may retrain.
+        Numerically identical to resolving the shard plan directly under
+        the same engine seed.  The merge policy still applies:
+        ``"discard"`` rolls the model back afterwards.
         """
         emulator = _emulator_of(self.engine, udf)
         had_processor = udf.name in self.engine._processors
         state = emulator.snapshot() if emulator is not None else None
         n_before = emulator.n_training if emulator is not None else 0
 
-        executor = _shard_executor(
-            self.engine, self.batch_size, self.async_inflight,
-            self.pipeline_lookahead, self.transport, self.storage,
-        )
+        executor = self.plan.inner().resolve(self.engine)
         if predicate is None:
             outputs = executor.compute_batch(udf, distributions)
         else:
@@ -497,12 +311,6 @@ class ParallelExecutor:
             self.last_merged_points = 0
         else:
             self.last_merged_points = added
-            if (
-                self.merge == "refit-threshold"
-                and added >= self.refit_threshold
-                and emulator is not None
-            ):
-                emulator.retrain()
         return outputs
 
     # -- sharded path -------------------------------------------------------------
@@ -516,7 +324,7 @@ class ParallelExecutor:
             phases = ("sampling", "inference", "refinement")
             if predicate is not None:
                 phases += ("filtering",)
-            if self.pipeline_lookahead is not None and self.pipeline_lookahead > 1:
+            if self.plan.pipeline_lookahead is not None:
                 # Pipelined shards report a speculation phase; the empty run
                 # must expose the same phase set.
                 phases += ("speculation",)
@@ -527,9 +335,11 @@ class ParallelExecutor:
         if self.workers == 1:
             return self._run_serial(udf, distributions, predicate)
 
-        base_seed = self.seed if self.seed is not None else derive_seed(self.engine._rng)
+        base_seed = self.plan.parallel_seed
+        if base_seed is None:
+            base_seed = derive_seed(self.engine._rng)
         try:
-            payload = pickle.dumps((self.engine, udf))
+            payload = pickle.dumps((self.engine, udf, self.plan.inner()))
         except Exception as exc:
             raise QueryError(
                 "parallel execution requires a picklable engine and UDF "
@@ -552,9 +362,10 @@ class ParallelExecutor:
                     shared_store.publish_hyperparameters(emulator.gp.kernel.theta)
 
         try:
-            shards = list(iter_batches(distributions, self.shard_size))
+            shards = list(iter_batches(distributions, self.batch_size))
             results_by_shard: dict[int, ShardResult] = {}
-            shard_attempts = 1 if self.retry is None else int(self.retry.shard_attempts)
+            retry = self.plan.retry
+            shard_attempts = 1 if retry is None else int(retry.shard_attempts)
             pending = list(range(len(shards)))
             attempt = 0
             while pending:
@@ -580,7 +391,10 @@ class ParallelExecutor:
                 outputs.extend(result.outputs)
                 self.timings.merge(result.timings)
                 udf.absorb_charges(result.udf_calls, result.udf_real_time)
-            self._merge_training_points(udf, results, shared_store)
+            self.last_merged_points = 0
+            self.last_dropped_points = 0
+            if self.merge == "shared":
+                self._refresh_parent_from_store(udf, shared_store)
         finally:
             if shared_manager is not None:
                 shared_manager.shutdown()
@@ -615,9 +429,8 @@ class ParallelExecutor:
             with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
                 futures = {
                     i: pool.submit(
-                        _run_shard, payload, i, shards[i], self.batch_size, base_seed,
-                        predicate, self.async_inflight, self.pipeline_lookahead,
-                        self.transport, self.storage, shared_store,
+                        _run_shard, payload, i, shards[i], base_seed, predicate,
+                        shared_store,
                     )
                     for i in pending
                 }
@@ -656,12 +469,12 @@ class ParallelExecutor:
         """A typed shard failure whose message alone reproduces the shard.
 
         ``parallel shard <i> failed`` plus the half-open maths to rebuild the
-        failing slice: the tuple range ``shard_index * shard_size ..``, the
+        failing slice: the tuple range ``shard_index * batch_size ..``, the
         base seed, and the :func:`~repro.rng.spawn_keyed` key (the shard
         index itself) that re-derives the worker's exact random stream.
         """
-        lo = shard_index * self.shard_size
-        hi = min((shard_index + 1) * self.shard_size, n_tuples) - 1
+        lo = shard_index * self.batch_size
+        hi = min((shard_index + 1) * self.batch_size, n_tuples) - 1
         return ShardFailureError(
             f"parallel shard {shard_index} failed "
             f"(tuples {lo}..{hi} of {n_tuples}, base_seed={base_seed}, "
@@ -669,73 +482,14 @@ class ParallelExecutor:
         )
 
     # -- merge step ---------------------------------------------------------------
-    def _merge_training_points(
-        self, udf: UDF, results: list[ShardResult], shared_store=None
-    ) -> None:
-        """Fold worker-added training points into the parent model.
-
-        Exact-duplicate rows are dropped, and the absorption respects the
-        processor's ``max_training_points`` cap (shard order decides which
-        points fit) — without the cap a long relation would bloat the parent
-        model past the size OLGAPRO's refinement loop is allowed to use,
-        permanently short-circuiting refinement for later tuples.  Points
-        that did not fit are counted in :attr:`last_dropped_points`.
-
-        Under ``merge="shared"`` the store — not the shard results — is the
-        source of truth: the parent absorbs its rows in commit order (the
-        tuple-ordered sequence every worker's fenced appends produced), so
-        the parent's final matrix is independent of which shard reported
-        back first.
-        """
-        self.last_merged_points = 0
-        self.last_dropped_points = 0
-        if self.merge == "discard":
-            return
-        if self.merge == "shared":
-            self._refresh_parent_from_store(udf, shared_store)
-            return
-        stacked_X: list[np.ndarray] = []
-        stacked_y: list[np.ndarray] = []
-        for result in results:
-            if result.new_X is not None and result.new_X.shape[0]:
-                stacked_X.append(result.new_X)
-                stacked_y.append(result.new_y)
-        if not stacked_X:
-            return
-        emulator = _emulator_of(self.engine, udf)
-        if emulator is None:
-            if self.engine.strategy == "mc":
-                return
-            # Cold parent: create the processor so the merged points warm it.
-            self.engine._processor_for(udf)
-            emulator = _emulator_of(self.engine, udf)
-        X = np.vstack(stacked_X)
-        y = np.concatenate(stacked_y)
-        # Shards that refined overlapping input regions can return the exact
-        # same point (e.g. both re-learned from the same snapshot); exact
-        # duplicates would only trigger the degenerate-update refit fallback.
-        seen = {row.tobytes() for row in emulator.gp.X_train} if emulator.n_training else set()
-        keep = []
-        for row_index, row in enumerate(X):
-            key = row.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            keep.append(row_index)
-        room = max(0, self._max_training_points(udf) - emulator.n_training)
-        if len(keep) > room:
-            self.last_dropped_points = len(keep) - room
-            keep = keep[:room]
-        if not keep:
-            return
-        emulator.absorb_observations(X[keep], y[keep])
-        self.last_merged_points = len(keep)
-        if self.merge == "refit-threshold" and self.last_merged_points >= self.refit_threshold:
-            emulator.retrain()
-
     def _refresh_parent_from_store(self, udf: UDF, shared_store) -> None:
         """``merge="shared"`` epilogue: absorb the store into the parent model.
 
+        The store — not the shard results — is the source of truth: the
+        parent absorbs its rows in commit order (the tuple-ordered sequence
+        every worker's fenced appends produced), so the parent's final
+        matrix is independent of which shard reported back first, and the
+        absorption respects the processor's ``max_training_points`` cap.
         Every row in the store was paid for by exactly one worker (and
         charged back to the parent UDF through the shard results), so the
         absorption spends zero UDF calls.  Wall-clock lands under the

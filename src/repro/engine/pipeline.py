@@ -69,7 +69,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,36 +79,18 @@ from repro.core.hybrid import HybridExecutor
 from repro.core.local_inference import BatchKernelCache, global_inference
 from repro.core.olgapro import OLGAPRO, OnlineTupleResult, select_top_k_distinct
 from repro.distributions.base import Distribution
-from repro.engine.async_exec import (
-    DEFAULT_ASYNC_INFLIGHT,
-    AsyncEvaluationDriver,
-    AsyncRefinementExecutor,
-)
-from repro.engine.batch import (
-    DEFAULT_BATCH_SIZE,
-    STORAGES,
-    BatchExecutor,
-    iter_batches,
-    online_result_to_output,
-)
+from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT, AsyncEvaluationDriver
+from repro.engine.batch import iter_batches, mc_chunk, online_result_to_output
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
-from repro.engine.transport import (
-    DEFAULT_TRANSPORT,
-    EvaluationTransport,
-    TransportSpec,
-    make_transport,
-    transport_name,
-)
+from repro.engine.transport import EvaluationTransport, make_transport
 from repro.exceptions import QueryError
 from repro.gp.regression import GaussianProcess
 from repro.index.bounding_box import BoundingBox
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
 
-#: Default cross-tuple lookahead: deep enough that the first refinement
-#: window of several upcoming tuples can hide under the current tuple's
-#: windows, shallow enough that stale speculation stays cheap.
-DEFAULT_PIPELINE_LOOKAHEAD = 4
+if TYPE_CHECKING:  # plan.py imports this module
+    from repro.engine.plan import ExecutionPlan
 
 
 class SpeculativeValuePool:
@@ -316,88 +298,59 @@ class PipelinedExecutor:
         The execution engine whose per-UDF processors do the work.  The
         ``"mc"`` strategy has no refinement loop, so it runs the plain
         batched path unchanged.
-    lookahead:
-        Tuples speculated ahead of the committing one.  ``1`` disables the
-        scheduler: the computation is bit-identical to
-        :class:`BatchExecutor` (or to :class:`AsyncRefinementExecutor` when
-        ``inflight > 1``) under the same seed.
-    inflight:
-        Within-tuple refinement window, as in PR 3.  ``None`` defaults to
-        :data:`~repro.engine.async_exec.DEFAULT_ASYNC_INFLIGHT` when the
-        scheduler engages (prefetching needs windows to land in), and to the
-        serial loop at ``lookahead=1``.
-    batch_size:
-        Chunk size of the underlying batched pipeline.  Speculation never
-        crosses a chunk boundary (the kernel cache is per chunk).
-    transport:
-        How the refinement windows' and prefetch walks' evaluations reach
-        the black box (``"threads"`` default, ``"asyncio"`` for
-        natively-async UDFs, or an
-        :class:`~repro.engine.transport.EvaluationTransport` instance).
-        The speculative *stages* always run on a private thread pool —
-        they are GP work, not black-box calls — whatever the transport.
-    shared_refresh:
-        Live-model walk refresh (the ``merge="shared"`` pipeline leg).
-        When on, a prefetch walk that notices the live emulator has moved
-        past its fence rebuilds its private view from a fresh snapshot,
-        re-absorbs its own paid-for observations, and re-ranks — so walks
-        stop mispredicting while the model is chaotic (a cold stream).
-        Committed results are unaffected (walks only feed the deduplicated
-        prefetch pool), but the *set of speculative prefetches* becomes
-        timing-dependent, so the total call count at ``lookahead > 1`` may
-        vary run to run; :attr:`last_walk_refreshes` reports how often the
-        mechanism engaged.
+    plan:
+        The :class:`~repro.engine.plan.ExecutionPlan` this executor was
+        resolved from:
+
+        * ``pipeline_lookahead`` — tuples speculated ahead of the
+          committing one.  ``1`` disables the scheduler: the computation
+          is bit-identical to :class:`BatchExecutor` (or to
+          :class:`AsyncRefinementExecutor` when ``async_inflight > 1``)
+          under the same seed.
+        * ``async_inflight`` — the within-tuple refinement window.
+          ``None`` means :data:`~repro.engine.async_exec
+          .DEFAULT_ASYNC_INFLIGHT` when the scheduler engages (prefetching
+          needs windows to land in), and the serial loop at lookahead 1.
+        * ``batch_size`` — chunk size of the underlying batched pipeline.
+          Speculation never crosses a chunk boundary (the kernel cache is
+          per chunk).
+        * ``transport`` — how the refinement windows' and prefetch walks'
+          evaluations reach the black box.  The speculative *stages*
+          always run on a private thread pool — they are GP work, not
+          black-box calls — whatever the transport.
+        * ``merge="shared"`` — live-model walk refresh
+          (:attr:`shared_refresh`).  A prefetch walk that notices the live
+          emulator has moved past its fence rebuilds its private view from
+          a fresh snapshot, re-absorbs its own paid-for observations, and
+          re-ranks — so walks stop mispredicting while the model is
+          chaotic (a cold stream).  Committed results are unaffected
+          (walks only feed the deduplicated prefetch pool), but the *set
+          of speculative prefetches* becomes timing-dependent, so the
+          total call count at lookahead > 1 may vary run to run;
+          :attr:`last_walk_refreshes` reports how often the mechanism
+          engaged.
 
     Raises
     ------
     QueryError
-        On non-positive knobs, an unusable transport (``"serial"`` cannot
-        carry an overlapped schedule), or when an evaluation driver is
-        already installed on the target processor (nested pipelined
-        execution).
+        From a compute call, on a UDF the transport cannot carry or when
+        an evaluation driver is already installed on the target processor
+        (nested pipelined execution).
     """
 
-    def __init__(
-        self,
-        engine: UDFExecutionEngine,
-        lookahead: int = DEFAULT_PIPELINE_LOOKAHEAD,
-        inflight: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        transport: Optional[TransportSpec] = None,
-        storage: str = "tuple",
-        shared_refresh: bool = False,
-    ):
-        """Validate the configuration and bind the engine (pools are created
-        per computation so the executor stays picklable and reusable)."""
-        if lookahead < 1:
-            raise QueryError(f"lookahead must be positive, got {lookahead}")
-        if inflight is not None and inflight < 1:
-            raise QueryError(f"inflight must be positive, got {inflight}")
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be positive, got {batch_size}")
-        if storage not in STORAGES:
-            raise QueryError(f"unknown storage layout {storage!r}; choose from {STORAGES}")
-        self.transport = transport if transport is not None else DEFAULT_TRANSPORT
-        if transport_name(self.transport) == "serial" and (
-            lookahead > 1 or (inflight is not None and inflight > 1)
-        ):
-            raise QueryError(
-                "transport='serial' evaluates inline and cannot carry the "
-                f"overlapped schedule (lookahead={lookahead}, inflight="
-                f"{inflight}); use 'threads' or 'asyncio'"
-            )
+    def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
+        """Bind the engine and the plan (pools are created per computation
+        so the executor stays picklable and reusable)."""
         self.engine = engine
-        self.lookahead = int(lookahead)
-        self.inflight = int(inflight) if inflight is not None else None
-        self.batch_size = int(batch_size)
-        #: Storage layout of the chunk prologue ("tuple" or "columnar");
-        #: forwarded to begin_chunk and every delegated executor.
-        self.storage = storage
-        self.columnar = storage == "columnar"
+        self.plan = plan
+        self.lookahead = plan.pipeline_lookahead
+        self.inflight = plan.async_inflight
+        self.batch_size = plan.chunk_size
+        self.transport = plan.transport
+        self.columnar = plan.storage == "columnar"
         #: Refresh prefetch walks to the live model when it outruns their
-        #: fence (the ``merge="shared"`` pipeline leg; see the class
-        #: docstring for the determinism trade).
-        self.shared_refresh = bool(shared_refresh)
+        #: fence (see the class docstring for the determinism trade).
+        self.shared_refresh = plan.merge == "shared"
         #: Per-phase wall-clock; ``"speculation"`` accumulates pool-thread
         #: work on top of the batched pipeline's phases.
         self.timings = PhaseTimings()
@@ -435,27 +388,6 @@ class PipelinedExecutor:
         """
         return self._run(udf, list(input_distributions), predicate=predicate)
 
-    # -- delegation ----------------------------------------------------------------
-    def _delegate_executor(self, default_window: bool = False):
-        """The non-pipelined executor the degenerate paths delegate to.
-
-        ``default_window`` applies the scheduler's window default
-        (:data:`DEFAULT_ASYNC_INFLIGHT`) when ``inflight`` was left unset —
-        used by the predicate path at ``lookahead > 1``, where the user
-        opted into overlap and only the *cross-tuple* half stands down.
-        At ``lookahead = 1`` the default stays off, preserving the
-        bit-identity contract with the serial batched path.
-        """
-        inflight = self.inflight
-        if inflight is None and default_window:
-            inflight = DEFAULT_ASYNC_INFLIGHT
-        if inflight is not None and inflight > 1:
-            return AsyncRefinementExecutor(
-                self.engine, inflight=inflight, batch_size=self.batch_size,
-                transport=self.transport, storage=self.storage,
-            )
-        return BatchExecutor(self.engine, self.batch_size, storage=self.storage)
-
     def _run(
         self,
         udf: UDF,
@@ -468,19 +400,21 @@ class PipelinedExecutor:
         try:
             if not distributions:
                 return []
-            # Fail fast on an incompatible UDF/transport pair even on the
-            # degenerate paths (lookahead=1, predicate, mc) that delegate
-            # without opening the transport themselves (the async delegate
-            # re-checks, the batch delegate never would).
-            make_transport(self.transport).accepts(udf)
             if (
                 self.lookahead == 1
                 or predicate is not None
                 or self.engine.strategy == "mc"
             ):
-                delegate = self._delegate_executor(
-                    default_window=predicate is not None and self.lookahead > 1
-                )
+                # Degenerate paths run the plan without its lookahead.  On
+                # the predicate path at lookahead > 1 the user opted into
+                # overlap and only the *cross-tuple* half stands down, so
+                # an unset window takes the scheduler's default; at
+                # lookahead = 1 it stays off, preserving bit-identity with
+                # the serial batched path.
+                overrides = {}
+                if predicate is not None and self.lookahead > 1 and self.inflight is None:
+                    overrides["async_inflight"] = DEFAULT_ASYNC_INFLIGHT
+                delegate = self.plan.inner(**overrides).resolve(self.engine)
                 try:
                     if predicate is None:
                         return delegate.compute_batch(udf, distributions)
@@ -563,11 +497,10 @@ class PipelinedExecutor:
             processor = self.engine._processor_for(udf)
             decision = processor.decide(chunk[0])
             if decision.method == "mc":
-                batch = BatchExecutor(self.engine, self.batch_size, storage=self.storage)
-                try:
-                    return batch._mc_chunk(udf, chunk, processor.requirement, processor._rng)
-                finally:
-                    self.timings.merge(batch.timings)
+                return mc_chunk(
+                    udf, chunk, processor.requirement, processor._rng,
+                    self.timings, self.columnar,
+                )
 
         rng = olgapro._rng
         emulator = olgapro.emulator

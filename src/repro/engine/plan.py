@@ -1,26 +1,17 @@
 """ExecutionPlan: one validated description of *how* a query executes.
 
-Four PRs grew four coexisting execution layers — batched
-(:mod:`repro.engine.batch`), sharded (:mod:`repro.engine.parallel`),
-async-overlapped (:mod:`repro.engine.async_exec`) and cross-tuple
-pipelined (:mod:`repro.engine.pipeline`) — and each threaded its own knob
-(``batch_size`` / ``workers`` / ``async_inflight`` /
-``pipeline_lookahead`` / ``merge`` / ``parallel_seed`` / ``transport``)
-separately through :class:`~repro.engine.operators.ApplyUDF`,
-:class:`~repro.engine.operators.SelectUDF`,
-:class:`~repro.engine.query.Query` and
-:class:`~repro.engine.executor.UDFExecutionEngine`.  The selection logic
-("``workers`` beats ``pipeline_lookahead`` beats ``async_inflight`` beats
-``batch_size``") lived in one place, but the knobs, their validation and
-their defaults were re-declared at every entry point, and an invalid
-combination was *silently resolved* rather than rejected.
-
-:class:`ExecutionPlan` collapses those paths: one frozen dataclass holding
-every knob, validated on construction (:class:`~repro.exceptions.PlanError`
-with the violated rule — and the precedence — in the message), resolved to
-a composed executor by :meth:`ExecutionPlan.resolve`.  The legacy kwargs
-on the operators, the query builder and the engine remain as a thin
-deprecation shim that builds a plan (see :func:`resolve_plan_argument`).
+The engine composes four execution layers — batched
+(:mod:`repro.engine.batch`), async-overlapped
+(:mod:`repro.engine.async_exec`), cross-tuple pipelined
+(:mod:`repro.engine.pipeline`) and sharded (:mod:`repro.engine.parallel`).
+:class:`ExecutionPlan` is the only carrier of their knobs, from the caller
+down to the shard worker: one frozen dataclass, validated on construction
+(:class:`~repro.exceptions.PlanError` with the violated rule — and the
+precedence — in the message), resolved to the composed executor stack by
+:meth:`ExecutionPlan.resolve`.  Every executor is constructed as
+``Executor(engine, plan)`` and builds the layer beneath it by resolving
+:meth:`ExecutionPlan.inner`, so ``__post_init__`` is the only validator and
+``resolve`` the only selector.
 
 Knob precedence (outermost first)
 ---------------------------------
@@ -39,7 +30,7 @@ sits outermost:
 
 from __future__ import annotations
 
-import warnings
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Union
 
@@ -123,14 +114,14 @@ class ExecutionPlan:
     workers:
         Process-pool shard count.  ``None`` disables sharding.
     merge:
-        Training-point merge policy for sharded execution
-        (``"discard" | "union" | "refit-threshold" | "shared"``).
+        What worker-learned training points do to the parent model
+        (``"discard" | "shared"``).  ``"discard"`` (default) throws them
+        away: deterministic and invariant to the worker count.
         ``"shared"`` selects the live shared model
         (:mod:`repro.core.shared_model`): workers learn *through* a shared
         store mid-stream instead of relearning per shard, and a pipelined
         plan refreshes its prefetch walks against the live model.
-        Accepted with ``workers`` set, or — for ``"shared"`` only — with
-        ``pipeline_lookahead`` set; rejected otherwise.
+        ``"shared"`` needs ``workers`` or ``pipeline_lookahead``.
     parallel_seed:
         Base seed of the per-shard random streams.  Inert without
         ``workers`` (historically accepted as a defensive default, so it
@@ -150,10 +141,6 @@ class ExecutionPlan:
         is built with ``plan=``, and must be left ``None`` in plans handed
         to an already-built engine (resolution cannot reconfigure live
         processors).
-    oversubscribe:
-        Scales the *default* shard count above the core count when
-        ``workers`` is ``None``.  Conflicts with an explicit ``workers``
-        (which would silently win) — set one or the other.
     transport:
         How refinement-window evaluations reach the black box:
         ``"threads"`` (default, bounded pool), ``"serial"`` (the explicit
@@ -185,12 +172,11 @@ class ExecutionPlan:
 
     batch_size: Optional[int] = None
     workers: Optional[int] = None
-    merge: MergePolicy = "union"
+    merge: MergePolicy = "discard"
     parallel_seed: Optional[int] = None
     async_inflight: Optional[int] = None
     pipeline_lookahead: Optional[int] = None
     speculative_k: Optional[int] = None
-    oversubscribe: float = 1.0
     transport: TransportSpec = DEFAULT_TRANSPORT
     retry: Optional[RetryPolicy] = None
     storage: str = "tuple"
@@ -200,37 +186,29 @@ class ExecutionPlan:
         for knob in ("batch_size", "workers", "async_inflight",
                      "pipeline_lookahead", "speculative_k"):
             value = getattr(self, knob)
-            if value is not None and int(value) < 1:
-                raise PlanError(f"{knob} must be positive, got {value}")
-        if self.oversubscribe < 1.0:
-            raise PlanError(f"oversubscribe must be at least 1, got {self.oversubscribe}")
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
+                raise PlanError(f"{knob} must be a positive integer, got {value!r}")
         if self.merge not in MERGE_POLICIES:
             raise PlanError(
                 f"unknown merge policy {self.merge!r}; choose from {MERGE_POLICIES}"
             )
         name = transport_name(self.transport)  # validates the spec
-        sharded = self.workers is not None or self.oversubscribe != 1.0
-        if self.merge != "union" and not sharded:
-            # merge="shared" is the one policy with a meaning beyond the
-            # sharded layer: a pipelined plan uses it to keep prefetch walks
-            # refreshed against the live model (see PipelinedExecutor's
-            # shared_refresh).  Every other policy still requires workers.
-            if not (self.merge == "shared" and self.pipeline_lookahead is not None):
-                hint = (
-                    "set workers or pipeline_lookahead (or drop merge)"
-                    if self.merge == "shared"
-                    else "set workers (or drop merge)"
-                )
-                raise PlanError(
-                    f"merge={self.merge!r} configures what worker-learned training "
-                    f"points do to the parent model, but the plan has no workers; "
-                    f"{hint} — " + PRECEDENCE
-                )
-        if self.workers is not None and self.oversubscribe != 1.0:
+        if (
+            self.merge == "shared"
+            and self.workers is None
+            and self.pipeline_lookahead is None
+        ):
+            # Beyond the sharded layer, a pipelined plan uses the live model
+            # to keep prefetch walks refreshed (PipelinedExecutor's
+            # shared_refresh); with neither there is nobody to share with.
             raise PlanError(
-                "workers and oversubscribe conflict: oversubscribe scales the "
-                "*default* shard count and an explicit workers would silently "
-                "win; set one or the other — " + PRECEDENCE
+                "merge='shared' shares what workers (or prefetch walks) learn "
+                "through a live model, but the plan has neither; set workers "
+                "or pipeline_lookahead (or drop merge) — " + PRECEDENCE
             )
         overlapped = (
             (self.async_inflight is not None and self.async_inflight > 1)
@@ -262,7 +240,7 @@ class ExecutionPlan:
                 f"retry must be a repro.udf.retry.RetryPolicy (or None), got "
                 f"{type(self.retry).__name__}"
             )
-        if sharded and isinstance(self.transport, EvaluationTransport):
+        if self.workers is not None and isinstance(self.transport, EvaluationTransport):
             raise PlanError(
                 "a transport *instance* is process-local and cannot be shipped "
                 "to pool workers; name the transport (e.g. transport='asyncio') "
@@ -389,13 +367,18 @@ class ExecutionPlan:
         return cls(**knobs)
 
     # -- resolution ---------------------------------------------------------------
+    @property
+    def chunk_size(self) -> int:
+        """The chunk size executors run at (``batch_size``, or its default)."""
+        return self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
+
     def resolve(self, engine: Any) -> Optional[PlannedExecutor]:
         """Compose the executor stack this plan describes, bound to ``engine``.
 
-        The single selection point previously hand-wired in
-        ``operators._make_udf_executor`` and the engine's ``compute_*``
-        shims.  Returns ``None`` for the all-default plan — the classic
-        per-tuple path (callers fall back to
+        The single selection point: the outermost layer the plan names is
+        constructed here, and each layer builds the one beneath it by
+        resolving :meth:`inner`.  Returns ``None`` for the all-default
+        plan — the classic per-tuple path (callers fall back to
         :meth:`~repro.engine.executor.UDFExecutionEngine.compute`).
 
         Raises
@@ -413,45 +396,42 @@ class ExecutionPlan:
                     "the engine with UDFExecutionEngine(..., plan=plan) or "
                     "pass speculative_k to the engine directly"
                 )
-        batch_size = self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
-        if self.workers is not None or self.oversubscribe != 1.0:
-            return ParallelExecutor(
-                engine,
-                workers=self.workers,
-                batch_size=batch_size,
-                merge=self.merge,
-                seed=self.parallel_seed,
-                async_inflight=self.async_inflight,
-                pipeline_lookahead=self.pipeline_lookahead,
-                oversubscribe=self.oversubscribe,
-                transport=self.transport,
-                retry=self.retry,
-                storage=self.storage,
-            )
+        if self.workers is not None:
+            return ParallelExecutor(engine, self)
         if self.pipeline_lookahead is not None:
-            return PipelinedExecutor(
-                engine,
-                lookahead=self.pipeline_lookahead,
-                inflight=self.async_inflight,
-                batch_size=batch_size,
-                transport=self.transport,
-                storage=self.storage,
-                shared_refresh=self.merge == "shared",
-            )
+            return PipelinedExecutor(engine, self)
         if self.async_inflight is not None:
-            return AsyncRefinementExecutor(
-                engine,
-                inflight=self.async_inflight,
-                batch_size=batch_size,
-                transport=self.transport,
-                storage=self.storage,
-            )
+            return AsyncRefinementExecutor(engine, self)
         if self.batch_size is not None or self.storage != "tuple":
             # storage="columnar" runs on the chunk pipeline, so a columnar
             # plan with no explicit chunking still resolves to a
             # BatchExecutor at the default chunk size.
-            return BatchExecutor(engine, batch_size, storage=self.storage)
+            return BatchExecutor(engine, self)
         return None
+
+    def inner(self, **overrides: Any) -> "ExecutionPlan":
+        """The plan of the layer beneath this plan's outermost one.
+
+        What a layer resolves to build the executor it delegates to: a
+        shard is this plan with its sharding fields cleared (so a shard's
+        pipeline never refreshes against a shared model), a pipeline's
+        degenerate paths are this plan without its lookahead (a window of
+        one keeps the transport/UDF compatibility check and is
+        bit-identical to the serial batched path), and a refinement window
+        rides on the plain chunk pipeline.  ``batch_size`` is pinned so the
+        result never resolves to the per-tuple path.
+        """
+        if self.workers is not None:
+            peeled: dict = {"workers": None, "parallel_seed": None, "merge": "discard"}
+        elif self.pipeline_lookahead is not None:
+            peeled = {
+                "pipeline_lookahead": None,
+                "merge": "discard",
+                "async_inflight": self.async_inflight or 1,
+            }
+        else:
+            peeled = {"async_inflight": None, "transport": DEFAULT_TRANSPORT}
+        return replace(self, **{"batch_size": self.chunk_size, **peeled, **overrides})
 
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:
@@ -466,48 +446,3 @@ class ExecutionPlan:
     def with_overrides(self, **overrides: Any) -> "ExecutionPlan":
         """A copy with the given knobs replaced (re-validated)."""
         return replace(self, **overrides)
-
-
-def resolve_plan_argument(
-    plan: Optional[ExecutionPlan],
-    *,
-    warn_stacklevel: int = 3,
-    **legacy: Any,
-) -> ExecutionPlan:
-    """The ``plan=``-or-legacy-kwargs shim shared by every entry point.
-
-    * ``plan`` given and every legacy kwarg at its default → ``plan``.
-    * ``plan`` ``None`` → a plan built from the legacy kwargs (their
-      documented deprecation path; a :class:`DeprecationWarning` is
-      emitted when any legacy knob is actually set).
-    * Both given → :class:`~repro.exceptions.PlanError`: two sources of
-      truth for the same knob cannot be reconciled silently.
-
-    ``legacy`` maps field names of :class:`ExecutionPlan` to values, with
-    ``None`` (or the field default) meaning "not set".
-    """
-    defaults = {field.name: field.default for field in fields(ExecutionPlan)}
-    unknown = set(legacy) - set(defaults)
-    if unknown:
-        raise PlanError(f"unknown execution knob(s): {sorted(unknown)}")
-    supplied = {
-        name: value
-        for name, value in legacy.items()
-        if value is not None and value != defaults[name]
-    }
-    if plan is not None:
-        if supplied:
-            raise PlanError(
-                "pass either plan= or the legacy executor kwargs, not both "
-                f"(got plan= and {sorted(supplied)})"
-            )
-        return plan
-    if supplied:
-        warnings.warn(
-            "per-knob executor kwargs (batch_size=, workers=, ...) are a "
-            "legacy shim; build an ExecutionPlan and pass plan= instead",
-            DeprecationWarning,
-            stacklevel=warn_stacklevel,
-        )
-    return ExecutionPlan(**{name: value for name, value in legacy.items()
-                            if value is not None})

@@ -37,11 +37,9 @@ from repro.engine.operators import (
     Scan,
     SelectUDF,
     SelectWhere,
-    legacy_knobs_supplied,
 )
-from repro.engine.plan import ExecutionPlan, is_auto_plan, resolve_plan_argument
+from repro.engine.plan import ExecutionPlan, is_auto_plan
 from repro.engine.result import QueryResult
-from repro.engine.transport import TransportSpec
 from repro.engine.tuples import Relation, UncertainTuple
 from repro.exceptions import QueryError
 from repro.udf.base import UDF
@@ -102,13 +100,6 @@ class Query:
         arguments: Sequence[str],
         alias: str,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: str = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ) -> "Query":
         """Evaluate a UDF on each tuple and keep its output distribution.
 
@@ -134,13 +125,8 @@ class Query:
             planner (:meth:`ExecutionPlan.auto
             <repro.engine.plan.ExecutionPlan.auto>`): the knobs are
             picked from the UDF's catalog profile once the operator knows
-            the engine and the input size.
-        batch_size, workers, merge, parallel_seed, async_inflight, \
-pipeline_lookahead, transport:
-            Legacy per-knob spellings of the same configuration; they
-            build the equivalent plan (deprecation shim — see the
-            migration note in the README).  Mutually exclusive with
-            ``plan=``.
+            the engine and the input size.  ``None`` defers to the
+            engine's default plan (the ``Session.submit`` seam).
 
         Returns
         -------
@@ -153,30 +139,12 @@ pipeline_lookahead, transport:
             For unknown argument attributes or an alias collision (at
             plan-build time), or — as
             :class:`~repro.exceptions.PlanError`, raised *here*, at the
-            builder call — an invalid execution plan.
+            builder call — a string plan other than ``"auto"``.
         """
-        # Resolve eagerly when anything was supplied: an invalid
-        # configuration fails at THIS call (where the user wrote it), and
-        # the legacy-kwargs deprecation warning points at the user's frame
-        # instead of the deferred operator construction inside run().
-        # When neither plan= nor any legacy knob was given, None is kept
-        # so the operator can fall back to the engine's default plan (the
-        # Session.submit seam) at plan-build time.
-        legacy = dict(
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
-        )
-        resolved_plan: ExecutionPlan | str | None = None
-        if is_auto_plan(plan):
-            # "auto" needs the engine and input size, which only exist at
-            # plan-build time — the validated string defers to the operator.
-            resolved_plan = plan
-        elif plan is not None or legacy_knobs_supplied(**legacy):
-            resolved_plan = resolve_plan_argument(plan, **legacy)  # type: ignore[arg-type]
+        is_auto_plan(plan)  # a typo'd spelling fails where the user wrote it
 
         def _build(child: Operator, engine: UDFExecutionEngine) -> Operator:
-            return ApplyUDF(child, udf, arguments, alias, engine, plan=resolved_plan)
+            return ApplyUDF(child, udf, arguments, alias, engine, plan=plan)
 
         self._steps.append(_build)
         return self
@@ -190,13 +158,6 @@ pipeline_lookahead, transport:
         high: float,
         threshold: float = 0.1,
         plan: ExecutionPlan | str | None = None,
-        batch_size: int | None = None,
-        workers: int | None = None,
-        merge: str = "union",
-        parallel_seed: int | None = None,
-        async_inflight: int | None = None,
-        pipeline_lookahead: int | None = None,
-        transport: TransportSpec | None = None,
     ) -> "Query":
         """Evaluate a UDF under a range predicate and drop improbable tuples.
 
@@ -204,11 +165,10 @@ pipeline_lookahead, transport:
         whose probability mass inside that interval is confidently below
         ``threshold`` are dropped by the online-filtering machinery.  The
         execution configuration (``plan=``, including the ``"auto"``
-        spelling, or the legacy per-knob kwargs) and name-based ``udf``
-        resolution behave exactly as on :meth:`apply_udf` (the predicate
-        path keeps
-        tuple-sequential filtering semantics, so the cross-tuple scheduler
-        stands down and only within-tuple overlap applies).
+        spelling) and name-based ``udf`` resolution behave exactly as on
+        :meth:`apply_udf` (the predicate path keeps tuple-sequential
+        filtering semantics, so the cross-tuple scheduler stands down and
+        only within-tuple overlap applies).
 
         Returns
         -------
@@ -221,29 +181,13 @@ pipeline_lookahead, transport:
             For unknown argument attributes or an alias collision (at
             plan-build time), or — as
             :class:`~repro.exceptions.PlanError`, raised *here*, at the
-            builder call — an invalid execution plan.
+            builder call — a string plan other than ``"auto"``.
         """
         predicate = SelectionPredicate(low=low, high=high, threshold=threshold)
-        # Eager resolution, exactly as in apply_udf: plan errors and the
-        # deprecation warning surface at the user's call site, and an
-        # unconfigured call defers to the engine's default plan.
-        legacy = dict(
-            batch_size=batch_size, workers=workers, merge=merge,
-            parallel_seed=parallel_seed, async_inflight=async_inflight,
-            pipeline_lookahead=pipeline_lookahead, transport=transport,
-        )
-        resolved_plan: ExecutionPlan | str | None = None
-        if is_auto_plan(plan):
-            # Deferred exactly as in apply_udf: the operator resolves
-            # "auto" once the engine and input size are known.
-            resolved_plan = plan
-        elif plan is not None or legacy_knobs_supplied(**legacy):
-            resolved_plan = resolve_plan_argument(plan, **legacy)  # type: ignore[arg-type]
+        is_auto_plan(plan)  # a typo'd spelling fails where the user wrote it
 
         def _build(child: Operator, engine: UDFExecutionEngine) -> Operator:
-            return SelectUDF(
-                child, udf, arguments, alias, predicate, engine, plan=resolved_plan
-            )
+            return SelectUDF(child, udf, arguments, alias, predicate, engine, plan=plan)
 
         self._steps.append(_build)
         return self

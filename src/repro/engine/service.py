@@ -588,6 +588,7 @@ class QueryService:
                         verdict.version,
                     )
                 )
+        operator._merge_executor_timings(timings)
         self._merge_model_timings(engine, timings)
         return QueryResult(
             relation,

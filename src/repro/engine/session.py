@@ -1,7 +1,6 @@
 """The `Session` facade: the one supported client entry to query serving.
 
-Part 1 of the API redesign collapses the legacy per-layer ``compute_*``
-engine methods into two supported paths: batch callers build an
+There are two supported execution paths: batch callers build an
 :class:`~repro.engine.plan.ExecutionPlan` and call
 :meth:`~repro.engine.executor.UDFExecutionEngine.compute_with_plan` (or
 ``Query.run``); serving callers open one :class:`Session` and

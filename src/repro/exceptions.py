@@ -122,9 +122,9 @@ class ShardFailureError(QueryError):
 class PlanError(QueryError):
     """Raised when an :class:`~repro.engine.plan.ExecutionPlan` is invalid.
 
-    Covers contradictory knob combinations (e.g. a merge policy without
-    sharded execution, a serial transport with an overlap window), values
-    outside their domain, and mixing ``plan=`` with legacy executor kwargs.
+    Covers contradictory knob combinations (e.g. a shared merge with nothing
+    to share across, a serial transport with an overlap window) and values
+    outside their domain (non-positive or non-integral counts).
     The message always states the violated rule — and, for conflicts, the
     documented knob precedence — so the caller is never left guessing which
     path the engine would have silently picked.  Subclasses

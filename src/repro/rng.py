@@ -14,7 +14,7 @@ executes the shard, how many workers the pool has, or in what order shards
 complete.  Consequently:
 
 * results are bitwise reproducible for a fixed ``(seed, workers,
-  batch_size, shard_size)`` configuration;
+  batch_size)`` configuration;
 * under the ``"discard"`` merge policy (every shard computes against the
   same model snapshot) shard outputs are *invariant to the worker count*
   for any ``workers >= 2``, because neither the shard boundaries nor the

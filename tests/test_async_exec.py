@@ -24,16 +24,15 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.engine import (
-    AsyncRefinementExecutor,
-    BatchExecutor,
-    ParallelExecutor,
+    ExecutionPlan,
     Query,
     UDFExecutionEngine,
+    default_worker_count,
     generate_galaxy_relation,
 )
 from repro.engine.async_exec import chunk_schedule
 from repro.engine.parallel import _emulator_of
-from repro.exceptions import GPError, QueryError
+from repro.exceptions import GPError
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
 
@@ -110,9 +109,9 @@ def test_chunk_schedule_is_deterministic_and_covers_the_window(window, expected)
 
 def test_inflight_1_is_bit_identical_to_serial_batched():
     udf_a, engine_a, dists_a = _fixture()
-    serial = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture()
-    overlapped = AsyncRefinementExecutor(engine_b, inflight=1, batch_size=4).compute_batch(
+    overlapped = ExecutionPlan(async_inflight=1, batch_size=4).resolve(engine_b).compute_batch(
         udf_b, dists_b
     )
     _assert_identical_outputs(serial, overlapped)
@@ -126,13 +125,13 @@ def test_inflight_1_is_bit_identical_to_serial_batched():
 
 def test_inflight_1_predicate_path_matches_serial():
     udf_a, engine_a, dists_a = _fixture(stream_seed=9)
-    serial = BatchExecutor(engine_a, batch_size=3).compute_batch_with_predicate(
+    serial = ExecutionPlan(batch_size=3).resolve(engine_a).compute_batch_with_predicate(
         udf_a, dists_a, PREDICATE
     )
     udf_b, engine_b, dists_b = _fixture(stream_seed=9)
-    overlapped = AsyncRefinementExecutor(
-        engine_b, inflight=1, batch_size=3
-    ).compute_batch_with_predicate(udf_b, dists_b, PREDICATE)
+    overlapped = ExecutionPlan(
+        async_inflight=1, batch_size=3
+    ).resolve(engine_b).compute_batch_with_predicate(udf_b, dists_b, PREDICATE)
     _assert_identical_outputs(serial, overlapped)
 
 
@@ -144,8 +143,8 @@ def test_mc_strategy_delegates_to_the_batched_path():
             input_stream(workload_for_udf(udf), 4, random_state=np.random.default_rng(5))
         )
         if inflight is None:
-            return BatchExecutor(engine, batch_size=4).compute_batch(udf, dists)
-        executor = AsyncRefinementExecutor(engine, inflight=inflight, batch_size=4)
+            return ExecutionPlan(batch_size=4).resolve(engine).compute_batch(udf, dists)
+        executor = ExecutionPlan(async_inflight=inflight, batch_size=4).resolve(engine)
         return executor.compute_batch(udf, dists)
 
     _assert_identical_outputs(run(None), run(8))
@@ -163,7 +162,7 @@ def test_out_of_order_completions_yield_identical_state_and_output():
         udf, engine, dists = _fixture(
             real_eval_time=2e-3, real_eval_jitter=jitter, n_tuples=4
         )
-        outputs = AsyncRefinementExecutor(engine, inflight=4, batch_size=4).compute_batch(
+        outputs = ExecutionPlan(async_inflight=4, batch_size=4).resolve(engine).compute_batch(
             udf, dists
         )
         runs[jitter] = (outputs, _gp_state(engine, udf), udf.call_count)
@@ -179,7 +178,7 @@ def test_out_of_order_completions_yield_identical_state_and_output():
 def test_async_run_is_repeatable_under_a_fixed_seed():
     def run():
         udf, engine, dists = _fixture(real_eval_time=1e-3)
-        outputs = AsyncRefinementExecutor(engine, inflight=4, batch_size=4).compute_batch(
+        outputs = ExecutionPlan(async_inflight=4, batch_size=4).resolve(engine).compute_batch(
             udf, dists
         )
         return outputs, udf.call_count
@@ -192,7 +191,7 @@ def test_async_run_is_repeatable_under_a_fixed_seed():
 
 def test_async_calls_genuinely_overlap():
     udf, engine, dists = _fixture(real_eval_time=1e-3, n_tuples=4)
-    AsyncRefinementExecutor(engine, inflight=4, batch_size=4).compute_batch(udf, dists)
+    ExecutionPlan(async_inflight=4, batch_size=4).resolve(engine).compute_batch(udf, dists)
     assert udf.max_in_flight > 1
     assert udf.in_flight == 0
 
@@ -253,7 +252,7 @@ def test_evaluate_many_bounds_inflight_even_on_a_shared_executor():
 
 def test_absorb_with_stale_fence_raises():
     udf, engine, dists = _fixture(n_tuples=1)
-    BatchExecutor(engine, batch_size=1).compute_batch(udf, dists)
+    ExecutionPlan(batch_size=1).resolve(engine).compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     fence = emulator.snapshot()
     x = np.array([[5.0, 5.0]])
@@ -266,7 +265,7 @@ def test_absorb_with_stale_fence_raises():
 
 def test_absorb_with_current_fence_succeeds():
     udf, engine, dists = _fixture(n_tuples=1)
-    BatchExecutor(engine, batch_size=1).compute_batch(udf, dists)
+    ExecutionPlan(batch_size=1).resolve(engine).compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     fence = emulator.snapshot()
     x = np.array([[5.0, 5.0]])
@@ -281,7 +280,7 @@ def test_absorb_with_current_fence_succeeds():
 
 def test_restore_moves_the_version_forward():
     udf, engine, dists = _fixture(n_tuples=1)
-    BatchExecutor(engine, batch_size=1).compute_batch(udf, dists)
+    ExecutionPlan(batch_size=1).resolve(engine).compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     fence = emulator.snapshot()
     version_at_snapshot = emulator.gp.version
@@ -302,9 +301,8 @@ def _query_run(async_inflight, workers=None, n_rows=6):
     return (
         Query(relation)
         .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                   batch_size=3, workers=workers, parallel_seed=17,
-                   merge="discard" if workers else "union",
-                   async_inflight=async_inflight)
+                   plan=ExecutionPlan(batch_size=3, workers=workers, parallel_seed=17,
+                                      async_inflight=async_inflight))
         .run(engine)
     )
 
@@ -328,10 +326,9 @@ def test_query_async_inflight_is_deterministic():
 def test_parallel_shards_honor_async_inflight():
     def sharded(workers):
         udf, engine, dists = _fixture(real_eval_time=1e-3, n_tuples=8)
-        executor = ParallelExecutor(
-            engine, workers=workers, batch_size=4, merge="discard", seed=99,
-            async_inflight=4,
-        )
+        executor = ExecutionPlan(
+            workers=workers, batch_size=4, merge="discard", parallel_seed=99, async_inflight=4
+        ).resolve(engine)
         return executor.compute_batch(udf, dists)
 
     # Worker-count invariance survives the async per-shard trajectory.
@@ -340,35 +337,21 @@ def test_parallel_shards_honor_async_inflight():
 
 def test_parallel_workers_1_with_async_matches_async_executor():
     udf_a, engine_a, dists_a = _fixture(real_eval_time=1e-3)
-    direct = AsyncRefinementExecutor(engine_a, inflight=4, batch_size=4).compute_batch(
+    direct = ExecutionPlan(async_inflight=4, batch_size=4).resolve(engine_a).compute_batch(
         udf_a, dists_a
     )
     udf_b, engine_b, dists_b = _fixture(real_eval_time=1e-3)
-    serial_path = ParallelExecutor(
-        engine_b, workers=1, batch_size=4, async_inflight=4
-    ).compute_batch(udf_b, dists_b)
+    serial_path = ExecutionPlan(
+        workers=1, batch_size=4, async_inflight=4
+    ).resolve(engine_b).compute_batch(udf_b, dists_b)
     _assert_identical_outputs(direct, serial_path)
 
 
-def test_configuration_validation():
-    _, engine, _ = _fixture(n_tuples=1)
-    with pytest.raises(QueryError):
-        AsyncRefinementExecutor(engine, inflight=0)
-    with pytest.raises(QueryError):
-        AsyncRefinementExecutor(engine, inflight=4, batch_size=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, async_inflight=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, oversubscribe=0.5)
-
-
-def test_oversubscribe_scales_the_default_worker_count():
+def test_default_worker_count_scales_the_core_count():
     import os
 
-    _, engine, _ = _fixture(n_tuples=1)
-    base = ParallelExecutor(engine).workers
-    doubled = ParallelExecutor(engine, oversubscribe=2.0).workers
+    doubled = default_worker_count(2.0)
     assert doubled == max(1, round((os.cpu_count() or 1) * 2.0))
-    assert doubled >= base
-    # Explicit workers wins over oversubscription.
-    assert ParallelExecutor(engine, workers=3, oversubscribe=2.0).workers == 3
+    assert doubled >= default_worker_count()
+    _, engine, _ = _fixture(n_tuples=1)
+    assert ExecutionPlan(workers=doubled).resolve(engine).workers == doubled

@@ -41,7 +41,7 @@ from repro.core.local_inference import (
     global_inference_cached_block,
 )
 from repro.distributions.columns import attempt_encode, stacking_supported
-from repro.engine import BatchExecutor, ExecutionPlan, UDFExecutionEngine
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.udf.synthetic import (
     async_service_udf,
     high_dimensional_function,
@@ -231,7 +231,7 @@ def test_columnar_fast_path_engages(monkeypatch):
 
     monkeypatch.setattr(olgapro_module, "sample_stacked", spy)
     udf, engine, dists = _fixture("gaussian-1d")
-    BatchExecutor(engine, batch_size=4, storage="columnar").compute_batch(udf, dists)
+    ExecutionPlan(batch_size=4, storage="columnar").resolve(engine).compute_batch(udf, dists)
     assert calls["n"] >= 1
 
 
@@ -244,5 +244,5 @@ def test_tuple_storage_never_touches_the_column_path(monkeypatch):
 
     monkeypatch.setattr(olgapro_module, "sample_stacked", forbidden)
     udf, engine, dists = _fixture("gaussian-1d")
-    outputs = BatchExecutor(engine, batch_size=4).compute_batch(udf, dists)
+    outputs = ExecutionPlan(batch_size=4).resolve(engine).compute_batch(udf, dists)
     assert len(outputs) == len(dists)

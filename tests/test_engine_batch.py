@@ -16,7 +16,7 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.core.local_inference import BatchKernelCache, LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
-from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
+from repro.engine.batch import iter_batches
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
 from repro.engine.query import Query
@@ -46,7 +46,9 @@ def _paired_runs(strategy, function_name="F1", n_tuples=7, seed=77, stream_seed=
         if mode == "per_tuple":
             outputs[mode] = [engine.compute(udf, d) for d in dists]
         else:
-            outputs[mode] = engine.compute_batch(udf, dists, batch_size=batch_size)
+            outputs[mode] = engine.compute_with_plan(
+                udf, dists, ExecutionPlan(batch_size=batch_size)
+            )
         outputs[mode + "_udf"] = udf
     return outputs
 
@@ -132,7 +134,7 @@ def test_empty_relation_yields_empty_outputs_and_zero_phases(storage):
     engine = UDFExecutionEngine(
         strategy="gp", requirement=REQUIREMENT, random_state=1, n_samples=150
     )
-    executor = BatchExecutor(engine, batch_size=4, storage=storage)
+    executor = ExecutionPlan(batch_size=4, storage=storage).resolve(engine)
     assert executor.compute_batch(udf, []) == []
     assert executor.timings.seconds == {
         "sampling": 0.0,
@@ -169,7 +171,7 @@ def test_single_tuple_columnar_matches_tuple_storage():
             strategy="gp", requirement=REQUIREMENT, random_state=9, n_samples=150
         )
         dists = list(input_stream(workload_for_udf(udf), 1, random_state=5))
-        executor = BatchExecutor(engine, batch_size=4, storage=storage)
+        executor = ExecutionPlan(batch_size=4, storage=storage).resolve(engine)
         outputs[storage] = executor.compute_batch(udf, dists)
     [ref], [got] = outputs["tuple"], outputs["columnar"]
     assert np.array_equal(ref.distribution.samples, got.distribution.samples)
@@ -208,7 +210,7 @@ def test_batch_with_predicate_matches_per_tuple():
                 engine.compute_with_predicate(udf, d, predicate) for d in dists
             ]
         else:
-            executor = BatchExecutor(engine, batch_size=3)
+            executor = ExecutionPlan(batch_size=3).resolve(engine)
             outputs[mode] = executor.compute_batch_with_predicate(udf, dists, predicate)
     for a, b in zip(outputs["per_tuple"], outputs["batched"]):
         assert a.dropped == b.dropped
@@ -245,7 +247,7 @@ def _galage_query_result(batch_size):
     engine = UDFExecutionEngine(strategy="gp", requirement=REQUIREMENT,
                                 random_state=13, n_samples=150)
     query = Query(relation).apply_udf(
-        udf, ["ra_offset", "dec_offset"], alias="f", batch_size=batch_size
+        udf, ["ra_offset", "dec_offset"], alias="f", plan=ExecutionPlan(batch_size=batch_size)
     )
     return query.run(engine)
 
@@ -271,7 +273,7 @@ def test_where_udf_batch_size_matches_default_path():
         results[batch_size] = (
             Query(relation)
             .where_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       low=0.0, high=1.5, threshold=0.05, batch_size=batch_size)
+                       low=0.0, high=1.5, threshold=0.05, plan=ExecutionPlan(batch_size=batch_size))
             .run(engine)
         )
     plain, batched = results[None], results[4]
@@ -292,18 +294,11 @@ def test_iter_batches_chunks_and_validates():
         list(iter_batches(range(3), 0))
 
 
-def test_batch_executor_validates_batch_size():
-    engine = UDFExecutionEngine(strategy="mc", requirement=REQUIREMENT, random_state=0)
-    with pytest.raises(QueryError):
-        BatchExecutor(engine, batch_size=0)
-    assert BatchExecutor(engine).batch_size == DEFAULT_BATCH_SIZE
-
-
 def test_batch_executor_records_phase_timings():
     udf = reference_function("F1", simulated_eval_time=1e-4)
     engine = UDFExecutionEngine(strategy="gp", requirement=REQUIREMENT,
                                 random_state=3, n_samples=150)
-    executor = BatchExecutor(engine, batch_size=4)
+    executor = ExecutionPlan(batch_size=4).resolve(engine)
     dists = list(input_stream(workload_for_udf(udf), 4,
                               random_state=np.random.default_rng(2)))
     executor.compute_batch(udf, dists)

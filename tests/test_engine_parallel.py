@@ -6,8 +6,8 @@ Contracts under test (see :mod:`repro.engine.parallel` and :mod:`repro.rng`):
   :class:`~repro.engine.batch.BatchExecutor` path under the same engine seed;
 * under the ``"discard"`` merge policy, shard outputs are invariant to the
   worker count for any ``workers >= 2`` (fixed shard size, keyed streams);
-* the merge policies move worker-added training points (and only those)
-  back into the parent model;
+* ``"discard"`` leaves the parent model untouched, ``"shared"`` warms it
+  from the live store;
 * worker failures — black-box exceptions, unpicklable state, dead pool
   processes — surface as typed :class:`~repro.exceptions.QueryError`\\ s.
 """
@@ -22,8 +22,7 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.engine import (
-    BatchExecutor,
-    ParallelExecutor,
+    ExecutionPlan,
     Query,
     UDFExecutionEngine,
     generate_galaxy_relation,
@@ -75,9 +74,9 @@ def _assert_same_outputs(a_outputs, b_outputs):
 @pytest.mark.parametrize("strategy", ["mc", "gp"])
 def test_workers_1_matches_serial_batched(strategy):
     udf_a, engine_a, dists_a = _fixture(strategy)
-    serial = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture(strategy)
-    parallel = ParallelExecutor(engine_b, workers=1, batch_size=4).compute_batch(
+    parallel = ExecutionPlan(workers=1, batch_size=4).resolve(engine_b).compute_batch(
         udf_b, dists_b
     )
     _assert_same_outputs(serial, parallel)
@@ -86,7 +85,7 @@ def test_workers_1_matches_serial_batched(strategy):
 
 def test_workers_1_discard_rolls_the_model_back():
     udf, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=1, batch_size=4, merge="discard")
+    executor = ExecutionPlan(workers=1, batch_size=4, merge="discard").resolve(engine)
     executor.compute_batch(udf, dists)
     # The run created the processor, but discard must leave the engine as if
     # it had never run: no model for this UDF.
@@ -101,7 +100,7 @@ def test_workers_1_discard_restores_an_existing_model():
     emulator = _emulator_of(engine, udf)
     n_before = emulator.n_training
     X_before = emulator.gp.X_train
-    ParallelExecutor(engine, workers=1, batch_size=4, merge="discard").compute_batch(
+    ExecutionPlan(workers=1, batch_size=4, merge="discard").resolve(engine).compute_batch(
         udf, dists[1:]
     )
     assert emulator.n_training == n_before
@@ -112,16 +111,11 @@ def test_workers_1_discard_restores_an_existing_model():
 # workers >= 2: shard invariance and merge policies
 # ---------------------------------------------------------------------------
 
-def _sharded_run(workers, merge="discard", shard_size=None, batch_size=4, **kwargs):
+def _sharded_run(workers, merge="discard", batch_size=4, **kwargs):
     udf, engine, dists = _fixture("gp", **kwargs)
-    executor = ParallelExecutor(
-        engine,
-        workers=workers,
-        batch_size=batch_size,
-        shard_size=shard_size,
-        merge=merge,
-        seed=99,
-    )
+    executor = ExecutionPlan(
+        workers=workers, batch_size=batch_size, merge=merge, parallel_seed=99
+    ).resolve(engine)
     outputs = executor.compute_batch(udf, dists)
     return outputs, engine, udf, executor
 
@@ -133,29 +127,20 @@ def test_discard_outputs_invariant_to_worker_count():
         _assert_same_outputs(reference, outputs)
 
 
-def test_shard_size_smaller_than_batch_size():
-    # Shards of 2 tuples under batch_size 4: every shard is a single partial
-    # chunk.  Must run and stay invariant to the worker count.
-    a, _, _, _ = _sharded_run(workers=2, shard_size=2, batch_size=4)
-    b, _, _, _ = _sharded_run(workers=4, shard_size=2, batch_size=4)
-    _assert_same_outputs(a, b)
-    assert len(a) == 10
-
-
 def test_input_smaller_than_one_shard():
-    outputs, _, _, _ = _sharded_run(workers=4, n_tuples=3, shard_size=8)
+    outputs, _, _, _ = _sharded_run(workers=4, n_tuples=3, batch_size=8)
     assert len(outputs) == 3
 
 
 def test_empty_input_returns_empty():
     udf, engine, _ = _fixture("gp")
-    assert ParallelExecutor(engine, workers=4).compute_batch(udf, []) == []
+    assert ExecutionPlan(workers=4).resolve(engine).compute_batch(udf, []) == []
 
 
 def test_empty_input_emits_zero_phase_timings():
     """An empty relation is a legal input: no pool, no crash, zero phases."""
     udf, engine, _ = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=4)
+    executor = ExecutionPlan(workers=4).resolve(engine)
     assert executor.compute_batch(udf, []) == []
     for phase in ("sampling", "inference", "refinement"):
         assert phase in executor.timings.seconds
@@ -166,60 +151,55 @@ def test_empty_input_emits_zero_phase_timings():
     assert executor.compute_batch_with_predicate(udf, [], PREDICATE) == []
 
 
-def test_shard_size_larger_than_relation_yields_one_shard_with_timings():
-    """shard_size > len(relation): one shard, merged timings, full outputs."""
+def test_batch_size_larger_than_relation_yields_one_shard_with_timings():
+    """batch_size > len(relation): one shard, merged timings, full outputs."""
     udf, engine, dists = _fixture("gp", n_tuples=3)
-    executor = ParallelExecutor(
-        engine, workers=4, batch_size=4, shard_size=16, merge="discard", seed=9
-    )
+    executor = ExecutionPlan(workers=4, batch_size=4, parallel_seed=9).resolve(engine)
     outputs = executor.compute_batch(udf, dists)
     assert len(outputs) == 3
     assert executor.timings.get("sampling") > 0.0
     assert executor.timings.get("inference") > 0.0
 
 
-def test_union_merges_worker_points_into_parent():
-    outputs_discard, engine_d, _, _ = _sharded_run(workers=2, merge="discard")
-    outputs_union, engine_u, udf_u, executor = _sharded_run(workers=2, merge="union")
-    # Outputs are computed from the same snapshot either way.
-    _assert_same_outputs(outputs_discard, outputs_union)
-    # ... but only union warms the parent model.
-    assert _emulator_of(engine_d, udf_u) is None
-    emulator = _emulator_of(engine_u, udf_u)
-    assert emulator is not None
-    assert executor.last_merged_points > 0
-    assert emulator.n_training == executor.last_merged_points
+def test_default_merge_leaves_the_parent_model_untouched():
+    """``ExecutionPlan(workers=2)`` with no ``merge``: byte-for-byte untouched.
 
-
-def test_refit_threshold_retrains_parent_hyperparameters():
-    _, engine, udf, executor = _sharded_run(workers=2, merge="refit-threshold")
-    emulator = _emulator_of(engine, udf)
-    assert executor.last_merged_points >= executor.refit_threshold
-    # retrain() marks the emulator as hyperparameter-trained.
-    assert emulator._trained_hyperparameters
-
-
-def test_union_merge_respects_max_training_points():
-    udf, engine, dists = _fixture("gp", max_training_points=30)
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, merge="union", seed=5)
-    executor.compute_batch(udf, dists)
-    emulator = _emulator_of(engine, udf)
-    assert emulator.n_training <= 30
-    # The workers learn far more than 30 points from a cold snapshot each,
-    # so the cap must actually have bitten.
-    assert executor.last_dropped_points > 0
-    assert executor.last_merged_points + executor.last_dropped_points > 30
-
-
-def test_union_dedupes_exact_duplicates():
-    # Two shards started from the same warm snapshot can return identical
-    # points; the parent must keep one copy of each.
+    A warm parent keeps exactly the model it had (training data, targets,
+    hyperparameters); a cold parent stays cold.
+    """
     udf, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, merge="union", seed=5)
+    engine.compute(udf, dists[0])
+    emulator = _emulator_of(engine, udf)
+    before = (
+        emulator.gp.X_train.tobytes(), emulator.gp.y_train.tobytes(),
+        emulator.gp.kernel.theta.tobytes(), emulator.gp.version,
+    )
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=99).resolve(engine)
+    assert executor.merge == "discard"
+    executor.compute_batch(udf, dists[1:])
+    assert _emulator_of(engine, udf) is emulator
+    assert before == (
+        emulator.gp.X_train.tobytes(), emulator.gp.y_train.tobytes(),
+        emulator.gp.kernel.theta.tobytes(), emulator.gp.version,
+    )
+    assert executor.last_merged_points == 0
+
+    cold_udf, cold_engine, cold_dists = _fixture("gp")
+    ExecutionPlan(workers=2, batch_size=4, parallel_seed=99).resolve(
+        cold_engine
+    ).compute_batch(cold_udf, cold_dists)
+    assert _emulator_of(cold_engine, cold_udf) is None
+
+
+def test_shared_merge_respects_max_training_points():
+    udf, engine, dists = _fixture("gp", max_training_points=30)
+    executor = ExecutionPlan(
+        workers=2, batch_size=4, merge="shared", parallel_seed=5
+    ).resolve(engine)
     executor.compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
-    X = emulator.gp.X_train
-    assert len({row.tobytes() for row in X}) == X.shape[0]
+    assert 0 < emulator.n_training <= 30
+    assert emulator.n_training == executor.last_merged_points
 
 
 def test_parallel_credits_udf_cost_to_parent():
@@ -239,10 +219,9 @@ def test_parallel_charge_accounting_is_exact(async_inflight):
     equality exactly.
     """
     udf, engine, dists = _fixture("gp", n_tuples=8)
-    executor = ParallelExecutor(
-        engine, workers=2, batch_size=4, merge="discard", seed=99,
-        async_inflight=async_inflight,
-    )
+    executor = ExecutionPlan(
+        workers=2, batch_size=4, parallel_seed=99, async_inflight=async_inflight
+    ).resolve(engine)
     outputs = executor.compute_batch(udf, dists)
     assert udf.call_count == sum(output.udf_calls for output in outputs)
     assert udf.call_count > 0
@@ -266,11 +245,11 @@ def test_parallel_merges_worker_timings():
 def test_shared_workers_1_is_bit_identical_to_serial_batched():
     """The CI-gated determinism contract: no store, no sync, same bits."""
     udf_a, engine_a, dists_a = _fixture("gp")
-    serial = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture("gp")
-    shared = ParallelExecutor(
-        engine_b, workers=1, batch_size=4, merge="shared"
-    ).compute_batch(udf_b, dists_b)
+    shared = ExecutionPlan(
+        workers=1, batch_size=4, merge="shared"
+    ).resolve(engine_b).compute_batch(udf_b, dists_b)
     assert len(serial) == len(shared)
     for a, b in zip(serial, shared):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)
@@ -321,13 +300,13 @@ def test_shared_warms_parent_from_the_store_and_keeps_charges_exact():
 
 def test_predicate_workers_1_matches_serial():
     udf_a, engine_a, dists_a = _fixture("gp", stream_seed=9)
-    serial = BatchExecutor(engine_a, batch_size=3).compute_batch_with_predicate(
+    serial = ExecutionPlan(batch_size=3).resolve(engine_a).compute_batch_with_predicate(
         udf_a, dists_a, PREDICATE
     )
     udf_b, engine_b, dists_b = _fixture("gp", stream_seed=9)
-    parallel = ParallelExecutor(engine_b, workers=1, batch_size=3).compute_batch_with_predicate(
-        udf_b, dists_b, PREDICATE
-    )
+    parallel = ExecutionPlan(
+        workers=1, batch_size=3
+    ).resolve(engine_b).compute_batch_with_predicate(udf_b, dists_b, PREDICATE)
     _assert_same_outputs(serial, parallel)
 
 
@@ -335,9 +314,9 @@ def test_predicate_outputs_invariant_to_worker_count():
     results = {}
     for workers in (2, 4):
         udf, engine, dists = _fixture("gp", stream_seed=9)
-        executor = ParallelExecutor(
-            engine, workers=workers, batch_size=3, merge="discard", seed=17
-        )
+        executor = ExecutionPlan(
+            workers=workers, batch_size=3, parallel_seed=17
+        ).resolve(engine)
         results[workers] = executor.compute_batch_with_predicate(udf, dists, PREDICATE)
     _assert_same_outputs(results[2], results[4])
 
@@ -352,7 +331,7 @@ def test_select_udf_operator_runs_parallel():
         Query(relation)
         .where_udf(udf, ["ra_offset", "dec_offset"], alias="f",
                    low=0.0, high=1.5, threshold=0.05,
-                   batch_size=4, workers=2, merge="discard", parallel_seed=3)
+                   plan=ExecutionPlan(batch_size=4, workers=2, merge="discard", parallel_seed=3))
         .run(engine)
     )
     for row in result:
@@ -370,7 +349,7 @@ def test_apply_udf_operator_workers_1_matches_batched():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=3, workers=workers)
+                       plan=ExecutionPlan(batch_size=3, workers=workers))
             .run(engine)
         )
 
@@ -397,7 +376,7 @@ def test_worker_udf_exception_surfaces_as_query_error():
     udf = UDF(_exploding, dimension=2, name="exploding",
               domain=(np.zeros(2), np.full(2, 10.0)))
     _, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, seed=1)
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1).resolve(engine)
     with pytest.raises(QueryError, match="shard"):
         executor.compute_batch(udf, dists)
 
@@ -406,7 +385,7 @@ def test_dead_worker_process_surfaces_as_query_error():
     udf = UDF(_hard_crash, dimension=2, name="crashing",
               domain=(np.zeros(2), np.full(2, 10.0)))
     _, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, seed=1)
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1).resolve(engine)
     with pytest.raises(QueryError):
         executor.compute_batch(udf, dists)
 
@@ -415,20 +394,6 @@ def test_unpicklable_udf_surfaces_as_query_error():
     udf = UDF(lambda x: float(x[0]), dimension=2, name="lambda",
               domain=(np.zeros(2), np.full(2, 10.0)))
     _, engine, dists = _fixture("gp")
-    executor = ParallelExecutor(engine, workers=2, batch_size=4, seed=1)
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1).resolve(engine)
     with pytest.raises(QueryError, match="picklable"):
         executor.compute_batch(udf, dists)
-
-
-def test_executor_validates_configuration():
-    _, engine, _ = _fixture("gp")
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, workers=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, batch_size=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, shard_size=0)
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, merge="replace")
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, refit_threshold=0)

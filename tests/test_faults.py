@@ -281,12 +281,7 @@ def test_plan_with_retry_and_workers_resolves_to_parallel_executor():
     plan = ExecutionPlan(workers=2, retry=RetryPolicy(shard_attempts=3))
     executor = plan.resolve(_engine())
     assert isinstance(executor, ParallelExecutor)
-    assert executor.retry == plan.retry
-
-
-def test_parallel_executor_validates_retry():
-    with pytest.raises(QueryError, match="RetryPolicy"):
-        ParallelExecutor(_engine(), workers=2, retry=7)
+    assert executor.plan.retry == plan.retry
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +576,9 @@ def test_dead_worker_shard_is_reexecuted_bit_identically(tmp_path):
             with open(flag, "w"):
                 pass
         udf = _crash_udf(flag)
-        executor = ParallelExecutor(
-            _engine(n_samples=150), workers=2, batch_size=4, seed=1,
-            retry=RetryPolicy(shard_attempts=2),
-        )
+        executor = ExecutionPlan(
+            workers=2, batch_size=4, parallel_seed=1, retry=RetryPolicy(shard_attempts=2)
+        ).resolve(_engine(n_samples=150))
         return executor.compute_batch(udf, _dists(udf, n_tuples=8))
 
     recovered = run(pre_crashed=False)  # first round crashes, second recovers
@@ -599,7 +593,7 @@ def test_dead_worker_without_retry_raises_shard_failure(tmp_path):
     udf = _crash_udf(str(tmp_path / "never-created-by-retry"))
     # Crash every round: the flag is re-pointed at a path the dying worker
     # creates, so with no retry the very first round is terminal.
-    executor = ParallelExecutor(_engine(n_samples=150), workers=2, batch_size=4, seed=1)
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1).resolve(_engine(n_samples=150))
     with pytest.raises(QueryError, match="worker process died"):
         executor.compute_batch(udf, _dists(udf, n_tuples=8))
 
@@ -611,8 +605,7 @@ def _exploding(x):
 def test_shard_failure_message_reproduces_the_shard():
     udf = UDF(_exploding, dimension=2, name="exploding",
               domain=(np.zeros(2), np.full(2, 10.0)))
-    executor = ParallelExecutor(_engine(n_samples=150), workers=2,
-                                batch_size=4, seed=123)
+    executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=123).resolve(_engine(n_samples=150))
     with pytest.raises(ShardFailureError, match="parallel shard") as excinfo:
         executor.compute_batch(udf, _dists(udf, n_tuples=8))
     message = str(excinfo.value)

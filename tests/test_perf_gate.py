@@ -1,7 +1,8 @@
 """The CI perf gate's verdict logic (``repro.bench.run_all``).
 
-The gate compares the smoke run's gp batched speedup against a committed
-baseline artifact.  Contracts under test:
+The gates are rows of one declarative table (``GATES``): report key,
+metric label, artifact path, inverted?, fixed ceiling?, ``min_cpus``.
+Contracts under test, per row:
 
 * a healthy comparison yields a pass/regress verdict with the relative
   change recorded;
@@ -39,271 +40,140 @@ import pytest
 
 from repro.bench.run_all import (
     DEFAULT_MAX_REGRESSION,
+    GATES,
     PARALLEL_GATE_MIN_CPUS,
     SHARED_CALLS_RATIO_LIMIT,
-    check_auto_plan_regression,
-    check_columnar_regression,
-    check_parallel_regression,
-    check_regression,
-    check_serving_latency_regression,
-    check_serving_regression,
-    check_shared_learning_regression,
-    check_shared_speedup_regression,
+    gate_verdict,
     gated_verdicts,
     main,
 )
 
+BY_KEY = {gate.key: gate for gate in GATES}
+#: Gates that diff against the committed baseline / the fixed-ceiling one.
+BASELINE_GATES = [gate for gate in GATES if gate.ceiling is None]
+CEILING_GATE = BY_KEY["gate_shared_learning"]
 
-def _report(speedup):
-    return {"batch_pipeline": {"speedup": {"gp": speedup}}}
+
+def _artifact(gate, value):
+    """A smoke artifact holding ``value`` at the gate's path (and nothing else)."""
+    node = value
+    for key in reversed(gate.path):
+        node = {key: node}
+    return node
 
 
-def _parallel_report(speedup, batch_speedup=2.0):
-    report = _report(batch_speedup)
-    report["parallel_scaling"] = {
-        "speedup_at_4": {"gp": {"workers": 4, "speedup": speedup}}
+def _worse(gate, healthy):
+    """A value well past the 25% margin on the gate's bad side."""
+    return healthy * 2.0 if gate.inverted else healthy / 2.0
+
+
+def test_the_table_lists_every_gate_once_in_evaluation_order():
+    assert [gate.key for gate in GATES] == [
+        "gate", "gate_columnar", "gate_shared_learning", "gate_parallel",
+        "gate_shared_speedup", "gate_auto_plan", "gate_serving",
+        "gate_serving_p99",
+    ]
+    assert BY_KEY["gate"].metric == "batch_pipeline gp speedup"
+    assert BY_KEY["gate_parallel"].metric == "parallel_scaling gp speedup at workers=4"
+    assert BY_KEY["gate_serving"].metric == "serving throughput scaling at 4 clients"
+    assert {gate.key for gate in GATES if gate.min_cpus > 1} == {
+        "gate_parallel", "gate_shared_speedup",
     }
-    return report
+    assert {gate.key for gate in GATES if gate.inverted} == {
+        "gate_shared_learning", "gate_serving_p99",
+    }
 
 
-def _serving_report(scaling, p99=500.0, batch_speedup=2.0):
-    report = _report(batch_speedup)
-    report["serving"] = {"scaling_at_4": scaling, "p99_at_4": p99}
-    return report
+@pytest.mark.parametrize("gate", BASELINE_GATES, ids=lambda gate: gate.key)
+class TestBaselineGates:
+    """Every baseline-diffed row: pass / regress / override / missing."""
 
-
-def _columnar_report(speedup, batch_speedup=2.0):
-    report = _report(batch_speedup)
-    report["columnar"] = {"speedup": speedup, "identical_to_tuple": True}
-    return report
-
-
-class TestCheckRegression:
-    def test_pass_records_relative_change(self):
-        verdict = check_regression(_report(2.0), _report(2.0), 0.25)
+    def test_pass_records_relative_change(self, gate):
+        verdict = gate_verdict(gate, _artifact(gate, 2.5), _artifact(gate, 2.5), 0.25)
         assert verdict["regressed"] is False
         assert "missing" not in verdict
         assert verdict["relative_change"] == 0.0
+        assert verdict["metric"] == gate.metric
 
-    def test_regression_detected(self):
-        verdict = check_regression(_report(1.0), _report(2.0), 0.25)
+    def test_regression_detected(self, gate):
+        verdict = gate_verdict(
+            gate, _artifact(gate, _worse(gate, 2.5)), _artifact(gate, 2.5), 0.25
+        )
         assert verdict["regressed"] is True
         assert verdict["overridden"] is False
 
-    def test_override_env_applies_to_regressions(self, monkeypatch):
+    def test_improvement_passes(self, gate):
+        better = 2.5 / 1.25 if gate.inverted else 2.5 * 1.25
+        verdict = gate_verdict(gate, _artifact(gate, better), _artifact(gate, 2.5), 0.25)
+        assert verdict["regressed"] is False
+
+    def test_override_env_applies_to_regressions(self, gate, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_OVERRIDE", "1")
-        verdict = check_regression(_report(1.0), _report(2.0), 0.25)
+        verdict = gate_verdict(
+            gate, _artifact(gate, _worse(gate, 2.5)), _artifact(gate, 2.5), 0.25
+        )
         assert verdict["regressed"] is True
         assert verdict["overridden"] is True
 
     @pytest.mark.parametrize(
-        "report, baseline",
+        "report_value, baseline_value",
         [
-            ({}, _report(2.0)),                       # metric renamed/dropped
-            (_report(2.0), {}),                       # baseline lacks metric
-            (_report(None), _report(2.0)),            # null metric
-            (_report(2.0), _report(0.0)),             # degenerate baseline
+            ("absent", 2.5),      # metric renamed/dropped from the report
+            (2.5, "absent"),      # baseline lacks the metric
+            (None, 2.5),          # null metric
+            (2.5, 0.0),           # degenerate baseline
         ],
     )
-    def test_missing_metric_is_flagged_not_silently_ok(self, report, baseline):
-        verdict = check_regression(report, baseline, DEFAULT_MAX_REGRESSION)
+    def test_missing_metric_is_flagged_not_silently_ok(
+        self, gate, report_value, baseline_value
+    ):
+        report = {} if report_value == "absent" else _artifact(gate, report_value)
+        baseline = {} if baseline_value == "absent" else _artifact(gate, baseline_value)
+        verdict = gate_verdict(gate, report, baseline, DEFAULT_MAX_REGRESSION)
         assert verdict.get("missing") is True
         assert verdict["regressed"] is False
         assert "skipped" in verdict
 
 
-class TestParallelGate:
-    def test_pass_records_relative_change(self):
-        verdict = check_parallel_regression(
-            _parallel_report(2.5), _parallel_report(2.5), 0.25
-        )
-        assert verdict["regressed"] is False
-        assert "missing" not in verdict
-        assert verdict["relative_change"] == 0.0
-        assert verdict["metric"] == "parallel_scaling gp speedup at workers=4"
-
-    def test_regression_detected(self):
-        verdict = check_parallel_regression(
-            _parallel_report(1.0), _parallel_report(2.5), 0.25
-        )
-        assert verdict["regressed"] is True
-        assert verdict["overridden"] is False
-
-    def test_override_env_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERF_OVERRIDE", "1")
-        verdict = check_parallel_regression(
-            _parallel_report(1.0), _parallel_report(2.5), 0.25
-        )
-        assert verdict["regressed"] is True
-        assert verdict["overridden"] is True
-
-    @pytest.mark.parametrize(
-        "report, baseline",
-        [
-            (_report(2.0), _parallel_report(2.5)),      # metric dropped from report
-            (_parallel_report(2.5), _report(2.0)),      # baseline lacks metric
-            (_parallel_report(None), _parallel_report(2.5)),
-            (_parallel_report(2.5), _parallel_report(0.0)),
-        ],
-    )
-    def test_missing_metric_is_flagged(self, report, baseline):
-        verdict = check_parallel_regression(report, baseline, DEFAULT_MAX_REGRESSION)
-        assert verdict.get("missing") is True
-        assert verdict["regressed"] is False
+def test_truncated_artifact_path_is_missing_not_a_crash():
+    # The parallel headline sits four keys deep; a scalar where a dict is
+    # expected must read as missing.
+    gate = BY_KEY["gate_parallel"]
+    report = {"parallel_scaling": {"speedup_at_4": {"gp": 2.5}}}
+    assert gate_verdict(gate, report, _artifact(gate, 2.5), 0.25).get("missing") is True
 
 
-class TestServingGate:
-    """Serving throughput scaling and p99 latency gates."""
-
-    def test_scaling_pass_records_relative_change(self):
-        verdict = check_serving_regression(
-            _serving_report(3.0), _serving_report(3.0), 0.25
-        )
-        assert verdict["regressed"] is False
-        assert "missing" not in verdict
-        assert verdict["metric"] == "serving throughput scaling at 4 clients"
-
-    def test_scaling_regression_detected(self):
-        verdict = check_serving_regression(
-            _serving_report(1.2), _serving_report(3.0), 0.25
-        )
-        assert verdict["regressed"] is True
-        assert verdict["overridden"] is False
-
-    def test_p99_increase_is_a_regression(self):
-        # p99 grew 2x: the inverse shrinks below the 25% margin.
-        verdict = check_serving_latency_regression(
-            _serving_report(3.0, p99=1000.0), _serving_report(3.0, p99=500.0), 0.25
-        )
-        assert verdict["regressed"] is True
-
-    def test_p99_decrease_passes(self):
-        verdict = check_serving_latency_regression(
-            _serving_report(3.0, p99=400.0), _serving_report(3.0, p99=500.0), 0.25
-        )
-        assert verdict["regressed"] is False
-
-    @pytest.mark.parametrize(
-        "report, baseline",
-        [
-            (_report(2.0), _serving_report(3.0)),     # metric dropped from report
-            (_serving_report(3.0), _report(2.0)),     # baseline lacks metric
-            (_serving_report(None), _serving_report(3.0)),
-            (_serving_report(3.0, p99=0.0), _serving_report(3.0)),  # degenerate p99
-        ],
-    )
-    def test_missing_metric_is_flagged(self, report, baseline):
-        scaling = check_serving_regression(report, baseline, DEFAULT_MAX_REGRESSION)
-        latency = check_serving_latency_regression(
-            report, baseline, DEFAULT_MAX_REGRESSION
-        )
-        assert scaling.get("missing") is True or latency.get("missing") is True
-
-
-class TestCheckColumnarRegression:
-    """The columnar-over-tuple-store speedup is gated like the batch gate
-    (hardware-normalised ratio, arms on every runner)."""
-
-    def test_pass_and_regress(self):
-        healthy = check_columnar_regression(
-            _columnar_report(1.6), _columnar_report(1.6), DEFAULT_MAX_REGRESSION
-        )
-        assert healthy["regressed"] is False
-        regressed = check_columnar_regression(
-            _columnar_report(1.0), _columnar_report(1.6), DEFAULT_MAX_REGRESSION
-        )
-        assert regressed["regressed"] is True
-
-    def test_missing_metric_is_flagged(self):
-        verdict = check_columnar_regression(
-            _report(2.0), _columnar_report(1.6), DEFAULT_MAX_REGRESSION
-        )
-        assert verdict.get("missing") is True
-
-
-def _auto_plan_report(speedup, batch_speedup=2.0):
-    report = _report(batch_speedup)
-    report["auto_plan"] = {"speedup": speedup, "identical_to_explicit": True}
-    return report
-
-
-class TestCheckAutoPlanRegression:
-    """The auto-planned speedup over the naive default plan is gated like
-    the batch gate (hardware-normalised ratio, arms on every runner)."""
-
-    def test_pass_and_regress(self):
-        healthy = check_auto_plan_regression(
-            _auto_plan_report(2.5), _auto_plan_report(2.5), DEFAULT_MAX_REGRESSION
-        )
-        assert healthy["regressed"] is False
-        regressed = check_auto_plan_regression(
-            _auto_plan_report(1.0), _auto_plan_report(2.5), DEFAULT_MAX_REGRESSION
-        )
-        assert regressed["regressed"] is True
-
-    def test_missing_metric_is_flagged(self):
-        verdict = check_auto_plan_regression(
-            _report(2.0), _auto_plan_report(2.5), DEFAULT_MAX_REGRESSION
-        )
-        assert verdict.get("missing") is True
-
-
-def _shared_report(ratio, speedup=1.5, batch_speedup=2.0):
-    report = _report(batch_speedup)
-    report["shared_learning"] = {
-        "udf_calls_ratio_workers4": ratio,
-        "speedup_at_4": speedup,
-        "identical_at_1": True,
-    }
-    return report
-
-
-class TestSharedLearningGate:
+class TestFixedCeilingGate:
     """The shared-merge calls ratio gates against a fixed ceiling with zero
-    slack — no committed baseline involved — and the wall-clock speedup is
-    gated against the baseline like the other hardware-bound ratios."""
+    slack — no committed baseline involved."""
 
     def test_ratio_at_the_ceiling_passes(self):
-        verdict = check_shared_learning_regression(
-            _shared_report(SHARED_CALLS_RATIO_LIMIT), {}, DEFAULT_MAX_REGRESSION
+        verdict = gate_verdict(
+            CEILING_GATE, _artifact(CEILING_GATE, SHARED_CALLS_RATIO_LIMIT), {},
+            DEFAULT_MAX_REGRESSION,
         )
         assert verdict["regressed"] is False
         assert verdict["udf_calls_ratio"] == SHARED_CALLS_RATIO_LIMIT
+        assert verdict["ratio_limit"] == SHARED_CALLS_RATIO_LIMIT
 
     def test_ratio_above_the_ceiling_regresses_regardless_of_margin(self):
         # max_regression is deliberately ignored: the ceiling is absolute.
-        verdict = check_shared_learning_regression(
-            _shared_report(1.3), {}, max_regression=0.9
-        )
+        verdict = gate_verdict(CEILING_GATE, _artifact(CEILING_GATE, 1.3), {}, 0.9)
         assert verdict["regressed"] is True
         assert verdict["overridden"] is False
 
     def test_override_env_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_OVERRIDE", "1")
-        verdict = check_shared_learning_regression(_shared_report(2.0), {}, 0.25)
+        verdict = gate_verdict(CEILING_GATE, _artifact(CEILING_GATE, 2.0), {}, 0.25)
         assert verdict["regressed"] is True
         assert verdict["overridden"] is True
 
-    @pytest.mark.parametrize("report", [_report(2.0), _shared_report(None),
-                                        _shared_report(0.0)])
+    @pytest.mark.parametrize("report", [{}, _artifact(CEILING_GATE, None),
+                                        _artifact(CEILING_GATE, 0.0)])
     def test_missing_or_degenerate_ratio_is_flagged(self, report):
-        verdict = check_shared_learning_regression(report, {}, 0.25)
+        verdict = gate_verdict(CEILING_GATE, report, {}, 0.25)
         assert verdict.get("missing") is True
         assert verdict["regressed"] is False
-
-    def test_speedup_gate_compares_against_the_baseline(self):
-        healthy = check_shared_speedup_regression(
-            _shared_report(1.0, speedup=1.5), _shared_report(1.0, speedup=1.5), 0.25
-        )
-        assert healthy["regressed"] is False
-        regressed = check_shared_speedup_regression(
-            _shared_report(1.0, speedup=0.8), _shared_report(1.0, speedup=1.5), 0.25
-        )
-        assert regressed["regressed"] is True
-        missing = check_shared_speedup_regression(
-            _report(2.0), _shared_report(1.0), 0.25
-        )
-        assert missing.get("missing") is True
 
 
 class TestCoreCountGuard:
@@ -314,29 +184,23 @@ class TestCoreCountGuard:
     ALWAYS_ON = ["gate", "gate_columnar", "gate_shared_learning",
                  "gate_auto_plan", "gate_serving", "gate_serving_p99"]
 
-    def test_single_core_runner_skips_parallel_gate(self):
-        verdicts = gated_verdicts(
-            _parallel_report(2.5), _parallel_report(2.5), 0.25, cpu_count=1
-        )
-        assert [key for key, _ in verdicts] == self.ALWAYS_ON
+    @staticmethod
+    def _report(batch, parallel):
+        return {**_artifact(BY_KEY["gate"], batch),
+                **_artifact(BY_KEY["gate_parallel"], parallel)}
 
-    def test_just_below_threshold_still_skips(self):
-        verdicts = gated_verdicts(
-            _parallel_report(2.5), _parallel_report(2.5), 0.25,
-            cpu_count=PARALLEL_GATE_MIN_CPUS - 1,
-        )
+    @pytest.mark.parametrize("cpu_count", [1, PARALLEL_GATE_MIN_CPUS - 1])
+    def test_runner_below_the_threshold_skips_the_scaling_gates(self, cpu_count):
+        report = self._report(2.0, 2.5)
+        verdicts = gated_verdicts(report, report, 0.25, cpu_count=cpu_count)
         assert [key for key, _ in verdicts] == self.ALWAYS_ON
 
     def test_multi_core_runner_gates_parallel_too(self):
         verdicts = gated_verdicts(
-            _parallel_report(1.0), _parallel_report(2.5), 0.25,
+            self._report(2.0, 1.0), self._report(2.0, 2.5), 0.25,
             cpu_count=PARALLEL_GATE_MIN_CPUS,
         )
-        assert [key for key, _ in verdicts] == [
-            "gate", "gate_columnar", "gate_shared_learning", "gate_parallel",
-            "gate_shared_speedup", "gate_auto_plan", "gate_serving",
-            "gate_serving_p99",
-        ]
+        assert [key for key, _ in verdicts] == [gate.key for gate in GATES]
         by_key = dict(verdicts)
         assert by_key["gate"]["regressed"] is False
         assert by_key["gate_parallel"]["regressed"] is True

@@ -14,8 +14,8 @@ Contracts under test (see :mod:`repro.engine.pipeline`):
   counts, and invariant to completion order (point-hashed latency jitter);
 * degenerate inputs (empty batches) return cleanly with zero-phase
   timings;
-* the knob composes through ``Query`` / ``compute_pipelined`` /
-  ``ParallelExecutor``, including the ``merge="refit-threshold"``
+* the knob composes through ``Query`` / ``compute_with_plan`` /
+  ``ParallelExecutor``, including the ``merge="shared"``
   fence/rollback interaction.
 """
 
@@ -26,10 +26,7 @@ import pytest
 
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
-    AsyncRefinementExecutor,
-    BatchExecutor,
-    ParallelExecutor,
-    PipelinedExecutor,
+    ExecutionPlan,
     Query,
     UDFExecutionEngine,
     generate_galaxy_relation,
@@ -94,9 +91,9 @@ def _gp_state(engine, udf):
 
 def test_lookahead_1_is_bit_identical_to_serial_batched():
     udf_a, engine_a, dists_a = _fixture()
-    serial = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture()
-    piped = PipelinedExecutor(engine_b, lookahead=1, batch_size=4).compute_batch(
+    piped = ExecutionPlan(pipeline_lookahead=1, batch_size=4).resolve(engine_b).compute_batch(
         udf_b, dists_b
     )
     _assert_identical_outputs(serial, piped)
@@ -107,11 +104,13 @@ def test_lookahead_1_is_bit_identical_to_serial_batched():
 @pytest.mark.parametrize("lookahead", [2, 3])
 def test_pipelined_trajectory_matches_async_at_same_window(lookahead):
     udf_a, engine_a, dists_a = _fixture()
-    asynced = AsyncRefinementExecutor(engine_a, inflight=4, batch_size=4).compute_batch(
+    asynced = ExecutionPlan(async_inflight=4, batch_size=4).resolve(engine_a).compute_batch(
         udf_a, dists_a
     )
     udf_b, engine_b, dists_b = _fixture()
-    executor = PipelinedExecutor(engine_b, lookahead=lookahead, inflight=4, batch_size=4)
+    executor = ExecutionPlan(
+        pipeline_lookahead=lookahead, async_inflight=4, batch_size=4
+    ).resolve(engine_b)
     piped = executor.compute_batch(udf_b, dists_b)
     _assert_identical_outputs(asynced, piped)
     assert _gp_state(engine_a, udf_a) == _gp_state(engine_b, udf_b)
@@ -127,7 +126,7 @@ def test_pipelined_trajectory_matches_async_at_same_window(lookahead):
 def test_pipelined_run_is_repeatable_with_deterministic_charges():
     def run():
         udf, engine, dists = _fixture()
-        executor = PipelinedExecutor(engine, lookahead=3, inflight=4, batch_size=4)
+        executor = ExecutionPlan(pipeline_lookahead=3, async_inflight=4, batch_size=4).resolve(engine)
         outputs = executor.compute_batch(udf, dists)
         return outputs, udf.call_count, executor
 
@@ -149,9 +148,9 @@ def test_completion_order_invariance_under_latency_jitter():
         udf, engine, dists = _fixture(
             n_tuples=4, real_eval_time=2e-3, real_eval_jitter=jitter, n_samples=120
         )
-        outputs = PipelinedExecutor(
-            engine, lookahead=3, inflight=4, batch_size=4
-        ).compute_batch(udf, dists)
+        outputs = ExecutionPlan(
+            pipeline_lookahead=3, async_inflight=4, batch_size=4
+        ).resolve(engine).compute_batch(udf, dists)
         return outputs, udf.call_count
 
     smooth, calls_smooth = run(0.0)
@@ -170,9 +169,9 @@ def test_speculative_k_accounting_matches_batched_on_non_engaged_path():
     call-count deltas — not the committed ``points_added``.
     """
     udf_a, engine_a, dists_a = _fixture(function_name="F4", speculative_k=4)
-    batched = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    batched = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture(function_name="F4", speculative_k=4)
-    executor = PipelinedExecutor(engine_b, lookahead=3, inflight=1, batch_size=4)
+    executor = ExecutionPlan(pipeline_lookahead=3, async_inflight=1, batch_size=4).resolve(engine_b)
     piped = executor.compute_batch(udf_b, dists_b)
     _assert_identical_outputs(batched, piped)
     assert [a.udf_calls for a in batched] == [b.udf_calls for b in piped]
@@ -190,8 +189,8 @@ def test_mc_strategy_delegates_to_the_batched_path():
             input_stream(workload_for_udf(udf), 5, random_state=np.random.default_rng(2))
         )
         if lookahead is None:
-            return BatchExecutor(engine, batch_size=3).compute_batch(udf, dists)
-        return PipelinedExecutor(engine, lookahead=lookahead, batch_size=3).compute_batch(
+            return ExecutionPlan(batch_size=3).resolve(engine).compute_batch(udf, dists)
+        return ExecutionPlan(pipeline_lookahead=lookahead, batch_size=3).resolve(engine).compute_batch(
             udf, dists
         )
 
@@ -203,13 +202,13 @@ def test_predicate_path_matches_async_predicate_path():
 
     predicate = SelectionPredicate(low=0.0, high=1.5, threshold=0.1)
     udf_a, engine_a, dists_a = _fixture(stream_seed=9)
-    asynced = AsyncRefinementExecutor(
-        engine_a, inflight=4, batch_size=3
-    ).compute_batch_with_predicate(udf_a, dists_a, predicate)
+    asynced = ExecutionPlan(
+        async_inflight=4, batch_size=3
+    ).resolve(engine_a).compute_batch_with_predicate(udf_a, dists_a, predicate)
     udf_b, engine_b, dists_b = _fixture(stream_seed=9)
-    piped = PipelinedExecutor(
-        engine_b, lookahead=4, inflight=4, batch_size=3
-    ).compute_batch_with_predicate(udf_b, dists_b, predicate)
+    piped = ExecutionPlan(
+        pipeline_lookahead=4, async_inflight=4, batch_size=3
+    ).resolve(engine_b).compute_batch_with_predicate(udf_b, dists_b, predicate)
     assert len(asynced) == len(piped)
     for a, b in zip(asynced, piped):
         assert a.dropped == b.dropped
@@ -229,13 +228,13 @@ def test_predicate_path_defaults_to_async_window_at_deep_lookahead():
 
     predicate = SelectionPredicate(low=0.0, high=1.5, threshold=0.1)
     udf_a, engine_a, dists_a = _fixture(stream_seed=9)
-    asynced = AsyncRefinementExecutor(
-        engine_a, inflight=DEFAULT_ASYNC_INFLIGHT, batch_size=3
-    ).compute_batch_with_predicate(udf_a, dists_a, predicate)
+    asynced = ExecutionPlan(
+        async_inflight=DEFAULT_ASYNC_INFLIGHT, batch_size=3
+    ).resolve(engine_a).compute_batch_with_predicate(udf_a, dists_a, predicate)
     udf_b, engine_b, dists_b = _fixture(stream_seed=9)
-    piped = PipelinedExecutor(
-        engine_b, lookahead=4, batch_size=3
-    ).compute_batch_with_predicate(udf_b, dists_b, predicate)
+    piped = ExecutionPlan(
+        pipeline_lookahead=4, batch_size=3
+    ).resolve(engine_b).compute_batch_with_predicate(udf_b, dists_b, predicate)
     assert len(asynced) == len(piped)
     for a, b in zip(asynced, piped):
         assert a.dropped == b.dropped
@@ -249,7 +248,7 @@ def test_predicate_path_defaults_to_async_window_at_deep_lookahead():
 
 def test_empty_batch_returns_empty_with_zero_phase_timings():
     udf, engine, _ = _fixture()
-    executor = PipelinedExecutor(engine, lookahead=4, inflight=4)
+    executor = ExecutionPlan(pipeline_lookahead=4, async_inflight=4).resolve(engine)
     assert executor.compute_batch(udf, []) == []
     for phase in ("sampling", "inference", "refinement", "speculation"):
         assert phase in executor.timings.seconds
@@ -260,26 +259,16 @@ def test_empty_batch_returns_empty_with_zero_phase_timings():
 
 def test_single_tuple_batch_runs_pipelined():
     udf, engine, dists = _fixture(n_tuples=1)
-    outputs = PipelinedExecutor(engine, lookahead=4, inflight=4).compute_batch(
+    outputs = ExecutionPlan(pipeline_lookahead=4, async_inflight=4).resolve(engine).compute_batch(
         udf, dists[:1]
     )
     assert len(outputs) == 1
     assert outputs[0].distribution.samples.size > 0
 
 
-def test_configuration_validation():
-    _, engine, _ = _fixture()
-    with pytest.raises(QueryError):
-        PipelinedExecutor(engine, lookahead=0)
-    with pytest.raises(QueryError):
-        PipelinedExecutor(engine, lookahead=2, inflight=0)
-    with pytest.raises(QueryError):
-        PipelinedExecutor(engine, lookahead=2, batch_size=0)
-
-
 def test_nested_pipelined_execution_is_rejected():
     udf, engine, dists = _fixture(n_tuples=2)
-    executor = PipelinedExecutor(engine, lookahead=2, inflight=4, batch_size=2)
+    executor = ExecutionPlan(pipeline_lookahead=2, async_inflight=4, batch_size=2).resolve(engine)
     olgapro = executor._olgapro_for(udf)
     olgapro.evaluation_driver = object()
     try:
@@ -293,18 +282,6 @@ def test_nested_pipelined_execution_is_rejected():
 # Plumbing: engine, query builder, parallel composition
 # ---------------------------------------------------------------------------
 
-def test_compute_pipelined_convenience_wrapper():
-    udf_a, engine_a, dists_a = _fixture(n_tuples=4)
-    direct = PipelinedExecutor(engine_a, lookahead=3, inflight=4, batch_size=4).compute_batch(
-        udf_a, dists_a
-    )
-    udf_b, engine_b, dists_b = _fixture(n_tuples=4)
-    wrapped = engine_b.compute_pipelined(
-        udf_b, dists_b, lookahead=3, inflight=4, batch_size=4
-    )
-    _assert_identical_outputs(direct, wrapped)
-
-
 def test_query_pipeline_lookahead_1_matches_batched():
     def run(pipeline_lookahead):
         relation = generate_galaxy_relation(6, random_state=21)
@@ -315,7 +292,7 @@ def test_query_pipeline_lookahead_1_matches_batched():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=3, pipeline_lookahead=pipeline_lookahead)
+                       plan=ExecutionPlan(batch_size=3, pipeline_lookahead=pipeline_lookahead))
             .run(engine)
         )
 
@@ -336,7 +313,7 @@ def test_query_pipeline_lookahead_runs_and_is_deterministic():
         return (
             Query(relation)
             .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=6, pipeline_lookahead=3, async_inflight=4)
+                       plan=ExecutionPlan(batch_size=6, pipeline_lookahead=3, async_inflight=4))
             .run(engine)
         )
 
@@ -348,54 +325,48 @@ def test_query_pipeline_lookahead_runs_and_is_deterministic():
 
 def test_parallel_workers_1_with_pipeline_matches_pipelined_executor():
     udf_a, engine_a, dists_a = _fixture()
-    direct = PipelinedExecutor(engine_a, lookahead=3, inflight=4, batch_size=4).compute_batch(
-        udf_a, dists_a
-    )
+    direct = ExecutionPlan(
+        pipeline_lookahead=3, async_inflight=4, batch_size=4
+    ).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _fixture()
-    sharded = ParallelExecutor(
-        engine_b, workers=1, batch_size=4, async_inflight=4, pipeline_lookahead=3
-    ).compute_batch(udf_b, dists_b)
+    sharded = ExecutionPlan(
+        workers=1, batch_size=4, async_inflight=4, pipeline_lookahead=3
+    ).resolve(engine_b).compute_batch(udf_b, dists_b)
     _assert_identical_outputs(direct, sharded)
 
 
 def test_parallel_shards_honor_pipeline_lookahead():
     def sharded(workers):
         udf, engine, dists = _fixture(n_tuples=8)
-        executor = ParallelExecutor(
-            engine, workers=workers, batch_size=4, merge="discard", seed=17,
+        executor = ExecutionPlan(
+            workers=workers, batch_size=4, parallel_seed=17,
             async_inflight=4, pipeline_lookahead=3,
-        )
+        ).resolve(engine)
         return executor.compute_batch(udf, dists)
 
     # Worker-count invariance must survive the composed pipelined shards.
     _assert_identical_outputs(sharded(2), sharded(4))
 
 
-def test_parallel_validates_pipeline_lookahead():
-    _, engine, _ = _fixture()
-    with pytest.raises(QueryError):
-        ParallelExecutor(engine, pipeline_lookahead=0)
-
-
 # ---------------------------------------------------------------------------
-# Fence / merge interaction (refit-threshold)
+# Fence / merge interaction (shared)
 # ---------------------------------------------------------------------------
 
-def test_refit_threshold_merge_counts_pipelined_worker_points_once():
-    """Stale-fence re-inference must not double-absorb toward the refit count.
+def test_shared_merge_counts_pipelined_worker_points_once():
+    """Stale-fence re-inference must not double-absorb into the parent.
 
     Every worker runs the pipelined scheduler: its speculative stages
     re-run inference when fences go stale, and its walks absorb points into
     *private* views.  Only the points genuinely committed to the worker's
-    live model may flow back through the ``"refit-threshold"`` merge — so
-    the parent's merged-point count must equal its model growth exactly,
-    with no duplicates.
+    live model may flow back through the ``"shared"`` store — so the
+    parent's merged-point count must equal its model growth exactly, with
+    no duplicates.
     """
     udf, engine, dists = _fixture(n_tuples=8)
-    executor = ParallelExecutor(
-        engine, workers=2, batch_size=4, merge="refit-threshold", seed=5,
+    executor = ExecutionPlan(
+        workers=2, batch_size=4, merge="shared", parallel_seed=5,
         async_inflight=4, pipeline_lookahead=3,
-    )
+    ).resolve(engine)
     executor.compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     assert emulator is not None
@@ -404,18 +375,14 @@ def test_refit_threshold_merge_counts_pipelined_worker_points_once():
     # No row entered the parent model twice.
     X = emulator.gp.X_train
     assert len({row.tobytes() for row in X}) == X.shape[0]
-    # The refit actually fired: enough merged points crossed the threshold.
-    assert executor.last_merged_points >= executor.refit_threshold
-    assert emulator._trained_hyperparameters
 
 
-def test_refit_threshold_serial_pipeline_does_not_double_count_refit_points():
+def test_shared_serial_pipeline_does_not_double_count_points():
     """workers=1 + pipeline: model growth equals the merged-point count."""
     udf, engine, dists = _fixture(n_tuples=6)
-    executor = ParallelExecutor(
-        engine, workers=1, batch_size=3, merge="refit-threshold",
-        async_inflight=4, pipeline_lookahead=3,
-    )
+    executor = ExecutionPlan(
+        workers=1, batch_size=3, merge="shared", async_inflight=4, pipeline_lookahead=3
+    ).resolve(engine)
     executor.compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     assert emulator.n_training == executor.last_merged_points
@@ -439,10 +406,10 @@ def test_shared_refresh_cuts_walk_mispredictions_on_a_cold_stream():
     """
     def run(shared_refresh):
         udf, engine, dists = _fixture(function_name="F4", real_eval_time=2e-3)
-        executor = PipelinedExecutor(
-            engine, lookahead=4, inflight=4, batch_size=8,
-            shared_refresh=shared_refresh,
-        )
+        executor = ExecutionPlan(
+            pipeline_lookahead=4, async_inflight=4, batch_size=8,
+            merge="shared" if shared_refresh else "discard",
+        ).resolve(engine)
         outputs = executor.compute_batch(udf, dists)
         return outputs, executor
 

@@ -2,14 +2,14 @@
 
 Contracts under test (see :mod:`repro.engine.plan`):
 
-* contradictory or out-of-domain knob combinations raise a typed
-  ``PlanError`` whose message states the precedence rule — never a
-  silently picked path;
-* ``plan=`` and the legacy per-knob kwargs are mutually exclusive, and the
-  legacy kwargs build the identical plan (deprecation shim);
-* a plan resolves to the executor stack the old hand-wired selection
-  produced: workers → pipeline_lookahead → async_inflight → batch_size →
-  per-tuple;
+* the plan is the only validator: every rule an executor constructor used
+  to check raises a typed ``PlanError`` from ``ExecutionPlan(...)`` —
+  conflicts state the precedence rule, never a silently picked path;
+* the plan is the only execution surface: operators and the query builder
+  take ``plan=`` only, the engine has no per-layer ``compute_*`` shims;
+* the plan is the only selector: workers → pipeline_lookahead →
+  async_inflight → batch_size → per-tuple, each layer building the one
+  beneath it from ``plan.inner()``;
 * **path equivalence**: every determinism-preserving plan (per-tuple,
   batched, inflight=1, lookahead=1, workers=1, each transport) produces
   bit-identical outputs, error bounds and UDF call counts to the serial
@@ -18,17 +18,24 @@ Contracts under test (see :mod:`repro.engine.plan`):
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
+    DEFAULT_BATCH_SIZE,
+    MERGE_POLICIES,
+    ApplyUDF,
     AsyncRefinementExecutor,
     BatchExecutor,
     ExecutionPlan,
     ParallelExecutor,
     PipelinedExecutor,
     Query,
+    SelectUDF,
     ThreadPoolTransport,
     UDFExecutionEngine,
     generate_galaxy_relation,
@@ -67,46 +74,92 @@ def _assert_identical(a_outputs, b_outputs):
 
 
 # ---------------------------------------------------------------------------
-# Validation: conflicts raise typed PlanError with the precedence rule
+# Validation: the plan is the only validator
 # ---------------------------------------------------------------------------
 
+#: Every rule the four executor constructors used to check (each with its
+#: own QueryError), now rejected once, at plan construction.  ``match`` is
+#: ``"precedence"`` for cross-knob conflicts, whose message quotes the rule.
+PLAN_VALIDATION_TABLE = [
+    # positive integers (Batch / Async / Pipelined / Parallel constructors);
+    # non-integral and bool values used to be truncated by the executors'
+    # int() — 1.9 workers ran the serial path.
+    ({"batch_size": 0}, "batch_size"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"batch_size": True}, "batch_size"),
+    ({"workers": 0}, "workers"),
+    ({"workers": 1.9}, "workers"),
+    ({"workers": True}, "workers"),
+    ({"async_inflight": 0}, "async_inflight"),
+    ({"async_inflight": 4.0}, "async_inflight"),
+    ({"pipeline_lookahead": -1}, "pipeline_lookahead"),
+    ({"pipeline_lookahead": 2.5}, "pipeline_lookahead"),
+    ({"pipeline_lookahead": 2, "async_inflight": 0}, "async_inflight"),
+    ({"speculative_k": 0}, "speculative_k"),
+    ({"speculative_k": False}, "speculative_k"),
+    # merge policies (Parallel constructor); the legacy ones are gone.
+    ({"workers": 2, "merge": "replace"}, "merge policy"),
+    ({"workers": 2, "merge": "union"}, "merge policy"),
+    ({"workers": 2, "merge": "refit-threshold"}, "merge policy"),
+    ({"merge": "shared"}, "precedence"),
+    # storage / retry (all four / Parallel).
+    ({"batch_size": 4, "storage": "rows"}, "storage layout"),
+    ({"workers": 2, "retry": 7}, "RetryPolicy"),
+    # transports (Async / Pipelined / Parallel constructors).
+    ({"async_inflight": 2, "transport": "no-such-transport"}, "transport"),
+    ({"async_inflight": 8, "transport": "serial"}, "precedence"),
+    ({"pipeline_lookahead": 4, "transport": "serial"}, "precedence"),
+    ({"workers": 2, "async_inflight": 4, "transport": "serial"}, "precedence"),
+    ({"transport": "asyncio"}, "precedence"),
+    ({"batch_size": 8, "transport": "asyncio"}, "precedence"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"batch_size": 0},
-        {"workers": 0},
-        {"async_inflight": 0},
-        {"pipeline_lookahead": -1},
-        {"speculative_k": 0},
-        {"oversubscribe": 0.5},
-        {"merge": "replace"},
-        {"async_inflight": 2, "transport": "no-such-transport"},
-    ],
+    "kwargs, match", PLAN_VALIDATION_TABLE, ids=lambda value: repr(value)[:60]
 )
-def test_out_of_domain_values_raise_plan_error(kwargs):
+def test_invalid_plans_cannot_be_constructed(kwargs, match):
+    with pytest.raises(PlanError, match=match):
+        ExecutionPlan(**kwargs)
+
+
+def test_executor_constructors_do_not_validate():
+    """The executors read a validated plan; none re-checks or raises."""
+    for cls in (BatchExecutor, AsyncRefinementExecutor, PipelinedExecutor, ParallelExecutor):
+        assert list(inspect.signature(cls.__init__).parameters) == ["self", "engine", "plan"]
+        assert "raise" not in inspect.getsource(cls.__init__)
+
+
+# ---------------------------------------------------------------------------
+# Surface guard: the plan is the only carrier of execution knobs
+# ---------------------------------------------------------------------------
+
+def test_the_plan_is_the_only_execution_surface():
+    plan_fields = {field.name for field in fields(ExecutionPlan)}
+    assert len(plan_fields) == 10
+    for entry in (ApplyUDF.__init__, SelectUDF.__init__, Query.apply_udf, Query.where_udf):
+        parameters = set(inspect.signature(entry).parameters)
+        assert "plan" in parameters
+        assert not parameters & plan_fields, entry.__qualname__
+    for shim in ("compute_batch", "compute_parallel", "compute_async", "compute_pipelined"):
+        assert not hasattr(UDFExecutionEngine, shim), shim
+    assert MERGE_POLICIES == ("discard", "shared")
+    assert ExecutionPlan().merge == "discard"
+
+
+def test_removed_spellings_fail_at_the_call_site():
+    relation = generate_galaxy_relation(4, random_state=1)
+    udf, _, _ = _fixture()
+    with pytest.raises(TypeError):
+        ExecutionPlan(oversubscribe=2.0)
+    with pytest.raises(TypeError):
+        Query(relation).apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", batch_size=8)
+    with pytest.raises(TypeError):
+        Query(relation).where_udf(
+            udf, ["ra_offset", "dec_offset"], alias="f", low=0.0, high=1.0, workers=2
+        )
     with pytest.raises(PlanError):
-        ExecutionPlan(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        # merge configures sharded execution; without workers it would have
-        # been silently ignored before the plan layer.
-        {"merge": "discard"},
-        # an explicit workers would silently beat oversubscribe.
-        {"workers": 4, "oversubscribe": 2.0},
-        # a serial transport cannot overlap a window.
-        {"async_inflight": 8, "transport": "serial"},
-        {"pipeline_lookahead": 4, "transport": "serial"},
-        # an asyncio transport without any window to carry.
-        {"transport": "asyncio"},
-        {"batch_size": 8, "transport": "asyncio"},
-    ],
-)
-def test_knob_conflicts_raise_plan_error_with_precedence(kwargs):
-    with pytest.raises(PlanError, match="precedence"):
-        ExecutionPlan(**kwargs)
+        Query(relation).apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", plan="atuo")
 
 
 def test_plan_error_is_a_query_error():
@@ -123,9 +176,6 @@ def test_shared_merge_needs_workers_or_a_pipeline():
     assert ExecutionPlan(pipeline_lookahead=4, merge="shared").merge == "shared"
     with pytest.raises(PlanError, match="precedence"):
         ExecutionPlan(merge="shared")
-    # Every other non-default policy still requires workers, pipeline or not.
-    with pytest.raises(PlanError, match="precedence"):
-        ExecutionPlan(pipeline_lookahead=4, merge="discard")
 
 
 def test_shared_merge_resolution_arms_the_walk_refresh():
@@ -166,56 +216,6 @@ def test_with_overrides_revalidates():
 
 
 # ---------------------------------------------------------------------------
-# plan= versus legacy kwargs
-# ---------------------------------------------------------------------------
-
-def test_plan_and_legacy_kwargs_are_mutually_exclusive():
-    relation = generate_galaxy_relation(4, random_state=1)
-    udf, _, _ = _fixture()
-    # The conflict surfaces at the builder call — where the user wrote the
-    # contradictory spellings — not at run().
-    with pytest.raises(PlanError, match="not both"):
-        Query(relation).apply_udf(
-            udf, ["ra_offset", "dec_offset"], alias="f",
-            plan=ExecutionPlan(batch_size=4), batch_size=8,
-        )
-
-
-def test_legacy_kwargs_build_the_identical_plan():
-    relation = generate_galaxy_relation(4, random_state=1)
-    udf, engine, _ = _fixture()
-    with pytest.warns(DeprecationWarning):
-        operator = (
-            Query(relation)
-            .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f",
-                       batch_size=4, async_inflight=2)
-            .plan(engine)
-        )
-    assert operator.plan == ExecutionPlan(batch_size=4, async_inflight=2)
-
-
-def test_query_plan_run_matches_legacy_kwargs_run():
-    def run(use_plan):
-        relation = generate_galaxy_relation(6, random_state=21)
-        udf, engine, _ = _fixture(seed=13)
-        if use_plan:
-            kwargs = {"plan": ExecutionPlan(batch_size=3, async_inflight=1)}
-        else:
-            kwargs = {"batch_size": 3, "async_inflight": 1}
-        return (
-            Query(relation)
-            .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", **kwargs)
-            .run(engine)
-        )
-
-    plain = run(True)
-    legacy = run(False)
-    assert len(plain) == len(legacy)
-    for a, b in zip(plain, legacy):
-        assert np.array_equal(a["f"].samples, b["f"].samples)
-
-
-# ---------------------------------------------------------------------------
 # Resolution: the plan picks the executor the old selection logic picked
 # ---------------------------------------------------------------------------
 
@@ -236,19 +236,68 @@ def test_resolution_precedence():
     )
 
 
-def test_resolution_forwards_the_knobs():
+def test_each_layer_reads_its_knobs_from_the_plan():
     _, engine, _ = _fixture(n_tuples=1)
-    executor = ExecutionPlan(
-        workers=3, batch_size=8, merge="discard", parallel_seed=17,
+    plan = ExecutionPlan(
+        workers=3, batch_size=8, merge="shared", parallel_seed=17,
         async_inflight=4, pipeline_lookahead=2, transport="asyncio",
-    ).resolve(engine)
-    assert executor.workers == 3
-    assert executor.batch_size == 8
-    assert executor.merge == "discard"
-    assert executor.seed == 17
-    assert executor.async_inflight == 4
-    assert executor.pipeline_lookahead == 2
-    assert executor.transport == "asyncio"
+        storage="columnar",
+    )
+    sharded = plan.resolve(engine)
+    assert sharded.plan is plan
+    assert (sharded.workers, sharded.batch_size, sharded.merge) == (3, 8, "shared")
+
+    # The shard plan: sharding fields cleared, everything else intact — so
+    # a shard's pipeline never refreshes against the shared model.
+    shard_plan = plan.inner()
+    assert (shard_plan.workers, shard_plan.parallel_seed, shard_plan.merge) == (
+        None, None, "discard",
+    )
+    piped = shard_plan.resolve(engine)
+    assert isinstance(piped, PipelinedExecutor)
+    assert (piped.lookahead, piped.inflight, piped.batch_size) == (2, 4, 8)
+    assert piped.transport == "asyncio" and piped.columnar
+    assert piped.shared_refresh is False
+
+    # The pipeline's degenerate paths: the plan without its lookahead.
+    windowed = shard_plan.inner().resolve(engine)
+    assert isinstance(windowed, AsyncRefinementExecutor)
+    assert (windowed.inflight, windowed.batch_size) == (4, 8)
+    assert windowed.transport == "asyncio" and windowed.columnar
+
+    # The refinement window rides on the plain chunk pipeline.
+    chunked = shard_plan.inner().inner().resolve(engine)
+    assert isinstance(chunked, BatchExecutor)
+    assert chunked.batch_size == 8 and chunked.columnar
+
+
+def test_inner_plans_never_resolve_to_the_per_tuple_path():
+    _, engine, _ = _fixture(n_tuples=1)
+    for plan in (
+        ExecutionPlan(workers=2),
+        ExecutionPlan(pipeline_lookahead=1),
+        ExecutionPlan(pipeline_lookahead=1, transport="asyncio"),
+        ExecutionPlan(async_inflight=1, transport="asyncio"),
+    ):
+        beneath = plan.inner().resolve(engine)
+        assert beneath is not None
+        assert beneath.batch_size == DEFAULT_BATCH_SIZE
+    # A pipeline with no window delegates at a window of one: bit-identical
+    # to the serial batched path, and the transport check still runs.
+    assert ExecutionPlan(pipeline_lookahead=1).inner().async_inflight == 1
+
+
+def test_query_plan_reaches_the_operator():
+    relation = generate_galaxy_relation(4, random_state=1)
+    udf, engine, _ = _fixture()
+    plan = ExecutionPlan(batch_size=4, async_inflight=2)
+    operator = (
+        Query(relation)
+        .apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", plan=plan)
+        .plan(engine)
+    )
+    assert operator.plan is plan
+    assert isinstance(operator._executor, AsyncRefinementExecutor)
 
 
 def test_speculative_k_needs_the_engine_constructor():
@@ -296,7 +345,7 @@ def test_determinism_preserving_plans_match_serial_batched(plan):
     promise bit-identity with the serial batched path keep that promise —
     outputs, error bounds and UDF call counts."""
     udf_ref, engine_ref, dists_ref = _fixture()
-    reference = BatchExecutor(engine_ref, batch_size=4).compute_batch(udf_ref, dists_ref)
+    reference = ExecutionPlan(batch_size=4).resolve(engine_ref).compute_batch(udf_ref, dists_ref)
 
     udf, engine, dists = _fixture()
     outputs = engine.compute_with_plan(udf, dists, plan)
@@ -310,7 +359,7 @@ def test_per_tuple_plan_is_numerically_equivalent_to_batched():
     to floating-point noise — the batched kernel algebra reorders the
     arithmetic, so bitwise identity is not part of that contract)."""
     udf_ref, engine_ref, dists_ref = _fixture()
-    reference = BatchExecutor(engine_ref, batch_size=4).compute_batch(udf_ref, dists_ref)
+    reference = ExecutionPlan(batch_size=4).resolve(engine_ref).compute_batch(udf_ref, dists_ref)
     udf, engine, dists = _fixture()
     outputs = engine.compute_with_plan(udf, dists, ExecutionPlan())
     assert len(reference) == len(outputs)

@@ -1,20 +1,20 @@
-"""QueryResult + the compute_* → compute_with_plan shim collapse.
+"""QueryResult: the typed result every execution entry point returns.
 
-Contracts under test (see :mod:`repro.engine.result` and part 1/2 of the
-serving-API redesign in :mod:`repro.engine.executor`):
+Contracts under test (see :mod:`repro.engine.result` and
+:meth:`UDFExecutionEngine.compute_with_plan
+<repro.engine.executor.UDFExecutionEngine.compute_with_plan>`):
 
 * every execution entry point returns a :class:`QueryResult` that *is*
   its payload for pre-existing consumers (iteration, ``len``, indexing,
   equality, attribute delegation) while exposing typed ``.relation`` /
   ``.outputs`` accessors, the executed plan, phase timings and per-tuple
   verdicts;
-* all four legacy ``compute_*`` engine methods — now including
-  ``compute_parallel`` — are deprecation-warning shims producing results
-  identical to the equivalent ``ExecutionPlan``;
+* ``Query.run`` timings carry the UDF executors' phases, not only
+  ``execute``;
 * verdict classification follows the certain/possible/excluded anytime
   vocabulary against the engine's (ε, δ) requirement;
-* an engine-default plan applies to query-built operators when neither
-  ``plan=`` nor legacy knobs were given (the ``Session.submit`` seam).
+* an engine-default plan applies to query-built operators when no
+  ``plan=`` was given (the ``Session.submit`` seam).
 """
 
 from __future__ import annotations
@@ -150,6 +150,10 @@ def test_operator_execute_wraps_relation_with_record():
     assert isinstance(result, QueryResult)
     assert result.plan == plan
     assert result.timings.get("execute") > 0.0
+    # The UDF node's executor phases ride along, inside the execute span.
+    for phase in ("sampling", "inference"):
+        assert 0.0 < result.timings.get(phase) < result.timings.get("execute")
+    assert "refinement" in result.timings.seconds
     assert len(result.verdicts) == len(result.relation.tuples)
 
 
@@ -192,58 +196,6 @@ def test_classify_outputs_versions_follow_tuple_order():
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims: all four compute_* warn and match the plan path
-# ---------------------------------------------------------------------------
-
-def test_compute_batch_shim_warns_and_matches_plan():
-    udf, engine, dists = _fixture()
-    with pytest.warns(DeprecationWarning, match="legacy shim"):
-        legacy = engine.compute_batch(udf, dists, batch_size=2)
-    udf2, engine2, dists2 = _fixture()
-    plan = engine2.compute_with_plan(udf2, dists2, ExecutionPlan(batch_size=2))
-    _assert_identical(legacy.outputs, plan.outputs)
-
-
-def test_compute_async_shim_warns_and_matches_plan():
-    udf, engine, dists = _fixture()
-    with pytest.warns(DeprecationWarning, match="legacy shim"):
-        legacy = engine.compute_async(udf, dists, inflight=1)
-    udf2, engine2, dists2 = _fixture()
-    plan = engine2.compute_with_plan(udf2, dists2, ExecutionPlan(async_inflight=1))
-    _assert_identical(legacy.outputs, plan.outputs)
-
-
-def test_compute_pipelined_shim_warns_and_matches_plan():
-    udf, engine, dists = _fixture()
-    with pytest.warns(DeprecationWarning, match="legacy shim"):
-        legacy = engine.compute_pipelined(udf, dists, lookahead=1)
-    udf2, engine2, dists2 = _fixture()
-    plan = engine2.compute_with_plan(
-        udf2, dists2, ExecutionPlan(pipeline_lookahead=1)
-    )
-    _assert_identical(legacy.outputs, plan.outputs)
-
-
-def test_compute_parallel_shim_warns_and_matches_plan():
-    udf, engine, dists = _fixture()
-    with pytest.warns(DeprecationWarning, match="legacy shim"):
-        legacy = engine.compute_parallel(udf, dists, workers=1, seed=123)
-    udf2, engine2, dists2 = _fixture()
-    plan = engine2.compute_with_plan(
-        udf2, dists2, ExecutionPlan(workers=1, parallel_seed=123)
-    )
-    _assert_identical(legacy.outputs, plan.outputs)
-
-
-def test_shims_return_query_results():
-    udf, engine, dists = _fixture(n_tuples=2)
-    with pytest.warns(DeprecationWarning):
-        result = engine.compute_batch(udf, dists)
-    assert isinstance(result, QueryResult)
-    assert result.plan is not None
-
-
-# ---------------------------------------------------------------------------
 # Engine-default plan fallback (the Session.submit seam)
 # ---------------------------------------------------------------------------
 
@@ -271,17 +223,3 @@ def test_explicit_plan_beats_engine_default():
         .run(engine)
     )
     assert result.plan == ExecutionPlan(batch_size=4)
-
-
-def test_legacy_query_kwargs_beat_engine_default_and_warn():
-    relation = generate_galaxy_relation(3, random_state=5)
-    svc = async_service_udf("F4", latency=0.0)
-    engine = UDFExecutionEngine(
-        strategy="gp", requirement=REQUIREMENT, random_state=7, n_samples=120,
-        plan=ExecutionPlan(batch_size=2),
-    )
-    with pytest.warns(DeprecationWarning, match="legacy"):
-        query = Query(relation).apply_udf(
-            svc, ["ra_offset", "dec_offset"], alias="f", batch_size=4
-        )
-    assert query.run(engine).plan == ExecutionPlan(batch_size=4)

@@ -420,6 +420,24 @@ def test_served_result_surfaces_model_phase_timings():
     assert result.timings.get("model_append") == 0.0
 
 
+def test_served_result_carries_executor_phase_timings():
+    """A served query reports where its ``execute`` span went.
+
+    The UDF node's executor phases (``sampling`` / ``inference`` /
+    ``refinement``) are merged into the served result exactly as
+    ``Query.run`` merges them — a served query used to report ``execute``
+    only, so every bench row read ``inference = 0``.
+    """
+    udf, _ = _counted_udf(per_call=0.0)
+    with QueryService() as service:
+        result = service.submit(
+            _query(udf), _engine(), plan=ExecutionPlan(batch_size=2)
+        ).result(timeout=60)
+    for phase in ("sampling", "inference"):
+        assert 0.0 < result.timings.get(phase) < result.timings.get("execute")
+    assert "refinement" in result.timings.seconds
+
+
 def test_plan_cache_dedupes_equal_plans():
     with QueryService() as service:
         a = service._cached_plan(ExecutionPlan(batch_size=2))

@@ -32,9 +32,7 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
     AsyncioTransport,
-    AsyncRefinementExecutor,
-    BatchExecutor,
-    PipelinedExecutor,
+    ExecutionPlan,
     SerialTransport,
     SubprocessPoolTransport,
     ThreadPoolTransport,
@@ -170,29 +168,18 @@ def test_asyncio_transport_rejects_blocking_udfs():
         AsyncioTransport().accepts(blocking)
     # ... and the executor surfaces it before any work happens.
     _, engine, dists = _engine_fixture()
-    executor = AsyncRefinementExecutor(engine, inflight=4, batch_size=4,
-                                       transport="asyncio")
+    executor = ExecutionPlan(async_inflight=4, batch_size=4, transport="asyncio").resolve(engine)
     with pytest.raises(QueryError, match="AsyncUDF"):
         executor.compute_batch(blocking, dists)
     # ... including on the degenerate paths that never open the transport:
     # a misconfiguration must not surface only once the window is raised.
-    degenerate = AsyncRefinementExecutor(engine, inflight=1, batch_size=4,
-                                         transport="asyncio")
+    degenerate = ExecutionPlan(async_inflight=1, batch_size=4, transport="asyncio").resolve(engine)
     with pytest.raises(QueryError, match="AsyncUDF"):
         degenerate.compute_batch(blocking, dists)
-    pipelined = PipelinedExecutor(engine, lookahead=1, batch_size=4,
-                                  transport="asyncio")
+    pipelined = ExecutionPlan(pipeline_lookahead=1, batch_size=4, transport="asyncio").resolve(engine)
     with pytest.raises(QueryError, match="AsyncUDF"):
         pipelined.compute_batch(blocking, dists)
     assert _transport_threads() == []
-
-
-def test_serial_transport_cannot_carry_an_overlap_window():
-    _, engine, _ = _engine_fixture(n_tuples=1)
-    with pytest.raises(QueryError, match="serial"):
-        AsyncRefinementExecutor(engine, inflight=4, transport="serial")
-    with pytest.raises(QueryError, match="serial"):
-        PipelinedExecutor(engine, lookahead=4, transport="serial")
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +228,11 @@ def test_async_udf_with_simulated_eval_time_stays_async():
 
 def test_asyncio_inflight_1_is_bit_identical_to_serial_batched():
     udf_a, engine_a, dists_a = _engine_fixture()
-    serial = BatchExecutor(engine_a, batch_size=4).compute_batch(udf_a, dists_a)
+    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
     udf_b, engine_b, dists_b = _engine_fixture()
-    overlapped = AsyncRefinementExecutor(
-        engine_b, inflight=1, batch_size=4, transport="asyncio"
-    ).compute_batch(udf_b, dists_b)
+    overlapped = ExecutionPlan(
+        async_inflight=1, batch_size=4, transport="asyncio"
+    ).resolve(engine_b).compute_batch(udf_b, dists_b)
     assert len(serial) == len(overlapped)
     for a, b in zip(serial, overlapped):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)
@@ -255,9 +242,9 @@ def test_asyncio_inflight_1_is_bit_identical_to_serial_batched():
 
 def test_asyncio_transport_genuinely_overlaps():
     udf, engine, dists = _engine_fixture(latency=2e-3)
-    AsyncRefinementExecutor(
-        engine, inflight=4, batch_size=4, transport="asyncio"
-    ).compute_batch(udf, dists)
+    ExecutionPlan(
+        async_inflight=4, batch_size=4, transport="asyncio"
+    ).resolve(engine).compute_batch(udf, dists)
     assert udf.max_in_flight > 1
     assert udf.in_flight == 0
     assert _transport_threads() == []
@@ -266,9 +253,9 @@ def test_asyncio_transport_genuinely_overlaps():
 def test_asyncio_run_is_repeatable_and_jitter_invariant():
     def run(jitter):
         udf, engine, dists = _engine_fixture(latency=2e-3, jitter=jitter)
-        outputs = AsyncRefinementExecutor(
-            engine, inflight=4, batch_size=4, transport="asyncio"
-        ).compute_batch(udf, dists)
+        outputs = ExecutionPlan(
+            async_inflight=4, batch_size=4, transport="asyncio"
+        ).resolve(engine).compute_batch(udf, dists)
         return outputs, udf.call_count
 
     reference, reference_calls = run(0.0)
@@ -282,9 +269,9 @@ def test_asyncio_run_is_repeatable_and_jitter_invariant():
 
 def test_pipelined_executor_rides_the_asyncio_transport():
     udf, engine, dists = _engine_fixture(latency=1e-3, n_tuples=6)
-    executor = PipelinedExecutor(
-        engine, lookahead=2, inflight=2, batch_size=6, transport="asyncio"
-    )
+    executor = ExecutionPlan(
+        pipeline_lookahead=2, async_inflight=2, batch_size=6, transport="asyncio"
+    ).resolve(engine)
     outputs = executor.compute_batch(udf, dists)
     assert len(outputs) == 6
     assert udf.in_flight == 0
@@ -315,8 +302,7 @@ def test_failed_query_leaks_no_threads(transport):
     dists = list(
         input_stream(workload_for_udf(udf), 4, random_state=np.random.default_rng(2))
     )
-    executor = AsyncRefinementExecutor(engine, inflight=4, batch_size=4,
-                                       transport=transport)
+    executor = ExecutionPlan(async_inflight=4, batch_size=4, transport=transport).resolve(engine)
     with pytest.raises(UDFError):
         executor.compute_batch(udf, dists)
     leaked = _transport_threads()
@@ -385,8 +371,7 @@ def test_failed_subprocess_query_leaks_no_workers():
     dists = list(
         input_stream(workload_for_udf(udf), 3, random_state=np.random.default_rng(2))
     )
-    executor = AsyncRefinementExecutor(engine, inflight=2, batch_size=4,
-                                       transport="subprocess")
+    executor = ExecutionPlan(async_inflight=2, batch_size=4, transport="subprocess").resolve(engine)
     with pytest.raises(UDFError):
         executor.compute_batch(udf, dists)
     assert multiprocessing.active_children() == []

@@ -1,7 +1,7 @@
 """Asynchronous UDF-overlap benchmark: in-flight window sweep (CI smoke).
 
-Measures the wall-clock effect of the asynchronous refinement pipeline
-(:class:`~repro.engine.async_exec.AsyncRefinementExecutor`) on a workload
+Measures the wall-clock effect of the refinement *window*
+(:mod:`repro.engine.async_exec`) on a workload
 whose black-box calls carry **real** per-call latency
 (:class:`~repro.udf.synthetic.RealCostFunction`): the regime where the
 serial refinement loop spends most of its time waiting on one UDF call at a
@@ -10,12 +10,12 @@ latency instead of ``async_inflight``.
 
 Protocol: the same tuple stream (identical seeds, cold model — a cold model
 spends its time in refinement, which is the loop being overlapped) is
-pushed through the serial :class:`~repro.engine.batch.BatchExecutor` and
-through :class:`AsyncRefinementExecutor` at each in-flight bound.  The
+pushed through the chunk executor (:class:`~repro.engine.batch
+.BatchExecutor`) at window 1 and at each in-flight bound.  The
 table reports wall-clock, UDF calls and the speedup versus the serial
 batched run.  The ``async_inflight=1`` row is additionally checked for
-**bit-identity** with the serial run — the determinism half of the async
-pipeline's contract — and the verdict is recorded in the table.
+**bit-identity** with the serial run — the determinism half of the
+window's contract — and the verdict is recorded in the table.
 
 A second experiment, :func:`udf_transport`, sweeps the *transport* axis of
 the same protocol: the black box is a natively-async simulated-latency

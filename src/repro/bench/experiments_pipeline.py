@@ -1,11 +1,11 @@
 """Cross-tuple pipeline benchmark: lookahead sweep (CI smoke).
 
-Measures the wall-clock effect of the cross-tuple pipeline scheduler
-(:class:`~repro.engine.pipeline.PipelinedExecutor`) on a workload whose
+Measures the wall-clock effect of the cross-tuple speculation stage
+(:class:`~repro.engine.pipeline.SpeculationStage`) on a workload whose
 black-box calls carry **real** per-call latency
 (:class:`~repro.udf.synthetic.RealCostFunction`).  The comparison point is
-PR 3's *within-tuple* overlap (:class:`~repro.engine.async_exec
-.AsyncRefinementExecutor` at the same refinement window): that path still
+the *within-tuple* overlap alone (the same refinement window at
+lookahead 1): that path still
 serialises the window rounds of consecutive tuples — the tail of tuple *i*
 blocks the sampling, first inference and first window of tuple *i + 1* —
 and hiding exactly that gap is the scheduler's job.  The gap is widest at
@@ -14,9 +14,9 @@ round is at most ``window - 1`` evaluations), which is why the default
 sweep uses a modest ``inflight``.
 
 Protocol: the same tuple stream (identical seeds, cold model) is pushed
-through the serial :class:`~repro.engine.batch.BatchExecutor`, through
-:class:`AsyncRefinementExecutor` at the configured window, and through
-:class:`PipelinedExecutor` at each lookahead.  The table reports
+through the chunk executor (:class:`~repro.engine.batch.BatchExecutor`)
+serially, at the configured window ("async"), and at that window plus
+each lookahead.  The table reports
 wall-clock, UDF calls (the pipeline pays extra, deterministic speculative
 calls) and the speedup versus the *async* run.  Two rows double as
 determinism checks, both CI-enforced by ``run_all --smoke``:
@@ -120,7 +120,7 @@ def udf_pipeline(
             started = time.perf_counter()
             executor = plan.resolve(engine)
             outputs = executor.compute_batch(udf, dists)
-            wasted = getattr(executor, "last_wasted_calls", 0)
+            wasted = executor.last_wasted_calls
             best = min(best, time.perf_counter() - started)
             calls = udf.call_count
         return best, calls, outputs, wasted

@@ -9,9 +9,9 @@ For every uncertain input tuple the algorithm:
    using a simultaneous confidence band,
 4. while the bound exceeds the GP share of the budget, evaluates the real
    UDF at the sample chosen by the online-tuning strategy and absorbs the
-   new training point incrementally (or, with ``speculative_k > 1``, at the
-   top-k highest-variance samples at once through a single blocked inverse
-   update with snapshot-based rollback — see :meth:`OLGAPRO._tune_speculative`),
+   new training point incrementally (or, at a refinement *window* > 1, at the
+   top-k highest-variance samples at once through blocked inverse updates
+   with snapshot-based rollback — see :meth:`OLGAPRO._tune_until_bounded`),
 5. once the tuple is finished, consults the retraining policy and, when it
    fires, refits the kernel hyperparameters and re-runs inference.
 
@@ -23,6 +23,7 @@ on the first tuples and afterwards rarely needs to call the UDF at all.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,6 +149,43 @@ class ChunkPrologue:
     cache_share: float
 
 
+class ChunkStage:
+    """What a scheduler plugs into :meth:`OLGAPRO.process_batch` — and its default.
+
+    The tuple-commit loop exists once; a stage only *parameterises* it.  The
+    base class is the degenerate stage (lookahead 1): nothing is speculated,
+    nothing shares the chunk cache, nothing happens between commits.  The
+    cross-tuple scheduler (:class:`repro.engine.pipeline.SpeculationStage`)
+    overrides every member.
+    """
+
+    #: Evaluation carrier and window handed to :meth:`OLGAPRO.begin_chunk`
+    #: so the initial design's UDF calls overlap (``None``: evaluate inline).
+    carrier = None
+    window = None
+    #: Whether UDF evaluations for *other* tuples complete while a tuple
+    #: commits.  Raw call-counter deltas are then polluted, so per-tuple
+    #: calls are attributed from :attr:`OLGAPRO.refinement_evaluations`.
+    overlapped = False
+
+    def chunk(self, prologue: ChunkPrologue):
+        """Context manager around one chunk's commit loop."""
+        del prologue
+        return nullcontext()
+
+    def speculated(self, i: int) -> Optional[tuple[EnvelopeOutputs, float]]:
+        """Tuple ``i``'s fence-valid speculated ``(envelope, bound)``, or ``None``."""
+        del i
+        return None
+
+    def guard(self):
+        """Context manager around every commit-side use of the chunk cache."""
+        return nullcontext()
+
+    def committed(self, i: int, points_added: int) -> None:
+        """Called after tuple ``i`` commits, before tuple ``i + 1`` starts."""
+
+
 def select_top_k_distinct(samples: np.ndarray, stds: np.ndarray, k: int) -> list[int]:
     """Indices of the ``k`` highest-variance *distinct* sample rows.
 
@@ -216,43 +254,41 @@ class OLGAPRO:
         self.max_training_points = int(max_training_points)
         self.use_local_inference = bool(use_local_inference)
         self.subdivisions = int(subdivisions)
-        #: Number of training points proposed per refinement iteration.  With
-        #: the default 1 the loop is the paper's Algorithm 5 (one point, one
+        #: Refinement window when no driver is installed: training points
+        #: proposed per iteration of :meth:`_tune_until_bounded`.  With the
+        #: default 1 the loop is the paper's Algorithm 5 (one point, one
         #: bound re-check, one O(n^2) inverse update per iteration).  With
-        #: ``k > 1`` the loop turns speculative: the top-k highest-variance
-        #: Monte-Carlo samples are evaluated and absorbed through a single
-        #: blocked O(n^2 k) inverse update, and the bound is re-checked once
-        #: per block — cutting factorization and inference work in the
-        #: refinement loop by roughly k× at the risk of adding up to k - 1
-        #: more points than strictly needed.  NOTE: the speculative loop's
-        #: selection rule is fixed to stable top-k-by-variance (the natural
-        #: multi-point generalisation of the paper's largest-variance rule);
-        #: a configured ``tuning_strategy`` only applies when
-        #: ``speculative_k == 1``.
+        #: ``k > 1`` the top-k highest-variance Monte-Carlo samples are
+        #: evaluated and absorbed through a single blocked O(n^2 k) inverse
+        #: update, and the bound is re-checked once per block — cutting
+        #: factorization and inference work in the refinement loop by
+        #: roughly k× at the risk of adding up to k - 1 more points than
+        #: strictly needed.  NOTE: a window > 1 fixes the selection rule to
+        #: stable top-k-by-variance (the natural multi-point generalisation
+        #: of the paper's largest-variance rule); a configured
+        #: ``tuning_strategy`` only applies at window 1.
         self.speculative_k = int(speculative_k)
-        #: Injectable refinement-evaluation driver.  ``None`` keeps the
-        #: built-in loops (serial Algorithm 5, or the speculative block loop
-        #: when ``speculative_k > 1``).  When set — and the driver reports
-        #: itself engaged — :meth:`_tune_until_bounded` delegates the whole
-        #: "add training points until the bound fits" step to it; this is how
-        #: :class:`~repro.engine.async_exec.AsyncRefinementExecutor` overlaps
-        #: in-flight UDF calls with GP work without OLGAPRO knowing about
-        #: thread pools, event loops, or any other
-        #: :class:`~repro.engine.transport.EvaluationTransport` the driver's
-        #: window rides — the transport seam ends at the driver, and OLGAPRO
-        #: only ever sees observed values.  Drivers are installed
-        #: per-computation (and removed afterwards), so a pickled OLGAPRO
-        #: never carries one.
+        #: Injectable refinement-window carrier.  ``None`` evaluates each
+        #: window inline, as one slice.  When set, the one loop in
+        #: :meth:`_tune_until_bounded` runs at ``driver.window``: it hands
+        #: every window to ``driver.submit(udf, X)`` (one future per row),
+        #: absorbs the values in the slices of ``driver.schedule(k)`` while
+        #: later ones are still in flight, and settles the window through
+        #: ``driver.drain(futures)`` — this is how the chunk executor
+        #: (:mod:`repro.engine.batch`) overlaps UDF calls with GP work
+        #: without OLGAPRO knowing about thread pools, event loops, or any
+        #: other :class:`~repro.engine.transport.EvaluationTransport`.
+        #: Drivers are installed per computation (and removed afterwards),
+        #: so a pickled OLGAPRO never carries one.
         self.evaluation_driver = None
-        #: Injectable source of already-paid-for UDF values, consulted by
-        #: :meth:`_absorb_candidate` before spending a fresh evaluation.  The
-        #: cross-tuple pipeline scheduler
-        #: (:class:`~repro.engine.pipeline.PipelinedExecutor`) installs one so
-        #: refinement candidates whose evaluations were speculatively
-        #: submitted while *earlier* tuples were still refining are reused
-        #: instead of re-evaluated.  ``None`` (the default) keeps every
-        #: candidate a direct UDF call.  Like the driver, the hook is
-        #: installed per computation, so a pickled OLGAPRO never carries one.
+        #: Injectable source of already-paid-for UDF values, consulted
+        #: before a single candidate or an inline window spends a fresh
+        #: evaluation.  The cross-tuple stage
+        #: (:class:`~repro.engine.pipeline.SpeculationStage`) installs one
+        #: so candidates whose evaluations were speculatively submitted
+        #: while *earlier* tuples were still refining are reused instead of
+        #: re-evaluated.  ``None`` (the default) keeps every candidate a
+        #: direct UDF call.  Installed per chunk, never pickled.
         self.value_source = None
         #: Injectable live-model synchroniser
         #: (:class:`~repro.core.shared_model.EmulatorSync`), the seam behind
@@ -433,8 +469,9 @@ class OLGAPRO:
         random_state: RandomState = None,
         timings=None,
         columnar: bool = False,
+        stage: Optional[ChunkStage] = None,
     ) -> list[OnlineTupleResult]:
-        """Process a chunk of uncertain tuples through the batched pipeline.
+        """Process a chunk of uncertain tuples: the one tuple-commit loop.
 
         Semantics match calling :meth:`process` once per tuple, in order —
         with a deterministic tuning strategy (the default) the results are
@@ -461,7 +498,14 @@ class OLGAPRO:
         per-tuple precomputation is consumed only while the model
         fingerprint still matches the state it was computed under, so the
         results are bit-identical to ``columnar=False`` under the same
-        seed (the determinism contract every executor layer is gated on).
+        seed (the determinism contract every plan is gated on).
+
+        ``stage`` plugs a cross-tuple scheduler into the loop (see
+        :class:`ChunkStage`): it may hand tuple ``i`` a fence-valid
+        speculated first bound, and is told after every commit.  Whatever
+        the stage, every tuple gets the same quarantine, model-sync,
+        first-pass and retraining treatment — commits stay strictly in
+        tuple order on the calling thread.
         """
         distributions = list(input_distributions)
         if not distributions:
@@ -470,17 +514,17 @@ class OLGAPRO:
                     timings.add(phase, 0.0)
             return []
         rng = as_generator(random_state) if random_state is not None else self._rng
+        stage = stage if stage is not None else ChunkStage()
 
-        prologue = self.begin_chunk(distributions, rng, timings=timings, columnar=columnar)
-        init_calls = prologue.init_calls
-        init_charged = prologue.init_charged
-        init_elapsed = prologue.init_elapsed
+        prologue = self.begin_chunk(
+            distributions, rng, timings=timings,
+            evaluation_executor=stage.carrier, max_inflight=stage.window,
+            columnar=columnar,
+        )
         m = prologue.n_samples
         sample_sets = prologue.sample_sets
-        sample_seconds = prologue.sample_seconds
         boxes = prologue.boxes
         cache = prologue.cache
-        cache_share = prologue.cache_share
 
         first_pass: Optional[list[tuple[EnvelopeOutputs, float]]] = None
         first_fp: Optional[tuple[bytes, int]] = None
@@ -495,93 +539,110 @@ class OLGAPRO:
                     timings.add("inference", first_elapsed)
 
         results: list[OnlineTupleResult] = []
-        for i, samples in enumerate(sample_sets):
-            # Tuple-boundary learning exchange (merge="shared"): publish the
-            # rows the previous tuple's refinement paid for and absorb what
-            # other learners committed meanwhile.  Placed before the tuple's
-            # clock starts — sync cost is accounted under its own
-            # model_refresh / model_append phases, not the tuple's elapsed.
-            if self.model_sync is not None:
-                self.model_sync.sync()
-            started = time.perf_counter()
-            calls_before = self.udf.call_count
-            charged_before = self.udf.charged_time
-            infer = self._make_cached_infer(cache, i)
-            phase_started = time.perf_counter()
-            if first_pass is not None and self._model_fingerprint() != first_fp:
-                # Mid-chunk refinement moved the model, so the precomputed
-                # tail is stale.  Redo it as one column operation against
-                # the new state (bit-identical to re-inferring each
-                # remaining tuple, which is what the tuple-store loop does)
-                # rather than degrading to per-tuple algebra for the rest
-                # of the chunk.
-                refreshed, refreshed_fp = self._columnar_first_pass(
-                    cache, boxes, m, start=i
-                )
-                if refreshed is not None:
-                    first_pass[i:] = refreshed
-                    first_fp = refreshed_fp
+        with stage.chunk(prologue):
+            for i, samples in enumerate(sample_sets):
+                # Tuple-boundary learning exchange (merge="shared"): publish the
+                # rows the previous tuple's refinement paid for and absorb what
+                # other learners committed meanwhile.  Placed before the tuple's
+                # clock starts — sync cost is accounted under its own
+                # model_refresh / model_append phases, not the tuple's elapsed.
+                if self.model_sync is not None:
+                    self.model_sync.sync()
+                started = time.perf_counter()
+                calls_before = self.udf.call_count
+                charged_before = self.udf.charged_time
+                evals_before = self.refinement_evaluations
+                infer = self._make_cached_infer(cache, i)
+                speculated = stage.speculated(i)
+                phase_started = time.perf_counter()
+                if speculated is not None:
+                    envelope, bound = speculated
                 else:
-                    first_pass = None
-            if first_pass is not None and self._model_fingerprint() == first_fp:
-                envelope, bound = first_pass[i]
-                # Seed the cache's single-row memo with this tuple's slice so
-                # a later cached re-inference (the retrained branch) absorbs
-                # new training points as appended kernel columns — exactly
-                # the trajectory the tuple-store path takes.
-                cache.rows(self.emulator.gp, i)
-            else:
-                envelope, bound = self._infer_and_bound(samples, boxes[i], infer=infer)
-            if timings is not None:
-                timings.add("inference", time.perf_counter() - phase_started)
-            points_added = 0
-            converged = True
-            quarantined = False
-            if bound > self.budget.epsilon_gp:
-                refine_started = time.perf_counter()
-                try:
-                    envelope, bound, points_added, converged = self._tune_until_bounded(
-                        samples, boxes[i], rng, initial=(envelope, bound)
-                    )
-                except UDFError:
-                    if not self._quarantine_enabled():
-                        raise
-                    # Per-tuple quarantine inside a chunk: keep the honest
-                    # bound recomputed from the surviving GP state (fresh
-                    # stock inference — the cache may lag points the failed
-                    # refinement absorbed) and carry on with the next tuple.
-                    envelope, bound = self._infer_and_bound(samples, boxes[i])
-                    points_added, converged, quarantined = 0, False, True
+                    with stage.guard():
+                        if first_pass is not None and self._model_fingerprint() != first_fp:
+                            # Mid-chunk refinement moved the model, so the
+                            # precomputed tail is stale.  Redo it as one column
+                            # operation against the new state (bit-identical to
+                            # re-inferring each remaining tuple, which is what
+                            # the tuple-store loop does) rather than degrading
+                            # to per-tuple algebra for the rest of the chunk.
+                            refreshed, refreshed_fp = self._columnar_first_pass(
+                                cache, boxes, m, start=i
+                            )
+                            if refreshed is not None:
+                                first_pass[i:] = refreshed
+                                first_fp = refreshed_fp
+                            else:
+                                first_pass = None
+                        if first_pass is not None and self._model_fingerprint() == first_fp:
+                            envelope, bound = first_pass[i]
+                            # Seed the cache's single-row memo with this tuple's
+                            # slice so a later cached re-inference (the retrained
+                            # branch) absorbs new training points as appended
+                            # kernel columns — exactly the trajectory the
+                            # tuple-store path takes.
+                            cache.rows(self.emulator.gp, i)
+                        else:
+                            envelope, bound = self._infer_and_bound(
+                                samples, boxes[i], infer=infer
+                            )
                 if timings is not None:
-                    timings.add("refinement", time.perf_counter() - refine_started)
-            retrained = self._maybe_retrain(points_added)
-            if retrained:
-                envelope, bound = self._infer_and_bound(samples, boxes[i], infer=infer)
-            # Cover this tuple's share of the up-front work: its own sample
-            # draw plus an even share of the chunk's cache construction (and,
-            # for the first tuple, model initialisation — matching where the
-            # per-tuple path charges it).
-            elapsed = (
-                time.perf_counter() - started + sample_seconds[i] + cache_share + first_share
-            )
-            if i == 0:
-                elapsed += init_elapsed
-            self._tuples_processed += 1
-            results.append(
-                self._tuple_result(
-                    envelope,
-                    bound,
-                    converged=converged,
-                    points_added=points_added,
-                    n_samples=m,
-                    udf_calls=self.udf.call_count - calls_before + (init_calls if i == 0 else 0),
-                    charged_time=self.udf.charged_time - charged_before + elapsed
-                    + (init_charged if i == 0 else 0.0),
-                    elapsed_time=elapsed,
-                    retrained=retrained,
-                    quarantined=quarantined,
+                    timings.add("inference", time.perf_counter() - phase_started)
+                points_added = 0
+                converged = True
+                quarantined = False
+                if bound > self.budget.epsilon_gp:
+                    refine_started = time.perf_counter()
+                    try:
+                        envelope, bound, points_added, converged = self._tune_until_bounded(
+                            samples, boxes[i], rng, initial=(envelope, bound)
+                        )
+                    except UDFError:
+                        if not self._quarantine_enabled():
+                            raise
+                        # Per-tuple quarantine inside a chunk: keep the honest
+                        # bound recomputed from the surviving GP state (fresh
+                        # stock inference — the cache may lag points the failed
+                        # refinement absorbed) and carry on with the next tuple.
+                        envelope, bound = self._infer_and_bound(samples, boxes[i])
+                        points_added, converged, quarantined = 0, False, True
+                    if timings is not None:
+                        timings.add("refinement", time.perf_counter() - refine_started)
+                retrained = self._maybe_retrain(points_added)
+                if retrained:
+                    with stage.guard():
+                        envelope, bound = self._infer_and_bound(samples, boxes[i], infer=infer)
+                # Cover this tuple's share of the up-front work: its own sample
+                # draw plus an even share of the chunk's cache construction
+                # (and, for the first tuple, model initialisation — matching
+                # where the per-tuple path charges it).
+                elapsed = (
+                    time.perf_counter() - started
+                    + prologue.sample_seconds[i] + prologue.cache_share + first_share
                 )
-            )
+                if i == 0:
+                    elapsed += prologue.init_elapsed
+                if stage.overlapped:
+                    udf_calls = self.refinement_evaluations - evals_before
+                else:
+                    udf_calls = self.udf.call_count - calls_before
+                self._tuples_processed += 1
+                results.append(
+                    self._tuple_result(
+                        envelope,
+                        bound,
+                        converged=converged,
+                        points_added=points_added,
+                        n_samples=m,
+                        udf_calls=udf_calls + (prologue.init_calls if i == 0 else 0),
+                        charged_time=self.udf.charged_time - charged_before + elapsed
+                        + (prologue.init_charged if i == 0 else 0.0),
+                        elapsed_time=elapsed,
+                        retrained=retrained,
+                        quarantined=quarantined,
+                    )
+                )
+                stage.committed(i, points_added)
         if self.model_sync is not None:
             # Publish the final tuple's rows so other learners (and the
             # parent's post-run refresh) see the whole shard's learning.
@@ -606,11 +667,9 @@ class OLGAPRO:
         in tuple order — sampling is the shared random stream's only
         consumer, which is what makes every batch-level executor consume it
         identically.  ``evaluation_executor`` / ``max_inflight`` forward to
-        :meth:`_ensure_initialized` so a concurrency-aware caller can
-        overlap the initial design's UDF calls; the executor may be a plain
-        :class:`concurrent.futures.Executor` or an
-        :class:`~repro.engine.transport.EvaluationTransport` (the UDF's
-        ``evaluate_many`` dispatches on which it received).
+        :meth:`_ensure_initialized` so a stage's evaluation transport can
+        overlap the initial design's UDF calls (the trained model is
+        identical either way).
 
         ``columnar=True`` draws the whole chunk's Monte-Carlo block through
         one stacked generator call when the inputs encode as a homogeneous
@@ -988,132 +1047,141 @@ class OLGAPRO:
         rng: np.random.Generator,
         initial: tuple[EnvelopeOutputs, float] | None = None,
     ) -> tuple[EnvelopeOutputs, float, int, bool]:
-        """Steps 3–7 of Algorithm 5: add training points until the bound fits.
+        """Steps 3–7 of Algorithm 5: the one refinement-window loop.
 
-        ``initial`` lets the batched pipeline seed the loop with an envelope
-        and bound it already computed from the shared batch inference.  The
-        loop body itself always uses the stock per-tuple inference: it shares
-        the cached path's mean/variance body but evaluates its kernel blocks
-        fresh, whereas the chunk cache *grows* its blocks by appended columns
-        as the loop adds points.  The tuning strategy's argmax over
-        predictive variances would amplify a last-ulp difference between a
-        grown and a fresh block into a different training-point selection, so
-        fresh evaluation keeps batched and per-tuple trajectories identical.
+        Each iteration selects the ``window`` highest-variance distinct
+        Monte-Carlo samples (stable order, so every trajectory is
+        deterministic), obtains their UDF values, absorbs them slice by
+        slice through blocked inverse updates — each slice fenced on the
+        snapshot it was selected against — and re-checks the bound after
+        every slice.  The plan's values only parameterise it:
+
+        * no driver, ``speculative_k = 1`` — window 1, the paper's loop: the
+          configured :attr:`tuning_strategy` picks the one point (the only
+          case that consumes ``rng``);
+        * no driver, ``speculative_k = k`` — window ``k`` evaluated inline
+          (``udf.evaluate_batch``, or the :attr:`value_source`) and absorbed
+          as one slice;
+        * an :attr:`evaluation_driver` — window ``driver.window`` submitted
+          through the driver's transport and absorbed in the slices of
+          ``driver.schedule(k)`` *while later values are still in flight*;
+          every submitted evaluation is drained (completed and charged)
+          before the window ends, absorbed or not.
+
+        Speculation can overshoot: absorbing a multi-point slice shifts the
+        predictive means as well as shrinking the variances, and on rare
+        degenerate slices the recomputed bound comes out strictly *worse*.
+        The empirical bound is quantized in units of 1/n_samples and
+        saturates at 1 while the model is still warming up, so "no worse"
+        counts as progress; on a strict increase the model is rolled back
+        to the slice's fence (a snapshot restore — no refactorization) and
+        only the slice's best candidate is re-committed, reusing the
+        observation already paid for.  The loop therefore never makes less
+        progress per slice than the serial largest-variance rule.
+
+        ``initial`` lets the chunk loop seed the refinement with the bound
+        it computed from cached kernel algebra.  The loop body itself
+        always uses the stock per-tuple inference: the chunk cache *grows*
+        its blocks by appended columns, and the argmax over predictive
+        variances would amplify a last-ulp difference between a grown and
+        a fresh block into a different selection.  For the same reason a
+        window > 1 first realigns a seeded bound to fresh algebra — the
+        overshoot comparison must be fresh-vs-fresh (window 1 makes no such
+        comparison, so it keeps the seed).
         """
+        driver = self.evaluation_driver
+        window = self.speculative_k if driver is None else driver.window
+        epsilon_gp = self.budget.epsilon_gp
+        n_samples = samples.shape[0]
         if initial is None:
-            envelope, bound = self._infer_and_bound(samples, box)
+            inference, envelope, bound = self._recheck(samples, box)
         else:
+            # Selection inference is computed on demand (below) and then
+            # refreshed by every post-absorb re-check: the model is
+            # unchanged between a re-check and the next selection.
+            inference = None
             envelope, bound = initial
+        points_added = 0
         ops_before = self.emulator.gp.factorization_count
         try:
-            driver = self.evaluation_driver
-            if driver is not None and driver.engaged(self):
-                return driver.tune(
-                    self, samples, box, rng, envelope, bound,
-                    bound_is_fresh=initial is None,
+            while bound > epsilon_gp:
+                capacity = min(
+                    self.max_points_per_tuple - points_added,
+                    self.max_training_points - self.emulator.n_training,
                 )
-            if self.speculative_k > 1:
-                return self._tune_speculative(
-                    samples, box, envelope, bound, bound_is_fresh=initial is None
-                )
-            return self._tune_serial(samples, box, rng, envelope, bound)
+                if capacity <= 0:
+                    return envelope, bound, points_added, False
+                if inference is None:
+                    inference = self._infer(samples, box)
+                    if window > 1:
+                        envelope, bound = self._bound_from_inference(inference, box, n_samples)
+                        continue
+                if window == 1:
+                    order = [
+                        self.tuning_strategy.select(
+                            samples,
+                            inference.means,
+                            inference.stds,
+                            random_state=rng,
+                            error_evaluator=self._make_error_evaluator(samples, box),
+                        )
+                    ]
+                else:
+                    order = select_top_k_distinct(
+                        samples, inference.stds, min(window, capacity, n_samples)
+                    )
+                k = len(order)
+                if k == 1:
+                    self._absorb_candidate(samples[order[0]])
+                    points_added += 1
+                    inference, envelope, bound = self._recheck(samples, box)
+                    continue
+                X = samples[order]
+                self.refinement_evaluations += k
+                y = np.empty(k)
+                futures = None if driver is None else driver.submit(self.udf, X)
+                try:
+                    for start, stop in ((0, k),) if driver is None else driver.schedule(k):
+                        # The fence is captured *before* the slice's values
+                        # are waited for: they complete (on worker threads,
+                        # in any order) while the snapshot they speculate
+                        # against is live, and the absorb rejects the slice
+                        # if anything mutated the model meanwhile.
+                        fence = self.emulator.snapshot()
+                        if futures is None:
+                            y[start:stop] = self._observe_candidates(X[start:stop])
+                        else:
+                            # In-order waits: a result completing out of
+                            # order sits in its future until its slot is due.
+                            for j in range(start, stop):
+                                y[j] = futures[j].result()
+                        bound_before = bound
+                        self.emulator.absorb_observations(
+                            X[start:stop], y[start:stop], fence=fence
+                        )
+                        inference, envelope, bound = self._recheck(samples, box)
+                        if bound > bound_before and stop - start > 1:
+                            # Overshoot.  (A single-point slice is exempt:
+                            # re-committing the same point would rebuild
+                            # the identical state.)
+                            self.emulator.restore(fence)
+                            self.emulator.absorb_observations(
+                                X[start : start + 1], y[start : start + 1]
+                            )
+                            points_added += 1
+                            inference, envelope, bound = self._recheck(samples, box)
+                        else:
+                            points_added += stop - start
+                        if bound <= epsilon_gp:
+                            break
+                finally:
+                    if futures is not None:
+                        driver.drain(futures)
+            return envelope, bound, points_added, True
         finally:
             self.refinement_factorizations += (
                 self.emulator.gp.factorization_count - ops_before
             )
-
-    def _tune_serial(
-        self,
-        samples: np.ndarray,
-        box: BoundingBox,
-        rng: np.random.Generator,
-        envelope: EnvelopeOutputs,
-        bound: float,
-    ) -> tuple[EnvelopeOutputs, float, int, bool]:
-        """The paper's one-point-per-iteration refinement loop (Algorithm 5)."""
-        points_added = 0
-        while bound > self.budget.epsilon_gp:
-            if points_added >= self.max_points_per_tuple:
-                return envelope, bound, points_added, False
-            if self.emulator.n_training >= self.max_training_points:
-                return envelope, bound, points_added, False
-            inference = self._infer(samples, box)
-            index = self.tuning_strategy.select(
-                samples,
-                inference.means,
-                inference.stds,
-                random_state=rng,
-                error_evaluator=self._make_error_evaluator(samples, box),
-            )
-            self._absorb_candidate(samples[index])
-            points_added += 1
-            envelope, bound = self._infer_and_bound(samples, box)
-        return envelope, bound, points_added, True
-
-    def _tune_speculative(
-        self,
-        samples: np.ndarray,
-        box: BoundingBox,
-        envelope: EnvelopeOutputs,
-        bound: float,
-        bound_is_fresh: bool = True,
-    ) -> tuple[EnvelopeOutputs, float, int, bool]:
-        """Speculative multi-point refinement: k candidates per iteration.
-
-        Each iteration evaluates the UDF at the ``k`` highest-variance
-        Monte-Carlo samples (stable order, so the trajectory is deterministic
-        and identical between the per-tuple and batched pipelines), absorbs
-        the block through one :func:`~repro.gp.linalg.block_inverse_update_multi`
-        call, and re-checks the error bound *once* — versus ``k`` updates,
-        ``k`` inference passes and ``k`` bound checks for the serial loop.
-
-        Speculation can overshoot: absorbing a whole block shifts the
-        predictive means as well as shrinking the variances, and on rare
-        degenerate blocks the recomputed bound comes out strictly *worse*
-        than before the block.  In that case the model is rolled back via
-        the saved factorization snapshot
-        (no refactorization — just restoring the copied state) and only the
-        single best candidate is committed, reusing the UDF observation that
-        was already paid for.  The loop therefore never makes less progress
-        per iteration than the serial largest-variance rule.
-        """
-        points_added = 0
-        # Selection inference, refreshed by every post-add bound re-check —
-        # the model is unchanged between a re-check and the next selection,
-        # so recomputing inference there would be pure redundancy.
-        inference = None
-        while bound > self.budget.epsilon_gp:
-            capacity = self._refinement_capacity(points_added)
-            if capacity <= 0:
-                return envelope, bound, points_added, False
-            if inference is None:
-                inference, envelope, bound, realigned = self._selection_inference(
-                    samples, box, envelope, bound, bound_is_fresh
-                )
-                if realigned:
-                    bound_is_fresh = True
-                    continue
-            k = min(self.speculative_k, capacity, samples.shape[0])
-            order = select_top_k_distinct(samples, inference.stds, k)
-            k = len(order)
-            if k == 1:
-                self._absorb_candidate(samples[order[0]])
-                points_added += 1
-                inference, envelope, bound = self._recheck(samples, box)
-                continue
-            state = self.emulator.snapshot()
-            bound_before = bound
-            self.refinement_evaluations += k
-            y_new = self._observe_candidates(samples[order])
-            self.emulator.absorb_observations(samples[order], y_new)
-            inference, envelope, bound = self._recheck(samples, box)
-            if bound <= bound_before:
-                points_added += k
-                continue
-            self._rollback_to_best(state, samples[order[:1]], y_new[:1])
-            points_added += 1
-            inference, envelope, bound = self._recheck(samples, box)
-        return envelope, bound, points_added, True
 
     def _tuple_result(
         self,
@@ -1161,7 +1229,7 @@ class OLGAPRO:
         policy = getattr(self.udf, "_retry_policy", None)
         return policy is not None and bool(policy.quarantine)
 
-    # -- refinement-loop steps shared with the async evaluation driver ---------------
+    # -- steps of the refinement-window loop ------------------------------------------
     def _absorb_candidate(self, x: np.ndarray) -> float:
         """Evaluate-or-reuse one refinement candidate and absorb it.
 
@@ -1184,7 +1252,7 @@ class OLGAPRO:
     def _observe_candidates(self, X: np.ndarray) -> np.ndarray:
         """UDF values for a block of candidates, reusing prefetched ones.
 
-        The speculative block loop's counterpart of
+        The inline window's counterpart of
         :meth:`_absorb_candidate`: each row already known to the installed
         :attr:`value_source` costs nothing (the pipeline scheduler's walks
         prefetched it), and only the misses pay for fresh evaluations.  The
@@ -1205,59 +1273,11 @@ class OLGAPRO:
             y[missing] = self.udf.evaluate_batch(X[missing])
         return y
 
-    def _refinement_capacity(self, points_added: int) -> int:
-        """Training points the refinement loop may still add for this tuple."""
-        return min(
-            self.max_points_per_tuple - points_added,
-            self.max_training_points - self.emulator.n_training,
-        )
-
     def _recheck(self, samples: np.ndarray, box: BoundingBox):
         """Fresh inference plus error bound after a model mutation."""
         fresh = self._infer(samples, box)
         envelope, bound = self._bound_from_inference(fresh, box, samples.shape[0])
         return fresh, envelope, bound
-
-    def _selection_inference(
-        self,
-        samples: np.ndarray,
-        box: BoundingBox,
-        envelope: EnvelopeOutputs,
-        bound: float,
-        bound_is_fresh: bool,
-    ):
-        """Selection inference for a refinement round, realigning a stale bound.
-
-        The batched pipeline seeds the refinement loop with a bound from
-        cached kernel algebra, which differs from fresh inference at the
-        last ulp; the overshoot comparisons in the speculative and async
-        loops must be fresh-vs-fresh or the batched and per-tuple
-        trajectories could diverge on a knife edge.  The selection inference
-        is needed anyway, so realigning costs only the bound arithmetic.
-        Returns ``(inference, envelope, bound, realigned)``; when
-        ``realigned`` is true the caller must re-test the bound against the
-        budget before selecting candidates.
-        """
-        inference = self._infer(samples, box)
-        if bound_is_fresh:
-            return inference, envelope, bound, False
-        envelope, bound = self._bound_from_inference(inference, box, samples.shape[0])
-        return inference, envelope, bound, True
-
-    def _rollback_to_best(self, state, x_best: np.ndarray, y_best: np.ndarray) -> None:
-        """Undo an overshooting speculative block, keeping its best candidate.
-
-        The empirical bound is quantized in units of 1/n_samples and
-        saturates at 1 while the model is still warming up, so callers count
-        "no worse" as progress (the predictive variance at the absorbed
-        samples did shrink); only a strict increase means the block overshot
-        and lands here.  The rollback costs no factorization (snapshot
-        restore), and the single best candidate is re-committed reusing the
-        UDF observation that was already paid for — the loop therefore never
-        makes less progress per iteration than the serial rule.
-        """
-        self.emulator.restore(state)
-        self.emulator.absorb_observations(x_best, y_best)
 
     def _make_error_evaluator(self, samples: np.ndarray, box: BoundingBox):
         """Candidate evaluator for the optimal-greedy tuning strategy.

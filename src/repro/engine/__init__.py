@@ -5,11 +5,7 @@ SDSS-like Galaxy generator; the UDF execution engine with MC / GP / hybrid
 strategies; iterator-style physical operators; and the fluent query builder.
 """
 
-from repro.engine.async_exec import (
-    DEFAULT_ASYNC_INFLIGHT,
-    AsyncEvaluationDriver,
-    AsyncRefinementExecutor,
-)
+from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT, AsyncEvaluationDriver
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
 from repro.engine.columnar import ColumnarRelation
 from repro.engine.executor import ComputedOutput, Strategy, UDFExecutionEngine
@@ -30,11 +26,7 @@ from repro.engine.parallel import (
     ParallelExecutor,
     default_worker_count,
 )
-from repro.engine.pipeline import (
-    PipelineEvaluationDriver,
-    PipelinedExecutor,
-    SpeculativeValuePool,
-)
+from repro.engine.pipeline import SpeculationStage, SpeculativeValuePool
 from repro.engine.plan import (
     AUTO_PLAN,
     PRECEDENCE,
@@ -101,14 +93,12 @@ __all__ = [
     "BatchExecutor",
     "DEFAULT_BATCH_SIZE",
     "iter_batches",
-    "AsyncRefinementExecutor",
     "AsyncEvaluationDriver",
     "DEFAULT_ASYNC_INFLIGHT",
     "ParallelExecutor",
     "MergePolicy",
     "MERGE_POLICIES",
-    "PipelinedExecutor",
-    "PipelineEvaluationDriver",
+    "SpeculationStage",
     "SpeculativeValuePool",
     "Operator",
     "Scan",

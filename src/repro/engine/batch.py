@@ -1,14 +1,16 @@
-"""Batched query execution: set-at-a-time UDF evaluation over uncertain tuples.
+"""The chunk executor: set-at-a-time UDF evaluation over uncertain tuples.
 
 The per-tuple engine (:class:`~repro.engine.executor.UDFExecutionEngine`)
 re-enters Python-level loops — training-point retrieval, kernel evaluations,
 local Cholesky factorisations, error-bound sweeps — for every tuple.
-:class:`BatchExecutor` instead accepts a whole chunk of tuples, draws the
-Monte-Carlo input samples for all of them up front, runs GP inference over
-the stacked samples in one pass (see
-:meth:`~repro.core.local_inference.LocalInferenceEngine.predict_multi`), and
-only falls back to the per-tuple OLGAPRO refinement loop for the tuples
-whose combined error bound misses the budget.
+:class:`BatchExecutor` instead accepts a whole chunk of tuples and runs it
+through the one tuple-commit loop (:meth:`OLGAPRO.process_batch
+<repro.core.olgapro.OLGAPRO.process_batch>`): the Monte-Carlo input samples
+of the whole chunk are drawn up front, GP inference shares one chunk-wide
+kernel cache, and only the tuples whose error bound misses the budget enter
+the refinement-window loop.  It is the *only* executor below the shard
+wrapper: the plan's ``window`` and ``lookahead`` parameterise the same two
+loops (see :class:`BatchExecutor`), they do not select another executor.
 
 Numerical contract: with a deterministic tuning strategy (the default
 largest-variance rule) the batched pipeline consumes the shared random
@@ -18,13 +20,14 @@ output distributions and error bounds as calling
 :meth:`UDFExecutionEngine.compute` once per tuple.  Tuples carrying a
 selection predicate keep per-tuple semantics (the pilot draw of tuple *i*
 depends on the drop decision of tuple *i - 1*), so the predicate path
-delegates tuple by tuple and stays equivalent by construction.
+runs tuple by tuple and stays equivalent by construction.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,7 +37,10 @@ from repro.core.mc_baseline import mc_sample_count
 from repro.distributions.base import Distribution
 from repro.distributions.columns import attempt_encode, sample_stacked, stacking_supported
 from repro.distributions.empirical import EmpiricalDistribution, TruncationResult
+from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
+from repro.engine.pipeline import SpeculationStage
+from repro.engine.transport import make_transport
 from repro.exceptions import QueryError, UDFError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
@@ -50,13 +56,7 @@ T = TypeVar("T")
 
 
 def online_result_to_output(result) -> ComputedOutput:
-    """Convert one OLGAPRO tuple result into the engine's output record.
-
-    Shared by every batch-level executor that drives OLGAPRO directly (the
-    batched pipeline here, the cross-tuple pipeline scheduler in
-    :mod:`repro.engine.pipeline`), so the mapping from refinement results to
-    :class:`~repro.engine.executor.ComputedOutput` lives in one place.
-    """
+    """Convert one OLGAPRO tuple result into the engine's output record."""
     return ComputedOutput(
         distribution=result.distribution,
         error_bound=result.error_bound.epsilon_total,
@@ -126,16 +126,46 @@ def truncate_columns(
 
 
 class BatchExecutor:
-    """Evaluates UDFs on chunks of uncertain tuples through one shared engine.
+    """The one chunk executor: runs the OLGAPRO loops at the plan's (window, lookahead).
 
-    The executor wraps an existing :class:`UDFExecutionEngine` — it shares
-    the engine's per-UDF processors (the GP model warmed up by one path is
-    reused by the other) and its random stream.  Phase timings (``sampling``
-    / ``inference`` / ``refinement``) accumulate on :attr:`timings`.
+    Wraps an existing :class:`UDFExecutionEngine` — it shares the engine's
+    per-UDF processors (the GP model warmed up by one path is reused by the
+    other) and its random stream — and pushes chunks of ``batch_size``
+    tuples through :meth:`OLGAPRO.process_batch
+    <repro.core.olgapro.OLGAPRO.process_batch>`.  Two optional stages
+    parameterise that one loop; 1 is the degenerate, free value of each:
+
+    * ``window`` (:attr:`ExecutionPlan.window
+      <repro.engine.plan.ExecutionPlan.window>`) > 1 opens the plan's
+      evaluation transport for the computation — closed on every exit path
+      — and installs an :class:`~repro.engine.async_exec
+      .AsyncEvaluationDriver`, so each refinement window's UDF calls
+      overlap (:mod:`repro.engine.async_exec`);
+    * ``lookahead`` > 1 attaches a :class:`~repro.engine.pipeline
+      .SpeculationStage`, which speculates the next tuples' first bounds
+      and prefetches their windows while the current one commits
+      (:mod:`repro.engine.pipeline`).  Online filtering is
+      tuple-sequential and ``"mc"`` has no refinement loop, so a predicate
+      or the ``"mc"`` strategy runs without the stage.
+
+    At window 1 / lookahead 1 no transport session, driver, stage or thread
+    exists.  Quarantine, the chunk backstop, tuple-boundary model sync and
+    the columnar first pass belong to the loop, so they hold at every
+    (window, lookahead).  Phase timings (``sampling`` / ``inference`` /
+    ``refinement`` / ``filtering`` / ``speculation``) accumulate on
+    :attr:`timings`; the executor stays picklable and reusable because every
+    live resource is scoped to one compute call.
+
+    Raises
+    ------
+    QueryError
+        From a compute call, on a UDF the transport cannot carry or when a
+        driver is already installed on the target processor (nested
+        overlapped execution).
     """
 
     def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
-        """Bind the engine; ``plan`` supplies ``batch_size`` and ``storage``."""
+        """Bind the engine and read the chunk knobs off the (validated) plan."""
         self.engine = engine
         self.plan = plan
         self.batch_size = plan.chunk_size
@@ -143,50 +173,120 @@ class BatchExecutor:
         #: draws, column-armed kernel cache, batched envelope sweeps).
         #: Gated bit-identical to the tuple store under the same seed.
         self.columnar = plan.storage == "columnar"
+        self.window = plan.window
+        self.lookahead = plan.lookahead
+        #: Refresh prefetch walks to the live model when it outruns their
+        #: fence (``merge="shared"`` on an unsharded plan; see
+        #: :class:`~repro.engine.pipeline.SpeculationStage`).
+        self.shared_refresh = plan.merge == "shared"
         self.timings = PhaseTimings()
+        #: Evaluations the last compute call prefetched, prefetched but
+        #: never consumed, and its walk fence refreshes (0 at lookahead 1).
+        self.last_speculative_calls = 0
+        self.last_wasted_calls = 0
+        self.last_walk_refreshes = 0
 
-    # -- evaluation without a predicate ------------------------------------------------
+    # -- public API ---------------------------------------------------------------
     def compute_batch(
         self, udf: UDF, input_distributions: Sequence[Distribution]
     ) -> list[ComputedOutput]:
-        """Evaluate ``udf`` on every input tuple, chunked by ``batch_size``."""
-        outputs: list[ComputedOutput] = []
-        for chunk in iter_batches(input_distributions, self.batch_size):
-            outputs.extend(self._compute_chunk(udf, chunk))
-        if not outputs:
-            # A zero-length input (an empty relation, or an all-empty column
-            # block) is a legal batch: report explicit zero phases rather
-            # than an absent report.
-            self.timings.ensure("sampling", "inference", "refinement")
-        return outputs
+        """Evaluate ``udf`` on every input tuple, chunked by ``batch_size``.
 
-    # -- evaluation with a selection predicate ------------------------------------------
+        Returns one :class:`~repro.engine.executor.ComputedOutput` per input
+        distribution, in input order.
+        """
+        return self._run(udf, list(input_distributions), predicate=None)
+
     def compute_batch_with_predicate(
         self,
         udf: UDF,
         input_distributions: Sequence[Distribution],
         predicate: SelectionPredicate,
     ) -> list[ComputedOutput]:
-        """Predicate evaluation for a chunk of tuples.
+        """Predicate (online-filtering) evaluation.
 
         Online filtering is inherently sequential — each tuple's pilot draw
         and early-drop decision feed the shared random stream — so this
-        delegates tuple by tuple, preserving exact equivalence with the
-        per-tuple path while keeping the batch-level API uniform.
+        runs tuple by tuple, preserving exact equivalence with the
+        per-tuple path; the window still applies inside each tuple's pilot
+        and full refinement loops.
         """
-        with self.timings.measure("filtering"):
-            return [
-                self.engine.compute_with_predicate(udf, dist, predicate)
-                for dist in input_distributions
-            ]
+        return self._run(udf, list(input_distributions), predicate=predicate)
 
-    # -- internals ------------------------------------------------------------------------
-    def _compute_chunk(self, udf: UDF, chunk: Sequence[Distribution]) -> list[ComputedOutput]:
-        chunk = list(chunk)
-        if not chunk:
-            return []
+    # -- internals ----------------------------------------------------------------
+    def _run(
+        self,
+        udf: UDF,
+        distributions: list[Distribution],
+        predicate: Optional[SelectionPredicate],
+    ) -> list[ComputedOutput]:
+        """Open what the plan's (window, lookahead) need, run the chunks, close."""
+        self.last_speculative_calls = 0
+        self.last_wasted_calls = 0
+        self.last_walk_refreshes = 0
+        stage = None
         try:
-            return self._compute_chunk_inner(udf, chunk)
+            if not distributions:
+                return []
+            # Fail fast on an incompatible UDF/transport pair even where no
+            # session opens: a misconfiguration must not become visible
+            # only once the user raises the window.
+            transport = make_transport(self.plan.transport)
+            transport.accepts(udf)
+            olgapro = self.engine.olgapro_for(udf)
+            staged = self.lookahead > 1 and predicate is None and olgapro is not None
+            with ExitStack() as stack:
+                if olgapro is not None and (self.window > 1 or staged):
+                    if olgapro.evaluation_driver is not None:
+                        raise QueryError(
+                            f"processor for UDF {udf.name!r} already has an evaluation "
+                            "driver installed (nested overlapped execution is not supported)"
+                        )
+                    workers = (
+                        SpeculationStage.eval_workers(self.window, self.lookahead)
+                        if staged
+                        else self.window
+                    )
+                    carrier = stack.enter_context(transport.session(workers, label=udf.name))
+                    driver = None
+                    if self.window > 1:
+                        driver = AsyncEvaluationDriver(carrier, self.window)
+                        olgapro.evaluation_driver = driver
+                        stack.callback(setattr, olgapro, "evaluation_driver", None)
+                    if staged:
+                        stage = stack.enter_context(
+                            SpeculationStage(
+                                olgapro, carrier, driver, self.window, self.lookahead,
+                                self.shared_refresh, self.timings,
+                            )
+                        )
+                if predicate is not None:
+                    with self.timings.measure("filtering"):
+                        return [
+                            self.engine.compute_with_predicate(udf, dist, predicate)
+                            for dist in distributions
+                        ]
+                outputs: list[ComputedOutput] = []
+                for chunk in iter_batches(distributions, self.batch_size):
+                    outputs.extend(self._compute_chunk(udf, chunk, stage))
+                return outputs
+        finally:
+            if stage is not None:
+                self.last_speculative_calls = stage.speculative_calls
+                self.last_wasted_calls = stage.wasted_calls
+                self.last_walk_refreshes = stage.walk_refreshes
+            # Whatever ran (including the empty input — a legal batch),
+            # report a complete phase record: timing consumers must never
+            # see this executor's phase set vary with the input.
+            self.timings.ensure("sampling", "inference", "refinement")
+            if self.plan.pipeline_lookahead is not None:
+                self.timings.ensure("speculation")
+
+    def _compute_chunk(
+        self, udf: UDF, chunk: list[Distribution], stage: Optional[SpeculationStage]
+    ) -> list[ComputedOutput]:
+        try:
+            return self._compute_chunk_inner(udf, chunk, stage)
         except UDFError:
             # Backstop for failures the per-tuple quarantine inside OLGAPRO
             # cannot reach (the stacked pilot evaluation of a whole chunk, or
@@ -197,7 +297,7 @@ class BatchExecutor:
             return [UDFExecutionEngine.quarantined_output() for _ in chunk]
 
     def _compute_chunk_inner(
-        self, udf: UDF, chunk: list[Distribution]
+        self, udf: UDF, chunk: list[Distribution], stage: Optional[SpeculationStage]
     ) -> list[ComputedOutput]:
         strategy = self.engine.strategy
         if strategy == "mc":
@@ -206,15 +306,14 @@ class BatchExecutor:
                 self.timings, self.columnar,
             )
         processor = self.engine._processor_for(udf)
-        if isinstance(processor, HybridExecutor):
-            decision = processor.decide(chunk[0])
-            if decision.method == "mc":
-                return mc_chunk(
-                    udf, chunk, processor.requirement, processor._rng,
-                    self.timings, self.columnar,
-                )
-            processor = processor._olgapro
-        results = processor.process_batch(chunk, timings=self.timings, columnar=self.columnar)
+        if isinstance(processor, HybridExecutor) and processor.decide(chunk[0]).method == "mc":
+            return mc_chunk(
+                udf, chunk, processor.requirement, processor._rng,
+                self.timings, self.columnar,
+            )
+        results = self.engine.olgapro_for(udf).process_batch(
+            chunk, timings=self.timings, columnar=self.columnar, stage=stage
+        )
         return [online_result_to_output(result) for result in results]
 
 

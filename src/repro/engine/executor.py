@@ -159,11 +159,29 @@ class UDFExecutionEngine:
                 )
         processor = self._processors[key]
         if self._shared_store_resolver is not None and self.strategy != "mc":
-            self._attach_shared_sync(udf, processor)
+            self._attach_shared_sync(udf)
         return processor
 
-    def _attach_shared_sync(self, udf: UDF, processor: OLGAPRO | HybridExecutor) -> None:
-        """Bind a live shared-model sync onto ``processor`` (idempotent).
+    def olgapro_for(self, udf: "UDF | str", create: bool = True) -> Optional[OLGAPRO]:
+        """The OLGAPRO processor (and, through it, the emulator) behind ``udf``.
+
+        The one place that looks through the hybrid selector.  ``None``
+        under the ``"mc"`` strategy, which has no model.  ``create=False``
+        only looks: ``None`` while no processor exists yet (a cold engine),
+        and ``udf`` may then be just the UDF's name.
+        """
+        if self.strategy == "mc":
+            return None
+        if create:
+            processor = self._processor_for(udf)
+        else:
+            processor = self._processors.get(getattr(udf, "name", udf))
+        if isinstance(processor, HybridExecutor):
+            return processor._olgapro
+        return processor
+
+    def _attach_shared_sync(self, udf: UDF) -> None:
+        """Bind a live shared-model sync onto ``udf``'s processor (idempotent).
 
         Resolves the store through the installed ``_shared_store_resolver``
         and installs an :class:`~repro.core.shared_model.EmulatorSync` on
@@ -171,8 +189,8 @@ class UDFExecutionEngine:
         learning exchanges with the shared store.  A processor that already
         carries a sync keeps it.
         """
-        target = processor._olgapro if isinstance(processor, HybridExecutor) else processor
-        if getattr(target, "model_sync", None) is not None:
+        target = self.olgapro_for(udf, create=False)
+        if target.model_sync is not None:
             return
         assert self._shared_store_resolver is not None
         store = self._shared_store_resolver(udf)
@@ -409,8 +427,7 @@ class UDFExecutionEngine:
                     udf_calls=result.udf_calls,
                     charged_time=result.charged_time,
                 )
-            processor = processor._olgapro
-        filtered = processor.process_with_filter(input_distribution, predicate)
+        filtered = self.olgapro_for(udf).process_with_filter(input_distribution, predicate)
         if filtered.dropped:
             return ComputedOutput(
                 distribution=None,

@@ -86,7 +86,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 from repro.core.filtering import SelectionPredicate
-from repro.core.hybrid import HybridExecutor
 from repro.distributions.base import Distribution
 from repro.engine.batch import iter_batches
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
@@ -129,16 +128,6 @@ class ShardResult:
     udf_real_time: float
 
 
-def _emulator_of(engine: UDFExecutionEngine, udf: UDF):
-    """The GP emulator behind ``udf``'s processor, or ``None`` (mc / cold)."""
-    processor = engine._processors.get(udf.name)
-    if processor is None:
-        return None
-    if isinstance(processor, HybridExecutor):
-        return processor._olgapro.emulator
-    return processor.emulator
-
-
 def _run_shard(
     payload: bytes,
     shard_index: int,
@@ -169,27 +158,24 @@ def _run_shard(
 
     executor = plan.resolve(engine)
     sync = None
-    if shared_store is not None and engine.strategy != "mc":
+    olgapro = engine.olgapro_for(udf) if shared_store is not None else None
+    if olgapro is not None:
         from repro.core.shared_model import EmulatorSync
 
-        processor = engine._processor_for(udf)
-        target = processor._olgapro if isinstance(processor, HybridExecutor) else processor
-        if hasattr(target, "model_sync"):
-            sync = EmulatorSync(
-                shared_store,
-                target.emulator,
-                max_training_points=int(target.max_training_points),
-                timings=executor.timings,
-            )
-            target.model_sync = sync
+        sync = olgapro.model_sync = EmulatorSync(
+            shared_store,
+            olgapro.emulator,
+            max_training_points=int(olgapro.max_training_points),
+            timings=executor.timings,
+        )
     if predicate is None:
         outputs = executor.compute_batch(udf, list(distributions))
     else:
         outputs = executor.compute_batch_with_predicate(udf, list(distributions), predicate)
     if sync is not None:
-        # Final exchange: whatever the last chunk learned reaches the store
-        # before the worker reports back (covers sub-executors that drive
-        # refinement outside process_batch's tuple loop too).
+        # Final exchange: whatever the predicate path (which commits outside
+        # process_batch's tuple loop) learned last reaches the store before
+        # the worker reports back.
         sync.sync()
     return ShardResult(
         shard_index=shard_index,
@@ -287,10 +273,9 @@ class ParallelExecutor:
         the same engine seed.  The merge policy still applies:
         ``"discard"`` rolls the model back afterwards.
         """
-        emulator = _emulator_of(self.engine, udf)
-        had_processor = udf.name in self.engine._processors
-        state = emulator.snapshot() if emulator is not None else None
-        n_before = emulator.n_training if emulator is not None else 0
+        olgapro = self.engine.olgapro_for(udf, create=False)
+        state = olgapro.emulator.snapshot() if olgapro is not None else None
+        n_before = olgapro.n_training if olgapro is not None else 0
 
         executor = self.plan.inner().resolve(self.engine)
         if predicate is None:
@@ -299,12 +284,12 @@ class ParallelExecutor:
             outputs = executor.compute_batch_with_predicate(udf, distributions, predicate)
         self.timings.merge(executor.timings)
 
-        emulator = _emulator_of(self.engine, udf)
-        added = (emulator.n_training - n_before) if emulator is not None else 0
+        ran = self.engine.olgapro_for(udf, create=False)
+        added = (ran.n_training - n_before) if ran is not None else 0
         if self.merge == "discard" and added > 0:
             if state is not None:
-                emulator.restore(state)
-            elif not had_processor:
+                ran.emulator.restore(state)
+            else:
                 # The run created the processor; discarding means the engine
                 # goes back to having no model for this UDF at all.
                 self.engine._processors.pop(udf.name, None)
@@ -352,7 +337,8 @@ class ParallelExecutor:
             from repro.core.shared_model import serve_shared_store
 
             shared_manager, shared_store = serve_shared_store()
-            emulator = _emulator_of(self.engine, udf)
+            olgapro = self.engine.olgapro_for(udf, create=False)
+            emulator = olgapro.emulator if olgapro is not None else None
             if emulator is not None and emulator.n_training:
                 # A warm parent seeds the store, so every shard starts from
                 # the full shared matrix and nobody re-pays an initial design.
@@ -501,17 +487,13 @@ class ParallelExecutor:
             return
         from repro.core.shared_model import EmulatorSync
 
-        emulator = _emulator_of(self.engine, udf)
-        if emulator is None:
-            # Cold parent: create the processor so the shared rows warm it.
-            self.engine._processor_for(udf)
-            emulator = _emulator_of(self.engine, udf)
-        if emulator is None:
-            return
+        # A cold parent creates the processor here so the shared rows warm it.
+        olgapro = self.engine.olgapro_for(udf)
+        emulator = olgapro.emulator
         sync = EmulatorSync(
             shared_store,
             emulator,
-            max_training_points=self._max_training_points(udf),
+            max_training_points=int(olgapro.max_training_points),
             timings=self.timings,
         )
         self.last_merged_points = sync.refresh()
@@ -521,9 +503,3 @@ class ParallelExecutor:
             if theta is not None:
                 emulator.gp.set_hyperparameters(theta)
                 emulator._trained_hyperparameters = True
-
-    def _max_training_points(self, udf: UDF) -> int:
-        """The OLGAPRO model-size cap behind ``udf``'s processor."""
-        processor = self.engine._processors[udf.name]
-        olgapro = processor._olgapro if isinstance(processor, HybridExecutor) else processor
-        return int(olgapro.max_training_points)

@@ -1,65 +1,58 @@
-"""Cross-tuple pipelined refinement: a dependency-aware stage scheduler.
+"""The *lookahead* stage: cross-tuple speculation around the one commit loop.
 
-PR 3's :class:`~repro.engine.async_exec.AsyncRefinementExecutor` overlaps
-black-box UDF calls *within* one tuple's refinement, but the stages of
-consecutive tuples still serialise: the sampling and first GP inference of
-tuple *i + 1* wait behind the tail of tuple *i*'s refinement windows.  This
-module closes that gap.  :class:`PipelinedExecutor` runs a chunk of tuples
-as a small dependency DAG of stages
+A refinement window (:mod:`repro.engine.async_exec`) overlaps black-box UDF
+calls *within* one tuple's refinement, but consecutive tuples still
+serialise: the first GP inference of tuple *i + 1* waits behind the tail of
+tuple *i*'s windows.  At a plan lookahead > 1 the chunk executor
+(:class:`~repro.engine.batch.BatchExecutor`) attaches a
+:class:`SpeculationStage` to the tuple-commit loop
+(:meth:`OLGAPRO.process_batch <repro.core.olgapro.OLGAPRO.process_batch>`).
+The loop does not change — sampling up front in tuple order, commits
+strictly in tuple order on the coordinating thread, with the same
+quarantine, model-sync, first-pass and retraining treatment as at
+lookahead 1.  The stage only adds, on a private thread pool:
 
-    sample  →  retrieve / infer  →  refine (UDF windows)  →  bound-check
-
-over **one shared bounded thread pool**:
-
-1. **sample** — the Monte-Carlo input samples of the whole chunk are drawn
-   up front, in tuple order, so the shared random stream is consumed exactly
-   as the serial batched path consumes it;
-2. **retrieve / infer** — while tuple *i* refines, the initial cached GP
+1. **retrieve / infer** — while tuple *i* refines, the initial cached GP
    inference (retrieval, envelope, error bound) of tuples *i + 1 … i +
-   lookahead* runs *speculatively* on the pool against a snapshot view of
-   the emulator, and the highest-variance candidates of each speculated
-   tuple's first refinement window are **prefetched**: their UDF evaluations
-   are submitted immediately, so the black-box latency of tuple *i + 1*'s
-   first window hides under tuple *i*'s windows;
-3. **refine** — committed strictly in tuple-submission order on the
-   coordinating thread: the refinement windows consult the speculative value
+   lookahead* runs *speculatively* against a snapshot view of the emulator,
+   and the highest-variance candidates of each speculated tuple's expected
+   refinement windows are **prefetched**: their UDF evaluations are
+   submitted immediately, so the black-box latency of tuple *i + 1*'s
+   windows hides under tuple *i*'s;
+2. **reuse** — the commit loop's refinement consults the speculative value
    pool first (the UDF is deterministic, so a prefetched observation is the
-   observation) and only pay for fresh evaluations on a miss;
-4. **bound-check / commit** — the tuple's envelope, bound and retraining
-   decision are finalised before the next tuple commits.
+   observation) and only pays for fresh evaluations on a miss.
 
 Determinism contract
 --------------------
-Speculation is *fenced* on the GP state version, exactly like PR 3's
-within-window absorption: a speculative inference records the
+Speculation is *fenced* on the GP state version, exactly like a window's
+slice absorption: a speculative inference records the
 :attr:`~repro.gp.regression.GaussianProcess.version` it was computed
 against, and at commit time it is used only if the model has not moved
 since.  A tuple whose fence went stale re-runs its inference against the
-updated emulator — bitwise the computation the serial batched path performs
-at that point.  All model mutations happen on the coordinating thread, in
+updated emulator — bitwise the computation lookahead 1 performs at that
+point.  All model mutations happen on the coordinating thread, in
 tuple-submission order, so
 
 * results are invariant to completion order and thread scheduling (a
   prefetched value equals the freshly evaluated one; a stale speculation is
   recomputed, never absorbed),
-* ``pipeline_lookahead=1`` bypasses the scheduler entirely and **is** the
-  serial batched path (or, with ``inflight > 1``, the PR 3 async path), bit
-  for bit, and
-* at ``lookahead > 1`` the committed refinement trajectory — and therefore
-  the output distributions and error bounds — is bitwise the one the
-  within-tuple async path (:class:`AsyncRefinementExecutor` with the same
-  window) produces; only wall-clock and the *total* UDF call count change
-  (unconsumed prefetches are paid for and discarded, like PR 3's discarded
-  speculation; :attr:`PipelinedExecutor.last_wasted_calls` reports them).
+* lookahead 1 attaches no stage and starts no thread, and
+* at lookahead > 1 the committed refinement trajectory — and therefore the
+  output distributions and error bounds — is bitwise the one the same
+  window produces at lookahead 1; only wall-clock and the *total* UDF call
+  count change (unconsumed prefetches are paid for and discarded, like a
+  window's discarded tail; ``last_wasted_calls`` on the executor reports
+  them).
 
 Cost model
 ----------
 Prefetched-but-unused evaluations are charged: the calls really happened.
 Per-tuple ``udf_calls`` counts the evaluations each tuple's refinement
 *consumed* (window submissions plus single-point absorptions — the same
-number the async path charges per tuple), while per-tuple ``charged_time``
-is attribution-approximate under cross-tuple overlap (evaluations for
-several tuples complete concurrently); the UDF's own counters stay exact in
+number lookahead 1 charges per tuple), while per-tuple ``charged_time`` is
+attribution-approximate under cross-tuple overlap (evaluations for several
+tuples complete concurrently); the UDF's own counters stay exact in
 aggregate.
 """
 
@@ -68,29 +61,21 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from repro.core.emulator import EmulatorSnapshot
-from repro.core.filtering import SelectionPredicate
-from repro.core.hybrid import HybridExecutor
-from repro.core.local_inference import BatchKernelCache, global_inference
-from repro.core.olgapro import OLGAPRO, OnlineTupleResult, select_top_k_distinct
-from repro.distributions.base import Distribution
-from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT, AsyncEvaluationDriver
-from repro.engine.batch import iter_batches, mc_chunk, online_result_to_output
-from repro.engine.executor import ComputedOutput, UDFExecutionEngine
-from repro.engine.transport import EvaluationTransport, make_transport
-from repro.exceptions import QueryError
+from repro.core.local_inference import global_inference
+from repro.core.olgapro import OLGAPRO, ChunkPrologue, ChunkStage, select_top_k_distinct
+from repro.engine.async_exec import AsyncEvaluationDriver
+from repro.engine.transport import EvaluationTransport
 from repro.gp.regression import GaussianProcess
 from repro.index.bounding_box import BoundingBox
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
-
-if TYPE_CHECKING:  # plan.py imports this module
-    from repro.engine.plan import ExecutionPlan
 
 
 class SpeculativeValuePool:
@@ -105,7 +90,7 @@ class SpeculativeValuePool:
     is complete — and deterministic — before a chunk finishes.
     """
 
-    def __init__(self, udf: UDF, executor: Union[ThreadPoolExecutor, EvaluationTransport]):
+    def __init__(self, udf: UDF, executor: EvaluationTransport):
         self.udf = udf
         self.executor = executor
         self._lock = threading.Lock()
@@ -198,37 +183,6 @@ class SpeculativeValuePool:
             future.exception()
 
 
-class PipelineEvaluationDriver(AsyncEvaluationDriver):
-    """Window driver that consults the speculative value pool first.
-
-    Behaves exactly like :class:`AsyncEvaluationDriver` — same windows, same
-    deterministic chunk schedule, same fenced absorption — except that each
-    window row already prefetched by a speculative stage reuses the paid-for
-    future instead of submitting a fresh evaluation.  Because the UDF is
-    deterministic, the absorbed values are identical either way, so the
-    refinement trajectory is bitwise the async driver's.
-    """
-
-    def __init__(
-        self,
-        executor: Union[ThreadPoolExecutor, EvaluationTransport],
-        inflight: int,
-        pool: SpeculativeValuePool,
-    ):
-        super().__init__(executor, inflight)
-        self.pool = pool
-
-    def _submit_window(self, olgapro: OLGAPRO, X: np.ndarray) -> list[Future]:
-        """One future per row, all routed through the pool.
-
-        A prefetched row reuses the paid-for future; a miss submits fresh —
-        through the same deduplicated pool, so a speculative walk arriving
-        at the point later never double-charges it.
-        """
-        del olgapro  # the pool owns the UDF handle
-        return [self.pool.fetch(row) for row in X]
-
-
 @dataclass
 class _SpeculationResult:
     """What one speculative retrieve/infer stage hands to the commit loop."""
@@ -280,424 +234,245 @@ def _gp_view(gp: GaussianProcess, fence: EmulatorSnapshot) -> GaussianProcess:
     return view
 
 
-class PipelinedExecutor:
-    """Batched execution with refinement pipelined *across* tuples.
+class SpeculationStage(ChunkStage):
+    """The cross-tuple scheduler plugged into the one tuple-commit loop.
 
-    The cross-tuple sibling of :class:`~repro.engine.batch.BatchExecutor`
-    (PR 1), :class:`~repro.engine.parallel.ParallelExecutor` (PR 2) and
-    :class:`~repro.engine.async_exec.AsyncRefinementExecutor` (PR 3): same
-    ``compute_batch`` / ``compute_batch_with_predicate`` surface, same
-    engine sharing, but while tuple *i* refines, the sampling, initial
-    inference and first-window UDF evaluations of tuples *i + 1 … i +
-    lookahead* already run on a shared bounded pool.  See the module
-    docstring for the stage DAG and the determinism contract.
+    One instance serves one computation: used as a context manager it owns
+    the stage thread pool, and :meth:`chunk` scopes the per-chunk state
+    (speculation never crosses a chunk boundary — the kernel cache is per
+    chunk).  See the module docstring for the determinism contract.
+
+    Two bounded carriers, split by *blocking behaviour*.  Black-box
+    evaluations never block on anything, so the evaluation transport
+    (``carrier``, sized by :meth:`eval_workers`) always makes progress;
+    speculative stages and refinement walks DO block (on evaluation
+    futures), so they get their own thread pool — a pile-up of blocked
+    walks can delay other stages, never the evaluations they are waiting
+    on.  Putting both kinds on one carrier would deadlock once every worker
+    held a blocked walk with the evaluations it awaits still queued behind
+    it.
 
     Parameters
     ----------
-    engine:
-        The execution engine whose per-UDF processors do the work.  The
-        ``"mc"`` strategy has no refinement loop, so it runs the plain
-        batched path unchanged.
-    plan:
-        The :class:`~repro.engine.plan.ExecutionPlan` this executor was
-        resolved from:
-
-        * ``pipeline_lookahead`` — tuples speculated ahead of the
-          committing one.  ``1`` disables the scheduler: the computation
-          is bit-identical to :class:`BatchExecutor` (or to
-          :class:`AsyncRefinementExecutor` when ``async_inflight > 1``)
-          under the same seed.
-        * ``async_inflight`` — the within-tuple refinement window.
-          ``None`` means :data:`~repro.engine.async_exec
-          .DEFAULT_ASYNC_INFLIGHT` when the scheduler engages (prefetching
-          needs windows to land in), and the serial loop at lookahead 1.
-        * ``batch_size`` — chunk size of the underlying batched pipeline.
-          Speculation never crosses a chunk boundary (the kernel cache is
-          per chunk).
-        * ``transport`` — how the refinement windows' and prefetch walks'
-          evaluations reach the black box.  The speculative *stages*
-          always run on a private thread pool — they are GP work, not
-          black-box calls — whatever the transport.
-        * ``merge="shared"`` — live-model walk refresh
-          (:attr:`shared_refresh`).  A prefetch walk that notices the live
-          emulator has moved past its fence rebuilds its private view from
-          a fresh snapshot, re-absorbs its own paid-for observations, and
-          re-ranks — so walks stop mispredicting while the model is
-          chaotic (a cold stream).  Committed results are unaffected
-          (walks only feed the deduplicated prefetch pool), but the *set
-          of speculative prefetches* becomes timing-dependent, so the
-          total call count at lookahead > 1 may vary run to run;
-          :attr:`last_walk_refreshes` reports how often the mechanism
-          engaged.
-
-    Raises
-    ------
-    QueryError
-        From a compute call, on a UDF the transport cannot carry or when
-        an evaluation driver is already installed on the target processor
-        (nested pipelined execution).
+    olgapro:
+        The processor whose commit loop the stage rides.
+    carrier:
+        The open evaluation transport prefetches (and the initial design)
+        are submitted through.
+    driver:
+        The window driver installed on ``olgapro`` (``None`` at window 1);
+        its windows are routed through each chunk's value pool.
+    window, lookahead:
+        The plan's effective refinement window and cross-tuple lookahead.
+    shared_refresh:
+        ``merge="shared"`` on an unsharded plan: a prefetch walk that
+        notices the live emulator has moved past its fence rebuilds its
+        private view from a fresh snapshot, re-absorbs its own paid-for
+        observations, and re-ranks — so walks stop mispredicting while the
+        model is chaotic (a cold stream).  Committed results are unaffected
+        (walks only feed the deduplicated prefetch pool), but the *set of
+        speculative prefetches* becomes timing-dependent, so the total call
+        count may vary run to run; :attr:`walk_refreshes` reports how often
+        the mechanism engaged.
+    timings:
+        The executor's phase accumulator; pool-thread seconds land under
+        ``"speculation"``, always recorded by the coordinating thread.
     """
 
-    def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
-        """Bind the engine and the plan (pools are created per computation
-        so the executor stays picklable and reusable)."""
-        self.engine = engine
-        self.plan = plan
-        self.lookahead = plan.pipeline_lookahead
-        self.inflight = plan.async_inflight
-        self.batch_size = plan.chunk_size
-        self.transport = plan.transport
-        self.columnar = plan.storage == "columnar"
-        #: Refresh prefetch walks to the live model when it outruns their
-        #: fence (see the class docstring for the determinism trade).
-        self.shared_refresh = plan.merge == "shared"
-        #: Per-phase wall-clock; ``"speculation"`` accumulates pool-thread
-        #: work on top of the batched pipeline's phases.
-        self.timings = PhaseTimings()
-        #: Evaluations prefetched by the last compute call.
-        self.last_speculative_calls = 0
-        #: Prefetched evaluations the last compute call never consumed.
-        self.last_wasted_calls = 0
-        #: Walk fence refreshes performed by the last compute call
-        #: (``shared_refresh`` only; 0 when the mechanism is off or the
-        #: model never outran a walk).
-        self.last_walk_refreshes = 0
+    overlapped = True
 
-    # -- public API ---------------------------------------------------------------
-    def compute_batch(
-        self, udf: UDF, input_distributions: Sequence[Distribution]
-    ) -> list[ComputedOutput]:
-        """Evaluate ``udf`` on every tuple with cross-tuple pipelining.
-
-        Returns one :class:`~repro.engine.executor.ComputedOutput` per input
-        distribution, in input order.
-        """
-        return self._run(udf, list(input_distributions), predicate=None)
-
-    def compute_batch_with_predicate(
+    def __init__(
         self,
-        udf: UDF,
-        input_distributions: Sequence[Distribution],
-        predicate: SelectionPredicate,
-    ) -> list[ComputedOutput]:
-        """Predicate (online-filtering) evaluation.
-
-        Filtering decisions are inherently tuple-sequential (each pilot draw
-        feeds the shared random stream), so the cross-tuple scheduler stands
-        down and the within-tuple overlap of the async path applies instead.
-        """
-        return self._run(udf, list(input_distributions), predicate=predicate)
-
-    def _run(
-        self,
-        udf: UDF,
-        distributions: list[Distribution],
-        predicate: Optional[SelectionPredicate],
-    ) -> list[ComputedOutput]:
-        self.last_speculative_calls = 0
-        self.last_wasted_calls = 0
-        self.last_walk_refreshes = 0
-        try:
-            if not distributions:
-                return []
-            if (
-                self.lookahead == 1
-                or predicate is not None
-                or self.engine.strategy == "mc"
-            ):
-                # Degenerate paths run the plan without its lookahead.  On
-                # the predicate path at lookahead > 1 the user opted into
-                # overlap and only the *cross-tuple* half stands down, so
-                # an unset window takes the scheduler's default; at
-                # lookahead = 1 it stays off, preserving bit-identity with
-                # the serial batched path.
-                overrides = {}
-                if predicate is not None and self.lookahead > 1 and self.inflight is None:
-                    overrides["async_inflight"] = DEFAULT_ASYNC_INFLIGHT
-                delegate = self.plan.inner(**overrides).resolve(self.engine)
-                try:
-                    if predicate is None:
-                        return delegate.compute_batch(udf, distributions)
-                    return delegate.compute_batch_with_predicate(
-                        udf, distributions, predicate
-                    )
-                finally:
-                    self.timings.merge(delegate.timings)
-            return self._run_pipelined(udf, distributions)
-        finally:
-            # Whatever path ran (including the empty degenerate one), report
-            # a complete phase record: downstream timing consumers must
-            # never see this executor's phase set vary with the input.
-            self.timings.ensure("sampling", "inference", "refinement", "speculation")
-
-    # -- the scheduler -------------------------------------------------------------
-    def _run_pipelined(self, udf: UDF, distributions: list[Distribution]) -> list[ComputedOutput]:
-        olgapro = self._olgapro_for(udf)
-        if olgapro.evaluation_driver is not None:
-            raise QueryError(
-                f"processor for UDF {udf.name!r} already has an evaluation "
-                "driver installed (nested pipelined execution is not supported)"
-            )
-        window = self.inflight if self.inflight is not None else DEFAULT_ASYNC_INFLIGHT
-        # Two bounded carriers, split by *blocking behaviour*.  Black-box
-        # evaluations never block on anything, so a dedicated evaluation
-        # transport always makes progress; speculative stages and refinement
-        # walks DO block (on evaluation futures), so they get their own
-        # thread pool — a pile-up of blocked walks can delay other stages,
-        # never the evaluations they are waiting on.  Putting both kinds on
-        # one carrier would deadlock once every worker held a blocked walk
-        # with the evaluations it awaits still queued behind it.
-        # Eval sizing: the commit window plus each concurrent walk's padded
-        # prefetches can sleep simultaneously; beyond that, queued
-        # evaluations only add latency (never deadlock — eval tasks do not
-        # block), so the count is capped rather than scaled without bound.
-        eval_workers = 2 + min(64, window * (1 + 2 * self.lookahead))
-        stage_workers = 2 * self.lookahead + 2
-        outputs: list[ComputedOutput] = []
+        olgapro: OLGAPRO,
+        carrier: EvaluationTransport,
+        driver: Optional[AsyncEvaluationDriver],
+        window: int,
+        lookahead: int,
+        shared_refresh: bool,
+        timings: PhaseTimings,
+    ):
+        """Bind the computation-wide state (threads start on ``__enter__``)."""
+        self.olgapro = olgapro
+        self.carrier = carrier
+        self.driver = driver
+        self.window = window
+        self.lookahead = lookahead
+        self.shared_refresh = shared_refresh
+        self.timings = timings
+        #: Evaluations prefetched / prefetched-but-never-consumed / walk
+        #: fence refreshes, summed over the computation's chunks.
+        self.speculative_calls = 0
+        self.wasted_calls = 0
+        self.walk_refreshes = 0
         #: points_added of recently committed tuples, shared across chunks.
         #: Calibrates both the walk-depth cap and the full-versus-cheap
-        #: speculative inference choice (see :meth:`_run_chunk`).
-        recent_depths: list[int] = []
-        transport = make_transport(self.transport)
-        transport.accepts(udf)
-        # The session closes the transport on every exit path (QueryError
-        # included), so a failed chunk never leaks evaluation threads.
-        with transport.session(
-            eval_workers, label=f"eval-{udf.name}"
-        ) as eval_pool, ThreadPoolExecutor(
-            max_workers=stage_workers, thread_name_prefix=f"udf-pipeline-{udf.name}"
-        ) as stage_pool:
-            for chunk in iter_batches(distributions, self.batch_size):
-                outputs.extend(
-                    self._run_chunk(
-                        udf, olgapro, list(chunk), eval_pool, stage_pool,
-                        window, recent_depths,
-                    )
-                )
-        return outputs
+        #: speculative inference choice (see :meth:`_submit`).
+        self._recent_depths: list[int] = []
 
-    def _run_chunk(
-        self,
-        udf: UDF,
-        olgapro: OLGAPRO,
-        chunk: list[Distribution],
-        eval_pool: Union[ThreadPoolExecutor, EvaluationTransport],
-        stage_pool: ThreadPoolExecutor,
-        window: int,
-        recent_depths: list[int],
-    ) -> list[ComputedOutput]:
-        """One chunk through the stage DAG (see the module docstring).
+    @staticmethod
+    def eval_workers(window: int, lookahead: int) -> int:
+        """Width of the evaluation transport under a stage.
 
-        Mirrors :meth:`OLGAPRO.process_batch` stage for stage — up-front
-        ordered sampling, shared kernel cache, per-tuple initial bound,
-        refinement only for tuples that miss the budget, retraining check —
-        with the speculative stages layered on top.
+        The commit window plus each concurrent walk's padded prefetches can
+        sleep simultaneously; beyond that, queued evaluations only add
+        latency (never deadlock — evaluation tasks do not block), so the
+        count is capped rather than scaled without bound.
         """
-        if self.engine.strategy == "hybrid":
-            processor = self.engine._processor_for(udf)
-            decision = processor.decide(chunk[0])
-            if decision.method == "mc":
-                return mc_chunk(
-                    udf, chunk, processor.requirement, processor._rng,
-                    self.timings, self.columnar,
-                )
+        return 2 + min(64, window * (1 + 2 * lookahead))
 
-        rng = olgapro._rng
-        emulator = olgapro.emulator
-
-        # Stage "sample" plus the shared prologue, through the same helper
-        # the batched path uses — identical random-stream consumption and
-        # identical init-cost charging.  The initial design's UDF calls
-        # overlap on the shared pool: with a slow black box they otherwise
-        # cost n_points serial latencies before any stage can start (the
-        # trained model is identical either way).
-        prologue = olgapro.begin_chunk(
-            chunk, rng, timings=self.timings,
-            evaluation_executor=eval_pool, max_inflight=window,
-            columnar=self.columnar,
+    def __enter__(self) -> "SpeculationStage":
+        """Start the stage thread pool."""
+        self._stage_pool = ThreadPoolExecutor(
+            max_workers=2 * self.lookahead + 2,
+            thread_name_prefix=f"udf-pipeline-{self.olgapro.udf.name}",
         )
-        init_calls = prologue.init_calls
-        init_charged = prologue.init_charged
-        init_elapsed = prologue.init_elapsed
-        m = prologue.n_samples
-        sample_sets = prologue.sample_sets
-        sample_seconds = prologue.sample_seconds
-        boxes = prologue.boxes
-        cache = prologue.cache
-        cache_share = prologue.cache_share
-        cache_lock = threading.Lock()
+        return self
 
-        pool = SpeculativeValuePool(udf, eval_pool)
-        driver = PipelineEvaluationDriver(eval_pool, window, pool)
-        olgapro.evaluation_driver = driver
-        olgapro.value_source = pool.fetch_value
-        pending: dict[int, _PendingTuple] = {}
+    def __exit__(self, *exc_info: Any) -> None:
+        """Join the stage thread pool (every exit path)."""
+        self._stage_pool.shutdown()
+
+    # -- the seam OLGAPRO.process_batch drives ---------------------------------------
+    @contextmanager
+    def chunk(self, prologue: ChunkPrologue) -> Iterator[None]:
+        """Scope one chunk: value pool in, first speculations out; settle after."""
+        self._samples = prologue.sample_sets
+        self._boxes = prologue.boxes
+        self._cache = prologue.cache
+        self._cache_lock = threading.Lock()
+        pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.carrier)
+        self._pending: dict[int, _PendingTuple] = {}
         #: Free-running refinement walks; never awaited by the commit loop
         #: (a slow walk must not stall a fast commit), only drained at the
         #: end of the chunk so every prefetch lands and is charged.
-        walks: list[Future] = []
+        self._walks: list[Future] = []
         #: Speculative stages replaced by a fence refresh; still drained at
         #: the end of the chunk so their prefetches land and are charged.
-        superseded: list[Future] = []
-
-        def submit_speculation(j: int) -> None:
-            """Stage "retrieve/infer" for tuple ``j``, fenced on the live version.
-
-            Both calibrations here read ``recent_depths`` — the committed
-            tuples' real refinement depths — on the coordinating thread, so
-            they are deterministic:
-
-            * the walk-depth cap sits near twice the recent real depth (a
-              speculative view misses whatever neighbouring tuples taught
-              the model after its fence, so its own bound converges slower
-              than the committed one will; without the cap a stale walk
-              phantom-refines to the per-tuple limit), and
-            * the full (reusable-at-commit) fenced inference is only worth
-              computing after a quiet streak — when commits are not moving
-              the model and the fence will actually survive.
-            """
-            fence = emulator.snapshot()
-            view = _gp_view(emulator.gp, fence)
-            if recent_depths:
-                tail = recent_depths[-8:]
-                walk_cap = max(window, int(np.ceil(1.5 * sum(tail) / len(tail))))
-            else:
-                # No history yet (cold model): the first tuples refine the
-                # deepest, so a window-derived guess would stop their walks
-                # after a fraction of the rounds they will actually run.
-                walk_cap = max(2 * window, 16)
-            walk_cap = min(walk_cap, olgapro.max_points_per_tuple)
-            full_inference = bool(recent_depths) and sum(recent_depths[-4:]) == 0
-            future = stage_pool.submit(
-                self._speculate, olgapro, view, cache, cache_lock,
-                sample_sets[j], boxes[j], j, pool, window, stage_pool, walks,
-                walk_cap, full_inference, fence.gp_state.version,
-            )
-            pending[j] = _PendingTuple(index=j, fence=fence, future=future)
-
-        results: list[OnlineTupleResult] = []
+        self._superseded: list[Future] = []
+        if self.driver is not None:
+            self.driver.pool = pool
+        self.olgapro.value_source = pool.fetch_value
         try:
-            for j in range(min(self.lookahead, len(chunk))):
-                submit_speculation(j)
-            for i, samples in enumerate(sample_sets):
-                started = time.perf_counter()
-                charged_before = udf.charged_time
-                state = pending.pop(i)
-                # Always wait: the stage was submitted, so its prefetches
-                # must land (and be charged) whether or not the fence held —
-                # this is what keeps the total call count deterministic.
-                speculation = state.future.result()
-                self.timings.add("speculation", speculation.seconds)
-                fence_ok = (
-                    speculation.error is None
-                    and speculation.envelope is not None
-                    and emulator.gp.version == state.fence.gp_state.version
-                )
-                infer = olgapro._make_cached_infer(cache, i)
-                phase_started = time.perf_counter()
-                if fence_ok:
-                    envelope, bound = speculation.envelope, speculation.bound
-                else:
-                    # Stale fence: re-run the inference against the updated
-                    # emulator — bitwise the serial batched computation.
-                    with cache_lock:
-                        cache.invalidate_rows()
-                        envelope, bound = olgapro._infer_and_bound(
-                            samples, boxes[i], infer=infer
-                        )
-                self.timings.add("inference", time.perf_counter() - phase_started)
-                points_added = 0
-                converged = True
-                evals_before = olgapro.refinement_evaluations
-                if bound > olgapro.budget.epsilon_gp:
-                    refine_started = time.perf_counter()
-                    envelope, bound, points_added, converged = olgapro._tune_until_bounded(
-                        samples, boxes[i], rng, initial=(envelope, bound)
-                    )
-                    self.timings.add("refinement", time.perf_counter() - refine_started)
-                # Coordinator-thread counter delta: counts every evaluation
-                # this tuple's refinement consumed (windows, speculative
-                # blocks including rollbacks, singles) without being
-                # polluted by prefetches completing for other tuples.
-                consumed_calls = olgapro.refinement_evaluations - evals_before
-                retrained = olgapro._maybe_retrain(points_added)
-                if retrained:
-                    with cache_lock:
-                        cache.invalidate_rows()
-                        envelope, bound = olgapro._infer_and_bound(
-                            samples, boxes[i], infer=infer
-                        )
-                elapsed = time.perf_counter() - started + sample_seconds[i] + cache_share
-                if i == 0:
-                    elapsed += init_elapsed
-                recent_depths.append(points_added)
-                olgapro._tuples_processed += 1
-                results.append(
-                    olgapro._tuple_result(
-                        envelope,
-                        bound,
-                        converged=converged,
-                        points_added=points_added,
-                        n_samples=m,
-                        udf_calls=consumed_calls + (init_calls if i == 0 else 0),
-                        charged_time=udf.charged_time - charged_before + elapsed
-                        + (init_charged if i == 0 else 0.0),
-                        elapsed_time=elapsed,
-                        retrained=retrained,
-                    )
-                )
-                next_index = i + self.lookahead
-                if next_index < len(chunk):
-                    submit_speculation(next_index)
-                # Fence refresh: when this commit's refinement moved the
-                # model a whole window past what the *next* tuple's
-                # speculation was fenced on, that speculation is ranking
-                # candidates against a world that no longer exists — its
-                # prefetches would largely miss.  Re-speculate it on the
-                # settled state (the old walk runs on to its deterministic
-                # cap, so the total charge count stays deterministic; the
-                # pool dedupes whatever the two walks agree on).  A warm
-                # stream adds no points, so this never fires there.
-                refresh = pending.get(i + 1)
-                if refresh is not None and emulator.n_training - refresh.fence_n >= window:
-                    superseded.append(refresh.future)
-                    submit_speculation(i + 1)
+            for j in range(min(self.lookahead, len(self._samples))):
+                self._submit(j)
+            yield
         finally:
-            olgapro.evaluation_driver = None
-            olgapro.value_source = None
+            self.olgapro.value_source = None
+            if self.driver is not None:
+                self.driver.pool = None
             # A failed commit leaves later stages pending, and fence
             # refreshes leave superseded ones; both must still settle so
             # every prefetch lands and is charged — and their pool-thread
             # seconds still count toward the speculation phase, or a
             # refresh-heavy run would under-report the work it spent.
-            for future in [state.future for state in pending.values()] + superseded:
+            for future in [state.future for state in self._pending.values()] + self._superseded:
                 try:
                     self.timings.add("speculation", future.result().seconds)
-                except BaseException:
+                except Exception:  # noqa: BLE001 - a discarded stage's failure is irrelevant
                     pass
-            for walk in walks:
+            for walk in self._walks:
                 try:
-                    self.last_walk_refreshes += int(walk.result() or 0)
-                except BaseException:
+                    self.walk_refreshes += int(walk.result() or 0)
+                except Exception:  # noqa: BLE001 - a discarded stage's failure is irrelevant
                     pass
             pool.settle()
-            self.last_speculative_calls += pool.prefetched
-            self.last_wasted_calls += pool.wasted
-        return [online_result_to_output(result) for result in results]
+            self.speculative_calls += pool.prefetched
+            self.wasted_calls += pool.wasted
+
+    def speculated(self, i: int) -> Optional[tuple[Any, float]]:
+        """Tuple ``i``'s speculated first bound, if its fence still holds.
+
+        Always waits: the stage was submitted, so its prefetches must land
+        (and be charged) whether or not the fence held — this is what keeps
+        the total call count deterministic.  A stale fence (or a stage that
+        only ran the cheap estimate, or failed) returns ``None``: the commit
+        loop re-runs the inference against the updated emulator.
+        """
+        state = self._pending.pop(i)
+        speculation = state.future.result()
+        self.timings.add("speculation", speculation.seconds)
+        if (
+            speculation.error is None
+            and speculation.envelope is not None
+            and self.olgapro.emulator.gp.version == state.fence.gp_state.version
+        ):
+            return speculation.envelope, speculation.bound
+        return None
+
+    @contextmanager
+    def guard(self) -> Iterator[None]:
+        """Serialise the commit loop's cache use against speculative stages.
+
+        The row memo is dropped first: a stage may have left a partially
+        grown block for the same tuple behind (see
+        :meth:`~repro.core.local_inference.BatchKernelCache.invalidate_rows`).
+        """
+        with self._cache_lock:
+            self._cache.invalidate_rows()
+            yield
+
+    def committed(self, i: int, points_added: int) -> None:
+        """Record the depth, speculate the next tuple, refresh a stale fence."""
+        self._recent_depths.append(points_added)
+        next_index = i + self.lookahead
+        if next_index < len(self._samples):
+            self._submit(next_index)
+        # Fence refresh: when this commit's refinement moved the model a
+        # whole window past what the *next* tuple's speculation was fenced
+        # on, that speculation is ranking candidates against a world that
+        # no longer exists — its prefetches would largely miss.
+        # Re-speculate it on the settled state (the old walk runs on to its
+        # deterministic cap, so the total charge count stays deterministic;
+        # the pool dedupes whatever the two walks agree on).  A warm stream
+        # adds no points, so this never fires there.
+        refresh = self._pending.get(i + 1)
+        if (
+            refresh is not None
+            and self.olgapro.emulator.n_training - refresh.fence_n >= self.window
+        ):
+            self._superseded.append(refresh.future)
+            self._submit(i + 1)
+
+    # -- speculation (pool threads) --------------------------------------------------
+    def _submit(self, j: int) -> None:
+        """Stage "retrieve/infer" for tuple ``j``, fenced on the live version.
+
+        Both calibrations here read ``_recent_depths`` — the committed
+        tuples' real refinement depths — on the coordinating thread, so
+        they are deterministic:
+
+        * the walk-depth cap sits near twice the recent real depth (a
+          speculative view misses whatever neighbouring tuples taught the
+          model after its fence, so its own bound converges slower than the
+          committed one will; without the cap a stale walk phantom-refines
+          to the per-tuple limit), and
+        * the full (reusable-at-commit) fenced inference is only worth
+          computing after a quiet streak — when commits are not moving the
+          model and the fence will actually survive.
+        """
+        emulator = self.olgapro.emulator
+        fence = emulator.snapshot()
+        view = _gp_view(emulator.gp, fence)
+        depths = self._recent_depths
+        if depths:
+            tail = depths[-8:]
+            walk_cap = max(self.window, int(np.ceil(1.5 * sum(tail) / len(tail))))
+        else:
+            # No history yet (cold model): the first tuples refine the
+            # deepest, so a window-derived guess would stop their walks
+            # after a fraction of the rounds they will actually run.
+            walk_cap = max(2 * self.window, 16)
+        walk_cap = min(walk_cap, self.olgapro.max_points_per_tuple)
+        full_inference = bool(depths) and sum(depths[-4:]) == 0
+        future = self._stage_pool.submit(
+            self._speculate, view, j, walk_cap, full_inference, fence.gp_state.version
+        )
+        self._pending[j] = _PendingTuple(index=j, fence=fence, future=future)
 
     def _speculate(
         self,
-        olgapro: OLGAPRO,
         view: GaussianProcess,
-        cache: BatchKernelCache,
-        cache_lock: threading.Lock,
-        samples: np.ndarray,
-        box: BoundingBox,
         j: int,
-        pool: SpeculativeValuePool,
-        window: int,
-        stage_pool: ThreadPoolExecutor,
-        walks: list[Future],
         walk_cap: int,
         full_inference: bool,
         fence_version: int,
@@ -718,11 +493,13 @@ class PipelinedExecutor:
         coordinating thread.  Never touches the live model; any failure is
         reported (not raised) and handled like a stale fence.
         """
+        olgapro = self.olgapro
+        samples, box = self._samples[j], self._boxes[j]
         started = time.perf_counter()
         try:
             if full_inference:
-                with cache_lock:
-                    inference = olgapro.cached_inference_with(view, cache, j)
+                with self._cache_lock:
+                    inference = olgapro.cached_inference_with(view, self._cache, j)
                     envelope, bound = olgapro.bound_with(
                         view, inference, box, samples.shape[0]
                     )
@@ -732,11 +509,10 @@ class PipelinedExecutor:
                 _, bound = olgapro.bound_with(view, inference, box, samples.shape[0])
                 result = _SpeculationResult()
             if bound > olgapro.budget.epsilon_gp:
-                walks.append(
-                    stage_pool.submit(
+                self._walks.append(
+                    self._stage_pool.submit(
                         self._walk_refinement,
-                        olgapro, view, samples, box, pool, window,
-                        inference.stds, walk_cap, fence_version,
+                        view, samples, box, inference.stds, walk_cap, fence_version,
                     )
                 )
             result.seconds = time.perf_counter() - started
@@ -746,12 +522,9 @@ class PipelinedExecutor:
 
     def _walk_refinement(
         self,
-        olgapro: OLGAPRO,
         view: GaussianProcess,
         samples: np.ndarray,
         box: BoundingBox,
-        pool: SpeculativeValuePool,
-        window: int,
         stds: np.ndarray,
         walk_cap: int,
         fence_version: int,
@@ -798,6 +571,7 @@ class PipelinedExecutor:
         Returns the number of such refreshes (always 0 with
         ``shared_refresh`` off).
         """
+        olgapro, pool, window = self.olgapro, self._pool, self.window
         emulator = olgapro.emulator
         m = samples.shape[0]
         points_used = 0
@@ -876,9 +650,15 @@ class PipelinedExecutor:
             first_window = False
             _, stds = view.predict(samples, return_std=True)
 
-    def _olgapro_for(self, udf: UDF) -> OLGAPRO:
-        """The OLGAPRO processor behind ``udf`` (created if still cold)."""
-        processor = self.engine._processor_for(udf)
-        if isinstance(processor, HybridExecutor):
-            return processor._olgapro
-        return processor
+
+def __getattr__(name: str) -> Any:
+    """``PipelinedExecutor``: the pre-PR-14 name of the one chunk executor.
+
+    Kept importable because external tooling (``perfbench/tracing.py``)
+    binds it by module and name; nothing in this package selects on it.
+    """
+    if name == "PipelinedExecutor":
+        from repro.engine.batch import BatchExecutor
+
+        return BatchExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

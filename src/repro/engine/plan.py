@@ -1,30 +1,30 @@
 """ExecutionPlan: one validated description of *how* a query executes.
 
-The engine composes four execution layers — batched
-(:mod:`repro.engine.batch`), async-overlapped
-(:mod:`repro.engine.async_exec`), cross-tuple pipelined
-(:mod:`repro.engine.pipeline`) and sharded (:mod:`repro.engine.parallel`).
+The engine runs one loop — the OLGAPRO tuple-commit loop around the
+refinement-window loop (:mod:`repro.core.olgapro`) — through one chunk
+executor (:class:`~repro.engine.batch.BatchExecutor`) with two optional
+stages, a refinement *window* (:mod:`repro.engine.async_exec`) and a
+cross-tuple *lookahead* (:mod:`repro.engine.pipeline`), and one shard
+wrapper (:class:`~repro.engine.parallel.ParallelExecutor`).
 :class:`ExecutionPlan` is the only carrier of their knobs, from the caller
 down to the shard worker: one frozen dataclass, validated on construction
 (:class:`~repro.exceptions.PlanError` with the violated rule — and the
-precedence — in the message), resolved to the composed executor stack by
-:meth:`ExecutionPlan.resolve`.  Every executor is constructed as
-``Executor(engine, plan)`` and builds the layer beneath it by resolving
-:meth:`ExecutionPlan.inner`, so ``__post_init__`` is the only validator and
-``resolve`` the only selector.
+precedence — in the message), resolved by :meth:`ExecutionPlan.resolve`.
+Every executor is constructed as ``Executor(engine, plan)``, so
+``__post_init__`` is the only validator and ``resolve`` the only selector.
 
 Knob precedence (outermost first)
 ---------------------------------
-The knobs *compose* rather than compete; precedence says which executor
-sits outermost:
+The knobs *compose* rather than compete:
 
-1. ``workers`` — process-pool sharding; everything below applies per shard.
-2. ``pipeline_lookahead`` — cross-tuple stage pipelining within a
-   process; ``async_inflight`` becomes its within-tuple window.
-3. ``async_inflight`` — within-tuple overlapped refinement windows,
-   carried by the configured ``transport``.
-4. ``batch_size`` — set-at-a-time chunking (always active underneath the
-   overlap layers; on its own when nothing above is set).
+1. ``workers`` — process-pool sharding; everything below applies per shard
+   (the shard runs :meth:`ExecutionPlan.inner`).
+2. ``pipeline_lookahead`` — cross-tuple speculation around the commit loop;
+   1 (or unset) attaches no stage.
+3. ``async_inflight`` — the refinement window, carried by the configured
+   ``transport``; 1 (or unset without a lookahead) evaluates inline.
+4. ``batch_size`` — set-at-a-time chunking (the default size underneath any
+   other chunk knob).
 5. none of the above — the classic per-tuple path.
 """
 
@@ -34,10 +34,9 @@ import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Union
 
-from repro.engine.async_exec import AsyncRefinementExecutor
+from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor
 from repro.engine.parallel import MERGE_POLICIES, MergePolicy, ParallelExecutor
-from repro.engine.pipeline import PipelinedExecutor
 from repro.engine.transport import (
     DEFAULT_TRANSPORT,
     EvaluationTransport,
@@ -57,9 +56,7 @@ PRECEDENCE = (
 )
 
 #: The executor types a plan can resolve to (``None`` = per-tuple path).
-PlannedExecutor = Union[
-    ParallelExecutor, PipelinedExecutor, AsyncRefinementExecutor, BatchExecutor
-]
+PlannedExecutor = Union[ParallelExecutor, BatchExecutor]
 
 #: The literal string spelling of "let the catalog profile choose the
 #: knobs" — accepted wherever a plan is (operators, query builder,
@@ -127,14 +124,17 @@ class ExecutionPlan:
         ``workers`` (historically accepted as a defensive default, so it
         does not conflict).
     async_inflight:
-        Within-tuple refinement window (concurrently in-flight UDF
-        calls).  ``1`` is bit-identical to the serial batched path.
+        Refinement window (concurrently in-flight UDF calls).  ``1`` is
+        the degenerate value: no transport session, no driver —
+        bit-identical to leaving it unset.
     pipeline_lookahead:
-        Cross-tuple lookahead of the stage scheduler.  ``1`` is
-        bit-identical to the serial batched path (or the async path when
-        ``async_inflight > 1``).
+        Cross-tuple lookahead of the speculation stage.  ``1`` is the
+        degenerate value: no stage, no thread — bit-identical to leaving
+        it unset; ``> 1`` with no ``async_inflight`` implies the default
+        window (see :attr:`window`).
     speculative_k:
-        Training points absorbed per refinement iteration by the OLGAPRO
+        The refinement window when *no* transport carries it: training
+        points evaluated inline and absorbed per iteration by the OLGAPRO
         processors (PR 2's speculative multi-point tuning).  A processor-
         construction knob, not an executor knob: it is applied by
         :class:`~repro.engine.executor.UDFExecutionEngine` when the engine
@@ -202,8 +202,8 @@ class ExecutionPlan:
             and self.workers is None
             and self.pipeline_lookahead is None
         ):
-            # Beyond the sharded layer, a pipelined plan uses the live model
-            # to keep prefetch walks refreshed (PipelinedExecutor's
+            # Beyond the sharded layer, a lookahead stage uses the live model
+            # to keep prefetch walks refreshed (SpeculationStage's
             # shared_refresh); with neither there is nobody to share with.
             raise PlanError(
                 "merge='shared' shares what workers (or prefetch walks) learn "
@@ -372,14 +372,32 @@ class ExecutionPlan:
         """The chunk size executors run at (``batch_size``, or its default)."""
         return self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
 
-    def resolve(self, engine: Any) -> Optional[PlannedExecutor]:
-        """Compose the executor stack this plan describes, bound to ``engine``.
+    @property
+    def lookahead(self) -> int:
+        """Effective cross-tuple lookahead (1: no speculation stage)."""
+        return self.pipeline_lookahead or 1
 
-        The single selection point: the outermost layer the plan names is
-        constructed here, and each layer builds the one beneath it by
-        resolving :meth:`inner`.  Returns ``None`` for the all-default
-        plan — the classic per-tuple path (callers fall back to
-        :meth:`~repro.engine.executor.UDFExecutionEngine.compute`).
+    @property
+    def window(self) -> int:
+        """Effective refinement window (1: inline evaluation, no transport).
+
+        ``async_inflight`` when set; otherwise a lookahead > 1 implies
+        :data:`~repro.engine.async_exec.DEFAULT_ASYNC_INFLIGHT` (prefetching
+        needs windows to land in), and everything else the serial loop.
+        """
+        if self.async_inflight is not None:
+            return self.async_inflight
+        return DEFAULT_ASYNC_INFLIGHT if self.lookahead > 1 else 1
+
+    def resolve(self, engine: Any) -> Optional[PlannedExecutor]:
+        """The executor this plan describes, bound to ``engine``.
+
+        The single selection point: the shard wrapper when ``workers`` is
+        set, the chunk executor when any chunk knob is (it reads
+        :attr:`window` and :attr:`lookahead` off the plan), and ``None``
+        for the all-default plan — the classic per-tuple path (callers
+        fall back to :meth:`~repro.engine.executor.UDFExecutionEngine
+        .compute`).
 
         Raises
         ------
@@ -398,40 +416,30 @@ class ExecutionPlan:
                 )
         if self.workers is not None:
             return ParallelExecutor(engine, self)
-        if self.pipeline_lookahead is not None:
-            return PipelinedExecutor(engine, self)
-        if self.async_inflight is not None:
-            return AsyncRefinementExecutor(engine, self)
-        if self.batch_size is not None or self.storage != "tuple":
+        if (
+            self.batch_size is not None
+            or self.async_inflight is not None
+            or self.pipeline_lookahead is not None
+            or self.storage != "tuple"
+        ):
             # storage="columnar" runs on the chunk pipeline, so a columnar
-            # plan with no explicit chunking still resolves to a
-            # BatchExecutor at the default chunk size.
+            # plan with no explicit chunking still chunks at the default size.
             return BatchExecutor(engine, self)
         return None
 
-    def inner(self, **overrides: Any) -> "ExecutionPlan":
-        """The plan of the layer beneath this plan's outermost one.
+    def inner(self) -> "ExecutionPlan":
+        """The plan every shard of a sharded plan runs.
 
-        What a layer resolves to build the executor it delegates to: a
-        shard is this plan with its sharding fields cleared (so a shard's
-        pipeline never refreshes against a shared model), a pipeline's
-        degenerate paths are this plan without its lookahead (a window of
-        one keeps the transport/UDF compatibility check and is
-        bit-identical to the serial batched path), and a refinement window
-        rides on the plain chunk pipeline.  ``batch_size`` is pinned so the
-        result never resolves to the per-tuple path.
+        This plan with its sharding fields cleared — so a shard's lookahead
+        stage never refreshes against a shared model — and ``batch_size``
+        pinned, so the result never resolves to the per-tuple path.
         """
-        if self.workers is not None:
-            peeled: dict = {"workers": None, "parallel_seed": None, "merge": "discard"}
-        elif self.pipeline_lookahead is not None:
-            peeled = {
-                "pipeline_lookahead": None,
-                "merge": "discard",
-                "async_inflight": self.async_inflight or 1,
-            }
-        else:
-            peeled = {"async_inflight": None, "transport": DEFAULT_TRANSPORT}
-        return replace(self, **{"batch_size": self.chunk_size, **peeled, **overrides})
+        if self.workers is None:
+            raise PlanError("only a sharded plan (workers set) has an inner plan")
+        return replace(
+            self, workers=None, parallel_seed=None, merge="discard",
+            batch_size=self.chunk_size,
+        )
 
     # -- introspection ------------------------------------------------------------
     def describe(self) -> str:

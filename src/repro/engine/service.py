@@ -605,16 +605,9 @@ class QueryService:
         phases (zero when ``share_models`` is off or nothing synced), so
         shared-model overhead is observable in every bench row.
         """
-        from repro.core.hybrid import HybridExecutor
-
         timings.ensure("model_refresh", "model_append")
-        for processor in engine._processors.values():
-            target = (
-                processor._olgapro
-                if isinstance(processor, HybridExecutor)
-                else processor
-            )
-            sync = getattr(target, "model_sync", None)
+        for name in engine._processors:
+            sync = engine.olgapro_for(name, create=False).model_sync
             if sync is not None:
                 timings.merge(sync.timings)
 

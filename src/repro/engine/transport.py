@@ -15,9 +15,9 @@ exposes one primitive — :meth:`~EvaluationTransport.submit_rows`, returning
 one :class:`~concurrent.futures.Future` per input row, **in row order** —
 plus an explicit :meth:`~EvaluationTransport.open` /
 :meth:`~EvaluationTransport.close` lifecycle.  Everything above the
-transport (the window drivers, the speculative value pool, the fence and
+transport (the window driver, the speculative value pool, the fence and
 rollback machinery, charge accounting) consumes futures by submission
-index, so the determinism contracts of the async and pipelined executors
+index, so the determinism contracts of the window and the lookahead stage
 carry over bit for bit regardless of the transport in use.
 
 Four transports ship:
@@ -266,10 +266,7 @@ class SerialTransport(EvaluationTransport):
 class ThreadPoolTransport(EvaluationTransport):
     """Bounded thread pool carrying blocking black-box calls.
 
-    The default transport, extracted from the (previously duplicated)
-    pool-creation logic of :class:`~repro.engine.async_exec
-    .AsyncRefinementExecutor` and :class:`~repro.engine.pipeline
-    .PipelinedExecutor`.  Submission delegates to
+    The default transport.  Submission delegates to
     :meth:`~repro.udf.base.UDF.submit_rows`, which owns the in-flight
     gauge and thread-safe charge accounting.
     """

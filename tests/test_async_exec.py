@@ -31,7 +31,6 @@ from repro.engine import (
     generate_galaxy_relation,
 )
 from repro.engine.async_exec import chunk_schedule
-from repro.engine.parallel import _emulator_of
 from repro.exceptions import GPError
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -39,6 +38,12 @@ from repro.workloads.generators import input_stream, workload_for_udf
 REQUIREMENT = AccuracyRequirement(epsilon=0.15, delta=0.05)
 
 PREDICATE = SelectionPredicate(low=0.0, high=1.5, threshold=0.1)
+
+
+def _emulator_of(engine, udf):
+    """The GP emulator behind ``udf``'s processor, or ``None`` (mc / cold)."""
+    olgapro = engine.olgapro_for(udf, create=False)
+    return None if olgapro is None else olgapro.emulator
 
 
 def _fixture(

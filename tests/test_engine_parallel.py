@@ -27,7 +27,6 @@ from repro.engine import (
     UDFExecutionEngine,
     generate_galaxy_relation,
 )
-from repro.engine.parallel import _emulator_of
 from repro.exceptions import QueryError
 from repro.udf.base import UDF
 from repro.udf.synthetic import reference_function
@@ -38,6 +37,12 @@ RTOL = 1e-8
 REQUIREMENT = AccuracyRequirement(epsilon=0.15, delta=0.05)
 
 PREDICATE = SelectionPredicate(low=0.0, high=1.5, threshold=0.1)
+
+
+def _emulator_of(engine, udf):
+    """The GP emulator behind ``udf``'s processor, or ``None`` (mc / cold)."""
+    olgapro = engine.olgapro_for(udf, create=False)
+    return None if olgapro is None else olgapro.emulator
 
 
 def _fixture(strategy="gp", n_tuples=10, seed=31, stream_seed=4, **engine_kwargs):

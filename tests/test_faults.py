@@ -407,36 +407,58 @@ def _failing_udf(func=_always_transient) -> UDF:
                domain=(np.zeros(2), np.full(2, 10.0)))
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["per-tuple", "batched"])
-def test_quarantine_surfaces_degraded_verdicts(batched):
+#: Quarantine belongs to the one tuple-commit loop, so it must hold at every
+#: (window, lookahead) a plan can run that loop at — and on the per-tuple path.
+QUARANTINE_PLANS = [
+    pytest.param({}, id="per-tuple"),
+    pytest.param({"batch_size": 3}, id="batched"),
+    pytest.param({"batch_size": 3, "async_inflight": 4}, id="window"),
+    pytest.param({"batch_size": 3, "pipeline_lookahead": 2}, id="lookahead"),
+    pytest.param(
+        {"batch_size": 3, "async_inflight": 4, "pipeline_lookahead": 2},
+        id="window+lookahead",
+    ),
+]
+
+
+@pytest.mark.parametrize("knobs", QUARANTINE_PLANS)
+def test_quarantine_surfaces_degraded_verdicts(knobs):
     udf = _failing_udf()
-    plan = ExecutionPlan(batch_size=3 if batched else None,
-                         retry=RetryPolicy(max_attempts=2, quarantine=True))
-    result = _engine().compute_with_plan(udf, _dists(udf), plan=plan)
-    assert len(result.degraded()) == len(result.verdicts) == 3
+    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=True), **knobs)
+    result = _engine().compute_with_plan(udf, _dists(udf, 6), plan=plan)
+    assert len(result.degraded()) == len(result.verdicts) == 6
     for verdict in result.verdicts:
         assert verdict.verdict == VERDICT_DEGRADED
     for output in result.outputs:
         assert output.failed
+    assert _leaked_threads() == []
 
 
-def test_quarantine_off_aborts_the_query():
-    udf = _failing_udf()
-    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=False))
+@pytest.mark.parametrize("knobs", QUARANTINE_PLANS)
+@pytest.mark.parametrize("healthy_calls", [0, 25], ids=["down", "mid-refinement"])
+def test_quarantine_off_aborts_the_query(knobs, healthy_calls):
+    udf = _failing_udf(_FailAfter(healthy_calls))
+    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=False), **knobs)
     with pytest.raises(TransientUDFError):
-        _engine().compute_with_plan(udf, _dists(udf), plan=plan)
+        _engine().compute_with_plan(udf, _dists(udf, 6), plan=plan)
+    assert _leaked_threads() == []
 
 
-def test_quarantine_keeps_the_last_bound_olgapro_had():
+@pytest.mark.parametrize("knobs", QUARANTINE_PLANS)
+def test_quarantine_keeps_the_last_bound_olgapro_had(knobs):
     udf = _failing_udf(_FailAfter(25))  # survives initial training, not refinement
-    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=True))
-    result = _engine().compute_with_plan(udf, _dists(udf), plan=plan)
+    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=True), **knobs)
+    result = _engine().compute_with_plan(udf, _dists(udf, 6), plan=plan)
+    # The outage struck mid-query, and the tuples after the failed one were
+    # still committed: every tuple has a verdict.
+    assert len(result.verdicts) == 6
     degraded = result.degraded()
-    assert degraded  # the outage struck mid-query
+    assert degraded
     assert any(np.isfinite(v.bound) for v in degraded), (
         "a tuple quarantined mid-refinement must carry the last finite "
         "bound the online algorithm computed, not NaN"
     )
+    assert _leaked_threads() == []
 
 
 def test_quarantine_without_retry_policy_is_inert():

@@ -2,14 +2,12 @@
 
 Contracts under test (see :mod:`repro.engine.pipeline`):
 
-* ``pipeline_lookahead=1`` (scheduler disengaged) is bit-identical to the
-  serial :class:`~repro.engine.batch.BatchExecutor` path under the same
-  seed;
+* ``pipeline_lookahead=1`` (no stage attached) is bit-identical to the
+  serial batched path under the same seed;
 * at any ``lookahead > 1`` the committed trajectory — outputs, bounds, GP
-  state, per-tuple consumed calls — is bit-identical to the within-tuple
-  async path (:class:`~repro.engine.async_exec.AsyncRefinementExecutor`)
-  at the same window: prefetching changes who pays for an evaluation,
-  never the result;
+  state, per-tuple consumed calls — is bit-identical to lookahead 1 at the
+  same window: prefetching changes who pays for an evaluation, never the
+  result;
 * runs are repeatable under a fixed seed, with deterministic total charge
   counts, and invariant to completion order (point-hashed latency jitter);
 * degenerate inputs (empty batches) return cleanly with zero-phase
@@ -31,12 +29,17 @@ from repro.engine import (
     UDFExecutionEngine,
     generate_galaxy_relation,
 )
-from repro.engine.parallel import _emulator_of
 from repro.exceptions import QueryError
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
 
 REQUIREMENT = AccuracyRequirement(epsilon=0.15, delta=0.05)
+
+
+def _emulator_of(engine, udf):
+    """The GP emulator behind ``udf``'s processor, or ``None`` (mc / cold)."""
+    olgapro = engine.olgapro_for(udf, create=False)
+    return None if olgapro is None else olgapro.emulator
 
 
 def _fixture(
@@ -269,7 +272,7 @@ def test_single_tuple_batch_runs_pipelined():
 def test_nested_pipelined_execution_is_rejected():
     udf, engine, dists = _fixture(n_tuples=2)
     executor = ExecutionPlan(pipeline_lookahead=2, async_inflight=4, batch_size=2).resolve(engine)
-    olgapro = executor._olgapro_for(udf)
+    olgapro = engine.olgapro_for(udf)
     olgapro.evaluation_driver = object()
     try:
         with pytest.raises(QueryError, match="driver"):

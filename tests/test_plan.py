@@ -7,9 +7,9 @@ Contracts under test (see :mod:`repro.engine.plan`):
   conflicts state the precedence rule, never a silently picked path;
 * the plan is the only execution surface: operators and the query builder
   take ``plan=`` only, the engine has no per-layer ``compute_*`` shims;
-* the plan is the only selector: workers → pipeline_lookahead →
-  async_inflight → batch_size → per-tuple, each layer building the one
-  beneath it from ``plan.inner()``;
+* the plan is the only selector: the shard wrapper, the one chunk
+  executor (which reads ``window`` / ``lookahead`` off the plan) or the
+  per-tuple path — and no engine module re-implements an OLGAPRO loop;
 * **path equivalence**: every determinism-preserving plan (per-tuple,
   batched, inflight=1, lookahead=1, workers=1, each transport) produces
   bit-identical outputs, error bounds and UDF call counts to the serial
@@ -19,21 +19,23 @@ Contracts under test (see :mod:`repro.engine.plan`):
 from __future__ import annotations
 
 import inspect
+import itertools
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
+import repro.engine
 from repro.engine import (
-    DEFAULT_BATCH_SIZE,
+    DEFAULT_ASYNC_INFLIGHT,
     MERGE_POLICIES,
     ApplyUDF,
-    AsyncRefinementExecutor,
     BatchExecutor,
     ExecutionPlan,
     ParallelExecutor,
-    PipelinedExecutor,
     Query,
     SelectUDF,
     ThreadPoolTransport,
@@ -125,7 +127,7 @@ def test_invalid_plans_cannot_be_constructed(kwargs, match):
 
 def test_executor_constructors_do_not_validate():
     """The executors read a validated plan; none re-checks or raises."""
-    for cls in (BatchExecutor, AsyncRefinementExecutor, PipelinedExecutor, ParallelExecutor):
+    for cls in (BatchExecutor, ParallelExecutor):
         assert list(inspect.signature(cls.__init__).parameters) == ["self", "engine", "plan"]
         assert "raise" not in inspect.getsource(cls.__init__)
 
@@ -145,6 +147,54 @@ def test_the_plan_is_the_only_execution_surface():
         assert not hasattr(UDFExecutionEngine, shim), shim
     assert MERGE_POLICIES == ("discard", "shared")
     assert ExecutionPlan().merge == "discard"
+
+
+#: The private steps of the OLGAPRO loops.  An engine module that reads one
+#: is re-implementing (a slice of) a loop instead of parameterising it.
+OLGAPRO_LOOP_PRIVATES = (
+    "_recheck", "_selection_inference", "_rollback_to_best",
+    "_refinement_capacity", "_absorb_candidate", "_infer_and_bound",
+    "_tune_until_bounded", "_maybe_retrain", "_tuple_result",
+    "_make_cached_infer", "_tuples_processed",
+)
+
+#: Every chunk-knob combination (unset / degenerate 1 / engaged), with and
+#: without the columnar layout.
+CHUNK_KNOB_TABLE = [
+    dict(batch_size=batch, async_inflight=window, pipeline_lookahead=lookahead, storage=storage)
+    for batch, window, lookahead, storage in itertools.product(
+        (None, 4), (None, 1, 4), (None, 1, 3), ("tuple", "columnar")
+    )
+]
+
+
+def test_the_loops_exist_once_and_the_plan_selects_one_executor():
+    # Class-qualified names (``OLGAPRO._tune_until_bounded``) are docstring
+    # cross-references, not reads.
+    pattern = re.compile(r"(?<!OLGAPRO)\.(?:%s)\b" % "|".join(OLGAPRO_LOOP_PRIVATES))
+    for module in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
+        hits = pattern.findall(module.read_text())
+        assert not hits, f"{module.name} reads OLGAPRO loop privates: {hits}"
+
+    _, engine, _ = _fixture(n_tuples=1)
+    for knobs in CHUNK_KNOB_TABLE:
+        plan = ExecutionPlan(**knobs)
+        executor = plan.resolve(engine)
+        if all(knobs[k] is None for k in ("batch_size", "async_inflight", "pipeline_lookahead")) \
+                and knobs["storage"] == "tuple":
+            assert executor is None
+        else:
+            assert type(executor) is BatchExecutor, knobs
+            assert (executor.window, executor.lookahead) == (plan.window, plan.lookahead)
+        assert type(plan.with_overrides(workers=2).resolve(engine)) is ParallelExecutor
+        # Only a sharded plan has an inner plan (the shard's).
+        with pytest.raises(PlanError, match="sharded"):
+            plan.inner()
+    # The effective window is computed in one place.
+    assert ExecutionPlan().window == ExecutionPlan(pipeline_lookahead=1).window == 1
+    assert ExecutionPlan(pipeline_lookahead=4).window == DEFAULT_ASYNC_INFLIGHT
+    assert ExecutionPlan(pipeline_lookahead=4, async_inflight=1).window == 1
+    assert ExecutionPlan(async_inflight=6).window == 6
 
 
 def test_removed_spellings_fail_at_the_call_site():
@@ -181,13 +231,16 @@ def test_shared_merge_needs_workers_or_a_pipeline():
 def test_shared_merge_resolution_arms_the_walk_refresh():
     _, engine, _ = _fixture(n_tuples=1)
     piped = ExecutionPlan(pipeline_lookahead=4, merge="shared").resolve(engine)
-    assert isinstance(piped, PipelinedExecutor)
+    assert piped.lookahead == 4
     assert piped.shared_refresh is True
     default = ExecutionPlan(pipeline_lookahead=4).resolve(engine)
     assert default.shared_refresh is False
-    sharded = ExecutionPlan(workers=2, merge="shared").resolve(engine)
+    sharded_plan = ExecutionPlan(workers=2, pipeline_lookahead=4, merge="shared")
+    sharded = sharded_plan.resolve(engine)
     assert isinstance(sharded, ParallelExecutor)
     assert sharded.merge == "shared"
+    # A shard's stage never refreshes against the shared model.
+    assert sharded_plan.inner().resolve(engine).shared_refresh is False
 
 
 def test_transport_instance_with_workers_is_rejected():
@@ -222,69 +275,25 @@ def test_with_overrides_revalidates():
 def test_resolution_precedence():
     _, engine, _ = _fixture(n_tuples=1)
     assert ExecutionPlan().resolve(engine) is None
-    assert isinstance(ExecutionPlan(batch_size=8).resolve(engine), BatchExecutor)
-    assert isinstance(
-        ExecutionPlan(async_inflight=4).resolve(engine), AsyncRefinementExecutor
-    )
-    assert isinstance(
-        ExecutionPlan(async_inflight=4, pipeline_lookahead=4).resolve(engine),
-        PipelinedExecutor,
-    )
-    assert isinstance(
-        ExecutionPlan(workers=2, pipeline_lookahead=4, async_inflight=4).resolve(engine),
-        ParallelExecutor,
-    )
 
+    def knobs(**kwargs):
+        executor = ExecutionPlan(**kwargs).resolve(engine)
+        assert type(executor) is BatchExecutor
+        return executor.batch_size, executor.window, executor.lookahead
 
-def test_each_layer_reads_its_knobs_from_the_plan():
-    _, engine, _ = _fixture(n_tuples=1)
-    plan = ExecutionPlan(
-        workers=3, batch_size=8, merge="shared", parallel_seed=17,
-        async_inflight=4, pipeline_lookahead=2, transport="asyncio",
-        storage="columnar",
-    )
-    sharded = plan.resolve(engine)
-    assert sharded.plan is plan
-    assert (sharded.workers, sharded.batch_size, sharded.merge) == (3, 8, "shared")
-
-    # The shard plan: sharding fields cleared, everything else intact — so
-    # a shard's pipeline never refreshes against the shared model.
-    shard_plan = plan.inner()
+    assert knobs(batch_size=8) == (8, 1, 1)
+    assert knobs(async_inflight=4) == (32, 4, 1)
+    assert knobs(async_inflight=4, pipeline_lookahead=4) == (32, 4, 4)
+    assert knobs(pipeline_lookahead=4) == (32, DEFAULT_ASYNC_INFLIGHT, 4)
+    sharded = ExecutionPlan(workers=2, pipeline_lookahead=4, async_inflight=4)
+    assert isinstance(sharded.resolve(engine), ParallelExecutor)
+    # The shard plan: sharding fields cleared, every chunk knob intact.
+    shard_plan = sharded.inner()
     assert (shard_plan.workers, shard_plan.parallel_seed, shard_plan.merge) == (
         None, None, "discard",
     )
-    piped = shard_plan.resolve(engine)
-    assert isinstance(piped, PipelinedExecutor)
-    assert (piped.lookahead, piped.inflight, piped.batch_size) == (2, 4, 8)
-    assert piped.transport == "asyncio" and piped.columnar
-    assert piped.shared_refresh is False
-
-    # The pipeline's degenerate paths: the plan without its lookahead.
-    windowed = shard_plan.inner().resolve(engine)
-    assert isinstance(windowed, AsyncRefinementExecutor)
-    assert (windowed.inflight, windowed.batch_size) == (4, 8)
-    assert windowed.transport == "asyncio" and windowed.columnar
-
-    # The refinement window rides on the plain chunk pipeline.
-    chunked = shard_plan.inner().inner().resolve(engine)
-    assert isinstance(chunked, BatchExecutor)
-    assert chunked.batch_size == 8 and chunked.columnar
-
-
-def test_inner_plans_never_resolve_to_the_per_tuple_path():
-    _, engine, _ = _fixture(n_tuples=1)
-    for plan in (
-        ExecutionPlan(workers=2),
-        ExecutionPlan(pipeline_lookahead=1),
-        ExecutionPlan(pipeline_lookahead=1, transport="asyncio"),
-        ExecutionPlan(async_inflight=1, transport="asyncio"),
-    ):
-        beneath = plan.inner().resolve(engine)
-        assert beneath is not None
-        assert beneath.batch_size == DEFAULT_BATCH_SIZE
-    # A pipeline with no window delegates at a window of one: bit-identical
-    # to the serial batched path, and the transport check still runs.
-    assert ExecutionPlan(pipeline_lookahead=1).inner().async_inflight == 1
+    shard = shard_plan.resolve(engine)
+    assert (shard.batch_size, shard.window, shard.lookahead) == (32, 4, 4)
 
 
 def test_query_plan_reaches_the_operator():
@@ -297,7 +306,7 @@ def test_query_plan_reaches_the_operator():
         .plan(engine)
     )
     assert operator.plan is plan
-    assert isinstance(operator._executor, AsyncRefinementExecutor)
+    assert (operator._executor.window, operator._executor.lookahead) == (2, 1)
 
 
 def test_speculative_k_needs_the_engine_constructor():

@@ -11,21 +11,28 @@ Contracts under test (see :mod:`repro.core.shared_model`):
   rows its emulator evaluated locally, absorbs remote rows without
   re-charging the UDF, honours the training cap, and records its cost
   under the ``model_append`` / ``model_refresh`` phases;
+* an installed sync exchanges at *every* tuple boundary of the commit loop,
+  whatever (window, lookahead) the plan runs the loop at;
 * the manager endpoint serves a real store through a picklable proxy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.core.accuracy import AccuracyRequirement
 from repro.core.emulator import GPEmulator
 from repro.core.shared_model import (
     EmulatorSync,
     SharedEmulatorStore,
     serve_shared_store,
 )
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
+from repro.udf.synthetic import reference_function
+from repro.workloads.generators import input_stream, workload_for_udf
 
 
 def _rows(n, d=2, offset=0.0):
@@ -219,6 +226,49 @@ def test_seed_or_wait_times_out_to_self_sufficiency():
     store.claim_initialization()  # a claimed initializer that never publishes
     sync = EmulatorSync(store, _emulator())
     assert sync.seed_or_wait(min_rows=5, timeout=0.05) is False
+
+
+# ---------------------------------------------------------------------------
+# The commit loop: tuple-boundary exchanges at every (window, lookahead)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{}, {"async_inflight": 4}, {"async_inflight": 4, "pipeline_lookahead": 2}],
+    ids=["batched", "window", "window+lookahead"],
+)
+def test_one_chunk_exchanges_at_every_tuple_boundary(knobs):
+    udf = reference_function("F4", simulated_eval_time=1e-3)
+    engine = UDFExecutionEngine(
+        strategy="gp",
+        requirement=AccuracyRequirement(epsilon=0.15, delta=0.05),
+        random_state=31,
+        n_samples=150,
+    )
+    dists = list(
+        input_stream(workload_for_udf(udf), 6, random_state=np.random.default_rng(4))
+    )
+    olgapro = engine.olgapro_for(udf)
+    store = SharedEmulatorStore()
+    sync = olgapro.model_sync = EmulatorSync(store, olgapro.emulator)
+    versions = []
+    exchange = store.exchange
+
+    def recording_exchange(*args):
+        result = exchange(*args)
+        versions.append(store.current_version())
+        return result
+
+    store.exchange = recording_exchange
+    engine.compute_with_plan(udf, dists, ExecutionPlan(batch_size=6, **knobs))
+    # One exchange before each of the chunk's six tuples and one after the
+    # last (plus the initial-design publication), and the cold stream's
+    # refinement makes the store grow *between* the first and last commit.
+    assert len(versions) >= 7
+    assert versions == sorted(versions)
+    assert versions[1] < versions[-2]
+    # Everything the run added was published — exactly once.
+    assert sync.published_rows == olgapro.n_training == store.current_version()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Speculative multi-point OLGAPRO tuning: savings, rollback, snapshots.
+"""The refinement-window loop: savings, rollback, snapshots, equivalences.
 
 The headline contract (asserted with the GP's operation counter): on the
 online-tuning workload, ``speculative_k = 4`` cuts the refinement loop's
 factorization count by at least 2x versus the serial one-point loop, while
-meeting the same error budget.
+meeting the same error budget.  The loop exists once
+(:meth:`OLGAPRO._tune_until_bounded`): the equivalence tests at the bottom
+pin each of its cases to the trajectory the pre-unification loops produced.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.local_inference import BatchKernelCache
 from repro.core.olgapro import OLGAPRO
+from repro.core.online_tuning import make_strategy
 from repro.exceptions import GPError
 from repro.gp.kernels import SquaredExponential
 from repro.gp.regression import GaussianProcess
@@ -265,3 +271,116 @@ def test_batch_kernel_cache_syncs_after_shrinkage():
     assert cache.K_train.shape == (30, 30)
     assert np.allclose(cache.K_train, gp.kernel(gp.X_train, gp.X_train), rtol=1e-12)
     assert cache.box_distances.shape[0] == 30
+
+
+# ---------------------------------------------------------------------------
+# One loop: each plan value is a case of it, bit for bit
+# ---------------------------------------------------------------------------
+
+def _cold_f3(**kwargs):
+    """A cold processor plus an F3 stream whose first tuples all refine."""
+    udf = reference_function("F3", simulated_eval_time=1e-3)
+    processor = OLGAPRO(
+        udf,
+        requirement=AccuracyRequirement(epsilon=0.15, delta=0.05),
+        random_state=31,
+        n_samples=150,
+        **kwargs,
+    )
+    dists = list(
+        input_stream(workload_for_udf(udf), 6, random_state=np.random.default_rng(4))
+    )
+    return processor, dists
+
+
+def _assert_same_trajectory(a, a_results, b, b_results):
+    assert a.n_training > a.initial_training_points  # refinement really ran
+    for ra, rb in zip(a_results, b_results):
+        assert np.array_equal(ra.distribution.samples, rb.distribution.samples)
+        assert ra.error_bound == rb.error_bound
+        assert ra.points_added == rb.points_added
+    assert np.array_equal(a.emulator.gp.X_train, b.emulator.gp.X_train)
+    assert np.array_equal(a.emulator.gp.y_train, b.emulator.gp.y_train)
+    # Same random-stream consumption: the generators ended in the same state.
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+class _OneSliceDriver:
+    """The loop's driver seam at ``window`` with a single absorption slice."""
+
+    def __init__(self, window):
+        self.window = window
+
+    @staticmethod
+    def schedule(k):
+        return ((0, k),)
+
+    @staticmethod
+    def submit(udf, X):
+        futures = [Future() for _ in X]
+        for future, value in zip(futures, udf.evaluate_batch(X)):
+            future.set_result(value)
+        return futures
+
+    @staticmethod
+    def drain(futures):
+        assert all(future.done() for future in futures)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-tuple", "batched"])
+def test_speculative_k_is_the_window_loop_with_one_inline_slice(batched):
+    def run(processor, dists):
+        if batched:
+            return processor.process_batch(dists)
+        return [processor.process(dist) for dist in dists]
+
+    inline, dists = _cold_f3(speculative_k=4)
+    inline_results = run(inline, dists)
+    driven, dists = _cold_f3()
+    driven.evaluation_driver = _OneSliceDriver(4)
+    driven_results = run(driven, dists)
+    _assert_same_trajectory(inline, inline_results, driven, driven_results)
+    assert inline.refinement_evaluations == driven.refinement_evaluations
+
+
+def _pr13_serial_loop(olgapro, samples, box, rng, initial=None):
+    """PR 13's ``_tune_serial``: selection inference recomputed every iteration."""
+    envelope, bound = initial if initial is not None else olgapro._infer_and_bound(samples, box)
+    points_added = 0
+    while bound > olgapro.budget.epsilon_gp:
+        if points_added >= olgapro.max_points_per_tuple:
+            return envelope, bound, points_added, False
+        if olgapro.emulator.n_training >= olgapro.max_training_points:
+            return envelope, bound, points_added, False
+        inference = olgapro._infer(samples, box)
+        index = olgapro.tuning_strategy.select(
+            samples, inference.means, inference.stds, random_state=rng,
+            error_evaluator=olgapro._make_error_evaluator(samples, box),
+        )
+        olgapro.emulator.add_training_point(samples[index])
+        points_added += 1
+        envelope, bound = olgapro._infer_and_bound(samples, box)
+    return envelope, bound, points_added, True
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-tuple", "batched"])
+@pytest.mark.parametrize(
+    "strategy, options",
+    [(None, {}), ("random", {}), ("optimal_greedy", {"max_candidates": 4})],
+    ids=["largest-variance", "random", "optimal-greedy"],
+)
+def test_window_1_is_the_serial_trajectory(strategy, options, batched):
+    def run(reference):
+        kwargs = {}
+        if strategy is not None:
+            kwargs["tuning_strategy"] = make_strategy(strategy, **options)
+        processor, dists = _cold_f3(**kwargs)
+        if strategy == "optimal_greedy":
+            dists = dists[:2]  # one simulated refit per candidate per iteration
+        if reference:
+            processor._tune_until_bounded = partial(_pr13_serial_loop, processor)
+        if batched:
+            return processor, processor.process_batch(dists)
+        return processor, [processor.process(dist) for dist in dists]
+
+    _assert_same_trajectory(*run(reference=False), *run(reference=True))

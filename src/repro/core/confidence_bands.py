@@ -187,7 +187,7 @@ def band_z_values(
     Produces exactly the per-box results — the Euler root-solve is
     inherently scalar (``brentq`` per box), but the kernel's second
     spectral moment, a per-call constant the scalar path recomputes for
-    every tuple, is hoisted out of the column loop.  Used by the columnar
+    every tuple, is hoisted out of the column loop.  Used by the chunk's
     first pass in :mod:`repro.core.olgapro`.
     """
     boxes = list(boxes)

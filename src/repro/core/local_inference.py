@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.distributions.columns import stacking_supported
 from repro.exceptions import GPError
 from repro.gp.kernels import Kernel
 from repro.gp.linalg import inverse_from_cholesky, jittered_cholesky
@@ -265,24 +266,14 @@ class LocalInferenceEngine:
         per index: the per-tuple selection loop is replayed unchanged (it
         is data-dependent), but tuples that selected the *same* training
         subset — the common case under a warm model, and always the case
-        when every box sits within the first search radius — share one
-        tall GEMM for the variance row-sums.  BLAS computes each row block
-        of a tall matrix-matrix product exactly as it computes the block
-        alone (verified at import by
-        :func:`repro.distributions.columns.stacking_supported`; callers
-        gate on it).  The means are matrix-*vector* products, whose blocking
-        depends on the row count, so they are taken per row block.
+        when every box sits within the first search radius — share the
+        passes around their variance projections and one local inverse
+        (:func:`_grouped_inference`).
         """
         indices = list(indices)
         alpha = gp.alpha
         row_blocks = [cache.rows(gp, i) for i in indices]
-        selections = self._select_from_distances_block(
-            gp,
-            alpha,
-            cache.box_distances[:, indices],
-            row_blocks,
-            [cache.boxes[i] for i in indices],
-        )
+        selections = self._select_from_distances_block(gp, alpha, cache, indices, row_blocks)
         groups: dict[bytes, list[int]] = {}
         for pos in range(len(indices)):
             groups.setdefault(selections[pos][0].tobytes(), []).append(pos)
@@ -291,7 +282,8 @@ class LocalInferenceEngine:
             grouped = _grouped_inference(
                 gp,
                 alpha,
-                [cache.sample_sets[indices[pos]] for pos in positions],
+                cache,
+                [indices[pos] for pos in positions],
                 [row_blocks[pos] for pos in positions],
                 [selections[pos] for pos in positions],
                 cache.local_inverse(gp, selections[positions[0]][0]),
@@ -347,27 +339,27 @@ class LocalInferenceEngine:
         self,
         gp: GaussianProcess,
         alpha: np.ndarray,
-        distances: np.ndarray,
+        cache: "BatchKernelCache",
+        indices: Sequence[int],
         row_blocks: Sequence[np.ndarray],
-        sample_boxes: Sequence[BoundingBox],
     ) -> list[tuple[np.ndarray, float, float]]:
-        """Column-wise :meth:`_select_from_distances` over a chunk of tuples.
+        """Column-wise :meth:`_select_from_distances` over tuples of a chunk.
 
         Replays the same radius-expansion schedule for every tuple at once:
         one broadcast threshold test per level replaces the per-tuple
         ``flatnonzero`` scans, and tuples whose excluded sets coincide at a
         level — the common case under a warm model — share one stacked
-        exact-γ matvec whose row-block slices equal the per-tuple products
-        (the identity :func:`repro.distributions.columns.stacking_supported`
-        probes; callers gate on it).  Interval-bound configurations keep the
-        scalar loop, which is the only path exercising the box-geometry
-        bound.
+        exact-γ matvec whose per-item products are the per-tuple ones (an
+        identity :meth:`BatchKernelCache.arm` gates its window on).
+        Interval-bound configurations keep the scalar loop, which is the
+        only path exercising the box-geometry bound.
         """
+        distances = cache.box_distances[:, indices]
         n, count = distances.shape
         if self.bound_method != "exact":
             return [
                 self._select_from_distances(
-                    gp, alpha, distances[:, pos], row_blocks[pos], sample_boxes[pos]
+                    gp, alpha, distances[:, pos], row_blocks[pos], cache.boxes[indices[pos]]
                 )
                 for pos in range(count)
             ]
@@ -397,13 +389,16 @@ class LocalInferenceEngine:
                 # exact-γ check — its per-item products are the 2-D matvecs
                 # they replace (identity 4 of the stacking probe) — and the
                 # operand is a free reshape whenever the row blocks are
-                # adjacent slices of the armed stack.
+                # consecutive slices of the armed window.
                 excluded = np.where(mask[:, cols].T, 0.0, alpha[None, :])
                 gammas: list[float] = []
                 if uniform:
                     rows = row_blocks[positions[0]].shape[0]
                     for batch in _row_batches([rows] * len(positions), n):
-                        tall = _stacked_rows([row_blocks[positions[k]] for k in batch])
+                        tall = cache.stacked(
+                            [indices[positions[k]] for k in batch],
+                            [row_blocks[positions[k]] for k in batch],
+                        )
                         stack3 = tall.reshape(len(batch), rows, n)
                         omitted = np.matmul(
                             stack3, excluded[batch[0] : batch[-1] + 1, :, None]
@@ -432,56 +427,25 @@ class LocalInferenceEngine:
         return [result for result in results if result is not None]
 
 
-#: Cap on stacked-operand elements (rows × columns) for grouped GEMMs.  A
-#: tall product is computed in row batches under this cap: the batches'
-#: results are identical to the monolithic product (row-block identity), but
-#: the operands stay cache-resident instead of streaming multi-megabyte
-#: temporaries through memory — which measures *slower* than a per-tuple loop.
+#: Cap on stacked-operand elements (rows × columns) of the grouped passes:
+#: they run in row batches under this cap, so the operands stay
+#: cache-resident instead of streaming multi-megabyte temporaries through
+#: memory — which measures *slower* than a per-tuple loop.
 _MAX_STACK_ELEMENTS = 262_144
 
-#: Sample rows per grouped kernel evaluation when arming a columnar stack:
-#: large enough to amortise the kernel's per-call array passes, small enough
-#: that the grouped distance/exponential temporaries stay cache-resident.
-_ARM_GROUP_ROWS = 1024
-
-
-def _stacked_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The vertical concatenation of ``blocks``, as a view when possible.
-
-    The columnar cache serves row blocks as consecutive slices of one armed
-    stack, so concatenating them back is a no-op — this detects that case
-    (same C-contiguous base, adjacent row ranges) and returns a slice of the
-    base instead of copying.  The view holds exactly the values ``vstack``
-    would copy, so downstream kernels see identical operands.
-    """
-    first = blocks[0]
-    base = first.base
-    width = first.shape[1]
-    if (
-        base is None
-        or not base.flags["C_CONTIGUOUS"]
-        or base.shape[-1] != width
-        or base.size % width != 0
-    ):
-        return np.vstack(blocks)
-    itemsize = first.itemsize
-    pointer = first.__array_interface__["data"][0]
-    expected = pointer
-    total = 0
-    for block in blocks:
-        if (
-            block.base is not base
-            or block.ndim != 2
-            or block.shape[1] != width
-            or not block.flags["C_CONTIGUOUS"]
-            or block.__array_interface__["data"][0] != expected
-        ):
-            return np.vstack(blocks)
-        expected += block.nbytes
-        total += block.shape[0]
-    flat = base.reshape(-1, width)
-    start = (pointer - base.__array_interface__["data"][0]) // (width * itemsize)
-    return flat[start : start + total]
+#: Cap on the sample rows of one armed window (:meth:`BatchKernelCache.arm`).
+#: Stacking amortises per-call dispatch, which only dominates on small
+#: arrays, while every transient of the block pipeline (the bound sweep
+#: allocates ~25 arrays of rows x 3m) scales with the stacked rows.
+#: Measured (F1, batch 32, warm 74-point model, BLAS pinned), scalar first
+#: pass over the window under this cap / over the whole 32-tuple chunk
+#: stacked: 1.15 / 1.15 at m = 64 samples per tuple, 1.14 / 1.12 at 199,
+#: 1.03 / 0.89 at 446, 1.00 / 0.87 at 1 239.  And the allocator keeps what
+#: the taller temporaries touched: perfbench ``cold_slow_udf`` peaks at
+#: 130-133 MB RSS under this cap (as without stacking) and at 152-154 MB
+#: under a 4 096-row one.  Rows, not rows x training points: that product
+#: lets a cold 10-point model stack the whole chunk.
+_WINDOW_ROWS = 1536
 
 
 def _row_batches(counts: Sequence[int], n_cols: int) -> list[list[int]]:
@@ -508,11 +472,12 @@ class BatchKernelCache:
 
     Holds, for a chunk of tuples, everything multi-query inference reuses:
 
-    * per-tuple cross-covariance row blocks, built lazily by :meth:`rows` —
-      one kernel evaluation per tuple that the radius-expansion exact-γ
-      checks, the predictive mean and the predictive variance all reuse
+    * per-tuple cross-covariance row blocks, served by :meth:`rows` — one
+      kernel evaluation that the radius-expansion exact-γ checks, the
+      predictive mean and the predictive variance all reuse
       (:meth:`LocalInferenceEngine.predict` evaluates the same block once
-      per call),
+      per call); built lazily per tuple, or for an *armed window* of
+      consecutive tuples at once (:meth:`arm`) and served as slices,
     * ``K_train`` — training covariance (local sub-matrices slice it),
     * ``box_distances`` — every training point's distance to every tuple's
       bounding box (the within-radius retrieval is a threshold test), and
@@ -547,9 +512,6 @@ class BatchKernelCache:
             raise GPError("sample_boxes and sample_sets must align")
         if gp.n_training == 0:
             raise GPError("the GP has no training data")
-        self._row_block: Optional[np.ndarray] = None
-        self._row_index: Optional[int] = None
-        self._row_n_train = 0
         self._rebuild(gp)
 
     def sync(self, gp: GaussianProcess) -> None:
@@ -574,6 +536,7 @@ class BatchKernelCache:
                 self._row_n_train = n
             self._n_train = n
             self._inverse_cache.clear()
+            self._stack = None
             return
         X = gp.X_train
         X_new = X[self._n_train :]
@@ -585,19 +548,71 @@ class BatchKernelCache:
         )
         self._n_train = gp.n_training
         self._inverse_cache.clear()
+        self._stack = None
+
+    def arm(self, gp: GaussianProcess, start: int, quiet: int) -> range:
+        """Arm the window of consecutive tuples beginning at ``start``.
+
+        The window's cross-covariance blocks are evaluated now, into one
+        stack that :meth:`rows` serves slices of and :meth:`stacked` serves
+        runs of without copying, until the model moves (:meth:`sync` drops
+        the stack).  Each block is its own kernel evaluation: the kernel's
+        cross term is a BLAS product, and which BLAS kernel runs — hence the
+        last bit — depends on the operand's row count.  The window's length
+        is computed, never configured: at most ``1 + quiet`` tuples
+        (``quiet``: tuples committed since the model last moved, so a
+        refining stream never stacks rows a commit is about to invalidate)
+        under :data:`_WINDOW_ROWS` stacked rows, and one tuple on a platform
+        that fails the identities the block pipeline rests on.  A one-tuple
+        window stacks nothing: :meth:`rows` evaluates lazily.
+        """
+        self.sync(gp)
+        limit = min(len(self.sample_sets), start + 1 + (quiet if stacking_supported() else 0))
+        stop, rows = start + 1, self.sample_sets[start].shape[0]
+        while stop < limit and rows + self.sample_sets[stop].shape[0] <= _WINDOW_ROWS:
+            rows += self.sample_sets[stop].shape[0]
+            stop += 1
+        window = range(start, stop)
+        self._stack = None
+        if len(window) > 1:
+            sets = self.sample_sets[start:stop]
+            self._stack = np.concatenate([gp.kernel(s, gp.X_train) for s in sets], axis=0)
+            self._stack_window = window
+            self._stack_offsets = np.cumsum([0] + [s.shape[0] for s in sets])
+        return window
+
+    def stacked(self, indices: Sequence[int], blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The tuples' row ``blocks`` (as :meth:`rows` served them), stacked.
+
+        Consecutive tuples of the armed window are one slice of its stack —
+        holding exactly the values ``vstack`` would copy; anything else is
+        copied.
+        """
+        window = self._stack_window
+        run = range(indices[0], indices[0] + len(indices))
+        consecutive = list(indices) == list(run) and run[0] in window and run[-1] in window
+        if self._stack is None or not consecutive:
+            return np.vstack(blocks)
+        offsets = self._stack_offsets
+        return self._stack[offsets[run.start - window.start] : offsets[run.stop - window.start]]
 
     def rows(self, gp: GaussianProcess, i: int) -> np.ndarray:
         """Cross-covariance between tuple ``i``'s samples and the training set.
 
-        Built on first use per tuple and kept in sync with model growth by
-        appending columns for new training points, so one tuple's repeated
-        inferences (initial bound check plus every refinement iteration)
-        share a single base kernel evaluation.
+        A slice of the armed window when tuple ``i`` is in it, else built on
+        first use; either way kept in a one-slot memo that follows model
+        growth by appending columns for new training points, so one tuple's
+        repeated inferences (initial bound check plus every refinement
+        iteration) share a single base kernel evaluation.
         """
         self.sync(gp)
         if self._row_index == i and self._row_n_train == self._n_train:
             return self._row_block
-        if self._row_index == i and 0 < self._row_n_train < self._n_train:
+        if self._stack is not None and i in self._stack_window:
+            k = i - self._stack_window.start
+            self._row_block = self._stack[self._stack_offsets[k] : self._stack_offsets[k + 1]]
+            self._row_index = i
+        elif self._row_index == i and 0 < self._row_n_train < self._n_train:
             X_new = gp.X_train[self._row_n_train :]
             self._row_block = np.hstack(
                 [self._row_block, gp.kernel(self.sample_sets[i], X_new)]
@@ -643,147 +658,8 @@ class BatchKernelCache:
         self._row_block = None
         self._row_n_train = 0
         self._inverse_cache: dict[bytes, np.ndarray] = {}
-
-
-class ColumnarKernelCache(BatchKernelCache):
-    """A :class:`BatchKernelCache` whose row blocks come from one stacked eval.
-
-    The tuple-store cache evaluates ``kernel(samples_i, X_train)`` lazily,
-    once per tuple.  The columnar cache *arms* instead: it evaluates the
-    kernel once on the vertical stack of every (remaining) tuple's sample
-    set and serves each tuple's block as a slice — the stacked evaluation
-    computes exactly the same elementwise kernel values, so a slice is
-    bit-identical to the per-tuple evaluation it replaces.
-
-    A slice is only served while the model fingerprint (kernel
-    hyperparameters + training-set size) still matches the one the stack
-    was armed under; any mid-chunk model movement falls back to the base
-    class's lazy per-tuple path.  Re-arming is throttled: at a new-tuple
-    boundary the stack is rebuilt only when the model held still across
-    the entire previous tuple (refinement has stopped firing), at most
-    :data:`MAX_ARMS` times per chunk, and only with at least two tuples
-    left to amortise the stacked evaluation over.
-    """
-
-    #: Hard cap on stacked kernel evaluations per chunk (arming is O(B·m·n)).
-    MAX_ARMS = 4
-
-    def __init__(
-        self,
-        gp: GaussianProcess,
-        sample_sets: Sequence[np.ndarray],
-        sample_boxes: Optional[Sequence[BoundingBox]] = None,
-    ):
-        super().__init__(gp, sample_sets, sample_boxes)
         self._stack: Optional[np.ndarray] = None
-        self._stack_fp: Optional[tuple[bytes, int]] = None
-        self._stack_start = 0
-        self._stack_offsets: Optional[np.ndarray] = None
-        self._arms = 0
-        self._boundary_index: Optional[int] = None
-        self._boundary_fp: Optional[tuple[bytes, int]] = None
-        self._arm(gp, 0)
-
-    def _fingerprint(self) -> tuple[bytes, int]:
-        return (self._theta, self._n_train)
-
-    def _arm(self, gp: GaussianProcess, start: int) -> None:
-        """Evaluate the stacked row block for tuples ``start..end`` (throttled).
-
-        The stack is assembled from *grouped* kernel evaluations — a few
-        tuples' sample sets concatenated per call — rather than one call per
-        tuple or one chunk-tall call.  The values are identical all three
-        ways (the kernel is elementwise over GEMM row blocks, one of the
-        identities ``stacking_supported`` probes), but grouping amortises
-        the per-call dispatch of the kernel's seven array passes while the
-        grouped distance/exponential temporaries stay cache-resident —
-        both endpoints measure slower.
-        """
-        if len(self.sample_sets) - start < 2 or self._arms >= self.MAX_ARMS:
-            return
-        self._arms += 1
-        remaining = self.sample_sets[start:]
-        parts = []
-        group: list[np.ndarray] = []
-        rows = 0
-        for s in remaining:
-            if group and rows + s.shape[0] > _ARM_GROUP_ROWS:
-                parts.append(group)
-                group, rows = [], 0
-            group.append(s)
-            rows += s.shape[0]
-        if group:
-            parts.append(group)
-        self._stack = np.vstack(
-            [
-                gp.kernel(part[0] if len(part) == 1 else np.concatenate(part, axis=0), gp.X_train)
-                for part in parts
-            ]
-        )
-        counts = [s.shape[0] for s in remaining]
-        self._stack_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self._stack_start = start
-        self._stack_fp = self._fingerprint()
-
-    def ensure_armed(self, gp: GaussianProcess, start: int) -> bool:
-        """Arm (or re-arm) so tuples ``start..end`` are servable as slices.
-
-        Unlike the boundary heuristic in :meth:`rows`, this arms eagerly —
-        it is the entry point for a batched re-pass after a mid-chunk model
-        move, where the caller has already decided to redo the remaining
-        tuples as one column operation.  Still throttled by
-        :data:`MAX_ARMS`; returns whether slices are now servable.
-        """
-        self.sync(gp)
-        fp = self._fingerprint()
-        if self._stack is None or self._stack_fp != fp or start < self._stack_start:
-            self._arm(gp, start)
-        return (
-            self._stack is not None
-            and self._stack_fp == fp
-            and start >= self._stack_start
-        )
-
-    def stack_ready(self, gp: GaussianProcess) -> bool:
-        """Whether every tuple's row block is currently servable as a slice."""
-        self.sync(gp)
-        return (
-            self._stack is not None
-            and self._stack_fp == self._fingerprint()
-            and self._stack_start == 0
-        )
-
-    def rows(self, gp: GaussianProcess, i: int) -> np.ndarray:
-        """Tuple ``i``'s cross-covariance block, sliced from the armed stack.
-
-        Falls back to the lazy base-class evaluation whenever the stack is
-        stale; the served slice also seeds the base class's one-slot memo
-        so mid-tuple model growth appends columns to the slice exactly as
-        it would to a fresh block.
-        """
-        self.sync(gp)
-        fp = self._fingerprint()
-        if i != self._boundary_index:
-            stale = (
-                self._stack is None or self._stack_fp != fp or i < self._stack_start
-            )
-            if stale and fp == self._boundary_fp:
-                self._arm(gp, i)
-            self._boundary_index = i
-            self._boundary_fp = fp
-        if (
-            self._stack is not None
-            and self._stack_fp == fp
-            and i >= self._stack_start
-        ):
-            lo = int(self._stack_offsets[i - self._stack_start])
-            hi = int(self._stack_offsets[i - self._stack_start + 1])
-            block = self._stack[lo:hi]
-            self._row_block = block
-            self._row_index = i
-            self._row_n_train = self._n_train
-            return block
-        return super().rows(gp, i)
+        self._stack_window = range(0)
 
 
 def _noise_augmented_inverse(K_local: np.ndarray, noise: float) -> np.ndarray:
@@ -826,40 +702,45 @@ def _subset_inference(
 def _grouped_inference(
     gp: GaussianProcess,
     alpha: np.ndarray,
-    sample_sets: Sequence[np.ndarray],
+    cache: BatchKernelCache,
+    indices: Sequence[int],
     blocks: Sequence[np.ndarray],
     selections: Sequence[tuple[np.ndarray, float, float]],
     K_inv: np.ndarray,
 ) -> list[LocalInferenceResult]:
     """:func:`_subset_inference` for tuples that selected one common subset.
 
-    The variance row-sums of all the tuples' row ``blocks`` come from one
-    tall GEMM per row batch, bit-identical per tuple; the means are
-    matrix-vector products and are taken per row block (see
-    :meth:`LocalInferenceEngine.predict_cached_block`).
+    Every BLAS product — the variance projection, the means — is taken per
+    row block, with the operand shapes of the scalar call: which kernel a
+    BLAS picks, and with it the rounding, depends on the row count
+    (OpenBLAS sends a small block down its small-matrix path and a tall
+    stack of the same blocks down the blocked one).  The passes around them
+    run once over the stacked rows.
     """
     selected = selections[0][0]
     narrow = selected.size != blocks[0].shape[1]
     alpha_selected = alpha[selected]
     results = []
     for batch in _row_batches([b.shape[0] for b in blocks], selected.size):
-        tall = _stacked_rows([blocks[k] for k in batch])
+        tall = cache.stacked([indices[k] for k in batch], [blocks[k] for k in batch])
         if narrow:
             # One column gather on the stacked view instead of one per
             # block: the gathered rows are the per-block ``block[:, selected]``.
             tall = tall[:, selected]
-        rowsum_tall = np.sum((tall @ K_inv) * tall, axis=1)
-        # The prior variance is pointwise (``diag`` maps each sample row
-        # independently), so one tall subtract / clamp / sqrt is
-        # elementwise-identical to the per-tuple slices it replaces.
-        sample_tall = _stacked_rows([sample_sets[k] for k in batch])
-        stds_tall = np.sqrt(np.maximum(gp.kernel.diag(sample_tall) - rowsum_tall, 0.0))
-        offset = 0
-        for k in batch:
-            rows = slice(offset, offset + blocks[k].shape[0])
+        bounds = np.cumsum([0] + [blocks[k].shape[0] for k in batch])
+        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        projected = np.empty(tall.shape)  # C order, as ``@`` lays the scalar product out
+        for rows in spans:
+            np.matmul(tall[rows], K_inv, out=projected[rows])
+        # Everything else is pointwise or reduces one row at a time (the
+        # prior variance ``diag`` maps each sample row independently), so one
+        # tall pass equals the per-tuple slices it replaces.
+        sample_tall = np.concatenate([cache.sample_sets[indices[k]] for k in batch], axis=0)
+        prior = gp.kernel.diag(sample_tall)
+        stds_tall = np.sqrt(np.maximum(prior - np.sum(projected * tall, axis=1), 0.0))
+        for k, rows in zip(batch, spans):
             means = tall[rows] @ alpha_selected + gp.mean_offset
             results.append(LocalInferenceResult(means, stds_tall[rows], *selections[k]))
-            offset = rows.stop
     return results
 
 
@@ -898,9 +779,7 @@ def global_inference_cached_block(
 ) -> list[LocalInferenceResult]:
     """Column-wise :func:`global_inference_cached` via one tall variance GEMM.
 
-    Bit-identical per tuple (BLAS computes each row block of a stacked
-    matrix-matrix product exactly as it computes the block alone; callers
-    gate on :func:`repro.distributions.columns.stacking_supported`).
+    Bit-identical per tuple (see :func:`_grouped_inference`).
     """
     indices = list(indices)
     if not indices:
@@ -909,7 +788,8 @@ def global_inference_cached_block(
     return _grouped_inference(
         gp,
         gp.alpha,
-        [cache.sample_sets[i] for i in indices],
+        cache,
+        indices,
         [cache.rows(gp, i) for i in indices],
         [everything] * len(indices),
         gp.K_inv,

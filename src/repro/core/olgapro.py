@@ -53,7 +53,6 @@ from repro.core.error_bounds import (
 from repro.core.filtering import FilterDecision, SelectionPredicate, upper_bound_decision
 from repro.core.local_inference import (
     BatchKernelCache,
-    ColumnarKernelCache,
     LocalInferenceEngine,
     global_inference,
     global_inference_cached,
@@ -62,7 +61,7 @@ from repro.core.local_inference import (
 from repro.core.online_tuning import LargestVarianceStrategy, TuningStrategy
 from repro.core.retraining import RetrainingPolicy, ThresholdRetrain
 from repro.distributions.base import Distribution
-from repro.distributions.columns import attempt_encode, sample_stacked, stacking_supported
+from repro.distributions.columns import sample_chunk
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.exceptions import GPError, UDFError
 from repro.gp.kernels import Kernel
@@ -304,6 +303,9 @@ class OLGAPRO:
         self.model_sync = None
         self._rng = as_generator(random_state)
         self._tuples_processed = 0
+        #: ``(model fingerprint, count)``: the chunk loop's tuples committed
+        #: since the model last moved — what sizes the first pass's window.
+        self._quiet: tuple[Optional[tuple[bytes, int]], int] = (None, 0)
         #: Factorization-grade GP operations (Cholesky / rank-1 / blocked
         #: inverse updates) performed *inside the refinement loop* across all
         #: tuples — excludes initial training and hyperparameter retraining,
@@ -468,7 +470,6 @@ class OLGAPRO:
         input_distributions,
         random_state: RandomState = None,
         timings=None,
-        columnar: bool = False,
         stage: Optional[ChunkStage] = None,
     ) -> list[OnlineTupleResult]:
         """Process a chunk of uncertain tuples: the one tuple-commit loop.
@@ -479,26 +480,20 @@ class OLGAPRO:
         sampling is the only consumer of the random stream and the samples
         are drawn in the same tuple order.  The speedup comes from sharing
         the kernel algebra across the chunk through a
-        :class:`~repro.core.local_inference.BatchKernelCache` (one stacked
-        cross-covariance evaluation, one distance matrix for the chunk's
-        retrievals, cached local factorisations); only tuples whose error
-        bound misses the GP budget fall back to the per-tuple refinement
-        loop, and even that loop re-infers through the cache, which absorbs
-        new training points as appended kernel columns.
+        :class:`~repro.core.local_inference.BatchKernelCache` (one distance
+        matrix for the chunk's retrievals, cached local factorisations) and
+        from the *first pass*: tuple ``i``'s first envelope and bound come
+        from the cache's armed window — as many consecutive tuples as fit
+        its row cap while the model is quiet, their inference and bound
+        computed together (:meth:`_first_pass`) — and are consumed only
+        while the model fingerprint still matches the state they were
+        computed under, so the results are bit-identical whatever the
+        window's length.  Only tuples whose bound misses the GP budget
+        enter the per-tuple refinement loop.
 
         ``timings``, when given, must expose ``add(phase, seconds)`` and
         receives per-phase wall-clock spent in ``"sampling"``,
         ``"inference"`` and ``"refinement"``.
-
-        ``columnar=True`` selects the columnar execution path: the chunk's
-        Monte-Carlo block is drawn through one stacked call when the inputs
-        encode as a homogeneous column, the kernel cache arms whole-column
-        row stacks, and a vectorised *first pass* computes every tuple's
-        initial envelope and bound with grouped kernel algebra.  Each
-        per-tuple precomputation is consumed only while the model
-        fingerprint still matches the state it was computed under, so the
-        results are bit-identical to ``columnar=False`` under the same
-        seed (the determinism contract every plan is gated on).
 
         ``stage`` plugs a cross-tuple scheduler into the loop (see
         :class:`ChunkStage`): it may hand tuple ``i`` a fence-valid
@@ -519,24 +514,17 @@ class OLGAPRO:
         prologue = self.begin_chunk(
             distributions, rng, timings=timings,
             evaluation_executor=stage.carrier, max_inflight=stage.window,
-            columnar=columnar,
         )
         m = prologue.n_samples
         sample_sets = prologue.sample_sets
         boxes = prologue.boxes
         cache = prologue.cache
 
-        first_pass: Optional[list[tuple[EnvelopeOutputs, float]]] = None
+        #: The armed window's first-pass entries, the tuples they belong to,
+        #: and the model fingerprint they were computed under.
+        first_pass: list[tuple[EnvelopeOutputs, float]] = []
+        first_window = range(0)
         first_fp: Optional[tuple[bytes, int]] = None
-        first_share = 0.0
-        if columnar:
-            phase_started = time.perf_counter()
-            first_pass, first_fp = self._columnar_first_pass(cache, boxes, m)
-            first_elapsed = time.perf_counter() - phase_started
-            if first_pass is not None:
-                first_share = first_elapsed / len(sample_sets)
-                if timings is not None:
-                    timings.add("inference", first_elapsed)
 
         results: list[OnlineTupleResult] = []
         with stage.chunk(prologue):
@@ -552,40 +540,31 @@ class OLGAPRO:
                 calls_before = self.udf.call_count
                 charged_before = self.udf.charged_time
                 evals_before = self.refinement_evaluations
-                infer = self._make_cached_infer(cache, i)
+                # Tuples committed since anything — refinement, a retrain, a
+                # learning exchange — last moved the model: what sizes the
+                # next armed window.
+                fingerprint = self._model_fingerprint()
+                quiet_fp, quiet = self._quiet
+                self._quiet = (fingerprint, quiet + 1 if fingerprint == quiet_fp else 0)
                 speculated = stage.speculated(i)
                 phase_started = time.perf_counter()
                 if speculated is not None:
                     envelope, bound = speculated
                 else:
                     with stage.guard():
-                        if first_pass is not None and self._model_fingerprint() != first_fp:
-                            # Mid-chunk refinement moved the model, so the
-                            # precomputed tail is stale.  Redo it as one column
-                            # operation against the new state (bit-identical to
-                            # re-inferring each remaining tuple, which is what
-                            # the tuple-store loop does) rather than degrading
-                            # to per-tuple algebra for the rest of the chunk.
-                            refreshed, refreshed_fp = self._columnar_first_pass(
-                                cache, boxes, m, start=i
-                            )
-                            if refreshed is not None:
-                                first_pass[i:] = refreshed
-                                first_fp = refreshed_fp
-                            else:
-                                first_pass = None
-                        if first_pass is not None and self._model_fingerprint() == first_fp:
-                            envelope, bound = first_pass[i]
-                            # Seed the cache's single-row memo with this tuple's
-                            # slice so a later cached re-inference (the retrained
-                            # branch) absorbs new training points as appended
-                            # kernel columns — exactly the trajectory the
-                            # tuple-store path takes.
-                            cache.rows(self.emulator.gp, i)
-                        else:
-                            envelope, bound = self._infer_and_bound(
-                                samples, boxes[i], infer=infer
-                            )
+                        if i not in first_window or fingerprint != first_fp:
+                            # No window yet, its end reached, or the model
+                            # moved under it: arm afresh from this tuple
+                            # (never from an earlier one, so nothing is
+                            # computed twice).
+                            first_window, first_pass = self._first_pass(cache, boxes, m, i)
+                            first_fp = fingerprint
+                        envelope, bound = first_pass[i - first_window.start]
+                        # Leave the cache's single-row memo on this tuple's
+                        # block so a later cached re-inference (the retrained
+                        # branch) absorbs new training points as appended
+                        # kernel columns whatever the window's length.
+                        cache.rows(self.emulator.gp, i)
                 if timings is not None:
                     timings.add("inference", time.perf_counter() - phase_started)
                 points_added = 0
@@ -611,14 +590,16 @@ class OLGAPRO:
                 retrained = self._maybe_retrain(points_added)
                 if retrained:
                     with stage.guard():
-                        envelope, bound = self._infer_and_bound(samples, boxes[i], infer=infer)
+                        envelope, bound = self._infer_and_bound(
+                            samples, boxes[i], infer=self._make_cached_infer(cache, i)
+                        )
                 # Cover this tuple's share of the up-front work: its own sample
                 # draw plus an even share of the chunk's cache construction
                 # (and, for the first tuple, model initialisation — matching
                 # where the per-tuple path charges it).
                 elapsed = (
                     time.perf_counter() - started
-                    + prologue.sample_seconds[i] + prologue.cache_share + first_share
+                    + prologue.sample_seconds[i] + prologue.cache_share
                 )
                 if i == 0:
                     elapsed += prologue.init_elapsed
@@ -656,7 +637,6 @@ class OLGAPRO:
         timings=None,
         evaluation_executor=None,
         max_inflight=None,
-        columnar: bool = False,
     ) -> ChunkPrologue:
         """Run one chunk's shared prologue: initialise, sample, build the cache.
 
@@ -664,19 +644,15 @@ class OLGAPRO:
         per-tuple path would (it initialises inside the first ``process()``),
         and per-tuple sampling durations are kept so each tuple's elapsed /
         charged time covers its own draw.  Monte-Carlo draws happen strictly
-        in tuple order — sampling is the shared random stream's only
-        consumer, which is what makes every batch-level executor consume it
-        identically.  ``evaluation_executor`` / ``max_inflight`` forward to
+        in tuple order (:func:`repro.distributions.columns.sample_chunk`:
+        one stacked generator call when the inputs encode as a homogeneous
+        column, bit-identical to the per-tuple draws) — sampling is the
+        shared random stream's only consumer, which is what makes every
+        batch-level executor consume it identically.
+        ``evaluation_executor`` / ``max_inflight`` forward to
         :meth:`_ensure_initialized` so a stage's evaluation transport can
         overlap the initial design's UDF calls (the trained model is
         identical either way).
-
-        ``columnar=True`` draws the whole chunk's Monte-Carlo block through
-        one stacked generator call when the inputs encode as a homogeneous
-        column (bit-identical to the per-tuple draws — see
-        :func:`repro.distributions.columns.sample_stacked`) and builds a
-        :class:`~repro.core.local_inference.ColumnarKernelCache` whose row
-        blocks are slices of one stacked kernel evaluation.
         """
         distributions = list(distributions)
         m = self.mc_samples()
@@ -707,39 +683,16 @@ class OLGAPRO:
         init_calls = self.udf.call_count - init_calls_before
         init_charged = self.udf.charged_time - init_charged_before
         init_elapsed = time.perf_counter() - init_started
-        use_stacking = columnar and stacking_supported()
-        sample_sets = None
-        if use_stacking:
-            column = attempt_encode(distributions)
-            if column is not None:
-                draw_started = time.perf_counter()
-                block = sample_stacked(column, m, rng)
-                draw_elapsed = time.perf_counter() - draw_started
-                sample_sets = [block[i] for i in range(len(distributions))]
-                sample_seconds = [draw_elapsed / len(distributions)] * len(distributions)
-        if sample_sets is None:
-            sample_sets = []
-            sample_seconds = []
-            for dist in distributions:
-                draw_started = time.perf_counter()
-                sample_sets.append(dist.sample(m, random_state=rng))
-                sample_seconds.append(time.perf_counter() - draw_started)
-            boxes = [BoundingBox.from_points(samples) for samples in sample_sets]
-        else:
-            # Column-kernel box construction: per-axis minima / maxima over
-            # the stacked block's sample axis are the exact reductions
-            # ``from_points`` performs per tuple (min/max is order-exact).
-            lows = block.min(axis=1)
-            highs = block.max(axis=1)
-            boxes = [
-                BoundingBox(lows[i], highs[i]) for i in range(len(sample_sets))
-            ]
+        sample_sets, sample_seconds = sample_chunk(distributions, m, rng)
+        # Per-axis minima / maxima over the stacked block's sample axis are
+        # the reductions ``BoundingBox.from_points`` performs per tuple.
+        block = np.stack(sample_sets)
+        boxes = [BoundingBox(low, high) for low, high in zip(block.min(axis=1), block.max(axis=1))]
         if timings is not None:
             timings.add("sampling", float(sum(sample_seconds)))
 
         phase_started = time.perf_counter()
-        cache_cls = ColumnarKernelCache if use_stacking else BatchKernelCache
-        cache = cache_cls(self.emulator.gp, sample_sets, boxes)
+        cache = BatchKernelCache(self.emulator.gp, sample_sets, boxes)
         cache_share = (time.perf_counter() - phase_started) / len(sample_sets)
         if timings is not None:
             timings.add("inference", cache_share * len(sample_sets))
@@ -893,40 +846,37 @@ class OLGAPRO:
         gp = self.emulator.gp
         return (gp.kernel.theta.tobytes(), gp.n_training)
 
-    def _columnar_first_pass(self, cache, boxes, n_points, start: int = 0):
-        """Whole-column precomputation of the remaining tuples' envelope/bound.
+    def _first_pass(
+        self, cache: BatchKernelCache, boxes, n_points: int, start: int
+    ) -> tuple[range, list[tuple[EnvelopeOutputs, float]]]:
+        """First envelope and bound of the window the cache arms from ``start``.
 
-        Runs the chunk's first inference-and-bound step for tuples
-        ``start..end`` at once — grouped kernel GEMMs, hoisted band
-        calibration, batched envelope sorts and the batched discrepancy
-        sweep — against the current model state.  Returns ``(entries,
-        fingerprint)``; an entry is only consumed while the live model
-        still matches ``fingerprint``.  When mid-chunk refinement *does*
-        move the model, the consumption loop calls back in with the first
-        stale position as ``start``: the re-pass recomputes the tail
-        against the new state through the same batched kernels, which is
-        bit-identical to the per-tuple re-inference the tuple-store loop
-        performs (each batched stage is gated on that identity).  Returns
-        ``(None, None)`` whenever the stacked row cache is not servable
-        (re-arm throttle exhausted, platform identities absent), in which
-        case the caller keeps the per-tuple path.
+        The window is sized by :meth:`BatchKernelCache.arm
+        <repro.core.local_inference.BatchKernelCache.arm>` from the quiet
+        count the commit loop keeps.  One tuple is the scalar step the
+        refinement loop's re-check and :meth:`process` also run; a longer
+        window runs the same step for all its tuples at once — batched
+        point selection, grouped variance passes, hoisted band calibration,
+        batched envelope sorts and the batched discrepancy sweep — each
+        stage bit-identical per tuple to the scalar one.  An entry is only
+        consumed while the live model still matches the state it was
+        computed under.
         """
-        if not isinstance(cache, ColumnarKernelCache) or not stacking_supported():
-            return None, None
         gp = self.emulator.gp
-        if not cache.ensure_armed(gp, start):
-            return None, None
-        indices = range(start, len(cache.sample_sets))
+        window = cache.arm(gp, start, self._quiet[1])
+        if len(window) == 1:
+            infer = self._make_cached_infer(cache, start)
+            return window, [self._infer_and_bound(cache.sample_sets[start], boxes[start], infer)]
         if self.use_local_inference and gp.n_training > 3:
             engine = LocalInferenceEngine(
                 gamma_threshold=self.gamma_threshold_for(gp), subdivisions=self.subdivisions
             )
-            inferences = engine.predict_cached_block(gp, cache, indices)
+            inferences = engine.predict_cached_block(gp, cache, window)
         else:
-            inferences = global_inference_cached_block(gp, cache, indices)
+            inferences = global_inference_cached_block(gp, cache, window)
         bands = band_z_values(
             gp.kernel,
-            boxes[start:],
+            boxes[window.start : window.stop],
             alpha=self.band_alpha,
             method=self.band_method,
             n_points=n_points,
@@ -936,10 +886,7 @@ class OLGAPRO:
             bounds = [gp_ks_bound(envelope) for envelope in envelopes]
         else:
             bounds = gp_discrepancy_bound_block(envelopes, self.lambda_value_for(gp))
-        entries = [
-            (envelope, float(bound)) for envelope, bound in zip(envelopes, bounds)
-        ]
-        return entries, self._model_fingerprint()
+        return window, [(envelope, float(bound)) for envelope, bound in zip(envelopes, bounds)]
 
     @staticmethod
     def _build_envelopes_block(inferences, bands) -> list[EnvelopeOutputs]:

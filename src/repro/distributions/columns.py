@@ -11,7 +11,7 @@ Two operations make the encoding useful on the hot path:
 
 * :func:`attempt_encode` — recognise a homogeneous column of supported
   univariate families and pack it; heterogeneous / joint / unsupported
-  columns return ``None`` and the caller keeps the tuple-store path.
+  columns return ``None`` and the caller keeps per-tuple objects.
 * :func:`sample_stacked` — draw the Monte-Carlo sample block for the whole
   column through *one* broadcast call on the shared
   ``numpy.random.Generator``.  NumPy fills broadcast outputs in C element
@@ -20,12 +20,15 @@ Two operations make the encoding useful on the hot path:
   are bit-identical, which is what lets every executor layer keep the
   repo's determinism contract.  :func:`stacking_supported` verifies that
   fill-order property (and the stacked linear-algebra identities the
-  columnar inference path relies on) once per process; on a platform where
-  any probe fails, callers fall back to per-tuple draws.
+  kernel cache's armed window relies on) once per process.
+* :func:`sample_chunk` — the one chunk draw every executor uses: the
+  stacked draw when the chunk encodes and the platform keeps the fill-order
+  identity, per-tuple draws in tuple order otherwise.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -125,7 +128,8 @@ def sample_stacked(
     Returns an ``(n, size, 1)`` block whose row ``i`` equals
     ``column.hydrate(i).sample(size, random_state=rng)`` under the same
     generator state; the whole column consumes one broadcast draw.  The
-    caller is responsible for checking :func:`stacking_supported` first.
+    caller is responsible for checking :func:`stacking_supported` first
+    (:func:`sample_chunk` does).
     """
     if size < 1:
         raise DistributionError(f"sample size must be positive, got {size}")
@@ -151,6 +155,31 @@ def sample_stacked(
     return np.repeat(p[:, 0], size).reshape(n, size, 1)
 
 
+def sample_chunk(
+    distributions: Sequence[Distribution], size: int, rng: np.random.Generator
+) -> tuple[list[np.ndarray], list[float]]:
+    """A chunk's Monte-Carlo draws in tuple order, and each tuple's draw seconds.
+
+    One stacked generator call when the chunk encodes as a homogeneous
+    column — bit-identical to the per-tuple draws, so the shared stream
+    advances the same way (the fill-order identity, probed by
+    :func:`stacking_supported`) — and ``dist.sample`` per tuple for inputs
+    that do not encode (joint / mixed-family streams).
+    """
+    column = attempt_encode(distributions) if stacking_supported() else None
+    if column is not None:
+        started = time.perf_counter()
+        block = sample_stacked(column, size, rng)
+        share = (time.perf_counter() - started) / len(block)
+        return list(block), [share] * len(block)
+    sample_sets, seconds = [], []
+    for dist in distributions:
+        started = time.perf_counter()
+        sample_sets.append(dist.sample(size, random_state=rng))
+        seconds.append(time.perf_counter() - started)
+    return sample_sets, seconds
+
+
 _STACKING_SUPPORTED: Optional[bool] = None
 
 
@@ -162,12 +191,14 @@ def _probe_stacking() -> bool:
     1. Broadcast RNG draws fill in C element order, so a column-wide draw
        sliced per row equals sequential per-row draws for every supported
        family.
-    2. A grouped matrix product sliced per row block equals the per-block
-       products (the columnar inference path stacks per-tuple kernel rows).
+    2. A per-row reduction over stacked rows equals the per-block
+       reductions (the grouped variance pass sums over a window's rows; its
+       BLAS products are taken per block, because their rounding depends on
+       the operand's row count).
     3. ``np.linalg.cholesky`` on a ``(B, n, n)`` stack equals per-matrix
        calls.
     4. A batched ``matmul`` over a ``(B, m, n)`` stack equals the per-item
-       2-D products (the columnar selection path evaluates every pending
+       2-D products (the block selection path evaluates every pending
        tuple's exact-γ matvec in one call).
     """
     seed = np.random.SeedSequence(20130817)
@@ -188,20 +219,10 @@ def _probe_stacking() -> bool:
             return False
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((m, 5)) for _ in range(3)]
-    weights = rng.standard_normal(5)
-    square = rng.standard_normal((5, 5))
     tall = np.vstack(blocks)
-    gemv = tall @ weights
-    gemm = tall @ square
-    rowsum = np.sum(gemm * tall, axis=1)
+    rowsum = np.sum(tall * tall, axis=1)
     for b, block in enumerate(blocks):
-        lo, hi = b * m, (b + 1) * m
-        own = block @ square
-        if not (
-            np.array_equal(gemv[lo:hi], block @ weights)
-            and np.array_equal(gemm[lo:hi], own)
-            and np.array_equal(rowsum[lo:hi], np.sum(own * block, axis=1))
-        ):
+        if not np.array_equal(rowsum[b * m : (b + 1) * m], np.sum(block * block, axis=1)):
             return False
     mats = rng.standard_normal((4, 6, 6))
     mats = mats @ mats.transpose(0, 2, 1) + 6.0 * np.eye(6)
@@ -222,9 +243,9 @@ def _probe_stacking() -> bool:
 def stacking_supported() -> bool:
     """Whether this platform's BLAS/RNG keep the stacking identities exact.
 
-    Probed once per process; when ``False`` every columnar fast path falls
-    back to per-tuple computation (still through the columnar store — the
-    determinism gates then pass trivially).
+    Probed once per process; when ``False`` chunk draws go per tuple and the
+    kernel cache's window is one tuple (the determinism gates then pass
+    trivially).
     """
     global _STACKING_SUPPORTED
     if _STACKING_SUPPORTED is None:

@@ -7,8 +7,9 @@ local Cholesky factorisations, error-bound sweeps — for every tuple.
 through the one tuple-commit loop (:meth:`OLGAPRO.process_batch
 <repro.core.olgapro.OLGAPRO.process_batch>`): the Monte-Carlo input samples
 of the whole chunk are drawn up front, GP inference shares one chunk-wide
-kernel cache, and only the tuples whose error bound misses the budget enter
-the refinement-window loop.  It is the *only* executor below the shard
+kernel cache whose first pass stacks as many tuples as fit its row cap
+while the model is quiet, and only the tuples whose error bound misses the
+budget enter the refinement-window loop.  It is the *only* executor below the shard
 wrapper: the plan's ``window`` and ``lookahead`` parameterise the same two
 loops (see :class:`BatchExecutor`), they do not select another executor.
 
@@ -35,7 +36,7 @@ from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
 from repro.core.mc_baseline import mc_sample_count
 from repro.distributions.base import Distribution
-from repro.distributions.columns import attempt_encode, sample_stacked, stacking_supported
+from repro.distributions.columns import sample_chunk
 from repro.distributions.empirical import EmpiricalDistribution, TruncationResult
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine
@@ -91,8 +92,9 @@ def truncate_columns(
     per-row cut points are counts over sorted sample rows (exactly what
     ``searchsorted`` computes), the surviving samples are a contiguous slice
     of an already-sorted row, and the existence probability is the same
-    count ratio.  Rows that are not same-size empirical distributions fall
-    back to the scalar call.
+    count ratio — integer counts and slices, resting on no BLAS or RNG
+    identity.  Rows that are not same-size empirical distributions fall back
+    to the scalar call.
     """
     distributions = list(distributions)
     if not distributions:
@@ -105,7 +107,7 @@ def truncate_columns(
     uniform = len(sizes) == 1 and all(
         isinstance(dist, EmpiricalDistribution) for dist in distributions
     )
-    if not (uniform and stacking_supported()):
+    if not uniform:
         return [dist.truncate(low, high) for dist in distributions]
     block = np.stack([dist._sorted for dist in distributions])
     m = block.shape[1]
@@ -150,7 +152,7 @@ class BatchExecutor:
 
     At window 1 / lookahead 1 no transport session, driver, stage or thread
     exists.  Quarantine, the chunk backstop, tuple-boundary model sync and
-    the columnar first pass belong to the loop, so they hold at every
+    the windowed first pass belong to the loop, so they hold at every
     (window, lookahead).  Phase timings (``sampling`` / ``inference`` /
     ``refinement`` / ``filtering`` / ``speculation``) accumulate on
     :attr:`timings`; the executor stays picklable and reusable because every
@@ -169,10 +171,6 @@ class BatchExecutor:
         self.engine = engine
         self.plan = plan
         self.batch_size = plan.chunk_size
-        #: Whether chunks run through the columnar hot paths (stacked MC
-        #: draws, column-armed kernel cache, batched envelope sweeps).
-        #: Gated bit-identical to the tuple store under the same seed.
-        self.columnar = plan.storage == "columnar"
         self.window = plan.window
         self.lookahead = plan.lookahead
         #: Refresh prefetch walks to the live model when it outruns their
@@ -302,17 +300,13 @@ class BatchExecutor:
         strategy = self.engine.strategy
         if strategy == "mc":
             return mc_chunk(
-                udf, chunk, self.engine.requirement, self.engine._rng,
-                self.timings, self.columnar,
+                udf, chunk, self.engine.requirement, self.engine._rng, self.timings
             )
         processor = self.engine._processor_for(udf)
         if isinstance(processor, HybridExecutor) and processor.decide(chunk[0]).method == "mc":
-            return mc_chunk(
-                udf, chunk, processor.requirement, processor._rng,
-                self.timings, self.columnar,
-            )
+            return mc_chunk(udf, chunk, processor.requirement, processor._rng, self.timings)
         results = self.engine.olgapro_for(udf).process_batch(
-            chunk, timings=self.timings, columnar=self.columnar, stage=stage
+            chunk, timings=self.timings, stage=stage
         )
         return [online_result_to_output(result) for result in results]
 
@@ -323,24 +317,13 @@ def mc_chunk(
     requirement,
     rng: np.random.Generator,
     timings: PhaseTimings,
-    columnar: bool,
 ) -> list[ComputedOutput]:
     """Algorithm 1 over a chunk: stack the input samples, evaluate once."""
     m = mc_sample_count(requirement)
     started = time.perf_counter()
-    column = None
-    if columnar and stacking_supported():
-        column = attempt_encode(chunk)
-    if column is not None:
-        # Columnar fast path: one stacked generator call fills the whole
-        # (n, m) block in the per-tuple draw order, so the shared stream
-        # advances identically and the stacked input is bit-identical.
-        stacked_inputs = sample_stacked(column, m, rng).reshape(len(chunk) * m, -1)
-    else:
-        # Per-tuple draws in tuple order keep the stream identical to the
-        # per-tuple path; stacking afterwards costs one copy.
-        inputs = [dist.sample(m, random_state=rng) for dist in chunk]
-        stacked_inputs = np.vstack(inputs)
+    # Draws in tuple order keep the stream identical to the per-tuple path;
+    # stacking afterwards costs one copy.
+    stacked_inputs = np.vstack(sample_chunk(chunk, m, rng)[0])
     timings.add("sampling", time.perf_counter() - started)
 
     charged_before = udf.charged_time

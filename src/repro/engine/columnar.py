@@ -20,7 +20,7 @@ bit-identically: hydration rebuilds exactly the parameters that were
 encoded, and object-backed columns are carried by reference.
 
 The store itself is representation only; the vectorised execution paths it
-feeds (stacked sampling, stacked kernel algebra, batched envelope sorts)
+feeds (stacked sampling, windowed kernel algebra, batched envelope sorts)
 are gated behind :func:`repro.distributions.columns.stacking_supported` so
 the engine's determinism contract holds on every platform.
 """

@@ -113,6 +113,11 @@ class UDFExecutionEngine:
         #: (the default) means processors learn privately.
         self._shared_store_resolver = None
 
+    @property
+    def speculative_k(self) -> Optional[int]:
+        """The refinement window the processors are built with (``None``: their default)."""
+        return self._processor_kwargs.get("speculative_k")
+
     def __getstate__(self):
         """Engine state without the shared-store resolver seam.
 

@@ -482,17 +482,15 @@ class SelectUDF(Operator):
         return out
 
     def _chunk_truncations(self, outputs) -> list:
-        """Columnar predicate kernel: truncate a chunk's ECDFs in one block.
+        """Column predicate kernel: truncate a chunk's ECDFs in one block.
 
         Returns one entry per output — a precomputed
         :class:`~repro.distributions.empirical.TruncationResult` for rows
         the column kernel handled, ``None`` where :meth:`_filtered` should
-        keep its scalar path (quarantined / dropped / non-empirical rows, or
-        tuple storage).  The block truncation is bit-identical to the scalar
-        calls, so the columnar plan changes no filtering decision.
+        keep its scalar path (quarantined / dropped / non-empirical rows).
+        The block truncation is bit-identical to the scalar calls, so it
+        changes no filtering decision.
         """
-        if not getattr(self._executor, "columnar", False):
-            return [None] * len(outputs)
         eligible = [
             i
             for i, output in enumerate(outputs)

@@ -84,9 +84,6 @@ def is_auto_plan(plan: Any) -> bool:
         return True
     return False
 
-#: Physical layouts a plan can select for the chunk pipeline.
-STORAGE_LAYOUTS = ("tuple", "columnar")
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -158,16 +155,6 @@ class ExecutionPlan:
         and process-pool paths all inherit it; also caps shard
         re-execution after a dead pool worker (``shard_attempts``).
         ``None`` (the default) keeps the fail-fast behaviour.
-    storage:
-        Physical layout the chunk pipeline runs on.  ``"tuple"`` (default)
-        is the row-at-a-time store; ``"columnar"`` packs each chunk into
-        column blocks (:mod:`repro.engine.columnar`) and turns on the
-        vectorised whole-column hot paths — stacked Monte-Carlo draws,
-        column-armed kernel caches, batched envelope/bound sweeps.  The
-        columnar path is gated bit-identical to the tuple store under the
-        same seed, so every executor layer inherits it without any API
-        change; a storage choice is an implementation detail of the chunk,
-        not of the query.
     """
 
     batch_size: Optional[int] = None
@@ -179,7 +166,6 @@ class ExecutionPlan:
     speculative_k: Optional[int] = None
     transport: TransportSpec = DEFAULT_TRANSPORT
     retry: Optional[RetryPolicy] = None
-    storage: str = "tuple"
 
     def __post_init__(self) -> None:
         """Validate values and cross-knob consistency (raises PlanError)."""
@@ -230,11 +216,6 @@ class ExecutionPlan:
                 "are carried, but the plan requests no window; set "
                 "async_inflight (or pipeline_lookahead) — " + PRECEDENCE
             )
-        if self.storage not in STORAGE_LAYOUTS:
-            raise PlanError(
-                f"unknown storage layout {self.storage!r}; choose from "
-                f"{STORAGE_LAYOUTS}"
-            )
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             raise PlanError(
                 f"retry must be a repro.udf.retry.RetryPolicy (or None), got "
@@ -261,7 +242,7 @@ class ExecutionPlan:
 
         The profile-driven planner: instead of hand-tuning ``batch_size``
         / ``transport`` / ``async_inflight`` / ``pipeline_lookahead`` /
-        ``speculative_k`` / ``storage`` per query, the caller declares
+        ``speculative_k`` per query, the caller declares
         what the UDF *is* (its :class:`~repro.udf.catalog.UDFProfile`)
         and this method picks the spelled-out plan the declaration
         implies.  The result is an ordinary validated
@@ -287,8 +268,7 @@ class ExecutionPlan:
 
         ``batch_size`` is the default chunk size capped by
         ``relation_size`` (no point chunking past the input).
-        ``storage="columnar"`` is selected for vectorised deterministic
-        UDFs.  Sharding (``workers``), retries and merge policies are
+        Sharding (``workers``), retries and merge policies are
         never auto-selected — they change resource footprint and failure
         semantics, which stay explicit decisions.
 
@@ -332,8 +312,6 @@ class ExecutionPlan:
         if relation_size is not None and int(relation_size) > 0:
             batch = max(1, min(batch, int(relation_size)))
         knobs["batch_size"] = batch
-        if profile.vectorized and profile.deterministic:
-            knobs["storage"] = "columnar"
         latency = profile.latency_class
         window = {LATENCY_SLOW: 8, LATENCY_MODERATE: 4}.get(latency)
         transport: Optional[str] = None
@@ -359,9 +337,8 @@ class ExecutionPlan:
         ):
             knobs["pipeline_lookahead"] = 4
         if engine is not None:
-            configured = getattr(engine, "_processor_kwargs", {}).get("speculative_k")
-            if configured is not None:
-                knobs["speculative_k"] = configured
+            if engine.speculative_k is not None:
+                knobs["speculative_k"] = engine.speculative_k
         elif latency == LATENCY_SLOW:
             knobs["speculative_k"] = 2
         return cls(**knobs)
@@ -405,25 +382,20 @@ class ExecutionPlan:
             When ``speculative_k`` is set (an engine-construction knob —
             see the field docs) on a plan resolved against an engine.
         """
-        if self.speculative_k is not None:
-            configured = getattr(engine, "_processor_kwargs", {}).get("speculative_k")
-            if configured != self.speculative_k:
-                raise PlanError(
-                    "speculative_k configures the OLGAPRO processors at engine "
-                    "construction and cannot be applied by resolution; build "
-                    "the engine with UDFExecutionEngine(..., plan=plan) or "
-                    "pass speculative_k to the engine directly"
-                )
+        if self.speculative_k is not None and engine.speculative_k != self.speculative_k:
+            raise PlanError(
+                "speculative_k configures the OLGAPRO processors at engine "
+                "construction and cannot be applied by resolution; build "
+                "the engine with UDFExecutionEngine(..., plan=plan) or "
+                "pass speculative_k to the engine directly"
+            )
         if self.workers is not None:
             return ParallelExecutor(engine, self)
         if (
             self.batch_size is not None
             or self.async_inflight is not None
             or self.pipeline_lookahead is not None
-            or self.storage != "tuple"
         ):
-            # storage="columnar" runs on the chunk pipeline, so a columnar
-            # plan with no explicit chunking still chunks at the default size.
             return BatchExecutor(engine, self)
         return None
 

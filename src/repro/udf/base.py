@@ -35,8 +35,11 @@ instrumentation the algorithms and experiments rely on:
 from __future__ import annotations
 
 import asyncio
+import os
+import selectors
 import threading
 import time
+import weakref
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -524,6 +527,27 @@ class UDF:
         )
 
 
+#: Per thread: the loop :meth:`AsyncUDF._run_blocking` runs on, and the
+#: process that opened it (a forked child opens its own).
+_blocking_loops = threading.local()
+
+
+def _blocking_loop() -> asyncio.AbstractEventLoop:
+    """The calling thread's private event loop, opened on first use.
+
+    Closed when the thread object goes, or at exit.  Its selector keeps the
+    registrations in the process (``poll``), not in a kernel object a forked
+    child would share (``epoll``): a child that closes its copy takes nothing
+    from the parent's loop.
+    """
+    local = _blocking_loops
+    if getattr(local, "pid", None) != os.getpid():
+        selector = getattr(selectors, "PollSelector", selectors.SelectSelector)()
+        local.loop, local.pid = asyncio.SelectorEventLoop(selector), os.getpid()
+        weakref.finalize(threading.current_thread(), local.loop.close)
+    return local.loop
+
+
 class AsyncUDF(UDF):
     """A UDF whose implementation is a native coroutine function.
 
@@ -580,11 +604,19 @@ class AsyncUDF(UDF):
         """Bridge for the blocking paths: run the coroutine to completion.
 
         Runs on whatever thread called it (a refinement loop, a pool
-        worker), each call on a fresh private event loop —
-        :func:`asyncio.run` — so blocking callers never need a loop of
-        their own and concurrent blocking calls stay independent.
+        worker), on that thread's private event loop, so blocking callers
+        never need a loop of their own and concurrent blocking calls stay
+        independent.  The loop is kept for the thread's life: a fresh one per
+        call (:func:`asyncio.run`) opens and closes a selector and a socket
+        pair around every evaluation — a dozen system calls that each give
+        up the GIL, so under a served burst (8 worker threads) every call
+        queued for the interpreter several times over and the drain time
+        swung from run to run (perfbench ``serve_open_loop``, 10 alternating
+        pairs: ``op_b_ms`` 150 -> 127, quartile distance 15 -> 12; ``op_a_ms``
+        quartile distance 34 -> 14).
         """
-        return float(asyncio.run(self._coro_func(np.asarray(x, dtype=float))))
+        coro = self._coro_func(np.asarray(x, dtype=float))
+        return float(_blocking_loop().run_until_complete(coro))
 
     async def evaluate_async(self, x: np.ndarray) -> float:
         """Evaluate one point on the *current* event loop.

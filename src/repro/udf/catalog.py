@@ -16,8 +16,8 @@ preferred out-of-process backend).
 
 :meth:`ExecutionPlan.auto <repro.engine.plan.ExecutionPlan.auto>` consumes
 these profiles to choose ``batch_size`` / ``transport`` /
-``async_inflight`` / ``pipeline_lookahead`` / ``speculative_k`` /
-``storage`` instead of requiring hand-tuning; ``plan="auto"`` on the
+``async_inflight`` / ``pipeline_lookahead`` / ``speculative_k`` instead
+of requiring hand-tuning; ``plan="auto"`` on the
 operators, the query builder and :class:`~repro.engine.session.Session`
 routes through the same resolution.  A *neutral* profile (negligible
 per-call cost, no declared backend) must resolve to the serial batched
@@ -114,8 +114,6 @@ class UDFProfile:
         transport.
     deterministic:
         Whether repeated evaluation at one point returns the same value.
-        The planner only selects the columnar fast path for deterministic
-        UDFs.
     tags:
         Free-form labels (``"astro"``, ``"synthetic"``, ...).
     backend:

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.emulator import GPEmulator
 from repro.distributions.continuous import Gaussian
 from repro.distributions.multivariate import IndependentJoint
 from repro.udf.base import UDF
 from repro.udf.synthetic import reference_function
+
+# Tier-1 must give the same verdict on the same code: the property tests
+# search a fixed example sequence.  The randomised search keeps running as
+# its own, allowed-to-fail CI job (``--hypothesis-profile=default``).
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from repro.engine.plan import ExecutionPlan
 from repro.engine.query import Query
 from repro.engine.sdss import generate_galaxy_relation
 from repro.exceptions import QueryError
-from repro.udf.synthetic import reference_function
+from repro.udf.synthetic import high_dimensional_function, reference_function
 from repro.workloads.generators import input_stream, selectivity_predicate, workload_for_udf
 
 RTOL = 1e-8
@@ -125,16 +125,15 @@ def test_process_batch_empty_and_single():
     assert result.distribution.size == 150
 
 
-@pytest.mark.parametrize("storage", ["tuple", "columnar"])
-def test_empty_relation_yields_empty_outputs_and_zero_phases(storage):
+def test_empty_relation_yields_empty_outputs_and_zero_phases():
     """A zero-length input (empty relation, or an all-empty column block)
-    is a legal batch in both storages: explicit zero phase timings, not an
-    absent or partial report."""
+    is a legal batch: explicit zero phase timings, not an absent or partial
+    report."""
     udf = reference_function("F1")
     engine = UDFExecutionEngine(
         strategy="gp", requirement=REQUIREMENT, random_state=1, n_samples=150
     )
-    executor = ExecutionPlan(batch_size=4, storage=storage).resolve(engine)
+    executor = ExecutionPlan(batch_size=4).resolve(engine)
     assert executor.compute_batch(udf, []) == []
     assert executor.timings.seconds == {
         "sampling": 0.0,
@@ -143,37 +142,23 @@ def test_empty_relation_yields_empty_outputs_and_zero_phases(storage):
     }
 
 
-def test_process_batch_empty_and_single_columnar():
-    """The columnar chunk path handles the degenerate chunk sizes the
-    column kernels are most easily off-by-one on: a zero-length chunk and
-    a single-tuple chunk (a (1, m, 1) sample block, one-row column arm)."""
-    udf = reference_function("F1")
-    processors = {}
-    results = {}
-    for columnar in (False, True):
-        processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=1, n_samples=150)
-        assert processor.process_batch([], columnar=columnar) == []
-        dist = next(iter(input_stream(workload_for_udf(udf), 1, random_state=5)))
-        [result] = processor.process_batch([dist], columnar=columnar)
-        assert result.n_samples == 150
-        processors[columnar], results[columnar] = processor, result
-    assert np.array_equal(
-        results[False].distribution.samples, results[True].distribution.samples
-    )
-    assert results[False].error_bound == results[True].error_bound
-
-
-def test_single_tuple_columnar_matches_tuple_storage():
-    udf = reference_function("F1")
-    outputs = {}
-    for storage in ("tuple", "columnar"):
+def test_single_tuple_chunk_matches_per_tuple():
+    """The degenerate chunk the column kernels are most easily off-by-one
+    on — a (1, m, 1) sample block, a one-tuple window — against the
+    per-tuple reference."""
+    udf = high_dimensional_function(1)  # a stream that encodes as a column
+    outputs = []
+    for batched in (False, True):
         engine = UDFExecutionEngine(
             strategy="gp", requirement=REQUIREMENT, random_state=9, n_samples=150
         )
-        dists = list(input_stream(workload_for_udf(udf), 1, random_state=5))
-        executor = ExecutionPlan(batch_size=4, storage=storage).resolve(engine)
-        outputs[storage] = executor.compute_batch(udf, dists)
-    [ref], [got] = outputs["tuple"], outputs["columnar"]
+        [dist] = input_stream(workload_for_udf(udf), 1, random_state=5)
+        if batched:
+            [output] = ExecutionPlan(batch_size=4).resolve(engine).compute_batch(udf, [dist])
+        else:
+            output = engine.compute(udf, dist)
+        outputs.append(output)
+    ref, got = outputs
     assert np.array_equal(ref.distribution.samples, got.distribution.samples)
     assert ref.error_bound == got.error_bound
     assert ref.udf_calls == got.udf_calls

@@ -172,9 +172,8 @@ def test_round_trip_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_query_scans_columnar_relation_and_matches_tuple_store():
-    """A Query over the columnar store, executed with
-    ``storage="columnar"``, is bit-identical to the same query over the
-    tuple store with the default storage."""
+    """A Query over the columnar store is bit-identical to the same query
+    over the tuple store."""
     results = {}
     for storage in ("tuple", "columnar"):
         udf = reference_function("F1", simulated_eval_time=1e-4)
@@ -189,7 +188,7 @@ def test_query_scans_columnar_relation_and_matches_tuple_store():
                 udf,
                 ["ra_offset", "dec_offset"],
                 alias="f",
-                plan=ExecutionPlan(batch_size=4, storage=storage),
+                plan=ExecutionPlan(batch_size=4),
             )
             .run(engine)
         )

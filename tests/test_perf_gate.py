@@ -19,10 +19,10 @@ Contracts under test, per row:
   latency (gated as its inverse, so a latency *increase* regresses) —
   arm on every runner, because the smoke serving workload overlaps
   awaited service latency rather than CPU;
-* the columnar-storage speedup over the tuple store is gated like the
-  batch gate (a within-run hardware-normalised ratio, armed everywhere);
-  its bit-identity half lives in the non-overridable ``identity_failures``
-  list, not in a gate verdict;
+* the batched speedup at the dispatch-bound and in-contract shapes is
+  gated like the batch gate (within-run hardware-normalised ratios, armed
+  everywhere); the batched ≡ per-tuple bit-identity half lives in the
+  non-overridable ``identity_failures`` list, not in a gate verdict;
 * the auto-planned-over-naive-default speedup is gated the same way and
   arms everywhere (the smoke auto-plan workload overlaps awaited service
   latency); its auto≡explicit identity half is likewise enforced through
@@ -69,10 +69,14 @@ def _worse(gate, healthy):
 
 def test_the_table_lists_every_gate_once_in_evaluation_order():
     assert [gate.key for gate in GATES] == [
-        "gate", "gate_columnar", "gate_shared_learning", "gate_parallel",
-        "gate_shared_speedup", "gate_auto_plan", "gate_serving",
+        "gate", "gate_dispatch_bound", "gate_in_contract", "gate_shared_learning",
+        "gate_parallel", "gate_shared_speedup", "gate_auto_plan", "gate_serving",
         "gate_serving_p99",
     ]
+    # The two extra batch_pipeline shapes sit next to the headline ratio.
+    assert BY_KEY["gate_dispatch_bound"].path == (
+        "batch_pipeline", "dispatch_bound", "speedup", "gp")
+    assert BY_KEY["gate_in_contract"].path == ("batch_pipeline", "in_contract", "speedup", "gp")
     assert BY_KEY["gate"].metric == "batch_pipeline gp speedup"
     assert BY_KEY["gate_parallel"].metric == "parallel_scaling gp speedup at workers=4"
     assert BY_KEY["gate_serving"].metric == "serving throughput scaling at 4 clients"
@@ -178,10 +182,10 @@ class TestFixedCeilingGate:
 
 class TestCoreCountGuard:
     """The parallel and shared-speedup gates only arm with enough real
-    cores to scale on; the batch, columnar, shared-calls-ratio, auto-plan
-    and serving gates arm everywhere."""
+    cores to scale on; the three batch, shared-calls-ratio, auto-plan and
+    serving gates arm everywhere."""
 
-    ALWAYS_ON = ["gate", "gate_columnar", "gate_shared_learning",
+    ALWAYS_ON = ["gate", "gate_dispatch_bound", "gate_in_contract", "gate_shared_learning",
                  "gate_auto_plan", "gate_serving", "gate_serving_p99"]
 
     @staticmethod

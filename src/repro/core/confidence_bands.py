@@ -122,16 +122,21 @@ def expected_euler_characteristic(
         raise GPError("second spectral moment must be positive")
     if curvatures is None:
         curvatures = lipschitz_killing_curvatures(box)
-    lam = second_spectral_moment
+    scales = _density_scales(second_spectral_moment, curvatures.size)
+    return _euler_characteristic(z, curvatures, scales)
+
+
+def _density_scales(lam: float, size: int) -> list[float]:
+    """The z-independent factor ``λ₂^{j/2} (2π)^{-(j+1)/2}`` of every ``ρ_j``, j < size."""
+    return [lam ** (j / 2.0) * (2.0 * math.pi) ** (-(j + 1) / 2.0) for j in range(size)]
+
+
+def _euler_characteristic(z: float, curvatures: np.ndarray, scales: list[float]) -> float:
+    """``Σ_j L_j ρ_j(z)`` from a box's curvatures and its density scales."""
     total = curvatures[0] * float(special.ndtr(-z))
     gaussian_tail = math.exp(-0.5 * z**2)
     for j in range(1, curvatures.size):
-        density = (
-            lam ** (j / 2.0)
-            * (2.0 * math.pi) ** (-(j + 1) / 2.0)
-            * _hermite_prob(j - 1, z)
-            * gaussian_tail
-        )
+        density = scales[j] * _hermite_prob(j - 1, z) * gaussian_tail
         total += curvatures[j] * density
     return total
 
@@ -206,12 +211,16 @@ def band_z_values(
 
 def _euler_band(box: BoundingBox, alpha: float, lam: float) -> SimultaneousBand:
     """The Euler-characteristic calibration for one box and spectral moment."""
+    if lam <= 0:
+        raise GPError("second spectral moment must be positive")
+    # Everything the root-solve's objective needs that does not depend on z.
     curvatures = lipschitz_killing_curvatures(box)
+    scales = _density_scales(lam, curvatures.size)
 
     def objective(z: float) -> float:
         # Two-sided band: the excursion sets above +z and below -z are
         # disjoint and symmetric, doubling the expected Euler characteristic.
-        return 2.0 * expected_euler_characteristic(z, box, lam, curvatures=curvatures) - alpha
+        return 2.0 * _euler_characteristic(z, curvatures, scales) - alpha
 
     low, high = _Z_MIN, _Z_MAX
     f_low = objective(low)

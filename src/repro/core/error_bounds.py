@@ -20,10 +20,18 @@ The GP-modelling contribution to the λ-discrepancy error is then
 
 ``ε_GP = sup_{b−a ≥ λ} max(ρ'_U − ρ̂', ρ̂' − ρ'_L)``,
 
-computed here both by the paper's efficient sweep (Algorithm 3,
-O(m log m)) and by a quadratic reference used in tests.  The KS-metric bound
-follows Proposition 4.2, and :func:`combine_bounds` applies Theorem 4.1 to
-merge the GP and Monte-Carlo error contributions.
+computed here both by the paper's efficient sweep (Algorithm 3) and by a
+quadratic reference used in tests.  The sweep's O(m log m) is the three
+sorts the envelope's ECDFs already did: :func:`gp_discrepancy_bound` reads
+those sorted arrays and gets everything else — the union grid, the three
+CDFs on it, each left endpoint's first feasible right endpoint, the index
+where ``F_L`` catches up with ``F_S`` — from two stable merges and one
+cumulative histogram, never a binary search.
+:func:`gp_discrepancy_bound_block` sweeps a window of envelopes at once,
+one row each, to the same bits; its two index searches stay searches.  The
+KS-metric bound follows Proposition 4.2, and
+:func:`combine_bounds` applies Theorem 4.1 to merge the GP and Monte-Carlo
+error contributions.
 """
 
 from __future__ import annotations
@@ -95,13 +103,14 @@ def interval_probability_bounds(
 
 
 def _augmented_grid(envelope: EnvelopeOutputs, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Union grid of the three sample sets plus virtual ±infinity points."""
-    # One unique pass over the concatenation — identical to the nested
-    # union1d (which is defined as unique of a concatenation) at half the
-    # sorting work; this sits on the per-tuple hot path.
+    """Union grid of the three sample sets plus virtual ±infinity points.
+
+    The quadratic reference's grid: one ``searchsorted`` per CDF, independent
+    of the merge :func:`gp_discrepancy_bound` derives the same arrays from.
+    """
     grid = np.unique(
         np.concatenate(
-            [envelope.y_hat.samples, envelope.y_lower.samples, envelope.y_upper.samples]
+            [envelope.y_hat._sorted, envelope.y_lower._sorted, envelope.y_upper._sorted]
         )
     )
     pad = max(lam, 1.0) * 2.0 + 1.0
@@ -112,18 +121,120 @@ def _augmented_grid(envelope: EnvelopeOutputs, lam: float) -> tuple[np.ndarray, 
     return grid, f_s, f_h, f_l
 
 
+def _merged_grid(
+    envelope: EnvelopeOutputs, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Augmented union grid and the three CDFs on it as integer counts.
+
+    The three sample arrays are already sorted, so one stable argsort of
+    their concatenation is a three-run merge; an element's position in the
+    concatenation names its source, and the running source counts are the
+    ``searchsorted(side="right")`` counts of the ECDFs.  A run of equal
+    values collapses to its last position, which carries the run-final
+    counts — the grid ``np.unique`` builds and the counts ``cdf`` returns
+    on it.  Returns ``(grid, counts_S, counts_hat, counts_L)``.
+    """
+    y_h = envelope.y_hat._sorted
+    y_s = envelope.y_lower._sorted
+    y_l = envelope.y_upper._sorted
+    concat = np.concatenate([y_h, y_s, y_l])
+    perm = np.argsort(concat, kind="stable")
+    merged = concat[perm]
+    cum_h = np.cumsum(perm < y_h.size)
+    cum_l = np.cumsum(perm >= y_h.size + y_s.size)
+    is_end = np.empty(merged.size, dtype=bool)
+    is_end[-1] = True
+    np.not_equal(merged[1:], merged[:-1], out=is_end[:-1])
+    if is_end.all():
+        seen = np.arange(1, merged.size + 1)
+    else:
+        ends = np.flatnonzero(is_end)
+        merged, cum_h, cum_l = merged[ends], cum_h[ends], cum_l[ends]
+        seen = ends + 1
+    n = merged.size + 2
+    pad = max(lam, 1.0) * 2.0 + 1.0
+    grid = np.empty(n)
+    grid[0] = merged[0] - pad
+    grid[1:-1] = merged
+    grid[-1] = merged[-1] + pad
+    counts = np.empty((3, n), dtype=np.intp)
+    counts[0, 1:-1] = seen - cum_h - cum_l
+    counts[1, 1:-1] = cum_h
+    counts[2, 1:-1] = cum_l
+    counts[:, -1] = (y_s.size, y_h.size, y_l.size)
+    # The virtual left point sits below every sample unless the pad is
+    # absorbed by a huge smallest value; it then *is* that value.
+    counts[:, 0] = counts[:, 1] if grid[0] == grid[1] else 0
+    return grid, counts[0], counts[1], counts[2]
+
+
 def gp_discrepancy_bound(envelope: EnvelopeOutputs, lam: float) -> float:
     """Algorithm 3: the GP share ``ε_GP`` of the λ-discrepancy error bound.
 
     Sweeps left endpoints ``a`` over the union grid; for each, the supremum
     over right endpoints ``b ≥ a + λ`` decomposes into terms that only need
-    pre-computed suffix maxima of ``F_S − F̂`` and ``F̂ − F_L`` plus one
-    binary search, giving O(m log m) overall.
+    pre-computed suffix maxima of ``F_S − F̂`` and ``F̂ − F_L`` plus the
+    index of the first feasible ``b`` and of the first ``b`` with
+    ``F_L(b) ≥ F_S(a)``.  Every key involved is already sorted, so those
+    indices come from merges and count tables rather than binary searches
+    (O(m) after the envelope's sorts).
     """
     if lam < 0:
         raise AccuracyError(f"lambda must be non-negative, got {lam}")
-    grid, f_s, f_h, f_l = _augmented_grid(envelope, lam)
-    return _sweep_on_grid(grid, f_s, f_h, f_l, lam)
+    grid, counts_s, counts_h, counts_l = _merged_grid(envelope, lam)
+    n = grid.size
+    m_s, m_l = envelope.y_lower.size, envelope.y_upper.size
+    f_s = counts_s / m_s
+    f_h = counts_h / envelope.y_hat.size
+    f_l = counts_l / m_l
+    d_sh = f_s - f_h  # >= 0 up to MC noise
+    d_hl = f_h - f_l  # >= 0 up to MC noise
+
+    # Suffix maxima: sufmax[i] = max over j >= i.
+    sufmax_sh = np.maximum.accumulate(d_sh[::-1])[::-1]
+    sufmax_hl = np.maximum.accumulate(d_hl[::-1])[::-1]
+
+    # First feasible right endpoint of every left endpoint, i.e.
+    # ``searchsorted(grid, grid + lam, side="left")``: merge the keys ahead
+    # of the grid (stable, so a key precedes the grid values it ties with);
+    # the k-th key then has k keys and its insertion index many grid values
+    # before it.
+    order = np.argsort(np.concatenate([grid + lam, grid]), kind="stable")
+    first_feasible = np.flatnonzero(order < n) - np.arange(n)
+    # The keys are non-decreasing, so the left endpoints with any feasible
+    # right endpoint are a prefix: the candidate terms read slices.
+    n_valid = int(np.searchsorted(first_feasible, n))
+    if n_valid == 0:
+        return 0.0
+    ib_min = first_feasible[:n_valid]
+    # For the rho_L > 0 region: first index where F_L(b) >= F_S(a), i.e.
+    # ``searchsorted(f_l, f_s, side="left")``.  Over one sample size the
+    # CDFs compare as their integer counts, and "how many grid points have
+    # an L-count below c" is a cumulative histogram.
+    if m_s == m_l:
+        below = np.zeros(m_l + 2, dtype=np.intp)
+        np.cumsum(np.bincount(counts_l, minlength=m_l + 1), out=below[1:])
+        crossing = below[counts_s[:n_valid]]
+    else:
+        crossing = np.searchsorted(f_l, f_s[:n_valid], side="left")
+
+    # Term A: rho'_U - rho_hat' = d_hl(a) + max_{b} d_sh(b).
+    best = max(0.0, float(np.max(d_hl[:n_valid] + sufmax_sh[ib_min])))
+    # Term B, region where rho'_L > 0: d_sh(a) + max_{b} d_hl(b).  Both
+    # index arrays are non-decreasing, so the in-range endpoints are again
+    # a prefix.
+    ib1 = np.maximum(ib_min, crossing)
+    in_range = int(np.searchsorted(ib1, n))
+    if in_range:
+        best = max(best, float(np.max(d_sh[:in_range] + sufmax_hl[ib1[:in_range]])))
+    # Term B, region where rho'_L = 0 (b below the crossing): the bound is
+    # rho_hat' itself, maximised at the largest feasible b in the region
+    # because the mean CDF is non-decreasing.
+    ib2 = np.minimum(crossing, n) - 1
+    feasible = ib2 >= ib_min
+    if np.any(feasible):
+        best = max(best, float(np.max(f_h[ib2[feasible]] - f_h[:n_valid][feasible])))
+    return float(min(1.0, best))
 
 
 def gp_discrepancy_bound_block(envelopes, lam: float) -> np.ndarray:
@@ -267,49 +378,6 @@ def _sweep_block(
     np.maximum(best, term_b2.max(axis=1), out=best)
     np.maximum(best, 0.0, out=best)
     return np.minimum(best, 1.0)
-
-
-def _sweep_on_grid(
-    grid: np.ndarray, f_s: np.ndarray, f_h: np.ndarray, f_l: np.ndarray, lam: float
-) -> float:
-    """The Algorithm-3 sweep given an augmented grid and its three CDFs."""
-    n = grid.size
-    d_sh = f_s - f_h  # >= 0 up to MC noise
-    d_hl = f_h - f_l  # >= 0 up to MC noise
-
-    # Suffix maxima: sufmax[i] = max over j >= i.
-    sufmax_sh = np.maximum.accumulate(d_sh[::-1])[::-1]
-    sufmax_hl = np.maximum.accumulate(d_hl[::-1])[::-1]
-
-    # Indices of the first feasible right endpoint for every left endpoint.
-    first_feasible = np.searchsorted(grid, grid + lam, side="left")
-    # For the rho_L > 0 region: first index where F_L(b) >= F_S(a).
-    crossing = np.searchsorted(f_l, f_s, side="left")
-
-    # The sweep over left endpoints is fully data-parallel; evaluating the
-    # three candidate terms with masked array expressions keeps the values
-    # identical to the scalar sweep while running at numpy speed.
-    valid = first_feasible < n
-    if not np.any(valid):
-        return 0.0
-    ia = np.flatnonzero(valid)
-    ib_min = first_feasible[ia]
-    best = 0.0
-    # Term A: rho'_U - rho_hat' = d_hl(a) + max_{b} d_sh(b).
-    best = max(best, float(np.max(d_hl[ia] + sufmax_sh[ib_min])))
-    # Term B, region where rho'_L > 0: d_sh(a) + max_{b} d_hl(b).
-    ib1 = np.maximum(ib_min, crossing[ia])
-    in_range = ib1 < n
-    if np.any(in_range):
-        best = max(best, float(np.max(d_sh[ia[in_range]] + sufmax_hl[ib1[in_range]])))
-    # Term B, region where rho'_L = 0 (b below the crossing): the bound is
-    # rho_hat' itself, maximised at the largest feasible b in the region
-    # because the mean CDF is non-decreasing.
-    ib2 = np.minimum(crossing[ia], n) - 1
-    feasible = ib2 >= ib_min
-    if np.any(feasible):
-        best = max(best, float(np.max(f_h[ib2[feasible]] - f_h[ia[feasible]])))
-    return float(min(1.0, best))
 
 
 def gp_discrepancy_bound_naive(envelope: EnvelopeOutputs, lam: float) -> float:

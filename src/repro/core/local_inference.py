@@ -234,9 +234,9 @@ class LocalInferenceEngine:
         K_rows = gp.kernel(samples, X)
         distances = _distances_to_boxes(X, [box])[:, 0]
         selection = self._select_from_distances(gp, alpha, distances, K_rows, box)
-        X_local = X[selection[0]]
-        K_local_inv = _noise_augmented_inverse(gp.kernel(X_local, X_local), gp.effective_noise())
-        return _subset_inference(gp, alpha, samples, K_rows, selection, K_local_inv)
+        return _subset_inference(
+            gp, alpha, samples, K_rows, selection, gp.local_inverse(selection[0])
+        )
 
     # -- multi-query (batched) inference -------------------------------------------
     def predict_multi(
@@ -326,14 +326,32 @@ class LocalInferenceEngine:
         with the whole training set, so the exact-γ check is a matvec with
         the kept weights zeroed (exact zeros contribute nothing) instead of
         a fresh kernel evaluation on the excluded points.
+
+        The exact-γ schedule is :meth:`_expand_radius`'s without re-judging:
+        the kept set only grows with the radius, so a level that keeps as
+        many points as the last rejected one keeps the same points and is
+        rejected again without the matvec — as is an empty set, which is
+        never accepted.  The row indices are materialised on acceptance only.
         """
-        return self._expand_radius(
-            gp,
-            alpha,
-            sample_box,
-            lambda radius: np.flatnonzero(distances <= radius),
-            lambda excluded: K_rows @ np.where(excluded, alpha, 0.0),
-        )
+        if self.bound_method != "exact":
+            return self._expand_radius(
+                gp, alpha, sample_box, lambda radius: np.flatnonzero(distances <= radius), None
+            )
+        n = alpha.size
+        radius = 0.5 * gp.kernel.lengthscale
+        rejected = 0  # size of the last kept set whose γ exceeded Γ
+        for _ in range(self.max_expansions):
+            kept = distances <= radius
+            count = int(np.count_nonzero(kept))
+            if count == n:
+                break
+            if count != rejected:
+                gamma = float(np.max(np.abs(K_rows @ np.where(kept, 0.0, alpha))))
+                if gamma <= self.gamma_threshold:
+                    return np.flatnonzero(kept), gamma, radius
+                rejected = count
+            radius *= self.expansion_factor
+        return np.arange(n), 0.0, radius
 
     def _select_from_distances_block(
         self,
@@ -435,8 +453,9 @@ _MAX_STACK_ELEMENTS = 262_144
 
 #: Cap on the sample rows of one armed window (:meth:`BatchKernelCache.arm`).
 #: Stacking amortises per-call dispatch, which only dominates on small
-#: arrays, while every transient of the block pipeline (the bound sweep
-#: allocates ~25 arrays of rows x 3m) scales with the stacked rows.
+#: arrays, while every transient of the block pipeline (its bound sweep,
+#: ``error_bounds._sweep_block``, allocates some 40 arrays of rows x 3m, a
+#: quarter of them boolean) scales with the stacked rows.
 #: Measured (F1, batch 32, warm 74-point model, BLAS pinned), scalar first
 #: pass over the window under this cap / over the whole 32-tuple chunk
 #: stacked: 1.15 / 1.15 at m = 64 samples per tuple, 1.14 / 1.12 at 199,
@@ -688,8 +707,9 @@ def _subset_inference(
     # approximation, whose error is bounded by γ), plus the GP's constant
     # mean offset.  Variance: exact GP variance of the local model.
     means = K_star @ alpha[selected] + gp.mean_offset
-    tmp = K_star @ K_local_inv
-    variances = np.maximum(gp.kernel.diag(samples) - np.sum(tmp * K_star, axis=1), 0.0)
+    projected = K_star @ K_local_inv
+    np.multiply(projected, K_star, out=projected)
+    variances = np.maximum(gp.kernel.diag(samples) - np.sum(projected, axis=1), 0.0)
     return LocalInferenceResult(
         means=means,
         stds=np.sqrt(variances),

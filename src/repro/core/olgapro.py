@@ -373,8 +373,7 @@ class OLGAPRO:
         """
         if gp.n_training == 0:
             return 1.0
-        y = gp.y_train
-        return max(float(np.max(y) - np.min(y)), 1e-12)
+        return max(gp.target_range(), 1e-12)
 
     def lambda_value(self) -> float:
         """Minimum interval length λ in output units."""

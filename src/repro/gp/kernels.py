@@ -37,8 +37,9 @@ def pairwise_sq_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         )
     sq1 = np.sum(X1**2, axis=1)[:, None]
     sq2 = np.sum(X2**2, axis=1)[None, :]
-    sq = sq1 + sq2 - 2.0 * X1 @ X2.T
-    return np.maximum(sq, 0.0)
+    sq = sq1 + sq2
+    sq -= 2.0 * X1 @ X2.T
+    return np.maximum(sq, 0.0, out=sq)
 
 
 class Kernel(abc.ABC):
@@ -78,13 +79,25 @@ class Kernel(abc.ABC):
 
     # -- evaluation ---------------------------------------------------------
     @abc.abstractmethod
-    def _from_scaled_distance(self, u: np.ndarray) -> np.ndarray:
-        """Correlation as a function of ``u = r / lengthscale`` (unit signal)."""
+    def _correlate(self, u: np.ndarray) -> np.ndarray:
+        """Overwrite ``u = r / lengthscale`` with the correlation (unit signal).
+
+        Consumes its argument and returns it: a caller that still needs
+        ``u`` passes a copy.
+        """
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``."""
-        r = np.sqrt(pairwise_sq_dists(X1, X2))
-        return self.signal_std**2 * self._from_scaled_distance(r / self.lengthscale)
+        """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``.
+
+        Every step after the squared distances writes into their array:
+        the same elementwise operations on the same operands as the
+        expression ``signal_std**2 * corr(sqrt(sq) / lengthscale)``, without
+        a fresh matrix per step.
+        """
+        u = pairwise_sq_dists(X1, X2)
+        np.sqrt(u, out=u)
+        np.divide(u, self.lengthscale, out=u)
+        return np.multiply(self._correlate(u), self.signal_std**2, out=u)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``k(X, X)`` without forming the full matrix."""
@@ -105,7 +118,7 @@ class Kernel(abc.ABC):
         r = np.sqrt(pairwise_sq_dists(X, X))
         u = r / self.lengthscale
         s2 = self.signal_std**2
-        K = s2 * self._from_scaled_distance(u)
+        K = s2 * self._correlate(u.copy())
         dK_dlog_sf = 2.0 * K
         dK_dlog_l = s2 * self._dcorr_dlog_lengthscale(u)
         return [dK_dlog_sf, dK_dlog_l]
@@ -115,7 +128,7 @@ class Kernel(abc.ABC):
         r = np.sqrt(pairwise_sq_dists(X, X))
         u = r / self.lengthscale
         s2 = self.signal_std**2
-        K = s2 * self._from_scaled_distance(u)
+        K = s2 * self._correlate(u.copy())
         d2K_dlog_sf2 = 4.0 * K
         d2K_dlog_l2 = s2 * self._d2corr_dlog_lengthscale2(u)
         return [d2K_dlog_sf2, d2K_dlog_l2]
@@ -140,8 +153,11 @@ class Kernel(abc.ABC):
 class SquaredExponential(Kernel):
     """Squared-exponential (RBF) kernel — the paper's default (Section 3.2)."""
 
-    def _from_scaled_distance(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * u**2)
+    def _correlate(self, u: np.ndarray) -> np.ndarray:
+        # exp(-0.5 * u**2)
+        np.multiply(u, u, out=u)
+        np.multiply(u, -0.5, out=u)
+        return np.exp(u, out=u)
 
     def _dcorr_dlog_lengthscale(self, u: np.ndarray) -> np.ndarray:
         return u**2 * np.exp(-0.5 * u**2)
@@ -159,9 +175,13 @@ class Matern32(Kernel):
 
     _SQRT3 = math.sqrt(3.0)
 
-    def _from_scaled_distance(self, u: np.ndarray) -> np.ndarray:
-        v = self._SQRT3 * u
-        return (1.0 + v) * np.exp(-v)
+    def _correlate(self, u: np.ndarray) -> np.ndarray:
+        # (1 + v) * exp(-v) with v = sqrt(3) u
+        v = np.multiply(u, self._SQRT3, out=u)
+        decay = np.negative(v)
+        np.exp(decay, out=decay)
+        np.add(v, 1.0, out=v)
+        return np.multiply(v, decay, out=v)
 
     def _dcorr_dlog_lengthscale(self, u: np.ndarray) -> np.ndarray:
         v = self._SQRT3 * u
@@ -180,9 +200,16 @@ class Matern52(Kernel):
 
     _SQRT5 = math.sqrt(5.0)
 
-    def _from_scaled_distance(self, u: np.ndarray) -> np.ndarray:
-        v = self._SQRT5 * u
-        return (1.0 + v + v**2 / 3.0) * np.exp(-v)
+    def _correlate(self, u: np.ndarray) -> np.ndarray:
+        # (1 + v + v**2 / 3) * exp(-v) with v = sqrt(5) u
+        v = np.multiply(u, self._SQRT5, out=u)
+        decay = np.negative(v)
+        np.exp(decay, out=decay)
+        third = np.multiply(v, v)
+        np.divide(third, 3.0, out=third)
+        np.add(v, 1.0, out=v)
+        np.add(v, third, out=v)
+        return np.multiply(v, decay, out=v)
 
     def _dcorr_dlog_lengthscale(self, u: np.ndarray) -> np.ndarray:
         v = self._SQRT5 * u

@@ -32,6 +32,18 @@ from repro.gp.linalg import (
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+#: Cap on the per-version local-inverse memo
+#: (:meth:`GaussianProcess.local_inverse`), in summed matrix elements (8 MB of
+#: float64); oldest entries are evicted, a larger inverse is never filed.
+#: Elements, not entries, because entry counts do not bound memory.  Measured
+#: (per-tuple ``process``, 200 samples, 500 tuples after 60 of warm-up):
+#: quiet F1 / F3 streams look up one subset per model version — the whole
+#: 57..128-point training set, 26..131 KB, up to 239 lookups per version —
+#: while F4 at its 2 000-point ceiling looks up a different 278..1 988-point
+#: subset on each of the 36 calls of its longest quiet run: no hits, and up
+#: to 31.6 MB per inverse, which this cap declines to hold.
+_LOCAL_INVERSE_CAP = 1 << 20
+
 
 @dataclass(frozen=True)
 class GPStateSnapshot:
@@ -130,12 +142,20 @@ class GaussianProcess:
         #: and O(n^2 k) blocked inverse updates.  The speculative tuning tests
         #: and benchmarks read these to quantify refinement-loop savings.
         self.op_counts: dict[str, int] = {"cholesky": 0, "rank1_update": 0, "block_update": 0}
+        #: ``(version, {subset key: inverse})`` — see :meth:`local_inverse`.
+        self._local_inverses: tuple[int, dict[bytes, np.ndarray]] = (0, {})
+        #: ``(version, width)`` — see :meth:`target_range`.
+        self._target_range: tuple[int, float] = (-1, 0.0)
 
     # -- pickling ----------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle support: the update lock is process-local and not picklable."""
+        """Pickle support: the update lock is process-local and not picklable.
+
+        The local-inverse memo is derived state and stays behind as well.
+        """
         state = dict(self.__dict__)
         del state["_update_lock"]
+        state["_local_inverses"] = (self._version, {})
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -170,6 +190,16 @@ class GaussianProcess:
         """Training targets with shape ``(n,)``."""
         self._require_trained()
         return self._y.copy()
+
+    def target_range(self) -> float:
+        """Width ``max(y) - min(y)`` of the training targets, reduced once per :attr:`version`."""
+        self._require_trained()
+        version, width = self._target_range
+        if version != self._version:
+            version = self._version
+            width = float(np.max(self._y) - np.min(self._y))
+            self._target_range = (version, width)
+        return width
 
     @property
     def alpha(self) -> np.ndarray:
@@ -386,6 +416,36 @@ class GaussianProcess:
         var = self.kernel.diag(X_test) - np.sum(tmp * K_star, axis=1)
         var = np.maximum(var, 0.0)
         return mean, np.sqrt(var)
+
+    def local_inverse(self, selected: np.ndarray) -> np.ndarray:
+        """Inverse of the noise-augmented covariance of the training rows ``selected``.
+
+        The ``O(l^3)`` step of local inference (§5.1).  It depends only on
+        the model state and the subset, and a warm model serves long runs
+        of tuples from one state, so the inverses are memoised per
+        :attr:`version`: any mutation drops them all, and an inverse is
+        filed only if the version read the same before and after it was
+        built.  The returned array is shared between callers and read-only.
+        """
+        self._require_trained()
+        version = self._version
+        if self._local_inverses[0] != version:
+            self._local_inverses = (version, {})
+        memo = self._local_inverses[1]
+        key = selected.tobytes()
+        inverse = memo.get(key)
+        if inverse is None:
+            X_local = self._X[selected]
+            K_local = self.kernel(X_local, X_local)
+            L, _ = jittered_cholesky(K_local + self.effective_noise() * np.eye(selected.size))
+            inverse = inverse_from_cholesky(L)
+            inverse.setflags(write=False)
+            if self._version == version and inverse.size <= _LOCAL_INVERSE_CAP:
+                held = sum(entry.size for entry in memo.values())
+                while held + inverse.size > _LOCAL_INVERSE_CAP:
+                    held -= memo.pop(next(iter(memo))).size
+                memo[key] = inverse
+        return inverse
 
     def predict_mean(self, X_test: np.ndarray) -> np.ndarray:
         """Posterior mean only — ``O(n)`` per test point via the cached alpha."""

@@ -1,0 +1,171 @@
+"""Contract of the per-model-version local-inverse memo on the stock path.
+
+:meth:`repro.gp.regression.GaussianProcess.local_inverse` keeps the ``O(l^3)``
+inverse :meth:`LocalInferenceEngine.predict` needs for as long as the model's
+``version`` stands still.  What must hold: every mutation recomputes, an
+unmoved model factorises once, the memo changes no number, nothing of it
+crosses a pickle, and it stays under its cap.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+import repro.gp.linalg as linalg
+import repro.gp.regression as regression
+from repro.core.accuracy import AccuracyRequirement
+from repro.core.local_inference import LocalInferenceEngine, _noise_augmented_inverse
+from repro.core.olgapro import OLGAPRO
+from repro.gp.kernels import SquaredExponential
+from repro.gp.regression import GaussianProcess
+from repro.udf.synthetic import reference_function
+from repro.workloads.generators import input_stream, workload_for_udf
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Running count of ``jittered_cholesky`` calls (a one-element list)."""
+    count = [0]
+    original = linalg.jittered_cholesky
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    # Every call site resolves the name in its own module at call time.
+    monkeypatch.setattr(linalg, "jittered_cholesky", counting)
+    monkeypatch.setattr(regression, "jittered_cholesky", counting)
+    return count
+
+
+def _model(n: int = 30, seed: int = 0) -> tuple[GaussianProcess, np.random.Generator]:
+    rng = np.random.default_rng(seed)
+    gp = GaussianProcess(kernel=SquaredExponential(1.0, 1.2))
+    X = rng.uniform(0.0, 10.0, size=(n, 2))
+    gp.fit(X, np.sin(X[:, 0]) + 0.1 * X[:, 1])
+    return gp, rng
+
+
+def _samples(rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(loc=[4.0, 6.0], scale=0.4, size=(40, 2))
+
+
+def _predict(gp: GaussianProcess, samples: np.ndarray):
+    # Γ loose enough that a proper subset is selected.
+    return LocalInferenceEngine(gamma_threshold=0.05).predict(gp, samples)
+
+
+def test_an_unmoved_model_factorises_once(factorisations):
+    gp, rng = _model()
+    samples = _samples(rng)
+    before = factorisations[0]
+    first = _predict(gp, samples)
+    assert 0 < first.n_selected < gp.n_training
+    assert factorisations[0] == before + 1
+    second = _predict(gp, samples)
+    assert factorisations[0] == before + 1
+    assert np.array_equal(first.means, second.means)
+    assert np.array_equal(first.stds, second.stds)
+
+
+def _add_point(gp, rng):
+    gp.add_point(rng.uniform(0.0, 10.0, size=2), 0.3)
+
+
+def _add_points(gp, rng):
+    gp.add_points(rng.uniform(0.0, 10.0, size=(3, 2)), rng.normal(size=3))
+
+
+def _set_hyperparameters(gp, rng):
+    del rng
+    gp.set_hyperparameters(gp.kernel.theta + 0.05)
+
+
+def _restore(gp, rng):
+    del rng
+    gp.restore(gp.snapshot())  # the same state, one version later
+
+
+def _fit(gp, rng):
+    del rng
+    gp.fit(gp.X_train, gp.y_train)
+
+
+@pytest.mark.parametrize("mutate", [_add_point, _add_points, _set_hyperparameters, _restore, _fit])
+def test_every_mutation_recomputes(factorisations, mutate):
+    gp, rng = _model()
+    samples = _samples(rng)
+    _predict(gp, samples)
+    mutate(gp, rng)
+    before = factorisations[0]
+    result = _predict(gp, samples)
+    assert factorisations[0] == before + 1
+    # ... to exactly what a model that never held a memo computes.
+    fresh = _predict(pickle.loads(pickle.dumps(gp)), samples)
+    assert np.array_equal(result.means, fresh.means)
+    assert np.array_equal(result.stds, fresh.stds)
+    assert np.array_equal(result.selected_indices, fresh.selected_indices)
+
+
+def test_the_memo_changes_no_number():
+    gp, rng = _model(n=45, seed=3)
+    for _ in range(6):
+        samples = _samples(rng)
+        selected = _predict(gp, samples).selected_indices
+        X_local = gp.X_train[selected]
+        direct = _noise_augmented_inverse(gp.kernel(X_local, X_local), gp.effective_noise())
+        assert np.array_equal(gp.local_inverse(selected), direct)
+        assert not gp.local_inverse(selected).flags.writeable
+
+
+def test_a_version_that_moves_during_the_build_files_nothing(monkeypatch):
+    gp, rng = _model()
+    selected = np.arange(10)
+    original = regression.inverse_from_cholesky
+
+    def mutating(L):
+        monkeypatch.setattr(regression, "inverse_from_cholesky", original)
+        _add_point(gp, rng)  # the model moves under the build
+        return original(L)
+
+    monkeypatch.setattr(regression, "inverse_from_cholesky", mutating)
+    gp.local_inverse(selected)
+    assert gp._local_inverses[1] == {}
+
+
+def test_pickles_carry_no_entries():
+    gp, rng = _model()
+    _predict(gp, _samples(rng))
+    assert len(gp._local_inverses[1]) == 1
+    copy = pickle.loads(pickle.dumps(gp))
+    assert copy._local_inverses == (gp.version, {})
+    assert len(gp._local_inverses[1]) == 1  # pickling leaves the original's alone
+
+    udf = reference_function("F1")
+    processor = OLGAPRO(udf, AccuracyRequirement(0.2, 0.05), n_samples=64, random_state=0)
+    for dist in input_stream(workload_for_udf(udf), 3, random_state=np.random.default_rng(1)):
+        processor.process(dist)
+    assert processor.emulator.gp._local_inverses[1]
+    shipped = pickle.loads(pickle.dumps(processor))
+    assert shipped.emulator.gp._local_inverses[1] == {}
+
+
+def test_the_cap_holds_on_a_quiet_stream(monkeypatch, factorisations):
+    gp, rng = _model(n=60, seed=4)
+    centres = rng.uniform(2.0, 8.0, size=(6, 2))
+    # Room for about three of this model's subsets, so the stream must evict.
+    cap = 3 * 30**2
+    monkeypatch.setattr(regression, "_LOCAL_INVERSE_CAP", cap)
+    version, before, subsets = gp.version, factorisations[0], set()
+    for i in range(500):
+        # Runs of neighbouring tuples, as a scan over clustered data produces.
+        samples = rng.normal(loc=centres[(i // 10) % 6], scale=0.05, size=(40, 2))
+        subsets.add(_predict(gp, samples).selected_indices.tobytes())
+        memo = gp._local_inverses[1]
+        assert sum(entry.size for entry in memo.values()) <= cap
+    assert gp.version == version
+    assert len(subsets) > 3, "the stream never had to evict"
+    assert len(subsets) <= factorisations[0] - before < 250, "the memo never hit"

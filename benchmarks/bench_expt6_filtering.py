@@ -21,14 +21,17 @@ def test_expt6_filtering(once):
     print(table.to_text())
 
     # Shape check 1 (Fig. 5j): at a high filtering rate, online filtering
-    # reduces runtime for both MC and GP.
+    # reduces MC's runtime; at every rate GP's is already cheap and online
+    # filtering (tune, then test the committed envelope) must not blow it up.
+    for rate in sorted(set(table.column("target_filter_rate"))):
+        rows = table.filtered(target_filter_rate=rate)
+        gp_time = rows.filtered(approach="gp").column("mean_time_ms")[0]
+        gp_of_time = rows.filtered(approach="gp+of").column("mean_time_ms")[0]
+        assert gp_of_time <= gp_time * 1.5, rate
     high = table.filtered(target_filter_rate=0.8)
     mc_time = high.filtered(approach="mc").column("mean_time_ms")[0]
     mc_of_time = high.filtered(approach="mc+of").column("mean_time_ms")[0]
-    gp_time = high.filtered(approach="gp").column("mean_time_ms")[0]
-    gp_of_time = high.filtered(approach="gp+of").column("mean_time_ms")[0]
     assert mc_of_time <= mc_time
-    assert gp_of_time <= gp_time * 1.5  # GP is already cheap; OF must not blow it up
 
     # Shape check 2 (Fig. 5k): where enough tuples genuinely fall below the
     # threshold (the high-filter-rate setting), false positives stay low, and

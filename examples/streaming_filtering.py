@@ -17,10 +17,10 @@ import numpy as np
 
 from repro.core import (
     AccuracyRequirement,
-    OLGAPRO,
     SelectionPredicate,
     monte_carlo_with_filter,
 )
+from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.udf import reference_function
 from repro.workloads import input_stream, workload_for_udf
 
@@ -37,17 +37,19 @@ def main() -> None:
     stream = list(input_stream(spec, 12, random_state=3))
 
     # --- GP approach with online filtering -------------------------------------
-    processor = OLGAPRO(udf, requirement, random_state=0)
+    # Each tuple is tuned to the error budget, then tested on the envelope it
+    # committed; the model keeps learning from dropped tuples too.
+    engine = UDFExecutionEngine("gp", requirement=requirement, random_state=0)
+    outcomes = engine.compute_with_plan(udf, stream, ExecutionPlan(), predicate=predicate)
     gp_alerts = 0
     gp_charged = 0.0
-    for i, tuple_dist in enumerate(stream):
-        outcome = processor.process_with_filter(tuple_dist, predicate)
+    for i, outcome in enumerate(outcomes):
         gp_charged += outcome.charged_time
         status = "dropped " if outcome.dropped else f"ALERT p={outcome.existence_probability:.2f}"
         gp_alerts += int(not outcome.dropped)
         print(f"  [GP ] tuple {i:2d}: {status}")
     print(f"  [GP ] alerts={gp_alerts}  charged time={gp_charged:.2f} s  "
-          f"training points={processor.n_training}\n")
+          f"training points={engine.olgapro_for(udf).n_training}\n")
 
     # --- MC baseline with online filtering --------------------------------------
     udf_mc = reference_function("F4", simulated_eval_time=1e-3)

@@ -26,8 +26,10 @@ from repro.core.metrics import lambda_discrepancy
 from repro.core.olgapro import OLGAPRO
 from repro.core.online_tuning import make_strategy
 from repro.core.retraining import EagerRetrain, NeverRetrain, ThresholdRetrain
+from repro.engine.executor import UDFExecutionEngine
+from repro.engine.plan import ExecutionPlan
 from repro.index.bounding_box import BoundingBox
-from repro.rng import as_generator
+from repro.rng import as_generator, derive_seed
 from repro.udf.synthetic import high_dimensional_function, reference_function
 from repro.workloads.generators import (
     input_stream,
@@ -408,26 +410,25 @@ def expt6_filtering(
             kept.append(not result.dropped)
         record("mc+of", times, kept)
 
-        # GP without online filtering.
-        udf_run = reference_function(function_name, simulated_eval_time=eval_time)
-        processor = OLGAPRO(udf_run, requirement, random_state=rng)
-        times, kept = [], []
-        for dist in tuples:
-            result = processor.process(dist)
-            times.append(result.charged_time)
-            tep = result.distribution.interval_probability(predicate.low, predicate.high)
-            kept.append(tep >= predicate.threshold)
-        record("gp", times, kept)
-
-        # GP with online filtering.
-        udf_run = reference_function(function_name, simulated_eval_time=eval_time)
-        processor = OLGAPRO(udf_run, requirement, random_state=rng)
-        times, kept = [], []
-        for dist in tuples:
-            result = processor.process_with_filter(dist, predicate)
-            times.append(result.charged_time)
-            kept.append(not result.dropped)
-        record("gp+of", times, kept)
+        # GP without and with online filtering, from one seed: the predicate
+        # query is the apply query plus a drop test on each envelope a tuple
+        # commits, so the two rows differ by the tests alone.
+        gp_seed = derive_seed(rng)
+        for approach, query_predicate in (("gp", None), ("gp+of", predicate)):
+            udf_run = reference_function(function_name, simulated_eval_time=eval_time)
+            engine = UDFExecutionEngine("gp", requirement=requirement, random_state=gp_seed)
+            outputs = engine.compute_with_plan(
+                udf_run, tuples, ExecutionPlan(), predicate=query_predicate
+            )
+            if query_predicate is None:
+                kept = [
+                    output.distribution.interval_probability(predicate.low, predicate.high)
+                    >= predicate.threshold
+                    for output in outputs
+                ]
+            else:
+                kept = [not output.dropped for output in outputs]
+            record(approach, [output.charged_time for output in outputs], kept)
     return table
 
 

@@ -61,7 +61,7 @@ from repro.core.metrics import (
     lambda_discrepancy,
     lambda_discrepancy_naive,
 )
-from repro.core.olgapro import OLGAPRO, FilteredOnlineResult, OnlineTupleResult
+from repro.core.olgapro import OLGAPRO, OnlineTupleResult
 from repro.core.online_tuning import (
     LargestVarianceStrategy,
     OptimalGreedyStrategy,
@@ -143,7 +143,6 @@ __all__ = [
     # online algorithm and hybrid
     "OLGAPRO",
     "OnlineTupleResult",
-    "FilteredOnlineResult",
     "HybridExecutor",
     "HybridDecision",
     "rule_based_choice",

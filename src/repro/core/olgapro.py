@@ -13,7 +13,11 @@ For every uncertain input tuple the algorithm:
    top-k highest-variance samples at once through blocked inverse updates
    with snapshot-based rollback — see :meth:`OLGAPRO._tune_until_bounded`),
 5. once the tuple is finished, consults the retraining policy and, when it
-   fires, refits the kernel hyperparameters and re-runs inference.
+   fires, refits the kernel hyperparameters and re-runs inference,
+6. under a selection predicate, runs §5.5's drop test on the envelope the
+   tuple committed (:meth:`OLGAPRO.process_batch`): a predicate query is
+   the apply query plus a pure read, so a kept tuple is bitwise the apply
+   output and a dropped one carries ``ρ̂`` and no distribution.
 
 The training data, the GP and the hyperparameters persist
 across tuples — that is what makes the algorithm online: the model warms up
@@ -102,27 +106,14 @@ class OnlineTupleResult:
     #: the surviving GP state — a pure-inference step, no UDF calls)
     #: instead of a converged one.
     quarantined: bool = False
-
-
-@dataclass(frozen=True)
-class FilteredOnlineResult:
-    """Result of processing a tuple that carries a selection predicate."""
-
-    #: Full result when the tuple survived, ``None`` when it was dropped early.
-    result: Optional[OnlineTupleResult]
-    #: Filtering decision (drop / keep / undecided).
-    decision: FilterDecision
-    #: Estimated tuple existence probability (NaN when dropped before a full pass).
-    existence_probability: float
-    charged_time: float
-    elapsed_time: float
-    #: UDF calls charged on either branch: initialisation, pilot refinement, full pass.
-    udf_calls: int
+    #: §5.5's drop test on the committed envelope, when the tuple carried a
+    #: selection predicate and was not quarantined (``None`` otherwise).
+    filter_decision: Optional[FilterDecision] = None
 
     @property
     def dropped(self) -> bool:
-        """Whether the tuple was filtered out."""
-        return self.result is None
+        """Whether online filtering ruled the tuple out."""
+        return self.filter_decision is not None and self.filter_decision.action == "drop"
 
 
 @dataclass
@@ -470,6 +461,7 @@ class OLGAPRO:
         random_state: RandomState = None,
         timings=None,
         stage: Optional[ChunkStage] = None,
+        predicate: Optional[SelectionPredicate] = None,
     ) -> list[OnlineTupleResult]:
         """Process a chunk of uncertain tuples: the one tuple-commit loop.
 
@@ -492,7 +484,8 @@ class OLGAPRO:
 
         ``timings``, when given, must expose ``add(phase, seconds)`` and
         receives per-phase wall-clock spent in ``"sampling"``,
-        ``"inference"`` and ``"refinement"``.
+        ``"inference"`` and ``"refinement"`` — and, under a predicate, in
+        ``"filtering"``, which times the drop tests alone.
 
         ``stage`` plugs a cross-tuple scheduler into the loop (see
         :class:`ChunkStage`): it may hand tuple ``i`` a fence-valid
@@ -500,6 +493,17 @@ class OLGAPRO:
         the stage, every tuple gets the same quarantine, model-sync,
         first-pass and retraining treatment — commits stay strictly in
         tuple order on the calling thread.
+
+        ``predicate`` adds online filtering (§5.5) as the last step of a
+        tuple's commit: the upper bound ``ρ_U`` of the envelope the tuple
+        committed (:func:`~repro.core.error_bounds
+        .interval_probability_bounds`) plus the Hoeffding slack at the
+        tuple's ``m`` draws decides whether it is dropped
+        (:func:`~repro.core.filtering.upper_bound_decision`, recorded on
+        :attr:`OnlineTupleResult.filter_decision`).  The test only reads:
+        the random stream, the model and every other field of the result
+        are those of the same call without a predicate.  Quarantined tuples
+        are not tested — a failed evaluation rules nothing out.
         """
         distributions = list(input_distributions)
         if not distributions:
@@ -592,6 +596,17 @@ class OLGAPRO:
                         envelope, bound = self._infer_and_bound(
                             samples, boxes[i], infer=self._make_cached_infer(cache, i)
                         )
+                decision = None
+                if predicate is not None and not quarantined:
+                    filter_started = time.perf_counter()
+                    _, rho_hat, rho_upper = interval_probability_bounds(
+                        envelope, predicate.low, predicate.high
+                    )
+                    decision = upper_bound_decision(
+                        rho_upper, rho_hat, predicate, m, self.budget.delta_mc
+                    )
+                    if timings is not None:
+                        timings.add("filtering", time.perf_counter() - filter_started)
                 # Cover this tuple's share of the up-front work: its own sample
                 # draw plus an even share of the chunk's cache construction
                 # (and, for the first tuple, model initialisation — matching
@@ -620,6 +635,7 @@ class OLGAPRO:
                         elapsed_time=elapsed,
                         retrained=retrained,
                         quarantined=quarantined,
+                        filter_decision=decision,
                     )
                 )
                 stage.committed(i, points_added)
@@ -705,73 +721,6 @@ class OLGAPRO:
             boxes=boxes,
             cache=cache,
             cache_share=cache_share,
-        )
-
-    def process_with_filter(
-        self,
-        input_distribution: Distribution,
-        predicate: SelectionPredicate,
-        pilot_fraction: float = 0.1,
-        random_state: RandomState = None,
-    ) -> FilteredOnlineResult:
-        """Process a tuple carrying a selection predicate with online filtering (§5.5).
-
-        A pilot batch of input samples is pushed through the emulator first;
-        if even the *upper* bound ``ρ_U`` on the predicate probability (plus
-        the Hoeffding slack for the pilot size) is below the threshold, the
-        tuple is dropped without paying for the full sample budget or any
-        further training-point additions.
-        """
-        started = time.perf_counter()
-        rng = as_generator(random_state) if random_state is not None else self._rng
-        calls_before = self.udf.call_count
-        charged_before = self.udf.charged_time
-
-        self._ensure_initialized(input_distribution, rng)
-        m = self.mc_samples()
-        # The pilot must be large enough that the Hoeffding slack can actually
-        # certify "below threshold": half-width at most threshold / 2.
-        theta = max(predicate.threshold, 1e-3)
-        required = int(np.ceil(np.log(2.0 / self.budget.delta_mc) / (2.0 * (theta / 2.0) ** 2)))
-        pilot_size = max(50, int(pilot_fraction * m), required)
-        pilot_size = min(pilot_size, m)
-        pilot = input_distribution.sample(pilot_size, random_state=rng)
-        pilot_box = BoundingBox.from_points(pilot)
-        # Tune the model on the pilot first so that the upper bound ρ_U used
-        # for the drop decision comes from a model that meets the GP error
-        # budget in this input region; otherwise an immature emulator could
-        # filter out tuples it simply has not learned yet (false negatives).
-        envelope, _, _, _ = self._tune_until_bounded(pilot, pilot_box, rng)
-        rho_lower, rho_hat, rho_upper = interval_probability_bounds(
-            envelope, predicate.low, predicate.high
-        )
-        del rho_lower
-        decision = upper_bound_decision(
-            rho_upper, rho_hat, predicate, pilot_size, self.budget.delta_mc
-        )
-        if decision.action == "drop":
-            elapsed = time.perf_counter() - started
-            return FilteredOnlineResult(
-                result=None,
-                decision=decision,
-                existence_probability=rho_hat,
-                charged_time=self.udf.charged_time - charged_before + elapsed,
-                elapsed_time=elapsed,
-                udf_calls=self.udf.call_count - calls_before,
-            )
-        result = self.process(input_distribution, random_state=rng)
-        existence = result.distribution.interval_probability(predicate.low, predicate.high)
-        final_decision = upper_bound_decision(
-            existence, existence, predicate, result.n_samples, self.budget.delta_mc
-        )
-        elapsed = time.perf_counter() - started
-        return FilteredOnlineResult(
-            result=result,
-            decision=final_decision,
-            existence_probability=existence,
-            charged_time=self.udf.charged_time - charged_before + elapsed,
-            elapsed_time=elapsed,
-            udf_calls=self.udf.call_count - calls_before,
         )
 
     # -- internals ------------------------------------------------------------------------
@@ -1142,6 +1091,7 @@ class OLGAPRO:
         elapsed_time: float,
         retrained: bool,
         quarantined: bool = False,
+        filter_decision: Optional[FilterDecision] = None,
     ) -> OnlineTupleResult:
         """Assemble one tuple's result record.
 
@@ -1168,6 +1118,7 @@ class OLGAPRO:
             elapsed_time=elapsed_time,
             retrained=retrained,
             quarantined=quarantined,
+            filter_decision=filter_decision,
         )
 
     def _quarantine_enabled(self) -> bool:

@@ -18,10 +18,11 @@ largest-variance rule) the batched pipeline consumes the shared random
 stream in exactly the same order as per-tuple execution — Monte-Carlo
 sampling is the only consumer — so under the same seed it produces the same
 output distributions and error bounds as calling
-:meth:`UDFExecutionEngine.compute` once per tuple.  Tuples carrying a
-selection predicate keep per-tuple semantics (the pilot draw of tuple *i*
-depends on the drop decision of tuple *i - 1*), so the predicate path
-runs tuple by tuple and stays equivalent by construction.
+:meth:`UDFExecutionEngine.compute` once per tuple.  A selection predicate
+runs through the same chunks: online filtering is the last step of each
+tuple's commit and only reads the envelope the tuple committed, so a
+predicate query is the apply query plus a drop test — same draws, same
+model, and a kept tuple's output is bitwise the apply output.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TypeVa
 import numpy as np
 
 from repro.core.filtering import SelectionPredicate
-from repro.core.hybrid import HybridExecutor
 from repro.core.mc_baseline import mc_sample_count
 from repro.distributions.base import Distribution
 from repro.distributions.columns import sample_chunk
 from repro.distributions.empirical import EmpiricalDistribution, TruncationResult
 from repro.engine.async_exec import AsyncEvaluationDriver
-from repro.engine.executor import ComputedOutput, UDFExecutionEngine
+from repro.engine.executor import ComputedOutput, UDFExecutionEngine, online_result_to_output
 from repro.engine.pipeline import SpeculationStage
 from repro.engine.transport import make_transport
 from repro.exceptions import QueryError, UDFError
@@ -54,19 +54,6 @@ if TYPE_CHECKING:  # plan.py imports this module
 DEFAULT_BATCH_SIZE = 32
 
 T = TypeVar("T")
-
-
-def online_result_to_output(result) -> ComputedOutput:
-    """Convert one OLGAPRO tuple result into the engine's output record."""
-    return ComputedOutput(
-        distribution=result.distribution,
-        error_bound=result.error_bound.epsilon_total,
-        existence_probability=1.0,
-        dropped=False,
-        udf_calls=result.udf_calls,
-        charged_time=result.charged_time,
-        failed=getattr(result, "quarantined", False),
-    )
 
 
 def iter_batches(rows: Iterable[T], batch_size: int) -> Iterator[list[T]]:
@@ -146,15 +133,15 @@ class BatchExecutor:
     * ``lookahead`` > 1 attaches a :class:`~repro.engine.pipeline
       .SpeculationStage`, which speculates the next tuples' first bounds
       and prefetches their windows while the current one commits
-      (:mod:`repro.engine.pipeline`).  Online filtering is
-      tuple-sequential and ``"mc"`` has no refinement loop, so a predicate
-      or the ``"mc"`` strategy runs without the stage.
+      (:mod:`repro.engine.pipeline`).  ``"mc"`` has no refinement loop, so
+      it runs without the stage.
 
     At window 1 / lookahead 1 no transport session, driver, stage or thread
-    exists.  Quarantine, the chunk backstop, tuple-boundary model sync and
-    the windowed first pass belong to the loop, so they hold at every
-    (window, lookahead).  Phase timings (``sampling`` / ``inference`` /
-    ``refinement`` / ``filtering`` / ``speculation``) accumulate on
+    exists.  Quarantine, the chunk backstop, tuple-boundary model sync, the
+    windowed first pass and a predicate's drop test belong to the loop, so
+    they hold at every (window, lookahead).  Phase timings (``sampling`` /
+    ``inference`` / ``refinement`` / ``filtering`` — the drop tests alone,
+    or Monte Carlo's sequential filter — / ``speculation``) accumulate on
     :attr:`timings`; the executor stays picklable and reusable because every
     live resource is scoped to one compute call.
 
@@ -201,13 +188,13 @@ class BatchExecutor:
         input_distributions: Sequence[Distribution],
         predicate: SelectionPredicate,
     ) -> list[ComputedOutput]:
-        """Predicate (online-filtering) evaluation.
+        """Predicate (online-filtering) evaluation through the same chunks.
 
-        Online filtering is inherently sequential — each tuple's pilot draw
-        and early-drop decision feed the shared random stream — so this
-        runs tuple by tuple, preserving exact equivalence with the
-        per-tuple path; the window still applies inside each tuple's pilot
-        and full refinement loops.
+        Each GP tuple gets exactly :meth:`compute_batch`'s treatment at the
+        plan's (window, lookahead) and is then tested on the envelope it
+        committed (§5.5): kept tuples are bitwise :meth:`compute_batch`'s
+        outputs, dropped ones carry ``ρ̂`` and no distribution.  Monte
+        Carlo keeps its per-tuple sequential filter.
         """
         return self._run(udf, list(input_distributions), predicate=predicate)
 
@@ -232,7 +219,7 @@ class BatchExecutor:
             transport = make_transport(self.plan.transport)
             transport.accepts(udf)
             olgapro = self.engine.olgapro_for(udf)
-            staged = self.lookahead > 1 and predicate is None and olgapro is not None
+            staged = self.lookahead > 1 and olgapro is not None
             with ExitStack() as stack:
                 if olgapro is not None and (self.window > 1 or staged):
                     if olgapro.evaluation_driver is not None:
@@ -258,15 +245,9 @@ class BatchExecutor:
                                 self.shared_refresh, self.timings,
                             )
                         )
-                if predicate is not None:
-                    with self.timings.measure("filtering"):
-                        return [
-                            self.engine.compute_with_predicate(udf, dist, predicate)
-                            for dist in distributions
-                        ]
                 outputs: list[ComputedOutput] = []
                 for chunk in iter_batches(distributions, self.batch_size):
-                    outputs.extend(self._compute_chunk(udf, chunk, stage))
+                    outputs.extend(self._compute_chunk(udf, chunk, stage, predicate))
                 return outputs
         finally:
             if stage is not None:
@@ -277,38 +258,46 @@ class BatchExecutor:
             # report a complete phase record: timing consumers must never
             # see this executor's phase set vary with the input.
             self.timings.ensure("sampling", "inference", "refinement")
+            if predicate is not None:
+                self.timings.ensure("filtering")
             if self.plan.pipeline_lookahead is not None:
                 self.timings.ensure("speculation")
 
     def _compute_chunk(
-        self, udf: UDF, chunk: list[Distribution], stage: Optional[SpeculationStage]
+        self,
+        udf: UDF,
+        chunk: list[Distribution],
+        stage: Optional[SpeculationStage],
+        predicate: Optional[SelectionPredicate],
     ) -> list[ComputedOutput]:
         try:
-            return self._compute_chunk_inner(udf, chunk, stage)
+            return self._compute_chunk_inner(udf, chunk, stage, predicate)
         except UDFError:
             # Backstop for failures the per-tuple quarantine inside OLGAPRO
-            # cannot reach (the stacked pilot evaluation of a whole chunk, or
-            # the plain-MC path): quarantine the chunk wholesale rather than
+            # cannot reach (the chunk's initial design, or the plain-MC
+            # path): quarantine the chunk wholesale rather than
             # abort the query.
             if not UDFExecutionEngine._quarantine_enabled(udf):
                 raise
             return [UDFExecutionEngine.quarantined_output() for _ in chunk]
 
     def _compute_chunk_inner(
-        self, udf: UDF, chunk: list[Distribution], stage: Optional[SpeculationStage]
+        self,
+        udf: UDF,
+        chunk: list[Distribution],
+        stage: Optional[SpeculationStage],
+        predicate: Optional[SelectionPredicate],
     ) -> list[ComputedOutput]:
-        strategy = self.engine.strategy
-        if strategy == "mc":
-            return mc_chunk(
-                udf, chunk, self.engine.requirement, self.engine._rng, self.timings
-            )
-        processor = self.engine._processor_for(udf)
-        if isinstance(processor, HybridExecutor) and processor.decide(chunk[0]).method == "mc":
-            return mc_chunk(udf, chunk, processor.requirement, processor._rng, self.timings)
-        results = self.engine.olgapro_for(udf).process_batch(
-            chunk, timings=self.timings, stage=stage
+        engine = self.engine
+        if engine._mc_decides(udf, chunk[0]):
+            if predicate is None:
+                return mc_chunk(udf, chunk, engine.requirement, engine._rng, self.timings)
+            with self.timings.measure("filtering"):
+                return [engine.compute_with_predicate(udf, dist, predicate) for dist in chunk]
+        results = engine.olgapro_for(udf).process_batch(
+            chunk, timings=self.timings, stage=stage, predicate=predicate
         )
-        return [online_result_to_output(result) for result in results]
+        return [online_result_to_output(result, predicate) for result in results]
 
 
 def mc_chunk(

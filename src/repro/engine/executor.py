@@ -19,7 +19,7 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
 from repro.core.mc_baseline import monte_carlo_output, monte_carlo_with_filter
-from repro.core.olgapro import OLGAPRO
+from repro.core.olgapro import OLGAPRO, OnlineTupleResult
 from repro.distributions.base import Distribution
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.exceptions import PlanError, QueryError, UDFError
@@ -59,6 +59,31 @@ class ComputedOutput:
     #: algorithm had (NaN when it failed before any bound existed) and
     #: ``distribution`` the matching envelope samples, or ``None``.
     failed: bool = False
+
+
+def online_result_to_output(
+    result: OnlineTupleResult, predicate: SelectionPredicate | None = None
+) -> ComputedOutput:
+    """Convert one OLGAPRO tuple result into the engine's output record.
+
+    Under a ``predicate`` a dropped tuple keeps only ``ρ̂`` as its
+    existence probability and no distribution; a kept one keeps its
+    distribution, with the predicate's mass of it as existence probability.
+    """
+    existence = 1.0
+    if result.dropped:
+        existence = result.filter_decision.estimate
+    elif result.filter_decision is not None:
+        existence = result.distribution.interval_probability(predicate.low, predicate.high)
+    return ComputedOutput(
+        distribution=None if result.dropped else result.distribution,
+        error_bound=result.error_bound.epsilon_total,
+        existence_probability=existence,
+        dropped=result.dropped,
+        udf_calls=result.udf_calls,
+        charged_time=result.charged_time,
+        failed=result.quarantined,
+    )
 
 
 class UDFExecutionEngine:
@@ -339,35 +364,17 @@ class UDFExecutionEngine:
                 udf_calls=result.udf_calls,
                 charged_time=result.charged_time,
             )
-        processor = self._processor_for(udf)
-        if isinstance(processor, HybridExecutor):
-            outcome = processor.process(input_distribution)
-            if hasattr(outcome, "error_bound"):
-                return ComputedOutput(
-                    distribution=outcome.distribution,
-                    error_bound=outcome.error_bound.epsilon_total,
-                    existence_probability=1.0,
-                    dropped=False,
-                    udf_calls=outcome.udf_calls,
-                    charged_time=outcome.charged_time,
-                )
-            return ComputedOutput(
-                distribution=outcome.distribution,
-                error_bound=self.requirement.epsilon,
-                existence_probability=1.0,
-                dropped=False,
-                udf_calls=outcome.udf_calls,
-                charged_time=outcome.charged_time,
-            )
-        result = processor.process(input_distribution)
+        outcome = self._processor_for(udf).process(input_distribution)
+        if isinstance(outcome, OnlineTupleResult):
+            return online_result_to_output(outcome)
+        # The hybrid selector chose plain Monte Carlo.
         return ComputedOutput(
-            distribution=result.distribution,
-            error_bound=result.error_bound.epsilon_total,
+            distribution=outcome.distribution,
+            error_bound=self.requirement.epsilon,
             existence_probability=1.0,
             dropped=False,
-            udf_calls=result.udf_calls,
-            charged_time=result.charged_time,
-            failed=getattr(result, "quarantined", False),
+            udf_calls=outcome.udf_calls,
+            charged_time=outcome.charged_time,
         )
 
     # -- evaluation with a selection predicate ------------------------------------------
@@ -393,61 +400,42 @@ class UDFExecutionEngine:
     def _compute_with_predicate_inner(
         self, udf: UDF, input_distribution: Distribution, predicate: SelectionPredicate
     ) -> ComputedOutput:
-        """The strategy dispatch of :meth:`compute_with_predicate`."""
-        if self.strategy == "mc":
-            result = monte_carlo_with_filter(
-                udf,
-                input_distribution,
-                predicate,
-                requirement=self.requirement,
-                random_state=self._rng,
+        """The strategy dispatch of :meth:`compute_with_predicate`.
+
+        A GP tuple is a chunk of one through the tuple-commit loop
+        (:meth:`OLGAPRO.process_batch`), whose last step is the drop test.
+        Monte Carlo — the strategy, or the hybrid selector's choice — keeps
+        :func:`~repro.core.mc_baseline.monte_carlo_with_filter`, where
+        stopping a tuple's sampling early really does save UDF calls.
+        """
+        if not self._mc_decides(udf, input_distribution):
+            [result] = self.olgapro_for(udf).process_batch(
+                [input_distribution], predicate=predicate
             )
-            existence = result.decision.estimate
-            return ComputedOutput(
-                distribution=result.distribution,
-                error_bound=self.requirement.epsilon,
-                existence_probability=existence,
-                dropped=result.dropped,
-                udf_calls=result.udf_calls,
-                charged_time=result.charged_time,
-            )
-        processor = self._processor_for(udf)
-        if isinstance(processor, HybridExecutor):
-            # The hybrid executor delegates predicates to its chosen method;
-            # keep the logic simple by resolving the choice first.
-            decision = processor.decide(input_distribution)
-            if decision.method == "mc":
-                result = monte_carlo_with_filter(
-                    udf,
-                    input_distribution,
-                    predicate,
-                    requirement=self.requirement,
-                    random_state=self._rng,
-                )
-                return ComputedOutput(
-                    distribution=result.distribution,
-                    error_bound=self.requirement.epsilon,
-                    existence_probability=result.decision.estimate,
-                    dropped=result.dropped,
-                    udf_calls=result.udf_calls,
-                    charged_time=result.charged_time,
-                )
-        filtered = self.olgapro_for(udf).process_with_filter(input_distribution, predicate)
-        if filtered.dropped:
-            return ComputedOutput(
-                distribution=None,
-                error_bound=self.requirement.epsilon,
-                existence_probability=filtered.existence_probability,
-                dropped=True,
-                udf_calls=filtered.udf_calls,
-                charged_time=filtered.charged_time,
-            )
+            return online_result_to_output(result, predicate)
+        result = monte_carlo_with_filter(
+            udf,
+            input_distribution,
+            predicate,
+            requirement=self.requirement,
+            random_state=self._rng,
+        )
         return ComputedOutput(
-            distribution=filtered.result.distribution,
-            error_bound=filtered.result.error_bound.epsilon_total,
-            existence_probability=filtered.existence_probability,
-            dropped=False,
-            udf_calls=filtered.udf_calls,
-            charged_time=filtered.charged_time,
-            failed=getattr(filtered.result, "quarantined", False),
+            distribution=result.distribution,
+            error_bound=self.requirement.epsilon,
+            existence_probability=result.decision.estimate,
+            dropped=result.dropped,
+            udf_calls=result.udf_calls,
+            charged_time=result.charged_time,
+        )
+
+    def _mc_decides(self, udf: UDF, input_distribution: Distribution) -> bool:
+        """Whether plain Monte Carlo evaluates ``udf`` — the strategy, or the
+        hybrid selector's (cached, first-tuple) choice."""
+        if self.strategy == "mc":
+            return True
+        processor = self._processor_for(udf)
+        return (
+            isinstance(processor, HybridExecutor)
+            and processor.decide(input_distribution).method == "mc"
         )

@@ -157,12 +157,14 @@ def _run_shard(
     real_before = udf.real_time
 
     executor = plan.resolve(engine)
-    sync = None
     olgapro = engine.olgapro_for(udf) if shared_store is not None else None
     if olgapro is not None:
         from repro.core.shared_model import EmulatorSync
 
-        sync = olgapro.model_sync = EmulatorSync(
+        # Every tuple boundary of the shard's commit loop — predicate
+        # queries included — is an exchange, and the loop's last one
+        # publishes the final tuple's rows before the worker reports back.
+        olgapro.model_sync = EmulatorSync(
             shared_store,
             olgapro.emulator,
             max_training_points=int(olgapro.max_training_points),
@@ -172,11 +174,6 @@ def _run_shard(
         outputs = executor.compute_batch(udf, list(distributions))
     else:
         outputs = executor.compute_batch_with_predicate(udf, list(distributions), predicate)
-    if sync is not None:
-        # Final exchange: whatever the predicate path (which commits outside
-        # process_batch's tuple loop) learned last reaches the store before
-        # the worker reports back.
-        sync.sync()
     return ShardResult(
         shard_index=shard_index,
         outputs=outputs,

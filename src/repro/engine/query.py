@@ -166,9 +166,8 @@ class Query:
         ``threshold`` are dropped by the online-filtering machinery.  The
         execution configuration (``plan=``, including the ``"auto"``
         spelling) and name-based ``udf`` resolution behave exactly as on
-        :meth:`apply_udf` (the predicate path keeps tuple-sequential
-        filtering semantics, so the cross-tuple scheduler stands down and
-        only within-tuple overlap applies).
+        :meth:`apply_udf`: each tuple is evaluated as the apply query would
+        evaluate it, then tested on the envelope it committed.
 
         Returns
         -------

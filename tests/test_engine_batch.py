@@ -206,7 +206,7 @@ def test_batch_with_predicate_matches_per_tuple():
 
 @pytest.mark.parametrize("batch_size", [None, 8])
 def test_predicate_path_attributes_every_udf_call(batch_size):
-    """Dropped and kept tuples charge initialisation, pilot and full-pass calls."""
+    """Dropped and kept tuples charge initialisation and refinement calls."""
     udf = reference_function("F3", simulated_eval_time=1e-4)
     spec = workload_for_udf(udf)
     predicate = selectivity_predicate(udf, spec, 0.5, random_state=np.random.default_rng(4))

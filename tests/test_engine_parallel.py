@@ -247,17 +247,32 @@ def test_parallel_merges_worker_timings():
 # merge="shared": the live shared model
 # ---------------------------------------------------------------------------
 
-def test_shared_workers_1_is_bit_identical_to_serial_batched():
+@pytest.mark.parametrize(
+    # At 200 draws the Hoeffding slack alone is ~0.1: a threshold of 0.3
+    # leaves the drop test room to drop.
+    "predicate", [None, SelectionPredicate(low=0.0, high=1.5, threshold=0.3)],
+    ids=["apply", "select"],
+)
+def test_shared_workers_1_is_bit_identical_to_serial_batched(predicate):
     """The CI-gated determinism contract: no store, no sync, same bits."""
-    udf_a, engine_a, dists_a = _fixture("gp")
-    serial = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
-    udf_b, engine_b, dists_b = _fixture("gp")
-    shared = ExecutionPlan(
-        workers=1, batch_size=4, merge="shared"
-    ).resolve(engine_b).compute_batch(udf_b, dists_b)
+    def run(plan):
+        udf, engine, dists = _fixture("gp", stream_seed=9)
+        executor = plan.resolve(engine)
+        if predicate is None:
+            return udf, engine, executor.compute_batch(udf, dists)
+        return udf, engine, executor.compute_batch_with_predicate(udf, dists, predicate)
+
+    udf_a, engine_a, serial = run(ExecutionPlan(batch_size=4))
+    udf_b, engine_b, shared = run(ExecutionPlan(workers=1, batch_size=4, merge="shared"))
     assert len(serial) == len(shared)
+    if predicate is not None:
+        dropped = [output.dropped for output in serial]
+        assert any(dropped) and not all(dropped)
     for a, b in zip(serial, shared):
-        assert np.array_equal(a.distribution.samples, b.distribution.samples)
+        assert a.dropped == b.dropped
+        assert a.existence_probability == b.existence_probability
+        if not a.dropped:
+            assert np.array_equal(a.distribution.samples, b.distribution.samples)
         assert a.error_bound == b.error_bound
         assert a.udf_calls == b.udf_calls
     assert udf_a.call_count == udf_b.call_count
@@ -265,6 +280,37 @@ def test_shared_workers_1_is_bit_identical_to_serial_batched():
     emulator_a = _emulator_of(engine_a, udf_a)
     emulator_b = _emulator_of(engine_b, udf_b)
     assert np.array_equal(emulator_a.gp.X_train, emulator_b.gp.X_train)
+
+
+class _RecordingSync:
+    """A model-sync seam that records the model size at every exchange."""
+
+    def __init__(self, olgapro):
+        self.olgapro = olgapro
+        self.exchanges = []
+
+    def sync(self):
+        self.exchanges.append(self.olgapro.n_training)
+
+    def seed_or_wait(self, n_points):
+        return False
+
+    def publish_hyperparameters(self):
+        pass
+
+
+def test_predicate_query_exchanges_at_every_tuple_boundary():
+    """A select query meets the store exactly where an apply query does: before
+    each tuple refines and after the last — never after paying for rows."""
+    exchanges = {}
+    for predicate in (None, PREDICATE):
+        udf, engine, dists = _fixture("gp", stream_seed=9)
+        sync = engine.olgapro_for(udf).model_sync = _RecordingSync(engine.olgapro_for(udf))
+        engine.compute_with_plan(udf, dists, ExecutionPlan(batch_size=4), predicate=predicate)
+        exchanges[predicate] = sync.exchanges
+    assert exchanges[PREDICATE] == exchanges[None]
+    # One exchange after the initial design, one per tuple, one per chunk end.
+    assert len(exchanges[PREDICATE]) == 1 + len(dists) + 3
 
 
 def test_shared_saves_udf_calls_versus_discard():

@@ -143,37 +143,46 @@ class TestProcessing:
 
 
 class TestOnlineFiltering:
+    """§5.5's drop test as the last step of the tuple-commit loop."""
+
     def test_drops_tuple_outside_predicate(self, quadratic_udf):
         udf = quadratic_udf.with_simulated_eval_time(0.0)
         processor = small_processor(udf)
         # Output of x^2+1 around x ~ N(1, 0.2) lives near 2; predicate far away.
         predicate = SelectionPredicate(low=50.0, high=60.0, threshold=0.1)
-        result = processor.process_with_filter(Gaussian(1.0, 0.2), predicate)
+        [result] = processor.process_batch([Gaussian(1.0, 0.2)], predicate=predicate)
         assert result.dropped
-        assert result.result is None
+        assert result.filter_decision.action == "drop"
+        assert result.filter_decision.n_samples == processor.mc_samples()
+        assert result.filter_decision.estimate == 0.0
 
     def test_keeps_tuple_inside_predicate(self, quadratic_udf):
         udf = quadratic_udf.with_simulated_eval_time(0.0)
         processor = small_processor(udf)
         predicate = SelectionPredicate(low=1.0, high=3.0, threshold=0.1)
-        result = processor.process_with_filter(Gaussian(1.0, 0.2), predicate)
+        [result] = processor.process_batch([Gaussian(1.0, 0.2)], predicate=predicate)
         assert not result.dropped
-        assert result.existence_probability > 0.5
+        assert result.filter_decision.action == "keep"
+        assert result.filter_decision.estimate > 0.5
+        assert result.distribution.interval_probability(1.0, 3.0) > 0.5
 
-    def test_filtering_saves_time(self, quadratic_udf):
-        udf = quadratic_udf.with_simulated_eval_time(0.0)
-        processor = small_processor(udf, n_samples=2000)
-        predicate = SelectionPredicate(low=100.0, high=200.0, threshold=0.1)
-        # Warm up the model so only inference cost remains.
-        processor.process(Gaussian(1.0, 0.2))
-        # Both sides of the comparison are single-digit-millisecond timings;
-        # take the best of three so a scheduler hiccup on a loaded CI runner
-        # cannot flip the (robust, ~1.5x) margin.
-        filtered_runs = [
-            processor.process_with_filter(Gaussian(1.0, 0.2), predicate)
-            for _ in range(3)
-        ]
-        full_runs = [processor.process(Gaussian(1.0, 0.2)) for _ in range(3)]
-        assert all(run.dropped for run in filtered_runs)
-        assert (min(run.elapsed_time for run in filtered_runs)
-                < min(run.elapsed_time for run in full_runs))
+    def test_without_a_predicate_nothing_is_tested(self, quadratic_udf):
+        processor = small_processor(quadratic_udf.with_simulated_eval_time(0.0))
+        [result] = processor.process_batch([Gaussian(1.0, 0.2)])
+        assert result.filter_decision is None and not result.dropped
+
+    def test_the_test_is_a_pure_read(self, quadratic_udf):
+        """Same seed, same tuples: the predicate changes nothing but the verdict."""
+        predicate = SelectionPredicate(low=50.0, high=60.0, threshold=0.1)
+        dists = [Gaussian(1.0, 0.2), Gaussian(2.5, 0.3), Gaussian(0.5, 0.1)]
+        runs = []
+        for with_predicate in (False, True):
+            processor = small_processor(quadratic_udf.with_simulated_eval_time(0.0))
+            runs.append(processor.process_batch(
+                dists, predicate=predicate if with_predicate else None
+            ))
+        for applied, filtered in zip(*runs):
+            assert filtered.dropped
+            assert np.array_equal(applied.distribution.samples, filtered.distribution.samples)
+            assert applied.error_bound == filtered.error_bound
+            assert applied.udf_calls == filtered.udf_calls

@@ -219,12 +219,39 @@ def test_predicate_path_matches_async_predicate_path():
             assert np.array_equal(a.distribution.samples, b.distribution.samples)
 
 
+def test_lookahead_4_predicate_query_commits_what_lookahead_1_commits():
+    """The stage no longer stands down for a predicate: it speculates and
+    prefetches, and the drop test reads the same committed envelopes."""
+    from repro.core.filtering import SelectionPredicate
+
+    predicate = SelectionPredicate(low=0.0, high=1.5, threshold=0.3)
+    runs = {}
+    for lookahead in (1, 4):
+        udf, engine, dists = _fixture(stream_seed=9)
+        executor = ExecutionPlan(
+            pipeline_lookahead=lookahead, async_inflight=4, batch_size=4
+        ).resolve(engine)
+        outputs = executor.compute_batch_with_predicate(udf, dists, predicate)
+        runs[lookahead] = (outputs, _gp_state(engine, udf), executor)
+    (serial, state_1, _), (piped, state_4, executor) = runs[1], runs[4]
+    assert executor.last_speculative_calls > 0
+    assert state_1 == state_4
+    dropped = [output.dropped for output in serial]
+    assert any(dropped) and not all(dropped)
+    for i, (a, b) in enumerate(zip(serial, piped)):
+        assert (a.dropped, a.existence_probability) == (b.dropped, b.existence_probability), i
+        assert a.error_bound == b.error_bound, i
+        assert a.udf_calls == b.udf_calls, i
+        if not a.dropped:
+            assert np.array_equal(a.distribution.samples, b.distribution.samples), i
+
+
 def test_predicate_path_defaults_to_async_window_at_deep_lookahead():
     """lookahead>1 with inflight unset keeps within-tuple overlap engaged.
 
-    The user opted into pipelining; on the predicate path only the
-    cross-tuple half stands down, so the delegate must be the async
-    executor at the scheduler's default window — not the serial path.
+    The user opted into pipelining, so a predicate query commits what the
+    async executor commits at the scheduler's default window — not what
+    the serial path commits.
     """
     from repro.core.filtering import SelectionPredicate
     from repro.engine import DEFAULT_ASYNC_INFLIGHT

@@ -50,11 +50,12 @@ def batch_pipeline_speedup(
     (the default emphasises the steady-state inference regime the batching
     targets; ``None`` keeps the (ε, δ)-derived count); the plain ``mc``
     strategy always uses the derived count, so its rows are unaffected by
-    this knob.  At a small budget the per-tuple path is dispatch-bound
-    (dozens of numpy calls per tuple on tiny arrays), which the chunk's
-    stacked first pass amortises; ``band_method="bonferroni"``, the
+    this knob.  Both modes run the same per-tuple inference step; a chunk
+    only shares its stacked sample draw and its per-call dispatch, so at a
+    small budget (dozens of numpy calls per tuple on tiny arrays) the
+    ratio reads that dispatch share; ``band_method="bonferroni"``, the
     closed-form calibration, keeps the euler method's per-box root-finding
-    (identical scalar work in both modes) from diluting that ratio.
+    (identical scalar work in both modes) from diluting it.
     ``dimension`` swaps the named reference function for
     :func:`~repro.udf.synthetic.high_dimensional_function` (1: a stream
     that encodes as a column, so the chunk draws through one stacked call).

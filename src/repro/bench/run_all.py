@@ -139,8 +139,10 @@ _SCALED_OVERRIDES: dict[str, dict] = {
 #: non-overridably like the other identity gates.  The first keeps the
 #: artifact's historical top-level layout; the others nest under their name:
 #: ``dispatch_bound`` is a long warmed-up stream at a small Monte-Carlo
-#: budget, where the per-tuple path is dispatch-bound and the chunk's
-#: stacked first pass wins most; ``in_contract`` is the (ε, δ)-derived
+#: budget (m = 64, below any (ε, δ)-derived count), where per-call dispatch
+#: is the largest share of a tuple; both modes run the same per-tuple
+#: inference step, so it watches that the chunk's stacked draw and shared
+#: setup do not cost more than they save; ``in_contract`` is the (ε, δ)-derived
 #: sample count perfbench's ``warm_scan`` judges (m = 1 239), so the gate
 #: also watches a shape the accuracy contract produces.
 _SMOKE_BATCH_SHAPES = {

@@ -187,26 +187,15 @@ def band_z_values(
     method: BandMethod = "euler",
     n_points: int | None = None,
 ) -> list[SimultaneousBand]:
-    """Calibrate :func:`band_z_value` for a whole column of boxes at once.
+    """:func:`band_z_value` for a column of boxes, one call each.
 
-    Produces exactly the per-box results — the Euler root-solve is
-    inherently scalar (``brentq`` per box), but the kernel's second
-    spectral moment, a per-call constant the scalar path recomputes for
-    every tuple, is hoisted out of the column loop.  Used by the chunk's
-    first pass in :mod:`repro.core.olgapro`.
+    Kept as a named loop because external profiling tools bind it by
+    module and name; there is no second implementation behind it.
     """
-    boxes = list(boxes)
-    if not boxes:
-        return []
-    if not (0.0 < alpha < 1.0):
-        raise GPError(f"alpha must be in (0, 1), got {alpha}")
-    if method != "euler":
-        return [
-            band_z_value(kernel, box, alpha=alpha, method=method, n_points=n_points)
-            for box in boxes
-        ]
-    lam = kernel.second_spectral_moment()
-    return [_euler_band(box, alpha, lam) for box in boxes]
+    return [
+        band_z_value(kernel, box, alpha=alpha, method=method, n_points=n_points)
+        for box in boxes
+    ]
 
 
 def _euler_band(box: BoundingBox, alpha: float, lam: float) -> SimultaneousBand:

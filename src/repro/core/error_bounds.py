@@ -26,9 +26,7 @@ sorts the envelope's ECDFs already did: :func:`gp_discrepancy_bound` reads
 those sorted arrays and gets everything else — the union grid, the three
 CDFs on it, each left endpoint's first feasible right endpoint, the index
 where ``F_L`` catches up with ``F_S`` — from two stable merges and one
-cumulative histogram, never a binary search.
-:func:`gp_discrepancy_bound_block` sweeps a window of envelopes at once,
-one row each, to the same bits; its two index searches stay searches.  The
+cumulative histogram, never a binary search.  The
 KS-metric bound follows Proposition 4.2, and
 :func:`combine_bounds` applies Theorem 4.1 to merge the GP and Monte-Carlo
 error contributions.
@@ -238,146 +236,12 @@ def gp_discrepancy_bound(envelope: EnvelopeOutputs, lam: float) -> float:
 
 
 def gp_discrepancy_bound_block(envelopes, lam: float) -> np.ndarray:
-    """Column-wise :func:`gp_discrepancy_bound` over many envelopes.
+    """:func:`gp_discrepancy_bound` over many envelopes, one call each.
 
-    Returns one bound per envelope, each bit-identical to the scalar call.
-    One argsort of the ``(B, 3m)`` concatenation yields both the per-row
-    union grids and, through each element's source (``Ŷ'``/``Y'_S``/
-    ``Y'_L``), the three CDFs as cumulative source counts (the same integer
-    counts ``searchsorted`` returns, divided by the same sample size).  The
-    suffix maxima and the three candidate terms of Algorithm 3 are then
-    evaluated for every row at once with masked ``take_along_axis`` gathers
-    — the per-row values entering each maximum are exactly the scalar
-    sweep's, so the maxima agree bitwise.  Only the feasibility
-    ``searchsorted`` stays per row (it searches row-specific sorted
-    arrays).  A ragged column (sample counts differing from the first)
-    falls back to scalar calls wholesale.
+    Kept as a named loop because external profiling tools bind it by
+    module and name; there is no second implementation behind it.
     """
-    envelopes = list(envelopes)
-    if lam < 0:
-        raise AccuracyError(f"lambda must be non-negative, got {lam}")
-    if not envelopes:
-        return np.zeros(0)
-    m = envelopes[0].n_samples
-    uniform = all(
-        env.y_hat.size == m and env.y_lower.size == m and env.y_upper.size == m
-        for env in envelopes
-    )
-    if not uniform or m == 0:
-        return np.array([gp_discrepancy_bound(env, lam) for env in envelopes])
-    concat = np.concatenate(
-        [
-            np.stack([env.y_hat._sorted for env in envelopes]),
-            np.stack([env.y_lower._sorted for env in envelopes]),
-            np.stack([env.y_upper._sorted for env in envelopes]),
-        ],
-        axis=1,
-    )
-    perm = np.argsort(concat, axis=1)
-    stacked = np.take_along_axis(concat, perm, axis=1)
-    pad = max(lam, 1.0) * 2.0 + 1.0
-    return _sweep_block(stacked, perm, m, lam, pad)
-
-
-def _sweep_block(
-    rows: np.ndarray, perm: np.ndarray, m: int, lam: float, pad: float
-) -> np.ndarray:
-    """Batched Algorithm-3 sweep over the sorted union-grid rows.
-
-    ``rows`` holds each envelope's sorted 3m-value union grid interior and
-    ``perm`` an argsort that produced it; ``perm // m`` recovers which of
-    the three sample sets each grid value came from, so cumulative source
-    counts reproduce ``searchsorted(side="right")`` on the original sorted
-    sample arrays exactly.  Tied values need one correction: the cumulative
-    count midway through an equal-value run undercounts "values ≤ v", so
-    every position of a run is assigned the run-final counts (gathered at
-    the run-end index).  Each tied position then carries the exact CDF
-    triple of its value — a duplicate of the entry the scalar path's
-    deduplicated grid holds once — and duplicated candidates never change a
-    maximum, so the sweep still matches the scalar result bitwise.  (With
-    run-final counts the intra-run ordering of ``perm`` is irrelevant,
-    which is also why a non-stable argsort is safe.)
-    """
-    n_rows, width = rows.shape
-    n = width + 2
-    grid = np.empty((n_rows, n))
-    grid[:, 0] = rows[:, 0] - pad
-    grid[:, 1:-1] = rows
-    grid[:, -1] = rows[:, -1] + pad
-    source = perm // m  # 0 = y_hat, 1 = y_lower, 2 = y_upper
-    cum_s = np.cumsum(source == 1, axis=1)
-    cum_l = np.cumsum(source == 2, axis=1)
-    is_end = np.empty((n_rows, width), dtype=bool)
-    is_end[:, -1] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=is_end[:, :-1])
-    if is_end.all():
-        run_end = None
-        cs, cl = cum_s, cum_l
-        ch = np.arange(1, width + 1)[None, :] - cs - cl
-    else:
-        run_end = np.minimum.accumulate(
-            np.where(is_end, np.arange(width), width)[:, ::-1], axis=1
-        )[:, ::-1]
-        cs = np.take_along_axis(cum_s, run_end, axis=1)
-        cl = np.take_along_axis(cum_l, run_end, axis=1)
-        ch = (run_end + 1) - cs - cl
-    icounts_s = np.empty((n_rows, n), dtype=np.int64)
-    icounts_l = np.empty((n_rows, n), dtype=np.int64)
-    icounts_h = np.empty((n_rows, n), dtype=np.int64)
-    for icounts, interior in ((icounts_s, cs), (icounts_l, cl), (icounts_h, ch)):
-        icounts[:, 0] = 0
-        icounts[:, 1:-1] = interior
-        icounts[:, -1] = m
-    f_s = icounts_s / m
-    f_h = icounts_h / m
-    f_l = icounts_l / m
-    d_sh = f_s - f_h
-    d_hl = f_h - f_l
-    sufmax_sh = np.maximum.accumulate(d_sh[:, ::-1], axis=1)[:, ::-1]
-    sufmax_hl = np.maximum.accumulate(d_hl[:, ::-1], axis=1)[:, ::-1]
-    targets = grid + lam
-    first_feasible = np.empty((n_rows, n), dtype=np.intp)
-    for b in range(n_rows):
-        first_feasible[b] = np.searchsorted(grid[b], targets[b], side="left")
-    # ``crossing`` compares CDF values that are integer counts over the same
-    # sample size, so the search runs in the count domain — where shifting
-    # each row by ``row * (m + 1)`` is exact int64 arithmetic that makes the
-    # flattened matrix globally sorted and every query land inside its own
-    # row's segment.  One flat ``searchsorted`` then answers all rows with
-    # exactly the per-row comparison outcomes.
-    shift = (m + 1) * np.arange(n_rows, dtype=np.int64)[:, None]
-    flat_pos = np.searchsorted(
-        (icounts_l + shift).ravel(), (icounts_s + shift).ravel(), side="left"
-    )
-    crossing = flat_pos.reshape(n_rows, n) - n * np.arange(n_rows, dtype=np.intp)[:, None]
-    valid = first_feasible < n
-    ff = np.minimum(first_feasible, n - 1)
-    # Term A: rho'_U - rho_hat' = d_hl(a) + max_{b} d_sh(b).  Invalid left
-    # endpoints are masked to -inf in place — the row maxima then range over
-    # exactly the candidate values the scalar sweep maximises.
-    term_a = np.take_along_axis(sufmax_sh, ff, axis=1)
-    term_a += d_hl
-    term_a[~valid] = -np.inf
-    best = term_a.max(axis=1)
-    # Term B, rho'_L > 0 region: d_sh(a) + max_{b} d_hl(b).
-    ib1 = np.maximum(ff, crossing)
-    mask_b1 = valid & (ib1 < n)
-    np.minimum(ib1, n - 1, out=ib1)
-    term_b1 = np.take_along_axis(sufmax_hl, ib1, axis=1)
-    term_b1 += d_sh
-    term_b1[~mask_b1] = -np.inf
-    np.maximum(best, term_b1.max(axis=1), out=best)
-    # Term B, rho'_L = 0 region: rho_hat' at the largest feasible b below
-    # the crossing.
-    ib2 = np.minimum(crossing, n) - 1
-    mask_b2 = valid & (ib2 >= ff)
-    np.clip(ib2, 0, n - 1, out=ib2)
-    term_b2 = np.take_along_axis(f_h, ib2, axis=1)
-    term_b2 -= f_h
-    term_b2[~mask_b2] = -np.inf
-    np.maximum(best, term_b2.max(axis=1), out=best)
-    np.maximum(best, 0.0, out=best)
-    return np.minimum(best, 1.0)
+    return np.array([gp_discrepancy_bound(env, lam) for env in envelopes], dtype=float)
 
 
 def gp_discrepancy_bound_naive(envelope: EnvelopeOutputs, lam: float) -> float:

@@ -19,6 +19,11 @@ For every uncertain input tuple the algorithm:
    the apply query plus a pure read, so a kept tuple is bitwise the apply
    output and a dropped one carries ``ρ̂`` and no distribution.
 
+Steps 2 and 3 are one per-tuple step (:meth:`OLGAPRO._infer_and_bound`:
+:meth:`~repro.core.local_inference.LocalInferenceEngine.predict` plus the
+bound), and every inference of every tuple runs it — whatever the plan,
+since :meth:`OLGAPRO.process` is the chunk loop's chunk of one.
+
 The training data, the GP and the hyperparameters persist
 across tuples — that is what makes the algorithm online: the model warms up
 on the first tuples and afterwards rarely needs to call the UDF at all.
@@ -42,7 +47,7 @@ from repro.config import (
     DEFAULT_MC_FRACTION,
 )
 from repro.core.accuracy import AccuracyRequirement, ErrorBudget
-from repro.core.confidence_bands import BandMethod, band_z_value, band_z_values
+from repro.core.confidence_bands import BandMethod, band_z_value
 from repro.core.emulator import GPEmulator
 from repro.core.error_bounds import (
     CombinedErrorBound,
@@ -50,18 +55,11 @@ from repro.core.error_bounds import (
     build_envelope_outputs,
     combine_bounds,
     gp_discrepancy_bound,
-    gp_discrepancy_bound_block,
     gp_ks_bound,
     interval_probability_bounds,
 )
 from repro.core.filtering import FilterDecision, SelectionPredicate, upper_bound_decision
-from repro.core.local_inference import (
-    BatchKernelCache,
-    LocalInferenceEngine,
-    global_inference,
-    global_inference_cached,
-    global_inference_cached_block,
-)
+from repro.core.local_inference import LocalInferenceEngine, global_inference
 from repro.core.online_tuning import LargestVarianceStrategy, TuningStrategy
 from repro.core.retraining import RetrainingPolicy, ThresholdRetrain
 from repro.distributions.base import Distribution
@@ -118,14 +116,13 @@ class OnlineTupleResult:
 
 @dataclass
 class ChunkPrologue:
-    """Shared up-front state of one batched (or pipelined) chunk.
+    """Shared up-front state of one chunk.
 
     Produced by :meth:`OLGAPRO.begin_chunk`: the initialisation charges for
-    the first tuple, the ordered per-tuple Monte-Carlo draws with their
-    individual durations, and the chunk-wide kernel cache with its per-tuple
-    construction share.  Keeping the construction in one place is what keeps
-    the batched pipeline and the cross-tuple scheduler charging (and
-    sampling!) identically.
+    the first tuple and the ordered per-tuple Monte-Carlo draws with their
+    individual durations and bounding boxes.  Keeping the construction in
+    one place is what keeps every plan and the cross-tuple scheduler
+    charging (and sampling!) identically.
     """
 
     init_calls: int
@@ -135,16 +132,14 @@ class ChunkPrologue:
     sample_sets: list
     sample_seconds: list
     boxes: list
-    cache: "BatchKernelCache"
-    cache_share: float
 
 
 class ChunkStage:
     """What a scheduler plugs into :meth:`OLGAPRO.process_batch` — and its default.
 
     The tuple-commit loop exists once; a stage only *parameterises* it.  The
-    base class is the degenerate stage (lookahead 1): nothing is speculated,
-    nothing shares the chunk cache, nothing happens between commits.  The
+    base class is the degenerate stage (lookahead 1): nothing is speculated
+    and nothing happens between commits.  The
     cross-tuple scheduler (:class:`repro.engine.pipeline.SpeculationStage`)
     overrides every member.
     """
@@ -163,14 +158,10 @@ class ChunkStage:
         del prologue
         return nullcontext()
 
-    def speculated(self, i: int) -> Optional[tuple[EnvelopeOutputs, float]]:
-        """Tuple ``i``'s fence-valid speculated ``(envelope, bound)``, or ``None``."""
+    def speculated(self, i: int) -> Optional[tuple]:
+        """Tuple ``i``'s fence-valid speculated ``(inference, envelope, bound)``, or ``None``."""
         del i
         return None
-
-    def guard(self):
-        """Context manager around every commit-side use of the chunk cache."""
-        return nullcontext()
 
     def committed(self, i: int, points_added: int) -> None:
         """Called after tuple ``i`` commits, before tuple ``i + 1`` starts."""
@@ -294,9 +285,6 @@ class OLGAPRO:
         self.model_sync = None
         self._rng = as_generator(random_state)
         self._tuples_processed = 0
-        #: ``(model fingerprint, count)``: the chunk loop's tuples committed
-        #: since the model last moved — what sizes the first pass's window.
-        self._quiet: tuple[Optional[tuple[bytes, int]], int] = (None, 0)
         #: Factorization-grade GP operations (Cholesky / rank-1 / blocked
         #: inverse updates) performed *inside the refinement loop* across all
         #: tuples — excludes initial training and hyperparameter retraining,
@@ -406,54 +394,8 @@ class OLGAPRO:
     def process(
         self, input_distribution: Distribution, random_state: RandomState = None
     ) -> OnlineTupleResult:
-        """Compute the output distribution for one uncertain input tuple."""
-        if self.model_sync is not None:
-            self.model_sync.sync()
-        started = time.perf_counter()
-        rng = as_generator(random_state) if random_state is not None else self._rng
-        calls_before = self.udf.call_count
-        charged_before = self.udf.charged_time
-
-        self._ensure_initialized(input_distribution, rng)
-        m = self.mc_samples()
-        samples = input_distribution.sample(m, random_state=rng)
-        box = BoundingBox.from_points(samples)
-
-        quarantined = False
-        try:
-            envelope, gp_bound, points_added, converged = self._tune_until_bounded(
-                samples, box, rng
-            )
-        except UDFError:
-            if not self._quarantine_enabled():
-                raise
-            # Quarantine: the refinement loop died on a terminal UDF
-            # failure, but the GP state it left behind is consistent —
-            # recompute the honest (unconverged) bound from it with pure
-            # inference, no further UDF calls.
-            envelope, gp_bound = self._infer_and_bound(samples, box)
-            points_added, converged, quarantined = 0, False, True
-
-        retrained = self._maybe_retrain(points_added)
-        if retrained:
-            envelope, gp_bound = self._infer_and_bound(samples, box)
-
-        elapsed = time.perf_counter() - started
-        self._tuples_processed += 1
-        if self.model_sync is not None:
-            self.model_sync.sync()
-        return self._tuple_result(
-            envelope,
-            gp_bound,
-            converged=converged,
-            points_added=points_added,
-            n_samples=m,
-            udf_calls=self.udf.call_count - calls_before,
-            charged_time=self.udf.charged_time - charged_before + elapsed,
-            elapsed_time=elapsed,
-            retrained=retrained,
-            quarantined=quarantined,
-        )
+        """Compute the output distribution for one uncertain input tuple: a chunk of one."""
+        return self.process_batch([input_distribution], random_state=random_state)[0]
 
     def process_batch(
         self,
@@ -465,22 +407,15 @@ class OLGAPRO:
     ) -> list[OnlineTupleResult]:
         """Process a chunk of uncertain tuples: the one tuple-commit loop.
 
-        Semantics match calling :meth:`process` once per tuple, in order —
-        with a deterministic tuning strategy (the default) the results are
-        numerically identical under the same seed, because Monte-Carlo
-        sampling is the only consumer of the random stream and the samples
-        are drawn in the same tuple order.  The speedup comes from sharing
-        the kernel algebra across the chunk through a
-        :class:`~repro.core.local_inference.BatchKernelCache` (one distance
-        matrix for the chunk's retrievals, cached local factorisations) and
-        from the *first pass*: tuple ``i``'s first envelope and bound come
-        from the cache's armed window — as many consecutive tuples as fit
-        its row cap while the model is quiet, their inference and bound
-        computed together (:meth:`_first_pass`) — and are consumed only
-        while the model fingerprint still matches the state they were
-        computed under, so the results are bit-identical whatever the
-        window's length.  Only tuples whose bound misses the GP budget
-        enter the per-tuple refinement loop.
+        Every plan runs it (:meth:`process` is its chunk of one).  With a
+        deterministic tuning strategy (the default) the results do not
+        depend on where the chunk boundaries fall: Monte-Carlo sampling is
+        the only consumer of the random stream, the samples are drawn up
+        front in tuple order, and each tuple then takes the one per-tuple
+        inference step (:meth:`_infer_and_bound`) against the model as the
+        previous tuple left it.  Only tuples whose first bound misses the
+        GP budget enter the refinement loop, which starts from that first
+        inference instead of repeating it.
 
         ``timings``, when given, must expose ``add(phase, seconds)`` and
         receives per-phase wall-clock spent in ``"sampling"``,
@@ -519,19 +454,11 @@ class OLGAPRO:
             evaluation_executor=stage.carrier, max_inflight=stage.window,
         )
         m = prologue.n_samples
-        sample_sets = prologue.sample_sets
         boxes = prologue.boxes
-        cache = prologue.cache
-
-        #: The armed window's first-pass entries, the tuples they belong to,
-        #: and the model fingerprint they were computed under.
-        first_pass: list[tuple[EnvelopeOutputs, float]] = []
-        first_window = range(0)
-        first_fp: Optional[tuple[bytes, int]] = None
 
         results: list[OnlineTupleResult] = []
         with stage.chunk(prologue):
-            for i, samples in enumerate(sample_sets):
+            for i, samples in enumerate(prologue.sample_sets):
                 # Tuple-boundary learning exchange (merge="shared"): publish the
                 # rows the previous tuple's refinement paid for and absorb what
                 # other learners committed meanwhile.  Placed before the tuple's
@@ -543,31 +470,11 @@ class OLGAPRO:
                 calls_before = self.udf.call_count
                 charged_before = self.udf.charged_time
                 evals_before = self.refinement_evaluations
-                # Tuples committed since anything — refinement, a retrain, a
-                # learning exchange — last moved the model: what sizes the
-                # next armed window.
-                fingerprint = self._model_fingerprint()
-                quiet_fp, quiet = self._quiet
-                self._quiet = (fingerprint, quiet + 1 if fingerprint == quiet_fp else 0)
-                speculated = stage.speculated(i)
+                first = stage.speculated(i)
                 phase_started = time.perf_counter()
-                if speculated is not None:
-                    envelope, bound = speculated
-                else:
-                    with stage.guard():
-                        if i not in first_window or fingerprint != first_fp:
-                            # No window yet, its end reached, or the model
-                            # moved under it: arm afresh from this tuple
-                            # (never from an earlier one, so nothing is
-                            # computed twice).
-                            first_window, first_pass = self._first_pass(cache, boxes, m, i)
-                            first_fp = fingerprint
-                        envelope, bound = first_pass[i - first_window.start]
-                        # Leave the cache's single-row memo on this tuple's
-                        # block so a later cached re-inference (the retrained
-                        # branch) absorbs new training points as appended
-                        # kernel columns whatever the window's length.
-                        cache.rows(self.emulator.gp, i)
+                if first is None:
+                    first = self._infer_and_bound(samples, boxes[i])
+                _, envelope, bound = first
                 if timings is not None:
                     timings.add("inference", time.perf_counter() - phase_started)
                 points_added = 0
@@ -577,25 +484,23 @@ class OLGAPRO:
                     refine_started = time.perf_counter()
                     try:
                         envelope, bound, points_added, converged = self._tune_until_bounded(
-                            samples, boxes[i], rng, initial=(envelope, bound)
+                            samples, boxes[i], rng, initial=first
                         )
                     except UDFError:
                         if not self._quarantine_enabled():
                             raise
-                        # Per-tuple quarantine inside a chunk: keep the honest
-                        # bound recomputed from the surviving GP state (fresh
-                        # stock inference — the cache may lag points the failed
-                        # refinement absorbed) and carry on with the next tuple.
-                        envelope, bound = self._infer_and_bound(samples, boxes[i])
+                        # Per-tuple quarantine: the refinement loop died on a
+                        # terminal UDF failure, but the GP state it left behind
+                        # is consistent — keep the honest (unconverged) bound
+                        # recomputed from it by pure inference, and carry on
+                        # with the next tuple.
+                        _, envelope, bound = self._infer_and_bound(samples, boxes[i])
                         points_added, converged, quarantined = 0, False, True
                     if timings is not None:
                         timings.add("refinement", time.perf_counter() - refine_started)
                 retrained = self._maybe_retrain(points_added)
                 if retrained:
-                    with stage.guard():
-                        envelope, bound = self._infer_and_bound(
-                            samples, boxes[i], infer=self._make_cached_infer(cache, i)
-                        )
+                    _, envelope, bound = self._infer_and_bound(samples, boxes[i])
                 decision = None
                 if predicate is not None and not quarantined:
                     filter_started = time.perf_counter()
@@ -608,13 +513,8 @@ class OLGAPRO:
                     if timings is not None:
                         timings.add("filtering", time.perf_counter() - filter_started)
                 # Cover this tuple's share of the up-front work: its own sample
-                # draw plus an even share of the chunk's cache construction
-                # (and, for the first tuple, model initialisation — matching
-                # where the per-tuple path charges it).
-                elapsed = (
-                    time.perf_counter() - started
-                    + prologue.sample_seconds[i] + prologue.cache_share
-                )
+                # draw (and, for the first tuple, model initialisation).
+                elapsed = time.perf_counter() - started + prologue.sample_seconds[i]
                 if i == 0:
                     elapsed += prologue.init_elapsed
                 if stage.overlapped:
@@ -653,17 +553,16 @@ class OLGAPRO:
         evaluation_executor=None,
         max_inflight=None,
     ) -> ChunkPrologue:
-        """Run one chunk's shared prologue: initialise, sample, build the cache.
+        """Run one chunk's shared prologue: initialise the model, draw the samples.
 
-        Initialisation cost is charged to the first tuple, exactly as the
-        per-tuple path would (it initialises inside the first ``process()``),
-        and per-tuple sampling durations are kept so each tuple's elapsed /
+        Initialisation cost is charged to the chunk's first tuple, and
+        per-tuple sampling durations are kept so each tuple's elapsed /
         charged time covers its own draw.  Monte-Carlo draws happen strictly
         in tuple order (:func:`repro.distributions.columns.sample_chunk`:
         one stacked generator call when the inputs encode as a homogeneous
         column, bit-identical to the per-tuple draws) — sampling is the
         shared random stream's only consumer, which is what makes every
-        batch-level executor consume it identically.
+        plan consume it identically.
         ``evaluation_executor`` / ``max_inflight`` forward to
         :meth:`_ensure_initialized` so a stage's evaluation transport can
         overlap the initial design's UDF calls (the trained model is
@@ -673,7 +572,7 @@ class OLGAPRO:
         m = self.mc_samples()
         if not distributions:
             # A zero-length column block is a legal chunk: nothing is
-            # initialised, sampled or cached, and the phases report zero.
+            # initialised or sampled, and the phases report zero.
             if timings is not None:
                 timings.add("sampling", 0.0)
                 timings.add("inference", 0.0)
@@ -685,8 +584,6 @@ class OLGAPRO:
                 sample_sets=[],
                 sample_seconds=[],
                 boxes=[],
-                cache=None,
-                cache_share=0.0,
             )
         init_calls_before = self.udf.call_count
         init_charged_before = self.udf.charged_time
@@ -705,12 +602,6 @@ class OLGAPRO:
         boxes = [BoundingBox(low, high) for low, high in zip(block.min(axis=1), block.max(axis=1))]
         if timings is not None:
             timings.add("sampling", float(sum(sample_seconds)))
-
-        phase_started = time.perf_counter()
-        cache = BatchKernelCache(self.emulator.gp, sample_sets, boxes)
-        cache_share = (time.perf_counter() - phase_started) / len(sample_sets)
-        if timings is not None:
-            timings.add("inference", cache_share * len(sample_sets))
         return ChunkPrologue(
             init_calls=init_calls,
             init_charged=init_charged,
@@ -719,8 +610,6 @@ class OLGAPRO:
             sample_sets=sample_sets,
             sample_seconds=sample_seconds,
             boxes=boxes,
-            cache=cache,
-            cache_share=cache_share,
         )
 
     # -- internals ------------------------------------------------------------------------
@@ -766,143 +655,36 @@ class OLGAPRO:
             self.model_sync.publish_hyperparameters()
             self.model_sync.sync()
 
+    def infer_with(self, gp, samples: np.ndarray, box: BoundingBox):
+        """Algorithm 4's inference at ``samples`` against an explicit GP state.
+
+        Local inference once the model has enough points for retrieval to
+        matter, global inference before.  The live path (:meth:`_infer`)
+        passes the emulator's own model; the pipeline scheduler's
+        speculative stages pass a snapshot-restored view, which carries its
+        own local-inverse memo, so the computation is bitwise the one the
+        live path performs at the same model state.
+        """
+        if self.use_local_inference and gp.n_training > 3:
+            engine = LocalInferenceEngine(
+                gamma_threshold=self.gamma_threshold_for(gp), subdivisions=self.subdivisions
+            )
+            return engine.predict(gp, samples, sample_box=box)
+        return global_inference(gp, samples)
+
     def _infer(self, samples: np.ndarray, box: BoundingBox):
-        if self.use_local_inference and self.emulator.n_training > 3:
-            engine = LocalInferenceEngine(
-                gamma_threshold=self.gamma_threshold(), subdivisions=self.subdivisions
-            )
-            return engine.predict(self.emulator.gp, samples, sample_box=box)
-        return global_inference(self.emulator.gp, samples)
+        return self.infer_with(self.emulator.gp, samples, box)
 
-    def _make_cached_infer(self, cache: BatchKernelCache, i: int):
-        """Per-tuple inference closure backed by the shared batch cache.
+    def _infer_and_bound(self, samples: np.ndarray, box: BoundingBox):
+        """The one per-tuple step: fresh inference, its envelope and GP error bound.
 
-        Mirrors the :meth:`_infer` strategy branch at every call — the
-        refinement loop re-infers after each added training point, and the
-        cache absorbs those additions as appended kernel columns instead of
-        fresh per-tuple kernel evaluations.
+        Every inference of a tuple runs it — the first pass, each
+        refinement re-check, the retrained re-inference and the quarantine
+        recompute.  Returns ``(inference, envelope, bound)``.
         """
-
-        def infer(samples: np.ndarray, box: BoundingBox):
-            del samples, box  # identified by the tuple's slot in the cache
-            return self.cached_inference_with(self.emulator.gp, cache, i)
-
-        return infer
-
-    def _model_fingerprint(self) -> tuple[bytes, int]:
-        """Hyperparameters + training-set size: what invalidates precomputation."""
-        gp = self.emulator.gp
-        return (gp.kernel.theta.tobytes(), gp.n_training)
-
-    def _first_pass(
-        self, cache: BatchKernelCache, boxes, n_points: int, start: int
-    ) -> tuple[range, list[tuple[EnvelopeOutputs, float]]]:
-        """First envelope and bound of the window the cache arms from ``start``.
-
-        The window is sized by :meth:`BatchKernelCache.arm
-        <repro.core.local_inference.BatchKernelCache.arm>` from the quiet
-        count the commit loop keeps.  One tuple is the scalar step the
-        refinement loop's re-check and :meth:`process` also run; a longer
-        window runs the same step for all its tuples at once — batched
-        point selection, grouped variance passes, hoisted band calibration,
-        batched envelope sorts and the batched discrepancy sweep — each
-        stage bit-identical per tuple to the scalar one.  An entry is only
-        consumed while the live model still matches the state it was
-        computed under.
-        """
-        gp = self.emulator.gp
-        window = cache.arm(gp, start, self._quiet[1])
-        if len(window) == 1:
-            infer = self._make_cached_infer(cache, start)
-            return window, [self._infer_and_bound(cache.sample_sets[start], boxes[start], infer)]
-        if self.use_local_inference and gp.n_training > 3:
-            engine = LocalInferenceEngine(
-                gamma_threshold=self.gamma_threshold_for(gp), subdivisions=self.subdivisions
-            )
-            inferences = engine.predict_cached_block(gp, cache, window)
-        else:
-            inferences = global_inference_cached_block(gp, cache, window)
-        bands = band_z_values(
-            gp.kernel,
-            boxes[window.start : window.stop],
-            alpha=self.band_alpha,
-            method=self.band_method,
-            n_points=n_points,
-        )
-        envelopes = self._build_envelopes_block(inferences, bands)
-        if self.requirement.metric == "ks":
-            bounds = [gp_ks_bound(envelope) for envelope in envelopes]
-        else:
-            bounds = gp_discrepancy_bound_block(envelopes, self.lambda_value_for(gp))
-        return window, [(envelope, float(bound)) for envelope, bound in zip(envelopes, bounds)]
-
-    @staticmethod
-    def _build_envelopes_block(inferences, bands) -> list[EnvelopeOutputs]:
-        """Batched :func:`build_envelope_outputs` over one chunk's inferences.
-
-        The three per-tuple sample arrays are assembled as ``(B, m)``
-        blocks and sorted along the sample axis in one call per variable —
-        sorting a row of a block and sorting the row alone order the same
-        values identically, so each ECDF's state matches the scalar
-        constructor's.  Ragged or non-finite blocks (which the scalar
-        constructor would filter) fall back to the scalar path wholesale.
-        """
-        sizes = {inference.means.size for inference in inferences}
-        blocks = None
-        if len(sizes) == 1 and sizes != {0}:
-            means_block = np.stack([inference.means for inference in inferences])
-            stds_block = np.stack([inference.stds for inference in inferences])
-            z_col = np.array([band.z_value for band in bands])
-            if np.all(stds_block >= 0) and np.all(z_col >= 0):
-                lower_block = means_block - z_col[:, None] * stds_block
-                upper_block = means_block + z_col[:, None] * stds_block
-                if (
-                    np.isfinite(means_block).all()
-                    and np.isfinite(lower_block).all()
-                    and np.isfinite(upper_block).all()
-                ):
-                    blocks = (
-                        np.sort(means_block, axis=1),
-                        np.sort(lower_block, axis=1),
-                        np.sort(upper_block, axis=1),
-                    )
-        if blocks is None:
-            return [
-                build_envelope_outputs(inference.means, inference.stds, band.z_value)
-                for inference, band in zip(inferences, bands)
-            ]
-        sorted_hat, sorted_lower, sorted_upper = blocks
-        return [
-            EnvelopeOutputs(
-                y_hat=EmpiricalDistribution._from_sorted(sorted_hat[i]),
-                y_lower=EmpiricalDistribution._from_sorted(sorted_lower[i]),
-                y_upper=EmpiricalDistribution._from_sorted(sorted_upper[i]),
-                z_value=bands[i].z_value,
-            )
-            for i in range(len(inferences))
-        ]
-
-    def cached_inference_with(self, gp, cache: BatchKernelCache, i: int):
-        """Cached inference for tuple ``i`` against an explicit GP state.
-
-        The live path (:meth:`_make_cached_infer`) passes the emulator's own
-        model; the pipeline scheduler's speculative stages pass a
-        snapshot-restored view, so the computation — including the local-
-        versus-global strategy branch — is bitwise the one the live path
-        would perform at the same model state.
-        """
-        if self.use_local_inference and gp.n_training > 3:
-            engine = LocalInferenceEngine(
-                gamma_threshold=self.gamma_threshold_for(gp), subdivisions=self.subdivisions
-            )
-            return engine.predict_cached(gp, cache, i)
-        return global_inference_cached(gp, cache, i)
-
-    def _infer_and_bound(
-        self, samples: np.ndarray, box: BoundingBox, infer=None
-    ) -> tuple[EnvelopeOutputs, float]:
-        inference = (infer or self._infer)(samples, box)
-        return self._bound_from_inference(inference, box, samples.shape[0])
+        inference = self._infer(samples, box)
+        envelope, bound = self._bound_from_inference(inference, box, samples.shape[0])
+        return inference, envelope, bound
 
     def _bound_from_inference(
         self, inference, box: BoundingBox, n_points: int
@@ -940,7 +722,7 @@ class OLGAPRO:
         samples: np.ndarray,
         box: BoundingBox,
         rng: np.random.Generator,
-        initial: tuple[EnvelopeOutputs, float] | None = None,
+        initial: tuple | None = None,
     ) -> tuple[EnvelopeOutputs, float, int, bool]:
         """Steps 3–7 of Algorithm 5: the one refinement-window loop.
 
@@ -974,28 +756,20 @@ class OLGAPRO:
         observation already paid for.  The loop therefore never makes less
         progress per slice than the serial largest-variance rule.
 
-        ``initial`` lets the chunk loop seed the refinement with the bound
-        it computed from cached kernel algebra.  The loop body itself
-        always uses the stock per-tuple inference: the chunk cache *grows*
-        its blocks by appended columns, and the argmax over predictive
-        variances would amplify a last-ulp difference between a grown and
-        a fresh block into a different selection.  For the same reason a
-        window > 1 first realigns a seeded bound to fresh algebra — the
-        overshoot comparison must be fresh-vs-fresh (window 1 makes no such
-        comparison, so it keeps the seed).
+        ``initial`` is the tuple's ``(inference, envelope, bound)`` from
+        the commit loop's first pass (or a fence-valid speculation of it —
+        the same step on the same model state), so the first selection
+        reads that inference instead of repeating it.
         """
         driver = self.evaluation_driver
         window = self.speculative_k if driver is None else driver.window
         epsilon_gp = self.budget.epsilon_gp
         n_samples = samples.shape[0]
-        if initial is None:
-            inference, envelope, bound = self._recheck(samples, box)
-        else:
-            # Selection inference is computed on demand (below) and then
-            # refreshed by every post-absorb re-check: the model is
-            # unchanged between a re-check and the next selection.
-            inference = None
-            envelope, bound = initial
+        # Every post-absorb re-check refreshes the selection inference: the
+        # model is unchanged between a re-check and the next selection.
+        inference, envelope, bound = (
+            initial if initial is not None else self._infer_and_bound(samples, box)
+        )
         points_added = 0
         ops_before = self.emulator.gp.factorization_count
         try:
@@ -1006,11 +780,6 @@ class OLGAPRO:
                 )
                 if capacity <= 0:
                     return envelope, bound, points_added, False
-                if inference is None:
-                    inference = self._infer(samples, box)
-                    if window > 1:
-                        envelope, bound = self._bound_from_inference(inference, box, n_samples)
-                        continue
                 if window == 1:
                     order = [
                         self.tuning_strategy.select(
@@ -1029,7 +798,7 @@ class OLGAPRO:
                 if k == 1:
                     self._absorb_candidate(samples[order[0]])
                     points_added += 1
-                    inference, envelope, bound = self._recheck(samples, box)
+                    inference, envelope, bound = self._infer_and_bound(samples, box)
                     continue
                 X = samples[order]
                 self.refinement_evaluations += k
@@ -1054,7 +823,7 @@ class OLGAPRO:
                         self.emulator.absorb_observations(
                             X[start:stop], y[start:stop], fence=fence
                         )
-                        inference, envelope, bound = self._recheck(samples, box)
+                        inference, envelope, bound = self._infer_and_bound(samples, box)
                         if bound > bound_before and stop - start > 1:
                             # Overshoot.  (A single-point slice is exempt:
                             # re-committing the same point would rebuild
@@ -1064,7 +833,7 @@ class OLGAPRO:
                                 X[start : start + 1], y[start : start + 1]
                             )
                             points_added += 1
-                            inference, envelope, bound = self._recheck(samples, box)
+                            inference, envelope, bound = self._infer_and_bound(samples, box)
                         else:
                             points_added += stop - start
                         if bound <= epsilon_gp:
@@ -1093,13 +862,7 @@ class OLGAPRO:
         quarantined: bool = False,
         filter_decision: Optional[FilterDecision] = None,
     ) -> OnlineTupleResult:
-        """Assemble one tuple's result record.
-
-        Shared by :meth:`process`, :meth:`process_batch` and the pipeline
-        scheduler (:mod:`repro.engine.pipeline`), so the mapping from a
-        finished refinement to :class:`OnlineTupleResult` — including the
-        Theorem 4.1 bound combination — lives in one place.
-        """
+        """Assemble one tuple's result record, with Theorem 4.1's bound combination."""
         return OnlineTupleResult(
             distribution=envelope.y_hat,
             envelope=envelope,
@@ -1169,12 +932,6 @@ class OLGAPRO:
         if missing:
             y[missing] = self.udf.evaluate_batch(X[missing])
         return y
-
-    def _recheck(self, samples: np.ndarray, box: BoundingBox):
-        """Fresh inference plus error bound after a model mutation."""
-        fresh = self._infer(samples, box)
-        envelope, bound = self._bound_from_inference(fresh, box, samples.shape[0])
-        return fresh, envelope, bound
 
     def _make_error_evaluator(self, samples: np.ndarray, box: BoundingBox):
         """Candidate evaluator for the optimal-greedy tuning strategy.

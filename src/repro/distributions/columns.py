@@ -19,8 +19,7 @@ Two operations make the encoding useful on the hot path:
   loop ``[dist.sample(m, rng) for dist in column]`` does — the sliced rows
   are bit-identical, which is what lets every executor layer keep the
   repo's determinism contract.  :func:`stacking_supported` verifies that
-  fill-order property (and the stacked linear-algebra identities the
-  kernel cache's armed window relies on) once per process.
+  fill-order property once per process.
 * :func:`sample_chunk` — the one chunk draw every executor uses: the
   stacked draw when the chunk encodes and the platform keeps the fill-order
   identity, per-tuple draws in tuple order otherwise.
@@ -184,22 +183,11 @@ _STACKING_SUPPORTED: Optional[bool] = None
 
 
 def _probe_stacking() -> bool:
-    """One-time platform probe of every stacking identity the fast path uses.
+    """One-time platform probe of the fill-order identity the chunk draw uses.
 
-    All probes compare *bit-for-bit* (``array_equal`` on float outputs):
-
-    1. Broadcast RNG draws fill in C element order, so a column-wide draw
-       sliced per row equals sequential per-row draws for every supported
-       family.
-    2. A per-row reduction over stacked rows equals the per-block
-       reductions (the grouped variance pass sums over a window's rows; its
-       BLAS products are taken per block, because their rounding depends on
-       the operand's row count).
-    3. ``np.linalg.cholesky`` on a ``(B, n, n)`` stack equals per-matrix
-       calls.
-    4. A batched ``matmul`` over a ``(B, m, n)`` stack equals the per-item
-       2-D products (the block selection path evaluates every pending
-       tuple's exact-γ matvec in one call).
+    Broadcast RNG draws fill in C element order, so a column-wide draw
+    sliced per row equals sequential per-row draws for every supported
+    family — compared *bit-for-bit* (``array_equal`` on float outputs).
     """
     seed = np.random.SeedSequence(20130817)
     mus = np.array([0.5, -1.25, 3.0])
@@ -217,35 +205,14 @@ def _probe_stacking() -> bool:
         rows = [draw(rng_b, mu, sg, (m,)) for mu, sg in zip(mus, sigmas)]
         if not np.array_equal(stacked.reshape(len(mus), m), np.vstack(rows)):
             return False
-    rng = np.random.default_rng(seed)
-    blocks = [rng.standard_normal((m, 5)) for _ in range(3)]
-    tall = np.vstack(blocks)
-    rowsum = np.sum(tall * tall, axis=1)
-    for b, block in enumerate(blocks):
-        if not np.array_equal(rowsum[b * m : (b + 1) * m], np.sum(block * block, axis=1)):
-            return False
-    mats = rng.standard_normal((4, 6, 6))
-    mats = mats @ mats.transpose(0, 2, 1) + 6.0 * np.eye(6)
-    stacked_chol = np.linalg.cholesky(mats)
-    if not all(
-        np.array_equal(stacked_chol[i], np.linalg.cholesky(mats[i]))
-        for i in range(mats.shape[0])
-    ):
-        return False
-    stack3 = np.vstack(blocks).reshape(len(blocks), m, 5)
-    vecs = rng.standard_normal((len(blocks), 5))
-    batched = np.matmul(stack3, vecs[:, :, None])[:, :, 0]
-    return all(
-        np.array_equal(batched[b], blocks[b] @ vecs[b]) for b in range(len(blocks))
-    )
+    return True
 
 
 def stacking_supported() -> bool:
-    """Whether this platform's BLAS/RNG keep the stacking identities exact.
+    """Whether this platform's RNG keeps the stacked draw's fill order exact.
 
-    Probed once per process; when ``False`` chunk draws go per tuple and the
-    kernel cache's window is one tuple (the determinism gates then pass
-    trivially).
+    Probed once per process; when ``False`` chunk draws go per tuple (the
+    determinism gates then pass trivially).
     """
     global _STACKING_SUPPORTED
     if _STACKING_SUPPORTED is None:

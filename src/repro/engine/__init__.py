@@ -7,7 +7,6 @@ strategies; iterator-style physical operators; and the fluent query builder.
 
 from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT, AsyncEvaluationDriver
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
-from repro.engine.columnar import ColumnarRelation
 from repro.engine.executor import ComputedOutput, Strategy, UDFExecutionEngine
 from repro.engine.faults import FaultInjectingTransport
 from repro.engine.operators import (
@@ -72,7 +71,6 @@ __all__ = [
     "Schema",
     "UncertainTuple",
     "Relation",
-    "ColumnarRelation",
     "galaxy_schema",
     "generate_galaxy_relation",
     "UDFExecutionEngine",

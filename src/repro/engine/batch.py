@@ -1,23 +1,21 @@
 """The chunk executor: set-at-a-time UDF evaluation over uncertain tuples.
 
-The per-tuple engine (:class:`~repro.engine.executor.UDFExecutionEngine`)
-re-enters Python-level loops — training-point retrieval, kernel evaluations,
-local Cholesky factorisations, error-bound sweeps — for every tuple.
-:class:`BatchExecutor` instead accepts a whole chunk of tuples and runs it
-through the one tuple-commit loop (:meth:`OLGAPRO.process_batch
+:class:`BatchExecutor` accepts a chunk of tuples and runs it through the
+one tuple-commit loop (:meth:`OLGAPRO.process_batch
 <repro.core.olgapro.OLGAPRO.process_batch>`): the Monte-Carlo input samples
-of the whole chunk are drawn up front, GP inference shares one chunk-wide
-kernel cache whose first pass stacks as many tuples as fit its row cap
-while the model is quiet, and only the tuples whose error bound misses the
-budget enter the refinement-window loop.  It is the *only* executor below the shard
-wrapper: the plan's ``window`` and ``lookahead`` parameterise the same two
-loops (see :class:`BatchExecutor`), they do not select another executor.
+of the whole chunk are drawn up front (one stacked draw when the inputs
+encode as a column), each tuple then takes the one per-tuple inference
+step, and only the tuples whose error bound misses the budget enter the
+refinement-window loop.  It is the *only* executor below the shard
+wrapper: the all-default plan runs it at a chunk size of one, and the
+plan's ``window`` and ``lookahead`` parameterise the same two loops (see
+:class:`BatchExecutor`), they do not select another executor.
 
 Numerical contract: with a deterministic tuning strategy (the default
-largest-variance rule) the batched pipeline consumes the shared random
-stream in exactly the same order as per-tuple execution — Monte-Carlo
-sampling is the only consumer — so under the same seed it produces the same
-output distributions and error bounds as calling
+largest-variance rule) every chunk size consumes the shared random
+stream in exactly the same order — Monte-Carlo sampling is the only
+consumer — so under the same seed it produces the same output
+distributions and error bounds as calling
 :meth:`UDFExecutionEngine.compute` once per tuple.  A selection predicate
 runs through the same chunks: online filtering is the last step of each
 tuple's commit and only reads the envelope the tuple committed, so a
@@ -49,8 +47,9 @@ from repro.udf.base import UDF
 if TYPE_CHECKING:  # plan.py imports this module
     from repro.engine.plan import ExecutionPlan
 
-#: Default chunk size; large enough to amortise the stacked kernel algebra,
-#: small enough to keep the stacked sample matrix in cache-friendly territory.
+#: Default chunk size under any overlap or shard knob: large enough to
+#: amortise the stacked sample draw and give the lookahead stage tuples to
+#: speculate on, small enough to keep the sample block cache-friendly.
 DEFAULT_BATCH_SIZE = 32
 
 T = TypeVar("T")
@@ -138,7 +137,7 @@ class BatchExecutor:
 
     At window 1 / lookahead 1 no transport session, driver, stage or thread
     exists.  Quarantine, the chunk backstop, tuple-boundary model sync, the
-    windowed first pass and a predicate's drop test belong to the loop, so
+    first pass and a predicate's drop test belong to the loop, so
     they hold at every (window, lookahead).  Phase timings (``sampling`` /
     ``inference`` / ``refinement`` / ``filtering`` — the drop tests alone,
     or Monte Carlo's sequential filter — / ``speculation``) accumulate on
@@ -293,7 +292,7 @@ class BatchExecutor:
             if predicate is None:
                 return mc_chunk(udf, chunk, engine.requirement, engine._rng, self.timings)
             with self.timings.measure("filtering"):
-                return [engine.compute_with_predicate(udf, dist, predicate) for dist in chunk]
+                return [engine._mc_filter(udf, dist, predicate) for dist in chunk]
         results = engine.olgapro_for(udf).process_batch(
             chunk, timings=self.timings, stage=stage, predicate=predicate
         )

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Literal, Optional
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.core.hybrid import HybridExecutor
-from repro.core.mc_baseline import monte_carlo_output, monte_carlo_with_filter
+from repro.core.mc_baseline import monte_carlo_with_filter
 from repro.core.olgapro import OLGAPRO, OnlineTupleResult
 from repro.distributions.base import Distribution
 from repro.distributions.empirical import EmpiricalDistribution
@@ -284,15 +284,7 @@ class UDFExecutionEngine:
             udf._install_retry_policy(resolved_plan.retry)
         try:
             with timings.measure("execute"):
-                if executor is None:
-                    if predicate is None:
-                        outputs = [self.compute(udf, dist) for dist in distributions]
-                    else:
-                        outputs = [
-                            self.compute_with_predicate(udf, dist, predicate)
-                            for dist in distributions
-                        ]
-                elif predicate is None:
+                if predicate is None:
                     outputs = executor.compute_batch(udf, distributions)
                 else:
                     outputs = executor.compute_batch_with_predicate(
@@ -301,9 +293,7 @@ class UDFExecutionEngine:
         finally:
             if resolved_plan.retry is not None:
                 udf._install_retry_policy(None)
-        executor_timings = getattr(executor, "timings", None)
-        if isinstance(executor_timings, PhaseTimings):
-            timings.merge(executor_timings)
+        timings.merge(executor.timings)
         return QueryResult(
             outputs,
             plan=resolved_plan,
@@ -333,93 +323,54 @@ class UDFExecutionEngine:
             failed=True,
         )
 
-    # -- evaluation without a predicate ------------------------------------------------
+    # -- one tuple -----------------------------------------------------------------------
     def compute(self, udf: UDF, input_distribution: Distribution) -> ComputedOutput:
         """Full output distribution of ``udf`` on one tuple's input vector.
 
-        Under a quarantining retry policy a tuple whose evaluations stay
-        failing yields a ``failed=True`` output (classified *degraded*)
-        instead of raising — the per-tuple backstop of the fault-tolerance
-        contract; the GP path usually quarantines inside OLGAPRO with the
-        last bound it had.
+        The all-default plan's chunk of one: the same executor and tuple
+        loop every plan runs, so under a quarantining retry policy a tuple
+        whose evaluations stay failing yields a ``failed=True`` output
+        (classified *degraded*) instead of raising.
         """
-        if self._quarantine_enabled(udf):
-            try:
-                return self._compute_inner(udf, input_distribution)
-            except UDFError:
-                return self.quarantined_output()
-        return self._compute_inner(udf, input_distribution)
+        from repro.engine.plan import ExecutionPlan
 
-    def _compute_inner(self, udf: UDF, input_distribution: Distribution) -> ComputedOutput:
-        """The strategy dispatch of :meth:`compute` (no quarantine catch)."""
-        if self.strategy == "mc":
-            result = monte_carlo_output(
-                udf, input_distribution, requirement=self.requirement, random_state=self._rng
-            )
-            return ComputedOutput(
-                distribution=result.distribution,
-                error_bound=self.requirement.epsilon,
-                existence_probability=1.0,
-                dropped=False,
-                udf_calls=result.udf_calls,
-                charged_time=result.charged_time,
-            )
-        outcome = self._processor_for(udf).process(input_distribution)
-        if isinstance(outcome, OnlineTupleResult):
-            return online_result_to_output(outcome)
-        # The hybrid selector chose plain Monte Carlo.
-        return ComputedOutput(
-            distribution=outcome.distribution,
-            error_bound=self.requirement.epsilon,
-            existence_probability=1.0,
-            dropped=False,
-            udf_calls=outcome.udf_calls,
-            charged_time=outcome.charged_time,
-        )
+        return ExecutionPlan().resolve(self).compute_batch(udf, [input_distribution])[0]
 
-    # -- evaluation with a selection predicate ------------------------------------------
     def compute_with_predicate(
         self, udf: UDF, input_distribution: Distribution, predicate: SelectionPredicate
     ) -> ComputedOutput:
         """Evaluate ``udf`` under a predicate, using online filtering (§2.2B, §5.5).
 
-        Quarantine applies exactly as on :meth:`compute`: under a
-        quarantining retry policy, a tuple whose evaluations stay failing
-        becomes a ``failed`` output (neither dropped nor kept — the
-        predicate was never decided) instead of aborting the query.
+        :meth:`compute`'s chunk of one with the predicate's drop test; a
+        quarantined tuple is a ``failed`` output (neither dropped nor kept —
+        the predicate was never decided).
         """
-        if self._quarantine_enabled(udf):
-            try:
-                return self._compute_with_predicate_inner(
-                    udf, input_distribution, predicate
-                )
-            except UDFError:
-                return self.quarantined_output()
-        return self._compute_with_predicate_inner(udf, input_distribution, predicate)
+        from repro.engine.plan import ExecutionPlan
 
-    def _compute_with_predicate_inner(
+        executor = ExecutionPlan().resolve(self)
+        return executor.compute_batch_with_predicate(udf, [input_distribution], predicate)[0]
+
+    def _mc_filter(
         self, udf: UDF, input_distribution: Distribution, predicate: SelectionPredicate
     ) -> ComputedOutput:
-        """The strategy dispatch of :meth:`compute_with_predicate`.
+        """One tuple through :func:`~repro.core.mc_baseline.monte_carlo_with_filter`.
 
-        A GP tuple is a chunk of one through the tuple-commit loop
-        (:meth:`OLGAPRO.process_batch`), whose last step is the drop test.
-        Monte Carlo — the strategy, or the hybrid selector's choice — keeps
-        :func:`~repro.core.mc_baseline.monte_carlo_with_filter`, where
-        stopping a tuple's sampling early really does save UDF calls.
+        Monte Carlo's selection path — the strategy, or the hybrid
+        selector's choice — where stopping a tuple's sampling early really
+        does save UDF calls.  Quarantine applies per tuple.
         """
-        if not self._mc_decides(udf, input_distribution):
-            [result] = self.olgapro_for(udf).process_batch(
-                [input_distribution], predicate=predicate
+        try:
+            result = monte_carlo_with_filter(
+                udf,
+                input_distribution,
+                predicate,
+                requirement=self.requirement,
+                random_state=self._rng,
             )
-            return online_result_to_output(result, predicate)
-        result = monte_carlo_with_filter(
-            udf,
-            input_distribution,
-            predicate,
-            requirement=self.requirement,
-            random_state=self._rng,
-        )
+        except UDFError:
+            if not self._quarantine_enabled(udf):
+                raise
+            return self.quarantined_output()
         return ComputedOutput(
             distribution=result.distribution,
             error_bound=self.requirement.epsilon,

@@ -95,7 +95,7 @@ def _plan_and_executor(
     engine: UDFExecutionEngine,
     udf: UDF,
     relation_size: int | None,
-) -> tuple[ExecutionPlan, PlannedExecutor | None]:
+) -> tuple[ExecutionPlan, PlannedExecutor]:
     """Shared plan/executor setup of :class:`ApplyUDF` and :class:`SelectUDF`.
 
     With no ``plan=``, the engine's default plan (installed at engine
@@ -104,8 +104,7 @@ def _plan_and_executor(
     without threading it through every builder call.  The ``"auto"``
     spelling — passed directly, or installed as the engine default —
     resolves here, where the UDF and the input size are both known, via
-    :meth:`~repro.engine.plan.ExecutionPlan.auto`.  The executor is
-    ``None`` for the per-tuple path.
+    :meth:`~repro.engine.plan.ExecutionPlan.auto`.
     """
     if plan is None:
         plan = engine.plan if engine.plan is not None else ExecutionPlan()
@@ -117,26 +116,19 @@ def _plan_and_executor(
 def _udf_blocks(node, predicate: SelectionPredicate | None = None):
     """Yield ``(rows, outputs)`` blocks of a UDF node, as its plan executes.
 
-    Sharding needs the whole input (materialise, fan out, re-attach); a
-    chunk-wise executor takes ``batch_size`` rows at a time; with no
-    executor each tuple goes through the engine on its own.  The retry
-    policy is installed around the whole scan.
+    Sharding needs the whole input (materialise, fan out, re-attach); the
+    chunk executor takes ``batch_size`` rows at a time (one, under the
+    per-tuple plan).  The retry policy is installed around the whole scan.
     """
     executor = node._executor
-    if executor is None:
-        blocks: Iterable = ([row] for row in node.child)
-    elif isinstance(executor, ParallelExecutor):
-        blocks = [list(node.child)]
+    if isinstance(executor, ParallelExecutor):
+        blocks: Iterable = [list(node.child)]
     else:
         blocks = iter_batches(node.child, executor.batch_size)
     with _installed_retry(node.udf, node.plan):
         for rows in blocks:
             inputs = [row.input_distribution(node.argument_names) for row in rows]
-            if executor is None and predicate is None:
-                outputs = [node.engine.compute(node.udf, inputs[0])]
-            elif executor is None:
-                outputs = [node.engine.compute_with_predicate(node.udf, inputs[0], predicate)]
-            elif predicate is None:
+            if predicate is None:
                 outputs = executor.compute_batch(node.udf, inputs)
             else:
                 outputs = executor.compute_batch_with_predicate(node.udf, inputs, predicate)

@@ -12,9 +12,10 @@ strictly in tuple order on the coordinating thread, with the same
 quarantine, model-sync, first-pass and retraining treatment as at
 lookahead 1.  The stage only adds, on a private thread pool:
 
-1. **retrieve / infer** — while tuple *i* refines, the initial cached GP
-   inference (retrieval, envelope, error bound) of tuples *i + 1 … i +
-   lookahead* runs *speculatively* against a snapshot view of the emulator,
+1. **retrieve / infer** — while tuple *i* refines, the first GP inference
+   (retrieval, envelope, error bound) of tuples *i + 1 … i + lookahead*
+   runs *speculatively* against a snapshot view of the emulator — the same
+   per-tuple step the commit loop runs, on the view's own state —
    and the highest-variance candidates of each speculated tuple's expected
    refinement windows are **prefetched**: their UDF evaluations are
    submitted immediately, so the black-box latency of tuple *i + 1*'s
@@ -222,7 +223,9 @@ def _gp_view(gp: GaussianProcess, fence: EmulatorSnapshot) -> GaussianProcess:
     view reproduces the fenced state bitwise without copying, and stays
     consistent however the live model evolves — this is what lets a
     speculative stage run on a pool thread while the coordinating thread
-    keeps refining earlier tuples.
+    keeps refining earlier tuples.  Being its own object, the view also
+    keeps its own :meth:`~repro.gp.regression.GaussianProcess.local_inverse`
+    memo: a stage never reads or files into the live model's.
     """
     view = GaussianProcess(
         kernel=gp.kernel.clone(),
@@ -239,7 +242,7 @@ class SpeculationStage(ChunkStage):
 
     One instance serves one computation: used as a context manager it owns
     the stage thread pool, and :meth:`chunk` scopes the per-chunk state
-    (speculation never crosses a chunk boundary — the kernel cache is per
+    (speculation never crosses a chunk boundary — the sample draws are per
     chunk).  See the module docstring for the determinism contract.
 
     Two bounded carriers, split by *blocking behaviour*.  Black-box
@@ -338,8 +341,6 @@ class SpeculationStage(ChunkStage):
         """Scope one chunk: value pool in, first speculations out; settle after."""
         self._samples = prologue.sample_sets
         self._boxes = prologue.boxes
-        self._cache = prologue.cache
-        self._cache_lock = threading.Lock()
         pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.carrier)
         self._pending: dict[int, _PendingTuple] = {}
         #: Free-running refinement walks; never awaited by the commit loop
@@ -379,8 +380,8 @@ class SpeculationStage(ChunkStage):
             self.speculative_calls += pool.prefetched
             self.wasted_calls += pool.wasted
 
-    def speculated(self, i: int) -> Optional[tuple[Any, float]]:
-        """Tuple ``i``'s speculated first bound, if its fence still holds.
+    def speculated(self, i: int) -> Optional[tuple[Any, Any, float]]:
+        """Tuple ``i``'s speculated first ``(inference, envelope, bound)``, if its fence holds.
 
         Always waits: the stage was submitted, so its prefetches must land
         (and be charged) whether or not the fence held — this is what keeps
@@ -396,20 +397,8 @@ class SpeculationStage(ChunkStage):
             and speculation.envelope is not None
             and self.olgapro.emulator.gp.version == state.fence.gp_state.version
         ):
-            return speculation.envelope, speculation.bound
+            return speculation.inference, speculation.envelope, speculation.bound
         return None
-
-    @contextmanager
-    def guard(self) -> Iterator[None]:
-        """Serialise the commit loop's cache use against speculative stages.
-
-        The row memo is dropped first: a stage may have left a partially
-        grown block for the same tuple behind (see
-        :meth:`~repro.core.local_inference.BatchKernelCache.invalidate_rows`).
-        """
-        with self._cache_lock:
-            self._cache.invalidate_rows()
-            yield
 
     def committed(self, i: int, points_added: int) -> None:
         """Record the depth, speculate the next tuple, refresh a stale fence."""
@@ -484,8 +473,9 @@ class SpeculationStage(ChunkStage):
         refinement walk that prefetches the tuple's expected UDF evaluations
         (the commit loop waits for this stage, never for the walk).
 
-        ``full_inference`` selects the estimate's fidelity: the exact cached
-        inference (reusable bitwise at commit when the fence holds — worth
+        ``full_inference`` selects the estimate's fidelity: the commit loop's
+        own inference step on the view (reusable bitwise at commit when the
+        fence holds, because the view memoises its own local inverses — worth
         its cost when the stream is quiet and fences survive) versus a cheap
         global-GP pass that only seeds the walk (the right trade in a
         refining stream, where every commit moves the model and fenced
@@ -498,11 +488,8 @@ class SpeculationStage(ChunkStage):
         started = time.perf_counter()
         try:
             if full_inference:
-                with self._cache_lock:
-                    inference = olgapro.cached_inference_with(view, self._cache, j)
-                    envelope, bound = olgapro.bound_with(
-                        view, inference, box, samples.shape[0]
-                    )
+                inference = olgapro.infer_with(view, samples, box)
+                envelope, bound = olgapro.bound_with(view, inference, box, samples.shape[0])
                 result = _SpeculationResult(inference=inference, envelope=envelope, bound=bound)
             else:
                 inference = global_inference(view, samples)
@@ -555,8 +542,7 @@ class SpeculationStage(ChunkStage):
         the ranking.
 
         The view is private to this stage, so nothing here touches the live
-        emulator or the shared chunk cache; the only shared effect is the
-        deduplicated prefetch pool.
+        emulator; the only shared effect is the deduplicated prefetch pool.
 
         Under :attr:`shared_refresh` the walk additionally watches the live
         model between windows: when its version has moved past

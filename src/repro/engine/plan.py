@@ -25,7 +25,8 @@ The knobs *compose* rather than compete:
    ``transport``; 1 (or unset without a lookahead) evaluates inline.
 4. ``batch_size`` — set-at-a-time chunking (the default size underneath any
    other chunk knob).
-5. none of the above — the classic per-tuple path.
+5. none of the above — the per-tuple plan: the same chunk executor at a
+   chunk size of one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ PRECEDENCE = (
     "refinement calls, windows ride the transport, chunks batch the GP work)"
 )
 
-#: The executor types a plan can resolve to (``None`` = per-tuple path).
+#: The executor types a plan can resolve to.
 PlannedExecutor = Union[ParallelExecutor, BatchExecutor]
 
 #: The literal string spelling of "let the catalog profile choose the
@@ -102,9 +103,9 @@ class ExecutionPlan:
     Parameters
     ----------
     batch_size:
-        Set-at-a-time chunk size.  ``None`` means per-tuple execution when
-        no overlap knob is set, and :data:`~repro.engine.batch
-        .DEFAULT_BATCH_SIZE` underneath any overlap layer.
+        Set-at-a-time chunk size.  ``None`` means chunks of one tuple when
+        no other knob is set, and :data:`~repro.engine.batch
+        .DEFAULT_BATCH_SIZE` underneath any overlap or shard layer.
     workers:
         Process-pool shard count.  ``None`` disables sharding.
     merge:
@@ -346,8 +347,16 @@ class ExecutionPlan:
     # -- resolution ---------------------------------------------------------------
     @property
     def chunk_size(self) -> int:
-        """The chunk size executors run at (``batch_size``, or its default)."""
-        return self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
+        """The chunk size executors run at.
+
+        ``batch_size`` when set; otherwise the default size under any other
+        chunk or shard knob, and one tuple for the all-default plan.
+        """
+        if self.batch_size is not None:
+            return self.batch_size
+        if self.workers is None and self.async_inflight is None and self.pipeline_lookahead is None:
+            return 1
+        return DEFAULT_BATCH_SIZE
 
     @property
     def lookahead(self) -> int:
@@ -366,15 +375,13 @@ class ExecutionPlan:
             return self.async_inflight
         return DEFAULT_ASYNC_INFLIGHT if self.lookahead > 1 else 1
 
-    def resolve(self, engine: Any) -> Optional[PlannedExecutor]:
+    def resolve(self, engine: Any) -> PlannedExecutor:
         """The executor this plan describes, bound to ``engine``.
 
         The single selection point: the shard wrapper when ``workers`` is
-        set, the chunk executor when any chunk knob is (it reads
-        :attr:`window` and :attr:`lookahead` off the plan), and ``None``
-        for the all-default plan — the classic per-tuple path (callers
-        fall back to :meth:`~repro.engine.executor.UDFExecutionEngine
-        .compute`).
+        set, and otherwise the chunk executor, which reads
+        :attr:`chunk_size`, :attr:`window` and :attr:`lookahead` off the
+        plan — at a chunk size of one for the all-default plan.
 
         Raises
         ------
@@ -391,20 +398,14 @@ class ExecutionPlan:
             )
         if self.workers is not None:
             return ParallelExecutor(engine, self)
-        if (
-            self.batch_size is not None
-            or self.async_inflight is not None
-            or self.pipeline_lookahead is not None
-        ):
-            return BatchExecutor(engine, self)
-        return None
+        return BatchExecutor(engine, self)
 
     def inner(self) -> "ExecutionPlan":
         """The plan every shard of a sharded plan runs.
 
         This plan with its sharding fields cleared — so a shard's lookahead
         stage never refreshes against a shared model — and ``batch_size``
-        pinned, so the result never resolves to the per-tuple path.
+        pinned, so a shard runs the sharded plan's chunk size.
         """
         if self.workers is None:
             raise PlanError("only a sharded plan (workers set) has an inner plan")

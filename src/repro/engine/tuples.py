@@ -122,18 +122,6 @@ class Relation:
         for row in rows:
             self.insert(row)
 
-    def to_columnar(self):
-        """Encode into a :class:`~repro.engine.columnar.ColumnarRelation`.
-
-        The column-oriented twin of this store: certain attributes in one
-        structured array, homogeneous uncertain columns packed succinctly,
-        distribution objects rebuilt lazily at the UDF boundary.
-        ``to_columnar().to_relation()`` round-trips bit-identically.
-        """
-        from repro.engine.columnar import ColumnarRelation
-
-        return ColumnarRelation.from_relation(self)
-
     def __iter__(self) -> Iterator[UncertainTuple]:
         return iter(self.tuples)
 

@@ -51,24 +51,15 @@ def jittered_cholesky(matrix: np.ndarray, initial_jitter: float = 1e-10, max_tri
 def stacked_jittered_cholesky(
     matrices: np.ndarray, initial_jitter: float = 1e-10, max_tries: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`jittered_cholesky` over a ``(B, n, n)`` stack.
+    """:func:`jittered_cholesky` over a ``(B, n, n)`` stack, one call each.
 
     Returns ``(L, jitter)`` with ``L`` of shape ``(B, n, n)`` and ``jitter``
-    of shape ``(B,)``.  The common all-positive-definite case is one LAPACK
-    call on the stack (elementwise identical to per-matrix factorisations —
-    batched Cholesky factorises each matrix independently); only when the
-    stacked call fails does each matrix fall back to the scalar escalation
-    loop, preserving its exact jitter sequence.
+    of shape ``(B,)``.  Kept as a named loop because external profiling
+    tools bind it by module and name.
     """
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise GPError(f"expected a (B, n, n) stack, got shape {matrices.shape}")
-    if matrices.shape[0] == 0:
-        return matrices.copy(), np.zeros(0)
-    try:
-        return np.linalg.cholesky(matrices), np.zeros(matrices.shape[0])
-    except np.linalg.LinAlgError:
-        pass
     factors = np.empty_like(matrices)
     jitters = np.zeros(matrices.shape[0])
     for b in range(matrices.shape[0]):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
-from repro.core.local_inference import BatchKernelCache, LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
 from repro.engine.batch import iter_batches
 from repro.engine.executor import UDFExecutionEngine
@@ -292,43 +291,3 @@ def test_batch_executor_records_phase_timings():
     assert executor.timings.total >= executor.timings.get("inference")
 
 
-def test_predict_multi_matches_predict(trained_f1_emulator):
-    """The multi-query local-inference path reproduces per-tuple inference."""
-    emulator = trained_f1_emulator
-    rng = np.random.default_rng(17)
-    sample_sets = [
-        rng.uniform(3, 7, size=(100, 2)) + rng.normal(0, 0.2, size=(1, 2))
-        for _ in range(5)
-    ]
-    engine = LocalInferenceEngine(
-        gamma_threshold=0.05 * float(np.ptp(emulator.gp.y_train))
-    )
-    per = [engine.predict(emulator.gp, s) for s in sample_sets]
-    multi = engine.predict_multi(emulator.gp, sample_sets)
-    for a, b in zip(per, multi):
-        assert np.array_equal(a.selected_indices, b.selected_indices)
-        assert a.gamma == b.gamma and a.radius == b.radius
-        assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.stds, b.stds)
-
-
-def test_batch_kernel_cache_tracks_model_growth(trained_f1_emulator):
-    """Appending training points keeps cached blocks equal to fresh kernels."""
-    from repro.gp.regression import GaussianProcess
-
-    source = trained_f1_emulator.gp
-    gp = GaussianProcess(kernel=source.kernel.clone(),
-                         noise_variance=source.noise_variance)
-    gp.fit(source.X_train[:40], source.y_train[:40])
-    rng = np.random.default_rng(8)
-    samples = rng.uniform(3, 7, size=(50, 2))
-    cache = BatchKernelCache(gp, [samples])
-    before = cache.rows(gp, 0)
-    assert before.shape == (50, 40)
-    gp.add_point(source.X_train[40], float(source.y_train[40]))
-    after = cache.rows(gp, 0)
-    assert after.shape == (50, 41)
-    fresh = gp.kernel(samples, gp.X_train)
-    assert np.allclose(after, fresh, rtol=1e-12)
-    assert cache.K_train.shape == (41, 41)
-    assert np.allclose(cache.K_train, gp.kernel(gp.X_train, gp.X_train), rtol=1e-12)

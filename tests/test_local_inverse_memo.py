@@ -17,7 +17,7 @@ import pytest
 import repro.gp.linalg as linalg
 import repro.gp.regression as regression
 from repro.core.accuracy import AccuracyRequirement
-from repro.core.local_inference import LocalInferenceEngine, _noise_augmented_inverse
+from repro.core.local_inference import LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
 from repro.gp.kernels import SquaredExponential
 from repro.gp.regression import GaussianProcess
@@ -116,7 +116,8 @@ def test_the_memo_changes_no_number():
         samples = _samples(rng)
         selected = _predict(gp, samples).selected_indices
         X_local = gp.X_train[selected]
-        direct = _noise_augmented_inverse(gp.kernel(X_local, X_local), gp.effective_noise())
+        K_local = gp.kernel(X_local, X_local) + gp.effective_noise() * np.eye(selected.size)
+        direct = linalg.inverse_from_cholesky(linalg.jittered_cholesky(K_local)[0])
         assert np.array_equal(gp.local_inverse(selected), direct)
         assert not gp.local_inverse(selected).flags.writeable
 
@@ -169,3 +170,38 @@ def test_the_cap_holds_on_a_quiet_stream(monkeypatch, factorisations):
     assert gp.version == version
     assert len(subsets) > 3, "the stream never had to evict"
     assert len(subsets) <= factorisations[0] - before < 250, "the memo never hit"
+
+
+def test_a_speculative_view_keeps_its_own_memo():
+    """Speculative stages infer on pool threads against a snapshot view.
+
+    The view is its own model object, so whatever it shares with the live
+    model (training buffers, the kernel's values) the stage files its local
+    inverses into the view's memo and never reads or writes the live one;
+    its inference is still bitwise the live model's at the same state.
+    """
+    from repro.engine.pipeline import SpeculationStage
+    from repro.timing import PhaseTimings
+
+    udf = reference_function("F1")
+    processor = OLGAPRO(udf, AccuracyRequirement(0.2, 0.05), n_samples=64, random_state=0)
+    stream = list(input_stream(workload_for_udf(udf), 20, random_state=np.random.default_rng(1)))
+    processor.process_batch(stream[:16])
+    gp = processor.emulator.gp
+    prologue = processor.begin_chunk(stream[16:], np.random.default_rng(2))
+    # An empty memo at the live version: any inverse a stage filed into it,
+    # or would have read from it, shows up as an entry.
+    live = gp._local_inverses = (gp.version, {})
+
+    stage = SpeculationStage(
+        processor, None, None, window=1, lookahead=2, shared_refresh=False,
+        timings=PhaseTimings(),
+    )
+    stage._recent_depths = [0] * 4  # a quiet stream: stages run the full inference
+    with stage, stage.chunk(prologue):
+        speculated = stage.speculated(0)
+        assert gp._local_inverses is live and live[1] == {}
+    assert speculated is not None
+    inference = processor.infer_with(gp, prologue.sample_sets[0], prologue.boxes[0])
+    assert np.array_equal(speculated[0].means, inference.means)
+    assert np.array_equal(speculated[0].stds, inference.stds)

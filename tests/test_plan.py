@@ -157,7 +157,7 @@ OLGAPRO_LOOP_PRIVATES = (
     "_recheck", "_selection_inference", "_rollback_to_best",
     "_refinement_capacity", "_absorb_candidate", "_infer_and_bound",
     "_tune_until_bounded", "_maybe_retrain", "_tuple_result",
-    "_make_cached_infer", "_tuples_processed",
+    "_tuples_processed",
 )
 
 #: Every chunk-knob combination (unset / degenerate 1 / engaged).
@@ -179,11 +179,10 @@ def test_the_loops_exist_once_and_the_plan_selects_one_executor():
     for knobs in CHUNK_KNOB_TABLE:
         plan = ExecutionPlan(**knobs)
         executor = plan.resolve(engine)
+        assert type(executor) is BatchExecutor, knobs
+        assert (executor.window, executor.lookahead) == (plan.window, plan.lookahead)
         if all(value is None for value in knobs.values()):
-            assert executor is None
-        else:
-            assert type(executor) is BatchExecutor, knobs
-            assert (executor.window, executor.lookahead) == (plan.window, plan.lookahead)
+            assert executor.batch_size == 1
         assert type(plan.with_overrides(workers=2).resolve(engine)) is ParallelExecutor
         # Only a sharded plan has an inner plan (the shard's).
         with pytest.raises(PlanError, match="sharded"):
@@ -196,12 +195,12 @@ def test_the_loops_exist_once_and_the_plan_selects_one_executor():
 
 
 def test_one_storage_one_kernel_path():
-    """The stacked first pass is the only first pass: nothing selects it."""
+    """One inference step, one storage: nothing selects another."""
     assert len(fields(ExecutionPlan)) == 9
     with pytest.raises(TypeError):
         ExecutionPlan(storage="columnar")
     _, engine, _ = _fixture(n_tuples=1)
-    assert ExecutionPlan().resolve(engine) is None
+    assert type(ExecutionPlan().resolve(engine)) is BatchExecutor
 
     def names(module, node_type, attribute):
         tree = ast.parse(Path(module.__file__).read_text())
@@ -215,10 +214,9 @@ def test_one_storage_one_kernel_path():
         for name, cls in inspect.getmembers(local_inference, inspect.isclass)
         if cls.__module__ == local_inference.__name__ and "rows" in vars(cls)
     ]
-    assert kernel_caches == ["BatchKernelCache"]
-    # Each stacking identity is probed where it is relied on: the RNG
-    # fill order by the chunk draw in columns.py, the BLAS ones by the
-    # kernel cache's window — and nowhere else.
+    assert kernel_caches == []
+    # The one stacking identity left, the RNG fill order, is probed where
+    # the chunk draw relies on it — and nowhere else.
     probing = []
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         calls = [
@@ -226,7 +224,7 @@ def test_one_storage_one_kernel_path():
         ]
         if any(getattr(f, "id", getattr(f, "attr", None)) == "stacking_supported" for f in calls):
             probing.append(path.name)
-    assert sorted(probing) == ["columns.py", "local_inference.py"]
+    assert probing == ["columns.py"]
 
 
 def test_removed_spellings_fail_at_the_call_site():
@@ -306,13 +304,13 @@ def test_with_overrides_revalidates():
 
 def test_resolution_precedence():
     _, engine, _ = _fixture(n_tuples=1)
-    assert ExecutionPlan().resolve(engine) is None
 
     def knobs(**kwargs):
         executor = ExecutionPlan(**kwargs).resolve(engine)
         assert type(executor) is BatchExecutor
         return executor.batch_size, executor.window, executor.lookahead
 
+    assert knobs() == (1, 1, 1)
     assert knobs(batch_size=8) == (8, 1, 1)
     assert knobs(async_inflight=4) == (32, 4, 1)
     assert knobs(async_inflight=4, pipeline_lookahead=4) == (32, 4, 4)

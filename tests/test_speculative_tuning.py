@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
-from repro.core.local_inference import BatchKernelCache
 from repro.core.olgapro import OLGAPRO
 from repro.core.online_tuning import make_strategy
 from repro.exceptions import GPError
@@ -247,33 +246,6 @@ def test_absorb_observations_skips_udf_calls():
 
 
 # ---------------------------------------------------------------------------
-# BatchKernelCache survives a mid-batch rollback (model shrinkage)
-# ---------------------------------------------------------------------------
-
-def test_batch_kernel_cache_syncs_after_shrinkage():
-    rng = np.random.default_rng(4)
-    X = rng.uniform(0, 10, size=(30, 2))
-    y = np.sin(X[:, 0]) * np.cos(X[:, 1])
-    gp = GaussianProcess(kernel=SquaredExponential())
-    gp.fit(X, y)
-    samples = rng.uniform(2, 8, size=(40, 2))
-    cache = BatchKernelCache(gp, [samples])
-    cache.rows(gp, 0)
-
-    state = gp.snapshot()
-    gp.add_points(rng.uniform(0, 10, size=(5, 2)), rng.normal(size=5))
-    assert cache.rows(gp, 0).shape == (40, 35)
-    gp.restore(state)
-
-    rows = cache.rows(gp, 0)
-    assert rows.shape == (40, 30)
-    assert np.allclose(rows, gp.kernel(samples, gp.X_train), rtol=1e-12)
-    assert cache.K_train.shape == (30, 30)
-    assert np.allclose(cache.K_train, gp.kernel(gp.X_train, gp.X_train), rtol=1e-12)
-    assert cache.box_distances.shape[0] == 30
-
-
-# ---------------------------------------------------------------------------
 # One loop: each plan value is a case of it, bit for bit
 # ---------------------------------------------------------------------------
 
@@ -345,7 +317,7 @@ def test_speculative_k_is_the_window_loop_with_one_inline_slice(batched):
 
 def _pr13_serial_loop(olgapro, samples, box, rng, initial=None):
     """PR 13's ``_tune_serial``: selection inference recomputed every iteration."""
-    envelope, bound = initial if initial is not None else olgapro._infer_and_bound(samples, box)
+    _, envelope, bound = initial if initial is not None else olgapro._infer_and_bound(samples, box)
     points_added = 0
     while bound > olgapro.budget.epsilon_gp:
         if points_added >= olgapro.max_points_per_tuple:
@@ -359,7 +331,7 @@ def _pr13_serial_loop(olgapro, samples, box, rng, initial=None):
         )
         olgapro.emulator.add_training_point(samples[index])
         points_added += 1
-        envelope, bound = olgapro._infer_and_bound(samples, box)
+        _, envelope, bound = olgapro._infer_and_bound(samples, box)
     return envelope, bound, points_added, True
 
 

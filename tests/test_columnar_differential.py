@@ -15,9 +15,10 @@ must produce bit-identical
 to :meth:`UDFExecutionEngine.compute` called once per tuple.  These tests
 run the same workload through the plan matrix (serial batch, a window on
 each transport, pipeline lookahead, sharded workers) and assert exact
-equality — no tolerances.  (A refinement window above one legitimately
-changes the trajectory; ``tests/test_ground_truth.py`` holds those plans
-against the true output distribution instead.)
+equality — no tolerances.  A refinement window above one legitimately
+changes the trajectory, so those plans are held against themselves with
+the stacked draw switched off (and ``tests/test_ground_truth.py`` holds
+them against the true output distribution).
 
 Workloads cover both regimes of the encoder: a 1-D Gaussian (and Gamma)
 stream packs into an :class:`~repro.distributions.columns.UncertainColumn`
@@ -117,6 +118,13 @@ PLAN_MATRIX = _matrix({
     "workers": ExecutionPlan(batch_size=4, workers=1),
 })
 
+#: Plans whose refinement window changes the trajectory.
+WINDOWED_MATRIX = _matrix({
+    "inflight-threads": ExecutionPlan(batch_size=4, async_inflight=2),
+    "inflight-asyncio": ExecutionPlan(batch_size=4, async_inflight=2, transport="asyncio"),
+    "lookahead": ExecutionPlan(batch_size=4, pipeline_lookahead=2),
+})
+
 
 @pytest.mark.parametrize("workload, plan", PLAN_MATRIX)
 def test_every_plan_matches_the_per_tuple_reference(workload, plan):
@@ -127,6 +135,21 @@ def test_every_plan_matches_the_per_tuple_reference(workload, plan):
     udf_got, candidate = _run(workload, plan)
     _assert_bit_identical(reference, candidate)
     if plan.lookahead == 1:  # a lookahead stage also pays for prefetches
+        assert udf_ref.call_count == udf_got.call_count
+
+
+@pytest.mark.parametrize("workload, plan", WINDOWED_MATRIX)
+def test_the_stacked_draw_changes_nothing_under_a_refinement_window(
+    workload, plan, monkeypatch
+):
+    """Where the plan itself moves the trajectory off the per-tuple one, the
+    chunk's stacked draw must still be invisible: the same plan with every
+    tuple drawing its own samples is the reference."""
+    udf_got, candidate = _run(workload, plan)
+    monkeypatch.setattr(columns, "stacking_supported", lambda: False)
+    udf_ref, reference = _run(workload, plan)
+    _assert_bit_identical(reference, candidate)
+    if plan.lookahead == 1:
         assert udf_ref.call_count == udf_got.call_count
 
 
@@ -189,12 +212,14 @@ def test_an_encodable_chunk_draws_through_one_stacked_call(monkeypatch):
 # One inference step per model state
 # ---------------------------------------------------------------------------
 
-def test_each_tuple_infers_once_per_model_state(monkeypatch):
+@pytest.mark.parametrize("n_samples", [None, 64], ids=["contract-m", "m64"])
+def test_each_tuple_infers_once_per_model_state(n_samples, monkeypatch):
     """Every inference is the one per-tuple step, run once per model state
     a tuple sees: its first pass, one re-check per absorbed point (the
     paper's window of one) and one re-inference per retrain.  The
     refinement loop starts from the first pass's inference rather than
-    repeating it."""
+    repeating it — at the sample count the contract derives and at a
+    small one alike."""
     from repro.core.olgapro import OLGAPRO
 
     calls = []
@@ -207,10 +232,14 @@ def test_each_tuple_infers_once_per_model_state(monkeypatch):
     monkeypatch.setattr(OLGAPRO, "infer_with", spy_infer)
     udf = reference_function("F3", simulated_eval_time=0.0)
     processor = OLGAPRO(
-        udf, requirement=AccuracyRequirement(epsilon=0.15, delta=0.05), random_state=2
+        udf,
+        requirement=AccuracyRequirement(epsilon=0.15, delta=0.05),
+        n_samples=n_samples,
+        random_state=2,
     )
     stream = list(input_stream(workload_for_udf(udf), 16, random_state=np.random.default_rng(9)))
     results = processor.process_batch(stream)
+    assert processor.mc_samples() == (793 if n_samples is None else n_samples)
     assert any(result.points_added for result in results)
     expected = sum(1 + result.points_added + result.retrained for result in results)
     assert len(calls) == expected and all(calls)

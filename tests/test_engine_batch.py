@@ -291,3 +291,18 @@ def test_batch_executor_records_phase_timings():
     assert executor.timings.total >= executor.timings.get("inference")
 
 
+
+
+
+def test_names_profilers_bind_stay_importable_without_a_second_body():
+    """External profiling tools resolve these by module and name, so they
+    stay — but the retired cache class is empty and the column forms are
+    loops over their scalar twins (held to them by property tests)."""
+    from repro.core.confidence_bands import band_z_values
+    from repro.core.error_bounds import gp_discrepancy_bound_block
+    from repro.core.local_inference import BatchKernelCache
+    from repro.gp.linalg import stacked_jittered_cholesky
+
+    assert not [attr for attr in vars(BatchKernelCache) if not attr.startswith("__")]
+    for function in (band_z_values, gp_discrepancy_bound_block, stacked_jittered_cholesky):
+        assert callable(function)

@@ -16,7 +16,9 @@ import pytest
 
 import repro.gp.linalg as linalg
 import repro.gp.regression as regression
+from repro.config import DEFAULT_GAMMA_FRACTION, DEFAULT_MC_FRACTION
 from repro.core.accuracy import AccuracyRequirement
+from repro.core.emulator import GPEmulator
 from repro.core.local_inference import LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
 from repro.gp.kernels import SquaredExponential
@@ -94,7 +96,17 @@ def _fit(gp, rng):
     gp.fit(gp.X_train, gp.y_train)
 
 
-@pytest.mark.parametrize("mutate", [_add_point, _add_points, _set_hyperparameters, _restore, _fit])
+def _roll_back(gp, rng):
+    """A mid-batch rollback: the model grows, files an entry, then shrinks."""
+    state = gp.snapshot()
+    _add_points(gp, rng)
+    _predict(gp, _samples(rng))
+    gp.restore(state)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_add_point, _add_points, _set_hyperparameters, _restore, _fit, _roll_back]
+)
 def test_every_mutation_recomputes(factorisations, mutate):
     gp, rng = _model()
     samples = _samples(rng)
@@ -120,6 +132,65 @@ def test_the_memo_changes_no_number():
         direct = linalg.inverse_from_cholesky(linalg.jittered_cholesky(K_local)[0])
         assert np.array_equal(gp.local_inverse(selected), direct)
         assert not gp.local_inverse(selected).flags.writeable
+
+
+def _trained(function: str, n_training: int) -> GaussianProcess:
+    emulator = GPEmulator(reference_function(function, simulated_eval_time=0.0))
+    emulator.train_initial(n_training, random_state=np.random.default_rng(31))
+    return emulator.gp
+
+
+def _assert_memo_free_equal(gp: GaussianProcess, sample_sets: list) -> None:
+    """Predict each set in turn on ``gp``, whose memo fills and hits as a
+    stream's does, and on a memo-free copy per set; the two agree bitwise."""
+    engine = LocalInferenceEngine(
+        gamma_threshold=DEFAULT_GAMMA_FRACTION * float(np.ptp(gp.y_train))
+    )
+    subsets = set()
+    for i, samples in enumerate(sample_sets):
+        memoised = engine.predict(gp, samples)
+        fresh = engine.predict(pickle.loads(pickle.dumps(gp)), samples)
+        subsets.add(memoised.selected_indices.tobytes())
+        assert np.array_equal(memoised.selected_indices, fresh.selected_indices), i
+        assert np.array_equal(memoised.means, fresh.means), i
+        assert np.array_equal(memoised.stds, fresh.stds), i
+    assert len(subsets) < len(sample_sets), "every set selected its own subset: no hit"
+
+
+def test_the_memo_changes_no_number_at_production_shape():
+    """The shape a real query has, not a toy one: ε = 0.12 draws m = 1239
+    Monte-Carlo rows per tuple and a warm F1 model holds about 56 points."""
+    gp = _trained("F1", 56)
+    m = AccuracyRequirement(epsilon=0.12, delta=0.05).split(DEFAULT_MC_FRACTION).mc_samples
+    assert m == 1239
+    rng = np.random.default_rng(4)
+    udf = reference_function("F1")
+    sample_sets = [
+        d.sample(m, random_state=rng)
+        for d in input_stream(workload_for_udf(udf), 32, random_state=rng)
+    ]
+    _assert_memo_free_equal(gp, sample_sets)
+
+
+@pytest.mark.parametrize(
+    "function, n_training, m",
+    [("F1", 120, 64), ("F1", 116, 96), ("F2", 300, 64)],
+    ids=["1d-n120-m64", "1d-n116-m96", "2d-n300-m64"],
+)
+def test_the_memo_changes_no_number_where_blas_switches_kernels(function, n_training, m):
+    """Shapes at which OpenBLAS sends a small operand (a 64-row block
+    against 100+ training points) down its small-matrix kernel and a
+    larger one down the blocked kernel, which round differently.  A memo
+    hit must still hand back the inverse a fresh factorisation builds."""
+    gp = _trained(function, n_training)
+    rng = np.random.default_rng(4)
+    udf = reference_function(function)
+    sample_sets = [
+        d.sample(m, random_state=rng)
+        for d in input_stream(workload_for_udf(udf), 8, random_state=rng)
+    ]
+    # Each set twice, as a re-check of an unmoved model reads it.
+    _assert_memo_free_equal(gp, [s for samples in sample_sets for s in (samples, samples)])
 
 
 def test_a_version_that_moves_during_the_build_files_nothing(monkeypatch):

@@ -91,7 +91,7 @@ def main() -> None:
     # must produce the same bits.
     udf, engine, dists = make_run()
     explicit = engine.compute_with_plan(
-        udf, dists, ExecutionPlan.auto(udf, len(dists), engine=engine)
+        udf, dists, ExecutionPlan.auto(udf, len(dists))
     )
     for a, b in zip(auto_result.outputs, explicit.outputs):
         assert np.array_equal(a.distribution.samples, b.distribution.samples)

@@ -78,9 +78,7 @@ def auto_plan(
             **kwargs,
         )
 
-    explicit_plan = ExecutionPlan.auto(
-        probe, relation_size=n_tuples, engine=fresh_engine()
-    )
+    explicit_plan = ExecutionPlan.auto(probe, relation_size=n_tuples)
     table = ExperimentTable(
         experiment_id="auto_plan",
         paper_artifact="profile-driven auto-planner (beyond the paper)",

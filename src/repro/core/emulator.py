@@ -2,10 +2,10 @@
 
 :class:`GPEmulator` owns the pieces shared by the offline and online
 algorithms: the wrapped UDF, the Gaussian process fitted to the UDF's
-input/output pairs, the (lazily built, reference-only) R-tree over training
-inputs, and hyperparameter training.  :func:`offline_gp_output` is the paper's
-Algorithm 2 — collect a fixed training set, learn the GP once, then compute
-output distributions for uncertain inputs by sampling the emulator.
+input/output pairs, and hyperparameter training.  :func:`offline_gp_output`
+is the paper's Algorithm 2 — collect a fixed training set, learn the GP
+once, then compute output distributions for uncertain inputs by sampling the
+emulator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.gp.kernels import Kernel, SquaredExponential
 from repro.gp.regression import GaussianProcess, GPStateSnapshot
 from repro.gp.training import fit_hyperparameters, initial_hyperparameters
 from repro.index.bounding_box import BoundingBox
-from repro.index.rtree import RTree
 from repro.rng import RandomState, as_generator
 from repro.udf.base import UDF
 
@@ -50,8 +49,11 @@ class GPEmulator:
     """A Gaussian-process emulator of one black-box UDF.
 
     The emulator owns the UDF's accumulated training data (input/output
-    pairs obtained by actually calling the UDF), the fitted GP, and the
-    paper's spatial index over the training inputs, built on access.
+    pairs obtained by actually calling the UDF) and the fitted GP.
+    Inference scans the training rows; the paper's R-tree over them
+    (:class:`~repro.index.rtree.RTree`) is built by the callers that
+    measure retrieval, from :attr:`gp.X_train <repro.gp.regression
+    .GaussianProcess.X_train>`.
     """
 
     def __init__(
@@ -65,8 +67,6 @@ class GPEmulator:
             kernel=kernel if kernel is not None else SquaredExponential(),
             noise_variance=noise_variance,
         )
-        self._index = RTree(dimension=udf.dimension)
-        self._indexed_rows = np.empty((0, udf.dimension))
         self._trained_hyperparameters = False
 
     # -- training data management ---------------------------------------------------
@@ -74,22 +74,6 @@ class GPEmulator:
     def n_training(self) -> int:
         """Number of UDF evaluations collected as training data."""
         return self.gp.n_training
-
-    @property
-    def index(self) -> RTree:
-        """R-tree over the training inputs (§5.1), payload = training row.
-
-        The reference retrieval structure: inference scans and never reads
-        it.  It catches up with the model on access — new rows are appended;
-        when the rows it holds are no longer a prefix of the training set (a
-        rollback or refit; the tree cannot delete) it is rebuilt.
-        """
-        X = self.gp.X_train if self.gp.n_training else self._indexed_rows[:0]
-        if not np.array_equal(self._indexed_rows, X[: len(self._index)]):
-            self._index = RTree(dimension=self.udf.dimension)
-        self._index.bulk_load(X[len(self._index) :])
-        self._indexed_rows = X
-        return self._index
 
     def add_training_point(self, x: np.ndarray) -> float:
         """Evaluate the UDF at ``x`` and absorb the pair into the model."""
@@ -179,8 +163,7 @@ class GPEmulator:
         domain: Optional[tuple[np.ndarray, np.ndarray]] = None,
         random_state: RandomState = None,
         optimize_hyperparameters: bool = True,
-        evaluation_executor=None,
-        max_inflight: Optional[int] = None,
+        driver=None,
     ) -> None:
         """Collect an initial training design and learn hyperparameters.
 
@@ -189,9 +172,11 @@ class GPEmulator:
         full grid), or ``"halton"`` (low-discrepancy; better space filling
         for the same budget).
 
-        ``evaluation_executor`` / ``max_inflight`` overlap the design's UDF
-        evaluations on a thread pool (:meth:`~repro.udf.base.UDF
-        .evaluate_many`): with a genuinely slow black box the initial design
+        ``driver`` — an evaluation driver such as
+        :class:`~repro.engine.async_exec.AsyncEvaluationDriver` — carries
+        the design's UDF evaluations: every row is submitted at once (the
+        transport's width bounds the concurrency) and every submission is
+        drained if one fails.  With a genuinely slow black box the design
         otherwise costs ``n_points`` serial latencies before the first tuple
         can start.  The observed values — and the model trained on them —
         are identical either way; only wall-clock changes.
@@ -200,12 +185,15 @@ class GPEmulator:
             raise GPError("n_points must be positive")
         low, high = self._resolve_domain(domain)
         points = _design_points(n_points, low, high, design, random_state)
-        if evaluation_executor is not None or (max_inflight or 0) > 1:
-            values = self.udf.evaluate_many(
-                points, executor=evaluation_executor, max_inflight=max_inflight
-            )
-        else:
+        if driver is None:
             values = self.udf.evaluate_batch(points)
+        else:
+            futures = driver.submit(self.udf, points)
+            try:
+                values = np.array([future.result() for future in futures])
+            except BaseException:
+                driver.drain(futures)
+                raise
         self.gp.fit(points, values)
         if optimize_hyperparameters:
             self.retrain()

@@ -9,15 +9,22 @@ For every uncertain input tuple the algorithm:
    using a simultaneous confidence band,
 4. while the bound exceeds the GP share of the budget, evaluates the real
    UDF at the sample chosen by the online-tuning strategy and absorbs the
-   new training point incrementally (or, at a refinement *window* > 1, at the
-   top-k highest-variance samples at once through blocked inverse updates
-   with snapshot-based rollback — see :meth:`OLGAPRO._tune_until_bounded`),
+   new training point incrementally (or, at a plan refinement *window* > 1,
+   at the top-k highest-variance samples at once through blocked inverse
+   updates with snapshot-based rollback — see
+   :meth:`OLGAPRO._tune_until_bounded`),
 5. once the tuple is finished, consults the retraining policy and, when it
    fires, refits the kernel hyperparameters and re-runs inference,
 6. under a selection predicate, runs §5.5's drop test on the envelope the
    tuple committed (:meth:`OLGAPRO.process_batch`): a predicate query is
    the apply query plus a pure read, so a kept tuple is bitwise the apply
    output and a dropped one carries ``ρ̂`` and no distribution.
+
+Every UDF value the loop needs comes from one of two places: an inline
+evaluation (window 1, no driver), or the :attr:`OLGAPRO.evaluation_driver`
+the chunk executor installs whenever it opens a transport session — and
+then every value comes through it: each window, each single refinement
+point and the initial design.
 
 Steps 2 and 3 are one per-tuple step (:meth:`OLGAPRO._infer_and_bound`:
 :meth:`~repro.core.local_inference.LocalInferenceEngine.predict` plus the
@@ -144,10 +151,6 @@ class ChunkStage:
     overrides every member.
     """
 
-    #: Evaluation carrier and window handed to :meth:`OLGAPRO.begin_chunk`
-    #: so the initial design's UDF calls overlap (``None``: evaluate inline).
-    carrier = None
-    window = None
     #: Whether UDF evaluations for *other* tuples complete while a tuple
     #: commits.  Raw call-counter deltas are then polluted, so per-tuple
     #: calls are attributed from :attr:`OLGAPRO.refinement_evaluations`.
@@ -212,7 +215,6 @@ class OLGAPRO:
         use_local_inference: bool = True,
         subdivisions: int = 2,
         n_samples: Optional[int] = None,
-        speculative_k: int = 1,
         random_state: RandomState = None,
     ):
         self.udf = udf
@@ -235,42 +237,24 @@ class OLGAPRO:
         self.max_training_points = int(max_training_points)
         self.use_local_inference = bool(use_local_inference)
         self.subdivisions = int(subdivisions)
-        #: Refinement window when no driver is installed: training points
-        #: proposed per iteration of :meth:`_tune_until_bounded`.  With the
-        #: default 1 the loop is the paper's Algorithm 5 (one point, one
-        #: bound re-check, one O(n^2) inverse update per iteration).  With
-        #: ``k > 1`` the top-k highest-variance Monte-Carlo samples are
-        #: evaluated and absorbed through a single blocked O(n^2 k) inverse
-        #: update, and the bound is re-checked once per block — cutting
-        #: factorization and inference work in the refinement loop by
-        #: roughly k× at the risk of adding up to k - 1 more points than
-        #: strictly needed.  NOTE: a window > 1 fixes the selection rule to
-        #: stable top-k-by-variance (the natural multi-point generalisation
-        #: of the paper's largest-variance rule); a configured
-        #: ``tuning_strategy`` only applies at window 1.
-        self.speculative_k = int(speculative_k)
-        #: Injectable refinement-window carrier.  ``None`` evaluates each
-        #: window inline, as one slice.  When set, the one loop in
-        #: :meth:`_tune_until_bounded` runs at ``driver.window``: it hands
-        #: every window to ``driver.submit(udf, X)`` (one future per row),
-        #: absorbs the values in the slices of ``driver.schedule(k)`` while
-        #: later ones are still in flight, and settles the window through
-        #: ``driver.drain(futures)`` — this is how the chunk executor
-        #: (:mod:`repro.engine.batch`) overlaps UDF calls with GP work
-        #: without OLGAPRO knowing about thread pools, event loops, or any
-        #: other :class:`~repro.engine.transport.EvaluationTransport`.
-        #: Drivers are installed per computation (and removed afterwards),
-        #: so a pickled OLGAPRO never carries one.
+        #: Injectable UDF-value carrier.  ``None``: window 1, every value
+        #: evaluated inline — the paper's Algorithm 5 (one point, one bound
+        #: re-check, one O(n^2) inverse update per iteration).  When set,
+        #: every value this processor needs comes through it: the initial
+        #: design (:meth:`~repro.core.emulator.GPEmulator.train_initial`),
+        #: each single refinement point, and each refinement window of
+        #: ``driver.window`` points, which :meth:`_tune_until_bounded`
+        #: hands to ``driver.submit(udf, X)`` (one future per row), absorbs
+        #: in the slices of ``driver.schedule(k)`` while later ones are
+        #: still in flight, and settles through ``driver.drain(futures)``.
+        #: This is how the chunk executor (:mod:`repro.engine.batch`)
+        #: overlaps UDF calls with GP work — and how the cross-tuple stage
+        #: reuses prefetched values — without OLGAPRO knowing about thread
+        #: pools, event loops, or any other
+        #: :class:`~repro.engine.transport.EvaluationTransport`.  Drivers
+        #: are installed per computation (and removed afterwards), so a
+        #: pickled OLGAPRO never carries one.
         self.evaluation_driver = None
-        #: Injectable source of already-paid-for UDF values, consulted
-        #: before a single candidate or an inline window spends a fresh
-        #: evaluation.  The cross-tuple stage
-        #: (:class:`~repro.engine.pipeline.SpeculationStage`) installs one
-        #: so candidates whose evaluations were speculatively submitted
-        #: while *earlier* tuples were still refining are reused instead of
-        #: re-evaluated.  ``None`` (the default) keeps every candidate a
-        #: direct UDF call.  Installed per chunk, never pickled.
-        self.value_source = None
         #: Injectable live-model synchroniser
         #: (:class:`~repro.core.shared_model.EmulatorSync`), the seam behind
         #: ``merge="shared"``.  When set, tuple boundaries become learning
@@ -279,9 +263,8 @@ class OLGAPRO:
         #: published, rows other learners committed are absorbed (never
         #: re-charged — the learner that evaluated them already paid), and
         #: a cold model seeds itself from the store instead of paying for
-        #: its own initial design.  Like the driver and the value source,
-        #: the hook is installed per computation, so a pickled OLGAPRO
-        #: never carries one.
+        #: its own initial design.  Like the driver, the hook is installed
+        #: per computation, so a pickled OLGAPRO never carries one.
         self.model_sync = None
         self._rng = as_generator(random_state)
         self._tuples_processed = 0
@@ -304,26 +287,18 @@ class OLGAPRO:
             raise GPError("initial_training_points must be at least 2")
         if self.max_points_per_tuple < 1:
             raise GPError("max_points_per_tuple must be at least 1")
-        if self.speculative_k < 1:
-            raise GPError("speculative_k must be at least 1")
-        if self.speculative_k > 1 and tuning_strategy is not None:
-            raise GPError(
-                "speculative_k > 1 fixes the selection rule to top-k largest "
-                "variance and cannot be combined with a custom tuning_strategy"
-            )
 
     # -- pickling -------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle support: per-computation seams never cross process boundaries.
 
-        The driver, value source and model synchroniser are installed for
+        The driver and the model synchroniser are installed for
         the duration of one computation and may hold thread pools, locks or
         manager proxies; a pickled processor (the parallel layer's shard
         payload) always starts with the seams empty.
         """
         state = dict(self.__dict__)
         state["evaluation_driver"] = None
-        state["value_source"] = None
         state["model_sync"] = None
         return state
 
@@ -449,10 +424,10 @@ class OLGAPRO:
         rng = as_generator(random_state) if random_state is not None else self._rng
         stage = stage if stage is not None else ChunkStage()
 
-        prologue = self.begin_chunk(
-            distributions, rng, timings=timings,
-            evaluation_executor=stage.carrier, max_inflight=stage.window,
-        )
+        # The prologue runs before the stage's chunk scope opens, so an
+        # initial design carried by the driver never reaches a speculative
+        # value pool (and its waste accounting).
+        prologue = self.begin_chunk(distributions, rng, timings=timings)
         m = prologue.n_samples
         boxes = prologue.boxes
 
@@ -546,12 +521,7 @@ class OLGAPRO:
         return results
 
     def begin_chunk(
-        self,
-        distributions,
-        rng: np.random.Generator,
-        timings=None,
-        evaluation_executor=None,
-        max_inflight=None,
+        self, distributions, rng: np.random.Generator, timings=None
     ) -> ChunkPrologue:
         """Run one chunk's shared prologue: initialise the model, draw the samples.
 
@@ -563,10 +533,6 @@ class OLGAPRO:
         column, bit-identical to the per-tuple draws) — sampling is the
         shared random stream's only consumer, which is what makes every
         plan consume it identically.
-        ``evaluation_executor`` / ``max_inflight`` forward to
-        :meth:`_ensure_initialized` so a stage's evaluation transport can
-        overlap the initial design's UDF calls (the trained model is
-        identical either way).
         """
         distributions = list(distributions)
         m = self.mc_samples()
@@ -588,10 +554,7 @@ class OLGAPRO:
         init_calls_before = self.udf.call_count
         init_charged_before = self.udf.charged_time
         init_started = time.perf_counter()
-        self._ensure_initialized(
-            distributions[0], rng,
-            evaluation_executor=evaluation_executor, max_inflight=max_inflight,
-        )
+        self._ensure_initialized(distributions[0], rng)
         init_calls = self.udf.call_count - init_calls_before
         init_charged = self.udf.charged_time - init_charged_before
         init_elapsed = time.perf_counter() - init_started
@@ -614,17 +577,12 @@ class OLGAPRO:
 
     # -- internals ------------------------------------------------------------------------
     def _ensure_initialized(
-        self,
-        input_distribution: Distribution,
-        rng: np.random.Generator,
-        evaluation_executor=None,
-        max_inflight=None,
+        self, input_distribution: Distribution, rng: np.random.Generator
     ) -> None:
         """Seed the model with a few training points around the first input.
 
-        ``evaluation_executor`` / ``max_inflight`` let a concurrency-aware
-        caller (the async and pipeline executors) overlap the initial
-        design's UDF calls; the trained model is identical either way.
+        An installed :attr:`evaluation_driver` carries the design's UDF
+        calls, overlapped; the trained model is identical either way.
         """
         if self.emulator.n_training > 0:
             return
@@ -645,8 +603,7 @@ class OLGAPRO:
             domain=domain,
             random_state=rng,
             optimize_hyperparameters=True,
-            evaluation_executor=evaluation_executor,
-            max_inflight=max_inflight,
+            driver=self.evaluation_driver,
         )
         if self.model_sync is not None:
             # This learner won (or defaulted to) paying for the initial
@@ -731,19 +688,20 @@ class OLGAPRO:
         deterministic), obtains their UDF values, absorbs them slice by
         slice through blocked inverse updates — each slice fenced on the
         snapshot it was selected against — and re-checks the bound after
-        every slice.  The plan's values only parameterise it:
+        every slice.  The plan's window only parameterises it, and the
+        values come by one of two routes:
 
-        * no driver, ``speculative_k = 1`` — window 1, the paper's loop: the
-          configured :attr:`tuning_strategy` picks the one point (the only
-          case that consumes ``rng``);
-        * no driver, ``speculative_k = k`` — window ``k`` evaluated inline
-          (``udf.evaluate_batch``, or the :attr:`value_source`) and absorbed
-          as one slice;
-        * an :attr:`evaluation_driver` — window ``driver.window`` submitted
-          through the driver's transport and absorbed in the slices of
-          ``driver.schedule(k)`` *while later values are still in flight*;
-          every submitted evaluation is drained (completed and charged)
-          before the window ends, absorbed or not.
+        * no driver — window 1, the paper's loop: the configured
+          :attr:`tuning_strategy` picks the one point (the only case that
+          consumes ``rng``) and the UDF is evaluated inline;
+        * an :attr:`evaluation_driver` — window ``driver.window`` (at
+          window 1 the tuning strategy still picks the point; a window > 1
+          fixes the rule to stable top-k by variance) submitted through
+          the driver and absorbed in the slices of ``driver.schedule(k)``
+          *while later values are still in flight*; every submitted
+          evaluation is drained (completed and charged) before the window
+          ends, absorbed or not.  A one-point window is
+          :meth:`_absorb_candidate`, through the same driver.
 
         Speculation can overshoot: absorbing a multi-point slice shifts the
         predictive means as well as shrinking the variances, and on rare
@@ -762,7 +720,7 @@ class OLGAPRO:
         reads that inference instead of repeating it.
         """
         driver = self.evaluation_driver
-        window = self.speculative_k if driver is None else driver.window
+        window = 1 if driver is None else driver.window
         epsilon_gp = self.budget.epsilon_gp
         n_samples = samples.shape[0]
         # Every post-absorb re-check refreshes the selection inference: the
@@ -803,22 +761,19 @@ class OLGAPRO:
                 X = samples[order]
                 self.refinement_evaluations += k
                 y = np.empty(k)
-                futures = None if driver is None else driver.submit(self.udf, X)
+                futures = driver.submit(self.udf, X)
                 try:
-                    for start, stop in ((0, k),) if driver is None else driver.schedule(k):
+                    for start, stop in driver.schedule(k):
                         # The fence is captured *before* the slice's values
                         # are waited for: they complete (on worker threads,
                         # in any order) while the snapshot they speculate
                         # against is live, and the absorb rejects the slice
                         # if anything mutated the model meanwhile.
                         fence = self.emulator.snapshot()
-                        if futures is None:
-                            y[start:stop] = self._observe_candidates(X[start:stop])
-                        else:
-                            # In-order waits: a result completing out of
-                            # order sits in its future until its slot is due.
-                            for j in range(start, stop):
-                                y[j] = futures[j].result()
+                        # In-order waits: a result completing out of order
+                        # sits in its future until its slot is due.
+                        for j in range(start, stop):
+                            y[j] = futures[j].result()
                         bound_before = bound
                         self.emulator.absorb_observations(
                             X[start:stop], y[start:stop], fence=fence
@@ -839,8 +794,7 @@ class OLGAPRO:
                         if bound <= epsilon_gp:
                             break
                 finally:
-                    if futures is not None:
-                        driver.drain(futures)
+                    driver.drain(futures)
             return envelope, bound, points_added, True
         finally:
             self.refinement_factorizations += (
@@ -891,46 +845,24 @@ class OLGAPRO:
 
     # -- steps of the refinement-window loop ------------------------------------------
     def _absorb_candidate(self, x: np.ndarray) -> float:
-        """Evaluate-or-reuse one refinement candidate and absorb it.
+        """Evaluate one refinement candidate and absorb it.
 
-        When a :attr:`value_source` is installed and knows the point, the
-        already-paid-for observation is absorbed without a fresh UDF call —
-        the GP mutation (:meth:`~repro.core.emulator.GPEmulator
-        .absorb_observations` of a single row) is the same rank-1 update
+        Inline without a driver; otherwise the installed
+        :attr:`evaluation_driver` carries the call (under the cross-tuple
+        stage its value pool, so a prefetched point is reused rather than
+        re-evaluated).  The GP mutation
+        (:meth:`~repro.core.emulator.GPEmulator.absorb_observations` of a
+        single row) is the same rank-1 update
         :meth:`~repro.core.emulator.GPEmulator.add_training_point` performs,
-        so reuse versus re-evaluation is invisible to the refinement
-        trajectory (the UDF is deterministic).  Returns the observed value.
+        so the route is invisible to the refinement trajectory (the UDF is
+        deterministic).  Returns the observed value.
         """
         self.refinement_evaluations += 1
-        if self.value_source is not None:
-            y = self.value_source(x)
-            if y is not None:
-                self.emulator.absorb_observations(x.reshape(1, -1), np.array([y]))
-                return float(y)
-        return self.emulator.add_training_point(x)
-
-    def _observe_candidates(self, X: np.ndarray) -> np.ndarray:
-        """UDF values for a block of candidates, reusing prefetched ones.
-
-        The inline window's counterpart of
-        :meth:`_absorb_candidate`: each row already known to the installed
-        :attr:`value_source` costs nothing (the pipeline scheduler's walks
-        prefetched it), and only the misses pay for fresh evaluations.  The
-        observed values — and therefore the refinement trajectory — are
-        identical either way, because the UDF is deterministic.
-        """
-        if self.value_source is None:
-            return self.udf.evaluate_batch(X)
-        y = np.empty(X.shape[0])
-        missing: list[int] = []
-        for i, row in enumerate(X):
-            value = self.value_source(row)
-            if value is None:
-                missing.append(i)
-            else:
-                y[i] = float(value)
-        if missing:
-            y[missing] = self.udf.evaluate_batch(X[missing])
+        driver = self.evaluation_driver
+        if driver is None:
+            return self.emulator.add_training_point(x)
+        y = float(driver.submit(self.udf, x.reshape(1, -1))[0].result())
+        self.emulator.absorb_observations(x.reshape(1, -1), np.array([y]))
         return y
 
     def _make_error_evaluator(self, samples: np.ndarray, box: BoundingBox):

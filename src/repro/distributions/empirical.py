@@ -38,21 +38,6 @@ class EmpiricalDistribution(UnivariateDistribution):
             raise EmptySampleError("cannot build an empirical CDF from zero samples")
         self._sorted = np.sort(arr)
 
-    @classmethod
-    def _from_sorted(cls, sorted_samples: np.ndarray) -> "EmpiricalDistribution":
-        """Construct from samples already sorted, finite and non-empty.
-
-        The batched envelope path sorts whole ``(B, m)`` blocks along the
-        sample axis and builds one ECDF per row; re-running ``np.sort`` on
-        an already-sorted row would reproduce it bit-for-bit, so this
-        bypass yields exactly the state ``__init__`` would.  Callers must
-        guarantee the preconditions (the block paths check finiteness on
-        the whole block and fall back per row otherwise).
-        """
-        instance = cls.__new__(cls)
-        instance._sorted = sorted_samples
-        return instance
-
     # -- basic accessors ---------------------------------------------------
     @property
     def samples(self) -> np.ndarray:

@@ -4,12 +4,14 @@ The refinement loop (:meth:`OLGAPRO._tune_until_bounded
 <repro.core.olgapro.OLGAPRO._tune_until_bounded>`) is the engine's only
 blocking I/O-like step: every iteration evaluates the black-box UDF and
 waits for the values before doing any further GP work.  At a plan window of
-1 (``async_inflight`` unset or 1) it evaluates inline.  At a window > 1 the
-chunk executor (:class:`~repro.engine.batch.BatchExecutor`) opens the plan's
-:class:`~repro.engine.transport.EvaluationTransport` for the computation
-and installs an :class:`AsyncEvaluationDriver` on the UDF's processor; the
-loop itself does not change, only where a window's values come from and in
-which slices they are absorbed:
+1 (``async_inflight`` unset or 1) with no lookahead it evaluates inline.
+Otherwise the chunk executor (:class:`~repro.engine.batch.BatchExecutor`)
+opens the plan's :class:`~repro.engine.transport.EvaluationTransport` for
+the computation and installs an :class:`AsyncEvaluationDriver` on the UDF's
+processor, and every value the processor needs comes through it — the
+initial design (all rows at once), each single refinement point, and each
+window.  The loop itself does not change, only where a window's values come
+from and in which slices they are absorbed:
 
 1. the loop selects the ``window`` highest-variance distinct Monte-Carlo
    samples (:func:`~repro.core.olgapro.select_top_k_distinct`),
@@ -33,8 +35,9 @@ future), slice boundaries depend only on the window size, and each slice's
 absorb is *fenced* on the emulator snapshot it speculated against
 (:meth:`~repro.core.emulator.GPEmulator.absorb_observations` rejects a
 stale fence).  Under a fixed seed a windowed run is therefore bitwise
-reproducible for any thread scheduling, and a window of 1 installs no
-driver and opens no transport — it *is* the serial batched path.
+reproducible for any thread scheduling, and a window of 1 with no
+lookahead installs no driver and opens no transport — it *is* the serial
+batched path.
 
 A window absorbs up to ``async_inflight`` points per bound re-check, so the
 refinement trajectory (and the output distribution) differs from window 1
@@ -89,12 +92,14 @@ def chunk_schedule(window: int) -> Iterator[tuple[int, int]]:
 
 
 class AsyncEvaluationDriver:
-    """Submit a refinement window, drain it — the transport side of the loop.
+    """Submit UDF values, drain them — the transport side of the loop.
 
     Installed as :attr:`OLGAPRO.evaluation_driver
     <repro.core.olgapro.OLGAPRO.evaluation_driver>` for the duration of one
-    computation.  It owns no loop and no state beyond the open transport
-    and the window bound, so one instance serves every tuple.
+    computation, whenever the chunk executor opens a transport session.
+    It carries every value the processor needs meanwhile — windows, single
+    points, the initial design — and owns no loop and no state beyond the
+    open transport and the window bound, so one instance serves every tuple.
     """
 
     schedule = staticmethod(chunk_schedule)
@@ -104,13 +109,15 @@ class AsyncEvaluationDriver:
         ``window``, or submissions queue) and the window bound."""
         self.carrier = carrier
         self.window = window
-        #: Set per chunk by the lookahead stage: windows then go through its
-        #: deduplicated pool, so a row some speculative walk already
-        #: prefetched reuses the paid-for future instead of a fresh call.
+        #: Set per chunk by the lookahead stage: refinement values then go
+        #: through its deduplicated pool, so a row some speculative walk
+        #: already prefetched reuses the paid-for future instead of a fresh
+        #: call.  The chunk's initial design is submitted before the pool
+        #: is set, so it never counts as speculation.
         self.pool: Optional["SpeculativeValuePool"] = None
 
     def submit(self, udf: UDF, X: np.ndarray) -> list[Future]:
-        """Dispatch one window's evaluations: one future per row, in row order."""
+        """Dispatch evaluations of the rows of ``X``: one future per row, in row order."""
         if self.pool is not None:
             return [self.pool.fetch(row) for row in X]
         return udf.submit_rows(self.carrier, X)

@@ -35,7 +35,7 @@ from repro.core.filtering import SelectionPredicate
 from repro.core.mc_baseline import mc_sample_count
 from repro.distributions.base import Distribution
 from repro.distributions.columns import sample_chunk
-from repro.distributions.empirical import EmpiricalDistribution, TruncationResult
+from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine, online_result_to_output
 from repro.engine.pipeline import SpeculationStage
@@ -69,50 +69,6 @@ def iter_batches(rows: Iterable[T], batch_size: int) -> Iterator[list[T]]:
         yield chunk
 
 
-def truncate_columns(
-    distributions: Sequence[EmpiricalDistribution], low: float, high: float
-) -> list[TruncationResult]:
-    """Column-kernel predicate evaluation: truncate a block of ECDFs at once.
-
-    Bit-identical to calling ``dist.truncate(low, high)`` per row: the
-    per-row cut points are counts over sorted sample rows (exactly what
-    ``searchsorted`` computes), the surviving samples are a contiguous slice
-    of an already-sorted row, and the existence probability is the same
-    count ratio — integer counts and slices, resting on no BLAS or RNG
-    identity.  Rows that are not same-size empirical distributions fall back
-    to the scalar call.
-    """
-    distributions = list(distributions)
-    if not distributions:
-        return []
-    if high < low:
-        raise ValueError(f"interval upper bound {high} is below lower bound {low}")
-    sizes = {
-        dist.size for dist in distributions if isinstance(dist, EmpiricalDistribution)
-    }
-    uniform = len(sizes) == 1 and all(
-        isinstance(dist, EmpiricalDistribution) for dist in distributions
-    )
-    if not uniform:
-        return [dist.truncate(low, high) for dist in distributions]
-    block = np.stack([dist._sorted for dist in distributions])
-    m = block.shape[1]
-    lefts = np.sum(block < low, axis=1)
-    rights = np.sum(block <= high, axis=1)
-    results: list[TruncationResult] = []
-    for row, left, right in zip(block, lefts, rights):
-        existence = float((right - left) / m)
-        truncated = (
-            EmpiricalDistribution._from_sorted(row[left:right].copy())
-            if right > left
-            else None
-        )
-        results.append(
-            TruncationResult(distribution=truncated, existence_probability=existence)
-        )
-    return results
-
-
 class BatchExecutor:
     """The one chunk executor: runs the OLGAPRO loops at the plan's (window, lookahead).
 
@@ -126,19 +82,23 @@ class BatchExecutor:
     * ``window`` (:attr:`ExecutionPlan.window
       <repro.engine.plan.ExecutionPlan.window>`) > 1 opens the plan's
       evaluation transport for the computation — closed on every exit path
-      — and installs an :class:`~repro.engine.async_exec
-      .AsyncEvaluationDriver`, so each refinement window's UDF calls
-      overlap (:mod:`repro.engine.async_exec`);
-    * ``lookahead`` > 1 attaches a :class:`~repro.engine.pipeline
-      .SpeculationStage`, which speculates the next tuples' first bounds
-      and prefetches their windows while the current one commits
-      (:mod:`repro.engine.pipeline`).  ``"mc"`` has no refinement loop, so
-      it runs without the stage.
+      — so each refinement window's UDF calls overlap
+      (:mod:`repro.engine.async_exec`);
+    * ``lookahead`` > 1 opens it too and attaches a
+      :class:`~repro.engine.pipeline.SpeculationStage`, which speculates
+      the next tuples' first bounds and prefetches their windows while the
+      current one commits (:mod:`repro.engine.pipeline`).  ``"mc"`` has no
+      refinement loop, so it runs without the stage.
 
-    At window 1 / lookahead 1 no transport session, driver, stage or thread
-    exists.  Quarantine, the chunk backstop, tuple-boundary model sync, the
-    first pass and a predicate's drop test belong to the loop, so
-    they hold at every (window, lookahead).  Phase timings (``sampling`` /
+    Whenever a transport session opens, an :class:`~repro.engine
+    .async_exec.AsyncEvaluationDriver` at the plan's window is installed on
+    the processor, and every UDF value OLGAPRO needs during the session —
+    the initial design, each single refinement point, each window — comes
+    through it.  At window 1 / lookahead 1 no transport session, driver,
+    stage or thread exists: every value is evaluated inline.  Quarantine,
+    the chunk backstop, tuple-boundary model sync, the first pass and a
+    predicate's drop test belong to the loop, so they hold at every
+    (window, lookahead).  Phase timings (``sampling`` /
     ``inference`` / ``refinement`` / ``filtering`` — the drop tests alone,
     or Monte Carlo's sequential filter — / ``speculation``) accumulate on
     :attr:`timings`; the executor stays picklable and reusable because every
@@ -232,16 +192,14 @@ class BatchExecutor:
                         else self.window
                     )
                     carrier = stack.enter_context(transport.session(workers, label=udf.name))
-                    driver = None
-                    if self.window > 1:
-                        driver = AsyncEvaluationDriver(carrier, self.window)
-                        olgapro.evaluation_driver = driver
-                        stack.callback(setattr, olgapro, "evaluation_driver", None)
+                    driver = AsyncEvaluationDriver(carrier, self.window)
+                    olgapro.evaluation_driver = driver
+                    stack.callback(setattr, olgapro, "evaluation_driver", None)
                     if staged:
                         stage = stack.enter_context(
                             SpeculationStage(
-                                olgapro, carrier, driver, self.window, self.lookahead,
-                                self.shared_refresh, self.timings,
+                                olgapro, driver, self.lookahead, self.shared_refresh,
+                                self.timings,
                             )
                         )
                 outputs: list[ComputedOutput] = []

@@ -22,7 +22,7 @@ from repro.core.mc_baseline import monte_carlo_with_filter
 from repro.core.olgapro import OLGAPRO, OnlineTupleResult
 from repro.distributions.base import Distribution
 from repro.distributions.empirical import EmpiricalDistribution
-from repro.exceptions import PlanError, QueryError, UDFError
+from repro.exceptions import QueryError, UDFError
 from repro.rng import RandomState, as_generator
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
@@ -101,10 +101,7 @@ class UDFExecutionEngine:
 
         ``plan`` installs a default :class:`~repro.engine.plan.ExecutionPlan`
         for this engine: :meth:`compute_with_plan` falls back to it when
-        called without an explicit plan, and a plan-carried
-        ``speculative_k`` is applied to the per-UDF processors here (it is
-        a processor-construction knob, so only the engine — which builds
-        the processors — can honour it).  The string ``"auto"`` is also
+        called without an explicit plan.  The string ``"auto"`` is also
         accepted as the default plan: every computation then resolves its
         plan from the evaluated UDF's catalog profile
         (:meth:`ExecutionPlan.auto <repro.engine.plan.ExecutionPlan.auto>`).
@@ -120,15 +117,6 @@ class UDFExecutionEngine:
 
             is_auto_plan(plan)  # validates the spelling (PlanError otherwise)
         self.plan = plan
-        if plan is not None and not isinstance(plan, str) and plan.speculative_k is not None:
-            configured = self._processor_kwargs.setdefault(
-                "speculative_k", plan.speculative_k
-            )
-            if configured != plan.speculative_k:
-                raise PlanError(
-                    f"plan.speculative_k={plan.speculative_k} conflicts with "
-                    f"speculative_k={configured} passed directly to the engine"
-                )
         self._processors: dict[str, OLGAPRO | HybridExecutor] = {}
         #: Optional shared-model seam: a callable ``udf -> store-or-None``
         #: consulted whenever a GP-capable processor is handed out.  The
@@ -137,11 +125,6 @@ class UDFExecutionEngine:
         #: :class:`~repro.core.shared_model.SharedEmulatorStore`; ``None``
         #: (the default) means processors learn privately.
         self._shared_store_resolver = None
-
-    @property
-    def speculative_k(self) -> Optional[int]:
-        """The refinement window the processors are built with (``None``: their default)."""
-        return self._processor_kwargs.get("speculative_k")
 
     def __getstate__(self):
         """Engine state without the shared-store resolver seam.
@@ -272,7 +255,7 @@ class UDFExecutionEngine:
         if resolved_plan is None:
             resolved_plan = ExecutionPlan()
         elif is_auto_plan(resolved_plan):
-            resolved_plan = ExecutionPlan.auto(udf, len(distributions), engine=self)
+            resolved_plan = ExecutionPlan.auto(udf, len(distributions))
         executor = resolved_plan.resolve(self)
         timings = PhaseTimings()
         # The retry policy rides the UDF for the duration of this one

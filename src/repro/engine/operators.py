@@ -22,8 +22,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.filtering import SelectionPredicate
-from repro.distributions.empirical import EmpiricalDistribution
-from repro.engine.batch import iter_batches, truncate_columns
+from repro.engine.batch import iter_batches
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.parallel import ParallelExecutor
 from repro.engine.plan import ExecutionPlan, PlannedExecutor, is_auto_plan
@@ -109,7 +108,7 @@ def _plan_and_executor(
     if plan is None:
         plan = engine.plan if engine.plan is not None else ExecutionPlan()
     if is_auto_plan(plan):
-        plan = ExecutionPlan.auto(udf, relation_size, engine=engine)
+        plan = ExecutionPlan.auto(udf, relation_size)
     return plan, plan.resolve(engine)
 
 
@@ -447,7 +446,7 @@ class SelectUDF(Operator):
         )
         return self.child.schema().with_attribute(derived)
 
-    def _filtered(self, row: UncertainTuple, output, truncation=None) -> UncertainTuple | None:
+    def _filtered(self, row: UncertainTuple, output) -> UncertainTuple | None:
         if getattr(output, "failed", False):
             # Quarantined evaluation: the predicate could not be decided, so
             # the tuple is *retained* as degraded — online filtering only
@@ -461,8 +460,7 @@ class SelectUDF(Operator):
             return out
         if output.dropped or output.distribution is None:
             return None
-        if truncation is None:
-            truncation = output.distribution.truncate(self.predicate.low, self.predicate.high)
+        truncation = output.distribution.truncate(self.predicate.low, self.predicate.high)
         existence = row.existence_probability * truncation.existence_probability
         if truncation.distribution is None or existence < self.predicate.threshold:
             return None
@@ -473,39 +471,10 @@ class SelectUDF(Operator):
         out.annotations[f"{self.alias}_charged_time"] = output.charged_time
         return out
 
-    def _chunk_truncations(self, outputs) -> list:
-        """Column predicate kernel: truncate a chunk's ECDFs in one block.
-
-        Returns one entry per output — a precomputed
-        :class:`~repro.distributions.empirical.TruncationResult` for rows
-        the column kernel handled, ``None`` where :meth:`_filtered` should
-        keep its scalar path (quarantined / dropped / non-empirical rows).
-        The block truncation is bit-identical to the scalar calls, so it
-        changes no filtering decision.
-        """
-        eligible = [
-            i
-            for i, output in enumerate(outputs)
-            if not getattr(output, "failed", False)
-            and not output.dropped
-            and isinstance(output.distribution, EmpiricalDistribution)
-        ]
-        truncations: list = [None] * len(outputs)
-        if eligible:
-            block = truncate_columns(
-                [outputs[i].distribution for i in eligible],
-                self.predicate.low,
-                self.predicate.high,
-            )
-            for i, truncation in zip(eligible, block):
-                truncations[i] = truncation
-        return truncations
-
     def __iter__(self) -> Iterator[UncertainTuple]:
         for rows, outputs in _udf_blocks(self, self.predicate):
-            truncations = self._chunk_truncations(outputs)
-            for row, output, truncation in zip(rows, outputs, truncations):
-                survivor = self._filtered(row, output, truncation)
+            for row, output in zip(rows, outputs):
+                survivor = self._filtered(row, output)
                 if survivor is not None:
                     yield survivor
 

@@ -11,8 +11,8 @@ shards trivially.  :class:`ParallelExecutor` therefore
    deliberately independent of the worker count so shard outputs do not
    depend on pool size),
 2. pickles the execution engine once — per-UDF processors, GP emulator and
-   kernel hyperparameters included (the emulator's reference R-tree is
-   built only on access, so no engine run ships one) — together with the
+   kernel hyperparameters included (the emulator holds no spatial index,
+   so the payload is the training rows and the model) — together with the
    shard's :class:`~repro.engine.plan.ExecutionPlan` (the plan with its
    sharding fields cleared) as the snapshot every worker starts from,
 3. resolves that plan inside a

@@ -20,9 +20,11 @@ lookahead 1.  The stage only adds, on a private thread pool:
    refinement windows are **prefetched**: their UDF evaluations are
    submitted immediately, so the black-box latency of tuple *i + 1*'s
    windows hides under tuple *i*'s;
-2. **reuse** — the commit loop's refinement consults the speculative value
-   pool first (the UDF is deterministic, so a prefetched observation is the
-   observation) and only pays for fresh evaluations on a miss.
+2. **reuse** — every value the commit loop's refinement needs (each
+   window and each single point) comes through the processor's window
+   driver, which the stage points at its speculative value pool: a
+   prefetched observation is the observation (the UDF is deterministic),
+   and only a miss pays for a fresh evaluation.
 
 Determinism contract
 --------------------
@@ -150,16 +152,6 @@ class SpeculativeValuePool:
             self._claimed.add(key)
         return future
 
-    def fetch_value(self, x: np.ndarray) -> float:
-        """Blocking :meth:`fetch`, installed as the processor's ``value_source``.
-
-        Routes the single-point refinement paths (the serial Algorithm-5
-        loop, the speculative ``k == 1`` branch) through the pool as well,
-        so prefetched singles are reused and fresh singles stay
-        deduplicated against in-flight speculation.
-        """
-        return float(self.fetch(x).result())
-
     @property
     def prefetched(self) -> int:
         """Evaluations genuinely prefetched ahead of any consumer."""
@@ -247,7 +239,8 @@ class SpeculationStage(ChunkStage):
 
     Two bounded carriers, split by *blocking behaviour*.  Black-box
     evaluations never block on anything, so the evaluation transport
-    (``carrier``, sized by :meth:`eval_workers`) always makes progress;
+    (the driver's ``carrier``, sized by :meth:`eval_workers`) always makes
+    progress;
     speculative stages and refinement walks DO block (on evaluation
     futures), so they get their own thread pool — a pile-up of blocked
     walks can delay other stages, never the evaluations they are waiting
@@ -259,14 +252,13 @@ class SpeculationStage(ChunkStage):
     ----------
     olgapro:
         The processor whose commit loop the stage rides.
-    carrier:
-        The open evaluation transport prefetches (and the initial design)
-        are submitted through.
     driver:
-        The window driver installed on ``olgapro`` (``None`` at window 1);
-        its windows are routed through each chunk's value pool.
-    window, lookahead:
-        The plan's effective refinement window and cross-tuple lookahead.
+        The window driver installed on ``olgapro`` — at window 1 too.  Its
+        open transport carries the prefetches, its window sizes the walks,
+        and for each chunk it is pointed at the chunk's value pool, so
+        every value the commit loop claims comes through the pool.
+    lookahead:
+        The plan's cross-tuple lookahead.
     shared_refresh:
         ``merge="shared"`` on an unsharded plan: a prefetch walk that
         notices the live emulator has moved past its fence rebuilds its
@@ -287,18 +279,15 @@ class SpeculationStage(ChunkStage):
     def __init__(
         self,
         olgapro: OLGAPRO,
-        carrier: EvaluationTransport,
-        driver: Optional[AsyncEvaluationDriver],
-        window: int,
+        driver: AsyncEvaluationDriver,
         lookahead: int,
         shared_refresh: bool,
         timings: PhaseTimings,
     ):
         """Bind the computation-wide state (threads start on ``__enter__``)."""
         self.olgapro = olgapro
-        self.carrier = carrier
         self.driver = driver
-        self.window = window
+        self.window = driver.window
         self.lookahead = lookahead
         self.shared_refresh = shared_refresh
         self.timings = timings
@@ -341,7 +330,7 @@ class SpeculationStage(ChunkStage):
         """Scope one chunk: value pool in, first speculations out; settle after."""
         self._samples = prologue.sample_sets
         self._boxes = prologue.boxes
-        pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.carrier)
+        pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.driver.carrier)
         self._pending: dict[int, _PendingTuple] = {}
         #: Free-running refinement walks; never awaited by the commit loop
         #: (a slow walk must not stall a fast commit), only drained at the
@@ -350,17 +339,13 @@ class SpeculationStage(ChunkStage):
         #: Speculative stages replaced by a fence refresh; still drained at
         #: the end of the chunk so their prefetches land and are charged.
         self._superseded: list[Future] = []
-        if self.driver is not None:
-            self.driver.pool = pool
-        self.olgapro.value_source = pool.fetch_value
+        self.driver.pool = pool
         try:
             for j in range(min(self.lookahead, len(self._samples))):
                 self._submit(j)
             yield
         finally:
-            self.olgapro.value_source = None
-            if self.driver is not None:
-                self.driver.pool = None
+            self.driver.pool = None
             # A failed commit leaves later stages pending, and fence
             # refreshes leave superseded ones; both must still settle so
             # every prefetch lands and is charged — and their pool-thread

@@ -122,23 +122,18 @@ class ExecutionPlan:
         ``workers`` (historically accepted as a defensive default, so it
         does not conflict).
     async_inflight:
-        Refinement window (concurrently in-flight UDF calls).  ``1`` is
-        the degenerate value: no transport session, no driver —
-        bit-identical to leaving it unset.
+        Refinement window: UDF calls in flight — and training points
+        absorbed — per bound re-check of the OLGAPRO refinement loop.
+        ``1`` is the degenerate value, the paper's Algorithm 5: no
+        transport session, no driver — bit-identical to leaving it unset.
+        A window > 1 fixes the selection rule to stable top-k by variance
+        (the multi-point generalisation of the largest-variance rule); a
+        configured ``tuning_strategy`` applies at window 1 only.
     pipeline_lookahead:
         Cross-tuple lookahead of the speculation stage.  ``1`` is the
         degenerate value: no stage, no thread — bit-identical to leaving
         it unset; ``> 1`` with no ``async_inflight`` implies the default
         window (see :attr:`window`).
-    speculative_k:
-        The refinement window when *no* transport carries it: training
-        points evaluated inline and absorbed per iteration by the OLGAPRO
-        processors (PR 2's speculative multi-point tuning).  A processor-
-        construction knob, not an executor knob: it is applied by
-        :class:`~repro.engine.executor.UDFExecutionEngine` when the engine
-        is built with ``plan=``, and must be left ``None`` in plans handed
-        to an already-built engine (resolution cannot reconfigure live
-        processors).
     transport:
         How refinement-window evaluations reach the black box:
         ``"threads"`` (default, bounded pool), ``"serial"`` (the explicit
@@ -164,14 +159,12 @@ class ExecutionPlan:
     parallel_seed: Optional[int] = None
     async_inflight: Optional[int] = None
     pipeline_lookahead: Optional[int] = None
-    speculative_k: Optional[int] = None
     transport: TransportSpec = DEFAULT_TRANSPORT
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         """Validate values and cross-knob consistency (raises PlanError)."""
-        for knob in ("batch_size", "workers", "async_inflight",
-                     "pipeline_lookahead", "speculative_k"):
+        for knob in ("batch_size", "workers", "async_inflight", "pipeline_lookahead"):
             value = getattr(self, knob)
             if value is not None and (
                 isinstance(value, bool)
@@ -237,13 +230,12 @@ class ExecutionPlan:
         relation_size: Optional[int] = None,
         *,
         catalog: Any = None,
-        engine: Any = None,
     ) -> "ExecutionPlan":
         """Choose the knobs from the UDF's declared catalog profile.
 
         The profile-driven planner: instead of hand-tuning ``batch_size``
-        / ``transport`` / ``async_inflight`` / ``pipeline_lookahead`` /
-        ``speculative_k`` per query, the caller declares
+        / ``transport`` / ``async_inflight`` / ``pipeline_lookahead`` per
+        query, the caller declares
         what the UDF *is* (its :class:`~repro.udf.catalog.UDFProfile`)
         and this method picks the spelled-out plan the declaration
         implies.  The result is an ordinary validated
@@ -260,12 +252,12 @@ class ExecutionPlan:
           4, carried by ``"asyncio"`` for an async-capable UDF and
           ``"threads"`` otherwise.
         * *slow* (≥ 10 ms/call) — a window of 8 plus cross-tuple
-          pipelining (``pipeline_lookahead=4``) and, at engine
-          construction, speculative multi-point tuning
-          (``speculative_k=2``).
-        * a declared ``backend`` overrides the transport choice; a
-          non-serial backend with nothing to overlap still gets a window
-          of one so evaluation actually rides the declared backend.
+          pipelining (``pipeline_lookahead=4``).
+        * a declared ``backend`` overrides the transport choice: it is
+          checked against the UDF (``accepts``) and carries any window
+          > 1.  A window of one still evaluates inline — a non-serial
+          backend with nothing to overlap gets ``async_inflight=1``,
+          which opens no transport session.
 
         ``batch_size`` is the default chunk size capped by
         ``relation_size`` (no point chunking past the input).
@@ -284,11 +276,6 @@ class ExecutionPlan:
         catalog:
             The :class:`~repro.udf.catalog.UDFCatalog` to consult
             (default: :func:`~repro.udf.catalog.default_catalog`).
-        engine:
-            When given, ``speculative_k`` mirrors the engine's configured
-            value instead of being recommended — a live engine's
-            processors cannot be reconfigured by resolution, so the auto
-            plan must agree with what the engine was built with.
         """
         # Lazy import: the catalog lives in the UDF package, which the
         # transport module (imported above) pulls in at import time.
@@ -321,8 +308,8 @@ class ExecutionPlan:
             if transport_name(transport) == "serial":
                 window = None  # inline evaluation has nothing to overlap
             elif window is None:
-                # A window of one is bit-identical to the serial batched
-                # path but routes evaluation through the declared backend.
+                # A window of one is the serial batched path: it evaluates
+                # inline, so the backend is only checked against the UDF.
                 window = 1
         elif window is not None:
             transport = "asyncio" if profile.async_capable else "threads"
@@ -337,11 +324,6 @@ class ExecutionPlan:
             and (relation_size is None or int(relation_size) >= 4)
         ):
             knobs["pipeline_lookahead"] = 4
-        if engine is not None:
-            if engine.speculative_k is not None:
-                knobs["speculative_k"] = engine.speculative_k
-        elif latency == LATENCY_SLOW:
-            knobs["speculative_k"] = 2
         return cls(**knobs)
 
     # -- resolution ---------------------------------------------------------------
@@ -382,20 +364,7 @@ class ExecutionPlan:
         set, and otherwise the chunk executor, which reads
         :attr:`chunk_size`, :attr:`window` and :attr:`lookahead` off the
         plan — at a chunk size of one for the all-default plan.
-
-        Raises
-        ------
-        PlanError
-            When ``speculative_k`` is set (an engine-construction knob —
-            see the field docs) on a plan resolved against an engine.
         """
-        if self.speculative_k is not None and engine.speculative_k != self.speculative_k:
-            raise PlanError(
-                "speculative_k configures the OLGAPRO processors at engine "
-                "construction and cannot be applied by resolution; build "
-                "the engine with UDFExecutionEngine(..., plan=plan) or "
-                "pass speculative_k to the engine directly"
-            )
         if self.workers is not None:
             return ParallelExecutor(engine, self)
         return BatchExecutor(engine, self)

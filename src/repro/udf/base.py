@@ -18,13 +18,14 @@ instrumentation the algorithms and experiments rely on:
   pipeline (:mod:`repro.engine.async_exec`) evaluates several points at once
   through a thread pool while the caller keeps doing GP work.  Charge
   accounting is therefore guarded by a lock, the number of *in-flight*
-  evaluations is tracked, and :meth:`UDF.submit_rows` /
-  :meth:`UDF.evaluate_many` expose the concurrent entry points.  Both
-  accept either a plain :class:`concurrent.futures.Executor` or an
+  evaluations is tracked, and :meth:`UDF.submit_rows` is the concurrent
+  entry point.  It accepts either a plain
+  :class:`concurrent.futures.Executor` or an
   :class:`~repro.engine.transport.EvaluationTransport` (recognised by its
   ``submit_rows`` method — duck-typed so this module never imports the
-  engine layer), which is how the pluggable-transport seam reaches every
-  existing evaluation path without changing its callers;
+  engine layer); every overlapped value the engine needs — refinement
+  windows, single refinement points, initial designs — is submitted
+  through it by the window driver (:mod:`repro.engine.async_exec`);
 * **natively-async UDFs** — :class:`AsyncUDF` wraps a coroutine function
   (an HTTP-service client, an ``asyncio``-based simulator).  It remains a
   drop-in :class:`UDF` — the blocking call path runs the coroutine to
@@ -40,7 +41,7 @@ import selectors
 import threading
 import time
 import weakref
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -424,77 +425,6 @@ class UDF:
                 self._exit_flight()
                 raise
         return futures
-
-    def evaluate_many(
-        self,
-        X: np.ndarray,
-        executor: Optional[Any] = None,
-        max_inflight: Optional[int] = None,
-    ) -> np.ndarray:
-        """Evaluate the rows of ``X``, overlapping the black-box calls.
-
-        The async-capable sibling of :meth:`evaluate_batch`: rows are
-        dispatched to a thread pool and evaluated concurrently, which hides
-        per-call latency of genuinely slow black boxes (network services,
-        external simulations, :class:`~repro.udf.synthetic.RealCostFunction`
-        wrappers) without changing the values returned.
-
-        Parameters
-        ----------
-        X:
-            Points to evaluate, shape ``(k, d)``.
-        executor:
-            Executor — or :class:`~repro.engine.transport
-            .EvaluationTransport` (see :meth:`submit_rows`) — to run the
-            calls on.  ``None`` creates a temporary thread pool sized
-            ``max_inflight``.
-        max_inflight:
-            Bound on concurrently *submitted* evaluations, honoured whether
-            or not an ``executor`` is supplied (submissions happen in waves
-            of at most this many rows).  ``1`` short-circuits to the serial
-            :meth:`evaluate_batch`, which is bit-identical in values *and*
-            accounting; ``None`` means "no bound beyond the executor's own
-            worker count" (and, with no executor either, is serial too).
-
-        Returns
-        -------
-        numpy.ndarray
-            The UDF values in row order, independent of completion order.
-
-        Raises
-        ------
-        UDFError
-            When any evaluation fails or returns a non-finite value.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 0:
-            return np.empty(0)
-        if max_inflight is not None and max_inflight <= 1:
-            return self.evaluate_batch(X)
-        if executor is None and max_inflight is None:
-            return self.evaluate_batch(X)
-        if executor is not None:
-            return self._collect_in_waves(executor, X, max_inflight)
-        with ThreadPoolExecutor(max_workers=int(max_inflight)) as pool:
-            return self._collect_in_waves(pool, X, max_inflight)
-
-    def _collect_in_waves(
-        self, executor: Any, X: np.ndarray, max_inflight: Optional[int]
-    ) -> np.ndarray:
-        """Submit rows in waves of at most ``max_inflight`` and gather values.
-
-        A shared executor may have far more workers than the caller's
-        concurrency bound allows for this UDF (a rate-limited service, say);
-        waiting out each wave before submitting the next keeps the number of
-        simultaneously submitted evaluations at or below the bound.
-        """
-        wave = X.shape[0] if max_inflight is None else int(max_inflight)
-        values = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], wave):
-            futures = self.submit_rows(executor, X[start : start + wave])
-            for offset, future in enumerate(futures):
-                values[start + offset] = future.result()
-        return values
 
     def measure_eval_time(self, n_probes: int = 20, random_state: Any = None) -> float:
         """Estimate the real per-call evaluation time by probing the domain.

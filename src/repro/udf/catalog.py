@@ -16,8 +16,8 @@ preferred out-of-process backend).
 
 :meth:`ExecutionPlan.auto <repro.engine.plan.ExecutionPlan.auto>` consumes
 these profiles to choose ``batch_size`` / ``transport`` /
-``async_inflight`` / ``pipeline_lookahead`` / ``speculative_k`` instead
-of requiring hand-tuning; ``plan="auto"`` on the
+``async_inflight`` / ``pipeline_lookahead`` instead of requiring
+hand-tuning; ``plan="auto"`` on the
 operators, the query builder and :class:`~repro.engine.session.Session`
 routes through the same resolution.  A *neutral* profile (negligible
 per-call cost, no declared backend) must resolve to the serial batched
@@ -119,7 +119,10 @@ class UDFProfile:
     backend:
         Preferred evaluation backend (a transport registry name, e.g.
         ``"subprocess"``); ``None`` lets the planner choose from the
-        latency class.  Validated lazily against the engine's transport
+        latency class.  The planned transport is checked against the UDF
+        (``accepts``) and carries any refinement window > 1; a window of
+        one evaluates inline, so a cheap UDF's declared backend opens no
+        transport.  Validated lazily against the engine's transport
         registry so this module never imports the engine at import time.
     """
 

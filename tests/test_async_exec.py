@@ -16,12 +16,15 @@ Contracts under test (see :mod:`repro.engine.async_exec`):
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
+from repro.core.emulator import GPEmulator
 from repro.core.filtering import SelectionPredicate
 from repro.engine import (
     ExecutionPlan,
@@ -30,8 +33,10 @@ from repro.engine import (
     default_worker_count,
     generate_galaxy_relation,
 )
-from repro.engine.async_exec import chunk_schedule
+from repro.engine.async_exec import AsyncEvaluationDriver, chunk_schedule
+from repro.engine.transport import ThreadPoolTransport
 from repro.exceptions import GPError
+from repro.udf.base import UDF
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
 
@@ -216,39 +221,94 @@ def test_concurrent_charging_is_exact():
     assert np.all(np.isfinite(values))
 
 
-def test_evaluate_many_matches_evaluate_batch():
-    udf_serial = reference_function("F4")
-    udf_async = reference_function("F4")
-    points = np.random.default_rng(1).uniform(1.0, 9.0, size=(16, 2))
-    serial = udf_serial.evaluate_batch(points)
-    overlapped = udf_async.evaluate_many(points, max_inflight=4)
-    assert np.array_equal(serial, overlapped)
-    assert udf_serial.call_count == udf_async.call_count == 16
+def test_a_window_carries_the_initial_design_without_changing_the_model():
+    """With no stage, a window > 1 submits a cold chunk's initial design
+    through its driver at once — the design's calls overlap — and the model
+    and outputs are bitwise those of the design evaluated inline."""
+    plan = ExecutionPlan(async_inflight=4, batch_size=3)
+    udf_a, engine_a, dists_a = _fixture(real_eval_time=2e-3)
+    olgapro = engine_a.olgapro_for(udf_a)
+    real_init = olgapro._ensure_initialized
+    design_in_flight = []
+
+    def init(distribution, rng):
+        real_init(distribution, rng)
+        design_in_flight.append(udf_a.max_in_flight)
+
+    olgapro._ensure_initialized = init
+    carried = plan.resolve(engine_a).compute_batch(udf_a, dists_a)
+    assert design_in_flight[0] >= 2
+
+    udf_b, engine_b, dists_b = _fixture(real_eval_time=2e-3)
+    inline = engine_b.olgapro_for(udf_b)
+    inline._ensure_initialized(dists_b[0], inline._rng)  # no driver: inline design
+    assert udf_b.max_in_flight == 0 and inline.n_training > 0
+    reference = plan.resolve(engine_b).compute_batch(udf_b, dists_b)
+    _assert_identical_outputs(reference, carried)
+    for a, b in zip(_gp_state(engine_a, udf_a), _gp_state(engine_b, udf_b)):
+        assert np.array_equal(a, b)
+    assert udf_a.call_count == udf_b.call_count
 
 
-def test_evaluate_many_with_inflight_1_short_circuits_to_batch():
-    udf = reference_function("F4")
-    points = np.random.default_rng(2).uniform(1.0, 9.0, size=(4, 2))
-    values = udf.evaluate_many(points, max_inflight=1)
-    assert values.shape == (4,)
-    assert udf.max_in_flight == 0  # never went through the thread path
+def _driven_design(udf, width, n_points=16):
+    """An emulator of ``udf`` whose initial design rides a thread transport
+    of ``width`` workers through a window-``width`` driver."""
+    emulator = GPEmulator(udf)
+    transport = ThreadPoolTransport()
+    with transport.session(width, label="design"):
+        emulator.train_initial(
+            n_points, random_state=1, driver=AsyncEvaluationDriver(transport, width)
+        )
+    return emulator
 
 
-def test_evaluate_many_bounds_inflight_even_on_a_shared_executor():
-    # A shared pool far wider than the caller's bound: the concurrency
-    # gauge must respect max_inflight, not the pool size.
+def test_a_driven_design_matches_evaluate_batch():
+    """The design's rows through a driver observe exactly the values — and
+    train exactly the model — of the inline ``evaluate_batch`` design."""
+    inline = GPEmulator(reference_function("F4"))
+    inline.train_initial(16, random_state=1)
     udf = reference_function("F4", real_eval_time=2e-3)
-    points = np.random.default_rng(3).uniform(1.0, 9.0, size=(12, 2))
-    with ThreadPoolExecutor(max_workers=16) as pool:
-        values = udf.evaluate_many(points, executor=pool, max_inflight=2)
-    assert values.shape == (12,)
+    driven = _driven_design(udf, width=4)
+    assert np.array_equal(driven.gp.X_train, inline.gp.X_train)
+    assert np.array_equal(driven.gp.y_train, inline.gp.y_train)
+    assert np.array_equal(driven.gp.kernel.theta, inline.gp.kernel.theta)
+    assert udf.call_count == inline.udf.call_count == 16
+    assert udf.max_in_flight > 1
+
+
+def test_a_window_of_one_evaluates_the_design_inline():
+    """No driver at window 1 without a stage: the cold chunk's design never
+    goes through the submission path."""
+    udf, engine, dists = _fixture(n_tuples=2)
+    ExecutionPlan(async_inflight=1, batch_size=2).resolve(engine).compute_batch(udf, dists)
+    assert engine.olgapro_for(udf).n_training > 0
+    assert udf.max_in_flight == 0
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_the_transport_width_bounds_the_driven_design(width):
+    """Every design row is submitted at once; the transport's width, not
+    the row count, bounds how many black-box calls run together."""
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def slow_sum(x):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(2e-3)
+        with lock:
+            running[0] -= 1
+        return float(np.sum(x))
+
+    domain = (np.zeros(2), np.ones(2))
+    udf = UDF(slow_sum, dimension=2, name="slow_sum", domain=domain)
+    driven = _driven_design(udf, width, n_points=12)
     assert udf.call_count == 12
-    assert 1 < udf.max_in_flight <= 2
-    # max_inflight=1 stays serial even when a pool is offered.
-    udf2 = reference_function("F4")
-    with ThreadPoolExecutor(max_workers=16) as pool:
-        udf2.evaluate_many(points, executor=pool, max_inflight=1)
-    assert udf2.max_in_flight == 0
+    assert peak[0] == width
+    serial = GPEmulator(UDF(lambda x: float(np.sum(x)), dimension=2, domain=domain))
+    serial.train_initial(12, random_state=1)
+    assert np.array_equal(driven.gp.y_train, serial.gp.y_train)
 
 
 # ---------------------------------------------------------------------------

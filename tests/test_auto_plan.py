@@ -5,19 +5,17 @@ Contracts under test (see :meth:`repro.engine.plan.ExecutionPlan.auto` and
 
 * the knob table — a *neutral* profile resolves to the serial batched
   path; a moderate-latency UDF gets an overlap window; a slow
-  async-capable UDF gets the asyncio transport, a wider window,
-  cross-tuple lookahead and speculative evaluation (the non-default-knob
-  acceptance criterion); a declared ``backend`` wins the transport;
+  async-capable UDF gets the asyncio transport, a wider window and
+  cross-tuple lookahead (the non-default-knob acceptance criterion); a
+  declared ``backend`` wins the transport, and a window of one evaluates
+  inline whatever the backend;
 * ``plan="auto"`` is *bit-identical* to spelling the resolved
   :class:`ExecutionPlan` explicitly — on the engine entry point, the
   query builder (including name-based catalog UDFs) and across workload
   families — because ``auto`` only ever *selects* a plan, never changes
   evaluation semantics;
 * ``is_auto_plan`` accepts exactly the ``"auto"`` spelling and rejects
-  every other string with a typed :class:`~repro.exceptions.PlanError`;
-* ``speculative_k`` stays a processor-construction knob: with an engine
-  in hand the planner mirrors the engine's configured value (or omits the
-  knob) so the resolved plan always validates.
+  every other string with a typed :class:`~repro.exceptions.PlanError`.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.sdss import generate_galaxy_relation
+from repro.engine.transport import SubprocessPoolTransport
 from repro.exceptions import PlanError
 from repro.udf.base import UDF
 from repro.udf.catalog import UDFProfile
@@ -116,8 +115,15 @@ def test_slow_async_udf_gets_nondefault_overlap_knobs():
     assert plan.transport == "asyncio"
     assert plan.async_inflight == 8
     assert plan.pipeline_lookahead == 4
-    assert plan.speculative_k == 2
     assert plan != ExecutionPlan(batch_size=32)
+
+
+def test_the_slow_async_plan_resolves_on_a_default_engine():
+    """The plan auto emits for a slow async UDF carries its window in
+    ``async_inflight`` alone, so an engine built with no knobs runs it."""
+    plan = ExecutionPlan.auto(async_service_udf("F2", latency=0.02))
+    executor = plan.resolve(_engine())
+    assert (executor.window, executor.lookahead) == (8, 4)
 
 
 def test_declared_backend_wins_the_transport():
@@ -126,8 +132,9 @@ def test_declared_backend_wins_the_transport():
     plan = ExecutionPlan.auto(profile)
     assert plan.transport == "subprocess"
     assert plan.async_inflight == 8
-    # A negligible-cost UDF pinned to an out-of-process backend still needs
-    # a (minimal) window so the transport is actually engaged.
+    # A negligible-cost UDF pinned to an out-of-process backend gets a
+    # window of one: the backend is checked, evaluation stays inline (see
+    # test_a_backend_at_window_one_opens_no_transport).
     cheap = UDFProfile(name="svc", dimension=2, backend="subprocess")
     assert ExecutionPlan.auto(cheap).async_inflight == 1
     # ... while a serial backend cannot carry a window at all.
@@ -148,15 +155,26 @@ def test_relation_size_caps_batch_and_gates_lookahead():
     assert large.pipeline_lookahead == 4
 
 
-def test_speculative_k_mirrors_the_engine_configuration():
-    udf = async_service_udf("F2", latency=0.02)
-    configured = _engine(speculative_k=3)
-    assert ExecutionPlan.auto(udf, engine=configured).speculative_k == 3
-    unconfigured = _engine()
-    assert ExecutionPlan.auto(udf, engine=unconfigured).speculative_k is None
-    # ... and the mirrored plan actually resolves against that engine.
-    ExecutionPlan.auto(udf, engine=configured).resolve(configured)
-    ExecutionPlan.auto(udf, engine=unconfigured).resolve(unconfigured)
+def test_a_backend_at_window_one_opens_no_transport(monkeypatch):
+    """The cheap pinned profile's plan names the backend, but a window of
+    one evaluates inline: every UDF call runs, no transport opens."""
+    opens = []
+    real_open = SubprocessPoolTransport.open
+
+    def counting_open(self, *args, **kwargs):
+        opens.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubprocessPoolTransport, "open", counting_open)
+    udf = reference_function("F1")
+    plan = ExecutionPlan.auto(UDFProfile(name=udf.name, dimension=2, backend="subprocess"))
+    assert (plan.async_inflight, plan.transport) == (1, "subprocess")
+    _engine().compute_with_plan(udf, _dists(udf, n=3), plan)
+    assert udf.call_count > 0
+    assert opens == []
+    # The counter does see a session: a window of two opens one.
+    _engine().compute_with_plan(udf, _dists(udf, n=1), plan.with_overrides(async_inflight=2))
+    assert len(opens) == 1
 
 
 def test_auto_accepts_name_profile_or_udf():
@@ -189,7 +207,7 @@ def test_auto_is_bit_identical_to_the_explicit_plan(family, latency):
         return engine.compute_with_plan(udf, dists, plan=plan)
 
     probe = async_service_udf("F4", latency=latency)
-    explicit = ExecutionPlan.auto(probe, relation_size=4, engine=_engine())
+    explicit = ExecutionPlan.auto(probe, relation_size=4)
     _assert_results_identical(run("auto"), run(explicit))
 
 
@@ -203,8 +221,7 @@ def test_auto_is_bit_identical_on_the_query_builder_with_a_catalog_name():
         )
 
     from repro.udf.catalog import default_catalog
-    explicit = ExecutionPlan.auto(default_catalog().profile("galage"),
-                                  relation_size=6, engine=_engine())
+    explicit = ExecutionPlan.auto(default_catalog().profile("galage"), relation_size=6)
     auto_result = run("auto")
     explicit_result = run(explicit)
     assert len(auto_result) == len(explicit_result)

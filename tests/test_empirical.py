@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions.empirical import (
     EmpiricalDistribution,
     ecdf_difference_sup,
 )
 from repro.exceptions import EmptySampleError
+
+# A small grid: random samples tie with each other and with the bounds.
+tie_prone = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
 class TestEmpiricalDistribution:
@@ -113,6 +118,24 @@ class TestTruncation:
         result = dist.truncate(2.0, 3.0)
         lo, hi = result.distribution.support
         assert lo >= 2.0 and hi <= 3.0
+
+    @given(
+        samples=st.lists(tie_prone, min_size=1, max_size=10),
+        bounds=st.tuples(tie_prone, tie_prone).map(sorted),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_truncate_keeps_the_closed_interval_on_tie_heavy_samples(self, samples, bounds):
+        """Both bounds are inclusive, and the existence probability is the
+        exact fraction of samples kept."""
+        low, high = bounds
+        arr = np.array(samples)
+        inside = np.sort(arr[(arr >= low) & (arr <= high)])
+        result = EmpiricalDistribution(arr).truncate(low, high)
+        assert result.existence_probability == inside.size / arr.size
+        if inside.size == 0:
+            assert result.distribution is None
+        else:
+            assert np.array_equal(result.distribution.samples, inside)
 
 
 class TestEcdfDifference:

@@ -14,23 +14,36 @@ from repro.core.metrics import ks_distance
 from repro.distributions.continuous import Gaussian
 from repro.distributions.multivariate import IndependentJoint
 from repro.engine import ExecutionPlan, UDFExecutionEngine
-from repro.exceptions import GPError, UDFError
+from repro.exceptions import GPError, NotTrainedError, UDFError
 from repro.index.bounding_box import BoundingBox
+from repro.index.rtree import RTree
 from repro.udf.base import UDF
 from repro.workloads.generators import input_stream, true_output_distribution, workload_for_udf
 
 
 def assert_index_holds_training_rows(emulator):
-    """The R-tree holds exactly rows ``0..n-1`` of the training set."""
-    index = emulator.index
+    """An R-tree bulk-loaded from the training set, as Expt 1 builds it,
+    holds exactly rows ``0..n-1`` of that set."""
     X = emulator.gp.X_train
+    index = RTree(dimension=emulator.udf.dimension)
+    index.bulk_load(X)
+    index.check_invariants()
+    assert len(index) == emulator.n_training
     assert sorted(index.all_payloads()) == list(range(emulator.n_training))
     for row, x in enumerate(X):
         assert row in index.search_within_distance(BoundingBox.from_point(x), 0.0)
 
 
-class TestLazyIndex:
-    """`GPEmulator.index` is derived state, materialised on access."""
+def assert_owns_no_index(emulator):
+    """The emulator carries no R-tree of its own, built or pending."""
+    assert not hasattr(emulator, "index")
+    assert not any(isinstance(value, RTree) for value in vars(emulator).values())
+
+
+class TestIndexedTrainingRows:
+    """The emulator owns no R-tree: callers that measure retrieval (Expt 1)
+    bulk-load one from ``gp.X_train``, so those rows must follow every
+    addition, rollback and pickle round trip."""
 
     @pytest.fixture
     def emulator(self, f1_udf):
@@ -39,45 +52,53 @@ class TestLazyIndex:
         return emulator
 
     def test_empty_before_training(self, f1_udf):
-        assert len(GPEmulator(f1_udf).index) == 0
+        emulator = GPEmulator(f1_udf)
+        assert emulator.n_training == 0
+        with pytest.raises(NotTrainedError):
+            _ = emulator.gp.X_train
+        assert_owns_no_index(emulator)
 
-    def test_catches_up_with_additions(self, emulator):
-        assert len(emulator._index) == 0  # nothing built it yet
+    def test_rows_follow_additions(self, emulator):
         assert_index_holds_training_rows(emulator)
         emulator.add_training_point(np.array([4.0, 4.5]))
-        assert len(emulator._index) == 12  # not touched by the addition ...
-        assert_index_holds_training_rows(emulator)  # ... appended on access
+        assert_index_holds_training_rows(emulator)
         emulator.absorb_observations(np.array([[5.0, 5.5], [6.0, 3.5]]), np.array([0.1, 0.2]))
         emulator.add_training_points(np.array([[3.0, 3.5], [6.5, 6.5]]))
         assert_index_holds_training_rows(emulator)
-        assert len(emulator.index) == 17
+        assert emulator.n_training == 17
+        assert np.array_equal(emulator.gp.X_train[12], [4.0, 4.5])
+        assert_owns_no_index(emulator)
 
-    def test_rebuilds_after_rollback(self, emulator):
+    def test_rows_follow_a_rollback(self, emulator):
+        before = emulator.gp.X_train
         state = emulator.snapshot()
         emulator.add_training_points(np.array([[4.0, 4.5], [5.0, 5.5]]))
-        assert_index_holds_training_rows(emulator)
+        assert emulator.n_training == 14
         emulator.restore(state)
+        assert np.array_equal(emulator.gp.X_train, before)
         assert_index_holds_training_rows(emulator)
-        assert len(emulator.index) == 12
 
-    def test_rebuilds_when_rows_were_replaced_between_accesses(self, emulator):
-        """Shrink then regrow past the old size without an access in between."""
+    def test_rows_replaced_after_a_rollback(self, emulator):
+        """Shrink, then regrow past the old size: the new rows, not the old."""
         state = emulator.snapshot()
         emulator.add_training_points(np.array([[4.0, 4.5], [5.0, 5.5]]))
-        assert len(emulator.index) == 14
         emulator.restore(state)
-        emulator.add_training_points(np.array([[6.0, 3.5], [3.0, 3.5], [6.5, 6.5]]))
+        regrown = np.array([[6.0, 3.5], [3.0, 3.5], [6.5, 6.5]])
+        emulator.add_training_points(regrown)
+        assert emulator.n_training == 15
+        assert np.array_equal(emulator.gp.X_train[12:], regrown)
         assert_index_holds_training_rows(emulator)
 
-    def test_survives_a_pickle_round_trip(self, emulator):
-        assert len(pickle.loads(pickle.dumps(emulator))._index) == 0  # never built: not shipped
-        assert len(emulator.index) == 12
+    def test_rows_survive_a_pickle_round_trip(self, emulator):
         clone = pickle.loads(pickle.dumps(emulator))
+        assert np.array_equal(clone.gp.X_train, emulator.gp.X_train)
+        assert_owns_no_index(clone)
         clone.add_training_point(np.array([4.0, 4.5]))
+        assert (clone.n_training, emulator.n_training) == (13, 12)
         assert_index_holds_training_rows(clone)
 
     @pytest.mark.parametrize("with_predicate", [False, True])
-    def test_default_plan_never_materialises_it(self, f1_udf, with_predicate):
+    def test_no_plan_builds_an_index(self, f1_udf, with_predicate):
         udf = f1_udf.with_simulated_eval_time(0.0)
         engine = UDFExecutionEngine(
             strategy="gp", requirement=AccuracyRequirement(epsilon=0.15, delta=0.05),
@@ -87,9 +108,10 @@ class TestLazyIndex:
         predicate = SelectionPredicate(low=0.0, high=0.4, threshold=0.1) if with_predicate else None
         result = engine.compute_with_plan(udf, dists, plan=ExecutionPlan(), predicate=predicate)
         assert len(result.outputs) == 6
-        emulator = engine._processor_for(udf).emulator
+        emulator = engine.olgapro_for(udf).emulator
         assert emulator.n_training > 0
-        assert len(emulator._index) == 0
+        assert_owns_no_index(emulator)
+        assert_index_holds_training_rows(emulator)
 
 
 class TestGPEmulator:
@@ -99,7 +121,6 @@ class TestGPEmulator:
         emulator.train_initial(30, random_state=0)
         assert emulator.n_training == 30
         assert udf.call_count == 30
-        assert len(emulator.index) == 30
 
     def test_designs(self, f1_udf):
         for design in ("random", "grid", "halton"):
@@ -131,7 +152,6 @@ class TestGPEmulator:
         value = emulator.add_training_point(np.array([1.5]))
         assert value == pytest.approx(1.5**2 + 1.0)
         assert emulator.n_training == 7
-        assert len(emulator.index) == 7
 
     def test_add_training_point_shape_check(self, quadratic_udf):
         emulator = GPEmulator(quadratic_udf.with_simulated_eval_time(0.0))

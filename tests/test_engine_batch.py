@@ -30,8 +30,12 @@ REQUIREMENT = AccuracyRequirement(epsilon=0.15, delta=0.05)
 
 
 def _paired_runs(strategy, function_name="F1", n_tuples=7, seed=77, stream_seed=3,
-                 requirement=REQUIREMENT, batch_size=4, **engine_kwargs):
-    """Run the same stream per-tuple and batched on independent twin engines."""
+                 requirement=REQUIREMENT, batch_size=4, window=None, **engine_kwargs):
+    """Run the same stream per-tuple and batched on independent twin engines.
+
+    ``window`` runs both at that refinement window (``async_inflight``),
+    the per-tuple side as chunks of one.
+    """
     outputs = {}
     for mode in ("per_tuple", "batched"):
         udf = reference_function(function_name, simulated_eval_time=1e-3)
@@ -42,11 +46,12 @@ def _paired_runs(strategy, function_name="F1", n_tuples=7, seed=77, stream_seed=
             input_stream(workload_for_udf(udf), n_tuples,
                          random_state=np.random.default_rng(stream_seed))
         )
-        if mode == "per_tuple":
+        if mode == "per_tuple" and window is None:
             outputs[mode] = [engine.compute(udf, d) for d in dists]
         else:
+            size = 1 if mode == "per_tuple" else batch_size
             outputs[mode] = engine.compute_with_plan(
-                udf, dists, ExecutionPlan(batch_size=batch_size)
+                udf, dists, ExecutionPlan(batch_size=size, async_inflight=window)
             )
         outputs[mode + "_udf"] = udf
     return outputs
@@ -96,21 +101,22 @@ def test_batch_matches_across_chunk_boundaries():
     _assert_outputs_match(runs["per_tuple"], runs["batched"])
 
 
-def test_batch_matches_per_tuple_under_speculative_tuning():
-    """Speculative k-point refinement is deterministic: same trajectory in
-    both pipelines (stable top-k selection, fresh per-tuple inference)."""
+def test_batch_matches_per_tuple_under_a_window():
+    """Window refinement is deterministic: same trajectory in chunks of one
+    and of two (stable top-k selection, fresh per-tuple inference)."""
     runs = _paired_runs(
         "gp",
         function_name="F4",
         n_tuples=4,
         n_samples=200,
         max_points_per_tuple=8,
-        speculative_k=3,
+        window=3,
         batch_size=2,
     )
     _assert_outputs_match(runs["per_tuple"], runs["batched"])
     assert runs["per_tuple_udf"].call_count == runs["batched_udf"].call_count
-    # The speculative path must actually have fired (blocked updates happened).
+    # The window must actually have fired (refinement windows ran).
+    assert runs["batched_udf"].max_in_flight > 1
     assert runs["batched_udf"].call_count > 5
 
 
@@ -294,15 +300,47 @@ def test_batch_executor_records_phase_timings():
 
 
 
-def test_names_profilers_bind_stay_importable_without_a_second_body():
-    """External profiling tools resolve these by module and name, so they
-    stay — but the retired cache class is empty and the column forms are
-    loops over their scalar twins (held to them by property tests)."""
-    from repro.core.confidence_bands import band_z_values
-    from repro.core.error_bounds import gp_discrepancy_bound_block
-    from repro.core.local_inference import BatchKernelCache
-    from repro.gp.linalg import stacked_jittered_cholesky
+#: Methods the frozen profiler (``perfbench/tracing.py``) names but this
+#: package no longer defines.  Its tracer skips a missing method silently,
+#: but a missing class or module function breaks its ``install``.
+VANISHED_TRACED_METHODS = {
+    "LocalInferenceEngine.predict_multi",
+    "LocalInferenceEngine.predict_cached",
+    "LocalInferenceEngine.predict_cached_block",
+    "BatchKernelCache.sync",
+    "BatchKernelCache.rows",
+    "BatchKernelCache.local_inverse",
+    "OLGAPRO.process_with_filter",
+    "UDF.evaluate_many",
+}
 
+
+def test_names_the_profiler_binds_still_resolve():
+    """Every class and module function the profiler's target list names
+    resolves (a deletion that would break its ``install`` fails here), and
+    the methods it names that are gone are exactly the known ones.  The
+    retired cache class stays, empty."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.tracing import TARGETS
+
+    from repro.core.local_inference import BatchKernelCache
+
+    vanished = set()
+    for target in TARGETS:
+        module = importlib.import_module(target.module)
+        owner_name, _, attr = target.qualname.rpartition(".")
+        if not owner_name:
+            assert callable(getattr(module, attr)), target.qualname
+            continue
+        owner = getattr(module, owner_name)
+        assert isinstance(owner, type), target.qualname
+        if not hasattr(owner, attr):
+            vanished.add(target.qualname)
+    assert vanished == VANISHED_TRACED_METHODS
     assert not [attr for attr in vars(BatchKernelCache) if not attr.startswith("__")]
-    for function in (band_z_values, gp_discrepancy_bound_block, stacked_jittered_cholesky):
-        assert callable(function)

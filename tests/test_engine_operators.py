@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,35 @@ class TestSelectUDF:
         operator = SelectUDF(Scan(small_relation), square_udf, ["x"], "sq", predicate, gp_engine)
         kept_ids = [row["objID"] for row in operator]
         assert kept_ids == [2]
+
+    def test_each_row_truncates_by_its_own_distribution(self, small_relation, square_udf,
+                                                          mc_engine):
+        """Rows of different sample counts in one block: each survivor's value
+        and existence probability are its own distribution's truncation."""
+        predicate = SelectionPredicate(low=-1.0, high=1.0, threshold=0.34)
+        operator = SelectUDF(Scan(small_relation), square_udf, ["x"], "sq", predicate, mc_engine)
+        rng = np.random.default_rng(4)
+        kept = []
+        for m, row_existence in ((3, 1.0), (7, 0.8), (12, 0.5), (1, 1.0)):
+            distribution = EmpiricalDistribution(rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=m))
+            output = SimpleNamespace(
+                failed=False, dropped=False, distribution=distribution,
+                error_bound=None, udf_calls=0, charged_time=0.0,
+            )
+            row = UncertainTuple(values={"objID": m, "x": Gaussian(0.0, 1.0)},
+                                 existence_probability=row_existence)
+            survivor = operator._filtered(row, output)
+            expected = distribution.truncate(-1.0, 1.0)
+            existence = row_existence * expected.existence_probability
+            if expected.distribution is None or existence < 0.34:
+                assert survivor is None
+            else:
+                kept.append(m)
+                assert survivor.existence_probability == existence
+                assert np.array_equal(survivor["sq"].samples, expected.distribution.samples)
+        # The 3- and 12-sample rows land just under the threshold (1/3 each);
+        # the single-sample row truncates away.
+        assert kept == [7]
 
 
 class TestExecutionEngine:

@@ -221,7 +221,7 @@ class TestGaussianProcessAddPoints:
         mean, std = gp.predict(X[:2])
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
 
-    def test_emulator_add_training_points_updates_index(self):
+    def test_emulator_add_training_points_absorbs_the_block(self):
         from repro.core.emulator import GPEmulator
         from repro.udf.base import UDF
 
@@ -233,4 +233,4 @@ class TestGaussianProcessAddPoints:
         values = emulator.add_training_points(np.array([[0.5], [-1.5], [1.1]]))
         assert values.shape == (3,)
         assert emulator.n_training == 8
-        assert len(emulator.index) == 8
+        assert np.array_equal(emulator.gp.y_train[5:], values)

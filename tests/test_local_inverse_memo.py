@@ -251,6 +251,7 @@ def test_a_speculative_view_keeps_its_own_memo():
     inverses into the view's memo and never reads or writes the live one;
     its inference is still bitwise the live model's at the same state.
     """
+    from repro.engine.async_exec import AsyncEvaluationDriver
     from repro.engine.pipeline import SpeculationStage
     from repro.timing import PhaseTimings
 
@@ -265,7 +266,7 @@ def test_a_speculative_view_keeps_its_own_memo():
     live = gp._local_inverses = (gp.version, {})
 
     stage = SpeculationStage(
-        processor, None, None, window=1, lookahead=2, shared_refresh=False,
+        processor, AsyncEvaluationDriver(None, 1), lookahead=2, shared_refresh=False,
         timings=PhaseTimings(),
     )
     stage._recent_depths = [0] * 4  # a quiet stream: stages run the full inference

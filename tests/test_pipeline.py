@@ -162,26 +162,48 @@ def test_completion_order_invariance_under_latency_jitter():
     assert calls_smooth == calls_jittered
 
 
-def test_speculative_k_accounting_matches_batched_on_non_engaged_path():
-    """Per-tuple udf_calls stays exact when speculative_k rolls back.
+def test_window_accounting_under_a_stage_matches_the_unstaged_window():
+    """Per-tuple udf_calls stays exact when a window rolls back.
 
-    With ``speculative_k > 1`` and ``inflight=1`` the pipeline's window
-    driver stands down and the stock speculative loop runs; a rolled-back
-    block still *paid* for its k evaluations, so the pipeline's consumed
-    counter must report the same per-tuple numbers as the batched path's
-    call-count deltas — not the committed ``points_added``.
+    On F4 the windows run deep and overshooting slices roll back; a
+    rolled-back slice still *paid* for its evaluations, so the stage's
+    consumed counter must report the unstaged window's per-tuple call-count
+    deltas — not the committed ``points_added``.
     """
-    udf_a, engine_a, dists_a = _fixture(function_name="F4", speculative_k=4)
-    batched = ExecutionPlan(batch_size=4).resolve(engine_a).compute_batch(udf_a, dists_a)
-    udf_b, engine_b, dists_b = _fixture(function_name="F4", speculative_k=4)
-    executor = ExecutionPlan(pipeline_lookahead=3, async_inflight=1, batch_size=4).resolve(engine_b)
+    udf_a, engine_a, dists_a = _fixture(function_name="F4")
+    plan = ExecutionPlan(async_inflight=4, batch_size=4)
+    unstaged = plan.resolve(engine_a).compute_batch(udf_a, dists_a)
+    udf_b, engine_b, dists_b = _fixture(function_name="F4")
+    executor = plan.with_overrides(pipeline_lookahead=3).resolve(engine_b)
     piped = executor.compute_batch(udf_b, dists_b)
-    _assert_identical_outputs(batched, piped)
-    assert [a.udf_calls for a in batched] == [b.udf_calls for b in piped]
-    # The speculative block loop consults the value pool too: commits reuse
-    # prefetched evaluations, so the total never exceeds the batched calls
-    # plus the (deterministic) speculative waste.
+    _assert_identical_outputs(unstaged, piped)
+    assert [a.udf_calls for a in unstaged] == [b.udf_calls for b in piped]
+    # Commits reuse prefetched evaluations, so the total never exceeds the
+    # unstaged calls plus the (deterministic) speculative waste.
     assert udf_b.call_count <= udf_a.call_count + executor.last_wasted_calls
+
+
+def test_a_single_refinement_point_is_claimed_through_the_pool(monkeypatch):
+    """At window 1 under a stage, the window-1 driver carries every single
+    refinement point through the chunk's value pool (a prefetched one is
+    reused, a fresh one deduplicated against in-flight speculation)."""
+    from repro.engine.pipeline import SpeculativeValuePool
+
+    claims = []
+    real_fetch = SpeculativeValuePool.fetch
+
+    def counting_fetch(self, x):
+        claims.append(np.array(x))
+        return real_fetch(self, x)
+
+    monkeypatch.setattr(SpeculativeValuePool, "fetch", counting_fetch)
+    udf, engine, dists = _fixture(function_name="F4")
+    ExecutionPlan(pipeline_lookahead=2, async_inflight=1, batch_size=4).resolve(
+        engine
+    ).compute_batch(udf, dists)
+    olgapro = engine.olgapro_for(udf)
+    assert olgapro.refinement_evaluations > 0
+    assert len(claims) == olgapro.refinement_evaluations
 
 
 def test_mc_strategy_delegates_to_the_batched_path():

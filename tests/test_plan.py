@@ -32,6 +32,7 @@ import repro.core.local_inference as local_inference
 import repro.core.olgapro
 import repro.engine
 from repro.core.accuracy import AccuracyRequirement
+from repro.core.olgapro import OLGAPRO
 from repro.engine import (
     DEFAULT_ASYNC_INFLIGHT,
     MERGE_POLICIES,
@@ -100,8 +101,6 @@ PLAN_VALIDATION_TABLE = [
     ({"pipeline_lookahead": -1}, "pipeline_lookahead"),
     ({"pipeline_lookahead": 2.5}, "pipeline_lookahead"),
     ({"pipeline_lookahead": 2, "async_inflight": 0}, "async_inflight"),
-    ({"speculative_k": 0}, "speculative_k"),
-    ({"speculative_k": False}, "speculative_k"),
     # merge policies (Parallel constructor); the legacy ones are gone.
     ({"workers": 2, "merge": "replace"}, "merge policy"),
     ({"workers": 2, "merge": "union"}, "merge policy"),
@@ -140,7 +139,7 @@ def test_executor_constructors_do_not_validate():
 
 def test_the_plan_is_the_only_execution_surface():
     plan_fields = {field.name for field in fields(ExecutionPlan)}
-    assert len(plan_fields) == 9
+    assert len(plan_fields) == 8
     for entry in (ApplyUDF.__init__, SelectUDF.__init__, Query.apply_udf, Query.where_udf):
         parameters = set(inspect.signature(entry).parameters)
         assert "plan" in parameters
@@ -196,7 +195,7 @@ def test_the_loops_exist_once_and_the_plan_selects_one_executor():
 
 def test_one_storage_one_kernel_path():
     """One inference step, one storage: nothing selects another."""
-    assert len(fields(ExecutionPlan)) == 9
+    assert len(fields(ExecutionPlan)) == 8
     with pytest.raises(TypeError):
         ExecutionPlan(storage="columnar")
     _, engine, _ = _fixture(n_tuples=1)
@@ -232,6 +231,11 @@ def test_removed_spellings_fail_at_the_call_site():
     udf, _, _ = _fixture()
     with pytest.raises(TypeError):
         ExecutionPlan(oversubscribe=2.0)
+    # The refinement window has one knob, async_inflight.
+    with pytest.raises(TypeError):
+        ExecutionPlan(speculative_k=2)
+    with pytest.raises(TypeError):
+        OLGAPRO(udf, speculative_k=2)
     with pytest.raises(TypeError):
         Query(relation).apply_udf(udf, ["ra_offset", "dec_offset"], alias="f", batch_size=8)
     with pytest.raises(TypeError):
@@ -291,6 +295,40 @@ def test_serial_transport_without_a_window_is_legal():
     assert isinstance(plan.resolve(engine), BatchExecutor)
 
 
+def test_engine_accepts_a_plan_and_applies_its_window():
+    plan = ExecutionPlan(batch_size=4, async_inflight=3)
+    engine = UDFExecutionEngine(
+        strategy="gp", requirement=REQUIREMENT, random_state=1, plan=plan,
+    )
+    assert engine.plan is plan
+    executor = plan.resolve(engine)
+    assert isinstance(executor, BatchExecutor)
+    assert (executor.window, executor.lookahead) == (3, 1)
+
+
+def test_every_constructible_plan_resolves_on_a_default_engine():
+    """Resolution selects an executor and checks nothing: a plan that
+    constructs runs on any engine."""
+    _, engine, _ = _fixture(n_tuples=1)
+    resolved = 0
+    for inflight, lookahead, batch, workers in itertools.product(
+        (None, 1, 3, 8), (None, 0, 2), (None, 4), (None, 2)
+    ):
+        try:
+            plan = ExecutionPlan(
+                async_inflight=inflight, pipeline_lookahead=lookahead,
+                batch_size=batch, workers=workers,
+            )
+        except PlanError:
+            continue
+        executor = plan.resolve(engine)
+        resolved += 1
+        if workers is None:
+            assert isinstance(executor, BatchExecutor)
+            assert (executor.window, executor.lookahead) == (plan.window, plan.lookahead)
+    assert resolved >= 24
+
+
 def test_with_overrides_revalidates():
     plan = ExecutionPlan(batch_size=8)
     assert plan.with_overrides(batch_size=16).batch_size == 16
@@ -337,25 +375,6 @@ def test_query_plan_reaches_the_operator():
     )
     assert operator.plan is plan
     assert (operator._executor.window, operator._executor.lookahead) == (2, 1)
-
-
-def test_speculative_k_needs_the_engine_constructor():
-    _, engine, _ = _fixture(n_tuples=1)
-    with pytest.raises(PlanError, match="speculative_k"):
-        ExecutionPlan(speculative_k=3).resolve(engine)
-
-
-def test_engine_accepts_a_plan_and_applies_speculative_k():
-    plan = ExecutionPlan(batch_size=4, speculative_k=3)
-    engine = UDFExecutionEngine(
-        strategy="gp", requirement=REQUIREMENT, random_state=1, plan=plan,
-    )
-    assert engine.plan is plan
-    assert engine._processor_kwargs["speculative_k"] == 3
-    # The stored plan resolves cleanly against its own engine.
-    assert isinstance(plan.resolve(engine), BatchExecutor)
-    with pytest.raises(PlanError, match="conflicts"):
-        UDFExecutionEngine(strategy="gp", plan=plan, speculative_k=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ hide:
 
 * encode → hydrate round-trips every supported column family exactly, and
   the stacked Monte-Carlo draw equals the per-row loop draw for draw;
-* :func:`repro.engine.batch.truncate_columns` equals per-row truncation;
 * the batch forms external profiling tools bind by name —
   :func:`repro.gp.linalg.stacked_jittered_cholesky`,
   :func:`repro.core.error_bounds.gp_discrepancy_bound_block` and
@@ -39,8 +38,6 @@ from repro.distributions.columns import (
     sample_stacked,
     stacking_supported,
 )
-from repro.distributions.empirical import EmpiricalDistribution
-from repro.engine.batch import truncate_columns
 from repro.gp.kernels import Matern32, SquaredExponential
 from repro.gp.linalg import jittered_cholesky, stacked_jittered_cholesky
 from repro.index.bounding_box import BoundingBox
@@ -49,8 +46,8 @@ finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infin
 positive = st.floats(min_value=1e-3, max_value=20.0, allow_nan=False, allow_infinity=False)
 
 # Values drawn from a small grid so random sample blocks are tie-heavy —
-# the regime where the column truncation's cut counts and the bound
-# sweep's CDF counts must agree with searchsorted's semantics.
+# the regime where the bound sweep's CDF counts must agree with
+# searchsorted's semantics.
 tie_prone = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
@@ -120,55 +117,6 @@ def test_heterogeneous_and_empty_columns_do_not_encode():
 
     assert attempt_encode([]) is None
     assert attempt_encode([Gaussian(0.0, 1.0), Uniform(0.0, 1.0)]) is None
-
-
-# ---------------------------------------------------------------------------
-# Column-kernel predicate truncation
-# ---------------------------------------------------------------------------
-
-@given(
-    data=st.data(),
-    b=st.integers(min_value=0, max_value=6),
-    m=st.integers(min_value=1, max_value=10),
-    bounds=st.tuples(tie_prone, tie_prone).map(sorted),
-)
-@settings(max_examples=80, deadline=None)
-def test_truncate_columns_matches_per_row_truncate(data, b, m, bounds):
-    low, high = bounds
-    dists = [
-        EmpiricalDistribution(np.array([data.draw(tie_prone) for _ in range(m)]))
-        for _ in range(b)
-    ]
-    block = truncate_columns(dists, low, high)
-    scalar = [dist.truncate(low, high) for dist in dists]
-    assert len(block) == len(scalar) == b
-    for got, expected in zip(block, scalar):
-        assert got.existence_probability == expected.existence_probability
-        if expected.distribution is None:
-            assert got.distribution is None
-        else:
-            assert np.array_equal(
-                got.distribution.samples, expected.distribution.samples
-            )
-
-
-@given(
-    data=st.data(),
-    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=4),
-)
-@settings(max_examples=20, deadline=None)
-def test_truncate_columns_ragged_fallback_matches(data, sizes):
-    """Mismatched sample counts take the scalar fallback and still agree."""
-    if len(set(sizes)) < 2:
-        sizes[0] += sizes[1]
-    dists = [
-        EmpiricalDistribution(np.array([data.draw(tie_prone) for _ in range(m)]))
-        for m in sizes
-    ]
-    block = truncate_columns(dists, -1.0, 1.0)
-    scalar = [dist.truncate(-1.0, 1.0) for dist in dists]
-    for got, expected in zip(block, scalar):
-        assert got.existence_probability == expected.existence_probability
 
 
 # ---------------------------------------------------------------------------

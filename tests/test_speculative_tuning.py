@@ -1,11 +1,11 @@
 """The refinement-window loop: savings, rollback, snapshots, equivalences.
 
 The headline contract (asserted with the GP's operation counter): on the
-online-tuning workload, ``speculative_k = 4`` cuts the refinement loop's
-factorization count by at least 2x versus the serial one-point loop, while
-meeting the same error budget.  The loop exists once
-(:meth:`OLGAPRO._tune_until_bounded`): the equivalence tests at the bottom
-pin each of its cases to the trajectory the pre-unification loops produced.
+online-tuning workload, a plan window of 4 (``async_inflight=4``) makes
+fewer refinement factorizations than window 1 while meeting the same error
+budget.  The loop exists once (:meth:`OLGAPRO._tune_until_bounded`): the
+equivalence tests at the bottom pin each of its cases to the trajectory
+the pre-unification loops produced.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.olgapro import OLGAPRO
 from repro.core.online_tuning import make_strategy
-from repro.exceptions import GPError
+from repro.engine import ExecutionPlan, UDFExecutionEngine
+from repro.engine.async_exec import AsyncEvaluationDriver, chunk_schedule
 from repro.gp.kernels import SquaredExponential
 from repro.gp.regression import GaussianProcess
 from repro.udf.synthetic import reference_function
@@ -28,22 +29,39 @@ from repro.workloads.generators import input_stream, workload_for_udf
 REQUIREMENT = AccuracyRequirement(epsilon=0.2, delta=0.05)
 
 
-def _run_stream(speculative_k, n_tuples=12, **kwargs):
+def _engine(udf, requirement=REQUIREMENT, random_state=42, **processor_kwargs):
+    """A GP engine plus its processor for ``udf``, recording every tuple result.
+
+    Returns ``(engine, processor, results)``; ``results`` fills with the
+    :class:`~repro.core.olgapro.OnlineTupleResult` of every tuple the
+    engine's chunks commit.
+    """
+    engine = UDFExecutionEngine(
+        strategy="gp", requirement=requirement, random_state=random_state,
+        **processor_kwargs,
+    )
+    processor = engine.olgapro_for(udf)
+    results = []
+    process_batch = processor.process_batch
+
+    def recording(*args, **kwargs):
+        chunk = process_batch(*args, **kwargs)
+        results.extend(chunk)
+        return chunk
+
+    processor.process_batch = recording
+    return engine, processor, results
+
+
+def _run_stream(window, n_tuples=12):
     udf = reference_function("F4", simulated_eval_time=1e-3)
-    processor = OLGAPRO(
-        udf,
-        requirement=REQUIREMENT,
-        random_state=42,
-        n_samples=300,
-        max_points_per_tuple=60,
-        initial_training_points=10,
-        speculative_k=speculative_k,
-        **kwargs,
+    engine, processor, results = _engine(
+        udf, n_samples=300, max_points_per_tuple=60, initial_training_points=10
     )
     dists = list(
         input_stream(workload_for_udf(udf), n_tuples, random_state=np.random.default_rng(3))
     )
-    results = [processor.process(dist) for dist in dists]
+    engine.compute_with_plan(udf, dists, ExecutionPlan(async_inflight=window))
     return processor, results
 
 
@@ -51,41 +69,45 @@ def _run_stream(speculative_k, n_tuples=12, **kwargs):
 # Headline: factorization savings at the same error budget
 # ---------------------------------------------------------------------------
 
-def test_speculative_halves_refinement_factorizations():
-    serial, serial_results = _run_stream(speculative_k=1)
-    speculative, speculative_results = _run_stream(speculative_k=4)
+def test_a_window_of_4_makes_fewer_refinement_factorizations():
+    serial, serial_results = _run_stream(window=1)
+    windowed, windowed_results = _run_stream(window=4)
 
     # The workload must actually exercise refinement for this to mean anything.
     assert serial.refinement_factorizations > 20
-    # >= 2x fewer factorization-grade operations in the refinement loop.
-    assert speculative.refinement_factorizations * 2 <= serial.refinement_factorizations
+    # Fewer factorization-grade operations in the refinement loop: each
+    # multi-point slice is one blocked update and one bound re-check.
+    assert windowed.refinement_factorizations < serial.refinement_factorizations
 
     # Same error budget: every converged tuple reports a bound within budget
     # (modulo tuples whose post-tuple hyperparameter retrain re-computed the
-    # bound under a new kernel — identical behaviour in both modes), and
-    # speculation converges at least as many tuples as the serial loop does.
+    # bound under a new kernel — identical behaviour at every window), and
+    # the window converges at least as many tuples as the serial loop does.
     budget = serial.budget.epsilon_gp
-    for results in (serial_results, speculative_results):
+    for results in (serial_results, windowed_results):
+        assert len(results) == 12
         for result in results:
             if result.converged and not result.retrained:
                 assert result.error_bound.epsilon_gp <= budget + 1e-12
-    assert sum(r.converged for r in speculative_results) >= sum(
+    assert sum(r.converged for r in windowed_results) >= sum(
         r.converged for r in serial_results
     )
 
 
-def test_speculative_uses_blocked_updates():
-    speculative, _ = _run_stream(speculative_k=4, n_tuples=6)
-    counts = speculative.emulator.gp.op_counts
+def test_a_window_uses_blocked_updates():
+    serial, _ = _run_stream(window=1, n_tuples=6)
+    windowed, _ = _run_stream(window=4, n_tuples=6)
+    assert serial.emulator.gp.op_counts["block_update"] == 0
+    counts = windowed.emulator.gp.op_counts
+    # The schedule's multi-point slices absorb through blocked updates, so
+    # the window needs fewer rank-1 updates than the one-point loop.
     assert counts["block_update"] > 0
-    # Blocked updates dominate rank-1 updates in the speculative loop (rank-1
-    # only appears for capacity-1 iterations and rollback fallbacks).
-    assert counts["block_update"] >= counts["rank1_update"]
+    assert counts["rank1_update"] < serial.emulator.gp.op_counts["rank1_update"]
 
 
-def test_speculative_block_never_duplicates_a_sample_row():
+def test_a_window_never_duplicates_a_sample_row():
     """Empirical inputs resample their support with replacement, so the MC
-    sample matrix contains exact-duplicate rows; the top-k block must pick
+    sample matrix contains exact-duplicate rows; the top-k window must pick
     distinct locations only (a duplicate would waste a UDF call and absorb a
     repeated row into the covariance)."""
     from repro.distributions.empirical import EmpiricalDistribution
@@ -97,64 +119,77 @@ def test_speculative_block_never_duplicates_a_sample_row():
         EmpiricalDistribution(rng.uniform(3, 7, size=8)),
     ])
     udf = reference_function("F4", simulated_eval_time=1e-3)
-    processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=5, n_samples=200,
-                        max_points_per_tuple=40, initial_training_points=8,
-                        speculative_k=4)
+    engine, processor, results = _engine(
+        udf, random_state=5, n_samples=200, max_points_per_tuple=40, initial_training_points=8,
+    )
     # Duplicates must actually be present for the guard to be exercised.
     probe = dist.sample(200, random_state=np.random.default_rng(5))
     assert len({row.tobytes() for row in probe}) < probe.shape[0]
-    result = processor.process(dist)
-    assert result.points_added > 0
+    engine.compute_with_plan(udf, [dist], ExecutionPlan(async_inflight=4))
+    assert results[0].points_added > 0
     X = processor.emulator.gp.X_train
     assert len({row.tobytes() for row in X}) == X.shape[0]
 
 
-def test_speculative_k_validation():
-    udf = reference_function("F1")
-    with pytest.raises(GPError):
-        OLGAPRO(udf, speculative_k=0)
-    # The speculative loop fixes the selection rule; a custom strategy would
-    # silently become a no-op, so the combination is rejected outright.
-    from repro.core.online_tuning import RandomStrategy
+def test_the_plan_window_is_the_refinement_window(monkeypatch):
+    """The plan's window is the only one: every refinement submission
+    carries at most ``async_inflight`` rows, and full windows do occur."""
+    submitted = []
+    submit = AsyncEvaluationDriver.submit
 
-    with pytest.raises(GPError, match="tuning_strategy"):
-        OLGAPRO(udf, speculative_k=4, tuning_strategy=RandomStrategy())
+    def recording(self, udf, X):
+        submitted.append((self.window, len(X)))
+        return submit(self, udf, X)
+
+    monkeypatch.setattr(AsyncEvaluationDriver, "submit", recording)
+    udf = reference_function("F4", simulated_eval_time=1e-3)
+    engine, processor, results = _engine(
+        udf, n_samples=300, max_points_per_tuple=60, initial_training_points=10
+    )
+    dists = list(
+        input_stream(workload_for_udf(udf), 6, random_state=np.random.default_rng(3))
+    )
+    processor._ensure_initialized(dists[0], processor._rng)  # warm: no design to carry
+    engine.compute_with_plan(udf, dists, ExecutionPlan(async_inflight=5))
+    assert sum(result.points_added for result in results) > 0
+    assert {window for window, _ in submitted} == {5}
+    assert max(rows for _, rows in submitted) == 5
 
 
 # ---------------------------------------------------------------------------
-# Rollback: an overshooting block is undone via the snapshot
+# Rollback: an overshooting slice is undone via the snapshot
 # ---------------------------------------------------------------------------
 
 def test_rollback_commits_single_point_when_bound_worsens(monkeypatch):
     udf = reference_function("F4", simulated_eval_time=1e-3)
-    processor = OLGAPRO(
-        udf,
-        requirement=REQUIREMENT,
-        random_state=7,
-        n_samples=200,
-        max_points_per_tuple=30,
-        initial_training_points=8,
-        speculative_k=4,
+    engine, processor, results = _engine(
+        udf, random_state=7, n_samples=200, max_points_per_tuple=30, initial_training_points=8,
     )
     dist = next(
         iter(input_stream(workload_for_udf(udf), 1, random_state=np.random.default_rng(1)))
     )
 
-    # Force the bound re-check after the first speculative block to come out
-    # strictly worse, so the rollback branch runs; afterwards report the true
-    # bound so the loop terminates normally.  (Call #1 computes the loop's
-    # initial bound, call #2 is the re-check right after the first block.)
+    # Force the bound re-check right after the first multi-point slice to
+    # come out strictly worse, so the rollback branch runs (single-point
+    # slices are exempt); afterwards report the true bound so the loop
+    # terminates normally.
+    real_absorb = processor.emulator.absorb_observations
     real_bound_from_inference = processor._bound_from_inference
-    state = {"calls": 0, "sabotaged": False}
+    state = {"armed": False, "sabotaged": False}
+
+    def absorbing(X, y, fence=None):
+        real_absorb(X, y, fence=fence)
+        if len(X) > 1 and not state["sabotaged"]:
+            state["armed"] = True
 
     def sabotaged(inference, box, n_points):
         envelope, bound = real_bound_from_inference(inference, box, n_points)
-        state["calls"] += 1
-        if state["calls"] == 2 and not state["sabotaged"]:
-            state["sabotaged"] = True
+        if state["armed"]:
+            state["armed"], state["sabotaged"] = False, True
             return envelope, bound + 10.0
         return envelope, bound
 
+    monkeypatch.setattr(processor.emulator, "absorb_observations", absorbing)
     monkeypatch.setattr(processor, "_bound_from_inference", sabotaged)
     n_rollback_restores = {"n": 0}
     real_restore = processor.emulator.restore
@@ -165,11 +200,14 @@ def test_rollback_commits_single_point_when_bound_worsens(monkeypatch):
 
     monkeypatch.setattr(processor.emulator, "restore", counting_restore)
 
-    result = processor.process(dist)
-    assert state["sabotaged"], "the speculative block re-check was never reached"
+    engine.compute_with_plan(udf, [dist], ExecutionPlan(async_inflight=4))
+    assert state["sabotaged"], "no multi-point slice re-check was reached"
     assert n_rollback_restores["n"] == 1
-    # The run still completes and the model is consistent with its index.
-    assert processor.emulator.n_training == len(processor.emulator.index)
+    # The run still completes, and the model holds exactly the design plus
+    # the points the tuple reports (the rollback re-committed one of the
+    # slice's points, not the slice).
+    [result] = results
+    assert processor.emulator.n_training == 8 + result.points_added
     assert result.distribution.size == 200
 
 
@@ -209,25 +247,6 @@ def test_gp_restore_does_not_reset_op_counts():
     assert gp.factorization_count == ops
 
 
-def test_emulator_restore_rebuilds_index():
-    udf = reference_function("F1")
-    processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=3, n_samples=150,
-                        initial_training_points=6)
-    dist = next(
-        iter(input_stream(workload_for_udf(udf), 1, random_state=np.random.default_rng(2)))
-    )
-    processor.process(dist)
-    emulator = processor.emulator
-    state = emulator.snapshot()
-    n_before = emulator.n_training
-
-    emulator.add_training_points(np.random.default_rng(5).uniform(0, 10, size=(4, 2)))
-    assert len(emulator.index) == n_before + 4
-    emulator.restore(state)
-    assert emulator.n_training == n_before
-    assert len(emulator.index) == n_before
-
-
 def test_absorb_observations_skips_udf_calls():
     udf = reference_function("F1")
     processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=3, n_samples=150,
@@ -238,11 +257,30 @@ def test_absorb_observations_skips_udf_calls():
     processor.process(dist)
     emulator = processor.emulator
     calls_before = udf.call_count
+    n_before = emulator.n_training
     X = np.random.default_rng(8).uniform(0, 10, size=(3, 2))
     emulator.absorb_observations(X, np.array([1.0, 2.0, 3.0]))
     assert udf.call_count == calls_before
-    assert emulator.n_training >= 3
-    assert len(emulator.index) == emulator.n_training
+    assert emulator.n_training == n_before + 3
+
+
+def test_emulator_restore_returns_the_training_rows():
+    udf = reference_function("F1")
+    processor = OLGAPRO(udf, requirement=REQUIREMENT, random_state=3, n_samples=150,
+                        initial_training_points=6)
+    dist = next(
+        iter(input_stream(workload_for_udf(udf), 1, random_state=np.random.default_rng(2)))
+    )
+    processor.process(dist)
+    emulator = processor.emulator
+    state = emulator.snapshot()
+    X_before, y_before = emulator.gp.X_train, emulator.gp.y_train
+
+    emulator.add_training_points(np.random.default_rng(5).uniform(0, 10, size=(4, 2)))
+    assert emulator.n_training == X_before.shape[0] + 4
+    emulator.restore(state)
+    assert np.array_equal(emulator.gp.X_train, X_before)
+    assert np.array_equal(emulator.gp.y_train, y_before)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +315,13 @@ def _assert_same_trajectory(a, a_results, b, b_results):
     assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
 
-class _OneSliceDriver:
-    """The loop's driver seam at ``window`` with a single absorption slice."""
+class _InlineDriver:
+    """The loop's driver seam at ``window``, evaluating inline: no transport."""
+
+    schedule = staticmethod(chunk_schedule)
 
     def __init__(self, window):
         self.window = window
-
-    @staticmethod
-    def schedule(k):
-        return ((0, k),)
 
     @staticmethod
     def submit(udf, X):
@@ -299,20 +335,27 @@ class _OneSliceDriver:
         assert all(future.done() for future in futures)
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["per-tuple", "batched"])
-def test_speculative_k_is_the_window_loop_with_one_inline_slice(batched):
-    def run(processor, dists):
-        if batched:
-            return processor.process_batch(dists)
-        return [processor.process(dist) for dist in dists]
-
-    inline, dists = _cold_f3(speculative_k=4)
-    inline_results = run(inline, dists)
-    driven, dists = _cold_f3()
-    driven.evaluation_driver = _OneSliceDriver(4)
-    driven_results = run(driven, dists)
-    _assert_same_trajectory(inline, inline_results, driven, driven_results)
-    assert inline.refinement_evaluations == driven.refinement_evaluations
+@pytest.mark.parametrize("batch_size", [1, 4], ids=["per-tuple", "batched"])
+def test_a_window_is_the_same_loop_whatever_carries_it(batch_size):
+    """``async_inflight=4`` through the engine's transport and a window-4
+    driver evaluating inline commit the same trajectory: the carrier only
+    decides where values come from, never which."""
+    inline, dists = _cold_f3()
+    inline.evaluation_driver = _InlineDriver(4)
+    if batch_size == 1:
+        inline_results = [inline.process(dist) for dist in dists]
+    else:
+        inline_results = inline.process_batch(dists)
+    udf = reference_function("F3", simulated_eval_time=1e-3)
+    engine, carried, carried_results = _engine(
+        udf, requirement=AccuracyRequirement(epsilon=0.15, delta=0.05), random_state=31,
+        n_samples=150,
+    )
+    engine.compute_with_plan(
+        udf, dists, ExecutionPlan(async_inflight=4, batch_size=batch_size)
+    )
+    _assert_same_trajectory(inline, inline_results, carried, carried_results)
+    assert inline.refinement_evaluations == carried.refinement_evaluations
 
 
 def _pr13_serial_loop(olgapro, samples, box, rng, initial=None):

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
+from repro.core.emulator import GPEmulator
 from repro.engine import (
     AsyncioTransport,
     ExecutionPlan,
@@ -40,6 +41,7 @@ from repro.engine import (
     ThreadPoolTransport,
     make_transport,
 )
+from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.transport import transport_name
 from repro.exceptions import PlanError, QueryError, UDFError
@@ -128,14 +130,19 @@ def test_udf_submit_rows_dispatches_to_a_transport():
     assert udf.call_count == 4
 
 
-def test_evaluate_many_over_a_transport():
+def test_an_initial_design_over_a_transport():
+    serial = GPEmulator(async_service_udf("F4"))
+    serial.train_initial(8, random_state=3, optimize_hyperparameters=False)
     udf = async_service_udf("F4", latency=1e-3)
-    points = _points(8, seed=3)
-    serial = async_service_udf("F4").evaluate_batch(points)
+    emulator = GPEmulator(udf)
     transport = AsyncioTransport()
-    with transport.session(8, label="many"):
-        values = udf.evaluate_many(points, executor=transport, max_inflight=4)
-    assert np.array_equal(values, serial)
+    with transport.session(8, label="design"):
+        emulator.train_initial(
+            8, random_state=3, optimize_hyperparameters=False,
+            driver=AsyncEvaluationDriver(transport, 4),
+        )
+    assert np.array_equal(emulator.gp.X_train, serial.gp.X_train)
+    assert np.array_equal(emulator.gp.y_train, serial.gp.y_train)
     assert udf.max_in_flight > 1
 
 

@@ -141,8 +141,8 @@ _SCALED_OVERRIDES: dict[str, dict] = {
 #: ``dispatch_bound`` is a long warmed-up stream at a small Monte-Carlo
 #: budget (m = 64, below any (ε, δ)-derived count), where per-call dispatch
 #: is the largest share of a tuple; both modes run the same per-tuple
-#: inference step, so it watches that the chunk's stacked draw and shared
-#: setup do not cost more than they save; ``in_contract`` is the (ε, δ)-derived
+#: inference step and per-tuple draws, so it watches that the chunk's shared
+#: setup does not cost more than it saves; ``in_contract`` is the (ε, δ)-derived
 #: sample count perfbench's ``warm_scan`` judges (m = 1 239), so the gate
 #: also watches a shape the accuracy contract produces.
 _SMOKE_BATCH_SHAPES = {

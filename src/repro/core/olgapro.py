@@ -70,13 +70,13 @@ from repro.core.local_inference import LocalInferenceEngine, global_inference
 from repro.core.online_tuning import LargestVarianceStrategy, TuningStrategy
 from repro.core.retraining import RetrainingPolicy, ThresholdRetrain
 from repro.distributions.base import Distribution
-from repro.distributions.columns import sample_chunk
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.exceptions import GPError, UDFError
 from repro.gp.kernels import Kernel
 from repro.index.bounding_box import BoundingBox
 from repro.rng import RandomState, as_generator
 from repro.udf.base import UDF
+from repro.udf.retry import quarantine_enabled
 
 
 @dataclass(frozen=True)
@@ -462,7 +462,7 @@ class OLGAPRO:
                             samples, boxes[i], rng, initial=first
                         )
                     except UDFError:
-                        if not self._quarantine_enabled():
+                        if not quarantine_enabled(self.udf):
                             raise
                         # Per-tuple quarantine: the refinement loop died on a
                         # terminal UDF failure, but the GP state it left behind
@@ -525,32 +525,16 @@ class OLGAPRO:
     ) -> ChunkPrologue:
         """Run one chunk's shared prologue: initialise the model, draw the samples.
 
-        Initialisation cost is charged to the chunk's first tuple, and
-        per-tuple sampling durations are kept so each tuple's elapsed /
-        charged time covers its own draw.  Monte-Carlo draws happen strictly
-        in tuple order (:func:`repro.distributions.columns.sample_chunk`:
-        one stacked generator call when the inputs encode as a homogeneous
-        column, bit-identical to the per-tuple draws) — sampling is the
-        shared random stream's only consumer, which is what makes every
-        plan consume it identically.
+        Initialisation cost is charged to the chunk's first tuple.  Each
+        tuple then draws its own Monte-Carlo samples, strictly in tuple
+        order (``dist.sample(m, random_state=rng)``), and times its own draw
+        so its elapsed / charged time covers it — sampling is the shared
+        random stream's only consumer, which is what makes every plan
+        consume it identically.  ``distributions`` is never empty
+        (:meth:`process_batch` returns before calling this on no input).
         """
         distributions = list(distributions)
         m = self.mc_samples()
-        if not distributions:
-            # A zero-length column block is a legal chunk: nothing is
-            # initialised or sampled, and the phases report zero.
-            if timings is not None:
-                timings.add("sampling", 0.0)
-                timings.add("inference", 0.0)
-            return ChunkPrologue(
-                init_calls=0,
-                init_charged=0.0,
-                init_elapsed=0.0,
-                n_samples=m,
-                sample_sets=[],
-                sample_seconds=[],
-                boxes=[],
-            )
         init_calls_before = self.udf.call_count
         init_charged_before = self.udf.charged_time
         init_started = time.perf_counter()
@@ -558,9 +542,13 @@ class OLGAPRO:
         init_calls = self.udf.call_count - init_calls_before
         init_charged = self.udf.charged_time - init_charged_before
         init_elapsed = time.perf_counter() - init_started
-        sample_sets, sample_seconds = sample_chunk(distributions, m, rng)
-        # Per-axis minima / maxima over the stacked block's sample axis are
-        # the reductions ``BoundingBox.from_points`` performs per tuple.
+        sample_sets, sample_seconds = [], []
+        for dist in distributions:
+            started = time.perf_counter()
+            sample_sets.append(dist.sample(m, random_state=rng))
+            sample_seconds.append(time.perf_counter() - started)
+        # Per-axis minima / maxima over the block's sample axis are the
+        # reductions ``BoundingBox.from_points`` performs per tuple.
         block = np.stack(sample_sets)
         boxes = [BoundingBox(low, high) for low, high in zip(block.min(axis=1), block.max(axis=1))]
         if timings is not None:
@@ -837,11 +825,6 @@ class OLGAPRO:
             quarantined=quarantined,
             filter_decision=filter_decision,
         )
-
-    def _quarantine_enabled(self) -> bool:
-        """Whether the UDF's installed retry policy quarantines failures."""
-        policy = getattr(self.udf, "_retry_policy", None)
-        return policy is not None and bool(policy.quarantine)
 
     # -- steps of the refinement-window loop ------------------------------------------
     def _absorb_candidate(self, x: np.ndarray) -> float:

@@ -2,14 +2,15 @@
 
 :class:`BatchExecutor` accepts a chunk of tuples and runs it through the
 one tuple-commit loop (:meth:`OLGAPRO.process_batch
-<repro.core.olgapro.OLGAPRO.process_batch>`): the Monte-Carlo input samples
-of the whole chunk are drawn up front (one stacked draw when the inputs
-encode as a column), each tuple then takes the one per-tuple inference
-step, and only the tuples whose error bound misses the budget enter the
-refinement-window loop.  It is the *only* executor below the shard
-wrapper: the all-default plan runs it at a chunk size of one, and the
-plan's ``window`` and ``lookahead`` parameterise the same two loops (see
-:class:`BatchExecutor`), they do not select another executor.
+<repro.core.olgapro.OLGAPRO.process_batch>`): each tuple draws its
+Monte-Carlo input samples up front, in tuple order, then takes the one
+per-tuple inference step, and only the tuples whose error bound misses
+the budget enter the refinement-window loop.  What a chunk shares is the
+per-call setup, the transport session, the speculation stage and, under
+Monte Carlo, one ``evaluate_batch`` call.  It is the *only* executor below
+the shard wrapper: the all-default plan runs it at a chunk size of one,
+and the plan's ``window`` and ``lookahead`` parameterise the same two
+loops (see :class:`BatchExecutor`), they do not select another executor.
 
 Numerical contract: with a deterministic tuning strategy (the default
 largest-variance rule) every chunk size consumes the shared random
@@ -34,7 +35,6 @@ import numpy as np
 from repro.core.filtering import SelectionPredicate
 from repro.core.mc_baseline import mc_sample_count
 from repro.distributions.base import Distribution
-from repro.distributions.columns import sample_chunk
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine, online_result_to_output
@@ -43,12 +43,13 @@ from repro.engine.transport import make_transport
 from repro.exceptions import QueryError, UDFError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
+from repro.udf.retry import quarantine_enabled
 
 if TYPE_CHECKING:  # plan.py imports this module
     from repro.engine.plan import ExecutionPlan
 
 #: Default chunk size under any overlap or shard knob: large enough to
-#: amortise the stacked sample draw and give the lookahead stage tuples to
+#: amortise the per-call setup and give the lookahead stage tuples to
 #: speculate on, small enough to keep the sample block cache-friendly.
 DEFAULT_BATCH_SIZE = 32
 
@@ -234,7 +235,7 @@ class BatchExecutor:
             # cannot reach (the chunk's initial design, or the plain-MC
             # path): quarantine the chunk wholesale rather than
             # abort the query.
-            if not UDFExecutionEngine._quarantine_enabled(udf):
+            if not quarantine_enabled(udf):
                 raise
             return [UDFExecutionEngine.quarantined_output() for _ in chunk]
 
@@ -264,12 +265,15 @@ def mc_chunk(
     rng: np.random.Generator,
     timings: PhaseTimings,
 ) -> list[ComputedOutput]:
-    """Algorithm 1 over a chunk: stack the input samples, evaluate once."""
+    """Algorithm 1 over a chunk: each tuple draws its samples, one ``evaluate_batch``.
+
+    Draws run per tuple in tuple order, so the stream advances exactly as on
+    the per-tuple path; the chunk shares only the UDF call on all its
+    samples.
+    """
     m = mc_sample_count(requirement)
     started = time.perf_counter()
-    # Draws in tuple order keep the stream identical to the per-tuple path;
-    # stacking afterwards costs one copy.
-    stacked_inputs = np.vstack(sample_chunk(chunk, m, rng)[0])
+    stacked_inputs = np.vstack([dist.sample(m, random_state=rng) for dist in chunk])
     timings.add("sampling", time.perf_counter() - started)
 
     charged_before = udf.charged_time

@@ -26,6 +26,7 @@ from repro.exceptions import QueryError, UDFError
 from repro.rng import RandomState, as_generator
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
+from repro.udf.retry import quarantine_enabled
 
 if TYPE_CHECKING:  # imported lazily at runtime (plan.py imports this module)
     from repro.engine.plan import ExecutionPlan
@@ -286,12 +287,6 @@ class UDFExecutionEngine:
 
     # -- quarantine ----------------------------------------------------------------
     @staticmethod
-    def _quarantine_enabled(udf: UDF) -> bool:
-        """Whether the UDF's installed retry policy quarantines failures."""
-        policy = getattr(udf, "_retry_policy", None)
-        return policy is not None and bool(policy.quarantine)
-
-    @staticmethod
     def quarantined_output(
         error_bound: float = float("nan"), charged_time: float = 0.0
     ) -> ComputedOutput:
@@ -351,7 +346,7 @@ class UDFExecutionEngine:
                 random_state=self._rng,
             )
         except UDFError:
-            if not self._quarantine_enabled(udf):
+            if not quarantine_enabled(udf):
                 raise
             return self.quarantined_output()
         return ComputedOutput(

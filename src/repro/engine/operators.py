@@ -89,29 +89,6 @@ def _scan_relation_size(child: Operator) -> int | None:
     return None
 
 
-def _plan_and_executor(
-    plan: ExecutionPlan | str | None,
-    engine: UDFExecutionEngine,
-    udf: UDF,
-    relation_size: int | None,
-) -> tuple[ExecutionPlan, PlannedExecutor]:
-    """Shared plan/executor setup of :class:`ApplyUDF` and :class:`SelectUDF`.
-
-    With no ``plan=``, the engine's default plan (installed at engine
-    construction, or by :meth:`~repro.engine.session.Session.submit`)
-    applies — the seam that lets one plan configure a whole served query
-    without threading it through every builder call.  The ``"auto"``
-    spelling — passed directly, or installed as the engine default —
-    resolves here, where the UDF and the input size are both known, via
-    :meth:`~repro.engine.plan.ExecutionPlan.auto`.
-    """
-    if plan is None:
-        plan = engine.plan if engine.plan is not None else ExecutionPlan()
-    if is_auto_plan(plan):
-        plan = ExecutionPlan.auto(udf, relation_size)
-    return plan, plan.resolve(engine)
-
-
 def _udf_blocks(node, predicate: SelectionPredicate | None = None):
     """Yield ``(rows, outputs)`` blocks of a UDF node, as its plan executes.
 
@@ -301,18 +278,18 @@ class CrossJoin(Operator):
                     yield merged
 
 
-class ApplyUDF(Operator):
-    """Evaluate a UDF on each tuple, adding the output distribution as a column.
+class _UDFCall(Operator):
+    """What :class:`ApplyUDF` and :class:`SelectUDF` share: one validated UDF call.
 
-    The derived attribute stores the empirical output distribution; the
-    claimed error bound is recorded in ``annotations[alias + "_error_bound"]``
-    and the UDF cost in ``annotations[alias + "_udf_calls"]``.
-
-    How the evaluation executes is described by one
-    :class:`~repro.engine.plan.ExecutionPlan` (``plan=``): batching,
-    sharding, overlapped refinement windows, cross-tuple pipelining and
-    the evaluation transport, validated as a unit and resolved to the
-    composed executor stack.
+    ``udf`` may be a catalog name (resolved through
+    :func:`~repro.udf.catalog.default_catalog`).  With no ``plan=``, the
+    engine's default plan (installed at engine construction, or by
+    :meth:`~repro.engine.session.Session.submit`) applies — the seam that
+    lets one plan configure a whole served query without threading it
+    through every builder call.  The ``"auto"`` spelling — passed directly,
+    or installed as the engine default — resolves here, where the UDF and
+    the input size are both known, via
+    :meth:`~repro.engine.plan.ExecutionPlan.auto`.
     """
 
     def __init__(
@@ -324,12 +301,7 @@ class ApplyUDF(Operator):
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
     ):
-        """Validate the UDF call against the child's schema and pick executors.
-
-        ``udf`` may be a catalog name (resolved through
-        :func:`~repro.udf.catalog.default_catalog`) and ``plan`` may be
-        the ``"auto"`` spelling (resolved from the UDF's catalog profile
-        and the scanned relation's size).
+        """Validate the call against the child's schema and resolve its executor.
 
         Raises
         ------
@@ -346,15 +318,32 @@ class ApplyUDF(Operator):
                 raise QueryError(f"UDF argument {name!r} is not in the input schema")
         if alias in child.schema():
             raise QueryError(f"alias {alias!r} collides with an existing attribute")
-        udf = _resolve_catalog_udf(udf)
         self.child = child
-        self.udf = udf
+        self.udf = _resolve_catalog_udf(udf)
         self.argument_names = list(argument_names)
         self.alias = alias
         self.engine = engine
-        self.plan, self._executor = _plan_and_executor(
-            plan, engine, udf, _scan_relation_size(child)
-        )
+        if plan is None:
+            plan = engine.plan if engine.plan is not None else ExecutionPlan()
+        if is_auto_plan(plan):
+            plan = ExecutionPlan.auto(self.udf, _scan_relation_size(child))
+        self.plan = plan
+        self._executor: PlannedExecutor = plan.resolve(engine)
+
+
+class ApplyUDF(_UDFCall):
+    """Evaluate a UDF on each tuple, adding the output distribution as a column.
+
+    The derived attribute stores the empirical output distribution; the
+    claimed error bound is recorded in ``annotations[alias + "_error_bound"]``
+    and the UDF cost in ``annotations[alias + "_udf_calls"]``.
+
+    How the evaluation executes is described by one
+    :class:`~repro.engine.plan.ExecutionPlan` (``plan=``): batching,
+    sharding, overlapped refinement windows, cross-tuple pipelining and
+    the evaluation transport, validated as a unit and resolved to the
+    composed executor stack.
+    """
 
     def schema(self) -> Schema:
         """The child schema plus the derived uncertain output attribute."""
@@ -384,7 +373,7 @@ class ApplyUDF(Operator):
                 yield self._annotated(row, output)
 
 
-class SelectUDF(Operator):
+class SelectUDF(_UDFCall):
     """Evaluate a UDF under a range predicate and filter improbable tuples.
 
     Implements the WHERE clause of query Q2: the UDF output distribution is
@@ -404,35 +393,9 @@ class SelectUDF(Operator):
         engine: UDFExecutionEngine,
         plan: ExecutionPlan | str | None = None,
     ):
-        """Validate the predicated UDF call and pick executors.
-
-        The execution configuration (``plan=``, including the ``"auto"``
-        spelling) and name-based ``udf`` resolution behave exactly as on
-        :class:`ApplyUDF`.
-
-        Raises
-        ------
-        QueryError
-            When ``argument_names`` references unknown attributes, when
-            ``alias`` collides with an existing attribute, or (as
-            :class:`~repro.exceptions.PlanError`) when the plan cannot be
-            resolved against ``engine``.
-        """
-        for name in argument_names:
-            if name not in child.schema():
-                raise QueryError(f"UDF argument {name!r} is not in the input schema")
-        if alias in child.schema():
-            raise QueryError(f"alias {alias!r} collides with an existing attribute")
-        udf = _resolve_catalog_udf(udf)
-        self.child = child
-        self.udf = udf
-        self.argument_names = list(argument_names)
-        self.alias = alias
+        """Validate the predicated UDF call exactly as :class:`ApplyUDF` does."""
+        super().__init__(child, udf, argument_names, alias, engine, plan)
         self.predicate = predicate
-        self.engine = engine
-        self.plan, self._executor = _plan_and_executor(
-            plan, engine, udf, _scan_relation_size(child)
-        )
 
     def schema(self) -> Schema:
         """The child schema plus the predicate-restricted output attribute."""

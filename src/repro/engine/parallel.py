@@ -300,17 +300,13 @@ class ParallelExecutor:
         self, udf: UDF, distributions: list[Distribution], predicate
     ) -> list[ComputedOutput]:
         if not distributions:
-            # An empty relation is a legal query input: no pool is spun up,
-            # no shard runs, but the executor still reports a complete
-            # (zero) phase record so timing consumers never miss a phase.
-            phases = ("sampling", "inference", "refinement")
-            if predicate is not None:
-                phases += ("filtering",)
-            if self.plan.pipeline_lookahead is not None:
-                # Pipelined shards report a speculation phase; the empty run
-                # must expose the same phase set.
-                phases += ("speculation",)
-            self.timings.ensure(*phases)
+            # An empty relation is a legal query input: no pool is spun up
+            # and no shard runs.  The shards' chunk executor, run on no
+            # input (no side effects), reports the (zero) phase set a shard
+            # would, so timing consumers never miss a phase.
+            executor = self.plan.inner().resolve(self.engine)
+            executor._run(udf, [], predicate)
+            self.timings.merge(executor.timings)
             self.last_merged_points = 0
             self.last_dropped_points = 0
             return []

@@ -103,3 +103,9 @@ class RetryPolicy:
         if self.backoff_base == 0.0:
             return 0.0
         return float(min(self.backoff_cap, self.backoff_base * 2.0 ** (failure_count - 1)))
+
+
+def quarantine_enabled(udf) -> bool:
+    """Whether the retry policy installed on ``udf`` quarantines failures."""
+    policy = getattr(udf, "_retry_policy", None)
+    return policy is not None and bool(policy.quarantine)

@@ -1,10 +1,11 @@
 """Differential harness: every plan ≡ the per-tuple reference, bit for bit.
 
 The chunk loop (:meth:`repro.core.olgapro.OLGAPRO.process_batch`) draws
-the chunk's Monte-Carlo block through one stacked generator call when the
-inputs encode as a column, and cuts the stream at chunk boundaries.  That
-is an *implementation detail*: under the same seed every executor layer
-must produce bit-identical
+each tuple's Monte-Carlo samples in tuple order and cuts the stream at
+chunk boundaries; what a chunk shares is the per-call setup, the
+transport session, the speculation stage and Monte Carlo's single
+``evaluate_batch`` call.  None of that may show: under the same seed
+every executor layer must produce bit-identical
 
 * output sample arrays (``distribution.samples``),
 * error bounds (``error_bound``),
@@ -16,14 +17,14 @@ to :meth:`UDFExecutionEngine.compute` called once per tuple.  These tests
 run the same workload through the plan matrix (serial batch, a window on
 each transport, pipeline lookahead, sharded workers) and assert exact
 equality — no tolerances.  A refinement window above one legitimately
-changes the trajectory, so those plans are held against themselves with
-the stacked draw switched off (and ``tests/test_ground_truth.py`` holds
-them against the true output distribution).
+changes the trajectory, so those plans are held against a second run of
+themselves (and ``tests/test_ground_truth.py`` holds them against the
+true output distribution).
 
-Workloads cover both regimes of the encoder: a 1-D Gaussian (and Gamma)
-stream packs into an :class:`~repro.distributions.columns.UncertainColumn`
-and exercises the stacked draw; a 2-D stream of ``IndependentJoint``
-inputs is *not* encodable, so its draws go per tuple — and still match.
+Workloads cover 1-D streams (Gaussian and Gamma inputs) and a 2-D stream
+of ``IndependentJoint`` inputs, which every transport (incl. asyncio) can
+carry.  The file name is historical: the columnar encoding it once
+exercised is gone.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.distributions.columns as columns
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
-from repro.distributions.columns import attempt_encode, stacking_supported
+from repro.distributions.continuous import Gaussian
 from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.udf.synthetic import (
     async_service_udf,
@@ -50,9 +50,8 @@ PREDICATE = SelectionPredicate(low=-1.0, high=1.0, threshold=0.1)
 
 def _make_udf(workload: str):
     if workload == "joint-2d":
-        # 2-D inputs arrive as IndependentJoint objects, which the column
-        # encoder rejects — the differential must hold on per-tuple draws
-        # too.  An AsyncUDF so every transport (incl. asyncio) runs.
+        # 2-D inputs arrive as IndependentJoint objects.  An AsyncUDF so
+        # every transport (incl. asyncio) runs.
         return async_service_udf("F2", latency=0.0)
     return high_dimensional_function(1, simulated_eval_time=1e-4)
 
@@ -139,18 +138,15 @@ def test_every_plan_matches_the_per_tuple_reference(workload, plan):
 
 
 @pytest.mark.parametrize("workload, plan", WINDOWED_MATRIX)
-def test_the_stacked_draw_changes_nothing_under_a_refinement_window(
-    workload, plan, monkeypatch
-):
-    """Where the plan itself moves the trajectory off the per-tuple one, the
-    chunk's stacked draw must still be invisible: the same plan with every
-    tuple drawing its own samples is the reference."""
-    udf_got, candidate = _run(workload, plan)
-    monkeypatch.setattr(columns, "stacking_supported", lambda: False)
-    udf_ref, reference = _run(workload, plan)
-    _assert_bit_identical(reference, candidate)
+def test_each_windowed_plan_is_bitwise_repeatable(workload, plan):
+    """Where the plan itself moves the trajectory off the per-tuple one, it
+    must still be a function of the seed: a second run of the same plan
+    is bitwise the first."""
+    udf_first, first = _run(workload, plan)
+    udf_second, second = _run(workload, plan)
+    _assert_bit_identical(first, second)
     if plan.lookahead == 1:
-        assert udf_ref.call_count == udf_got.call_count
+        assert udf_first.call_count == udf_second.call_count
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -174,38 +170,29 @@ def test_predicate_filtering_matches_the_per_tuple_reference():
 
 
 # ---------------------------------------------------------------------------
-# Guards: the differential above must not pass vacuously
+# Sampling: one draw per tuple, in tuple order
 # ---------------------------------------------------------------------------
 
-def test_workload_encodability_matches_intent():
-    """The 1-D streams really pack into columns and the 2-D stream really
-    does not — otherwise the per-tuple-draw rows of the matrix test nothing."""
-    for workload, encodable in [
-        ("gaussian-1d", True),
-        ("gamma-1d", True),
-        ("joint-2d", False),
-    ]:
-        _, _, dists = _fixture(workload)
-        assert (attempt_encode(dists) is not None) is encodable, workload
-
-
-def test_an_encodable_chunk_draws_through_one_stacked_call(monkeypatch):
-    """On a platform with the fill-order identity the encodable workload
-    must draw each chunk through the stacked sampler — not silently per
-    tuple, which would leave the stacked-draw rows of the matrix untested."""
-    if not stacking_supported():
-        pytest.skip("platform fails the stacking identity probe")
-    draws = []
-    real_draw = columns.sample_stacked
-
-    def spy_draw(column, size, rng):
-        draws.append(len(column))
-        return real_draw(column, size, rng)
-
-    monkeypatch.setattr(columns, "sample_stacked", spy_draw)
+@pytest.mark.parametrize(
+    "plan", [ExecutionPlan(), ExecutionPlan(batch_size=32)], ids=["per-tuple", "batch-32"]
+)
+def test_each_tuple_draws_through_its_own_sample_call(plan, monkeypatch):
+    """A chunk of 1-D Gaussian tuples calls ``Distribution.sample`` exactly
+    once per tuple, in tuple order — the one sampling path, which is also
+    the call a profiler's ``distributions.sample`` span counts."""
     udf, engine, dists = _fixture("gaussian-1d")
-    ExecutionPlan(batch_size=4).resolve(engine).compute_batch(udf, dists)
-    assert draws == [4, 4, 2]
+    assert all(type(dist) is Gaussian for dist in dists)
+    sampled = []
+    real_sample = Gaussian.sample
+
+    def spy_sample(self, size, random_state=None):
+        sampled.append(self)
+        return real_sample(self, size, random_state=random_state)
+
+    monkeypatch.setattr(Gaussian, "sample", spy_sample)
+    plan.resolve(engine).compute_batch(udf, dists)
+    assert len(sampled) == N_TUPLES
+    assert all(got is dist for got, dist in zip(sampled, dists))
 
 
 # ---------------------------------------------------------------------------

@@ -169,19 +169,6 @@ def test_single_tuple_chunk_matches_per_tuple():
     assert ref.udf_calls == got.udf_calls
 
 
-def test_zero_length_column_block_samples_empty():
-    """sample_stacked on an empty column returns an empty (0, m, 1) block
-    without touching the random stream."""
-    from repro.distributions.columns import UncertainColumn, sample_stacked
-
-    column = UncertainColumn(family="gaussian", params=np.empty((0, 2)))
-    rng = np.random.default_rng(3)
-    before = rng.bit_generator.state
-    block = sample_stacked(column, 7, rng)
-    assert block.shape == (0, 7, 1)
-    assert rng.bit_generator.state == before
-
-
 # ---------------------------------------------------------------------------
 # Filtered (predicate) path
 # ---------------------------------------------------------------------------

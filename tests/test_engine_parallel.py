@@ -154,6 +154,16 @@ def test_empty_input_emits_zero_phase_timings():
     assert executor.last_dropped_points == 0
     # The predicate path degenerates the same way.
     assert executor.compute_batch_with_predicate(udf, [], PREDICATE) == []
+    # A sharded plan with a lookahead and a predicate reports exactly the
+    # phase set of the unsharded plan its shards run.
+    plan = ExecutionPlan(workers=2, pipeline_lookahead=2)
+    sharded = plan.resolve(engine)
+    inner = plan.inner().resolve(engine)
+    assert sharded.compute_batch_with_predicate(udf, [], PREDICATE) == []
+    assert inner.compute_batch_with_predicate(udf, [], PREDICATE) == []
+    assert set(sharded.timings.seconds) == set(inner.timings.seconds)
+    assert {"filtering", "speculation"} <= set(sharded.timings.seconds)
+    assert all(value == 0.0 for value in sharded.timings.seconds.values())
 
 
 def test_batch_size_larger_than_relation_yields_one_shard_with_timings():

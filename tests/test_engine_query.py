@@ -9,6 +9,7 @@ from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.query import Query
 from repro.engine.sdss import generate_galaxy_relation
+from repro.engine.tuples import Relation
 from repro.exceptions import QueryError
 from repro.udf.astro import comove_vol_udf, galage_udf, sky_distance_udf
 
@@ -111,3 +112,17 @@ class TestBuilderValidation:
     def test_plan_without_execution(self, galaxy, engine):
         plan = Query(galaxy).project(["objID"]).plan(engine)
         assert plan.schema().names() == ["objID"]
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty-relation"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda q: q.apply_udf("galage", [], alias="g"),
+            lambda q: q.where_udf("galage", [], alias="g", low=0.0, high=1.0),
+        ],
+        ids=["apply_udf", "where_udf"],
+    )
+    def test_udf_call_without_arguments_fails_at_plan(self, galaxy, engine, build, empty):
+        relation = Relation(name="empty", schema=galaxy.schema) if empty else galaxy
+        with pytest.raises(QueryError, match="at least one argument"):
+            build(Query(relation)).plan(engine)

@@ -214,16 +214,20 @@ def test_one_storage_one_kernel_path():
         if cls.__module__ == local_inference.__name__ and "rows" in vars(cls)
     ]
     assert kernel_caches == []
-    # The one stacking identity left, the RNG fill order, is probed where
-    # the chunk draw relies on it — and nowhere else.
-    probing = []
+    # One sampling path: every tuple draws its own samples, so no module
+    # defines or calls a stacked draw or its fill-order probe.
+    stacked = []
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
-        calls = [
-            n.func for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)
-        ]
-        if any(getattr(f, "id", getattr(f, "attr", None)) == "stacking_supported" for f in calls):
-            probing.append(path.name)
-    assert probing == ["columns.py"]
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        called = {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+        }
+        if (defined | called) & {"stacking_supported", "sample_stacked"}:
+            stacked.append(path.name)
+    assert stacked == []
 
 
 def test_removed_spellings_fail_at_the_call_site():

@@ -1,13 +1,12 @@
-"""Property-based tests (hypothesis) for the columnar column kernels.
+"""Property-based tests (hypothesis) for the batch forms kept by name.
 
-Every columnar hot path carries a *bit-identity* claim against its scalar
+Each batch form carries a *bit-identity* claim against its scalar
 counterpart; these properties search for counterexamples over random
 shapes — including the degenerate ones (B = 0, B = 1, single-sample rows,
 tie-heavy sample blocks) where off-by-one errors in batched index algebra
-hide:
+hide.  The file name is historical: the columnar encoding and its stacked
+Monte-Carlo draw are gone, every tuple draws its own samples.
 
-* encode → hydrate round-trips every supported column family exactly, and
-  the stacked Monte-Carlo draw equals the per-row loop draw for draw;
 * the batch forms external profiling tools bind by name —
   :func:`repro.gp.linalg.stacked_jittered_cholesky`,
   :func:`repro.core.error_bounds.gp_discrepancy_bound_block` and
@@ -32,12 +31,6 @@ from repro.core.error_bounds import (
     gp_discrepancy_bound,
     gp_discrepancy_bound_block,
 )
-from repro.distributions.columns import (
-    COLUMN_FAMILIES,
-    attempt_encode,
-    sample_stacked,
-    stacking_supported,
-)
 from repro.gp.kernels import Matern32, SquaredExponential
 from repro.gp.linalg import jittered_cholesky, stacked_jittered_cholesky
 from repro.index.bounding_box import BoundingBox
@@ -49,74 +42,6 @@ positive = st.floats(min_value=1e-3, max_value=20.0, allow_nan=False, allow_infi
 # the regime where the bound sweep's CDF counts must agree with
 # searchsorted's semantics.
 tie_prone = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-
-
-# ---------------------------------------------------------------------------
-# Column encoding: round-trip and stacked sampling
-# ---------------------------------------------------------------------------
-
-FAMILY_PARAM_STRATEGIES = {
-    "gaussian": st.tuples(finite, positive),
-    "uniform": st.tuples(finite, positive).map(lambda p: (p[0], p[0] + p[1])),
-    "exponential": st.tuples(positive, finite),
-    "gamma": st.tuples(positive, positive, finite),
-    "point": st.tuples(finite),
-}
-
-
-def _hydrate_family(family, rows):
-    cls, _ = COLUMN_FAMILIES[family]
-    return [cls(*row) for row in rows]
-
-
-@given(
-    family=st.sampled_from(sorted(FAMILY_PARAM_STRATEGIES)),
-    data=st.data(),
-    n=st.integers(min_value=1, max_value=12),
-)
-@settings(max_examples=60, deadline=None)
-def test_encode_hydrate_round_trip(family, data, n):
-    rows = [data.draw(FAMILY_PARAM_STRATEGIES[family]) for _ in range(n)]
-    originals = _hydrate_family(family, rows)
-    column = attempt_encode(originals)
-    assert column is not None and column.family == family and len(column) == n
-    _, names = COLUMN_FAMILIES[family]
-    for original, hydrated in zip(originals, column.hydrate_all()):
-        assert type(hydrated) is type(original)
-        if family == "point":
-            assert np.array_equal(hydrated.value, original.value)
-        else:
-            for name in names:
-                assert getattr(hydrated, name) == getattr(original, name)
-
-
-@given(
-    family=st.sampled_from(sorted(FAMILY_PARAM_STRATEGIES)),
-    data=st.data(),
-    n=st.integers(min_value=1, max_value=8),
-    m=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_stacked_sampling_matches_per_row_loop(family, data, n, m, seed):
-    """One broadcast draw over the column consumes the shared random stream
-    exactly as the per-tuple loop does — the determinism contract."""
-    if not stacking_supported():
-        pytest.skip("platform fails the stacking identity probes")
-    rows = [data.draw(FAMILY_PARAM_STRATEGIES[family]) for _ in range(n)]
-    column = attempt_encode(_hydrate_family(family, rows))
-    block = sample_stacked(column, m, np.random.default_rng(seed))
-    loop_rng = np.random.default_rng(seed)
-    for i in range(n):
-        expected = column.hydrate(i).sample(m, random_state=loop_rng)
-        assert np.array_equal(block[i], np.asarray(expected).reshape(m, 1)), i
-
-
-def test_heterogeneous_and_empty_columns_do_not_encode():
-    from repro.distributions.continuous import Gaussian, Uniform
-
-    assert attempt_encode([]) is None
-    assert attempt_encode([Gaussian(0.0, 1.0), Uniform(0.0, 1.0)]) is None
 
 
 # ---------------------------------------------------------------------------

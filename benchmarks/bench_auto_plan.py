@@ -18,13 +18,10 @@ def test_auto_plan(once):
 
     report = auto_plan_report(table)
     # Shape check 1: one row per mode, naive first (the speedup reference).
-    assert [r["mode"] for r in table.rows] == ["naive", "auto", "explicit"]
+    assert [r["mode"] for r in table.rows] == ["naive", "auto"]
 
-    # Shape check 2 (correctness, not perf): plan="auto" IS the explicitly
-    # spelled plan it resolves to, bit for bit.
-    assert report["identical_to_explicit"] is True
-
-    # Shape check 3: overlapping the declared service latency never
+    # Shape check 2: overlapping the declared service latency never
     # pathologically regresses.  (The quantitative >= 2x target on the
-    # 20 ms/request service is tracked by the CI smoke artifact.)
+    # 20 ms/request service is tracked by the CI smoke artifact; auto ≡ its
+    # explicit plan is pinned by tests/test_auto_plan.py.)
     assert report["speedup"] > 0.8

@@ -8,7 +8,7 @@ from repro.bench import async_report, udf_overlap
 def test_udf_overlap(once):
     table = once(
         lambda: udf_overlap(
-            inflight_list=(1, 4),
+            inflight_list=(4,),
             n_tuples=4,
             batch_size=4,
             real_eval_time=5e-3,
@@ -20,14 +20,11 @@ def test_udf_overlap(once):
 
     report = async_report(table)
     # Shape check 1: one serial row plus one async row per in-flight bound.
-    assert [r["mode"] for r in table.rows] == ["serial", "async", "async"]
-    assert set(report["speedup"]) == {"1", "4"}
+    assert [r["mode"] for r in table.rows] == ["serial", "async"]
+    assert set(report["speedup"]) == {"4"}
 
-    # Shape check 2 (correctness, not perf): the inflight=1 run IS the
-    # serial batched path, bit for bit.
-    assert report["identical_at_1"] is True
-
-    # Shape check 3: overlapping a genuinely slow black box never
+    # Shape check 2: overlapping a genuinely slow black box never
     # pathologically regresses.  (The quantitative >= 2x target at
-    # inflight=8 is tracked by the CI smoke artifact at full scale.)
+    # inflight=8 is tracked by the CI smoke artifact at full scale; the
+    # inflight=1 ≡ serial identity is pinned by tests/test_async_exec.py.)
     assert report["speedup"]["4"] > 0.8

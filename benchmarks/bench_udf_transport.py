@@ -9,7 +9,7 @@ def test_udf_transport(once):
     table = once(
         lambda: udf_transport(
             transports=("threads", "asyncio"),
-            inflight_list=(1, 4),
+            inflight_list=(4,),
             n_tuples=4,
             batch_size=4,
             service_latency=5e-3,
@@ -21,18 +21,13 @@ def test_udf_transport(once):
 
     report = transport_report(table)
     # Shape check 1: one serial row plus one row per (transport, inflight).
-    assert [r["transport"] for r in table.rows] == [
-        "serial", "threads", "threads", "asyncio", "asyncio",
-    ]
+    assert [r["transport"] for r in table.rows] == ["serial", "threads", "asyncio"]
     assert set(report["speedup"]) == {"threads", "asyncio"}
-    assert set(report["speedup"]["asyncio"]) == {"1", "4"}
+    assert set(report["speedup"]["asyncio"]) == {"4"}
 
-    # Shape check 2 (correctness, not perf): every transport's inflight=1
-    # run IS the serial batched path, bit for bit.
-    assert report["identical_at_1"] == {"threads": True, "asyncio": True}
-
-    # Shape check 3: overlapping awaited service latency never
+    # Shape check 2: overlapping awaited service latency never
     # pathologically regresses.  (The quantitative >= 2x target at
     # inflight=8 on the asyncio transport is tracked by the CI smoke
-    # artifact at full scale.)
+    # artifact at full scale; every transport's inflight=1 ≡ serial
+    # identity is pinned by tests/test_transport.py.)
     assert report["speedup"]["asyncio"]["4"] > 0.8

@@ -13,9 +13,9 @@ spends its time in refinement, which is the loop being overlapped) is
 pushed through the chunk executor (:class:`~repro.engine.batch
 .BatchExecutor`) at window 1 and at each in-flight bound.  The
 table reports wall-clock, UDF calls and the speedup versus the serial
-batched run.  The ``async_inflight=1`` row is additionally checked for
-**bit-identity** with the serial run — the determinism half of the
-window's contract — and the verdict is recorded in the table.
+batched run.  A window of one builds the serial executor itself, so the
+sweep leaves it out; its bit-identity with the serial run is pinned by
+``tests/test_async_exec.py`` and ``tests/test_transport.py``.
 
 A second experiment, :func:`udf_transport`, sweeps the *transport* axis of
 the same protocol: the black box is a natively-async simulated-latency
@@ -27,22 +27,15 @@ same UDF.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, timed_run
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
-from repro.rng import as_generator
 from repro.udf.synthetic import async_service_udf, reference_function
-from repro.workloads.generators import input_stream, workload_for_udf
 
 
 def udf_overlap(
     function_name: str = "F4",
-    inflight_list: tuple[int, ...] = (1, 2, 4, 8),
+    inflight_list: tuple[int, ...] = (2, 4, 8),
     n_tuples: int = 8,
     batch_size: int = 8,
     real_eval_time: float = 2e-2,
@@ -65,12 +58,6 @@ def udf_overlap(
     (``"threads"`` by default; this experiment's blocking
     :class:`~repro.udf.synthetic.RealCostFunction` workload cannot ride
     ``"asyncio"`` — that axis is :func:`udf_transport`'s).
-
-    Each ``async_inflight`` row's ``matches_serial`` column records whether
-    the run's output distributions and error bounds were bit-identical to
-    the serial baseline: expected (and CI-enforced) ``True`` at
-    ``async_inflight=1``, and legitimately ``False`` above it, where the
-    windowed speculative trajectory absorbs different training points.
     """
     table = ExperimentTable(
         experiment_id="udf_overlap",
@@ -85,54 +72,36 @@ def udf_overlap(
 
     def run(inflight: int | None):
         """One full run; ``inflight=None`` is the serial batched baseline."""
-        plan = ExecutionPlan(
-            batch_size=batch_size, async_inflight=inflight, transport=transport
-        )
-        best = float("inf")
-        calls = 0
-        outputs = None
-        for _ in range(max(1, trials)):
-            udf = reference_function(
+        return timed_run(
+            lambda: reference_function(
                 function_name,
                 real_eval_time=real_eval_time,
                 real_eval_jitter=real_eval_jitter,
-            )
-            kwargs = {"n_samples": n_samples} if n_samples else {}
-            engine = UDFExecutionEngine(
-                strategy="gp", requirement=requirement, random_state=random_state,
-                **kwargs,
-            )
-            dists = list(
-                input_stream(
-                    workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-                )
-            )
-            started = time.perf_counter()
-            outputs = plan.resolve(engine).compute_batch(udf, dists)
-            best = min(best, time.perf_counter() - started)
-            calls = udf.call_count
-        return best, calls, outputs
+            ),
+            ExecutionPlan(batch_size=batch_size, async_inflight=inflight, transport=transport),
+            n_tuples=n_tuples, stream_seed=stream_seed, trials=trials,
+            strategy="gp", requirement=requirement, random_state=random_state,
+            n_samples=n_samples,
+        )
 
-    serial_wall, serial_calls, serial_outputs = run(None)
+    serial = run(None)
     table.add_row(
         mode="serial",
         async_inflight=1,
         n_tuples=n_tuples,
-        wall_ms=float(serial_wall * 1000.0),
-        udf_calls=serial_calls,
+        wall_ms=float(serial.wall_s * 1000.0),
+        udf_calls=serial.udf_calls,
         speedup=1.0,
-        matches_serial=True,
     )
     for inflight in inflight_list:
-        wall, calls, outputs = run(inflight)
+        windowed = run(inflight)
         table.add_row(
             mode="async",
             async_inflight=inflight,
             n_tuples=n_tuples,
-            wall_ms=float(wall * 1000.0),
-            udf_calls=calls,
-            speedup=float(serial_wall / max(wall, 1e-12)),
-            matches_serial=_outputs_identical(serial_outputs, outputs),
+            wall_ms=float(windowed.wall_s * 1000.0),
+            udf_calls=windowed.udf_calls,
+            speedup=float(serial.wall_s / max(windowed.wall_s, 1e-12)),
         )
     return table
 
@@ -140,7 +109,7 @@ def udf_overlap(
 def udf_transport(
     function_name: str = "F4",
     transports: tuple[str, ...] = ("threads", "asyncio"),
-    inflight_list: tuple[int, ...] = (1, 8),
+    inflight_list: tuple[int, ...] = (8,),
     n_tuples: int = 8,
     batch_size: int = 8,
     service_latency: float = 2e-2,
@@ -160,13 +129,12 @@ def udf_transport(
     pays the latency one call at a time) and then, per transport and
     in-flight bound, the overlapped refinement pipeline.
 
-    Contract encoded in the table: every ``async_inflight=1`` row — each
-    transport — is bit-identical to the serial batched baseline (this half
-    is CI-enforced by the ``udf_transport`` smoke entry, like the other
-    identity gates), and the event-loop transport's deeper windows clear
-    ≥2× wall-clock at ``async_inflight=8`` on the 20 ms/call service (the
-    speedup is *recorded* in the smoke artifact and tracked PR to PR, not
-    hard-gated — matching how the other overlap speedups are handled).
+    The event-loop transport's deeper windows clear ≥2× wall-clock at
+    ``async_inflight=8`` on the 20 ms/call service (the speedup is
+    *recorded* in the smoke artifact and tracked PR to PR, not hard-gated —
+    matching how the other overlap speedups are handled).  A window of one
+    opens no transport session, so it is the serial run and the sweep
+    leaves it out (``tests/test_transport.py`` pins that identity).
     """
     table = ExperimentTable(
         experiment_id="udf_transport",
@@ -179,59 +147,38 @@ def udf_transport(
     )
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
-    def run(transport: str | None, inflight: int | None):
-        """One full run; ``transport=None`` is the serial batched baseline."""
-        if transport is None:
-            plan = ExecutionPlan(batch_size=batch_size)
-        else:
-            plan = ExecutionPlan(
-                batch_size=batch_size, async_inflight=inflight, transport=transport
-            )
-        best = float("inf")
-        calls = 0
-        outputs = None
-        for _ in range(max(1, trials)):
-            udf = async_service_udf(
+    def run(plan: ExecutionPlan):
+        return timed_run(
+            lambda: async_service_udf(
                 function_name, latency=service_latency, jitter=service_jitter,
                 random_state=random_state,
-            )
-            kwargs = {"n_samples": n_samples} if n_samples else {}
-            engine = UDFExecutionEngine(
-                strategy="gp", requirement=requirement, random_state=random_state,
-                **kwargs,
-            )
-            dists = list(
-                input_stream(
-                    workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-                )
-            )
-            started = time.perf_counter()
-            outputs = plan.resolve(engine).compute_batch(udf, dists)
-            best = min(best, time.perf_counter() - started)
-            calls = udf.call_count
-        return best, calls, outputs
+            ),
+            plan, n_tuples=n_tuples, stream_seed=stream_seed, trials=trials,
+            strategy="gp", requirement=requirement, random_state=random_state,
+            n_samples=n_samples,
+        )
 
-    serial_wall, serial_calls, serial_outputs = run(None, None)
+    serial = run(ExecutionPlan(batch_size=batch_size))
     table.add_row(
         transport="serial",
         async_inflight=1,
         n_tuples=n_tuples,
-        wall_ms=float(serial_wall * 1000.0),
-        udf_calls=serial_calls,
+        wall_ms=float(serial.wall_s * 1000.0),
+        udf_calls=serial.udf_calls,
         speedup=1.0,
-        matches_serial=True,
     )
     for transport in transports:
         for inflight in inflight_list:
-            wall, calls, outputs = run(transport, inflight)
+            windowed = run(ExecutionPlan(
+                batch_size=batch_size, async_inflight=inflight, transport=transport
+            ))
             table.add_row(
                 transport=transport,
                 async_inflight=inflight,
                 n_tuples=n_tuples,
-                wall_ms=float(wall * 1000.0),
-                udf_calls=calls,
-                speedup=float(serial_wall / max(wall, 1e-12)),
-                matches_serial=_outputs_identical(serial_outputs, outputs),
+                wall_ms=float(windowed.wall_s * 1000.0),
+                udf_calls=windowed.udf_calls,
+                speedup=float(serial.wall_s / max(windowed.wall_s, 1e-12)),
             )
     return table
 
@@ -241,20 +188,13 @@ def transport_report(table: ExperimentTable) -> dict:
 
     ``speedup`` maps ``transport -> {async_inflight: speedup}``;
     ``speedup_at_8`` pulls out each transport's headline in-flight-8 number
-    (falling back to its largest measured window), and ``identical_at_1``
-    maps ``transport -> bool`` for the bit-identity half of the acceptance
-    contract — enforced for *every* transport by the smoke driver.
+    (falling back to its largest measured window).
     """
     speedups: dict[str, dict[int, float]] = {}
-    identical_at_1: dict[str, bool] = {}
     for row in table.rows:
         transport = str(row["transport"])
-        if transport == "serial":
-            continue
-        inflight = int(row["async_inflight"])
-        speedups.setdefault(transport, {})[inflight] = float(row["speedup"])
-        if inflight == 1:
-            identical_at_1[transport] = bool(row["matches_serial"])
+        if transport != "serial":
+            speedups.setdefault(transport, {})[int(row["async_inflight"])] = float(row["speedup"])
     headline: dict[str, dict] = {}
     for transport, sweep in speedups.items():
         target = 8 if 8 in sweep else max(sweep)
@@ -268,20 +208,7 @@ def transport_report(table: ExperimentTable) -> dict:
             for transport, sweep in sorted(speedups.items())
         },
         "speedup_at_8": headline,
-        "identical_at_1": identical_at_1,
     }
-
-
-def _outputs_identical(a_outputs, b_outputs) -> bool:
-    """Whether two runs produced bit-identical distributions and bounds."""
-    if a_outputs is None or b_outputs is None or len(a_outputs) != len(b_outputs):
-        return False
-    for a, b in zip(a_outputs, b_outputs):
-        if not np.array_equal(a.distribution.samples, b.distribution.samples):
-            return False
-        if a.error_bound != b.error_bound:
-            return False
-    return True
 
 
 def async_report(table: ExperimentTable) -> dict:
@@ -290,18 +217,13 @@ def async_report(table: ExperimentTable) -> dict:
     ``speedup`` maps ``async_inflight -> speedup``; ``speedup_at_8`` pulls
     out the headline in-flight-8 number tracked by the CI smoke artifact
     (falling back to the largest measured window when 8 was not part of the
-    sweep), and ``identical_at_1`` records the bit-identity verdict of the
-    ``async_inflight=1`` run — both halves of the acceptance contract.
+    sweep).
     """
-    speedups: dict[int, float] = {}
-    identical_at_1 = None
-    for row in table.rows:
-        if row["mode"] != "async":
-            continue
-        inflight = int(row["async_inflight"])
-        speedups[inflight] = float(row["speedup"])
-        if inflight == 1:
-            identical_at_1 = bool(row["matches_serial"])
+    speedups = {
+        int(row["async_inflight"]): float(row["speedup"])
+        for row in table.rows
+        if row["mode"] == "async"
+    }
     headline = None
     if speedups:
         target = 8 if 8 in speedups else max(speedups)
@@ -312,5 +234,4 @@ def async_report(table: ExperimentTable) -> dict:
         "rows": list(table.rows),
         "speedup": {str(k): v for k, v in sorted(speedups.items())},
         "speedup_at_8": headline,
-        "identical_at_1": identical_at_1,
     }

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, outputs_identical
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
@@ -119,12 +119,7 @@ def batch_pipeline_speedup(
             timed[mode] = mode_times[fastest]
             phases[mode] = mode_phases[fastest]
         speedup = timed["per_tuple"] / max(timed["batched"], 1e-12)
-        identical = len(outputs["per_tuple"]) == len(outputs["batched"]) and all(
-            np.array_equal(ref.distribution.samples, got.distribution.samples)
-            and ref.error_bound == got.error_bound
-            and ref.udf_calls == got.udf_calls
-            for ref, got in zip(outputs["per_tuple"], outputs["batched"])
-        )
+        identical = outputs_identical(outputs["per_tuple"], outputs["batched"], charges=True)
         for mode in ("per_tuple", "batched"):
             mode_phases = phases[mode]
             table.add_row(

@@ -33,17 +33,12 @@ is a correctness bug, never noise).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, outputs_identical, timed_run
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
-from repro.rng import as_generator
 from repro.udf.faults import FaultInjectingAsyncUDF, FaultInjectingUDF, FaultSchedule
 from repro.udf.retry import RetryPolicy
 from repro.udf.synthetic import async_service_udf, reference_function
-from repro.workloads.generators import input_stream, workload_for_udf
 
 #: The execution modes the identity gate sweeps (unified-runtime transports).
 FAULT_MODES: tuple[str, ...] = ("serial", "threads", "asyncio")
@@ -88,53 +83,35 @@ def fault_injection(
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
     policy = RetryPolicy(max_attempts=max_attempts, backoff_base=0.0)
 
-    def run(mode: str, inject: bool):
-        """One full run of ``mode``; returns (outputs, call_count, schedule)."""
-        schedule = None
-        if inject:
-            # Cap consecutive failures below the attempt budget so every
-            # injected streak is recoverable — the precondition of the
-            # bit-identity contract this experiment gates.
-            schedule = FaultSchedule(
-                fault_rate, seed=fault_seed,
-                max_failures_per_point=max_attempts - 1,
-            )
+    def run(mode: str, schedule: FaultSchedule | None):
+        """One full run of ``mode``, faults injected from ``schedule`` if given."""
         if mode == "asyncio":
-            inner = async_service_udf(
-                function_name, latency=service_latency, random_state=random_state
-            )
-            udf = FaultInjectingAsyncUDF(inner, schedule) if inject else inner
-            plan = ExecutionPlan(
-                batch_size=batch_size, async_inflight=inflight,
-                transport="asyncio", retry=policy,
-            )
-        else:
-            inner = reference_function(function_name)
-            udf = FaultInjectingUDF(inner, schedule) if inject else inner
-            if mode == "threads":
-                plan = ExecutionPlan(
-                    batch_size=batch_size, async_inflight=inflight,
-                    transport="threads", retry=policy,
+            def make_udf():
+                inner = async_service_udf(
+                    function_name, latency=service_latency, random_state=random_state
                 )
-            else:
-                plan = ExecutionPlan(batch_size=batch_size, retry=policy)
-        kwargs = {"n_samples": n_samples} if n_samples else {}
-        engine = UDFExecutionEngine(
+                return inner if schedule is None else FaultInjectingAsyncUDF(inner, schedule)
+        else:
+            def make_udf():
+                inner = reference_function(function_name)
+                return inner if schedule is None else FaultInjectingUDF(inner, schedule)
+        window = {} if mode == "serial" else {"async_inflight": inflight, "transport": mode}
+        return timed_run(
+            make_udf, ExecutionPlan(batch_size=batch_size, retry=policy, **window),
+            n_tuples=n_tuples, stream_seed=stream_seed,
             strategy="gp", requirement=requirement, random_state=random_state,
-            **kwargs,
+            n_samples=n_samples,
         )
-        dists = list(
-            input_stream(
-                workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-            )
-        )
-        result = engine.compute_with_plan(udf, dists, plan=plan)
-        return list(result.outputs), udf.call_count, schedule
 
     for mode in modes:
-        clean_outputs, clean_calls, _ = run(mode, inject=False)
-        faulty_outputs, faulty_calls, schedule = run(mode, inject=True)
-        assert schedule is not None
+        clean = run(mode, None)
+        # Cap consecutive failures below the attempt budget so every
+        # injected streak is recoverable — the precondition of the
+        # bit-identity contract this experiment gates.
+        schedule = FaultSchedule(
+            fault_rate, seed=fault_seed, max_failures_per_point=max_attempts - 1
+        )
+        faulty = run(mode, schedule)
         table.add_row(
             mode=mode,
             n_tuples=n_tuples,
@@ -142,9 +119,9 @@ def fault_injection(
             max_attempts=max_attempts,
             injected_failures=schedule.injected_failures,
             attempts_seen=schedule.attempts_seen,
-            identical=_outputs_identical(clean_outputs, faulty_outputs),
-            calls_match=bool(clean_calls == faulty_calls),
-            udf_calls=faulty_calls,
+            identical=outputs_identical(clean.outputs, faulty.outputs),
+            calls_match=bool(clean.udf_calls == faulty.udf_calls),
+            udf_calls=faulty.udf_calls,
         )
     return table
 
@@ -153,35 +130,19 @@ def faults_report(table: ExperimentTable) -> dict:
     """JSON-ready summary of a :func:`fault_injection` run.
 
     ``identical`` maps ``mode -> bool`` (the non-overridable smoke gate),
-    ``calls_match`` the cost-accounting half of the same contract, and
-    ``injected`` maps ``mode -> injected fault count`` so the driver can
-    reject a vacuous run where no fault actually fired.
+    ``calls_match`` the cost-accounting half of the same contract,
+    ``injected`` maps ``mode -> injected fault count``, and ``fired`` maps
+    ``mode -> whether any fault fired``, so the smoke can reject a vacuous
+    run.
     """
-    identical: dict[str, bool] = {}
-    calls_match: dict[str, bool] = {}
-    injected: dict[str, int] = {}
-    for row in table.rows:
-        mode = str(row["mode"])
-        identical[mode] = bool(row["identical"])
-        calls_match[mode] = bool(row["calls_match"])
-        injected[mode] = int(row["injected_failures"])
+    by_mode = {str(row["mode"]): row for row in table.rows}
     return {
         "experiment_id": table.experiment_id,
         "description": table.description,
         "rows": list(table.rows),
-        "identical": identical,
-        "calls_match": calls_match,
-        "injected": injected,
+        "identical": {mode: bool(row["identical"]) for mode, row in by_mode.items()},
+        "calls_match": {mode: bool(row["calls_match"]) for mode, row in by_mode.items()},
+        "injected": {mode: int(row["injected_failures"]) for mode, row in by_mode.items()},
+        "fired": {mode: row["injected_failures"] > 0 for mode, row in by_mode.items()},
     }
 
-
-def _outputs_identical(a_outputs, b_outputs) -> bool:
-    """Whether two runs produced bit-identical distributions and bounds."""
-    if a_outputs is None or b_outputs is None or len(a_outputs) != len(b_outputs):
-        return False
-    for a, b in zip(a_outputs, b_outputs):
-        if not np.array_equal(a.distribution.samples, b.distribution.samples):
-            return False
-        if a.error_bound != b.error_bound:
-            return False
-    return True

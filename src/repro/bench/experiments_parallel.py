@@ -26,17 +26,10 @@ within one invocation and gated on every runner.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, outputs_identical, timed_run
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
-from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
-from repro.workloads.generators import input_stream, workload_for_udf
 
 
 def parallel_scaling(
@@ -72,70 +65,63 @@ def parallel_scaling(
     )
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
-    def timed_run(strategy: str, workers: int | None) -> tuple[float, int]:
-        """One full run; ``workers=None`` is the serial batched baseline."""
-        if workers is None:
-            plan = ExecutionPlan(batch_size=batch_size)
-        else:
-            plan = ExecutionPlan(
-                batch_size=batch_size, workers=workers, parallel_seed=shard_seed,
-                merge=merge,  # type: ignore[arg-type]
-            )
-        best = float("inf")
-        calls = 0
-        for _ in range(max(1, trials)):
-            udf = reference_function(function_name, real_eval_time=real_eval_time)
-            kwargs = {"n_samples": n_samples} if strategy == "gp" and n_samples else {}
-            engine = UDFExecutionEngine(
-                strategy=strategy, requirement=requirement, random_state=random_state,
-                **kwargs,
-            )
-            dists = list(
-                input_stream(
-                    workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-                )
-            )
-            started = time.perf_counter()
-            plan.resolve(engine).compute_batch(udf, dists)
-            best = min(best, time.perf_counter() - started)
-            calls = udf.call_count
-        return best, calls
+    def run(strategy: str, plan: ExecutionPlan):
+        kwargs = {"n_samples": n_samples} if strategy == "gp" and n_samples else {}
+        return timed_run(
+            lambda: reference_function(function_name, real_eval_time=real_eval_time),
+            plan, n_tuples=n_tuples, stream_seed=stream_seed, trials=trials,
+            strategy=strategy, requirement=requirement, random_state=random_state,
+            **kwargs,
+        )
 
     for strategy in strategies:
-        serial_wall, serial_calls = timed_run(strategy, None)
+        serial = run(strategy, ExecutionPlan(batch_size=batch_size))
         table.add_row(
             strategy=strategy,
             mode="serial",
             workers=1,
             n_tuples=n_tuples,
-            wall_ms=float(serial_wall * 1000.0),
-            udf_calls=serial_calls,
+            wall_ms=float(serial.wall_s * 1000.0),
+            udf_calls=serial.udf_calls,
             speedup=1.0,
         )
         for workers in workers_list:
-            wall, calls = timed_run(strategy, workers)
+            sharded = run(strategy, ExecutionPlan(
+                batch_size=batch_size, workers=workers, parallel_seed=shard_seed,
+                merge=merge,  # type: ignore[arg-type]
+            ))
             table.add_row(
                 strategy=strategy,
                 mode="parallel",
                 workers=workers,
                 n_tuples=n_tuples,
-                wall_ms=float(wall * 1000.0),
-                udf_calls=calls,
-                speedup=float(serial_wall / max(wall, 1e-12)),
+                wall_ms=float(sharded.wall_s * 1000.0),
+                udf_calls=sharded.udf_calls,
+                speedup=float(serial.wall_s / max(sharded.wall_s, 1e-12)),
             )
     return table
 
 
-def parallel_report(table: ExperimentTable) -> dict:
-    """JSON-ready summary of a :func:`parallel_scaling` run.
+def parallel_report(*tables: ExperimentTable) -> dict:
+    """JSON-ready summary of one or more :func:`parallel_scaling` runs.
 
     ``speedup`` maps ``strategy -> {workers -> speedup}``;
     ``speedup_at_4`` pulls out the headline workers=4 number tracked by the
     CI smoke artifact (falling back to the largest measured worker count
-    when 4 was not part of the sweep).
+    when 4 was not part of the sweep).  A :func:`shared_learning` table
+    contributes its ``serial`` and ``discard`` rows as the gp sweep: at the
+    same kwargs the two experiments run the same computations on the same
+    seeds, so the smoke runs them once.
     """
+    rows = [
+        row
+        for table in tables
+        for row in (
+            table.rows if table.experiment_id == "parallel_scaling" else _scaling_rows(table)
+        )
+    ]
     speedups: dict[str, dict[int, float]] = {}
-    for row in table.rows:
+    for row in rows:
         if row["mode"] != "parallel":
             continue
         speedups.setdefault(row["strategy"], {})[int(row["workers"])] = float(row["speedup"])
@@ -144,24 +130,28 @@ def parallel_report(table: ExperimentTable) -> dict:
         target = 4 if 4 in by_workers else max(by_workers)
         headline[strategy] = {"workers": target, "speedup": by_workers[target]}
     return {
-        "experiment_id": table.experiment_id,
-        "description": table.description,
-        "rows": list(table.rows),
+        "experiment_id": "parallel_scaling",
+        "rows": rows,
         "speedup": {s: {str(w): v for w, v in by.items()} for s, by in speedups.items()},
         "speedup_at_4": headline,
     }
 
 
-def _same_outputs(a_outputs, b_outputs) -> bool:
-    """Bit-identity of two runs: samples, bounds and per-tuple UDF charges."""
-    if a_outputs is None or b_outputs is None or len(a_outputs) != len(b_outputs):
-        return False
-    for a, b in zip(a_outputs, b_outputs):
-        if not np.array_equal(a.distribution.samples, b.distribution.samples):
-            return False
-        if a.error_bound != b.error_bound or a.udf_calls != b.udf_calls:
-            return False
-    return True
+def _scaling_rows(table: ExperimentTable) -> list[dict]:
+    """A :func:`shared_learning` table's serial and discard rows, as gp scaling rows."""
+    rows = []
+    for row in table.rows:
+        if row["mode"] == "serial" or row["merge"] == "discard":
+            rows.append({
+                "strategy": "gp",
+                "mode": "serial" if row["mode"] == "serial" else "parallel",
+                "workers": row["workers"],
+                "n_tuples": row["n_tuples"],
+                "wall_ms": row["wall_ms"],
+                "udf_calls": row["udf_calls"],
+                "speedup": row["speedup"],
+            })
+    return rows
 
 
 def shared_learning(
@@ -201,67 +191,44 @@ def shared_learning(
     )
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
-    def timed_run(merge: str | None, run_workers: int | None):
+    def run(merge: str | None = None, run_workers: int | None = None):
         """One run; ``run_workers=None`` is the serial batched baseline."""
-        if run_workers is None:
-            plan = ExecutionPlan(batch_size=batch_size)
-        else:
+        plan = ExecutionPlan(batch_size=batch_size)
+        if run_workers is not None:
             plan = ExecutionPlan(
                 batch_size=batch_size, workers=run_workers, parallel_seed=shard_seed,
                 merge=merge,  # type: ignore[arg-type]
             )
-        best = float("inf")
-        calls = 0
-        outputs = None
-        refresh_ms = append_ms = 0.0
-        for _ in range(max(1, trials)):
-            udf = reference_function(function_name, real_eval_time=real_eval_time)
-            engine = UDFExecutionEngine(
-                strategy="gp", requirement=requirement, random_state=random_state,
-                n_samples=n_samples,
-            )
-            dists = list(
-                input_stream(
-                    workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-                )
-            )
-            started = time.perf_counter()
-            executor = plan.resolve(engine)
-            outputs = executor.compute_batch(udf, dists)
-            refresh_ms = executor.timings.get("model_refresh") * 1000.0
-            append_ms = executor.timings.get("model_append") * 1000.0
-            best = min(best, time.perf_counter() - started)
-            calls = udf.call_count
-        return best, calls, outputs, refresh_ms, append_ms
+        return timed_run(
+            lambda: reference_function(function_name, real_eval_time=real_eval_time),
+            plan, n_tuples=n_tuples, stream_seed=stream_seed, trials=trials,
+            strategy="gp", requirement=requirement, random_state=random_state,
+            n_samples=n_samples,
+        )
 
-    serial_wall, serial_calls, serial_outputs, _, _ = timed_run(None, None)
+    serial = run()
 
-    def add(mode, merge, run_workers, wall, calls, matches, refresh_ms, append_ms):
+    def add(mode, merge, run_workers, result, matches):
         table.add_row(
             mode=mode,
             merge=merge,
             workers=run_workers,
             n_tuples=n_tuples,
-            wall_ms=float(wall * 1000.0),
-            udf_calls=calls,
-            udf_calls_ratio=float(calls / max(serial_calls, 1)),
-            speedup=float(serial_wall / max(wall, 1e-12)),
+            wall_ms=float(result.wall_s * 1000.0),
+            udf_calls=result.udf_calls,
+            udf_calls_ratio=float(result.udf_calls / max(serial.udf_calls, 1)),
+            speedup=float(serial.wall_s / max(result.wall_s, 1e-12)),
             matches_serial=matches,
-            model_refresh_ms=refresh_ms,
-            model_append_ms=append_ms,
+            model_refresh_ms=result.timings.get("model_refresh") * 1000.0,
+            model_append_ms=result.timings.get("model_append") * 1000.0,
         )
 
-    add("serial", "-", 1, serial_wall, serial_calls, True, 0.0, 0.0)
-
-    wall, calls, outputs, refresh_ms, append_ms = timed_run("shared", 1)
-    add("shared-serial", "shared", 1, wall, calls,
-        _same_outputs(serial_outputs, outputs), refresh_ms, append_ms)
-
-    wall, calls, _, refresh_ms, append_ms = timed_run("discard", workers)
-    add("sharded", "discard", workers, wall, calls, None, refresh_ms, append_ms)
-
-    wall, calls, _, refresh_ms, append_ms = timed_run("shared", workers)
-    add("sharded", "shared", workers, wall, calls, None, refresh_ms, append_ms)
+    add("serial", "-", 1, serial, True)
+    shared_1 = run("shared", 1)
+    add("shared-serial", "shared", 1, shared_1,
+        outputs_identical(serial.outputs, shared_1.outputs, charges=True))
+    add("sharded", "discard", workers, run("discard", workers), None)
+    add("sharded", "shared", workers, run("shared", workers), None)
     return table
 
 

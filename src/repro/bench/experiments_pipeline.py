@@ -15,37 +15,29 @@ sweep uses a modest ``inflight``.
 
 Protocol: the same tuple stream (identical seeds, cold model) is pushed
 through the chunk executor (:class:`~repro.engine.batch.BatchExecutor`)
-serially, at the configured window ("async"), and at that window plus
-each lookahead.  The table reports
-wall-clock, UDF calls (the pipeline pays extra, deterministic speculative
-calls) and the speedup versus the *async* run.  Two rows double as
-determinism checks, both CI-enforced by ``run_all --smoke``:
-
-* ``lookahead=1`` (scheduler disengaged, no window) must be **bit-identical
-  to the serial batched run**, and
-* every ``lookahead > 1`` row must be **bit-identical to the async run** —
-  the scheduler's contract is that prefetching changes who pays for an
-  evaluation and when it happens, never the committed trajectory.
+at the configured window ("async") and at that window plus each
+lookahead.  The table reports wall-clock, UDF calls (the pipeline pays
+extra, deterministic speculative calls) and the speedup versus the
+*async* run.  Every pipeline row doubles as a determinism check,
+CI-enforced by ``run_all --smoke``: it must be **bit-identical to the
+async run** — the scheduler's contract is that prefetching changes who
+pays for an evaluation and when it happens, never the committed
+trajectory.  Lookahead 1 attaches no stage and builds the serial
+executor, so the sweep leaves it out; ``tests/test_pipeline.py`` pins
+that identity.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, outputs_identical, timed_run
 from repro.core.accuracy import AccuracyRequirement
-from repro.engine.executor import UDFExecutionEngine
 from repro.engine.plan import ExecutionPlan
-from repro.rng import as_generator
 from repro.udf.synthetic import reference_function
-from repro.workloads.generators import input_stream, workload_for_udf
 
 
 def udf_pipeline(
     function_name: str = "F1",
-    lookahead_list: tuple[int, ...] = (1, 2, 4),
+    lookahead_list: tuple[int, ...] = (2, 4),
     inflight: int = 4,
     n_tuples: int = 16,
     batch_size: int = 16,
@@ -65,11 +57,9 @@ def udf_pipeline(
     ``tests/test_pipeline.py``).  ``trials`` repeats each timed run and
     keeps the fastest, the usual guard against scheduler noise.
 
-    The ``lookahead=1`` row runs the scheduler disengaged (and without a
-    window) and records bit-identity against the serial batched baseline in
-    ``matches_serial``; rows at ``lookahead > 1`` record bit-identity
-    against the within-tuple async baseline in ``matches_async`` — both are
-    halves of the determinism contract and expected ``True`` everywhere.
+    Each pipeline row records bit-identity against the within-tuple async
+    baseline in ``matches_async`` — the determinism contract, expected
+    ``True`` everywhere.
     """
     table = ExperimentTable(
         experiment_id="udf_pipeline",
@@ -82,90 +72,41 @@ def udf_pipeline(
     )
     requirement = AccuracyRequirement(epsilon=epsilon, delta=0.05)
 
-    def run(mode: str, lookahead: int | None = None):
-        """One full run; returns (best wall-clock, udf calls, outputs, waste)."""
-        if mode == "serial":
-            plan = ExecutionPlan(batch_size=batch_size)
-        elif mode == "async":
-            plan = ExecutionPlan(batch_size=batch_size, async_inflight=inflight)
-        else:
-            plan = ExecutionPlan(
-                batch_size=batch_size,
-                pipeline_lookahead=lookahead,
-                # lookahead=1 disengages the scheduler entirely: no
-                # window either, so the row checks bit-identity against
-                # the *serial* batched path (the acceptance contract).
-                async_inflight=None if lookahead == 1 else inflight,
-            )
-        best = float("inf")
-        calls = 0
-        outputs = None
-        wasted = 0
-        for _ in range(max(1, trials)):
-            udf = reference_function(
+    def run(lookahead: int | None = None):
+        """One full run; ``lookahead=None`` is the within-tuple async baseline."""
+        return timed_run(
+            lambda: reference_function(
                 function_name,
                 real_eval_time=real_eval_time,
                 real_eval_jitter=real_eval_jitter,
-            )
-            kwargs = {"n_samples": n_samples} if n_samples else {}
-            engine = UDFExecutionEngine(
-                strategy="gp", requirement=requirement, random_state=random_state,
-                **kwargs,
-            )
-            dists = list(
-                input_stream(
-                    workload_for_udf(udf), n_tuples, random_state=as_generator(stream_seed)
-                )
-            )
-            started = time.perf_counter()
-            executor = plan.resolve(engine)
-            outputs = executor.compute_batch(udf, dists)
-            wasted = executor.last_wasted_calls
-            best = min(best, time.perf_counter() - started)
-            calls = udf.call_count
-        return best, calls, outputs, wasted
+            ),
+            ExecutionPlan(
+                batch_size=batch_size, async_inflight=inflight, pipeline_lookahead=lookahead
+            ),
+            n_tuples=n_tuples, stream_seed=stream_seed, trials=trials,
+            strategy="gp", requirement=requirement, random_state=random_state,
+            n_samples=n_samples,
+        )
 
-    serial_wall, serial_calls, serial_outputs, _ = run("serial")
-    table.add_row(
-        mode="serial", lookahead=0, n_tuples=n_tuples,
-        wall_ms=float(serial_wall * 1000.0), udf_calls=serial_calls,
-        wasted_calls=0, speedup=None,
-        matches_serial=True, matches_async=None,
-    )
-    async_wall, async_calls, async_outputs, _ = run("async")
+    windowed = run()
     table.add_row(
         mode="async", lookahead=0, n_tuples=n_tuples,
-        wall_ms=float(async_wall * 1000.0), udf_calls=async_calls,
-        wasted_calls=0, speedup=1.0,
-        matches_serial=_outputs_identical(serial_outputs, async_outputs),
-        matches_async=True,
+        wall_ms=float(windowed.wall_s * 1000.0), udf_calls=windowed.udf_calls,
+        wasted_calls=0, speedup=1.0, matches_async=True,
     )
     for lookahead in lookahead_list:
-        wall, calls, outputs, wasted = run("pipeline", lookahead)
+        piped = run(lookahead)
         table.add_row(
             mode="pipeline",
             lookahead=lookahead,
             n_tuples=n_tuples,
-            wall_ms=float(wall * 1000.0),
-            udf_calls=calls,
-            wasted_calls=wasted,
-            speedup=float(async_wall / max(wall, 1e-12)),
-            matches_serial=_outputs_identical(serial_outputs, outputs),
-            matches_async=_outputs_identical(async_outputs, outputs),
+            wall_ms=float(piped.wall_s * 1000.0),
+            udf_calls=piped.udf_calls,
+            wasted_calls=piped.wasted_calls,
+            speedup=float(windowed.wall_s / max(piped.wall_s, 1e-12)),
+            matches_async=outputs_identical(windowed.outputs, piped.outputs),
         )
     return table
-
-
-def _outputs_identical(a_outputs, b_outputs) -> bool:
-    """Whether two runs produced bit-identical distributions and bounds."""
-    if a_outputs is None or b_outputs is None or len(a_outputs) != len(b_outputs):
-        return False
-    for a, b in zip(a_outputs, b_outputs):
-        if not np.array_equal(a.distribution.samples, b.distribution.samples):
-            return False
-        if a.error_bound != b.error_bound:
-            return False
-    return True
 
 
 def pipeline_report(table: ExperimentTable) -> dict:
@@ -174,30 +115,15 @@ def pipeline_report(table: ExperimentTable) -> dict:
     ``speedup`` maps ``lookahead -> speedup over the async baseline``;
     ``speedup_at_4`` pulls out the headline lookahead-4 number tracked by
     the CI smoke artifact (falling back to the largest measured lookahead
-    when 4 was not part of the sweep).  ``identical_at_1`` records the
-    bit-identity verdict of the ``lookahead=1`` row against the serial
-    batched run, and ``identical_above_1`` the verdict of every deeper row
-    against the async run — both halves of the determinism contract.
+    when 4 was not part of the sweep).  ``identical_above_1`` records
+    whether every pipeline row was bit-identical to the async run — the
+    determinism contract.
     """
-    speedups: dict[int, float] = {}
-    identical_at_1 = None
-    identical_above_1 = None
-    for row in table.rows:
-        if row["mode"] != "pipeline":
-            continue
-        lookahead = int(row["lookahead"])
-        speedups[lookahead] = float(row["speedup"])
-        if lookahead == 1:
-            identical_at_1 = bool(row["matches_serial"])
-        else:
-            verdict = bool(row["matches_async"])
-            identical_above_1 = (
-                verdict if identical_above_1 is None else (identical_above_1 and verdict)
-            )
+    pipeline_rows = [row for row in table.rows if row["mode"] == "pipeline"]
+    speedups = {int(row["lookahead"]): float(row["speedup"]) for row in pipeline_rows}
     headline = None
-    deep = [k for k in speedups if k > 1]
-    if deep:
-        target = 4 if 4 in speedups else max(deep)
+    if speedups:
+        target = 4 if 4 in speedups else max(speedups)
         headline = {"lookahead": target, "speedup": speedups[target]}
     return {
         "experiment_id": table.experiment_id,
@@ -205,6 +131,8 @@ def pipeline_report(table: ExperimentTable) -> dict:
         "rows": list(table.rows),
         "speedup": {str(k): v for k, v in sorted(speedups.items())},
         "speedup_at_4": headline,
-        "identical_at_1": identical_at_1,
-        "identical_above_1": identical_above_1,
+        "identical_above_1": (
+            all(bool(row["matches_async"]) for row in pipeline_rows)
+            if pipeline_rows else None
+        ),
     }

@@ -6,16 +6,28 @@ Usage::
     python -m repro.bench.run_all --full       # full-scale (hours)
     python -m repro.bench.run_all --only expt5_eval_time astro_gp_vs_mc
     python -m repro.bench.run_all --output results.txt
-    python -m repro.bench.run_all --smoke      # CI smoke: batched (3 shapes) +
-                                               # parallel + shared learning +
-                                               # async + pipeline + transport +
-                                               # auto-plan + serving
-                                               # + fault injection
+    python -m repro.bench.run_all --smoke      # CI smoke: the SMOKE registry
                                                # -> BENCH_smoke.json
 
 Each experiment prints an :class:`~repro.bench.harness.ExperimentTable`; the
 ``--output`` option additionally writes the combined report to a file so it
 can be diffed against EXPERIMENTS.md after code changes.
+
+CI smoke
+--------
+``--smoke`` walks :data:`SMOKE`, one entry per experiment (batched
+pipeline at three shapes, shared learning, parallel scaling, async
+overlap, pipeline, transports, auto-planner, serving, fault injection),
+and runs each computation once.  The gp parallel-scaling sweep is the
+shared-learning run's serial and ``discard`` rows; an identity between two
+spellings of one executor state — ``async_inflight=1``,
+``pipeline_lookahead=1`` or a window-1 transport against the serial plan,
+``plan="auto"`` against its explicit plan — is pinned by tier-1 tests, not
+re-run here.  The identity checks that compare two different code paths
+fail the run non-overridably: batched ≡ per-tuple at each shape,
+``merge="shared"`` at workers=1 ≡ serial, ``pipeline_lookahead>1`` ≡ the
+async trajectory, served ≡ direct, and fault-injected ≡ fault-free with
+matching charges in every mode.
 
 CI performance gate
 -------------------
@@ -30,10 +42,8 @@ wall-clock speedup (single-core runners skip those metrics loudly — the
 ratios collapse there for hardware, not code, reasons).  The shared
 learning *UDF-calls* ratio — ``merge="shared"`` fleet calls over serial
 calls at ``workers=4`` — is measured within one invocation, so it arms on
-every runner against the fixed :data:`SHARED_CALLS_RATIO_LIMIT` ceiling;
-the ``workers=1`` shared run is additionally checked bit-identical to the
-serial batched path, non-overridably, like the other identity gates.  The
-ratios — not absolute wall-clock — are compared so the gate
+every runner against the fixed :data:`SHARED_CALLS_RATIO_LIMIT` ceiling.
+The ratios — not absolute wall-clock — are compared so the gate
 is robust to runner hardware differences.  To land an intentional
 regression, apply the ``perf-regression-ok`` label to the pull request
 (the workflow maps it to ``REPRO_PERF_OVERRIDE=1``, which records the
@@ -48,8 +58,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from repro.bench import (
     astro_case_study_table,
@@ -118,12 +128,12 @@ _SCALED_OVERRIDES: dict[str, dict] = {
                          "strategies": ("gp",)},
     "shared_learning": {"workers": 4, "n_tuples": 12, "batch_size": 4,
                         "real_eval_time": 1e-3, "n_samples": 200},
-    "udf_overlap": {"inflight_list": (1, 4), "n_tuples": 4, "batch_size": 4,
+    "udf_overlap": {"inflight_list": (4,), "n_tuples": 4, "batch_size": 4,
                     "real_eval_time": 5e-3, "n_samples": 120},
-    "udf_transport": {"transports": ("threads", "asyncio"), "inflight_list": (1, 4),
+    "udf_transport": {"transports": ("threads", "asyncio"), "inflight_list": (4,),
                       "n_tuples": 4, "batch_size": 4, "service_latency": 5e-3,
                       "n_samples": 120},
-    "udf_pipeline": {"lookahead_list": (1, 4), "inflight": 2, "n_tuples": 8,
+    "udf_pipeline": {"lookahead_list": (4,), "inflight": 2, "n_tuples": 8,
                      "batch_size": 8, "real_eval_time": 1e-2, "n_samples": 120},
     "auto_plan": {"n_tuples": 4, "service_latency": 5e-3, "n_samples": 120},
     "serving": {"clients_list": (1, 4), "queries_per_client": 2, "n_tuples": 2,
@@ -156,38 +166,30 @@ _SMOKE_BATCH_SHAPES = {
                     "trials": 2},
 }
 
-#: Parallel-scaling configurations for the smoke artifact — one per strategy,
-#: because the two are bound by different resources.  Both use a *real*
-#: per-call UDF cost, so worker processes overlap it and workers=4 clears 2x
-#: even on a single-core runner: the mc strategy is UDF-bound outright, and
-#: the gp strategy combines overlapped refinement calls with the smaller
-#: per-shard models of the "discard" policy (each shard's kernel algebra
-#: stays local-sized instead of growing with the whole stream).
-_SMOKE_PARALLEL_KWARGS = (
-    {"strategies": ("gp",), "workers_list": (4,), "n_tuples": 32, "batch_size": 8,
-     "real_eval_time": 2e-3, "epsilon": 0.15, "n_samples": 300},
-    {"strategies": ("mc",), "workers_list": (4,), "n_tuples": 16, "batch_size": 4,
-     "real_eval_time": 1e-3, "epsilon": 0.15},
-)
-
-#: Parameters of the smoke shared-learning run: the gp parallel-scaling
-#: workload, remeasured for *total UDF charge* rather than wall-clock.
-#: Serial, workers=1 shared, workers=4 discard and workers=4 shared all
-#: run on the same seeds within one invocation, so the headline
-#: ``udf_calls_ratio_workers4`` (shared fleet calls / serial calls) is a
-#: deterministic, hardware-independent count ratio gated on every runner
-#: against :data:`SHARED_CALLS_RATIO_LIMIT`; the workers=1 shared row is
-#: the bit-identity check against the serial batched path.
+#: Parameters of the smoke shared-learning run: serial, workers=1 shared,
+#: workers=4 discard and workers=4 shared, all on the same seeds within one
+#: invocation, so the headline ``udf_calls_ratio_workers4`` (shared fleet
+#: calls / serial calls) is a deterministic, hardware-independent count
+#: ratio gated on every runner against :data:`SHARED_CALLS_RATIO_LIMIT`;
+#: the workers=1 shared row is the bit-identity check against the serial
+#: batched path.  Its serial and discard rows are also the gp half of the
+#: parallel-scaling report: ``parallel_scaling`` at these kwargs runs those
+#: very computations, so the smoke runs them once.  A real per-call UDF
+#: cost lets worker processes overlap it, and the "discard" policy keeps
+#: each shard's kernel algebra local-sized, so workers=4 clears 2x.
 _SMOKE_SHARED_KWARGS = {"workers": 4, "n_tuples": 32, "batch_size": 8,
                         "real_eval_time": 2e-3, "epsilon": 0.15, "n_samples": 300}
+
+#: Parameters of the smoke mc parallel-scaling run: UDF-bound outright, so
+#: workers=4 clears 2x even on a single-core runner.
+_SMOKE_PARALLEL_KWARGS = {"strategies": ("mc",), "workers_list": (4,), "n_tuples": 16,
+                          "batch_size": 4, "real_eval_time": 1e-3, "epsilon": 0.15}
 
 #: Parameters of the smoke udf_overlap run: a cold model on a UDF with a
 #: genuinely slow per-call latency, so the refinement loop is latency-bound —
 #: the regime where overlapping ``async_inflight=8`` in-flight calls clears
 #: 2x even on a single-core runner (the "work" being overlapped is sleep).
-#: ``inflight_list`` includes 1 because that row doubles as the bit-identity
-#: check against the serial batched path.
-_SMOKE_ASYNC_KWARGS = {"inflight_list": (1, 8), "n_tuples": 8, "batch_size": 8,
+_SMOKE_ASYNC_KWARGS = {"inflight_list": (8,), "n_tuples": 8, "batch_size": 8,
                        "real_eval_time": 2e-2, "epsilon": 0.12, "n_samples": 120}
 
 #: Parameters of the smoke udf_pipeline run: the same 20 ms/call real-cost
@@ -195,23 +197,18 @@ _SMOKE_ASYNC_KWARGS = {"inflight_list": (1, 8), "n_tuples": 8, "batch_size": 8,
 #: call-frugal configuration where the within-tuple overlap is most
 #: latency-bound (a window of 2 serialises a round per two evaluations) and
 #: the cross-tuple scheduler therefore has the most serial gap to hide
-#: (target ≥1.5x at lookahead=4, with margin).  ``lookahead_list`` includes
-#: 1 because that row doubles as the bit-identity check against the serial
-#: batched path; the deeper rows are additionally checked for bit-identity
-#: against the async trajectory.
-_SMOKE_PIPELINE_KWARGS = {"lookahead_list": (1, 4), "inflight": 2, "n_tuples": 16,
+#: (target ≥1.5x at lookahead=4, with margin).  The lookahead=4 row doubles
+#: as the bit-identity check against the async trajectory.
+_SMOKE_PIPELINE_KWARGS = {"lookahead_list": (4,), "inflight": 2, "n_tuples": 16,
                           "batch_size": 16, "real_eval_time": 2e-2, "epsilon": 0.15,
                           "n_samples": 120, "trials": 2}
 
 #: Parameters of the smoke udf_transport run: every named overlap transport
 #: on a 20 ms/request simulated async UDF service — the workload of the
-#: event-loop transport's acceptance contract.  ``inflight_list`` includes
-#: 1 because that row doubles as the bit-identity check against the serial
-#: batched path (the same AsyncUDF, evaluated one awaited request at a
-#: time) for *each* transport — the identity half the docs promise is
-#: CI-enforced; 8 is the ≥2x overlap headline for the asyncio transport.
+#: event-loop transport's acceptance contract; 8 is the ≥2x overlap
+#: headline for the asyncio transport.
 _SMOKE_TRANSPORT_KWARGS = {"transports": ("threads", "asyncio"),
-                           "inflight_list": (1, 8),
+                           "inflight_list": (8,),
                            "n_tuples": 6, "batch_size": 6, "service_latency": 2e-2,
                            "epsilon": 0.12, "n_samples": 120}
 
@@ -221,8 +218,6 @@ _SMOKE_TRANSPORT_KWARGS = {"transports": ("threads", "asyncio"),
 #: cross-tuple lookahead.  The naive baseline pays every request serially,
 #: so the auto-planned run clears ≥2x even on a single-core runner (the
 #: overlapped "work" is awaited sleep) and the ratio gates on every runner.
-#: The explicit row doubles as the auto≡explicit bit-identity check,
-#: enforced non-overridably like the other identity gates.
 _SMOKE_AUTO_PLAN_KWARGS = {"n_tuples": 6, "batch_size": 32,
                            "service_latency": 2e-2, "epsilon": 0.12,
                            "n_samples": 120}
@@ -383,10 +378,10 @@ GATES: tuple[Gate, ...] = (
 )
 
 
-def _raw_value(gate: Gate, artifact: dict):
-    """The number at ``gate.path`` in a smoke artifact, or ``None``."""
+def _at(artifact: dict, path: Sequence[str]):
+    """The value at ``path`` (nested dict keys) in a smoke artifact, or ``None``."""
     node = artifact
-    for key in gate.path:
+    for key in path:
         if not isinstance(node, dict):
             return None
         node = node.get(key)
@@ -404,10 +399,10 @@ def _gated_value(gate: Gate, raw):
 
 def gate_verdict(gate: Gate, report: dict, baseline: dict, max_regression: float) -> dict:
     """One gate's verdict (see :func:`_metric_verdict` for the semantics)."""
-    raw = _raw_value(gate, report)
+    raw = _at(report, gate.path)
     current = _gated_value(gate, raw)
     if gate.ceiling is None:
-        reference = _gated_value(gate, _raw_value(gate, baseline))
+        reference = _gated_value(gate, _at(baseline, gate.path))
         return _metric_verdict(gate.metric, current, reference, max_regression)
     verdict = _metric_verdict(gate.metric, current, 1.0 / gate.ceiling, 0.0)
     verdict["udf_calls_ratio"] = raw
@@ -432,6 +427,108 @@ def gated_verdicts(
     ]
 
 
+def _batch_report(*tables: ExperimentTable) -> dict:
+    """The steady shape's report at the top level, the others nested by name."""
+    shapes = {shape: smoke_report(table) for shape, table in zip(_SMOKE_BATCH_SHAPES, tables)}
+    report = dict(shapes.pop("steady"))
+    report.update(shapes)
+    return report
+
+
+def _show(value) -> str:
+    """A report value as one readable line fragment."""
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}={_show(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+def _holds(value) -> bool:
+    """An identity verdict holds: ``True``, or a non-empty dict of ``True``s."""
+    if isinstance(value, dict):
+        return bool(value) and all(v is True for v in value.values())
+    return value is True
+
+
+@dataclass(frozen=True)
+class SmokeEntry:
+    """One experiment of the CI smoke: its runs, report, headlines and identity checks."""
+
+    #: Key of the experiment's report in the smoke artifact.
+    key: str
+    #: The experiment function.
+    experiment: Callable[..., ExperimentTable]
+    #: The kwargs of each run; every run prints its table.
+    runs: tuple[dict, ...]
+    #: Builds the report from the borrowed tables, then this entry's own.
+    report: Callable[..., dict]
+    #: Dotted report paths printed under the tables.
+    headlines: tuple[str, ...] = ()
+    #: Dotted report path -> what its failure means.  Each must read ``True``
+    #: (every value of a per-mode dict); non-overridable, unlike a perf gate.
+    identities: dict[str, str] = field(default_factory=dict)
+    #: Earlier entries whose tables this entry's report also reads.
+    borrows: tuple[str, ...] = ()
+
+
+#: The CI smoke, in run order.  Each computation runs once: an identity
+#: between two spellings that build the same executor state (window 1,
+#: lookahead 1, auto ≡ its explicit plan) is pinned by tier-1 tests instead.
+SMOKE: tuple[SmokeEntry, ...] = (
+    SmokeEntry(
+        "batch_pipeline", batch_pipeline_speedup, tuple(_SMOKE_BATCH_SHAPES.values()),
+        _batch_report,
+        headlines=("min_speedup", "dispatch_bound.min_speedup", "in_contract.min_speedup"),
+        identities={
+            f"{shape}identical_to_per_tuple": "batched diverged from the per-tuple path "
+            "(values, bounds or UDF charge counters)"
+            for shape in ("", "dispatch_bound.", "in_contract.")
+        },
+    ),
+    SmokeEntry(
+        "shared_learning", shared_learning, (_SMOKE_SHARED_KWARGS,), shared_learning_report,
+        headlines=("udf_calls_ratio_workers4", "discard_calls_ratio_workers4",
+                   "identical_at_1"),
+        identities={"identical_at_1": 'merge="shared" at workers=1 diverged from the '
+                    "serial batched path (samples, bounds or per-tuple UDF charges)"},
+    ),
+    SmokeEntry(
+        "parallel_scaling", parallel_scaling, (_SMOKE_PARALLEL_KWARGS,), parallel_report,
+        headlines=("speedup_at_4",), borrows=("shared_learning",),
+    ),
+    SmokeEntry("udf_overlap", udf_overlap, (_SMOKE_ASYNC_KWARGS,), async_report,
+               headlines=("speedup_at_8",)),
+    SmokeEntry(
+        "udf_pipeline", udf_pipeline, (_SMOKE_PIPELINE_KWARGS,), pipeline_report,
+        headlines=("speedup_at_4", "identical_above_1"),
+        identities={"identical_above_1": "pipeline_lookahead>1 diverged from the async "
+                    "trajectory"},
+    ),
+    SmokeEntry("udf_transport", udf_transport, (_SMOKE_TRANSPORT_KWARGS,),
+               transport_report, headlines=("speedup_at_8",)),
+    SmokeEntry("auto_plan", auto_plan, (_SMOKE_AUTO_PLAN_KWARGS,), auto_plan_report,
+               headlines=("speedup",)),
+    SmokeEntry(
+        "serving", serving_load, (_SMOKE_SERVING_KWARGS,), serving_report,
+        headlines=("scaling_at_4", "p99", "identical_to_serial"),
+        identities={"identical_to_serial": "served query diverged from the direct "
+                    "serial run"},
+    ),
+    SmokeEntry(
+        "fault_injection", fault_injection, (_SMOKE_FAULTS_KWARGS,), faults_report,
+        headlines=("identical", "injected", "calls_match"),
+        identities={
+            "identical": "a fault-injected run with retries diverged from the "
+            "fault-free same-seed run",
+            "calls_match": "a fault-injected run charged a different UDF call count "
+            "than the fault-free run (failed attempts must charge nothing)",
+            "fired": "a mode injected no faults: its recovery check is vacuous",
+        },
+    ),
+)
+
+
 def run_smoke(
     output_path: str,
     baseline_path: str,
@@ -451,209 +548,31 @@ def run_smoke(
         print(f"error: cannot write {output_path}: directory {parent} does not exist",
               file=sys.stderr)
         return 2
-    batch_shapes: dict[str, dict] = {}
-    for shape, kwargs in _SMOKE_BATCH_SHAPES.items():
-        started = time.perf_counter()
-        batch_table = batch_pipeline_speedup(**kwargs)
-        batch_elapsed = time.perf_counter() - started
-        if batch_shapes:
-            print()
-        batch_shapes[shape] = part = smoke_report(batch_table)
-        print(batch_table.to_text())
-        print(f"(ran batch_pipeline smoke [{shape}] in {batch_elapsed:.1f} s)")
-        print(f"min speedup across strategies: {part['min_speedup']:.2f}x")
-        print(f"batched bit-identical to per-tuple: {part['identical_to_per_tuple']}")
-    batch = dict(batch_shapes["steady"])
-    batch.update({k: v for k, v in batch_shapes.items() if k != "steady"})
-
-    # One parallel-scaling run per strategy config, merged into one report.
-    parallel: dict = {"experiment_id": "parallel_scaling", "rows": [],
-                      "speedup": {}, "speedup_at_4": {}}
-    for kwargs in _SMOKE_PARALLEL_KWARGS:
-        started = time.perf_counter()
-        parallel_table = parallel_scaling(**kwargs)
-        parallel_elapsed = time.perf_counter() - started
-        partial = parallel_report(parallel_table)
-        parallel["rows"].extend(partial["rows"])
-        parallel["speedup"].update(partial["speedup"])
-        parallel["speedup_at_4"].update(partial["speedup_at_4"])
-        print()
-        print(parallel_table.to_text())
-        print(f"(ran parallel_scaling smoke in {parallel_elapsed:.1f} s)")
-    for strategy, headline in parallel["speedup_at_4"].items():
-        print(f"parallel speedup [{strategy}] at workers={headline['workers']}: "
-              f"{headline['speedup']:.2f}x")
-
-    started = time.perf_counter()
-    shared_table = shared_learning(**_SMOKE_SHARED_KWARGS)
-    shared_elapsed = time.perf_counter() - started
-    shared = shared_learning_report(shared_table)
-    print()
-    print(shared_table.to_text())
-    print(f"(ran shared_learning smoke in {shared_elapsed:.1f} s)")
-    if shared["udf_calls_ratio_workers4"] is not None:
-        print(f"shared-merge UDF-calls ratio at workers=4: "
-              f"{shared['udf_calls_ratio_workers4']:.3f} "
-              f"(discard pays {shared['discard_calls_ratio_workers4']:.3f}, "
-              f"ceiling {SHARED_CALLS_RATIO_LIMIT:.1f})")
-    print(f'merge="shared" workers=1 bit-identical to serial batched: '
-          f"{shared['identical_at_1']}")
-
-    started = time.perf_counter()
-    async_table = udf_overlap(**_SMOKE_ASYNC_KWARGS)
-    async_elapsed = time.perf_counter() - started
-    overlap = async_report(async_table)
-    print()
-    print(async_table.to_text())
-    print(f"(ran udf_overlap smoke in {async_elapsed:.1f} s)")
-    if overlap["speedup_at_8"] is not None:
-        headline = overlap["speedup_at_8"]
-        print(f"async speedup at inflight={headline['async_inflight']}: "
-              f"{headline['speedup']:.2f}x")
-    print(f"async_inflight=1 bit-identical to serial batched: "
-          f"{overlap['identical_at_1']}")
-
-    started = time.perf_counter()
-    pipeline_table = udf_pipeline(**_SMOKE_PIPELINE_KWARGS)
-    pipeline_elapsed = time.perf_counter() - started
-    pipeline = pipeline_report(pipeline_table)
-    print()
-    print(pipeline_table.to_text())
-    print(f"(ran udf_pipeline smoke in {pipeline_elapsed:.1f} s)")
-    if pipeline["speedup_at_4"] is not None:
-        headline = pipeline["speedup_at_4"]
-        print(f"pipeline speedup at lookahead={headline['lookahead']}: "
-              f"{headline['speedup']:.2f}x")
-    print(f"pipeline_lookahead=1 bit-identical to serial batched: "
-          f"{pipeline['identical_at_1']}")
-    print(f"pipeline_lookahead>1 bit-identical to async trajectory: "
-          f"{pipeline['identical_above_1']}")
-
-    started = time.perf_counter()
-    transport_table = udf_transport(**_SMOKE_TRANSPORT_KWARGS)
-    transport_elapsed = time.perf_counter() - started
-    transport = transport_report(transport_table)
-    print()
-    print(transport_table.to_text())
-    print(f"(ran udf_transport smoke in {transport_elapsed:.1f} s)")
-    for name, headline in sorted(transport["speedup_at_8"].items()):
-        print(f"transport speedup [{name}] at inflight="
-              f"{headline['async_inflight']}: {headline['speedup']:.2f}x")
-    for name, identical in sorted(transport["identical_at_1"].items()):
-        print(f"transport [{name}] inflight=1 bit-identical to serial batched: "
-              f"{identical}")
-    started = time.perf_counter()
-    auto_table = auto_plan(**_SMOKE_AUTO_PLAN_KWARGS)
-    auto_elapsed = time.perf_counter() - started
-    auto = auto_plan_report(auto_table)
-    print()
-    print(auto_table.to_text())
-    print(f"(ran auto_plan smoke in {auto_elapsed:.1f} s)")
-    if auto["speedup"] is not None:
-        print(f"auto-planned speedup over the naive default plan: "
-              f"{auto['speedup']:.2f}x")
-    print(f"plan=\"auto\" bit-identical to the explicit resolved plan: "
-          f"{auto['identical_to_explicit']}")
-
-    started = time.perf_counter()
-    serving_table = serving_load(**_SMOKE_SERVING_KWARGS)
-    serving_elapsed = time.perf_counter() - started
-    serving = serving_report(serving_table)
-    print()
-    print(serving_table.to_text())
-    print(f"(ran serving smoke in {serving_elapsed:.1f} s)")
-    if serving["scaling_at_4"] is not None:
-        print(f"serving throughput scaling at 4 clients: "
-              f"{serving['scaling_at_4']:.2f}x")
-    for clients, p99 in sorted(serving["p99"].items(), key=lambda kv: int(kv[0])):
-        print(f"serving p99 latency at {clients} client(s): {p99:.0f} ms")
-    print(f"served query bit-identical to direct serial run: "
-          f"{serving['identical_to_serial']}")
-
-    started = time.perf_counter()
-    faults_table = fault_injection(**_SMOKE_FAULTS_KWARGS)
-    faults_elapsed = time.perf_counter() - started
-    faults = faults_report(faults_table)
-    print()
-    print(faults_table.to_text())
-    print(f"(ran fault_injection smoke in {faults_elapsed:.1f} s)")
-    for mode in sorted(faults["identical"]):
-        print(f"fault-injected [{mode}] bit-identical to fault-free run: "
-              f"{faults['identical'][mode]} "
-              f"({faults['injected'][mode]} fault(s) injected, "
-              f"charge counters match: {faults['calls_match'][mode]})")
-
-    report = {"batch_pipeline": batch, "parallel_scaling": parallel, "shared_learning": shared,
-              "udf_overlap": overlap, "udf_pipeline": pipeline,
-              "udf_transport": transport, "auto_plan": auto,
-              "serving": serving, "fault_injection": faults}
-
-    identity_failures = []
-    for shape, part in batch_shapes.items():
-        if part["identical_to_per_tuple"] is not True:
-            identity_failures.append(
-                f"batch_pipeline [{shape}] diverged from the per-tuple path "
-                "(values, bounds or UDF charge counters)"
-            )
-    if shared["identical_at_1"] is not True:
-        identity_failures.append(
-            'merge="shared" at workers=1 diverged from the serial batched '
-            "path (samples, bounds or per-tuple UDF charges)"
+    report: dict = {}
+    tables: dict[str, list[ExperimentTable]] = {}
+    identity_failures: list[str] = []
+    for entry in SMOKE:
+        tables[entry.key] = []
+        for kwargs in entry.runs:
+            started = time.perf_counter()
+            table = entry.experiment(**kwargs)
+            elapsed = time.perf_counter() - started
+            tables[entry.key].append(table)
+            if report or len(tables[entry.key]) > 1:
+                print()
+            print(table.to_text())
+            print(f"(ran {entry.key} smoke in {elapsed:.1f} s)")
+        borrowed = [table for key in entry.borrows for table in tables[key]]
+        report[entry.key] = part = entry.report(*borrowed, *tables[entry.key])
+        for path in entry.headlines:
+            print(f"{entry.key}.{path}: {_show(_at(part, path.split('.')))}")
+        identity_failures.extend(
+            f"{entry.key}.{path} = {_show(_at(part, path.split('.')))}: {meaning}"
+            for path, meaning in entry.identities.items()
+            if not _holds(_at(part, path.split(".")))
         )
-    if overlap["identical_at_1"] is not True:
-        identity_failures.append(
-            "async_inflight=1 diverged from the serial batched path"
-        )
-    if pipeline["identical_at_1"] is not True:
-        identity_failures.append(
-            "pipeline_lookahead=1 diverged from the serial batched path"
-        )
-    if pipeline["identical_above_1"] is not True:
-        identity_failures.append(
-            "pipeline_lookahead>1 diverged from the async trajectory"
-        )
-    if not transport["identical_at_1"]:
-        identity_failures.append(
-            "udf_transport ran no transport's inflight=1 identity row"
-        )
-    for name, identical in sorted(transport["identical_at_1"].items()):
-        if identical is not True:
-            identity_failures.append(
-                f"transport {name!r} at async_inflight=1 diverged from the "
-                "serial batched path"
-            )
-    if auto["identical_to_explicit"] is not True:
-        identity_failures.append(
-            'plan="auto" diverged from the explicitly spelled plan it '
-            "resolves to (auto must select a plan, never change semantics)"
-        )
-    if serving["identical_to_serial"] is not True:
-        identity_failures.append(
-            "served query diverged from the direct serial run"
-        )
-    if not faults["identical"]:
-        identity_failures.append(
-            "fault_injection ran no execution mode's identity row"
-        )
-    for mode in sorted(faults["identical"]):
-        if faults["injected"].get(mode, 0) <= 0:
-            identity_failures.append(
-                f"fault_injection mode {mode!r} injected no faults — the "
-                "recovery gate would be vacuous"
-            )
-        if faults["identical"][mode] is not True:
-            identity_failures.append(
-                f"fault-injected {mode!r} run with retries diverged from "
-                "the fault-free same-seed run"
-            )
-        if faults["calls_match"].get(mode) is not True:
-            identity_failures.append(
-                f"fault-injected {mode!r} run charged a different UDF call "
-                "count than the fault-free run (failed attempts must charge "
-                "nothing)"
-            )
+
     if identity_failures:
-        # Determinism half of the async/pipeline acceptance contracts.
         # These are correctness properties, not perf ratios, so they are
         # not label-overridable.
         for failure in identity_failures:
@@ -748,10 +667,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", metavar="PATH",
                         help="also write the combined report to this file")
     parser.add_argument("--smoke", action="store_true",
-                        help="run only the fast smoke benchmarks (batched pipeline + "
-                             "parallel scaling + shared learning + async udf overlap + "
-                             "pipeline + udf transports + auto-planner + serving load + "
-                             "fault injection) and write a JSON artifact")
+                        help="run only the smoke benchmarks (the SMOKE registry) and "
+                             "write a JSON artifact")
     parser.add_argument("--smoke-output", metavar="PATH", default="BENCH_smoke.json",
                         help="where --smoke writes its JSON artifact")
     parser.add_argument("--baseline", metavar="PATH", default="BENCH_baseline.json",

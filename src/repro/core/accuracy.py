@@ -31,9 +31,9 @@ class AccuracyRequirement:
     """User-specified accuracy goal ``(ε, δ)`` for a chosen metric.
 
     ``lambda_value`` is the minimum interval length of the λ-discrepancy; it
-    is expressed in output units.  When ``None`` the plain discrepancy (all
-    interval lengths) is intended and callers typically derive a value as a
-    fraction of the observed output range.
+    is expressed in output units, and OLGAPRO bounds its outputs against it.
+    When ``None``, OLGAPRO derives λ as a fraction of the observed output
+    range (its ``lambda_fraction``).
     """
 
     epsilon: float = DEFAULT_EPSILON

@@ -204,16 +204,13 @@ class OLGAPRO:
         retraining_policy: Optional[RetrainingPolicy] = None,
         mc_fraction: float = DEFAULT_MC_FRACTION,
         lambda_fraction: float = DEFAULT_LAMBDA_FRACTION,
-        lambda_value: Optional[float] = None,
         gamma_fraction: float = DEFAULT_GAMMA_FRACTION,
-        gamma: Optional[float] = None,
         band_alpha: float = DEFAULT_BAND_ALPHA,
         band_method: BandMethod = "euler",
         initial_training_points: int = 5,
         max_points_per_tuple: int = DEFAULT_MAX_POINTS_PER_TUPLE,
         max_training_points: int = DEFAULT_MAX_TRAINING_POINTS,
         use_local_inference: bool = True,
-        subdivisions: int = 2,
         n_samples: Optional[int] = None,
         random_state: RandomState = None,
     ):
@@ -227,16 +224,13 @@ class OLGAPRO:
         self.tuning_strategy = tuning_strategy or LargestVarianceStrategy()
         self.retraining_policy = retraining_policy or ThresholdRetrain()
         self.lambda_fraction = float(lambda_fraction)
-        self._lambda_value = lambda_value
         self.gamma_fraction = float(gamma_fraction)
-        self._gamma = gamma
         self.band_alpha = float(band_alpha)
         self.band_method: BandMethod = band_method
         self.initial_training_points = int(initial_training_points)
         self.max_points_per_tuple = int(max_points_per_tuple)
         self.max_training_points = int(max_training_points)
         self.use_local_inference = bool(use_local_inference)
-        self.subdivisions = int(subdivisions)
         #: Injectable UDF-value carrier.  ``None``: window 1, every value
         #: evaluated inline — the paper's Algorithm 5 (one point, one bound
         #: re-check, one O(n^2) inverse update per iteration).  When set,
@@ -334,9 +328,13 @@ class OLGAPRO:
         return self.lambda_value_for(self.emulator.gp)
 
     def lambda_value_for(self, gp) -> float:
-        """λ derived from an explicit GP state (see :meth:`output_range_of`)."""
-        if self._lambda_value is not None:
-            return self._lambda_value
+        """The requirement's λ, else λ derived from an explicit GP state.
+
+        The derived λ is ``lambda_fraction`` of the output range (see
+        :meth:`output_range_of`).
+        """
+        if self.requirement.lambda_value is not None:
+            return self.requirement.lambda_value
         return self.lambda_fraction * self.output_range_of(gp)
 
     def gamma_threshold(self) -> float:
@@ -345,8 +343,6 @@ class OLGAPRO:
 
     def gamma_threshold_for(self, gp) -> float:
         """Γ derived from an explicit GP state (see :meth:`output_range_of`)."""
-        if self._gamma is not None:
-            return self._gamma
         return max(self.gamma_fraction * self.output_range_of(gp), 1e-12)
 
     def mc_samples(self) -> int:
@@ -611,9 +607,7 @@ class OLGAPRO:
         live path performs at the same model state.
         """
         if self.use_local_inference and gp.n_training > 3:
-            engine = LocalInferenceEngine(
-                gamma_threshold=self.gamma_threshold_for(gp), subdivisions=self.subdivisions
-            )
+            engine = LocalInferenceEngine(gamma_threshold=self.gamma_threshold_for(gp))
             return engine.predict(gp, samples, sample_box=box)
         return global_inference(gp, samples)
 

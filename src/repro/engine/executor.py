@@ -248,7 +248,7 @@ class UDFExecutionEngine:
             As :class:`~repro.exceptions.PlanError` for an invalid plan,
             plus whatever the resolved executor raises.
         """
-        from repro.engine.plan import ExecutionPlan, is_auto_plan
+        from repro.engine.plan import ExecutionPlan, installed_retry, is_auto_plan
         from repro.engine.result import QueryResult, classify_outputs
 
         distributions = list(input_distributions)
@@ -259,24 +259,13 @@ class UDFExecutionEngine:
             resolved_plan = ExecutionPlan.auto(udf, len(distributions))
         executor = resolved_plan.resolve(self)
         timings = PhaseTimings()
-        # The retry policy rides the UDF for the duration of this one
-        # computation: every execution layer — and the pickled UDF copies
-        # inside pool workers — funnels evaluations through the UDF's
-        # chokepoints, so installing it here is what makes serial, thread,
-        # asyncio and sharded paths retry identically.
-        if resolved_plan.retry is not None:
-            udf._install_retry_policy(resolved_plan.retry)
-        try:
-            with timings.measure("execute"):
-                if predicate is None:
-                    outputs = executor.compute_batch(udf, distributions)
-                else:
-                    outputs = executor.compute_batch_with_predicate(
-                        udf, distributions, predicate
-                    )
-        finally:
-            if resolved_plan.retry is not None:
-                udf._install_retry_policy(None)
+        with installed_retry(udf, resolved_plan), timings.measure("execute"):
+            if predicate is None:
+                outputs = executor.compute_batch(udf, distributions)
+            else:
+                outputs = executor.compute_batch_with_predicate(
+                    udf, distributions, predicate
+                )
         timings.merge(executor.timings)
         return QueryResult(
             outputs,

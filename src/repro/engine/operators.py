@@ -18,41 +18,19 @@ They cover what queries Q1 and Q2 of the paper need:
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.filtering import SelectionPredicate
 from repro.engine.batch import iter_batches
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.parallel import ParallelExecutor
-from repro.engine.plan import ExecutionPlan, PlannedExecutor, is_auto_plan
+from repro.engine.plan import ExecutionPlan, PlannedExecutor, installed_retry, is_auto_plan
 from repro.engine.result import QueryResult, classify_rows
 from repro.engine.schema import Attribute, AttributeKind, Schema
 from repro.engine.tuples import Relation, UncertainTuple
 from repro.exceptions import QueryError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
-
-
-@contextmanager
-def _installed_retry(udf: UDF, plan: ExecutionPlan) -> Iterator[None]:
-    """Install ``plan.retry`` on the UDF for the duration of one operator scan.
-
-    The operators drive their executors directly rather than through
-    :meth:`~repro.engine.executor.UDFExecutionEngine.compute_with_plan`,
-    so they must perform the same install/uninstall dance around the
-    whole scan: the policy rides the UDF's evaluation chokepoints (and
-    its pickled pool-worker copies), which is what makes the per-tuple,
-    chunked and sharded iteration paths retry identically.
-    """
-    if plan.retry is None:
-        yield
-        return
-    udf._install_retry_policy(plan.retry)
-    try:
-        yield
-    finally:
-        udf._install_retry_policy(None)
 
 
 def _resolve_catalog_udf(udf: UDF | str) -> UDF:
@@ -101,7 +79,7 @@ def _udf_blocks(node, predicate: SelectionPredicate | None = None):
         blocks: Iterable = [list(node.child)]
     else:
         blocks = iter_batches(node.child, executor.batch_size)
-    with _installed_retry(node.udf, node.plan):
+    with installed_retry(node.udf, node.plan):
         for rows in blocks:
             inputs = [row.input_distribution(node.argument_names) for row in rows]
             if predicate is None:
@@ -330,6 +308,20 @@ class _UDFCall(Operator):
         self.plan = plan
         self._executor: PlannedExecutor = plan.resolve(engine)
 
+    def _annotated(self, row: UncertainTuple, output, distribution) -> UncertainTuple:
+        """``row`` with ``distribution`` under the alias and the call's annotations."""
+        out = row.with_value(self.alias, distribution)
+        out.annotations[f"{self.alias}_error_bound"] = output.error_bound
+        out.annotations[f"{self.alias}_udf_calls"] = output.udf_calls
+        out.annotations[f"{self.alias}_charged_time"] = output.charged_time
+        if getattr(output, "failed", False):
+            # Quarantined evaluation: the row keeps the last distribution /
+            # bound OLGAPRO had (``None`` / NaN when it failed before any
+            # existed) and the annotation routes it to a ``degraded``
+            # verdict instead of aborting the query.
+            out.annotations[f"{self.alias}_degraded"] = True
+        return out
+
 
 class ApplyUDF(_UDFCall):
     """Evaluate a UDF on each tuple, adding the output distribution as a column.
@@ -354,23 +346,10 @@ class ApplyUDF(_UDFCall):
         )
         return self.child.schema().with_attribute(derived)
 
-    def _annotated(self, row: UncertainTuple, output) -> UncertainTuple:
-        out = row.with_value(self.alias, output.distribution)
-        out.annotations[f"{self.alias}_error_bound"] = output.error_bound
-        out.annotations[f"{self.alias}_udf_calls"] = output.udf_calls
-        out.annotations[f"{self.alias}_charged_time"] = output.charged_time
-        if getattr(output, "failed", False):
-            # Quarantined evaluation: the row keeps the last distribution /
-            # bound OLGAPRO had (``None`` / NaN when it failed before any
-            # existed) and the annotation routes it to a ``degraded``
-            # verdict instead of aborting the query.
-            out.annotations[f"{self.alias}_degraded"] = True
-        return out
-
     def __iter__(self) -> Iterator[UncertainTuple]:
         for rows, outputs in _udf_blocks(self):
             for row, output in zip(rows, outputs):
-                yield self._annotated(row, output)
+                yield self._annotated(row, output, output.distribution)
 
 
 class SelectUDF(_UDFCall):
@@ -415,23 +394,15 @@ class SelectUDF(_UDFCall):
             # the tuple is *retained* as degraded — online filtering only
             # excludes tuples it has confidently ruled out, and a failed
             # evaluation rules out nothing.
-            out = row.with_value(self.alias, output.distribution)
-            out.annotations[f"{self.alias}_error_bound"] = output.error_bound
-            out.annotations[f"{self.alias}_udf_calls"] = output.udf_calls
-            out.annotations[f"{self.alias}_charged_time"] = output.charged_time
-            out.annotations[f"{self.alias}_degraded"] = True
-            return out
+            return self._annotated(row, output, output.distribution)
         if output.dropped or output.distribution is None:
             return None
         truncation = output.distribution.truncate(self.predicate.low, self.predicate.high)
         existence = row.existence_probability * truncation.existence_probability
         if truncation.distribution is None or existence < self.predicate.threshold:
             return None
-        out = row.with_value(self.alias, truncation.distribution)
+        out = self._annotated(row, output, truncation.distribution)
         out.existence_probability = existence
-        out.annotations[f"{self.alias}_error_bound"] = output.error_bound
-        out.annotations[f"{self.alias}_udf_calls"] = output.udf_calls
-        out.annotations[f"{self.alias}_charged_time"] = output.charged_time
         return out
 
     def __iter__(self) -> Iterator[UncertainTuple]:

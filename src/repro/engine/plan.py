@@ -32,8 +32,9 @@ The knobs *compose* rather than compete:
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor
@@ -84,6 +85,25 @@ def is_auto_plan(plan: Any) -> bool:
             )
         return True
     return False
+
+
+@contextmanager
+def installed_retry(udf: Any, plan: "ExecutionPlan") -> Iterator[None]:
+    """Install ``plan.retry`` on the UDF for the duration of one computation.
+
+    The policy rides the UDF's evaluation chokepoints (and its pickled
+    pool-worker copies), which is what makes the per-tuple, chunked and
+    sharded paths retry identically; every caller that drives a resolved
+    executor wraps the whole computation in this.
+    """
+    if plan.retry is None:
+        yield
+        return
+    udf._install_retry_policy(plan.retry)
+    try:
+        yield
+    finally:
+        udf._install_retry_policy(None)
 
 
 @dataclass(frozen=True)

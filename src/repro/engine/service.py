@@ -61,7 +61,7 @@ import threading
 import time
 from concurrent.futures import Future as ConcurrentFuture
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.shared_model import SharedEmulatorStore
@@ -313,9 +313,6 @@ class QueryService:
         #: number of concurrent same-region queries learn from — and
         #: contribute to — one model (guarded by ``_lock``).
         self._model_stores: Dict[str, Dict[str, SharedEmulatorStore]] = {}
-        #: Validated plans deduped by field tuple (skipped for unhashable
-        #: fields such as transport instances).
-        self._plan_cache: Dict[Tuple[Any, ...], "ExecutionPlan"] = {}
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -390,8 +387,6 @@ class QueryService:
                 )
             self._breaker_admit(handle_name, udf_names)
             self.stats["submitted"] += 1
-            if plan is not None:
-                plan = self._cached_plan(plan)
             engine.plan = plan if plan is not None else engine.plan
             if self.share_models:
                 self._bind_stores(engine, region)
@@ -497,21 +492,6 @@ class QueryService:
                     if state.probing or state.failures >= self.breaker_threshold:
                         state.opened_at = time.monotonic()
                         state.probing = False
-
-    def _cached_plan(self, plan: "ExecutionPlan | str") -> "ExecutionPlan | str":
-        """Dedupe equal validated plans so repeat submissions share one.
-
-        The ``"auto"`` spelling passes through uncached: it resolves to a
-        *different* plan per UDF profile and input size, so there is no
-        one plan object to share.
-        """
-        if isinstance(plan, str):
-            return plan
-        try:
-            key = tuple(getattr(plan, f.name) for f in fields(plan))
-            return self._plan_cache.setdefault(key, plan)
-        except TypeError:  # unhashable field (e.g. a transport instance)
-            return plan
 
     # -- the per-query coroutine --------------------------------------------------
     async def _run_query(

@@ -71,15 +71,6 @@ class AccuracyError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """Raised when an online algorithm cannot meet its accuracy target.
-
-    OLGAPRO raises this when the maximum number of training points allowed
-    for a single input tuple has been exhausted and the error bound still
-    exceeds the user requirement.
-    """
-
-
 class IndexError_(ReproError):
     """Raised for spatial-index (R-tree) misuse.
 

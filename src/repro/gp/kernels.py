@@ -68,11 +68,6 @@ class Kernel(abc.ABC):
         self.signal_std = float(np.exp(value[0]))
         self.lengthscale = float(np.exp(value[1]))
 
-    @property
-    def n_hyperparameters(self) -> int:
-        """Number of tunable hyperparameters."""
-        return 2
-
     def clone(self) -> "Kernel":
         """Copy with the same hyperparameters."""
         return type(self)(self.signal_std, self.lengthscale)

@@ -69,13 +69,6 @@ def stacked_jittered_cholesky(
     return factors, jitters
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L``."""
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(L, b, lower=True)
-
-
 def solve_cholesky(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) x = b`` given the lower Cholesky factor ``L``."""
     from scipy.linalg import solve_triangular

@@ -38,10 +38,6 @@ class _Entry:
     child: Optional["_Node"] = None
     point: Optional[np.ndarray] = None
 
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.child is None
-
 
 @dataclass(eq=False)
 class _Node:

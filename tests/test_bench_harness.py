@@ -1,11 +1,20 @@
-"""Unit tests for the experiment harness (result tables)."""
+"""Unit tests for the experiment harness (result tables, identity check, timed runs)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.bench.harness import ExperimentTable, summarize
+from repro.bench.experiments_auto import auto_plan
+from repro.bench.harness import ExperimentTable, outputs_identical, summarize
+from repro.core.accuracy import AccuracyRequirement
+from repro.engine.executor import UDFExecutionEngine
 from repro.exceptions import ReproError
+from repro.rng import as_generator
+from repro.udf.synthetic import async_service_udf
+from repro.workloads.generators import input_stream, workload_for_udf
 
 
 class TestExperimentTable:
@@ -126,3 +135,43 @@ class TestPhaseTimings:
         # All-or-nothing: the valid "sampling" entry was not applied either.
         assert timings.get("sampling") == pytest.approx(1.0)
         assert timings.get("inference") == 0.0
+
+
+class TestOutputsIdentical:
+    @staticmethod
+    def output(samples, bound=0.1, calls=3):
+        return SimpleNamespace(
+            distribution=SimpleNamespace(samples=np.asarray(samples, dtype=float)),
+            error_bound=bound,
+            udf_calls=calls,
+        )
+
+    def test_samples_and_bounds_must_match(self):
+        a = [self.output([1.0, 2.0])]
+        assert outputs_identical(a, [self.output([1.0, 2.0])])
+        assert not outputs_identical(a, [self.output([1.0, 2.5])])
+        assert not outputs_identical(a, [self.output([1.0, 2.0], bound=0.2)])
+        assert not outputs_identical(a, a + a)
+        assert not outputs_identical(a, None)
+
+    def test_charges_are_compared_only_on_request(self):
+        a, b = [self.output([1.0], calls=3)], [self.output([1.0], calls=4)]
+        assert outputs_identical(a, b)
+        assert not outputs_identical(a, b, charges=True)
+
+
+def test_auto_plan_reports_every_call_the_udf_was_paid_for():
+    """The auto row's ``udf_calls`` is ``udf.call_count``, unconsumed prefetches included."""
+    table = auto_plan(n_tuples=4, service_latency=1e-2, epsilon=0.12, n_samples=120,
+                      random_state=7, stream_seed=3)
+    auto_row = next(row for row in table.rows if row["mode"] == "auto")
+
+    udf = async_service_udf("F4", latency=1e-2, random_state=7)
+    engine = UDFExecutionEngine(
+        strategy="gp", requirement=AccuracyRequirement(epsilon=0.12, delta=0.05),
+        random_state=7, n_samples=120,
+    )
+    dists = list(input_stream(workload_for_udf(udf), 4, random_state=as_generator(3)))
+    outputs = engine.compute_with_plan(udf, dists, plan="auto").outputs
+    assert udf.call_count > sum(output.udf_calls for output in outputs)
+    assert auto_row["udf_calls"] == udf.call_count

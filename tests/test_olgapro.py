@@ -45,6 +45,16 @@ class TestConfiguration:
         processor = OLGAPRO(quadratic_udf, AccuracyRequirement(epsilon=0.1, delta=0.05))
         assert processor.mc_samples() == processor.budget.mc_samples
 
+    def test_requirement_lambda_is_the_lambda(self, quadratic_udf):
+        processor = OLGAPRO(quadratic_udf, requirement=AccuracyRequirement(lambda_value=0.3))
+        assert processor.lambda_value() == 0.3
+
+    def test_lambda_defaults_to_a_fraction_of_the_output_range(self, quadratic_udf):
+        processor = OLGAPRO(quadratic_udf, lambda_fraction=0.25)
+        assert processor.lambda_value() == 0.25 * processor.output_range_of(
+            processor.emulator.gp
+        )
+
 
 class TestProcessing:
     def test_meets_error_budget_on_smooth_udf(self, quadratic_udf):

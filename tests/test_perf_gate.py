@@ -31,21 +31,27 @@ Contracts under test, per row:
   ``SHARED_CALLS_RATIO_LIMIT`` ceiling on every runner (a same-invocation
   count quotient — no hardware drift), while the shared-merge wall-clock
   speedup is CPU-gated like the parallel one; the ``workers=1``
-  bit-identity half lives in ``identity_failures``.
+  bit-identity half lives in ``identity_failures``;
+* the smoke registry (``SMOKE``) keeps one non-overridable identity check
+  per pair of different code paths, and a failing one fails the run.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import ExperimentTable
 from repro.bench.run_all import (
     DEFAULT_MAX_REGRESSION,
     GATES,
     PARALLEL_GATE_MIN_CPUS,
     SHARED_CALLS_RATIO_LIMIT,
+    SMOKE,
+    SmokeEntry,
     gate_verdict,
     gated_verdicts,
     main,
+    run_smoke,
 )
 
 BY_KEY = {gate.key: gate for gate in GATES}
@@ -232,3 +238,48 @@ class TestCliFlag:
 
         with pytest.raises(SystemExit):
             argparse.ArgumentParser().parse_args(["--no-such-flag"])
+
+
+class TestSmokeRegistry:
+    def test_every_cross_path_identity_is_still_checked(self):
+        identities = {(entry.key, path) for entry in SMOKE for path in entry.identities}
+        assert identities == {
+            ("batch_pipeline", "identical_to_per_tuple"),
+            ("batch_pipeline", "dispatch_bound.identical_to_per_tuple"),
+            ("batch_pipeline", "in_contract.identical_to_per_tuple"),
+            ("shared_learning", "identical_at_1"),
+            ("udf_pipeline", "identical_above_1"),
+            ("serving", "identical_to_serial"),
+            ("fault_injection", "identical"),
+            ("fault_injection", "calls_match"),
+            ("fault_injection", "fired"),
+        }
+
+    def test_every_gate_reads_a_report_the_smoke_writes(self):
+        assert {gate.path[0] for gate in GATES} <= {entry.key for entry in SMOKE}
+
+    @staticmethod
+    def _entries(verdicts):
+        def experiment(**kwargs):
+            table = ExperimentTable("fake", "-", "-")
+            table.add_row(**kwargs)
+            return table
+
+        def report(*tables):
+            return {"verdict": {t.rows[0]["mode"]: t.rows[0]["ok"] for t in tables}}
+
+        return (SmokeEntry("fake", experiment,
+                           tuple({"mode": m, "ok": ok} for m, ok in verdicts.items()),
+                           report, headlines=("verdict",),
+                           identities={"verdict": "a fake mode diverged"}),)
+
+    @pytest.mark.parametrize("verdicts, code", [
+        ({"a": True, "b": True}, 0), ({"a": True, "b": False}, 1), ({}, 1),
+    ])
+    def test_an_identity_failure_fails_the_run(self, verdicts, code, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr("repro.bench.run_all.SMOKE", self._entries(verdicts))
+        output = tmp_path / "smoke.json"
+        assert run_smoke(str(output), str(tmp_path / "none.json"), 0.25) == code
+        assert output.exists()
+        assert ("IDENTITY CHECK FAILED: fake.verdict" in capsys.readouterr().err) == bool(code)

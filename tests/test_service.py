@@ -436,12 +436,3 @@ def test_served_result_carries_executor_phase_timings():
     for phase in ("sampling", "inference"):
         assert 0.0 < result.timings.get(phase) < result.timings.get("execute")
     assert "refinement" in result.timings.seconds
-
-
-def test_plan_cache_dedupes_equal_plans():
-    with QueryService() as service:
-        a = service._cached_plan(ExecutionPlan(batch_size=2))
-        b = service._cached_plan(ExecutionPlan(batch_size=2))
-        c = service._cached_plan(ExecutionPlan(batch_size=4))
-    assert a is b
-    assert c is not a

@@ -17,12 +17,12 @@ batched run.  A window of one builds the serial executor itself, so the
 sweep leaves it out; its bit-identity with the serial run is pinned by
 ``tests/test_async_exec.py`` and ``tests/test_transport.py``.
 
-A second experiment, :func:`udf_transport`, sweeps the *transport* axis of
+A second experiment, :func:`udf_transport`, sweeps the *carrier* axis of
 the same protocol: the black box is a natively-async simulated-latency
 service (:func:`~repro.udf.synthetic.async_service_udf`) and each row runs
-the window over a named :mod:`~repro.engine.transport` — the thread pool
-versus the event loop — against the serial batched baseline on the very
-same UDF.
+the window over one of the two :mod:`~repro.engine.transport` carriers —
+the thread pool versus the event loop — against the serial batched
+baseline on the very same UDF.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def udf_transport(
     """
     table = ExperimentTable(
         experiment_id="udf_transport",
-        paper_artifact="pluggable UDF evaluation transports (beyond the paper)",
+        paper_artifact="the two UDF carriers, threads and asyncio (beyond the paper)",
         description=(
             "Serial batched vs transport-overlapped refinement wall-clock on a "
             f"simulated async UDF service ({function_name}, "

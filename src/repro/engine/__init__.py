@@ -8,7 +8,6 @@ strategies; iterator-style physical operators; and the fluent query builder.
 from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT, AsyncEvaluationDriver
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor, iter_batches
 from repro.engine.executor import ComputedOutput, Strategy, UDFExecutionEngine
-from repro.engine.faults import FaultInjectingTransport
 from repro.engine.operators import (
     ApplyUDF,
     CrossJoin,
@@ -58,10 +57,7 @@ from repro.engine.transport import (
     TRANSPORTS,
     AsyncioTransport,
     EvaluationTransport,
-    SerialTransport,
-    SubprocessPoolTransport,
     ThreadPoolTransport,
-    make_transport,
 )
 from repro.engine.tuples import Relation, UncertainTuple
 
@@ -81,13 +77,10 @@ __all__ = [
     "PRECEDENCE",
     "is_auto_plan",
     "EvaluationTransport",
-    "SerialTransport",
     "ThreadPoolTransport",
     "AsyncioTransport",
-    "SubprocessPoolTransport",
     "TRANSPORTS",
     "DEFAULT_TRANSPORT",
-    "make_transport",
     "BatchExecutor",
     "DEFAULT_BATCH_SIZE",
     "iter_batches",
@@ -113,7 +106,6 @@ __all__ = [
     "VERDICT_POSSIBLE",
     "VERDICT_EXCLUDED",
     "VERDICT_DEGRADED",
-    "FaultInjectingTransport",
     "classify_outputs",
     "classify_rows",
     "default_worker_count",

@@ -120,7 +120,7 @@ class AsyncEvaluationDriver:
         """Dispatch evaluations of the rows of ``X``: one future per row, in row order."""
         if self.pool is not None:
             return [self.pool.fetch(row) for row in X]
-        return udf.submit_rows(self.carrier, X)
+        return self.carrier.submit_rows(udf, X)
 
     def drain(self, futures: list[Future]) -> None:
         """Wait out a window: every submitted evaluation completes (and is

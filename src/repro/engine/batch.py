@@ -39,7 +39,7 @@ from repro.distributions.empirical import EmpiricalDistribution
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import ComputedOutput, UDFExecutionEngine, online_result_to_output
 from repro.engine.pipeline import SpeculationStage
-from repro.engine.transport import make_transport
+from repro.engine.transport import TRANSPORTS
 from repro.exceptions import QueryError, UDFError
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
@@ -176,7 +176,7 @@ class BatchExecutor:
             # Fail fast on an incompatible UDF/transport pair even where no
             # session opens: a misconfiguration must not become visible
             # only once the user raises the window.
-            transport = make_transport(self.plan.transport)
+            transport = TRANSPORTS[self.plan.transport]()
             transport.accepts(udf)
             olgapro = self.engine.olgapro_for(udf)
             staged = self.lookahead > 1 and olgapro is not None

@@ -93,9 +93,9 @@ class SpeculativeValuePool:
     is complete — and deterministic — before a chunk finishes.
     """
 
-    def __init__(self, udf: UDF, executor: EvaluationTransport):
+    def __init__(self, udf: UDF, carrier: EvaluationTransport):
         self.udf = udf
-        self.executor = executor
+        self.carrier = carrier
         self._lock = threading.Lock()
         self._futures: dict[bytes, Future] = {}
         self._claimed: set[bytes] = set()
@@ -111,7 +111,7 @@ class SpeculativeValuePool:
         with self._lock:
             future = self._futures.get(key)
             if future is None:
-                future = self.udf.submit_rows(self.executor, row[None, :])[0]
+                future = self.carrier.submit_rows(self.udf, row[None, :])[0]
                 self._futures[key] = future
                 self.submitted += 1
             return key, future

@@ -39,12 +39,7 @@ from typing import Any, Iterator, Optional, Union
 from repro.engine.async_exec import DEFAULT_ASYNC_INFLIGHT
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchExecutor
 from repro.engine.parallel import MERGE_POLICIES, MergePolicy, ParallelExecutor
-from repro.engine.transport import (
-    DEFAULT_TRANSPORT,
-    EvaluationTransport,
-    TransportSpec,
-    transport_name,
-)
+from repro.engine.transport import DEFAULT_TRANSPORT, TRANSPORTS
 from repro.exceptions import PlanError
 from repro.udf.retry import RetryPolicy
 
@@ -155,12 +150,11 @@ class ExecutionPlan:
         it unset; ``> 1`` with no ``async_inflight`` implies the default
         window (see :attr:`window`).
     transport:
-        How refinement-window evaluations reach the black box:
-        ``"threads"`` (default, bounded pool), ``"serial"`` (the explicit
-        no-overlap spelling — legal with no window, or a window of one),
+        The carrier of overlapped refinement-window evaluations, by name:
+        ``"threads"`` (default, bounded pool; carries any UDF) or
         ``"asyncio"`` (event loop; requires an
-        :class:`~repro.udf.base.AsyncUDF` and a window to carry), or an
-        :class:`~repro.engine.transport.EvaluationTransport` instance.
+        :class:`~repro.udf.base.AsyncUDF` and a window to carry).  A window
+        of one opens no carrier, whichever is named.
     retry:
         Fault-tolerance policy (:class:`~repro.udf.retry.RetryPolicy`):
         how transient UDF failures are retried (deterministic capped
@@ -179,7 +173,7 @@ class ExecutionPlan:
     parallel_seed: Optional[int] = None
     async_inflight: Optional[int] = None
     pipeline_lookahead: Optional[int] = None
-    transport: TransportSpec = DEFAULT_TRANSPORT
+    transport: str = DEFAULT_TRANSPORT
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
@@ -196,7 +190,11 @@ class ExecutionPlan:
             raise PlanError(
                 f"unknown merge policy {self.merge!r}; choose from {MERGE_POLICIES}"
             )
-        name = transport_name(self.transport)  # validates the spec
+        if not isinstance(self.transport, str) or self.transport not in TRANSPORTS:
+            raise PlanError(
+                f"unknown transport {self.transport!r}; the carriers are "
+                "'threads' (any UDF) and 'asyncio' (an AsyncUDF)"
+            )
         if (
             self.merge == "shared"
             and self.workers is None
@@ -210,23 +208,11 @@ class ExecutionPlan:
                 "through a live model, but the plan has neither; set workers "
                 "or pipeline_lookahead (or drop merge) — " + PRECEDENCE
             )
-        overlapped = (
-            (self.async_inflight is not None and self.async_inflight > 1)
-            or (self.pipeline_lookahead is not None and self.pipeline_lookahead > 1)
-        )
-        if name == "serial" and overlapped:
-            raise PlanError(
-                "transport='serial' evaluates inline and cannot overlap the "
-                f"requested window (async_inflight={self.async_inflight}, "
-                f"pipeline_lookahead={self.pipeline_lookahead}); use the "
-                "'threads' or 'asyncio' transport, or drop the overlap knobs — "
-                + PRECEDENCE
-            )
-        if name == "asyncio" and (
+        if self.transport == "asyncio" and (
             self.async_inflight is None and self.pipeline_lookahead is None
         ):
             raise PlanError(
-                f"transport={name!r} selects how refinement-window evaluations "
+                "transport='asyncio' selects how refinement-window evaluations "
                 "are carried, but the plan requests no window; set "
                 "async_inflight (or pipeline_lookahead) — " + PRECEDENCE
             )
@@ -234,12 +220,6 @@ class ExecutionPlan:
             raise PlanError(
                 f"retry must be a repro.udf.retry.RetryPolicy (or None), got "
                 f"{type(self.retry).__name__}"
-            )
-        if self.workers is not None and isinstance(self.transport, EvaluationTransport):
-            raise PlanError(
-                "a transport *instance* is process-local and cannot be shipped "
-                "to pool workers; name the transport (e.g. transport='asyncio') "
-                "when combining it with workers — " + PRECEDENCE
             )
 
     # -- auto-planning ------------------------------------------------------------
@@ -266,18 +246,13 @@ class ExecutionPlan:
         Knob selection by latency class (see the architecture doc for the
         full table):
 
-        * *neutral* (negligible cost, no backend) — the serial batched
+        * *neutral* (negligible cost) — the serial batched
           path: ``batch_size`` only (the bit-identity anchor).
         * *moderate* (≥ 1 ms/call) — an overlapped refinement window of
           4, carried by ``"asyncio"`` for an async-capable UDF and
           ``"threads"`` otherwise.
         * *slow* (≥ 10 ms/call) — a window of 8 plus cross-tuple
           pipelining (``pipeline_lookahead=4``).
-        * a declared ``backend`` overrides the transport choice: it is
-          checked against the UDF (``accepts``) and carries any window
-          > 1.  A window of one still evaluates inline — a non-serial
-          backend with nothing to overlap gets ``async_inflight=1``,
-          which opens no transport session.
 
         ``batch_size`` is the default chunk size capped by
         ``relation_size`` (no point chunking past the input).
@@ -322,28 +297,11 @@ class ExecutionPlan:
         knobs["batch_size"] = batch
         latency = profile.latency_class
         window = {LATENCY_SLOW: 8, LATENCY_MODERATE: 4}.get(latency)
-        transport: Optional[str] = None
-        if profile.backend is not None:
-            transport = profile.backend
-            if transport_name(transport) == "serial":
-                window = None  # inline evaluation has nothing to overlap
-            elif window is None:
-                # A window of one is the serial batched path: it evaluates
-                # inline, so the backend is only checked against the UDF.
-                window = 1
-        elif window is not None:
-            transport = "asyncio" if profile.async_capable else "threads"
-        if transport is not None:
-            knobs["transport"] = transport
         if window is not None:
+            knobs["transport"] = "asyncio" if profile.async_capable else "threads"
             knobs["async_inflight"] = window
-        if (
-            latency == LATENCY_SLOW
-            and window is not None
-            and window > 1
-            and (relation_size is None or int(relation_size) >= 4)
-        ):
-            knobs["pipeline_lookahead"] = 4
+            if latency == LATENCY_SLOW and (relation_size is None or int(relation_size) >= 4):
+                knobs["pipeline_lookahead"] = 4
         return cls(**knobs)
 
     # -- resolution ---------------------------------------------------------------

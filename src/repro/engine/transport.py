@@ -1,57 +1,46 @@
-"""Pluggable UDF evaluation transports for the refinement executors.
+"""The two carriers of a refinement window's UDF evaluations.
 
 The overlapped execution layers (:mod:`repro.engine.async_exec`,
 :mod:`repro.engine.pipeline`) treat the UDF as a black box whose *call
-latency* dominates — precisely the regime where **how** an evaluation is
-carried to the black box should be a separate, swappable layer.  Before
-this module, both drivers hand-wired a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor` (duplicated creation,
-sizing and shutdown logic); a natively-async UDF (an HTTP service, an
-``asyncio``-based simulator) had no first-class path at all.
+latency* dominates.  The one choice the engine makes about how those calls
+are carried is whether a window's calls overlap; where they do, a carrier
+takes them to the black box.
 
-:class:`EvaluationTransport` is that seam.  A transport owns the resource
-an evaluation rides on (nothing, a thread pool, an event loop thread) and
-exposes one primitive — :meth:`~EvaluationTransport.submit_rows`, returning
-one :class:`~concurrent.futures.Future` per input row, **in row order** —
-plus an explicit :meth:`~EvaluationTransport.open` /
-:meth:`~EvaluationTransport.close` lifecycle.  Everything above the
-transport (the window driver, the speculative value pool, the fence and
-rollback machinery, charge accounting) consumes futures by submission
-index, so the determinism contracts of the window and the lookahead stage
-carry over bit for bit regardless of the transport in use.
+:class:`EvaluationTransport` is that seam.  A carrier owns the resource an
+evaluation rides on (a thread pool, an event loop thread) and exposes one
+primitive — :meth:`~EvaluationTransport.submit_rows`, returning one
+:class:`~concurrent.futures.Future` per input row, **in row order** — plus
+an explicit :meth:`~EvaluationTransport.open` /
+:meth:`~EvaluationTransport.close` lifecycle.  Everything above the carrier
+(the window driver, the speculative value pool, the fence and rollback
+machinery, charge accounting) consumes futures by submission index, so the
+determinism contracts of the window and the lookahead stage hold bit for
+bit on either carrier.
 
-Four transports ship:
+Two carriers ship, one per kind of black box, named by
+:attr:`ExecutionPlan.transport <repro.engine.plan.ExecutionPlan.transport>`:
 
-* :class:`SerialTransport` — evaluates inline on the calling thread and
-  returns already-resolved futures.  No concurrency, no threads; useful as
-  a debugging baseline and as the explicit "do not overlap" spelling.
-* :class:`ThreadPoolTransport` — the extracted thread-pool logic the
-  async and pipeline drivers previously each owned: a bounded pool, rows
+* ``"threads"`` — :class:`ThreadPoolTransport`, a bounded pool; rows are
   submitted through :meth:`~repro.udf.base.UDF.submit_rows` (which carries
-  the in-flight gauge and charge accounting).
-* :class:`AsyncioTransport` — an event loop running on a dedicated
-  (non-daemon, always-joined) thread; rows of an
+  the in-flight gauge and charge accounting).  The only carrier for a
+  blocking UDF.
+* ``"asyncio"`` — :class:`AsyncioTransport`, an event loop running on a
+  dedicated (non-daemon, always-joined) thread; rows of an
   :class:`~repro.udf.base.AsyncUDF` are scheduled as coroutines, so a
-  window of ``k`` awaited latencies costs roughly one.  Blocking callables
-  would stall the loop, so this transport requires an ``AsyncUDF``.
-* :class:`SubprocessPoolTransport` — the out-of-process evaluation
-  backend: each row is shipped (as a pickled UDF copy) to a bounded
-  process pool and the worker's charge delta is folded back into the
-  parent-side UDF, so the same query can target in-process, thread,
-  event-loop or out-of-process evaluation by naming a transport.
+  window of ``k`` awaited latencies costs roughly one without ``k``
+  threads.  Blocking callables would stall the loop, so this carrier
+  requires an ``AsyncUDF``.
 
 Lifecycle and safety contract
 -----------------------------
-Transports are **specs until opened**: constructing one allocates nothing,
-:meth:`~EvaluationTransport.open` allocates the live resource, and
-:meth:`~EvaluationTransport.close` releases it — joining every thread the
-transport started, including the event loop thread, so a failed query
-(:class:`~repro.exceptions.QueryError` mid-computation) never leaks
-non-daemon threads.  The executors drive this through
+A carrier allocates nothing until :meth:`~EvaluationTransport.open`, and
+:meth:`~EvaluationTransport.close` releases the resource — joining every
+thread the carrier started, including the event loop thread, so a failed
+query (:class:`~repro.exceptions.QueryError` mid-computation) never leaks
+non-daemon threads.  The chunk executor builds a fresh carrier per
+computation from the plan's name and drives it through
 :meth:`~EvaluationTransport.session`, whose ``finally`` closes on every
-exit path.  Pickling a transport (e.g. inside an engine snapshot shipped
-to a pool worker) drops the live resource: the copy arrives closed and can
-be opened fresh in its new process, and the original keeps running.
+exit path.
 """
 
 from __future__ import annotations
@@ -60,15 +49,14 @@ import abc
 import asyncio
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from functools import partial
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.exceptions import PlanError, QueryError, TransportDrainTimeoutError
+from repro.exceptions import QueryError, TransportDrainTimeoutError
 from repro.udf.base import UDF, AsyncUDF
 
 
@@ -77,15 +65,13 @@ class EvaluationTransport(abc.ABC):
 
     Subclasses implement the three lifecycle/submission primitives; the
     base class provides the :meth:`session` context manager the executors
-    use, pickling that drops live resources, and the UDF-compatibility
-    check.  A transport instance serves one computation at a time (the
-    executors open it per compute call), but is reusable: ``open`` after
-    ``close`` starts a fresh resource.
+    use, the settle step and the UDF-compatibility check.  A carrier serves
+    one computation at a time (the executors open it per compute call), but
+    is reusable: ``open`` after ``close`` starts a fresh resource.
     """
 
-    #: Registry name of the transport (``"serial"`` / ``"threads"`` /
-    #: ``"asyncio"``); used by :func:`make_transport` and by the parallel
-    #: layer, which ships the *name* (never a live transport) to workers.
+    #: The carrier's key in :data:`TRANSPORTS` — the name a plan carries
+    #: (``"threads"`` / ``"asyncio"``).
     name: str = "abstract"
 
     #: Seconds :meth:`drain` (and the asyncio transport's close-time drain)
@@ -181,9 +167,8 @@ class EvaluationTransport(abc.ABC):
     def accepts(self, udf: UDF) -> None:
         """Raise :class:`QueryError` when ``udf`` cannot ride this transport.
 
-        The base implementation accepts every UDF; transports with
-        stronger requirements (``asyncio`` needs a natively-async UDF)
-        override this so executors can fail fast, before any resource is
+        The thread pool accepts every UDF; the event loop needs a
+        natively-async one and overrides this so executors can fail fast, before any resource is
         allocated or any tuple is computed.
         """
         del udf
@@ -203,72 +188,13 @@ class EvaluationTransport(abc.ABC):
         finally:
             self.close()
 
-    # -- pickling -----------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        """Drop live resources: a pickled transport arrives closed.
-
-        Pools, event loops and threads are process-local; shipping a
-        transport inside an engine snapshot must neither fail nor tear
-        down the original's live resource.  Subclasses list their live
-        attributes in :attr:`_live_attrs`.
-        """
-        state = dict(self.__dict__)
-        for attr in self._live_attrs():
-            state[attr] = None
-        return state
-
-    def _live_attrs(self) -> Tuple[str, ...]:
-        """Names of process-local attributes dropped on pickling."""
-        return ()
-
-
-class SerialTransport(EvaluationTransport):
-    """Inline evaluation on the calling thread; futures arrive resolved.
-
-    The degenerate transport: no concurrency, no allocated resource.  A
-    window "submitted" through it evaluates row by row, synchronously, so
-    it is only legal where no overlap is requested (the planner enforces
-    this) — its value is as an explicit spelling of "serial" and as a
-    bisection tool when debugging a transport-dependent difference.
-    """
-
-    name = "serial"
-
-    def open(self, max_workers: int, label: str = "udf") -> None:
-        """Nothing to allocate; parameters are accepted for uniformity."""
-        del max_workers, label
-
-    def submit_rows(self, udf: UDF, X: np.ndarray) -> List[Future]:
-        """Evaluate each row immediately; return completed futures.
-
-        The in-flight gauge is bracketed around each inline call (peaking
-        at one, by construction) so gauge-based instrumentation reads
-        consistently across carriers, per the transport contract.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        futures: List[Future] = []
-        for row in X:
-            future: Future = Future()
-            udf._enter_flight()
-            try:
-                future.set_result(udf(row))
-            except Exception as exc:  # noqa: BLE001 - delivered via the future
-                future.set_exception(exc)
-            finally:
-                udf._exit_flight()
-            futures.append(future)
-        return futures
-
-    def close(self) -> None:
-        """Nothing to release."""
-
 
 class ThreadPoolTransport(EvaluationTransport):
     """Bounded thread pool carrying blocking black-box calls.
 
-    The default transport.  Submission delegates to
-    :meth:`~repro.udf.base.UDF.submit_rows`, which owns the in-flight
-    gauge and thread-safe charge accounting.
+    The default carrier, and the only one for a blocking UDF.  Submission
+    delegates to :meth:`~repro.udf.base.UDF.submit_rows`, which owns the
+    in-flight gauge and thread-safe charge accounting.
     """
 
     name = "threads"
@@ -298,9 +224,6 @@ class ThreadPoolTransport(EvaluationTransport):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def _live_attrs(self) -> Tuple[str, ...]:
-        return ("_pool",)
 
 
 class AsyncioTransport(EvaluationTransport):
@@ -421,151 +344,13 @@ class AsyncioTransport(EvaluationTransport):
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 
-    def _live_attrs(self) -> Tuple[str, ...]:
-        return ("_loop", "_thread")
 
-
-def _subprocess_evaluate(udf: UDF, row: Any) -> Tuple[float, int, float]:
-    """Worker-side evaluation of one row; returns value plus charge deltas.
-
-    Runs inside a pool worker on a pickled *copy* of the UDF.  Pickled
-    copies carry the parent's counters over (see
-    :meth:`~repro.udf.base.UDF.__getstate__`), so the worker reports the
-    *delta* its evaluation added rather than absolute counters; the parent
-    process folds the delta into the live UDF (exactly the
-    ``absorb_charges`` contract of the sharded executor).  Module-level so
-    it pickles by reference into the worker.
-    """
-    import numpy as np  # local: keep worker-side imports self-contained
-
-    calls_before = udf.call_count
-    time_before = udf.real_time
-    value = udf(np.asarray(row, dtype=float))
-    return float(value), udf.call_count - calls_before, udf.real_time - time_before
-
-
-class SubprocessPoolTransport(EvaluationTransport):
-    """Out-of-process evaluation backend: a bounded process pool.
-
-    The adapter seam's reference backend: the same refinement window that
-    rides threads or an event loop can ship each evaluation to a worker
-    *process* — the shape of a UDF that must run outside the engine
-    (native code that holds the GIL, a sandboxed model, a crashy C
-    extension).  Each submission pickles the UDF into the worker (both
-    :class:`~repro.udf.base.UDF` and :class:`~repro.udf.base.AsyncUDF`
-    pickle cleanly; an async UDF evaluates through its blocking bridge),
-    evaluates one row there, and returns the value together with the
-    charge *delta*, which the parent folds into the live UDF — so charge
-    accounting and the in-flight gauge read exactly as they do on the
-    thread transport, and the window drivers' determinism contract carries
-    over bit for bit (results are consumed by submission index, never by
-    completion order).
-
-    Retry note: a worker evaluates a pickled copy, so the installed
-    :class:`~repro.udf.retry.RetryPolicy` retries *inside* the worker with
-    a fresh per-copy budget window — the same per-copy semantics the
-    process-pool sharding layer has always had.
-    """
-
-    name = "subprocess"
-
-    def __init__(self) -> None:
-        """Create a closed transport (the pool is allocated by ``open``)."""
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def open(self, max_workers: int, label: str = "udf") -> None:
-        """Start a bounded process pool (``label`` is advisory)."""
-        del label  # worker processes cannot be usefully named
-        if self._pool is not None:
-            raise QueryError("subprocess transport is already open")
-        if max_workers < 1:
-            raise QueryError(f"max_workers must be positive, got {max_workers}")
-        self._pool = ProcessPoolExecutor(max_workers=int(max_workers))
-
-    def submit_rows(self, udf: UDF, X: np.ndarray) -> List[Future]:
-        """One worker task per row; futures in row order.
-
-        Each returned future resolves to the scalar value once the parent
-        has absorbed the worker's charge delta — a consumer that sees the
-        result also sees the call charged, the invariant the cost-model
-        assertions rely on.
-        """
-        if self._pool is None:
-            raise QueryError("subprocess transport is not open")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        futures: List[Future] = []
-        for row in X:
-            udf._enter_flight()
-            outer: Future = Future()
-            outer.set_running_or_notify_cancel()
-            try:
-                inner = self._pool.submit(_subprocess_evaluate, udf, row)
-            except BaseException:
-                udf._exit_flight()
-                raise
-            inner.add_done_callback(partial(self._relay, udf, outer))
-            futures.append(outer)
-        return futures
-
-    @staticmethod
-    def _relay(udf: UDF, outer: Future, inner: Future) -> None:
-        """Absorb one worker result into the parent-side UDF and future."""
-        try:
-            value, calls, seconds = inner.result()
-        except BaseException as exc:  # noqa: BLE001 - delivered via the future
-            udf._exit_flight()
-            outer.set_exception(exc)
-        else:
-            udf._charge(calls, seconds)
-            udf._exit_flight()
-            outer.set_result(value)
-
-    def close(self) -> None:
-        """Shut the pool down, joining its workers and manager thread."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _live_attrs(self) -> Tuple[str, ...]:
-        return ("_pool",)
-
-
-#: Transport registry: the named specs a plan (or a legacy ``transport=``
-#: kwarg) may reference.  Values are factories, so every resolution gets a
-#: fresh, closed instance.
+#: The carriers a plan may name; each resolution builds a fresh, closed one.
 TRANSPORTS: Dict[str, type] = {
-    SerialTransport.name: SerialTransport,
     ThreadPoolTransport.name: ThreadPoolTransport,
     AsyncioTransport.name: AsyncioTransport,
-    SubprocessPoolTransport.name: SubprocessPoolTransport,
 }
 
-#: What a ``transport=`` knob accepts: a registry name or an instance.
-TransportSpec = Union[str, EvaluationTransport]
-
-#: The default transport (the pre-refactor behaviour: a bounded pool).
+#: The carrier of a plan that names none: the bounded pool, which carries
+#: every UDF.
 DEFAULT_TRANSPORT = ThreadPoolTransport.name
-
-
-def transport_name(spec: TransportSpec) -> str:
-    """The registry name of a transport spec (validating it)."""
-    if isinstance(spec, EvaluationTransport):
-        return spec.name
-    if isinstance(spec, str) and spec in TRANSPORTS:
-        return spec
-    raise PlanError(
-        f"unknown transport {spec!r}; choose from {sorted(TRANSPORTS)} "
-        "or pass an EvaluationTransport instance"
-    )
-
-
-def make_transport(spec: TransportSpec) -> EvaluationTransport:
-    """Resolve a transport spec to a (closed) transport instance.
-
-    A name builds a fresh instance from the registry; an instance is
-    returned as-is (callers own its lifecycle through
-    :meth:`EvaluationTransport.session`).
-    """
-    if isinstance(spec, EvaluationTransport):
-        return spec
-    return TRANSPORTS[transport_name(spec)]()

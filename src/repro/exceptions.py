@@ -114,8 +114,9 @@ class PlanError(QueryError):
     """Raised when an :class:`~repro.engine.plan.ExecutionPlan` is invalid.
 
     Covers contradictory knob combinations (e.g. a shared merge with nothing
-    to share across, a serial transport with an overlap window) and values
-    outside their domain (non-positive or non-integral counts).
+    to share across, the asyncio carrier with no window to carry) and values
+    outside their domain (an unknown carrier name, non-positive or
+    non-integral counts).
     The message always states the violated rule — and, for conflicts, the
     documented knob precedence — so the caller is never left guessing which
     path the engine would have silently picked.  Subclasses

@@ -3,8 +3,8 @@
 Public surface: the instrumented black-box :class:`UDF` wrapper, synthetic
 Gaussian-mixture functions of controlled shape (F1–F4 and the
 dimensionality-sweep family), the astrophysics cosmology UDFs of the §6.4
-case study, and the name registry plus the profile-carrying catalog the
-query engine's auto-planner consults.
+case study, and the catalog — the one name-to-UDF store, whose profiles
+the query engine's auto-planner consults.
 """
 
 from repro.udf.astro import (
@@ -32,7 +32,6 @@ from repro.udf.faults import (
     FaultInjectingUDF,
     FaultSchedule,
 )
-from repro.udf.registry import UDFRegistry, default_registry
 from repro.udf.retry import RetryPolicy
 from repro.udf.synthetic import (
     GaussianMixtureFunction,
@@ -51,8 +50,6 @@ __all__ = [
     "FaultSchedule",
     "FaultInjectingUDF",
     "FaultInjectingAsyncUDF",
-    "UDFRegistry",
-    "default_registry",
     "UDFCatalog",
     "UDFProfile",
     "LATENCY_CLASSES",

@@ -18,14 +18,12 @@ instrumentation the algorithms and experiments rely on:
   pipeline (:mod:`repro.engine.async_exec`) evaluates several points at once
   through a thread pool while the caller keeps doing GP work.  Charge
   accounting is therefore guarded by a lock, the number of *in-flight*
-  evaluations is tracked, and :meth:`UDF.submit_rows` is the concurrent
-  entry point.  It accepts either a plain
-  :class:`concurrent.futures.Executor` or an
-  :class:`~repro.engine.transport.EvaluationTransport` (recognised by its
-  ``submit_rows`` method — duck-typed so this module never imports the
-  engine layer); every overlapped value the engine needs — refinement
-  windows, single refinement points, initial designs — is submitted
-  through it by the window driver (:mod:`repro.engine.async_exec`);
+  evaluations is tracked, and :meth:`UDF.submit_rows` puts one evaluation
+  per row on a :class:`concurrent.futures.Executor`.  The engine's thread
+  carrier (:class:`~repro.engine.transport.ThreadPoolTransport`) submits
+  through it every overlapped value the window driver
+  (:mod:`repro.engine.async_exec`) needs — refinement windows, single
+  refinement points, initial designs;
 * **natively-async UDFs** — :class:`AsyncUDF` wraps a coroutine function
   (an HTTP-service client, an ``asyncio``-based simulator).  It remains a
   drop-in :class:`UDF` — the blocking call path runs the coroutine to
@@ -379,18 +377,14 @@ class UDF:
         finally:
             self._exit_flight()
 
-    def submit_rows(self, executor: Any, X: np.ndarray) -> List[Future]:
+    def submit_rows(self, executor: Executor, X: np.ndarray) -> List[Future]:
         """Submit one evaluation per row of ``X`` to ``executor``.
 
         Parameters
         ----------
         executor:
             A :class:`concurrent.futures.Executor` (typically a bounded
-            thread pool) that runs the black-box calls, or an
-            :class:`~repro.engine.transport.EvaluationTransport` — any
-            non-Executor object with a ``submit_rows(udf, X)`` method —
-            which then carries the evaluations itself (its own gauge and
-            charge integration; e.g. coroutines on an event loop).
+            thread pool) that runs the black-box calls.
         X:
             Points to evaluate, shape ``(k, d)``.
 
@@ -411,11 +405,6 @@ class UDF:
             non-finite value (the submission itself never raises it).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not isinstance(executor, Executor) and hasattr(executor, "submit_rows"):
-            # An EvaluationTransport: it owns submission, gauge and charge
-            # integration (the thread transport routes back through this
-            # method with its real pool, so dispatch terminates).
-            return executor.submit_rows(self, X)
         futures: List[Future] = []
         for row in X:
             self._enter_flight()

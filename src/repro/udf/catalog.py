@@ -1,18 +1,18 @@
-"""UDF catalog: declared cost profiles that drive the auto-planner.
+"""UDF catalog: the engine's one UDF store, with the profiles the
+auto-planner reads.
 
-The paper's cost model is *UDF calls* — every optimisation in this repo
-exists to spend fewer, better-overlapped calls — yet until this module the
-engine required hand-tuning every :class:`~repro.engine.plan.ExecutionPlan`
-knob per query, and the registry was a bare name→object map.  The catalog
-closes that gap: each registered UDF carries a frozen :class:`UDFProfile`
-describing what the planner needs to know (declared per-call cost and the
+Query text such as ``GalAge(G.redshift)`` refers to UDFs by name; the
+engine resolves those names through a :class:`UDFCatalog` (lookups are
+case-insensitive).  The paper's cost model is *UDF calls* — every
+optimisation in this repo exists to spend fewer, better-overlapped calls —
+so each registered UDF also carries a frozen :class:`UDFProfile`
+describing what the planner needs to know: declared per-call cost and the
 latency class it implies, vectorised-batch capability, async capability,
-determinism, input dimensionality, tags, and an optional evaluation
-``backend``).  Profiles are derived automatically from the existing
-:class:`~repro.udf.base.UDF` / :class:`~repro.udf.base.AsyncUDF`
-attributes, with explicit overrides at registration for what the wrapper
-cannot see (a declared service latency, a non-deterministic black box, a
-preferred out-of-process backend).
+determinism, input dimensionality and tags.  Profiles are derived
+automatically from the existing :class:`~repro.udf.base.UDF` /
+:class:`~repro.udf.base.AsyncUDF` attributes, with explicit overrides at
+registration for what the wrapper cannot see (a declared service latency,
+a non-deterministic black box).
 
 :meth:`ExecutionPlan.auto <repro.engine.plan.ExecutionPlan.auto>` consumes
 these profiles to choose ``batch_size`` / ``transport`` /
@@ -20,18 +20,18 @@ these profiles to choose ``batch_size`` / ``transport`` /
 hand-tuning; ``plan="auto"`` on the
 operators, the query builder and :class:`~repro.engine.session.Session`
 routes through the same resolution.  A *neutral* profile (negligible
-per-call cost, no declared backend) must resolve to the serial batched
-path — the bit-identity anchor every other resolution is gated against.
+per-call cost) must resolve to the serial batched path — the bit-identity
+anchor every other resolution is gated against.  :func:`default_catalog`
+holds the astrophysics case-study UDFs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.exceptions import UDFError
 from repro.udf.base import UDF, AsyncUDF
-from repro.udf.registry import UDFRegistry
 
 #: Latency classes a declared per-call cost maps to, in increasing order.
 LATENCY_NEGLIGIBLE = "negligible"
@@ -51,7 +51,7 @@ SLOW_THRESHOLD_SECONDS = 1e-2
 def canonical_udf_name(name: str) -> str:
     """The catalog's canonical spelling of a UDF name.
 
-    One normalisation shared by registry keys, profile names and the
+    One normalisation shared by catalog keys, profile names and the
     serving layer's circuit-breaker keys, so "GalAge", "galage" and
     "GALAGE" always denote the same breaker state and catalog entry.
     """
@@ -116,14 +116,6 @@ class UDFProfile:
         Whether repeated evaluation at one point returns the same value.
     tags:
         Free-form labels (``"astro"``, ``"synthetic"``, ...).
-    backend:
-        Preferred evaluation backend (a transport registry name, e.g.
-        ``"subprocess"``); ``None`` lets the planner choose from the
-        latency class.  The planned transport is checked against the UDF
-        (``accepts``) and carries any refinement window > 1; a window of
-        one evaluates inline, so a cheap UDF's declared backend opens no
-        transport.  Validated lazily against the engine's transport
-        registry so this module never imports the engine at import time.
     """
 
     name: str
@@ -133,7 +125,6 @@ class UDFProfile:
     async_capable: bool = False
     deterministic: bool = True
     tags: Tuple[str, ...] = ()
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         """Validate the declaration (raises :class:`UDFError`)."""
@@ -151,18 +142,6 @@ class UDFProfile:
                 f"profile {self.name!r}: per_call_seconds must be "
                 f"non-negative, got {self.per_call_seconds}"
             )
-        if self.backend is not None:
-            # Lazy import: the engine's transport module imports the UDF
-            # package, so validating eagerly at import time would cycle.
-            from repro.engine.transport import transport_name
-
-            try:
-                transport_name(self.backend)
-            except Exception as exc:
-                raise UDFError(
-                    f"profile {self.name!r}: unknown backend "
-                    f"{self.backend!r}: {exc}"
-                ) from exc
 
     @property
     def latency_class(self) -> str:
@@ -174,12 +153,11 @@ class UDFProfile:
         """Whether the auto-planner must keep the serial batched path.
 
         Neutral means there is nothing to overlap (negligible per-call
-        cost) and nowhere else to evaluate (no declared backend) — the
-        profile of every plain in-process numpy UDF.  This is the
+        cost) — the profile of every plain in-process numpy UDF.  This is the
         bit-identity anchor: ``plan="auto"`` for a neutral profile is the
         serial batched plan, gated identical to every other resolution.
         """
-        return self.latency_class == LATENCY_NEGLIGIBLE and self.backend is None
+        return self.latency_class == LATENCY_NEGLIGIBLE
 
     @classmethod
     def from_udf(cls, udf: UDF, **overrides: Any) -> "UDFProfile":
@@ -226,24 +204,22 @@ class UDFProfile:
             parts.append("async")
         if not self.deterministic:
             parts.append("non-deterministic")
-        if self.backend is not None:
-            parts.append(f"backend={self.backend}")
         return ", ".join(parts)
 
 
-class UDFCatalog(UDFRegistry):
-    """A :class:`~repro.udf.registry.UDFRegistry` that also stores profiles.
+class UDFCatalog:
+    """Name -> (:class:`UDF`, :class:`UDFProfile`) store, case-insensitive.
 
     Every entry carries a :class:`UDFProfile`, derived automatically at
     registration (:meth:`UDFProfile.from_udf`) unless an explicit profile
     or per-field overrides are supplied.  The profile's ``name`` is always
-    the canonical catalog key, so planner decisions, registry lookups and
+    the canonical catalog key, so planner decisions, catalog lookups and
     the serving layer's circuit-breaker keys all agree on one spelling.
     """
 
     def __init__(self) -> None:
         """Create an empty catalog."""
-        super().__init__()
+        self._udfs: dict[str, UDF] = {}
         self._profiles: dict[str, UDFProfile] = {}
 
     def register(
@@ -252,32 +228,52 @@ class UDFCatalog(UDFRegistry):
         name: str | None = None,
         replace: bool = False,
         profile: UDFProfile | None = None,
-        backend: str | None = None,
         **overrides: Any,
     ) -> UDFProfile:
-        """Register ``udf`` with a profile; returns the stored profile.
+        """Register ``udf`` under ``name`` (default ``udf.name``) with a
+        profile; returns the stored profile.
 
-        ``profile`` supplies a complete declaration; ``backend`` and the
-        remaining keyword ``overrides`` patch the automatically derived
-        one.  Passing both a full profile and overrides is rejected — two
-        sources of truth for the same declaration cannot be reconciled
-        silently.
+        ``profile`` supplies a complete declaration; the keyword
+        ``overrides`` patch the automatically derived one.  Passing both
+        is rejected — two sources of truth for the same declaration cannot
+        be reconciled silently.  Nothing is stored unless the whole
+        registration is valid.
         """
-        if profile is not None and (backend is not None or overrides):
+        if profile is not None and overrides:
             raise UDFError(
                 "pass either a complete profile= or per-field overrides "
-                f"(got profile= and {sorted(overrides) + (['backend'] if backend else [])})"
+                f"(got profile= and {sorted(overrides)})"
             )
-        super().register(udf, name=name, replace=replace)
         key = canonical_udf_name(name or udf.name)
+        if not key:
+            raise UDFError("UDF name must be non-empty")
+        if key in self._udfs and not replace:
+            raise UDFError(f"UDF {key!r} is already registered")
         if profile is None:
-            if backend is not None:
-                overrides["backend"] = backend
             profile = UDFProfile.from_udf(udf, **overrides)
         if profile.name != key:
             profile = profile.with_overrides(name=key)
+        self._udfs[key] = udf
         self._profiles[key] = profile
         return profile
+
+    def get(self, name: str) -> UDF:
+        """Look up a UDF by name; raises :class:`UDFError` if unknown."""
+        key = canonical_udf_name(name)
+        if key not in self._udfs:
+            raise UDFError(
+                f"unknown UDF {name!r}; registered: {sorted(self._udfs)}"
+            )
+        return self._udfs[key]
+
+    def __contains__(self, name: str) -> bool:
+        return canonical_udf_name(name) in self._udfs
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(self._udfs))
+
+    def __len__(self) -> int:
+        return len(self._udfs)
 
     def profile(self, name: str) -> UDFProfile:
         """The stored profile of a registered UDF (:class:`UDFError` if unknown)."""

@@ -8,19 +8,13 @@ the evaluation point, and the per-point attempt number — so two runs with
 the same schedule fail at exactly the same places, and a run that recovers
 via retries produces exactly the values of a run that never failed.
 
-Two injection seams are provided:
-
-* :class:`FaultInjectingUDF` / :class:`FaultInjectingAsyncUDF` — wrap a UDF
-  so scheduled attempts raise :class:`~repro.exceptions.TransientUDFError`
-  (or, opted in, :class:`~repro.exceptions.FatalUDFError`) *inside* the
-  UDF's own retry loop.  This exercises every execution path — serial,
-  thread pool, asyncio, process-pool shards — because the wrapper **is** a
-  UDF and pickles into workers with its schedule.
-* :class:`~repro.engine.faults.FaultInjectingTransport` — the transport-seam
-  sibling, injecting failures where an evaluation rides to the black box.
-
-Neither consumes the Monte-Carlo random stream, so sampling trajectories
-are untouched by injection.
+:class:`FaultInjectingUDF` / :class:`FaultInjectingAsyncUDF` wrap a UDF so
+scheduled attempts raise :class:`~repro.exceptions.TransientUDFError` (or,
+opted in, :class:`~repro.exceptions.FatalUDFError`) *inside* the UDF's own
+retry loop.  This exercises every execution path — serial, thread pool,
+asyncio, process-pool shards — because the wrapper **is** a UDF and pickles
+into workers with its schedule.  Injection never consumes the Monte-Carlo
+random stream, so sampling trajectories are untouched by it.
 """
 
 from __future__ import annotations
@@ -131,19 +125,6 @@ class FaultSchedule:
                 self._failures[key] = self._failures.get(key, 0) + 1
                 self._injected_total += 1
             return fail
-
-    def consume_failures(self, key: bytes, limit: int) -> int:
-        """Consecutive scheduled failures of ``key``, up to ``limit``.
-
-        Used by the transport-seam injector: it advances the schedule
-        through the failed attempts (at most ``limit``) and, when a
-        successful draw ends the streak, leaves that success consumed —
-        it *is* the attempt the real evaluation rides on.
-        """
-        count = 0
-        while count < limit and self.should_fail(key):
-            count += 1
-        return count
 
     @property
     def attempts_seen(self) -> int:

@@ -6,9 +6,7 @@ Contracts under test (see :meth:`repro.engine.plan.ExecutionPlan.auto` and
 * the knob table — a *neutral* profile resolves to the serial batched
   path; a moderate-latency UDF gets an overlap window; a slow
   async-capable UDF gets the asyncio transport, a wider window and
-  cross-tuple lookahead (the non-default-knob acceptance criterion); a
-  declared ``backend`` wins the transport, and a window of one evaluates
-  inline whatever the backend;
+  cross-tuple lookahead (the non-default-knob acceptance criterion);
 * ``plan="auto"`` is *bit-identical* to spelling the resolved
   :class:`ExecutionPlan` explicitly — on the engine entry point, the
   query builder (including name-based catalog UDFs) and across workload
@@ -33,11 +31,10 @@ from repro.engine import (
 )
 from repro.engine.executor import UDFExecutionEngine
 from repro.engine.sdss import generate_galaxy_relation
-from repro.engine.transport import SubprocessPoolTransport
 from repro.exceptions import PlanError
 from repro.udf.base import UDF
 from repro.udf.catalog import UDFProfile
-from repro.udf.synthetic import async_service_udf, reference_function
+from repro.udf.synthetic import async_service_udf
 from repro.workloads.generators import input_stream, workload_for_udf
 
 REQUIREMENT = AccuracyRequirement(epsilon=0.15, delta=0.05)
@@ -126,25 +123,6 @@ def test_the_slow_async_plan_resolves_on_a_default_engine():
     assert (executor.window, executor.lookahead) == (8, 4)
 
 
-def test_declared_backend_wins_the_transport():
-    profile = UDFProfile(name="svc", dimension=2, per_call_seconds=0.02,
-                         backend="subprocess")
-    plan = ExecutionPlan.auto(profile)
-    assert plan.transport == "subprocess"
-    assert plan.async_inflight == 8
-    # A negligible-cost UDF pinned to an out-of-process backend gets a
-    # window of one: the backend is checked, evaluation stays inline (see
-    # test_a_backend_at_window_one_opens_no_transport).
-    cheap = UDFProfile(name="svc", dimension=2, backend="subprocess")
-    assert ExecutionPlan.auto(cheap).async_inflight == 1
-    # ... while a serial backend cannot carry a window at all.
-    pinned_serial = UDFProfile(name="svc", dimension=2, per_call_seconds=0.02,
-                               backend="serial")
-    serial_plan = ExecutionPlan.auto(pinned_serial)
-    assert serial_plan.transport == "serial"
-    assert serial_plan.async_inflight is None
-
-
 def test_relation_size_caps_batch_and_gates_lookahead():
     udf = async_service_udf("F2", latency=0.02)
     small = ExecutionPlan.auto(udf, relation_size=3)
@@ -153,28 +131,6 @@ def test_relation_size_caps_batch_and_gates_lookahead():
     large = ExecutionPlan.auto(udf, relation_size=100)
     assert large.batch_size == 32
     assert large.pipeline_lookahead == 4
-
-
-def test_a_backend_at_window_one_opens_no_transport(monkeypatch):
-    """The cheap pinned profile's plan names the backend, but a window of
-    one evaluates inline: every UDF call runs, no transport opens."""
-    opens = []
-    real_open = SubprocessPoolTransport.open
-
-    def counting_open(self, *args, **kwargs):
-        opens.append(self)
-        return real_open(self, *args, **kwargs)
-
-    monkeypatch.setattr(SubprocessPoolTransport, "open", counting_open)
-    udf = reference_function("F1")
-    plan = ExecutionPlan.auto(UDFProfile(name=udf.name, dimension=2, backend="subprocess"))
-    assert (plan.async_inflight, plan.transport) == (1, "subprocess")
-    _engine().compute_with_plan(udf, _dists(udf, n=3), plan)
-    assert udf.call_count > 0
-    assert opens == []
-    # The counter does see a session: a window of two opens one.
-    _engine().compute_with_plan(udf, _dists(udf, n=1), plan.with_overrides(async_inflight=2))
-    assert len(opens) == 1
 
 
 def test_auto_accepts_name_profile_or_udf():
@@ -228,24 +184,3 @@ def test_auto_is_bit_identical_on_the_query_builder_with_a_catalog_name():
     assert [t["galage"].samples.tolist() for t in auto_result] == [
         t["galage"].samples.tolist() for t in explicit_result
     ]
-
-
-@pytest.mark.parametrize("transport", ["threads", "asyncio", "subprocess"])
-def test_auto_with_a_pinned_backend_is_bit_identical_to_serial(transport):
-    # A declared backend changes *where* calls run, never what they
-    # compute: the auto plan under any backend matches the neutral serial
-    # batched run bit for bit.
-    def run(plan):
-        udf = async_service_udf("F4", latency=1e-4)
-        engine = _engine()
-        dists = _dists(udf, n=4, seed=6)
-        return engine.compute_with_plan(udf, dists, plan=plan)
-
-    baseline = run(ExecutionPlan(batch_size=32))
-    probe = async_service_udf("F4", latency=1e-4)
-    from repro.udf.catalog import UDFCatalog
-    catalog = UDFCatalog()
-    catalog.register(probe, backend=transport)
-    pinned = ExecutionPlan.auto(catalog.profile(probe.name))
-    assert pinned.transport == transport
-    _assert_results_identical(baseline, run(pinned))

@@ -1,7 +1,7 @@
 """Fault tolerance: deterministic retries, quarantine, shard recovery, breaker.
 
 Contracts under test (see :mod:`repro.udf.retry`, :mod:`repro.udf.faults`,
-:mod:`repro.engine.faults`, :mod:`repro.engine.parallel`,
+:mod:`repro.engine.parallel`,
 :mod:`repro.engine.service`):
 
 * a :class:`~repro.udf.faults.FaultSchedule` is **replayable**: failures
@@ -9,8 +9,8 @@ Contracts under test (see :mod:`repro.udf.retry`, :mod:`repro.udf.faults`,
   shared RNG — and survive pickling into pool workers;
 * a run that recovers from injected transient faults via retries is
   **bit-identical** to the fault-free run with the same seed, on the
-  serial, thread-pool and asyncio transports, with matching UDF charge
-  counters (failed attempts charge nothing);
+  serial path and on both carriers (thread pool, asyncio), with matching
+  UDF charge counters (failed attempts charge nothing);
 * tuples whose evaluations stay failing after the policy is exhausted are
   **quarantined** as ``degraded`` verdicts (carrying the last bound the
   online algorithm had) instead of aborting the query — and fatal faults
@@ -44,7 +44,6 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
     VERDICT_DEGRADED,
     ExecutionPlan,
-    FaultInjectingTransport,
     ParallelExecutor,
     Query,
     QueryService,
@@ -154,14 +153,6 @@ def test_schedule_caps_failures_per_point():
         True, True, False, False, False,
     ]
     assert schedule.injected_failures == 2
-
-
-def test_schedule_consume_failures_spends_the_ending_success():
-    schedule = FaultSchedule(1.0, seed=0, max_failures_per_point=1)
-    key = point_key(np.array([3.0, 4.0]))
-    # One scheduled failure, then the success draw the real attempt rides on.
-    assert schedule.consume_failures(key, limit=3) == 1
-    assert schedule.attempts_seen == 2
 
 
 def test_schedule_pickle_resumes_where_the_original_would():
@@ -321,58 +312,6 @@ def test_injected_faults_with_retries_are_bit_identical(mode):
     _assert_outputs_identical(clean_outputs, faulty_outputs)
     assert clean_calls == faulty_calls
     assert _leaked_threads() == []
-
-
-# ---------------------------------------------------------------------------
-# Chaos transport: absorption and exhaustion at the transport seam
-# ---------------------------------------------------------------------------
-
-def test_fault_injecting_transport_is_bit_identical_when_absorbable():
-    def run(inject: bool):
-        udf = reference_function("F4")
-        schedule = FaultSchedule(0.3, seed=77, max_failures_per_point=2)
-        transport = (
-            FaultInjectingTransport(schedule, inner="threads")
-            if inject
-            else "threads"
-        )
-        plan = ExecutionPlan(
-            batch_size=3, async_inflight=2, transport=transport,
-            retry=RetryPolicy(max_attempts=3),
-        )
-        result = _engine(n_samples=100).compute_with_plan(udf, _dists(udf), plan=plan)
-        return list(result.outputs), schedule if inject else None
-
-    clean_outputs, _ = run(inject=False)
-    faulty_outputs, schedule = run(inject=True)
-    assert schedule.injected_failures > 0
-    _assert_outputs_identical(clean_outputs, faulty_outputs)
-    assert _leaked_threads() == []
-
-
-def test_fault_injecting_transport_delegates_lifecycle():
-    schedule = FaultSchedule(0.0, seed=0)
-    transport = FaultInjectingTransport(schedule, inner="threads")
-    assert isinstance(transport.inner, ThreadPoolTransport)
-    udf = reference_function("F1")
-    with transport.session(max_workers=2):
-        futures = transport.submit_rows(udf, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        values = [f.result() for f in futures]
-    assert values == [udf(np.array([1.0, 2.0])), udf(np.array([3.0, 4.0]))]
-    assert _leaked_threads() == []
-
-
-def test_fault_injecting_transport_exhaustion_fails_future_typed():
-    schedule = FaultSchedule(1.0, seed=0)  # uncapped: every attempt fails
-    transport = FaultInjectingTransport(schedule, inner="threads")
-    udf = reference_function("F1")
-    udf._install_retry_policy(RetryPolicy(max_attempts=2))
-    with transport.session(max_workers=2):
-        (future,) = transport.submit_rows(udf, np.array([[1.0, 2.0]]))
-        with pytest.raises(TransientUDFError, match=r"all 2 attempt\(s\) failed"):
-            future.result()
-    assert udf.call_count == 0
-    udf._install_retry_policy(None)
 
 
 # ---------------------------------------------------------------------------

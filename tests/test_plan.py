@@ -37,6 +37,7 @@ from repro.engine import (
     DEFAULT_ASYNC_INFLIGHT,
     MERGE_POLICIES,
     ApplyUDF,
+    AsyncioTransport,
     BatchExecutor,
     ExecutionPlan,
     ParallelExecutor,
@@ -110,9 +111,6 @@ PLAN_VALIDATION_TABLE = [
     ({"workers": 2, "retry": 7}, "RetryPolicy"),
     # transports (Async / Pipelined / Parallel constructors).
     ({"async_inflight": 2, "transport": "no-such-transport"}, "transport"),
-    ({"async_inflight": 8, "transport": "serial"}, "precedence"),
-    ({"pipeline_lookahead": 4, "transport": "serial"}, "precedence"),
-    ({"workers": 2, "async_inflight": 4, "transport": "serial"}, "precedence"),
     ({"transport": "asyncio"}, "precedence"),
     ({"batch_size": 8, "transport": "asyncio"}, "precedence"),
 ]
@@ -281,22 +279,14 @@ def test_shared_merge_resolution_arms_the_walk_refresh():
     assert sharded_plan.inner().resolve(engine).shared_refresh is False
 
 
-def test_transport_instance_with_workers_is_rejected():
-    with pytest.raises(PlanError, match="process-local"):
-        ExecutionPlan(workers=2, async_inflight=2, transport=ThreadPoolTransport())
-
-
-def test_serial_transport_with_window_of_one_is_legal():
-    plan = ExecutionPlan(batch_size=4, async_inflight=1, transport="serial")
-    assert plan.async_inflight == 1
-
-
-def test_serial_transport_without_a_window_is_legal():
-    # "serial" is the explicit no-overlap spelling, so a plan with no
-    # window knob accepts it (and resolution simply never consults it).
-    _, engine, _ = _fixture(n_tuples=1)
-    plan = ExecutionPlan(batch_size=8, transport="serial")
-    assert isinstance(plan.resolve(engine), BatchExecutor)
+@pytest.mark.parametrize(
+    "transport",
+    ["serial", "subprocess", ThreadPoolTransport(), AsyncioTransport()],
+    ids=["serial", "subprocess", "threads-instance", "asyncio-instance"],
+)
+def test_only_the_two_carrier_names_are_plan_transports(transport):
+    with pytest.raises(PlanError, match="'threads'.*'asyncio'"):
+        ExecutionPlan(batch_size=4, async_inflight=2, transport=transport)
 
 
 def test_engine_accepts_a_plan_and_applies_its_window():
@@ -388,10 +378,6 @@ def test_query_plan_reaches_the_operator():
 DETERMINISM_PRESERVING_PLANS = [
     pytest.param(ExecutionPlan(batch_size=4), id="batched"),
     pytest.param(ExecutionPlan(batch_size=4, async_inflight=1), id="inflight1-threads"),
-    pytest.param(
-        ExecutionPlan(batch_size=4, async_inflight=1, transport="serial"),
-        id="inflight1-serial",
-    ),
     pytest.param(
         ExecutionPlan(batch_size=4, async_inflight=1, transport="asyncio"),
         id="inflight1-asyncio",

@@ -1,29 +1,30 @@
-"""Evaluation transports and the AsyncUDF: values, gauges, shutdown, pickling.
+"""The two carriers and the AsyncUDF: values, gauges, identity, shutdown.
 
 Contracts under test (see :mod:`repro.engine.transport` and
 :class:`repro.udf.base.AsyncUDF`):
 
-* every transport — including the out-of-process subprocess pool —
-  returns one future per row, in row order, resolving to the same values
-  the blocking path computes, with exact charge accounting and a zeroed
-  in-flight gauge afterwards;
-* the asyncio transport genuinely overlaps awaited latencies, requires an
+* both carriers — the thread pool and the event loop — return one future
+  per row, in row order, resolving to the same values the blocking path
+  computes, with exact charge accounting and a zeroed in-flight gauge
+  afterwards; a failing call is delivered through its future;
+* the carrier never changes what a query computes: the same windowed
+  plan on ``"threads"`` and on ``"asyncio"`` yields bitwise-equal
+  distributions, bounds and call counts, and a window of one opens no
+  carrier at all;
+* the asyncio carrier genuinely overlaps awaited latencies, requires an
   ``AsyncUDF`` (typed error otherwise), and ``async_inflight=1`` over it
   is bit-identical to the serial batched path;
-* **shutdown**: no pool thread, event-loop thread or worker process
-  survives a computation — including one that fails with a
-  ``UDFError``/``QueryError`` — and every transport-started thread is
-  non-daemon and joined;
-* **pickling**: a pickled transport arrives closed (live resources
-  dropped) and can be opened fresh, while the original keeps running;
-  an ``AsyncUDF`` pickles and evaluates in the copy.
+* **shutdown**: no pool thread or event-loop thread survives a
+  computation — including one that fails with a ``UDFError``/
+  ``QueryError`` — and every carrier-started thread is non-daemon and
+  joined;
+* an ``AsyncUDF`` pickles and evaluates in the copy.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-import multiprocessing
 import pickle
 import threading
 from concurrent.futures import Future
@@ -34,19 +35,15 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.emulator import GPEmulator
 from repro.engine import (
+    TRANSPORTS,
     AsyncioTransport,
     ExecutionPlan,
-    SerialTransport,
-    SubprocessPoolTransport,
     ThreadPoolTransport,
-    make_transport,
 )
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import UDFExecutionEngine
-from repro.engine.transport import transport_name
-from repro.exceptions import PlanError, QueryError, UDFError
+from repro.exceptions import QueryError, UDFError
 from repro.udf.base import AsyncUDF
-from repro.udf.faults import FaultInjectingUDF, FaultSchedule
 from repro.udf.synthetic import async_service_udf, reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
 
@@ -80,34 +77,26 @@ def _transport_threads():
 
 
 # ---------------------------------------------------------------------------
-# Registry and spec handling
+# The two carriers
 # ---------------------------------------------------------------------------
 
 def test_registry_resolution():
-    assert isinstance(make_transport("serial"), SerialTransport)
-    assert isinstance(make_transport("threads"), ThreadPoolTransport)
-    assert isinstance(make_transport("asyncio"), AsyncioTransport)
-    assert isinstance(make_transport("subprocess"), SubprocessPoolTransport)
-    instance = ThreadPoolTransport()
-    assert make_transport(instance) is instance
-    assert transport_name("asyncio") == "asyncio"
-    assert transport_name(instance) == "threads"
-    with pytest.raises(PlanError):
-        make_transport("carrier-pigeon")
+    assert TRANSPORTS == {"threads": ThreadPoolTransport, "asyncio": AsyncioTransport}
+    assert all(TRANSPORTS[name].name == name for name in TRANSPORTS)
 
 
 # ---------------------------------------------------------------------------
-# Value and accounting parity across transports
+# Value and accounting parity across carriers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["serial", "threads", "asyncio", "subprocess"])
+@pytest.mark.parametrize("name", ["threads", "asyncio"])
 def test_submit_rows_matches_blocking_evaluation(name):
     udf_ref = async_service_udf("F4")
     points = _points()
     expected = udf_ref.evaluate_batch(points)
 
     udf = async_service_udf("F4")
-    transport = make_transport(name)
+    transport = TRANSPORTS[name]()
     with transport.session(4, label="test"):
         futures = transport.submit_rows(udf, points)
         values = np.array([future.result() for future in futures])
@@ -115,19 +104,6 @@ def test_submit_rows_matches_blocking_evaluation(name):
     assert udf.call_count == udf_ref.call_count == points.shape[0]
     assert udf.in_flight == 0
     assert _transport_threads() == []
-
-
-def test_udf_submit_rows_dispatches_to_a_transport():
-    # The duck-typed seam: passing a transport where an Executor was
-    # expected routes the submission through the transport.
-    udf = async_service_udf("F4")
-    points = _points(4)
-    transport = AsyncioTransport()
-    with transport.session(4, label="dispatch"):
-        futures = udf.submit_rows(transport, points)
-        values = np.array([future.result() for future in futures])
-    assert values.shape == (4,)
-    assert udf.call_count == 4
 
 
 def test_an_initial_design_over_a_transport():
@@ -146,17 +122,20 @@ def test_an_initial_design_over_a_transport():
     assert udf.max_in_flight > 1
 
 
-def test_serial_transport_resolves_inline_and_captures_failures():
+@pytest.mark.parametrize("name", ["threads", "asyncio"])
+def test_carriers_deliver_failures_through_futures(name):
     async def boom(x):
         raise RuntimeError("service down")
 
     udf = AsyncUDF(boom, dimension=2, name="boom")
-    transport = SerialTransport()
-    with transport.session(1):
+    transport = TRANSPORTS[name]()
+    with transport.session(2):
         futures = transport.submit_rows(udf, _points(2))
-    assert all(isinstance(f, Future) and f.done() for f in futures)
-    with pytest.raises(UDFError, match="service down"):
-        futures[0].result()
+        transport.drain(futures)  # swallows the failures, settles every call
+        assert all(isinstance(f, Future) and f.done() for f in futures)
+        with pytest.raises(UDFError, match="service down"):
+            futures[0].result()
+    assert udf.in_flight == 0
 
 
 def test_transports_require_open():
@@ -278,6 +257,53 @@ def test_asyncio_inflight_1_is_bit_identical_to_serial_batched():
     assert udf_a.call_count == udf_b.call_count
 
 
+@pytest.mark.parametrize("lookahead", [1, 2])
+def test_the_carrier_never_changes_the_result(lookahead):
+    """The same windowed plan on either carrier: bitwise-equal outputs and
+    equal call counts, however the jittered latencies complete."""
+    def run(transport):
+        udf, engine, dists = _engine_fixture(latency=2e-3, jitter=0.5, n_tuples=6)
+        plan = ExecutionPlan(
+            batch_size=6, async_inflight=4, pipeline_lookahead=lookahead,
+            transport=transport,
+        )
+        return engine.compute_with_plan(udf, dists, plan), udf.call_count
+
+    threads, threads_calls = run("threads")
+    asyncio_outputs, asyncio_calls = run("asyncio")
+    assert len(threads) == len(asyncio_outputs) == 6
+    for a, b in zip(threads, asyncio_outputs):
+        assert np.array_equal(a.distribution.samples, b.distribution.samples)
+        assert a.error_bound == b.error_bound
+    assert threads_calls == asyncio_calls
+
+
+@pytest.mark.parametrize("name", ["threads", "asyncio"])
+def test_a_window_of_one_opens_no_carrier(name, monkeypatch):
+    """Window 1 and lookahead 1 evaluate inline: every UDF call runs and
+    no carrier opens; a window of two opens exactly one session."""
+    carrier = TRANSPORTS[name]
+    opens = []
+    real_open = carrier.open
+
+    def counting_open(self, *args, **kwargs):
+        opens.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(carrier, "open", counting_open)
+    for knobs in ({"async_inflight": 1}, {"pipeline_lookahead": 1}):
+        udf, engine, dists = _engine_fixture(n_tuples=3)
+        plan = ExecutionPlan(batch_size=3, transport=name, **knobs)
+        engine.compute_with_plan(udf, dists, plan)
+        assert udf.call_count > 0
+    assert opens == []
+    udf, engine, dists = _engine_fixture(n_tuples=1)
+    engine.compute_with_plan(
+        udf, dists, ExecutionPlan(batch_size=1, async_inflight=2, transport=name)
+    )
+    assert len(opens) == 1
+
+
 def test_asyncio_transport_genuinely_overlaps():
     udf, engine, dists = _engine_fixture(latency=2e-3)
     ExecutionPlan(
@@ -362,84 +388,4 @@ def test_transport_close_is_idempotent_and_joins_the_loop_thread():
     assert any("join-check" in name for name in names_open)
     transport.close()
     transport.close()
-    assert _transport_threads() == []
-
-
-# ---------------------------------------------------------------------------
-# Subprocess pool: out-of-process evaluation with parent-side accounting
-# ---------------------------------------------------------------------------
-
-def test_subprocess_transport_accepts_blocking_udfs_and_charges_the_parent():
-    # Workers evaluate pickled *copies*; the parent's live UDF must still
-    # end up with the full charge (calls and seconds folded back as deltas).
-    udf = reference_function("F2")
-    points = _points(5, seed=9)
-    expected = reference_function("F2").evaluate_batch(points)
-    transport = SubprocessPoolTransport()
-    with transport.session(2, label="proc"):
-        futures = transport.submit_rows(udf, points)
-        values = np.array([future.result() for future in futures])
-    assert np.array_equal(values, expected)
-    assert udf.call_count == points.shape[0]
-    assert udf.in_flight == 0
-    assert multiprocessing.active_children() == []
-
-
-def test_subprocess_transport_requires_open_and_valid_workers():
-    transport = SubprocessPoolTransport()
-    with pytest.raises(QueryError, match="not open"):
-        transport.submit_rows(reference_function("F2"), _points(1))
-    with pytest.raises(QueryError, match="positive"):
-        transport.open(0)
-    with transport.session(1):
-        with pytest.raises(QueryError, match="already open"):
-            transport.open(1)
-    transport.close()  # idempotent
-
-
-def test_failed_subprocess_query_leaks_no_workers():
-    """The process-pool twin of the thread-leak contract: a UDF that fails
-    fatally inside a worker must not leave pool processes (or their
-    manager threads) behind, and the parent gauge returns to zero."""
-    schedule = FaultSchedule(rate=1.0, seed=11)
-    udf = FaultInjectingUDF(reference_function("F2"), schedule, fatal=True)
-    engine = UDFExecutionEngine(
-        strategy="gp", requirement=REQUIREMENT, random_state=3, n_samples=120
-    )
-    dists = list(
-        input_stream(workload_for_udf(udf), 3, random_state=np.random.default_rng(2))
-    )
-    executor = ExecutionPlan(async_inflight=2, batch_size=4, transport="subprocess").resolve(engine)
-    with pytest.raises(UDFError):
-        executor.compute_batch(udf, dists)
-    assert multiprocessing.active_children() == []
-    assert _transport_threads() == []
-    assert udf.in_flight == 0
-
-
-# ---------------------------------------------------------------------------
-# Pickling: live resources dropped, copy opens fresh, original unharmed
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["threads", "asyncio", "subprocess"])
-def test_pickling_an_open_transport_ships_a_closed_copy(name):
-    udf = async_service_udf("F4")
-    points = _points(3, seed=5)
-    transport = make_transport(name)
-    with transport.session(2, label="pickle"):
-        payload = pickle.dumps(transport)
-        # The original keeps working after being pickled...
-        values = np.array(
-            [f.result() for f in transport.submit_rows(udf, points)]
-        )
-    assert values.shape == (3,)
-    clone = pickle.loads(payload)
-    # ...and the copy arrives closed but opens fresh.
-    with pytest.raises(QueryError, match="not open"):
-        clone.submit_rows(udf, points)
-    with clone.session(2, label="pickle-clone"):
-        clone_values = np.array(
-            [f.result() for f in clone.submit_rows(udf, points)]
-        )
-    assert np.array_equal(clone_values, values)
     assert _transport_threads() == []

@@ -6,12 +6,13 @@ Contracts under test (see :mod:`repro.udf.catalog`):
   (declared latency, vectorisation, async capability, dimension), with
   registration-time overrides winning and unknown override keys rejected;
 * profile validation is typed (:class:`~repro.exceptions.UDFError`) —
-  bad dimensions, negative costs, unknown backends;
+  bad dimensions, negative costs;
 * the latency classes split at the documented thresholds and a *neutral*
-  profile (negligible cost, no backend) is the serial-path anchor;
-* :class:`UDFCatalog` is a registry whose entries always carry a profile
-  keyed by the canonical (lower-case) name;
-* ``default_registry()`` / ``default_catalog()`` are memoized — repeated
+  profile (negligible cost) is the serial-path anchor;
+* :class:`UDFCatalog` is the one UDF store; its entries always carry a
+  profile keyed by the canonical (lower-case) name, and a rejected
+  registration stores nothing;
+* ``default_catalog()`` is memoized — repeated
   calls return the same object with the same UDF instances (the
   idempotent-registration regression) — and ``fresh=True`` escapes the
   cache with an independent instance.
@@ -36,7 +37,6 @@ from repro.udf.catalog import (
     default_catalog,
     latency_class_for,
 )
-from repro.udf.registry import default_registry
 from repro.udf.synthetic import async_service_udf, reference_function
 
 
@@ -106,11 +106,11 @@ class TestProfileDerivation:
     def test_describe_mentions_the_load_bearing_fields(self):
         profile = UDFProfile(
             name="Svc", dimension=2, per_call_seconds=0.02,
-            async_capable=True, backend="subprocess",
+            async_capable=True, deterministic=False,
         )
         text = profile.describe()
         assert "svc" in text and "slow" in text
-        assert "async" in text and "backend=subprocess" in text
+        assert "async" in text and "non-deterministic" in text
 
 
 class TestProfileValidation:
@@ -126,14 +126,6 @@ class TestProfileValidation:
         with pytest.raises(UDFError, match="name"):
             UDFProfile(name="", dimension=1)
 
-    def test_unknown_backend(self):
-        with pytest.raises(UDFError, match="backend"):
-            UDFProfile(name="f", dimension=1, backend="carrier-pigeon")
-
-    def test_known_backends_accepted(self):
-        for backend in ("serial", "threads", "asyncio", "subprocess"):
-            assert UDFProfile(name="f", dimension=1, backend=backend).backend == backend
-
 
 class TestCatalog:
     def test_register_derives_and_stores_a_profile(self):
@@ -145,13 +137,23 @@ class TestCatalog:
         assert stored.latency_class == LATENCY_SLOW
         assert catalog.get("f2") is udf
 
-    def test_register_with_overrides_and_backend(self):
+    def test_register_with_overrides(self):
         catalog = UDFCatalog()
-        stored = catalog.register(
-            reference_function("F2"), backend="subprocess", deterministic=False
-        )
-        assert stored.backend == "subprocess"
+        stored = catalog.register(reference_function("F2"), deterministic=False)
         assert not stored.deterministic
+        # The carrier is the planner's choice, not a profile field.
+        with pytest.raises(UDFError, match="unknown profile field"):
+            catalog.register(reference_function("F3"), backend="threads")
+        assert list(catalog) == ["f2"]
+
+    def test_rejected_registration_stores_nothing(self):
+        catalog = UDFCatalog()
+        with pytest.raises(UDFError, match="non-negative"):
+            catalog.register(reference_function("F1"), per_call_seconds=-1.0)
+        assert "F1" not in catalog and len(catalog) == 0
+        udf = reference_function("F1")
+        stored = catalog.register(udf)
+        assert catalog.get("f1") is udf and catalog.profile("F1") is stored
 
     def test_register_with_full_profile_forces_the_catalog_key(self):
         catalog = UDFCatalog()
@@ -165,7 +167,7 @@ class TestCatalog:
         profile = UDFProfile(name="f2", dimension=2)
         with pytest.raises(UDFError, match="profile="):
             catalog.register(reference_function("F2"), profile=profile,
-                             backend="subprocess")
+                             deterministic=False)
 
     def test_profile_unknown_name_raises(self):
         with pytest.raises(UDFError, match="no profile"):
@@ -189,21 +191,6 @@ class TestCatalog:
 
 
 class TestDefaultMemoization:
-    def test_default_registry_is_memoized(self):
-        first = default_registry()
-        second = default_registry()
-        assert first is second
-        # The idempotent-registration regression: repeated calls must not
-        # re-register (UDFError on duplicates) nor rebuild the UDFs.
-        assert first.get("galage") is second.get("galage")
-
-    def test_default_registry_fresh_escape_hatch(self):
-        shared = default_registry()
-        fresh = default_registry(fresh=True)
-        assert fresh is not shared
-        assert fresh.get("galage") is not shared.get("galage")
-        assert set(iter(fresh)) == set(iter(shared))
-
     def test_default_catalog_is_memoized_with_profiles(self):
         first = default_catalog()
         assert default_catalog() is first

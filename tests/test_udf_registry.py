@@ -1,4 +1,5 @@
-"""Unit tests for the UDF registry used by the query engine."""
+"""Unit tests for the catalog's name store, which the query engine resolves
+UDF names through."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.exceptions import UDFError
 from repro.udf.base import UDF
-from repro.udf.registry import UDFRegistry, default_registry
+from repro.udf.catalog import UDFCatalog, default_catalog
 
 
 class TestRegistry:
@@ -15,32 +16,32 @@ class TestRegistry:
         return UDF(lambda x: 1.0, dimension=1, name=name)
 
     def test_register_and_get(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         udf = self.make_udf("MyFunc")
         registry.register(udf)
         assert registry.get("myfunc") is udf
         assert registry.get("MYFUNC") is udf
 
     def test_register_under_alternate_name(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         udf = self.make_udf()
         registry.register(udf, name="alias")
         assert registry.get("alias") is udf
 
     def test_duplicate_rejected_unless_replace(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         registry.register(self.make_udf("g"))
         with pytest.raises(UDFError):
             registry.register(self.make_udf("g"))
         registry.register(self.make_udf("g"), replace=True)
 
     def test_unknown_name_raises(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         with pytest.raises(UDFError):
             registry.get("nothing")
 
     def test_contains_len_iter(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         registry.register(self.make_udf("a"))
         registry.register(self.make_udf("b"))
         assert "a" in registry and "B" in registry and "c" not in registry
@@ -48,17 +49,17 @@ class TestRegistry:
         assert list(registry) == ["a", "b"]
 
     def test_empty_name_rejected(self):
-        registry = UDFRegistry()
+        registry = UDFCatalog()
         with pytest.raises(UDFError):
             registry.register(UDF(lambda x: 1.0, dimension=1, name=""))
 
 
 class TestDefaultRegistry:
     def test_contains_case_study_udfs(self):
-        registry = default_registry()
+        registry = default_catalog()
         for name in ("GalAge", "ComoveVol", "AngDist", "Distance"):
             assert name in registry
 
     def test_returned_udfs_are_callable(self):
-        registry = default_registry()
+        registry = default_catalog()
         assert registry.get("galage")(np.array([0.3])) > 0

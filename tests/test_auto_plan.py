@@ -7,11 +7,14 @@ Contracts under test (see :meth:`repro.engine.plan.ExecutionPlan.auto` and
   path; a moderate-latency UDF gets an overlap window; a slow
   async-capable UDF gets the asyncio transport, a wider window and
   cross-tuple lookahead (the non-default-knob acceptance criterion);
+  ``async_capable`` alone picks the carrier, and a neutral plan opens
+  none;
 * ``plan="auto"`` is *bit-identical* to spelling the resolved
   :class:`ExecutionPlan` explicitly — on the engine entry point, the
   query builder (including name-based catalog UDFs) and across workload
   families — because ``auto`` only ever *selects* a plan, never changes
-  evaluation semantics;
+  evaluation semantics; likewise the carrier ``async_capable`` picks
+  never changes a result or a call count;
 * ``is_auto_plan`` accepts exactly the ``"auto"`` spelling and rejects
   every other string with a typed :class:`~repro.exceptions.PlanError`.
 """
@@ -24,6 +27,7 @@ import pytest
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
     AUTO_PLAN,
+    TRANSPORTS,
     BatchExecutor,
     ExecutionPlan,
     Query,
@@ -123,6 +127,17 @@ def test_the_slow_async_plan_resolves_on_a_default_engine():
     assert (executor.window, executor.lookahead) == (8, 4)
 
 
+@pytest.mark.parametrize("per_call_seconds", [2e-3, 0.02], ids=["moderate", "slow"])
+def test_async_capability_alone_picks_the_carrier(per_call_seconds):
+    blocking = UDFProfile(name="svc", dimension=2, per_call_seconds=per_call_seconds)
+    capable = blocking.with_overrides(async_capable=True)
+    blocking_plan = ExecutionPlan.auto(blocking)
+    capable_plan = ExecutionPlan.auto(capable)
+    assert (blocking_plan.transport, capable_plan.transport) == ("threads", "asyncio")
+    # The carrier is the only knob the capability moves.
+    assert blocking_plan.with_overrides(transport="asyncio") == capable_plan
+
+
 def test_relation_size_caps_batch_and_gates_lookahead():
     udf = async_service_udf("F2", latency=0.02)
     small = ExecutionPlan.auto(udf, relation_size=3)
@@ -131,6 +146,22 @@ def test_relation_size_caps_batch_and_gates_lookahead():
     large = ExecutionPlan.auto(udf, relation_size=100)
     assert large.batch_size == 32
     assert large.pipeline_lookahead == 4
+
+
+def test_a_neutral_auto_plan_opens_no_carrier(monkeypatch):
+    """A negligible-cost UDF auto-plans to no window: every UDF call runs
+    inline and neither carrier opens."""
+    opens = []
+    for carrier in TRANSPORTS.values():
+        def counting_open(self, *args, _real=carrier.open, **kwargs):
+            opens.append(self)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(carrier, "open", counting_open)
+    udf = _neutral_udf()
+    _engine().compute_with_plan(udf, _dists(udf, n=3), plan="auto")
+    assert udf.call_count > 0
+    assert opens == []
 
 
 def test_auto_accepts_name_profile_or_udf():
@@ -184,3 +215,25 @@ def test_auto_is_bit_identical_on_the_query_builder_with_a_catalog_name():
     assert [t["galage"].samples.tolist() for t in auto_result] == [
         t["galage"].samples.tolist() for t in explicit_result
     ]
+
+
+@pytest.mark.parametrize("per_call_seconds", [2e-3, 0.02], ids=["moderate", "slow"])
+def test_the_auto_carrier_never_changes_the_result(per_call_seconds):
+    # async_capable changes *where* the calls run, never what they compute:
+    # the auto plans of the blocking and the async-capable declaration
+    # (same window and lookahead, different carrier) agree bit for bit,
+    # with equal call counts.
+    def run(async_capable):
+        profile = UDFProfile(name="f4", dimension=2,
+                             per_call_seconds=per_call_seconds,
+                             async_capable=async_capable)
+        plan = ExecutionPlan.auto(profile)
+        assert plan.transport == ("asyncio" if async_capable else "threads")
+        udf = async_service_udf("F4", latency=1e-4)
+        result = _engine().compute_with_plan(udf, _dists(udf, n=4, seed=6), plan=plan)
+        return result, udf.call_count
+
+    threads, threads_calls = run(async_capable=False)
+    asyncio_result, asyncio_calls = run(async_capable=True)
+    _assert_results_identical(threads, asyncio_result)
+    assert threads_calls == asyncio_calls

@@ -10,7 +10,9 @@ Contracts under test (see :mod:`repro.udf.retry`, :mod:`repro.udf.faults`,
 * a run that recovers from injected transient faults via retries is
   **bit-identical** to the fault-free run with the same seed, on the
   serial path and on both carriers (thread pool, asyncio), with matching
-  UDF charge counters (failed attempts charge nothing);
+  UDF charge counters (failed attempts charge nothing); on either
+  carrier a retried fault is absorbed inside its future, and exhausted
+  retries fail that future with the typed transient error;
 * tuples whose evaluations stay failing after the policy is exhausted are
   **quarantined** as ``degraded`` verdicts (carrying the last bound the
   online algorithm had) instead of aborting the query — and fatal faults
@@ -42,6 +44,7 @@ import pytest
 
 from repro.core.accuracy import AccuracyRequirement
 from repro.engine import (
+    TRANSPORTS,
     VERDICT_DEGRADED,
     ExecutionPlan,
     ParallelExecutor,
@@ -311,6 +314,48 @@ def test_injected_faults_with_retries_are_bit_identical(mode):
     assert schedule.injected_failures > 0  # the gate must not be vacuous
     _assert_outputs_identical(clean_outputs, faulty_outputs)
     assert clean_calls == faulty_calls
+    assert _leaked_threads() == []
+
+
+# ---------------------------------------------------------------------------
+# Retries at the carrier seam: absorption and exhaustion per future
+# ---------------------------------------------------------------------------
+
+def _faulty_for(carrier: str, schedule: FaultSchedule) -> UDF:
+    if carrier == "asyncio":
+        return FaultInjectingAsyncUDF(async_service_udf("F4", random_state=7), schedule)
+    return FaultInjectingUDF(reference_function("F4"), schedule)
+
+
+@pytest.mark.parametrize("carrier", ["threads", "asyncio"])
+def test_carrier_futures_absorb_retried_faults(carrier):
+    points = np.random.default_rng(3).uniform(1.0, 9.0, size=(6, 2))
+    expected = _faulty_for(carrier, FaultSchedule(0.0, seed=0)).evaluate_batch(points)
+    schedule = FaultSchedule(0.5, seed=77, max_failures_per_point=2)
+    udf = _faulty_for(carrier, schedule)
+    udf._install_retry_policy(RetryPolicy(max_attempts=3))
+    transport = TRANSPORTS[carrier]()
+    with transport.session(2, label="absorb"):
+        values = np.array([f.result() for f in transport.submit_rows(udf, points)])
+    assert schedule.injected_failures > 0  # the gate must not be vacuous
+    assert np.array_equal(values, expected)
+    assert udf.call_count == points.shape[0]  # failed attempts charge nothing
+    assert _leaked_threads() == []
+
+
+@pytest.mark.parametrize("carrier", ["threads", "asyncio"])
+def test_carrier_future_fails_typed_when_retries_are_exhausted(carrier):
+    schedule = FaultSchedule(1.0, seed=0)  # uncapped: every attempt fails
+    udf = _faulty_for(carrier, schedule)
+    udf._install_retry_policy(RetryPolicy(max_attempts=2))
+    transport = TRANSPORTS[carrier]()
+    with transport.session(2, label="exhaust"):
+        (future,) = transport.submit_rows(udf, np.array([[1.0, 2.0]]))
+        with pytest.raises(TransientUDFError, match="injected transient fault"):
+            future.result()
+    assert schedule.attempts_seen == 2
+    assert udf.call_count == 0
+    assert udf.in_flight == 0
     assert _leaked_threads() == []
 
 

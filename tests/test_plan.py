@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 import inspect
 import itertools
+import pickle
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -111,6 +112,10 @@ PLAN_VALIDATION_TABLE = [
     ({"workers": 2, "retry": 7}, "RetryPolicy"),
     # transports (Async / Pipelined / Parallel constructors).
     ({"async_inflight": 2, "transport": "no-such-transport"}, "transport"),
+    ({"async_inflight": 8, "transport": "serial"}, "transport"),
+    ({"pipeline_lookahead": 4, "transport": "serial"}, "transport"),
+    ({"workers": 2, "async_inflight": 4, "transport": "serial"}, "transport"),
+    ({"async_inflight": 2, "transport": None}, "transport"),
     ({"transport": "asyncio"}, "precedence"),
     ({"batch_size": 8, "transport": "asyncio"}, "precedence"),
 ]
@@ -289,6 +294,25 @@ def test_only_the_two_carrier_names_are_plan_transports(transport):
         ExecutionPlan(batch_size=4, async_inflight=2, transport=transport)
 
 
+def test_a_threads_plan_without_a_window_is_legal():
+    # "threads" is the default carrier, so naming it on a plan with no
+    # window knob is the same plan (and resolution never opens it).
+    _, engine, _ = _fixture(n_tuples=1)
+    plan = ExecutionPlan(batch_size=8, transport="threads")
+    assert plan == ExecutionPlan(batch_size=8)
+    assert isinstance(plan.resolve(engine), BatchExecutor)
+
+
+@pytest.mark.parametrize("transport", ["threads", "asyncio"])
+def test_a_sharded_plan_pickles_with_its_carrier_name(transport):
+    # Shards receive the plan pickled; a carrier name survives the trip and
+    # every shard's inner plan names the same carrier.
+    plan = ExecutionPlan(workers=2, async_inflight=2, transport=transport)
+    clone = pickle.loads(pickle.dumps(plan))
+    assert clone == plan
+    assert clone.inner().transport == transport
+
+
 def test_engine_accepts_a_plan_and_applies_its_window():
     plan = ExecutionPlan(batch_size=4, async_inflight=3)
     engine = UDFExecutionEngine(
@@ -383,6 +407,10 @@ DETERMINISM_PRESERVING_PLANS = [
         id="inflight1-asyncio",
     ),
     pytest.param(ExecutionPlan(batch_size=4, pipeline_lookahead=1), id="lookahead1"),
+    pytest.param(
+        ExecutionPlan(batch_size=4, pipeline_lookahead=1, transport="asyncio"),
+        id="lookahead1-asyncio",
+    ),
     pytest.param(ExecutionPlan(batch_size=4, workers=1), id="workers1"),
 ]
 

@@ -6,7 +6,9 @@ Contracts under test (see :mod:`repro.engine.transport` and
 * both carriers — the thread pool and the event loop — return one future
   per row, in row order, resolving to the same values the blocking path
   computes, with exact charge accounting and a zeroed in-flight gauge
-  afterwards; a failing call is delivered through its future;
+  afterwards; a failing call is delivered through its future; a closed
+  carrier reopens fresh, and below the carriers ``UDF.submit_rows`` takes
+  any ``concurrent.futures`` executor;
 * the carrier never changes what a query computes: the same windowed
   plan on ``"threads"`` and on ``"asyncio"`` yields bitwise-equal
   distributions, bounds and call counts, and a window of one opens no
@@ -17,7 +19,8 @@ Contracts under test (see :mod:`repro.engine.transport` and
 * **shutdown**: no pool thread or event-loop thread survives a
   computation — including one that fails with a ``UDFError``/
   ``QueryError`` — and every carrier-started thread is non-daemon and
-  joined;
+  joined, and a drain past its deadline raises the typed
+  ``TransportDrainTimeoutError`` on either carrier;
 * an ``AsyncUDF`` pickles and evaluates in the copy.
 """
 
@@ -27,7 +30,7 @@ import asyncio
 import gc
 import pickle
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ from repro.engine import (
 )
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.executor import UDFExecutionEngine
-from repro.exceptions import QueryError, UDFError
+from repro.exceptions import QueryError, TransportDrainTimeoutError, UDFError
 from repro.udf.base import AsyncUDF
 from repro.udf.synthetic import async_service_udf, reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -104,6 +107,55 @@ def test_submit_rows_matches_blocking_evaluation(name):
     assert udf.call_count == udf_ref.call_count == points.shape[0]
     assert udf.in_flight == 0
     assert _transport_threads() == []
+
+
+def test_threads_carrier_carries_a_blocking_udf():
+    udf = reference_function("F2")
+    points = _points(5, seed=9)
+    expected = reference_function("F2").evaluate_batch(points)
+    transport = ThreadPoolTransport()
+    transport.accepts(udf)  # any UDF may ride the pool
+    with transport.session(2, label="blocking"):
+        values = np.array([f.result() for f in transport.submit_rows(udf, points)])
+    assert np.array_equal(values, expected)
+    assert udf.call_count == points.shape[0]
+    assert udf.in_flight == 0
+    assert _transport_threads() == []
+
+
+@pytest.mark.parametrize(
+    "make_udf",
+    [lambda: reference_function("F4"), lambda: async_service_udf("F4")],
+    ids=["blocking", "async"],
+)
+def test_udf_submit_rows_takes_a_plain_executor(make_udf):
+    # Below the carriers, a UDF submits to any concurrent.futures Executor:
+    # futures in row order, the values of the blocking path, exact charges.
+    points = _points(4)
+    expected = make_udf().evaluate_batch(points)
+    udf = make_udf()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = udf.submit_rows(pool, points)
+        values = np.array([future.result() for future in futures])
+    assert np.array_equal(values, expected)
+    assert udf.call_count == points.shape[0]
+    assert udf.in_flight == 0
+
+
+@pytest.mark.parametrize("name", ["threads", "asyncio"])
+def test_carriers_reopen_fresh_after_close(name):
+    udf = async_service_udf("F4")
+    points = _points(3, seed=5)
+    transport = TRANSPORTS[name]()
+    runs = []
+    for label in ("first", "second"):
+        with transport.session(2, label=label):
+            runs.append(np.array([f.result() for f in transport.submit_rows(udf, points)]))
+        assert _transport_threads() == []
+        with pytest.raises(QueryError, match="not open"):
+            transport.submit_rows(udf, points)
+    assert np.array_equal(runs[0], runs[1])
+    assert udf.call_count == 2 * points.shape[0]
 
 
 def test_an_initial_design_over_a_transport():
@@ -379,6 +431,20 @@ def test_failed_query_leaks_no_threads(transport):
         for thread in threading.enumerate()
     )
     assert udf.in_flight == 0
+
+
+def test_asyncio_drain_deadline_is_typed_and_the_loop_is_joined():
+    transport = AsyncioTransport()
+    transport.open(2, label="drain-deadline")
+    try:
+        real = transport.submit_rows(async_service_udf("F4"), _points(1))
+        stuck: Future = Future()  # an evaluation that never settles
+        with pytest.raises(TransportDrainTimeoutError, match="asyncio"):
+            transport.drain(real + [stuck], timeout=0.2)
+        assert real[0].done()  # the settled call was waited out first
+    finally:
+        transport.close()
+    assert _transport_threads() == []
 
 
 def test_transport_close_is_idempotent_and_joins_the_loop_thread():

@@ -155,6 +155,24 @@ class TestCatalog:
         stored = catalog.register(udf)
         assert catalog.get("f1") is udf and catalog.profile("F1") is stored
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"dimension": 0}, "dimension"),
+            ({"backend": "threads"}, "unknown profile field"),
+            ({"profile": UDFProfile(name="f1", dimension=2), "deterministic": False},
+             "profile="),
+        ],
+        ids=["bad-dimension", "unknown-field", "profile-and-overrides"],
+    )
+    def test_every_rejected_registration_stores_nothing(self, kwargs, match):
+        catalog = UDFCatalog()
+        with pytest.raises(UDFError, match=match):
+            catalog.register(reference_function("F1"), **kwargs)
+        assert len(catalog) == 0 and catalog.profiles() == ()
+        catalog.register(reference_function("F1"))
+        assert list(catalog) == ["f1"]
+
     def test_register_with_full_profile_forces_the_catalog_key(self):
         catalog = UDFCatalog()
         profile = UDFProfile(name="other", dimension=2, per_call_seconds=0.02)

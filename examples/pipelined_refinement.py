@@ -1,21 +1,20 @@
-"""Hiding a slow UDF's latency *across* tuples with the pipeline scheduler.
+"""Hiding a slow UDF's latency *across* tuples with the lookahead prefetch stage.
 
 Scenario: the UDF is a genuinely slow black box (a remote service or an
 expensive simulation, modelled by a
 :class:`~repro.udf.synthetic.RealCostFunction` whose every call occupies
 10 ms of wall-clock) and the per-tuple refinement window is kept small —
 the call-frugal configuration, where speculative overshoot per window is
-at most one evaluation.  PR 3's within-tuple overlap
-(``async_inflight``) still serialises the window rounds of consecutive
-tuples; ``pipeline_lookahead`` additionally overlaps the tail of each
-tuple's refinement with the sampling, first inference and prefetched first
-windows of the next few tuples.
+at most one evaluation.  Within-tuple overlap (``async_inflight``) still
+serialises the window rounds of consecutive tuples; ``pipeline_lookahead``
+additionally overlaps the tail of each tuple's refinement with prefetched
+UDF evaluations for the windows of the next few tuples.
 
-The example demonstrates both halves of the scheduler's contract:
+The example demonstrates both halves of the stage's contract:
 
 * ``pipeline_lookahead=1`` is the serial batched path, bit for bit, and
 * at ``pipeline_lookahead=4`` the committed results are bit-identical to
-  the within-tuple async run — speculation changes *when* evaluations
+  the within-tuple async run — prefetching changes *when* evaluations
   happen and who pays for them, never the answer — while the wall-clock
   drops.
 

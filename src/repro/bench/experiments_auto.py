@@ -5,14 +5,13 @@ declared high-latency async UDF service submitted with ``plan="auto"``
 (:meth:`~repro.engine.plan.ExecutionPlan.auto`) against the same query on
 the *naive default* plan — the serial batched path a caller gets when they
 configure nothing.  On a latency-bound workload the auto-planner reads the
-profile, picks the asyncio transport with a deep in-flight window plus
-cross-tuple lookahead, and overlaps the awaited latency the naive plan
-pays one call at a time.
+profile, picks the asyncio transport with a deep in-flight window, and
+overlaps the awaited latency the naive plan pays one call at a time.
 
 Protocol: the same tuple stream (identical seeds, cold model) runs two
 ways — the naive default plan and ``plan="auto"``.  The table reports
-wall-clock, the UDF calls each run paid (``udf.call_count``, so the auto
-plan's unconsumed prefetches count) and the speedup versus the naive run,
+wall-clock, the UDF calls each run paid (``udf.call_count``, so a
+window's discarded tail counts) and the speedup versus the naive run,
 which rides the ordinary label-overridable perf gate.  ``plan="auto"`` is
 the plan it resolves to, spelled out, by construction;
 ``tests/test_auto_plan.py`` pins that identity bit for bit.

@@ -214,8 +214,8 @@ _SMOKE_TRANSPORT_KWARGS = {"transports": ("threads", "asyncio"),
 
 #: Parameters of the smoke auto_plan run: a declared 20 ms/request async UDF
 #: service — the slow latency class, where the catalog profile drives the
-#: auto-planner to the asyncio transport with a deep in-flight window plus
-#: cross-tuple lookahead.  The naive baseline pays every request serially,
+#: auto-planner to the asyncio transport with a window of 8 (no cross-tuple
+#: lookahead: auto never picks it).  The naive baseline pays every request serially,
 #: so the auto-planned run clears ≥2x even on a single-core runner (the
 #: overlapped "work" is awaited sleep) and the ratio gates on every runner.
 _SMOKE_AUTO_PLAN_KWARGS = {"n_tuples": 6, "batch_size": 32,

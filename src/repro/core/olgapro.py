@@ -142,13 +142,15 @@ class ChunkPrologue:
 
 
 class ChunkStage:
-    """What a scheduler plugs into :meth:`OLGAPRO.process_batch` — and its default.
+    """What a prefetcher plugs into :meth:`OLGAPRO.process_batch` — and its default.
 
-    The tuple-commit loop exists once; a stage only *parameterises* it.  The
-    base class is the degenerate stage (lookahead 1): nothing is speculated
-    and nothing happens between commits.  The
-    cross-tuple scheduler (:class:`repro.engine.pipeline.SpeculationStage`)
-    overrides every member.
+    The tuple-commit loop exists once; a stage hands it nothing but UDF
+    values (through the installed :attr:`OLGAPRO.evaluation_driver`), so it
+    only needs to know when a chunk opens and when a tuple commits.  The
+    base class is the degenerate stage (lookahead 1): nothing happens
+    around the chunk or between commits.  The cross-tuple prefetcher
+    (:class:`repro.engine.pipeline.SpeculationStage`) overrides every
+    member.
     """
 
     #: Whether UDF evaluations for *other* tuples complete while a tuple
@@ -160,11 +162,6 @@ class ChunkStage:
         """Context manager around one chunk's commit loop."""
         del prologue
         return nullcontext()
-
-    def speculated(self, i: int) -> Optional[tuple]:
-        """Tuple ``i``'s fence-valid speculated ``(inference, envelope, bound)``, or ``None``."""
-        del i
-        return None
 
     def committed(self, i: int, points_added: int) -> None:
         """Called after tuple ``i`` commits, before tuple ``i + 1`` starts."""
@@ -242,8 +239,8 @@ class OLGAPRO:
         #: in the slices of ``driver.schedule(k)`` while later ones are
         #: still in flight, and settles through ``driver.drain(futures)``.
         #: This is how the chunk executor (:mod:`repro.engine.batch`)
-        #: overlaps UDF calls with GP work — and how the cross-tuple stage
-        #: reuses prefetched values — without OLGAPRO knowing about thread
+        #: overlaps UDF calls with GP work — and how the lookahead stage
+        #: hands over prefetched values — without OLGAPRO knowing about thread
         #: pools, event loops, or any other
         #: :class:`~repro.engine.transport.EvaluationTransport`.  Drivers
         #: are installed per computation (and removed afterwards), so a
@@ -270,11 +267,11 @@ class OLGAPRO:
         #: UDF evaluations *consumed* by the refinement loops across all
         #: tuples (window submissions, speculative blocks — rolled back or
         #: not — and single-point absorptions; reused prefetched values
-        #: count too, since the committed trajectory asked for them).  The
-        #: pipeline scheduler reads per-tuple deltas of this counter for
-        #: call attribution: unlike raw UDF call-count deltas it is updated
-        #: only on the coordinating thread, so concurrent speculative
-        #: completions for *other* tuples cannot pollute it.
+        #: count too, since the committed trajectory asked for them).  Under
+        #: an overlapped stage the commit loop reads per-tuple deltas of
+        #: this counter for call attribution: unlike raw UDF call-count
+        #: deltas it is updated only on the coordinating thread, so
+        #: concurrent prefetches for *other* tuples cannot pollute it.
         self.refinement_evaluations = 0
 
         if self.initial_training_points < 2:
@@ -314,10 +311,9 @@ class OLGAPRO:
     def output_range_of(self, gp) -> float:
         """Output-range estimate read from an explicit GP state.
 
-        The pipeline scheduler's speculative stages evaluate bounds against a
-        snapshot-restored *view* of the model rather than the live emulator;
-        parameterising the model-derived quantities on the GP keeps those
-        computations bitwise identical to the live ones at the same state.
+        The lookahead stage's prefetch walks estimate bounds against a
+        snapshot-restored *view* of the model rather than the live emulator,
+        so the model-derived quantities of a bound take the GP explicitly.
         """
         if gp.n_training == 0:
             return 1.0
@@ -339,11 +335,7 @@ class OLGAPRO:
 
     def gamma_threshold(self) -> float:
         """Local-inference threshold Γ in output units."""
-        return self.gamma_threshold_for(self.emulator.gp)
-
-    def gamma_threshold_for(self, gp) -> float:
-        """Γ derived from an explicit GP state (see :meth:`output_range_of`)."""
-        return max(self.gamma_fraction * self.output_range_of(gp), 1e-12)
+        return max(self.gamma_fraction * self.output_range(), 1e-12)
 
     def mc_samples(self) -> int:
         """Per-tuple Monte-Carlo sample count actually used."""
@@ -393,12 +385,13 @@ class OLGAPRO:
         ``"inference"`` and ``"refinement"`` — and, under a predicate, in
         ``"filtering"``, which times the drop tests alone.
 
-        ``stage`` plugs a cross-tuple scheduler into the loop (see
-        :class:`ChunkStage`): it may hand tuple ``i`` a fence-valid
-        speculated first bound, and is told after every commit.  Whatever
-        the stage, every tuple gets the same quarantine, model-sync,
-        first-pass and retraining treatment — commits stay strictly in
-        tuple order on the calling thread.
+        ``stage`` plugs a cross-tuple prefetcher into the loop (see
+        :class:`ChunkStage`): it scopes each chunk and is told after every
+        commit, and it reaches the loop only through the values the
+        evaluation driver returns.  Whatever the stage, every tuple gets
+        the same first pass, quarantine, model-sync and retraining
+        treatment — commits stay strictly in tuple order on the calling
+        thread.
 
         ``predicate`` adds online filtering (§5.5) as the last step of a
         tuple's commit: the upper bound ``ρ_U`` of the envelope the tuple
@@ -421,7 +414,7 @@ class OLGAPRO:
         stage = stage if stage is not None else ChunkStage()
 
         # The prologue runs before the stage's chunk scope opens, so an
-        # initial design carried by the driver never reaches a speculative
+        # initial design carried by the driver never reaches a prefetch
         # value pool (and its waste accounting).
         prologue = self.begin_chunk(distributions, rng, timings=timings)
         m = prologue.n_samples
@@ -441,10 +434,8 @@ class OLGAPRO:
                 calls_before = self.udf.call_count
                 charged_before = self.udf.charged_time
                 evals_before = self.refinement_evaluations
-                first = stage.speculated(i)
                 phase_started = time.perf_counter()
-                if first is None:
-                    first = self._infer_and_bound(samples, boxes[i])
+                first = self._infer_and_bound(samples, boxes[i])
                 _, envelope, bound = first
                 if timings is not None:
                     timings.add("inference", time.perf_counter() - phase_started)
@@ -596,23 +587,17 @@ class OLGAPRO:
             self.model_sync.publish_hyperparameters()
             self.model_sync.sync()
 
-    def infer_with(self, gp, samples: np.ndarray, box: BoundingBox):
-        """Algorithm 4's inference at ``samples`` against an explicit GP state.
+    def _infer(self, samples: np.ndarray, box: BoundingBox):
+        """Algorithm 4's inference at ``samples`` against the live model.
 
         Local inference once the model has enough points for retrieval to
-        matter, global inference before.  The live path (:meth:`_infer`)
-        passes the emulator's own model; the pipeline scheduler's
-        speculative stages pass a snapshot-restored view, which carries its
-        own local-inverse memo, so the computation is bitwise the one the
-        live path performs at the same model state.
+        matter, global inference before.
         """
+        gp = self.emulator.gp
         if self.use_local_inference and gp.n_training > 3:
-            engine = LocalInferenceEngine(gamma_threshold=self.gamma_threshold_for(gp))
+            engine = LocalInferenceEngine(gamma_threshold=self.gamma_threshold())
             return engine.predict(gp, samples, sample_box=box)
         return global_inference(gp, samples)
-
-    def _infer(self, samples: np.ndarray, box: BoundingBox):
-        return self.infer_with(self.emulator.gp, samples, box)
 
     def _infer_and_bound(self, samples: np.ndarray, box: BoundingBox):
         """The one per-tuple step: fresh inference, its envelope and GP error bound.
@@ -639,8 +624,7 @@ class OLGAPRO:
         Parameterised twin of :meth:`_bound_from_inference` (the live path
         delegates here): the band uses the given model's kernel
         hyperparameters and λ derives from that model's output range, so a
-        speculative stage working on a snapshot view reproduces the live
-        computation bitwise when the model has not moved.
+        prefetch walk can estimate a bound on its snapshot view.
         """
         band = band_z_value(
             gp.kernel,
@@ -697,9 +681,8 @@ class OLGAPRO:
         progress per slice than the serial largest-variance rule.
 
         ``initial`` is the tuple's ``(inference, envelope, bound)`` from
-        the commit loop's first pass (or a fence-valid speculation of it —
-        the same step on the same model state), so the first selection
-        reads that inference instead of repeating it.
+        the commit loop's first pass, so the first selection reads that
+        inference instead of repeating it.
         """
         driver = self.evaluation_driver
         window = 1 if driver is None else driver.window

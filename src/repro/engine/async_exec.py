@@ -32,7 +32,7 @@ Determinism contract
 Completion order does not influence the result.  Results are consumed by
 submission index (out-of-order completions simply buffer inside their
 future), slice boundaries depend only on the window size, and each slice's
-absorb is *fenced* on the emulator snapshot it speculated against
+absorb is *fenced* on the emulator snapshot it was selected against
 (:meth:`~repro.core.emulator.GPEmulator.absorb_observations` rejects a
 stale fence).  Under a fixed seed a windowed run is therefore bitwise
 reproducible for any thread scheduling, and a window of 1 with no

@@ -6,8 +6,8 @@ one tuple-commit loop (:meth:`OLGAPRO.process_batch
 Monte-Carlo input samples up front, in tuple order, then takes the one
 per-tuple inference step, and only the tuples whose error bound misses
 the budget enter the refinement-window loop.  What a chunk shares is the
-per-call setup, the transport session, the speculation stage and, under
-Monte Carlo, one ``evaluate_batch`` call.  It is the *only* executor below
+per-call setup, the transport session, the lookahead prefetch stage and,
+under Monte Carlo, one ``evaluate_batch`` call.  It is the *only* executor below
 the shard wrapper: the all-default plan runs it at a chunk size of one,
 and the plan's ``window`` and ``lookahead`` parameterise the same two
 loops (see :class:`BatchExecutor`), they do not select another executor.
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # plan.py imports this module
 
 #: Default chunk size under any overlap or shard knob: large enough to
 #: amortise the per-call setup and give the lookahead stage tuples to
-#: speculate on, small enough to keep the sample block cache-friendly.
+#: prefetch for, small enough to keep the sample block cache-friendly.
 DEFAULT_BATCH_SIZE = 32
 
 T = TypeVar("T")
@@ -86,10 +86,11 @@ class BatchExecutor:
       — so each refinement window's UDF calls overlap
       (:mod:`repro.engine.async_exec`);
     * ``lookahead`` > 1 opens it too and attaches a
-      :class:`~repro.engine.pipeline.SpeculationStage`, which speculates
-      the next tuples' first bounds and prefetches their windows while the
-      current one commits (:mod:`repro.engine.pipeline`).  ``"mc"`` has no
-      refinement loop, so it runs without the stage.
+      :class:`~repro.engine.pipeline.SpeculationStage`, which prefetches
+      the next tuples' refinement windows while the current one commits
+      and hands the loop nothing but those values
+      (:mod:`repro.engine.pipeline`).  ``"mc"`` has no refinement loop, so
+      it runs without the stage.
 
     Whenever a transport session opens, an :class:`~repro.engine
     .async_exec.AsyncEvaluationDriver` at the plan's window is installed on
@@ -120,16 +121,11 @@ class BatchExecutor:
         self.batch_size = plan.chunk_size
         self.window = plan.window
         self.lookahead = plan.lookahead
-        #: Refresh prefetch walks to the live model when it outruns their
-        #: fence (``merge="shared"`` on an unsharded plan; see
-        #: :class:`~repro.engine.pipeline.SpeculationStage`).
-        self.shared_refresh = plan.merge == "shared"
         self.timings = PhaseTimings()
-        #: Evaluations the last compute call prefetched, prefetched but
-        #: never consumed, and its walk fence refreshes (0 at lookahead 1).
+        #: Evaluations the last compute call prefetched, and prefetched but
+        #: never consumed (0 at lookahead 1).
         self.last_speculative_calls = 0
         self.last_wasted_calls = 0
-        self.last_walk_refreshes = 0
 
     # -- public API ---------------------------------------------------------------
     def compute_batch(
@@ -168,7 +164,6 @@ class BatchExecutor:
         """Open what the plan's (window, lookahead) need, run the chunks, close."""
         self.last_speculative_calls = 0
         self.last_wasted_calls = 0
-        self.last_walk_refreshes = 0
         stage = None
         try:
             if not distributions:
@@ -198,10 +193,7 @@ class BatchExecutor:
                     stack.callback(setattr, olgapro, "evaluation_driver", None)
                     if staged:
                         stage = stack.enter_context(
-                            SpeculationStage(
-                                olgapro, driver, self.lookahead, self.shared_refresh,
-                                self.timings,
-                            )
+                            SpeculationStage(olgapro, driver, self.lookahead, self.timings)
                         )
                 outputs: list[ComputedOutput] = []
                 for chunk in iter_batches(distributions, self.batch_size):
@@ -211,7 +203,6 @@ class BatchExecutor:
             if stage is not None:
                 self.last_speculative_calls = stage.speculative_calls
                 self.last_wasted_calls = stage.wasted_calls
-                self.last_walk_refreshes = stage.walk_refreshes
             # Whatever ran (including the empty input — a legal batch),
             # report a complete phase record: timing consumers must never
             # see this executor's phase set vary with the input.

@@ -41,8 +41,9 @@ class ComputedOutput:
 
     #: Output distribution (``None`` when the tuple was filtered out early).
     distribution: Optional[EmpiricalDistribution]
-    #: Total error bound claimed for the distribution (NaN for plain MC,
-    #: whose guarantee is the a-priori sampling bound).
+    #: Total error bound claimed for the distribution (the requirement's ε
+    #: for plain MC, whose sample count is derived from it; NaN only for a
+    #: tuple quarantined before any bound existed).
     error_bound: float
     #: Existence probability contributed by a selection predicate (1.0 when
     #: no predicate was evaluated).

@@ -1,25 +1,26 @@
-"""The *lookahead* stage: cross-tuple speculation around the one commit loop.
+"""The *lookahead* stage: cross-tuple prefetching around the one commit loop.
 
 A refinement window (:mod:`repro.engine.async_exec`) overlaps black-box UDF
 calls *within* one tuple's refinement, but consecutive tuples still
-serialise: the first GP inference of tuple *i + 1* waits behind the tail of
-tuple *i*'s windows.  At a plan lookahead > 1 the chunk executor
+serialise: the UDF calls of tuple *i + 1*'s windows wait behind the tail of
+tuple *i*'s.  At a plan lookahead > 1 the chunk executor
 (:class:`~repro.engine.batch.BatchExecutor`) attaches a
 :class:`SpeculationStage` to the tuple-commit loop
 (:meth:`OLGAPRO.process_batch <repro.core.olgapro.OLGAPRO.process_batch>`).
 The loop does not change — sampling up front in tuple order, commits
-strictly in tuple order on the coordinating thread, with the same
-quarantine, model-sync, first-pass and retraining treatment as at
-lookahead 1.  The stage only adds, on a private thread pool:
+strictly in tuple order on the coordinating thread, each tuple's first
+pass, refinement, quarantine, model sync and retraining exactly as at
+lookahead 1.  The stage is a pure prefetcher: it hands the loop nothing
+but UDF values.  On a private thread pool it runs one kind of task, the
+*walk*:
 
-1. **retrieve / infer** — while tuple *i* refines, the first GP inference
-   (retrieval, envelope, error bound) of tuples *i + 1 … i + lookahead*
-   runs *speculatively* against a snapshot view of the emulator — the same
-   per-tuple step the commit loop runs, on the view's own state —
-   and the highest-variance candidates of each speculated tuple's expected
-   refinement windows are **prefetched**: their UDF evaluations are
-   submitted immediately, so the black-box latency of tuple *i + 1*'s
-   windows hides under tuple *i*'s;
+1. **prefetch** — for each of tuples *i + 1 … i + lookahead* a walk takes
+   a snapshot view of the emulator, makes a cheap global-GP estimate of
+   the tuple's first bound and, when that misses the budget, guesses the
+   tuple's refinement points window by window (the highest-variance
+   candidates, absorbed into the private view) and submits their UDF
+   evaluations ahead of time, so the black-box latency of tuple
+   *i + 1*'s windows hides under tuple *i*'s;
 2. **reuse** — every value the commit loop's refinement needs (each
    window and each single point) comes through the processor's window
    driver, which the stage points at its speculative value pool: a
@@ -28,25 +29,18 @@ lookahead 1.  The stage only adds, on a private thread pool:
 
 Determinism contract
 --------------------
-Speculation is *fenced* on the GP state version, exactly like a window's
-slice absorption: a speculative inference records the
-:attr:`~repro.gp.regression.GaussianProcess.version` it was computed
-against, and at commit time it is used only if the model has not moved
-since.  A tuple whose fence went stale re-runs its inference against the
-updated emulator — bitwise the computation lookahead 1 performs at that
-point.  All model mutations happen on the coordinating thread, in
-tuple-submission order, so
+Walks never touch the live model and the commit loop reads nothing from
+them except values it would have evaluated itself, so
 
 * results are invariant to completion order and thread scheduling (a
-  prefetched value equals the freshly evaluated one; a stale speculation is
-  recomputed, never absorbed),
+  prefetched value equals the freshly evaluated one),
 * lookahead 1 attaches no stage and starts no thread, and
 * at lookahead > 1 the committed refinement trajectory — and therefore the
   output distributions and error bounds — is bitwise the one the same
-  window produces at lookahead 1; only wall-clock and the *total* UDF call
-  count change (unconsumed prefetches are paid for and discarded, like a
-  window's discarded tail; ``last_wasted_calls`` on the executor reports
-  them).
+  window produces at lookahead 1 by construction; only wall-clock and the
+  *total* UDF call count change (unconsumed prefetches are paid for and
+  discarded, like a window's discarded tail; ``last_wasted_calls`` on the
+  executor reports them).
 
 Cost model
 ----------
@@ -65,8 +59,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -76,7 +69,6 @@ from repro.core.olgapro import OLGAPRO, ChunkPrologue, ChunkStage, select_top_k_
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.transport import EvaluationTransport
 from repro.gp.regression import GaussianProcess
-from repro.index.bounding_box import BoundingBox
 from repro.timing import PhaseTimings
 from repro.udf.base import UDF
 
@@ -87,7 +79,7 @@ class SpeculativeValuePool:
     Entries are keyed by the raw bytes of the evaluation point, so a
     prefetched observation is found again however the committing refinement
     arrives at the same candidate.  Submissions dedupe atomically (two
-    speculative stages racing to prefetch the same point charge exactly one
+    walks racing to prefetch the same point charge exactly one
     evaluation), claims happen only on the coordinating thread, and
     :meth:`settle` waits out every outstanding future so charge accounting
     is complete — and deterministic — before a chunk finishes.
@@ -167,7 +159,7 @@ class SpeculativeValuePool:
     def settle(self) -> None:
         """Wait for every outstanding evaluation, swallowing failures.
 
-        Unclaimed speculation mirrors PR 3's discarded speculation: the
+        Unclaimed prefetches mirror a refinement window's discarded tail: the
         calls are paid for (the black box really ran) but never absorbed,
         and their failures are irrelevant — serially they would never have
         happened.
@@ -176,48 +168,15 @@ class SpeculativeValuePool:
             future.exception()
 
 
-@dataclass
-class _SpeculationResult:
-    """What one speculative retrieve/infer stage hands to the commit loop."""
-
-    inference: object = None
-    envelope: object = None
-    bound: float = float("nan")
-    #: Exception raised inside the stage; treated exactly like a stale
-    #: fence (the commit loop recomputes), because a speculative read racing
-    #: a model mutation may fail where the settled recompute succeeds.
-    error: Optional[BaseException] = None
-    #: Pool-thread wall-clock the stage spent; recorded into the executor's
-    #: timings by the *coordinating* thread when the stage is reaped, so the
-    #: (unsynchronised) timing accumulator is never written concurrently.
-    seconds: float = 0.0
-
-
-@dataclass
-class _PendingTuple:
-    """Bookkeeping for a submitted-but-not-committed tuple."""
-
-    index: int
-    fence: EmulatorSnapshot
-    future: Future
-
-    @property
-    def fence_n(self) -> int:
-        """Training-set size the speculation was fenced at."""
-        return self.fence.gp_state.n_training
-
-
 def _gp_view(gp: GaussianProcess, fence: EmulatorSnapshot) -> GaussianProcess:
     """Read-only clone of ``gp`` frozen at ``fence``.
 
     O(1): :meth:`~repro.gp.regression.GaussianProcess.restore` rebinds the
     snapshot's shared buffers (the GP never mutates arrays in place), so the
     view reproduces the fenced state bitwise without copying, and stays
-    consistent however the live model evolves — this is what lets a
-    speculative stage run on a pool thread while the coordinating thread
-    keeps refining earlier tuples.  Being its own object, the view also
-    keeps its own :meth:`~repro.gp.regression.GaussianProcess.local_inverse`
-    memo: a stage never reads or files into the live model's.
+    consistent however the live model evolves — this is what lets a walk
+    run on a pool thread while the coordinating thread keeps refining
+    earlier tuples.
     """
     view = GaussianProcess(
         kernel=gp.kernel.clone(),
@@ -230,23 +189,21 @@ def _gp_view(gp: GaussianProcess, fence: EmulatorSnapshot) -> GaussianProcess:
 
 
 class SpeculationStage(ChunkStage):
-    """The cross-tuple scheduler plugged into the one tuple-commit loop.
+    """The cross-tuple prefetcher plugged into the one tuple-commit loop.
 
     One instance serves one computation: used as a context manager it owns
-    the stage thread pool, and :meth:`chunk` scopes the per-chunk state
-    (speculation never crosses a chunk boundary — the sample draws are per
+    the walk thread pool, and :meth:`chunk` scopes the per-chunk state
+    (prefetching never crosses a chunk boundary — the sample draws are per
     chunk).  See the module docstring for the determinism contract.
 
     Two bounded carriers, split by *blocking behaviour*.  Black-box
     evaluations never block on anything, so the evaluation transport
     (the driver's ``carrier``, sized by :meth:`eval_workers`) always makes
-    progress;
-    speculative stages and refinement walks DO block (on evaluation
-    futures), so they get their own thread pool — a pile-up of blocked
-    walks can delay other stages, never the evaluations they are waiting
-    on.  Putting both kinds on one carrier would deadlock once every worker
-    held a blocked walk with the evaluations it awaits still queued behind
-    it.
+    progress; walks DO block (on evaluation futures), so they get their
+    own thread pool — a pile-up of blocked walks can delay other walks,
+    never the evaluations they are waiting on.  Putting both kinds on one
+    carrier would deadlock once every worker held a blocked walk with the
+    evaluations it awaits still queued behind it.
 
     Parameters
     ----------
@@ -259,19 +216,10 @@ class SpeculationStage(ChunkStage):
         every value the commit loop claims comes through the pool.
     lookahead:
         The plan's cross-tuple lookahead.
-    shared_refresh:
-        ``merge="shared"`` on an unsharded plan: a prefetch walk that
-        notices the live emulator has moved past its fence rebuilds its
-        private view from a fresh snapshot, re-absorbs its own paid-for
-        observations, and re-ranks — so walks stop mispredicting while the
-        model is chaotic (a cold stream).  Committed results are unaffected
-        (walks only feed the deduplicated prefetch pool), but the *set of
-        speculative prefetches* becomes timing-dependent, so the total call
-        count may vary run to run; :attr:`walk_refreshes` reports how often
-        the mechanism engaged.
     timings:
-        The executor's phase accumulator; pool-thread seconds land under
-        ``"speculation"``, always recorded by the coordinating thread.
+        The executor's phase accumulator; the walks' first-bound estimates
+        land under ``"speculation"``, always recorded by the coordinating
+        thread.
     """
 
     overlapped = True
@@ -281,7 +229,6 @@ class SpeculationStage(ChunkStage):
         olgapro: OLGAPRO,
         driver: AsyncEvaluationDriver,
         lookahead: int,
-        shared_refresh: bool,
         timings: PhaseTimings,
     ):
         """Bind the computation-wide state (threads start on ``__enter__``)."""
@@ -289,16 +236,13 @@ class SpeculationStage(ChunkStage):
         self.driver = driver
         self.window = driver.window
         self.lookahead = lookahead
-        self.shared_refresh = shared_refresh
         self.timings = timings
-        #: Evaluations prefetched / prefetched-but-never-consumed / walk
-        #: fence refreshes, summed over the computation's chunks.
+        #: Evaluations prefetched / prefetched-but-never-consumed, summed
+        #: over the computation's chunks.
         self.speculative_calls = 0
         self.wasted_calls = 0
-        self.walk_refreshes = 0
-        #: points_added of recently committed tuples, shared across chunks.
-        #: Calibrates both the walk-depth cap and the full-versus-cheap
-        #: speculative inference choice (see :meth:`_submit`).
+        #: points_added of recently committed tuples, shared across chunks;
+        #: calibrates the walk-depth cap (see :meth:`_submit`).
         self._recent_depths: list[int] = []
 
     @staticmethod
@@ -313,7 +257,7 @@ class SpeculationStage(ChunkStage):
         return 2 + min(64, window * (1 + 2 * lookahead))
 
     def __enter__(self) -> "SpeculationStage":
-        """Start the stage thread pool."""
+        """Start the walk thread pool."""
         self._stage_pool = ThreadPoolExecutor(
             max_workers=2 * self.lookahead + 2,
             thread_name_prefix=f"udf-pipeline-{self.olgapro.udf.name}",
@@ -321,24 +265,22 @@ class SpeculationStage(ChunkStage):
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        """Join the stage thread pool (every exit path)."""
+        """Join the walk thread pool (every exit path)."""
         self._stage_pool.shutdown()
 
     # -- the seam OLGAPRO.process_batch drives ---------------------------------------
     @contextmanager
     def chunk(self, prologue: ChunkPrologue) -> Iterator[None]:
-        """Scope one chunk: value pool in, first speculations out; settle after."""
+        """Scope one chunk: value pool in, first walks out; settle after."""
         self._samples = prologue.sample_sets
         self._boxes = prologue.boxes
         pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.driver.carrier)
-        self._pending: dict[int, _PendingTuple] = {}
-        #: Free-running refinement walks; never awaited by the commit loop
-        #: (a slow walk must not stall a fast commit), only drained at the
-        #: end of the chunk so every prefetch lands and is charged.
+        #: Training-set size of each submitted walk's snapshot, by tuple.
+        self._fence_n: dict[int, int] = {}
+        #: Free-running walks; never awaited by the commit loop (a slow walk
+        #: must not stall a fast commit), only drained at the end of the
+        #: chunk so every prefetch lands and is charged.
         self._walks: list[Future] = []
-        #: Speculative stages replaced by a fence refresh; still drained at
-        #: the end of the chunk so their prefetches land and are charged.
-        self._superseded: list[Future] = []
         self.driver.pool = pool
         try:
             for j in range(min(self.lookahead, len(self._samples))):
@@ -346,83 +288,46 @@ class SpeculationStage(ChunkStage):
             yield
         finally:
             self.driver.pool = None
-            # A failed commit leaves later stages pending, and fence
-            # refreshes leave superseded ones; both must still settle so
-            # every prefetch lands and is charged — and their pool-thread
-            # seconds still count toward the speculation phase, or a
-            # refresh-heavy run would under-report the work it spent.
-            for future in [state.future for state in self._pending.values()] + self._superseded:
-                try:
-                    self.timings.add("speculation", future.result().seconds)
-                except Exception:  # noqa: BLE001 - a discarded stage's failure is irrelevant
-                    pass
+            # Every walk — replaced by a re-walk, or left running by a
+            # failed commit — settles, so its prefetches land and are
+            # charged and its estimate counts toward the speculation phase.
             for walk in self._walks:
                 try:
-                    self.walk_refreshes += int(walk.result() or 0)
-                except Exception:  # noqa: BLE001 - a discarded stage's failure is irrelevant
+                    self.timings.add("speculation", walk.result())
+                except Exception:  # noqa: BLE001 - a failed prefetch is irrelevant here
                     pass
             pool.settle()
             self.speculative_calls += pool.prefetched
             self.wasted_calls += pool.wasted
 
-    def speculated(self, i: int) -> Optional[tuple[Any, Any, float]]:
-        """Tuple ``i``'s speculated first ``(inference, envelope, bound)``, if its fence holds.
-
-        Always waits: the stage was submitted, so its prefetches must land
-        (and be charged) whether or not the fence held — this is what keeps
-        the total call count deterministic.  A stale fence (or a stage that
-        only ran the cheap estimate, or failed) returns ``None``: the commit
-        loop re-runs the inference against the updated emulator.
-        """
-        state = self._pending.pop(i)
-        speculation = state.future.result()
-        self.timings.add("speculation", speculation.seconds)
-        if (
-            speculation.error is None
-            and speculation.envelope is not None
-            and self.olgapro.emulator.gp.version == state.fence.gp_state.version
-        ):
-            return speculation.inference, speculation.envelope, speculation.bound
-        return None
-
     def committed(self, i: int, points_added: int) -> None:
-        """Record the depth, speculate the next tuple, refresh a stale fence."""
+        """Record the depth, walk the next tuple, re-walk a stale one."""
         self._recent_depths.append(points_added)
         next_index = i + self.lookahead
         if next_index < len(self._samples):
             self._submit(next_index)
-        # Fence refresh: when this commit's refinement moved the model a
-        # whole window past what the *next* tuple's speculation was fenced
-        # on, that speculation is ranking candidates against a world that
-        # no longer exists — its prefetches would largely miss.
-        # Re-speculate it on the settled state (the old walk runs on to its
-        # deterministic cap, so the total charge count stays deterministic;
-        # the pool dedupes whatever the two walks agree on).  A warm stream
-        # adds no points, so this never fires there.
-        refresh = self._pending.get(i + 1)
-        if (
-            refresh is not None
-            and self.olgapro.emulator.n_training - refresh.fence_n >= self.window
-        ):
-            self._superseded.append(refresh.future)
+        # Re-walk: when this commit's refinement moved the model a whole
+        # window past the snapshot the *next* tuple's walk started from,
+        # that walk is ranking candidates against a world that no longer
+        # exists — its prefetches would largely miss.  Walk it again on the
+        # settled state (the old walk runs on to its deterministic cap, so
+        # the total charge count stays deterministic; the pool dedupes
+        # whatever the two walks agree on).  A warm stream adds no points,
+        # so this never fires there.
+        fence_n = self._fence_n.get(i + 1)
+        if fence_n is not None and self.olgapro.emulator.n_training - fence_n >= self.window:
             self._submit(i + 1)
 
-    # -- speculation (pool threads) --------------------------------------------------
+    # -- walks (pool threads) --------------------------------------------------------
     def _submit(self, j: int) -> None:
-        """Stage "retrieve/infer" for tuple ``j``, fenced on the live version.
+        """Start a walk for tuple ``j`` from a snapshot of the live model.
 
-        Both calibrations here read ``_recent_depths`` — the committed
-        tuples' real refinement depths — on the coordinating thread, so
-        they are deterministic:
-
-        * the walk-depth cap sits near twice the recent real depth (a
-          speculative view misses whatever neighbouring tuples taught the
-          model after its fence, so its own bound converges slower than the
-          committed one will; without the cap a stale walk phantom-refines
-          to the per-tuple limit), and
-        * the full (reusable-at-commit) fenced inference is only worth
-          computing after a quiet streak — when commits are not moving the
-          model and the fence will actually survive.
+        The walk-depth cap sits near 1.5 times the committed tuples' recent
+        real depth, read on the coordinating thread so it is deterministic:
+        a snapshot view misses whatever neighbouring tuples taught the model
+        after it was taken, so its own bound converges slower than the
+        committed one will; without the cap a stale walk phantom-refines to
+        the per-tuple limit.
         """
         emulator = self.olgapro.emulator
         fence = emulator.snapshot()
@@ -437,173 +342,54 @@ class SpeculationStage(ChunkStage):
             # after a fraction of the rounds they will actually run.
             walk_cap = max(2 * self.window, 16)
         walk_cap = min(walk_cap, self.olgapro.max_points_per_tuple)
-        full_inference = bool(depths) and sum(depths[-4:]) == 0
-        future = self._stage_pool.submit(
-            self._speculate, view, j, walk_cap, full_inference, fence.gp_state.version
-        )
-        self._pending[j] = _PendingTuple(index=j, fence=fence, future=future)
+        self._fence_n[j] = fence.gp_state.n_training
+        self._walks.append(self._stage_pool.submit(self._walk, view, j, walk_cap))
 
-    def _speculate(
-        self,
-        view: GaussianProcess,
-        j: int,
-        walk_cap: int,
-        full_inference: bool,
-        fence_version: int,
-    ) -> _SpeculationResult:
-        """Speculative retrieve/infer stage for tuple ``j`` (pool thread).
+    def _walk(self, view: GaussianProcess, j: int, walk_cap: int) -> float:
+        """Prefetch tuple ``j``'s expected refinement windows (pool thread).
 
-        Estimates the tuple's error bound against the fenced view and, when
-        it misses the budget, hands the fenced state to a *free-running*
-        refinement walk that prefetches the tuple's expected UDF evaluations
-        (the commit loop waits for this stage, never for the walk).
+        First a cheap global-GP estimate of the tuple's first bound on the
+        view: a tuple inside the budget will not refine, so nothing is
+        prefetched.  Otherwise, window by window: prefetch the
+        top-``window`` highest-variance candidates (plus a pad — the
+        committed selection ranks by fresh local-subset variances, which
+        differ from the view's global ones in the last ulps and by whatever
+        the snapshot missed, so its top-k almost always sits inside the
+        view's top-(k + pad)), wait for the values (the waits are the
+        point — they overlap earlier tuples' refinement on the shared
+        transport), absorb them into the *private* view, and re-rank by the
+        view's updated global variances.  Windows after the first carry a
+        *double* pad: a wider prefetch superset is far cheaper than real
+        local inference per walk window, and a miss stalls the committing
+        thread for a whole black-box latency.  Depth is bounded by
+        ``walk_cap``.
 
-        ``full_inference`` selects the estimate's fidelity: the commit loop's
-        own inference step on the view (reusable bitwise at commit when the
-        fence holds, because the view memoises its own local inverses — worth
-        its cost when the stream is quiet and fences survive) versus a cheap
-        global-GP pass that only seeds the walk (the right trade in a
-        refining stream, where every commit moves the model and fenced
-        envelopes die anyway).  The choice is made deterministically on the
-        coordinating thread.  Never touches the live model; any failure is
-        reported (not raised) and handled like a stale fence.
-        """
-        olgapro = self.olgapro
-        samples, box = self._samples[j], self._boxes[j]
-        started = time.perf_counter()
-        try:
-            if full_inference:
-                inference = olgapro.infer_with(view, samples, box)
-                envelope, bound = olgapro.bound_with(view, inference, box, samples.shape[0])
-                result = _SpeculationResult(inference=inference, envelope=envelope, bound=bound)
-            else:
-                inference = global_inference(view, samples)
-                _, bound = olgapro.bound_with(view, inference, box, samples.shape[0])
-                result = _SpeculationResult()
-            if bound > olgapro.budget.epsilon_gp:
-                self._walks.append(
-                    self._stage_pool.submit(
-                        self._walk_refinement,
-                        view, samples, box, inference.stds, walk_cap, fence_version,
-                    )
-                )
-            result.seconds = time.perf_counter() - started
-            return result
-        except BaseException as exc:  # noqa: BLE001 - reported, handled at commit
-            return _SpeculationResult(error=exc, seconds=time.perf_counter() - started)
-
-    def _walk_refinement(
-        self,
-        view: GaussianProcess,
-        samples: np.ndarray,
-        box: BoundingBox,
-        stds: np.ndarray,
-        walk_cap: int,
-        fence_version: int,
-    ) -> int:
-        """Prefetch tuple ``j``'s expected refinement windows on the view.
-
-        Window by window: prefetch the top-``window`` highest-variance
-        candidates (plus a pad — the committed selection ranks by fresh
-        variances, which differ from the speculative ones in the last ulps
-        and by whatever the fence missed, so its top-k almost always sits
-        inside the speculative top-(k + pad)), wait for the values (the
-        waits are the point — they overlap earlier tuples' refinement on
-        the shared pool), absorb them into the *private* view, and re-rank
-        by the view's updated global variances.  Depth is bounded by
-        ``walk_cap``, calibrated from recently committed tuples, so a walk
-        whose fence went stale cannot phantom-refine to the per-tuple cap.
-
-        The re-ranking deliberately uses plain global GP variance on the
-        view — the cheapest update that tracks where the next window moves.
-        It ranks candidates somewhat differently from the local-subset
-        variances the committed selection uses, so windows after the first
-        carry a *double* pad: a wider prefetch superset is far cheaper than
-        the alternatives (running real local inference per walk window
-        measurably costs more CPU than the misses it prevents, and a miss
-        stalls the committing thread for a whole black-box latency).
-        Everything else the commit path computes per window (envelope,
-        band, bound, chunk-level rechecks) is skipped: the walk only needs
-        the ranking.
-
-        The view is private to this stage, so nothing here touches the live
+        The view is private to this walk, so nothing here touches the live
         emulator; the only shared effect is the deduplicated prefetch pool.
-
-        Under :attr:`shared_refresh` the walk additionally watches the live
-        model between windows: when its version has moved past
-        ``fence_version`` (neighbouring commits — or, in a shard, the shared
-        store — taught the model something this walk cannot see), the walk
-        rebuilds its view from a fresh snapshot, re-absorbs its *own*
-        already-paid-for observations (deduplicated against what the live
-        model absorbed meanwhile), re-ranks — and re-checks the tuple's
-        error bound on the refreshed view: a bound already inside the
-        budget means the commit will converge without refinement, so the
-        walk stops instead of prefetching evaluations nobody will consume.
-        Returns the number of such refreshes (always 0 with
-        ``shared_refresh`` off).
+        A prefetch that fails ends the walk with it; the commit loop meets
+        the failure only if it needs the point (the pool hands it the same
+        future).  Returns the estimate's seconds, for the ``"speculation"``
+        phase.
         """
         olgapro, pool, window = self.olgapro, self._pool, self.window
-        emulator = olgapro.emulator
+        samples, box = self._samples[j], self._boxes[j]
         m = samples.shape[0]
+        started = time.perf_counter()
+        inference = global_inference(view, samples)
+        _, bound = olgapro.bound_with(view, inference, box, m)
+        seconds = time.perf_counter() - started
+        if bound <= olgapro.budget.epsilon_gp:
+            return seconds
+        stds = inference.stds
         points_used = 0
         first_window = True
-        refreshes = 0
-        #: Observations this walk absorbed into its view — paid for and
-        #: deterministic given the view, so safe to re-absorb after a
-        #: fence refresh.
-        own_rows: list[np.ndarray] = []
-        own_values: list[float] = []
         while True:
-            if (
-                self.shared_refresh
-                and not first_window
-                and emulator.gp.version != fence_version
-            ):
-                # The live model outran this walk's fence: re-fence.  The
-                # snapshot read races commit-thread mutations; the buffers
-                # themselves are never mutated in place, but a torn
-                # state-object read can still fail — in that case keep the
-                # old view and retry at the next window.
-                try:
-                    fence = emulator.snapshot()
-                    fresh = _gp_view(emulator.gp, fence)
-                    have = (
-                        {row.tobytes() for row in fresh.X_train}
-                        if fresh.n_training
-                        else set()
-                    )
-                    keep = [
-                        idx
-                        for idx, row in enumerate(own_rows)
-                        if row.tobytes() not in have
-                    ]
-                    room = max(0, olgapro.max_training_points - fresh.n_training)
-                    keep = keep[:room]
-                    if keep:
-                        fresh.add_points(
-                            np.asarray([own_rows[idx] for idx in keep]),
-                            np.asarray([own_values[idx] for idx in keep]),
-                        )
-                    view = fresh
-                    fence_version = fence.gp_state.version
-                    refreshes += 1
-                    inference = global_inference(view, samples)
-                    _, bound = olgapro.bound_with(view, inference, box, m)
-                    if bound <= olgapro.budget.epsilon_gp:
-                        # What the model learned since the fence already
-                        # answers this tuple: the commit will converge
-                        # without refinement, so every further prefetch
-                        # would be waste.
-                        return refreshes
-                    stds = inference.stds
-                except Exception:  # noqa: BLE001 - torn read; old view still valid
-                    pass
             capacity = min(
                 walk_cap - points_used,
                 olgapro.max_training_points - view.n_training,
             )
             if capacity <= 0:
-                return refreshes
+                return seconds
             k = min(window, capacity, m)
             pad = min(k + max(2, k // 4) if first_window else 2 * k, m)
             prefetch = select_top_k_distinct(samples, stds, pad)
@@ -611,12 +397,10 @@ class SpeculationStage(ChunkStage):
             order = prefetch[:k]
             k = len(order)
             if k == 0:
-                return refreshes
+                return seconds
             futures = pool.prefetch(samples[prefetch])[:k]
             y = np.array([future.result() for future in futures])
             view.add_points(samples[order], y)
-            own_rows.extend(np.array(samples[idx], dtype=float) for idx in order)
-            own_values.extend(float(value) for value in y)
             points_used += k
             first_window = False
             _, stds = view.predict(samples, return_std=True)

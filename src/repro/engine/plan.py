@@ -19,7 +19,7 @@ The knobs *compose* rather than compete:
 
 1. ``workers`` — process-pool sharding; everything below applies per shard
    (the shard runs :meth:`ExecutionPlan.inner`).
-2. ``pipeline_lookahead`` — cross-tuple speculation around the commit loop;
+2. ``pipeline_lookahead`` — cross-tuple prefetching around the commit loop;
    1 (or unset) attaches no stage.
 3. ``async_inflight`` — the refinement window, carried by the configured
    ``transport``; 1 (or unset without a lookahead) evaluates inline.
@@ -129,9 +129,8 @@ class ExecutionPlan:
         away: deterministic and invariant to the worker count.
         ``"shared"`` selects the live shared model
         (:mod:`repro.core.shared_model`): workers learn *through* a shared
-        store mid-stream instead of relearning per shard, and a pipelined
-        plan refreshes its prefetch walks against the live model.
-        ``"shared"`` needs ``workers`` or ``pipeline_lookahead``.
+        store mid-stream instead of relearning per shard.  ``"shared"``
+        needs ``workers``.
     parallel_seed:
         Base seed of the per-shard random streams.  Inert without
         ``workers`` (historically accepted as a defensive default, so it
@@ -145,7 +144,7 @@ class ExecutionPlan:
         (the multi-point generalisation of the largest-variance rule); a
         configured ``tuning_strategy`` applies at window 1 only.
     pipeline_lookahead:
-        Cross-tuple lookahead of the speculation stage.  ``1`` is the
+        Cross-tuple lookahead of the prefetch stage.  ``1`` is the
         degenerate value: no stage, no thread — bit-identical to leaving
         it unset; ``> 1`` with no ``async_inflight`` implies the default
         window (see :attr:`window`).
@@ -195,18 +194,11 @@ class ExecutionPlan:
                 f"unknown transport {self.transport!r}; the carriers are "
                 "'threads' (any UDF) and 'asyncio' (an AsyncUDF)"
             )
-        if (
-            self.merge == "shared"
-            and self.workers is None
-            and self.pipeline_lookahead is None
-        ):
-            # Beyond the sharded layer, a lookahead stage uses the live model
-            # to keep prefetch walks refreshed (SpeculationStage's
-            # shared_refresh); with neither there is nobody to share with.
+        if self.merge == "shared" and self.workers is None:
             raise PlanError(
-                "merge='shared' shares what workers (or prefetch walks) learn "
-                "through a live model, but the plan has neither; set workers "
-                "or pipeline_lookahead (or drop merge) — " + PRECEDENCE
+                "merge='shared' shares what workers learn through a live "
+                "model, but the plan has no workers; set workers (or drop "
+                "merge) — " + PRECEDENCE
             )
         if self.transport == "asyncio" and (
             self.async_inflight is None and self.pipeline_lookahead is None
@@ -234,8 +226,7 @@ class ExecutionPlan:
         """Choose the knobs from the UDF's declared catalog profile.
 
         The profile-driven planner: instead of hand-tuning ``batch_size``
-        / ``transport`` / ``async_inflight`` / ``pipeline_lookahead`` per
-        query, the caller declares
+        / ``transport`` / ``async_inflight`` per query, the caller declares
         what the UDF *is* (its :class:`~repro.udf.catalog.UDFProfile`)
         and this method picks the spelled-out plan the declaration
         implies.  The result is an ordinary validated
@@ -251,13 +242,14 @@ class ExecutionPlan:
         * *moderate* (≥ 1 ms/call) — an overlapped refinement window of
           4, carried by ``"asyncio"`` for an async-capable UDF and
           ``"threads"`` otherwise.
-        * *slow* (≥ 10 ms/call) — a window of 8 plus cross-tuple
-          pipelining (``pipeline_lookahead=4``).
+        * *slow* (≥ 10 ms/call) — a window of 8.  Cross-tuple lookahead
+          is never auto-selected: it pays for prefetches the commit loop
+          may not consume, and the paper prices a query in UDF calls.
 
         ``batch_size`` is the default chunk size capped by
         ``relation_size`` (no point chunking past the input).
-        Sharding (``workers``), retries and merge policies are
-        never auto-selected — they change resource footprint and failure
+        Sharding (``workers``), retries and merge policies are never
+        auto-selected either — they change resource footprint and failure
         semantics, which stay explicit decisions.
 
         Parameters
@@ -300,8 +292,6 @@ class ExecutionPlan:
         if window is not None:
             knobs["transport"] = "asyncio" if profile.async_capable else "threads"
             knobs["async_inflight"] = window
-            if latency == LATENCY_SLOW and (relation_size is None or int(relation_size) >= 4):
-                knobs["pipeline_lookahead"] = 4
         return cls(**knobs)
 
     # -- resolution ---------------------------------------------------------------
@@ -350,9 +340,9 @@ class ExecutionPlan:
     def inner(self) -> "ExecutionPlan":
         """The plan every shard of a sharded plan runs.
 
-        This plan with its sharding fields cleared — so a shard's lookahead
-        stage never refreshes against a shared model — and ``batch_size``
-        pinned, so a shard runs the sharded plan's chunk size.
+        This plan with its sharding fields cleared (``merge`` included: the
+        shard layer, not the shard, owns the shared model) and
+        ``batch_size`` pinned, so a shard runs the sharded plan's chunk size.
         """
         if self.workers is None:
             raise PlanError("only a sharded plan (workers set) has an inner plan")

@@ -56,8 +56,9 @@ class TupleVerdict:
     ``verdict`` is ``"certain"`` when the tuple certainly exists
     (existence probability 1) and its claimed error bound is within the
     accuracy requirement; ``"possible"`` when it survives but one of those
-    guarantees is open (sub-unit existence probability, a bound above the
-    requirement, or a plain-MC NaN bound whose guarantee is a-priori);
+    guarantees is open (sub-unit existence probability or a bound above
+    the requirement — plain Monte Carlo claims the requirement's ε, so
+    it is never open on the bound);
     ``"excluded"`` when online filtering dropped it; ``"degraded"`` when
     the tuple was quarantined — its UDF evaluations kept failing after the
     retry policy was exhausted, so the answer is the last (unconverged)

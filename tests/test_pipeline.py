@@ -145,14 +145,27 @@ def test_pipelined_run_is_repeatable_with_deterministic_charges():
         assert 0 <= executor.last_wasted_calls <= executor.last_speculative_calls
 
 
-def test_completion_order_invariance_under_latency_jitter():
-    """Point-hashed latency jitter permutes completion order, not results."""
+@pytest.mark.parametrize(
+    "function_name, n_tuples, lookahead, n_samples",
+    [("F1", 4, 3, 120), ("F4", 8, 4, 200)],
+    ids=["F1", "F4"],
+)
+def test_completion_order_invariance_under_latency_jitter(
+    function_name, n_tuples, lookahead, n_samples
+):
+    """Point-hashed latency jitter permutes completion order, not results.
+
+    F1 converges after a few re-walks; F4 refines deeply on every tuple, so
+    its walks reach their depth cap, commits re-walk the next tuple and a
+    window overshoots and rolls back — all under reordered completions.
+    """
     def run(jitter):
         udf, engine, dists = _fixture(
-            n_tuples=4, real_eval_time=2e-3, real_eval_jitter=jitter, n_samples=120
+            n_tuples=n_tuples, real_eval_time=2e-3, real_eval_jitter=jitter,
+            n_samples=n_samples, function_name=function_name,
         )
         outputs = ExecutionPlan(
-            pipeline_lookahead=3, async_inflight=4, batch_size=4
+            pipeline_lookahead=lookahead, async_inflight=4, batch_size=n_tuples
         ).resolve(engine).compute_batch(udf, dists)
         return outputs, udf.call_count
 
@@ -181,6 +194,41 @@ def test_window_accounting_under_a_stage_matches_the_unstaged_window():
     # Commits reuse prefetched evaluations, so the total never exceeds the
     # unstaged calls plus the (deterministic) speculative waste.
     assert udf_b.call_count <= udf_a.call_count + executor.last_wasted_calls
+
+
+def test_the_stage_hands_the_commit_loop_only_values(monkeypatch):
+    """Every tuple's inferences run on the commit thread, at any lookahead.
+
+    A warm F1 stream in one chunk: the first tuples refine, the rest commit
+    on their first pass.  The stage prefetches UDF values and nothing else,
+    so the commit loop runs exactly as many per-tuple inference steps at
+    lookahead 4 as at lookahead 1 — including every first pass of the quiet
+    tail — and commits the same outputs.
+    """
+    from repro.core.olgapro import OLGAPRO
+
+    calls = []
+    real_step = OLGAPRO._infer_and_bound
+
+    def counting_step(self, samples, box):
+        calls.append(1)
+        return real_step(self, samples, box)
+
+    monkeypatch.setattr(OLGAPRO, "_infer_and_bound", counting_step)
+
+    def run(lookahead):
+        calls.clear()
+        udf, engine, dists = _fixture(n_tuples=40)
+        outputs = ExecutionPlan(
+            pipeline_lookahead=lookahead, async_inflight=4, batch_size=40
+        ).resolve(engine).compute_batch(udf, dists)
+        return outputs, len(calls)
+
+    unstaged, steps_unstaged = run(1)
+    staged, steps_staged = run(4)
+    _assert_identical_outputs(unstaged, staged)
+    assert steps_staged == steps_unstaged
+    assert steps_unstaged > 40  # some tuples refined, and every tuple had a first pass
 
 
 def test_a_single_refinement_point_is_claimed_through_the_pool(monkeypatch):
@@ -407,8 +455,7 @@ def test_parallel_shards_honor_pipeline_lookahead():
 def test_shared_merge_counts_pipelined_worker_points_once():
     """Stale-fence re-inference must not double-absorb into the parent.
 
-    Every worker runs the pipelined scheduler: its speculative stages
-    re-run inference when fences go stale, and its walks absorb points into
+    Every worker runs the lookahead stage, whose walks absorb points into
     *private* views.  Only the points genuinely committed to the worker's
     live model may flow back through the ``"shared"`` store — so the
     parent's merged-point count must equal its model growth exactly, with
@@ -438,38 +485,3 @@ def test_shared_serial_pipeline_does_not_double_count_points():
     executor.compute_batch(udf, dists)
     emulator = _emulator_of(engine, udf)
     assert emulator.n_training == executor.last_merged_points
-
-
-# ---------------------------------------------------------------------------
-# shared_refresh: prefetch-walk fidelity on a cold stream
-# ---------------------------------------------------------------------------
-
-def test_shared_refresh_cuts_walk_mispredictions_on_a_cold_stream():
-    """``merge="shared"``'s pipeline leg: refreshed walks mispredict less.
-
-    On a cold stream every commit moves the model, so a walk fenced at
-    submission time prefetches candidates a no-longer-existing model would
-    have refined.  With ``shared_refresh`` the walk re-fences to the live
-    model between windows — re-ranking its candidates and stopping outright
-    once the refreshed bound fits the budget — so the speculative pool's
-    wasted (prefetched-but-never-consumed) evaluations must drop.  The
-    committed results are bit-identical either way: walks only feed the
-    deduplicated prefetch pool.
-    """
-    def run(shared_refresh):
-        udf, engine, dists = _fixture(function_name="F4", real_eval_time=2e-3)
-        executor = ExecutionPlan(
-            pipeline_lookahead=4, async_inflight=4, batch_size=8,
-            merge="shared" if shared_refresh else "discard",
-        ).resolve(engine)
-        outputs = executor.compute_batch(udf, dists)
-        return outputs, executor
-
-    outputs_off, executor_off = run(False)
-    outputs_on, executor_on = run(True)
-    _assert_identical_outputs(outputs_off, outputs_on)
-    # The mechanism engaged: the cold stream outran fences repeatedly.
-    assert executor_off.last_walk_refreshes == 0
-    assert executor_on.last_walk_refreshes > 0
-    # ... and fewer prefetches were mispredicted.
-    assert executor_on.last_wasted_calls < executor_off.last_wasted_calls

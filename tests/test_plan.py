@@ -258,30 +258,14 @@ def test_plan_error_is_a_query_error():
         ExecutionPlan(batch_size=0)
 
 
-def test_shared_merge_needs_workers_or_a_pipeline():
-    # merge="shared" is the one policy meaningful beyond the sharded layer:
-    # with workers it shares the model across shards, with a pipeline it
-    # keeps prefetch walks refreshed against the live model.  Alone it
-    # would be silently inert, so the plan rejects it.
+def test_shared_merge_needs_workers():
+    # merge="shared" shares what shards learn through a live model; a
+    # lookahead stage only prefetches, so it has nothing to share.  Without
+    # workers the policy would be silently inert, so the plan rejects it.
     assert ExecutionPlan(workers=2, merge="shared").merge == "shared"
-    assert ExecutionPlan(pipeline_lookahead=4, merge="shared").merge == "shared"
-    with pytest.raises(PlanError, match="precedence"):
-        ExecutionPlan(merge="shared")
-
-
-def test_shared_merge_resolution_arms_the_walk_refresh():
-    _, engine, _ = _fixture(n_tuples=1)
-    piped = ExecutionPlan(pipeline_lookahead=4, merge="shared").resolve(engine)
-    assert piped.lookahead == 4
-    assert piped.shared_refresh is True
-    default = ExecutionPlan(pipeline_lookahead=4).resolve(engine)
-    assert default.shared_refresh is False
-    sharded_plan = ExecutionPlan(workers=2, pipeline_lookahead=4, merge="shared")
-    sharded = sharded_plan.resolve(engine)
-    assert isinstance(sharded, ParallelExecutor)
-    assert sharded.merge == "shared"
-    # A shard's stage never refreshes against the shared model.
-    assert sharded_plan.inner().resolve(engine).shared_refresh is False
+    assert ExecutionPlan(workers=2, pipeline_lookahead=4, merge="shared").merge == "shared"
+    with pytest.raises(PlanError, match="set workers \\(or drop merge\\)"):
+        ExecutionPlan(pipeline_lookahead=4, merge="shared")
 
 
 @pytest.mark.parametrize(

@@ -176,11 +176,29 @@ def test_classify_possible_when_bound_open_or_existence_uncertain():
         classify_output(_output(existence=0.6), 0.15, 0, 0).verdict
         == VERDICT_POSSIBLE
     )
-    # A plain-MC NaN bound makes no closed claim.
+    # A NaN bound (a tuple quarantined before any bound existed) makes no
+    # closed claim.
     assert (
         classify_output(_output(error_bound=math.nan), 0.15, 0, 0).verdict
         == VERDICT_POSSIBLE
     )
+
+
+@pytest.mark.parametrize("with_predicate", [False, True], ids=["apply", "select"])
+def test_monte_carlo_claims_epsilon_and_classifies_certain(with_predicate):
+    """Plain Monte Carlo claims the requirement's ε as its bound, so a tuple
+    that certainly exists is ``certain`` — under a predicate too, where the
+    sequential filter keeps every tuple of a predicate that holds for every
+    output."""
+    from repro.core.filtering import SelectionPredicate
+
+    udf, _, dists = _fixture()
+    engine = UDFExecutionEngine(strategy="mc", requirement=REQUIREMENT, random_state=31)
+    predicate = SelectionPredicate(-1e9, 1e9, 0.5) if with_predicate else None
+    result = engine.compute_with_plan(udf, dists, ExecutionPlan(batch_size=4), predicate=predicate)
+    assert [output.error_bound for output in result.outputs] == [REQUIREMENT.epsilon] * len(dists)
+    assert all(not output.dropped for output in result.outputs)
+    assert [verdict.verdict for verdict in result.verdicts] == [VERDICT_CERTAIN] * len(dists)
 
 
 def test_classify_excluded_when_dropped():

@@ -149,14 +149,9 @@ class ChunkStage:
     only needs to know when a chunk opens and when a tuple commits.  The
     base class is the degenerate stage (lookahead 1): nothing happens
     around the chunk or between commits.  The cross-tuple prefetcher
-    (:class:`repro.engine.pipeline.SpeculationStage`) overrides every
-    member.
+    (:class:`repro.engine.pipeline.SpeculationStage`) overrides both
+    members.
     """
-
-    #: Whether UDF evaluations for *other* tuples complete while a tuple
-    #: commits.  Raw call-counter deltas are then polluted, so per-tuple
-    #: calls are attributed from :attr:`OLGAPRO.refinement_evaluations`.
-    overlapped = False
 
     def chunk(self, prologue: ChunkPrologue):
         """Context manager around one chunk's commit loop."""
@@ -267,11 +262,13 @@ class OLGAPRO:
         #: UDF evaluations *consumed* by the refinement loops across all
         #: tuples (window submissions, speculative blocks — rolled back or
         #: not — and single-point absorptions; reused prefetched values
-        #: count too, since the committed trajectory asked for them).  Under
-        #: an overlapped stage the commit loop reads per-tuple deltas of
-        #: this counter for call attribution: unlike raw UDF call-count
-        #: deltas it is updated only on the coordinating thread, so
-        #: concurrent prefetches for *other* tuples cannot pollute it.
+        #: count too, since the committed trajectory asked for them).  Only
+        #: evaluations that returned a value count: a failed one charges
+        #: nothing.  The commit loop attributes each tuple's calls from
+        #: per-tuple deltas of this counter: unlike raw UDF call-count
+        #: deltas it is updated only on the coordinating thread, so the
+        #: lookahead stage's concurrent prefetches for *other* tuples
+        #: cannot pollute it.
         self.refinement_evaluations = 0
 
         if self.initial_training_points < 2:
@@ -306,32 +303,19 @@ class OLGAPRO:
 
     def output_range(self) -> float:
         """Current estimate of the UDF output range (from the training data)."""
-        return self.output_range_of(self.emulator.gp)
-
-    def output_range_of(self, gp) -> float:
-        """Output-range estimate read from an explicit GP state.
-
-        The lookahead stage's prefetch walks estimate bounds against a
-        snapshot-restored *view* of the model rather than the live emulator,
-        so the model-derived quantities of a bound take the GP explicitly.
-        """
+        gp = self.emulator.gp
         if gp.n_training == 0:
             return 1.0
         return max(gp.target_range(), 1e-12)
 
     def lambda_value(self) -> float:
-        """Minimum interval length λ in output units."""
-        return self.lambda_value_for(self.emulator.gp)
+        """Minimum interval length λ in output units.
 
-    def lambda_value_for(self, gp) -> float:
-        """The requirement's λ, else λ derived from an explicit GP state.
-
-        The derived λ is ``lambda_fraction`` of the output range (see
-        :meth:`output_range_of`).
+        The requirement's λ, else ``lambda_fraction`` of the output range.
         """
         if self.requirement.lambda_value is not None:
             return self.requirement.lambda_value
-        return self.lambda_fraction * self.output_range_of(gp)
+        return self.lambda_fraction * self.output_range()
 
     def gamma_threshold(self) -> float:
         """Local-inference threshold Γ in output units."""
@@ -431,7 +415,6 @@ class OLGAPRO:
                 if self.model_sync is not None:
                     self.model_sync.sync()
                 started = time.perf_counter()
-                calls_before = self.udf.call_count
                 charged_before = self.udf.charged_time
                 evals_before = self.refinement_evaluations
                 phase_started = time.perf_counter()
@@ -479,10 +462,7 @@ class OLGAPRO:
                 elapsed = time.perf_counter() - started + prologue.sample_seconds[i]
                 if i == 0:
                     elapsed += prologue.init_elapsed
-                if stage.overlapped:
-                    udf_calls = self.refinement_evaluations - evals_before
-                else:
-                    udf_calls = self.udf.call_count - calls_before
+                udf_calls = self.refinement_evaluations - evals_before
                 self._tuples_processed += 1
                 results.append(
                     self._tuple_result(
@@ -607,38 +587,32 @@ class OLGAPRO:
         recompute.  Returns ``(inference, envelope, bound)``.
         """
         inference = self._infer(samples, box)
-        envelope, bound = self._bound_from_inference(inference, box, samples.shape[0])
+        envelope, bound = self._bound_from_inference(
+            inference.means, inference.stds, box, samples.shape[0]
+        )
         return inference, envelope, bound
 
     def _bound_from_inference(
-        self, inference, box: BoundingBox, n_points: int
+        self, means: np.ndarray, stds: np.ndarray, box: BoundingBox, n_points: int
     ) -> tuple[EnvelopeOutputs, float]:
-        """Envelope and GP error bound for one tuple's inference results."""
-        return self.bound_with(self.emulator.gp, inference, box, n_points)
+        """Band → envelope → GP error bound on predictive ``means`` / ``stds``.
 
-    def bound_with(
-        self, gp, inference, box: BoundingBox, n_points: int
-    ) -> tuple[EnvelopeOutputs, float]:
-        """Envelope and bound derived from an explicit GP state.
-
-        Parameterised twin of :meth:`_bound_from_inference` (the live path
-        delegates here): the band uses the given model's kernel
-        hyperparameters and λ derives from that model's output range, so a
-        prefetch walk can estimate a bound on its snapshot view.
+        The one step behind every bound: the band reads the live kernel's
+        hyperparameters and λ the live output range — for a tuple's
+        inference and for the optimal-greedy strategy's simulated
+        candidates alike.
         """
         band = band_z_value(
-            gp.kernel,
+            self.emulator.gp.kernel,
             box,
             alpha=self.band_alpha,
             method=self.band_method,
             n_points=n_points,
         )
-        envelope = build_envelope_outputs(inference.means, inference.stds, band.z_value)
+        envelope = build_envelope_outputs(means, stds, band.z_value)
         if self.requirement.metric == "ks":
-            bound = gp_ks_bound(envelope)
-        else:
-            bound = gp_discrepancy_bound(envelope, self.lambda_value_for(gp))
-        return envelope, bound
+            return envelope, gp_ks_bound(envelope)
+        return envelope, gp_discrepancy_bound(envelope, self.lambda_value())
 
     def _tune_until_bounded(
         self,
@@ -724,7 +698,6 @@ class OLGAPRO:
                     inference, envelope, bound = self._infer_and_bound(samples, box)
                     continue
                 X = samples[order]
-                self.refinement_evaluations += k
                 y = np.empty(k)
                 futures = driver.submit(self.udf, X)
                 try:
@@ -760,6 +733,9 @@ class OLGAPRO:
                             break
                 finally:
                     driver.drain(futures)
+                    self.refinement_evaluations += sum(
+                        future.exception() is None for future in futures
+                    )
             return envelope, bound, points_added, True
         finally:
             self.refinement_factorizations += (
@@ -817,12 +793,13 @@ class OLGAPRO:
         so the route is invisible to the refinement trajectory (the UDF is
         deterministic).  Returns the observed value.
         """
-        self.refinement_evaluations += 1
         driver = self.evaluation_driver
         if driver is None:
-            return self.emulator.add_training_point(x)
-        y = float(driver.submit(self.udf, x.reshape(1, -1))[0].result())
-        self.emulator.absorb_observations(x.reshape(1, -1), np.array([y]))
+            y = self.emulator.add_training_point(x)
+        else:
+            y = float(driver.submit(self.udf, x.reshape(1, -1))[0].result())
+            self.emulator.absorb_observations(x.reshape(1, -1), np.array([y]))
+        self.refinement_evaluations += 1
         return y
 
     def _make_error_evaluator(self, samples: np.ndarray, box: BoundingBox):
@@ -840,17 +817,7 @@ class OLGAPRO:
             y_hat = float(gp_copy.predict_mean(x.reshape(1, -1))[0])
             gp_copy.add_point(x, y_hat)
             means, stds = gp_copy.predict(samples, return_std=True)
-            band = band_z_value(
-                gp_copy.kernel,
-                box,
-                alpha=self.band_alpha,
-                method=self.band_method,
-                n_points=samples.shape[0],
-            )
-            envelope = build_envelope_outputs(means, stds, band.z_value)
-            if self.requirement.metric == "ks":
-                return gp_ks_bound(envelope)
-            return gp_discrepancy_bound(envelope, self.lambda_value())
+            return self._bound_from_inference(means, stds, box, samples.shape[0])[1]
 
         return evaluate
 

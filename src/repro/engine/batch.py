@@ -86,8 +86,9 @@ class BatchExecutor:
       — so each refinement window's UDF calls overlap
       (:mod:`repro.engine.async_exec`);
     * ``lookahead`` > 1 opens it too and attaches a
-      :class:`~repro.engine.pipeline.SpeculationStage`, which prefetches
-      the next tuples' refinement windows while the current one commits
+      :class:`~repro.engine.pipeline.SpeculationStage`, whose walks
+      prefetch the next tuples' refinement windows — as deep as the
+      recently committed tuples refined — while the current one commits,
       and hands the loop nothing but those values
       (:mod:`repro.engine.pipeline`).  ``"mc"`` has no refinement loop, so
       it runs without the stage.
@@ -102,8 +103,7 @@ class BatchExecutor:
     predicate's drop test belong to the loop, so they hold at every
     (window, lookahead).  Phase timings (``sampling`` /
     ``inference`` / ``refinement`` / ``filtering`` — the drop tests alone,
-    or Monte Carlo's sequential filter — / ``speculation``) accumulate on
-    :attr:`timings`; the executor stays picklable and reusable because every
+    or Monte Carlo's sequential filter) accumulate on :attr:`timings`; the executor stays picklable and reusable because every
     live resource is scoped to one compute call.
 
     Raises
@@ -193,7 +193,7 @@ class BatchExecutor:
                     stack.callback(setattr, olgapro, "evaluation_driver", None)
                     if staged:
                         stage = stack.enter_context(
-                            SpeculationStage(olgapro, driver, self.lookahead, self.timings)
+                            SpeculationStage(olgapro, driver, self.lookahead)
                         )
                 outputs: list[ComputedOutput] = []
                 for chunk in iter_batches(distributions, self.batch_size):
@@ -209,8 +209,6 @@ class BatchExecutor:
             self.timings.ensure("sampling", "inference", "refinement")
             if predicate is not None:
                 self.timings.ensure("filtering")
-            if self.plan.pipeline_lookahead is not None:
-                self.timings.ensure("speculation")
 
     def _compute_chunk(
         self,

@@ -127,8 +127,8 @@ class Operator(abc.ABC):
 
     def _merge_executor_timings(self, timings: PhaseTimings) -> None:
         """Fold every UDF node's executor phases (``sampling`` /
-        ``inference`` / ``refinement`` / ``filtering`` / ``speculation``)
-        into ``timings`` — call once, after the tree has been consumed."""
+        ``inference`` / ``refinement`` / ``filtering``) into ``timings`` —
+        call once, after the tree has been consumed."""
         for node in self._tree_nodes():
             executor = getattr(node, "_executor", None)
             if executor is not None:

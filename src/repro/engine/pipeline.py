@@ -15,12 +15,12 @@ but UDF values.  On a private thread pool it runs one kind of task, the
 *walk*:
 
 1. **prefetch** — for each of tuples *i + 1 … i + lookahead* a walk takes
-   a snapshot view of the emulator, makes a cheap global-GP estimate of
-   the tuple's first bound and, when that misses the budget, guesses the
-   tuple's refinement points window by window (the highest-variance
-   candidates, absorbed into the private view) and submits their UDF
-   evaluations ahead of time, so the black-box latency of tuple
-   *i + 1*'s windows hides under tuple *i*'s;
+   a snapshot view of the emulator and guesses the tuple's refinement
+   points window by window (the highest-variance candidates, absorbed into
+   the private view), submitting their UDF evaluations ahead of time, so
+   the black-box latency of tuple *i + 1*'s windows hides under tuple
+   *i*'s.  The walk's depth follows what the last committed tuples really
+   refined; a stream whose recent tuples did not refine walks nothing;
 2. **reuse** — every value the commit loop's refinement needs (each
    window and each single point) comes through the processor's window
    driver, which the stage points at its speculative value pool: a
@@ -46,8 +46,9 @@ Cost model
 ----------
 Prefetched-but-unused evaluations are charged: the calls really happened.
 Per-tuple ``udf_calls`` counts the evaluations each tuple's refinement
-*consumed* (window submissions plus single-point absorptions — the same
-number lookahead 1 charges per tuple), while per-tuple ``charged_time`` is
+*consumed* and that returned a value (window submissions plus
+single-point absorptions — the same number every plan charges per
+tuple), while per-tuple ``charged_time`` is
 attribution-approximate under cross-tuple overlap (evaluations for several
 tuples complete concurrently); the UDF's own counters stay exact in
 aggregate.
@@ -56,7 +57,6 @@ aggregate.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -64,12 +64,10 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.core.emulator import EmulatorSnapshot
-from repro.core.local_inference import global_inference
 from repro.core.olgapro import OLGAPRO, ChunkPrologue, ChunkStage, select_top_k_distinct
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.transport import EvaluationTransport
 from repro.gp.regression import GaussianProcess
-from repro.timing import PhaseTimings
 from repro.udf.base import UDF
 
 
@@ -216,45 +214,32 @@ class SpeculationStage(ChunkStage):
         every value the commit loop claims comes through the pool.
     lookahead:
         The plan's cross-tuple lookahead.
-    timings:
-        The executor's phase accumulator; the walks' first-bound estimates
-        land under ``"speculation"``, always recorded by the coordinating
-        thread.
     """
 
-    overlapped = True
-
-    def __init__(
-        self,
-        olgapro: OLGAPRO,
-        driver: AsyncEvaluationDriver,
-        lookahead: int,
-        timings: PhaseTimings,
-    ):
+    def __init__(self, olgapro: OLGAPRO, driver: AsyncEvaluationDriver, lookahead: int):
         """Bind the computation-wide state (threads start on ``__enter__``)."""
         self.olgapro = olgapro
         self.driver = driver
         self.window = driver.window
         self.lookahead = lookahead
-        self.timings = timings
         #: Evaluations prefetched / prefetched-but-never-consumed, summed
         #: over the computation's chunks.
         self.speculative_calls = 0
         self.wasted_calls = 0
         #: points_added of recently committed tuples, shared across chunks;
-        #: calibrates the walk-depth cap (see :meth:`_submit`).
+        #: sets each walk's depth (see :meth:`_submit`).
         self._recent_depths: list[int] = []
 
     @staticmethod
     def eval_workers(window: int, lookahead: int) -> int:
         """Width of the evaluation transport under a stage.
 
-        The commit window plus each concurrent walk's padded prefetches can
-        sleep simultaneously; beyond that, queued evaluations only add
-        latency (never deadlock — evaluation tasks do not block), so the
-        count is capped rather than scaled without bound.
+        The commit window plus each concurrent walk's window can sleep
+        simultaneously; beyond that, queued evaluations only add latency
+        (never deadlock — evaluation tasks do not block), so the count is
+        capped rather than scaled without bound.
         """
-        return 2 + min(64, window * (1 + 2 * lookahead))
+        return 2 + min(64, window * (1 + lookahead))
 
     def __enter__(self) -> "SpeculationStage":
         """Start the walk thread pool."""
@@ -273,10 +258,7 @@ class SpeculationStage(ChunkStage):
     def chunk(self, prologue: ChunkPrologue) -> Iterator[None]:
         """Scope one chunk: value pool in, first walks out; settle after."""
         self._samples = prologue.sample_sets
-        self._boxes = prologue.boxes
         pool = self._pool = SpeculativeValuePool(self.olgapro.udf, self.driver.carrier)
-        #: Training-set size of each submitted walk's snapshot, by tuple.
-        self._fence_n: dict[int, int] = {}
         #: Free-running walks; never awaited by the commit loop (a slow walk
         #: must not stall a fast commit), only drained at the end of the
         #: chunk so every prefetch lands and is charged.
@@ -288,122 +270,79 @@ class SpeculationStage(ChunkStage):
             yield
         finally:
             self.driver.pool = None
-            # Every walk — replaced by a re-walk, or left running by a
-            # failed commit — settles, so its prefetches land and are
-            # charged and its estimate counts toward the speculation phase.
+            # Every walk — including one a failed commit left running —
+            # settles; a failed prefetch is irrelevant here.
             for walk in self._walks:
-                try:
-                    self.timings.add("speculation", walk.result())
-                except Exception:  # noqa: BLE001 - a failed prefetch is irrelevant here
-                    pass
+                walk.exception()
             pool.settle()
             self.speculative_calls += pool.prefetched
             self.wasted_calls += pool.wasted
 
     def committed(self, i: int, points_added: int) -> None:
-        """Record the depth, walk the next tuple, re-walk a stale one."""
+        """Record the committed depth and walk the tuple ``lookahead`` ahead."""
         self._recent_depths.append(points_added)
         next_index = i + self.lookahead
         if next_index < len(self._samples):
             self._submit(next_index)
-        # Re-walk: when this commit's refinement moved the model a whole
-        # window past the snapshot the *next* tuple's walk started from,
-        # that walk is ranking candidates against a world that no longer
-        # exists — its prefetches would largely miss.  Walk it again on the
-        # settled state (the old walk runs on to its deterministic cap, so
-        # the total charge count stays deterministic; the pool dedupes
-        # whatever the two walks agree on).  A warm stream adds no points,
-        # so this never fires there.
-        fence_n = self._fence_n.get(i + 1)
-        if fence_n is not None and self.olgapro.emulator.n_training - fence_n >= self.window:
-            self._submit(i + 1)
 
     # -- walks (pool threads) --------------------------------------------------------
     def _submit(self, j: int) -> None:
         """Start a walk for tuple ``j`` from a snapshot of the live model.
 
-        The walk-depth cap sits near 1.5 times the committed tuples' recent
-        real depth, read on the coordinating thread so it is deterministic:
-        a snapshot view misses whatever neighbouring tuples taught the model
-        after it was taken, so its own bound converges slower than the
-        committed one will; without the cap a stale walk phantom-refines to
+        The walk's depth is ⌈1.5 × the mean ``points_added`` of the last 8
+        committed tuples⌉, read on the coordinating thread so it is
+        deterministic: a stream whose recent tuples did not refine walks
+        nothing, and a snapshot view — which misses whatever neighbouring
+        tuples taught the model after it was taken, so its own variances
+        fall slower than the committed ones will — never phantom-refines to
         the per-tuple limit.
         """
-        emulator = self.olgapro.emulator
-        fence = emulator.snapshot()
-        view = _gp_view(emulator.gp, fence)
-        depths = self._recent_depths
-        if depths:
-            tail = depths[-8:]
-            walk_cap = max(self.window, int(np.ceil(1.5 * sum(tail) / len(tail))))
+        tail = self._recent_depths[-8:]
+        if tail:
+            depth = int(np.ceil(1.5 * sum(tail) / len(tail)))
         else:
             # No history yet (cold model): the first tuples refine the
             # deepest, so a window-derived guess would stop their walks
             # after a fraction of the rounds they will actually run.
-            walk_cap = max(2 * self.window, 16)
-        walk_cap = min(walk_cap, self.olgapro.max_points_per_tuple)
-        self._fence_n[j] = fence.gp_state.n_training
-        self._walks.append(self._stage_pool.submit(self._walk, view, j, walk_cap))
+            depth = max(2 * self.window, 16)
+        depth = min(depth, self.olgapro.max_points_per_tuple)
+        if depth == 0:
+            return
+        emulator = self.olgapro.emulator
+        view = _gp_view(emulator.gp, emulator.snapshot())
+        self._walks.append(self._stage_pool.submit(self._walk, view, j, depth))
 
-    def _walk(self, view: GaussianProcess, j: int, walk_cap: int) -> float:
+    def _walk(self, view: GaussianProcess, j: int, depth: int) -> None:
         """Prefetch tuple ``j``'s expected refinement windows (pool thread).
 
-        First a cheap global-GP estimate of the tuple's first bound on the
-        view: a tuple inside the budget will not refine, so nothing is
-        prefetched.  Otherwise, window by window: prefetch the
-        top-``window`` highest-variance candidates (plus a pad — the
-        committed selection ranks by fresh local-subset variances, which
-        differ from the view's global ones in the last ulps and by whatever
-        the snapshot missed, so its top-k almost always sits inside the
-        view's top-(k + pad)), wait for the values (the waits are the
-        point — they overlap earlier tuples' refinement on the shared
-        transport), absorb them into the *private* view, and re-rank by the
-        view's updated global variances.  Windows after the first carry a
-        *double* pad: a wider prefetch superset is far cheaper than real
-        local inference per walk window, and a miss stalls the committing
-        thread for a whole black-box latency.  Depth is bounded by
-        ``walk_cap``.
+        Window by window, up to ``depth`` points: prefetch the
+        top-``window`` highest-variance candidates on the view, wait for
+        the values (the waits are the point — they overlap earlier tuples'
+        refinement on the shared transport), absorb them into the *private*
+        view, and re-rank by the view's updated variances.
 
         The view is private to this walk, so nothing here touches the live
         emulator; the only shared effect is the deduplicated prefetch pool.
         A prefetch that fails ends the walk with it; the commit loop meets
         the failure only if it needs the point (the pool hands it the same
-        future).  Returns the estimate's seconds, for the ``"speculation"``
-        phase.
+        future).
         """
-        olgapro, pool, window = self.olgapro, self._pool, self.window
-        samples, box = self._samples[j], self._boxes[j]
-        m = samples.shape[0]
-        started = time.perf_counter()
-        inference = global_inference(view, samples)
-        _, bound = olgapro.bound_with(view, inference, box, m)
-        seconds = time.perf_counter() - started
-        if bound <= olgapro.budget.epsilon_gp:
-            return seconds
-        stds = inference.stds
+        olgapro, pool = self.olgapro, self._pool
+        samples = self._samples[j]
         points_used = 0
-        first_window = True
         while True:
             capacity = min(
-                walk_cap - points_used,
+                depth - points_used,
                 olgapro.max_training_points - view.n_training,
             )
             if capacity <= 0:
-                return seconds
-            k = min(window, capacity, m)
-            pad = min(k + max(2, k // 4) if first_window else 2 * k, m)
-            prefetch = select_top_k_distinct(samples, stds, pad)
-            # The stable selection makes top-k a prefix of top-(k + pad).
-            order = prefetch[:k]
-            k = len(order)
-            if k == 0:
-                return seconds
-            futures = pool.prefetch(samples[prefetch])[:k]
+                return
+            _, stds = view.predict(samples, return_std=True)
+            order = select_top_k_distinct(samples, stds, min(self.window, capacity))
+            futures = pool.prefetch(samples[order])
             y = np.array([future.result() for future in futures])
             view.add_points(samples[order], y)
-            points_used += k
-            first_window = False
-            _, stds = view.predict(samples, return_std=True)
+            points_used += len(order)
 
 
 def __getattr__(name: str) -> Any:

@@ -162,7 +162,7 @@ def test_empty_input_emits_zero_phase_timings():
     assert sharded.compute_batch_with_predicate(udf, [], PREDICATE) == []
     assert inner.compute_batch_with_predicate(udf, [], PREDICATE) == []
     assert set(sharded.timings.seconds) == set(inner.timings.seconds)
-    assert {"filtering", "speculation"} <= set(sharded.timings.seconds)
+    assert "filtering" in sharded.timings.seconds
     assert all(value == 0.0 for value in sharded.timings.seconds.values())
 
 

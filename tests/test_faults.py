@@ -445,6 +445,21 @@ def test_quarantine_keeps_the_last_bound_olgapro_had(knobs):
     assert _leaked_threads() == []
 
 
+@pytest.mark.parametrize("knobs", QUARANTINE_PLANS)
+def test_quarantined_tuples_report_only_the_calls_that_were_charged(knobs):
+    """A failed evaluation charges nothing, so no tuple reports it as a call."""
+    udf = _failing_udf(_FailAfter(25))
+    plan = ExecutionPlan(retry=RetryPolicy(max_attempts=2, quarantine=True), **knobs)
+    result = _engine().compute_with_plan(udf, _dists(udf, 6), plan=plan)
+    assert result.degraded()
+    reported = sum(output.udf_calls for output in result.outputs)
+    if "pipeline_lookahead" in knobs:
+        # A prefetch no tuple consumed is charged but reported by no tuple.
+        assert reported <= udf.call_count
+    else:
+        assert reported == udf.call_count
+
+
 def test_quarantine_without_retry_policy_is_inert():
     udf = _failing_udf()
     with pytest.raises(UDFError):

@@ -51,9 +51,7 @@ class TestConfiguration:
 
     def test_lambda_defaults_to_a_fraction_of_the_output_range(self, quadratic_udf):
         processor = OLGAPRO(quadratic_udf, lambda_fraction=0.25)
-        assert processor.lambda_value() == 0.25 * processor.output_range_of(
-            processor.emulator.gp
-        )
+        assert processor.lambda_value() == 0.25 * processor.output_range()
 
 
 class TestProcessing:

@@ -155,9 +155,9 @@ def test_completion_order_invariance_under_latency_jitter(
 ):
     """Point-hashed latency jitter permutes completion order, not results.
 
-    F1 converges after a few re-walks; F4 refines deeply on every tuple, so
-    its walks reach their depth cap, commits re-walk the next tuple and a
-    window overshoots and rolls back — all under reordered completions.
+    F1 converges after a few refining tuples; F4 refines deeply on every
+    tuple, so its walks run to their depth and a window overshoots and
+    rolls back — all under reordered completions.
     """
     def run(jitter):
         udf, engine, dists = _fixture(
@@ -229,6 +229,36 @@ def test_the_stage_hands_the_commit_loop_only_values(monkeypatch):
     _assert_identical_outputs(unstaged, staged)
     assert steps_staged == steps_unstaged
     assert steps_unstaged > 40  # some tuples refined, and every tuple had a first pass
+
+
+def test_a_quiet_stream_walks_nothing(monkeypatch):
+    """A walk's depth follows the committed tuples' recent depth.
+
+    A warm F1 stream in one chunk: after the first tuples refine, the last
+    8 commits add no points, and a walk submitted then would only pay for
+    prefetches no tuple consumes — so none starts.
+    """
+    from repro.engine.pipeline import SpeculationStage
+
+    submits = []
+    real_submit = SpeculationStage._submit
+
+    def recording_submit(self, j):
+        tail = list(self._recent_depths[-8:])
+        walks_before = len(self._walks)
+        real_submit(self, j)
+        submits.append((tail, len(self._walks) > walks_before))
+
+    monkeypatch.setattr(SpeculationStage, "_submit", recording_submit)
+    udf, engine, dists = _fixture(n_tuples=40)
+    ExecutionPlan(pipeline_lookahead=4, async_inflight=4, batch_size=40).resolve(
+        engine
+    ).compute_batch(udf, dists)
+    quiet = [started for tail, started in submits if tail and not any(tail)]
+    assert quiet  # the stream did go quiet
+    assert not any(quiet)
+    # The cold start still walks.
+    assert submits[0] == ([], True)
 
 
 def test_a_single_refinement_point_is_claimed_through_the_pool(monkeypatch):
@@ -350,7 +380,7 @@ def test_empty_batch_returns_empty_with_zero_phase_timings():
     udf, engine, _ = _fixture()
     executor = ExecutionPlan(pipeline_lookahead=4, async_inflight=4).resolve(engine)
     assert executor.compute_batch(udf, []) == []
-    for phase in ("sampling", "inference", "refinement", "speculation"):
+    for phase in ("sampling", "inference", "refinement"):
         assert phase in executor.timings.seconds
         assert executor.timings.get(phase) == 0.0
     assert executor.last_speculative_calls == 0

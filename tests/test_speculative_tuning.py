@@ -182,8 +182,8 @@ def test_rollback_commits_single_point_when_bound_worsens(monkeypatch):
         if len(X) > 1 and not state["sabotaged"]:
             state["armed"] = True
 
-    def sabotaged(inference, box, n_points):
-        envelope, bound = real_bound_from_inference(inference, box, n_points)
+    def sabotaged(means, stds, box, n_points):
+        envelope, bound = real_bound_from_inference(means, stds, box, n_points)
         if state["armed"]:
             state["armed"], state["sabotaged"] = False, True
             return envelope, bound + 10.0

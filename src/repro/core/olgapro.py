@@ -270,6 +270,9 @@ class OLGAPRO:
         #: lookahead stage's concurrent prefetches for *other* tuples
         #: cannot pollute it.
         self.refinement_evaluations = 0
+        #: ``(key, band)`` of the last :func:`band_z_value` solve — see
+        #: :meth:`_bound_from_inference`.
+        self._band: tuple = (None, None)
 
         if self.initial_training_points < 2:
             raise GPError("initial_training_points must be at least 2")
@@ -600,16 +603,29 @@ class OLGAPRO:
         The one step behind every bound: the band reads the live kernel's
         hyperparameters and λ the live output range — for a tuple's
         inference and for the optimal-greedy strategy's simulated
-        candidates alike.
+        candidates alike.  The band is a root solve over what its key
+        holds, and a refinement loop re-checks one box under one kernel, so
+        the last band is kept and solved again only when the key moves
+        (a new tuple's box, or a retrain's lengthscale).
         """
-        band = band_z_value(
-            self.emulator.gp.kernel,
-            box,
-            alpha=self.band_alpha,
-            method=self.band_method,
-            n_points=n_points,
+        kernel = self.emulator.gp.kernel
+        key = (
+            box.low.tobytes(),
+            box.high.tobytes(),
+            kernel.second_spectral_moment(),
+            self.band_alpha,
+            self.band_method,
+            n_points,
         )
-        envelope = build_envelope_outputs(means, stds, band.z_value)
+        if self._band[0] != key:
+            self._band = (
+                key,
+                band_z_value(
+                    kernel, box, alpha=self.band_alpha, method=self.band_method,
+                    n_points=n_points,
+                ),
+            )
+        envelope = build_envelope_outputs(means, stds, self._band[1].z_value)
         if self.requirement.metric == "ks":
             return envelope, gp_ks_bound(envelope)
         return envelope, gp_discrepancy_bound(envelope, self.lambda_value())

@@ -84,14 +84,22 @@ class Kernel(abc.ABC):
     def __call__(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``.
 
-        Every step after the squared distances writes into their array:
-        the same elementwise operations on the same operands as the
-        expression ``signal_std**2 * corr(sqrt(sq) / lengthscale)``, without
-        a fresh matrix per step.
+        Squared distances, their square root, then :meth:`from_distances`,
+        every step writing into the distances' array.
         """
-        u = pairwise_sq_dists(X1, X2)
-        np.sqrt(u, out=u)
-        np.divide(u, self.lengthscale, out=u)
+        r = pairwise_sq_dists(X1, X2)
+        np.sqrt(r, out=r)
+        return self.from_distances(r, out=r)
+
+    def from_distances(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Covariance matrix from the Euclidean distances ``r``.
+
+        The same elementwise operations on the same operands as the
+        expression ``signal_std**2 * corr(r / lengthscale)``, in one array:
+        ``out`` (which may be ``r`` itself) or, by default, a fresh one, so a
+        caller that evaluates several hyperparameters reuses one ``r``.
+        """
+        u = np.divide(r, self.lengthscale, out=out)
         return np.multiply(self._correlate(u), self.signal_std**2, out=u)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
@@ -111,22 +119,24 @@ class Kernel(abc.ABC):
     def gradients(self, X: np.ndarray) -> list[np.ndarray]:
         """``[dK/d(log sigma_f), dK/d(log l)]`` evaluated at ``K(X, X)``."""
         r = np.sqrt(pairwise_sq_dists(X, X))
-        u = r / self.lengthscale
-        s2 = self.signal_std**2
-        K = s2 * self._correlate(u.copy())
-        dK_dlog_sf = 2.0 * K
-        dK_dlog_l = s2 * self._dcorr_dlog_lengthscale(u)
-        return [dK_dlog_sf, dK_dlog_l]
+        return self.gradients_from_distances(r, self.from_distances(r))
 
     def second_derivatives(self, X: np.ndarray) -> list[np.ndarray]:
         """``[d2K/d(log sigma_f)^2, d2K/d(log l)^2]`` at ``K(X, X)``."""
         r = np.sqrt(pairwise_sq_dists(X, X))
+        return self.second_derivatives_from_distances(r, self.from_distances(r))
+
+    def gradients_from_distances(self, r: np.ndarray, K: np.ndarray) -> list[np.ndarray]:
+        """:meth:`gradients` from the distances ``r`` and ``K = from_distances(r)``."""
         u = r / self.lengthscale
-        s2 = self.signal_std**2
-        K = s2 * self._correlate(u.copy())
-        d2K_dlog_sf2 = 4.0 * K
-        d2K_dlog_l2 = s2 * self._d2corr_dlog_lengthscale2(u)
-        return [d2K_dlog_sf2, d2K_dlog_l2]
+        return [2.0 * K, self.signal_std**2 * self._dcorr_dlog_lengthscale(u)]
+
+    def second_derivatives_from_distances(
+        self, r: np.ndarray, K: np.ndarray
+    ) -> list[np.ndarray]:
+        """:meth:`second_derivatives` from ``r`` and ``K = from_distances(r)``."""
+        u = r / self.lengthscale
+        return [4.0 * K, self.signal_std**2 * self._d2corr_dlog_lengthscale2(u)]
 
     # -- spectral information for confidence bands -------------------------------
     @abc.abstractmethod

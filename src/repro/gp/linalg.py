@@ -9,11 +9,20 @@ Two concerns are centralised here:
   in ``O(n^2)`` instead of being recomputed from scratch in ``O(n^3)``; the
   blocked variant absorbs ``k`` new points at once in ``O(n^2 k)``, which is
   what batched execution uses when several training points arrive together.
+
+Every explicit inverse goes through :func:`inverse_from_cholesky`, which
+calls LAPACK's ``trtrs`` directly: the two triangular solves
+``scipy.linalg.solve_triangular`` would make, with the same flags, operands
+and memory order (so bitwise its result), without its per-call validation
+layer.  At the tens of points an emulator holds, that layer costs more than
+the solves: an inverse took 29 / 33 µs through it and 7 / 12 µs direct at
+n = 5 / 20 (one BLAS thread, x86-64).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from repro.exceptions import GPError
 
@@ -78,9 +87,44 @@ def solve_cholesky(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``L L^T`` (needed for incremental updates)."""
-    identity = np.eye(L.shape[0])
-    return solve_cholesky(L, identity)
+    """Explicit inverse of ``L L^T`` (needed for incremental updates).
+
+    ``L^{-T} (L^{-1} I)``, solved as :func:`solve_cholesky` solves it for a
+    C- or F-ordered factor, and raising as it does: ``ValueError`` on a
+    non-finite operand, ``LinAlgError`` on a zero on the diagonal.  The
+    result is F-ordered, as LAPACK returns it.
+    """
+    L = np.asarray(L, dtype=float)
+    if L.shape[0] == 0:
+        return np.empty((0, 0))
+    _require_finite(L)
+    y = _triangular_solve(L, np.eye(L.shape[0], order="F"), lower=True)
+    _require_finite(y)
+    return _triangular_solve(L.T, y, lower=False)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _triangular_solve(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """``solve_triangular(a, b, lower=lower)``'s ``trtrs`` call, overwriting ``b``.
+
+    LAPACK reads Fortran order, so a factor that is not F-contiguous is
+    passed transposed with the triangle and the transposition flipped.
+    """
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower, trans=0, overwrite_b=1)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def log_det_from_cholesky(L: np.ndarray) -> float:

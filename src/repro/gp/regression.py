@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.config import DEFAULT_JITTER
 from repro.exceptions import GPError, NotTrainedError
-from repro.gp.kernels import Kernel, SquaredExponential
+from repro.gp.kernels import Kernel, SquaredExponential, pairwise_sq_dists
 from repro.gp.linalg import (
     block_inverse_update,
     block_inverse_update_multi,
@@ -332,11 +332,19 @@ class GaussianProcess:
             self._version += 1
 
     def set_hyperparameters(self, theta: np.ndarray) -> None:
-        """Set kernel hyperparameters (log space) and refit the matrices."""
+        """Set kernel hyperparameters (log space) and refit the matrices.
+
+        The new state is computed on a clone of the kernel and committed
+        only once its factorisation succeeds: a failure leaves the
+        hyperparameters, ``K^{-1}``, α and :attr:`version` as they were.
+        """
         with self._update_lock:
-            self.kernel.theta = np.asarray(theta, dtype=float)
+            kernel = self.kernel.clone()
+            kernel.theta = np.asarray(theta, dtype=float)
             if self._X is not None:
-                self._recompute()
+                self._recompute(kernel)
+            # In place: components hold references to the live kernel.
+            self.kernel.__dict__.update(kernel.__dict__)
             self._version += 1
 
     # -- state snapshot / rollback -------------------------------------------------
@@ -481,45 +489,61 @@ class GaussianProcess:
         self._require_trained()
         if self._log_det is None:
             self._refresh_log_det()
-        n = self.n_training
-        fit_term = float((self._y - self._offset) @ self._alpha)
-        return -0.5 * fit_term - 0.5 * self._log_det - 0.5 * n * _LOG_2PI
+        return _log_likelihood(self._y - self._offset, self._alpha, self._log_det)
 
     def log_marginal_likelihood_gradient(self) -> np.ndarray:
-        """Gradient of the log marginal likelihood w.r.t. ``kernel.theta``.
-
-        Uses the standard identity ``dL/dtheta_j = 0.5 tr[(alpha alpha^T -
-        K^{-1}) dK/dtheta_j]``.
-        """
+        """Gradient of the log marginal likelihood w.r.t. ``kernel.theta``."""
         self._require_trained()
-        grads = self.kernel.gradients(self._X)
-        outer = np.outer(self._alpha, self._alpha)
-        inner = outer - self._K_inv
-        return np.array([0.5 * np.sum(inner * dK) for dK in grads])
+        return _likelihood_gradient(self._alpha, self._K_inv, self.kernel.gradients(self._X))
 
     def log_marginal_likelihood_hessian_diag(self) -> np.ndarray:
-        """Per-hyperparameter second derivatives ``d^2 L / d theta_j^2``.
+        """Per-hyperparameter second derivatives ``d^2 L / d theta_j^2``."""
+        return self.log_marginal_likelihood_derivatives()[1]
 
-        Follows the formula quoted in Section 5.3 of the paper, with
-        ``dK^{-1}/dtheta_j = -K^{-1} (dK/dtheta_j) K^{-1}``.  These feed the
-        Newton-step retraining heuristic.
+    def log_marginal_likelihood_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian diagonal of the log marginal likelihood.
+
+        What the Newton-step retraining heuristic (Section 5.3) reads, from
+        one distance matrix and one correlation evaluation.
         """
         self._require_trained()
-        grads = self.kernel.gradients(self._X)
-        seconds = self.kernel.second_derivatives(self._X)
-        K_inv = self._K_inv
-        y = self._y - self._offset
-        yyT = np.outer(y, y)
-        K_inv_yyT = K_inv @ yyT
-        hessian = np.empty(len(grads))
-        for j, (dK, d2K) in enumerate(zip(grads, seconds)):
-            dK_inv = -K_inv @ dK @ K_inv
-            term1 = dK_inv @ K_inv_yyT.T  # (dK^{-1} y y^T K^{-1})
-            term2 = K_inv_yyT @ dK_inv  # (K^{-1} y y^T dK^{-1})
-            first = (term1 + term2 - dK_inv) @ dK
-            second = (K_inv @ yyT @ K_inv - K_inv) @ d2K
-            hessian[j] = 0.5 * float(np.trace(first) + np.trace(second))
-        return hessian
+        r = np.sqrt(pairwise_sq_dists(self._X, self._X))
+        K = self.kernel.from_distances(r)
+        grads = self.kernel.gradients_from_distances(r, K)
+        seconds = self.kernel.second_derivatives_from_distances(r, K)
+        return (
+            _likelihood_gradient(self._alpha, self._K_inv, grads),
+            _likelihood_hessian_diag(self._K_inv, self._y - self._offset, grads, seconds),
+        )
+
+    def likelihood_objective(
+        self, distances: np.ndarray
+    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        """``theta -> (-log L, -gradient)`` on the training set, for an optimiser.
+
+        ``distances`` are the training inputs' Euclidean distances,
+        ``sqrt(pairwise_sq_dists(X, X))``: a fit computes them once, since
+        ``theta`` does not move them.  Each evaluation builds ``K`` once on a
+        clone of the kernel and factorises it through :meth:`_factorise`,
+        giving bitwise what :meth:`set_hyperparameters` followed by
+        :meth:`log_marginal_likelihood` and
+        :meth:`log_marginal_likelihood_gradient` give, without touching the
+        model (only ``op_counts`` counts the factorisation).
+        """
+        self._require_trained()
+        centred = self._y - self._centre()
+
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            kernel = self.kernel.clone()
+            kernel.theta = theta
+            K = kernel.from_distances(distances)
+            K_inv, alpha, log_det = self._factorise(K, kernel, centred)
+            gradient = _likelihood_gradient(
+                alpha, K_inv, kernel.gradients_from_distances(distances, K)
+            )
+            return -_log_likelihood(centred, alpha, log_det), -gradient
+
+        return objective
 
     # -- internals -----------------------------------------------------------------
     def effective_noise(self) -> float:
@@ -531,16 +555,40 @@ class GaussianProcess:
         even when maximum-likelihood training drives the signal variance to
         large values or training points cluster tightly.
         """
-        return max(self.noise_variance, 1e-7 * self.kernel.signal_std**2)
+        return self._noise_under(self.kernel)
 
-    def _recompute(self) -> None:
-        self._offset = float(np.mean(self._y)) if self.center_targets else 0.0
-        K = self.kernel(self._X, self._X) + self.effective_noise() * np.eye(self._X.shape[0])
+    def _noise_under(self, kernel: Kernel) -> float:
+        return max(self.noise_variance, 1e-7 * kernel.signal_std**2)
+
+    def _centre(self) -> float:
+        return float(np.mean(self._y)) if self.center_targets else 0.0
+
+    def _factorise(
+        self, K: np.ndarray, kernel: Kernel, centred: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(K^{-1}, alpha, log|K|)`` of ``K`` (built by ``kernel``) plus its noise.
+
+        The one factorisation behind a full recompute and every likelihood
+        evaluation of a fit.  It counts an ``op_counts["cholesky"]`` and
+        assigns nothing else on the model.
+        """
+        K = K + self._noise_under(kernel) * np.eye(K.shape[0])
         self.op_counts["cholesky"] += 1
         L, _ = jittered_cholesky(K)
-        self._K_inv = inverse_from_cholesky(L)
-        self._alpha = self._K_inv @ (self._y - self._offset)
-        self._log_det = log_det_from_cholesky(L)
+        K_inv = inverse_from_cholesky(L)
+        return K_inv, K_inv @ centred, log_det_from_cholesky(L)
+
+    def _recompute(self, kernel: Optional[Kernel] = None) -> None:
+        """Refactorise from scratch, under ``kernel`` (default: the live one).
+
+        The factor state moves only once the factorisation succeeded.
+        """
+        kernel = self.kernel if kernel is None else kernel
+        offset = self._centre()
+        self._K_inv, self._alpha, self._log_det = self._factorise(
+            kernel(self._X, self._X), kernel, self._y - offset
+        )
+        self._offset = offset
         self._adds_since_refresh = 0
 
     def _refresh_log_det(self) -> None:
@@ -556,3 +604,38 @@ class GaussianProcess:
         return (
             f"GaussianProcess(kernel={self.kernel!r}, n_training={self.n_training})"
         )
+
+
+def _log_likelihood(centred: np.ndarray, alpha: np.ndarray, log_det: float) -> float:
+    """``log p(y | X, theta)`` from the centred targets, ``alpha`` and ``log|K|`` (§3.4)."""
+    fit_term = float(centred @ alpha)
+    return -0.5 * fit_term - 0.5 * log_det - 0.5 * centred.size * _LOG_2PI
+
+
+def _likelihood_gradient(
+    alpha: np.ndarray, K_inv: np.ndarray, grads: list[np.ndarray]
+) -> np.ndarray:
+    """``dL/dtheta_j = 0.5 tr[(alpha alpha^T - K^{-1}) dK/dtheta_j]``."""
+    inner = np.outer(alpha, alpha) - K_inv
+    return np.array([0.5 * np.sum(inner * dK) for dK in grads])
+
+
+def _likelihood_hessian_diag(
+    K_inv: np.ndarray, y: np.ndarray, grads: list[np.ndarray], seconds: list[np.ndarray]
+) -> np.ndarray:
+    """``d^2 L / d theta_j^2`` for centred targets ``y``.
+
+    Follows the formula quoted in Section 5.3 of the paper, with
+    ``dK^{-1}/dtheta_j = -K^{-1} (dK/dtheta_j) K^{-1}``.
+    """
+    yyT = np.outer(y, y)
+    K_inv_yyT = K_inv @ yyT
+    hessian = np.empty(len(grads))
+    for j, (dK, d2K) in enumerate(zip(grads, seconds)):
+        dK_inv = -K_inv @ dK @ K_inv
+        term1 = dK_inv @ K_inv_yyT.T  # (dK^{-1} y y^T K^{-1})
+        term2 = K_inv_yyT @ dK_inv  # (K^{-1} y y^T dK^{-1})
+        first = (term1 + term2 - dK_inv) @ dK
+        second = (K_inv @ yyT @ K_inv - K_inv) @ d2K
+        hessian[j] = 0.5 * float(np.trace(first) + np.trace(second))
+    return hessian

@@ -11,6 +11,15 @@ points are provided:
 * :func:`gradient_step` / :func:`newton_step` — a *single* optimiser step,
   used by the online retraining heuristic of Section 5.3, which only triggers
   a full retrain when the first step proposes a large hyperparameter move.
+
+A fit computes the training inputs' distance matrix once — the
+hyperparameters do not move it — and minimises
+:meth:`~repro.gp.regression.GaussianProcess.likelihood_objective` over it:
+one kernel matrix and one factorisation per evaluation, on a clone of the
+kernel, with the model untouched until ``set_hyperparameters`` applies the
+optimum once (so a fit moves the model's version once, and a fit that fails
+leaves the model as it was).  Every number is bitwise what setting each
+evaluated ``theta`` on the model and reading its likelihood would give.
 """
 
 from __future__ import annotations
@@ -40,6 +49,13 @@ def hyperparameter_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, flo
     removes that mode without affecting sensible optima.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _bounds_from_distances(np.sqrt(pairwise_sq_dists(X, X)), y)
+
+
+def _bounds_from_distances(
+    distances: np.ndarray, y: np.ndarray
+) -> list[tuple[float, float]]:
+    """:func:`hyperparameter_bounds` from the inputs' Euclidean distances."""
     y = np.asarray(y, dtype=float).ravel()
     signal = float(np.std(y))
     if signal <= 0 or not np.isfinite(signal):
@@ -47,9 +63,8 @@ def hyperparameter_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, flo
     # The GP is fitted to centred targets, so the signal standard deviation
     # should be on the order of std(y); a factor-3 headroom is ample.
     signal_bounds = (np.log(signal * 1e-1), np.log(signal * 3.0))
-    if X.shape[0] >= 2:
-        sq = pairwise_sq_dists(X, X)
-        upper = np.sqrt(sq[np.triu_indices_from(sq, k=1)])
+    if distances.shape[0] >= 2:
+        upper = distances[np.triu_indices_from(distances, k=1)]
         positive = upper[upper > 0]
         if positive.size:
             lengthscale_bounds = (
@@ -136,8 +151,7 @@ def newton_step(gp: GaussianProcess, max_step: float = 2.0) -> np.ndarray:
     gradient step, and each coordinate's move is clipped to ``max_step`` so a
     nearly flat likelihood cannot propose an absurd jump.
     """
-    gradient = gp.log_marginal_likelihood_gradient()
-    hessian_diag = gp.log_marginal_likelihood_hessian_diag()
+    gradient, hessian_diag = gp.log_marginal_likelihood_derivatives()
     step = np.empty_like(gradient)
     for j in range(gradient.size):
         if hessian_diag[j] < -1e-12:
@@ -148,12 +162,15 @@ def newton_step(gp: GaussianProcess, max_step: float = 2.0) -> np.ndarray:
     return gp.kernel.theta + step
 
 
-def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        gp.set_hyperparameters(theta)
-        return -gp.log_marginal_likelihood(), -gp.log_marginal_likelihood_gradient()
+def _training_distances(gp: GaussianProcess) -> np.ndarray:
+    X = gp.X_train
+    return np.sqrt(pairwise_sq_dists(X, X))
 
-    bounds = hyperparameter_bounds(gp.X_train, gp.y_train)
+
+def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
+    distances = _training_distances(gp)
+    objective = gp.likelihood_objective(distances)
+    bounds = _bounds_from_distances(distances, gp.y_train)
     theta0 = np.clip(
         gp.kernel.theta,
         [b[0] for b in bounds],
@@ -179,30 +196,32 @@ def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
 def _fit_gradient_ascent(
     gp: GaussianProcess, max_iterations: int, learning_rate: float, tolerance: float
 ) -> TrainingResult:
+    objective = gp.likelihood_objective(_training_distances(gp))
     theta = gp.kernel.theta
     best_ll = gp.log_marginal_likelihood()
+    gradient = gp.log_marginal_likelihood_gradient()
     step = learning_rate
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        gradient = gp.log_marginal_likelihood_gradient()
         if float(np.max(np.abs(gradient))) < tolerance:
             converged = True
             break
         proposal = np.clip(theta + step * gradient, *_LOG_BOUNDS)
-        gp.set_hyperparameters(proposal)
-        new_ll = gp.log_marginal_likelihood()
-        if new_ll > best_ll:
+        negative_ll, negative_gradient = objective(proposal)
+        if -negative_ll > best_ll:
             theta = proposal
-            best_ll = new_ll
+            best_ll = -negative_ll
+            gradient = -negative_gradient
             step = min(step * 1.2, 1.0)
         else:
-            # Backtrack: restore previous hyperparameters and shrink the step.
-            gp.set_hyperparameters(theta)
+            # Backtrack: shrink the step and read the gradient again at the
+            # previous hyperparameters, freshly factorised.
             step *= 0.5
             if step < 1e-6:
                 converged = True
                 break
+            gradient = -objective(theta)[1]
     gp.set_hyperparameters(theta)
     return TrainingResult(
         theta=theta,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from repro.exceptions import GPError
 from repro.gp.linalg import (
@@ -66,6 +67,50 @@ class TestSolvers:
         sign, expected = np.linalg.slogdet(M)
         assert sign > 0
         assert log_det_from_cholesky(L) == pytest.approx(expected)
+
+
+class TestInverseFromCholeskyIdentity:
+    """The LAPACK-direct inverse is the two ``solve_triangular`` calls, bit
+    for bit, and fails as they do."""
+
+    @staticmethod
+    def _via_solve_triangular(L: np.ndarray) -> np.ndarray:
+        y = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+        return solve_triangular(L.T, y, lower=False)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 130])
+    def test_bitwise_equal_to_solve_triangular(self, n, order):
+        L = np.asarray(np.linalg.cholesky(random_spd(n, seed=n)), order=order)
+        got = inverse_from_cholesky(L)
+        expected = self._via_solve_triangular(L)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+    def test_bitwise_equal_on_a_strided_factor(self):
+        L = np.linalg.cholesky(random_spd(12, seed=5))
+        strided = np.zeros((12, 24))
+        strided[:, ::2] = L
+        view = strided[:, ::2]
+        assert inverse_from_cholesky(view).tobytes() == self._via_solve_triangular(view).tobytes()
+
+    @pytest.mark.parametrize(
+        "factor, error",
+        [
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), ValueError),
+            (np.array([[np.inf, 0.0], [0.5, 1.0]]), ValueError),
+            (np.array([[1.0, 0.0], [1.0, 0.0]]), np.linalg.LinAlgError),
+            (np.asfortranarray([[2.0, 0.0], [1.0, 0.0]]), np.linalg.LinAlgError),
+        ],
+        ids=["nan", "inf", "singular-C", "singular-F"],
+    )
+    def test_raises_as_solve_triangular_does(self, factor, error):
+        with pytest.raises(error) as ours:
+            inverse_from_cholesky(factor)
+        with pytest.raises(error) as theirs:
+            self._via_solve_triangular(factor)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestBlockInverseUpdate:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+import repro.gp.regression as regression
 from repro.exceptions import GPError
-from repro.gp.kernels import SquaredExponential
+from repro.gp.kernels import Matern32, Matern52, SquaredExponential
 from repro.gp.regression import GaussianProcess
 from repro.gp.training import (
     fit_hyperparameters,
     gradient_step,
+    hyperparameter_bounds,
     initial_hyperparameters,
     newton_step,
 )
@@ -124,3 +127,128 @@ class TestSingleSteps:
         gradient_step(gp)
         newton_step(gp)
         assert np.allclose(gp.kernel.theta, theta_before)
+
+
+def _model_state(gp: GaussianProcess) -> tuple:
+    """Every number a prediction or a likelihood reads, as bytes."""
+    return (
+        np.array([gp.kernel.signal_std, gp.kernel.lengthscale]).tobytes(),
+        gp.K_inv.tobytes(),
+        gp.alpha.tobytes(),
+        np.float64(gp._log_det).tobytes(),
+        np.float64(gp.mean_offset).tobytes(),
+        gp.version,
+    )
+
+
+def _oracle_fit(gp: GaussianProcess) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The L-BFGS fit as a mutating objective runs it: set each evaluated
+    theta on the model, then read its likelihood and gradient."""
+    evaluated = []
+
+    def objective(theta):
+        evaluated.append(np.array(theta))
+        gp.set_hyperparameters(theta)
+        return -gp.log_marginal_likelihood(), -gp.log_marginal_likelihood_gradient()
+
+    bounds = hyperparameter_bounds(gp.X_train, gp.y_train)
+    theta0 = np.clip(gp.kernel.theta, [b[0] for b in bounds], [b[1] for b in bounds])
+    result = optimize.minimize(
+        objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+        options={"maxiter": 100},
+    )
+    gp.set_hyperparameters(result.x)
+    return result.x, evaluated
+
+
+def _warm_twins(kernel_type, n: int) -> tuple[GaussianProcess, GaussianProcess]:
+    """Two identical models whose inverse was last grown incrementally."""
+    rng = np.random.default_rng(n)
+    X = rng.uniform(0.0, 10.0, size=(n + 1, 2))
+    y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + 4.0
+    twins = []
+    for _ in range(2):
+        gp = GaussianProcess(kernel=kernel_type(0.8, 1.7)).fit(X[:n], y[:n])
+        gp.add_point(X[n], y[n])
+        twins.append(gp)
+    return twins[0], twins[1]
+
+
+class TestFitIdentity:
+    """The pure objective reproduces the mutating one bit for bit."""
+
+    @pytest.mark.parametrize("kernel_type", [SquaredExponential, Matern32, Matern52])
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    def test_fit_matches_the_mutating_objective(self, kernel_type, n, monkeypatch):
+        gp, oracle = _warm_twins(kernel_type, n)
+        evaluated = []
+        build = gp.likelihood_objective
+
+        def recording(distances):
+            objective = build(distances)
+
+            def record(theta):
+                evaluated.append(np.array(theta))
+                return objective(theta)
+
+            return record
+
+        monkeypatch.setattr(gp, "likelihood_objective", recording)
+        version, choleskies = gp.version, gp.op_counts["cholesky"]
+        result = fit_hyperparameters(gp)
+
+        expected_theta, expected_evaluated = _oracle_fit(oracle)
+        assert result.theta.tobytes() == expected_theta.tobytes()
+        assert len(evaluated) == len(expected_evaluated)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(evaluated, expected_evaluated))
+        assert _model_state(gp)[:5] == _model_state(oracle)[:5]
+        assert gp.op_counts == oracle.op_counts
+        assert gp.op_counts["cholesky"] == choleskies + len(evaluated) + 1
+        # The model moves once, to the optimum.
+        assert gp.version == version + 1
+
+    def test_newton_probe_matches_separate_derivatives(self):
+        gp, _ = _warm_twins(Matern52, 20)
+        gradient, hessian = gp.log_marginal_likelihood_derivatives()
+        assert gradient.tobytes() == gp.log_marginal_likelihood_gradient().tobytes()
+        grads = gp.kernel.gradients(gp.X_train)
+        seconds = gp.kernel.second_derivatives(gp.X_train)
+        expected = regression._likelihood_hessian_diag(
+            gp.K_inv, gp.y_train - gp.mean_offset, grads, seconds
+        )
+        assert hessian.tobytes() == expected.tobytes()
+
+
+class TestFailedFactorisation:
+    """A factorisation that raises leaves the model as it was."""
+
+    @staticmethod
+    def _raise_on_call(monkeypatch, k: int) -> None:
+        calls = [0]
+        original = regression.jittered_cholesky
+
+        def failing(matrix, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == k:
+                raise GPError("injected factorisation failure")
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "jittered_cholesky", failing)
+
+    def test_failed_set_hyperparameters_changes_nothing(self, monkeypatch):
+        X, y = smooth_data(n=15, seed=8)
+        gp = GaussianProcess().fit(X, y)
+        before = _model_state(gp)
+        self._raise_on_call(monkeypatch, 1)
+        with pytest.raises(GPError):
+            gp.set_hyperparameters(gp.kernel.theta + np.array([0.4, -0.3]))
+        assert _model_state(gp) == before
+
+    def test_failed_fit_propagates_and_changes_nothing(self, monkeypatch):
+        X, y = smooth_data(n=15, seed=9)
+        gp = GaussianProcess(kernel=SquaredExponential(0.3, 0.2)).fit(X, y)
+        before = _model_state(gp)
+        self._raise_on_call(monkeypatch, 3)
+        with pytest.raises(GPError, match="injected"):
+            fit_hyperparameters(gp)
+        assert _model_state(gp) == before

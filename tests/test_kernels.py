@@ -118,6 +118,42 @@ class TestKernelDerivatives:
             assert np.allclose(seconds[j], numeric, atol=1e-4)
 
 
+@pytest.mark.parametrize("kernel_cls", ALL_KERNELS)
+class TestFromDistances:
+    """Evaluation from precomputed distances is the closed-form expression
+    ``signal_std**2 * corr(r / lengthscale)`` and its derivatives, bit for bit."""
+
+    def test_covariance(self, kernel_cls, rng):
+        X1, X2 = rng.uniform(0, 3, size=(9, 2)), rng.uniform(0, 3, size=(7, 2))
+        kernel = kernel_cls(signal_std=1.3, lengthscale=0.9)
+        r = np.sqrt(pairwise_sq_dists(X1, X2))
+        kept = r.copy()
+        expected = kernel.signal_std**2 * kernel._correlate(r / kernel.lengthscale)
+        assert kernel.from_distances(r).tobytes() == expected.tobytes()
+        assert r.tobytes() == kept.tobytes()  # not consumed without out=
+        assert kernel(X1, X2).tobytes() == expected.tobytes()
+
+    def test_derivatives(self, kernel_cls, rng):
+        X = rng.uniform(0, 3, size=(8, 2))
+        kernel = kernel_cls(signal_std=0.7, lengthscale=1.6)
+        r = np.sqrt(pairwise_sq_dists(X, X))
+        u = r / kernel.lengthscale
+        s2 = kernel.signal_std**2
+        K = s2 * kernel._correlate(u.copy())
+        expected = [
+            [2.0 * K, s2 * kernel._dcorr_dlog_lengthscale(u)],
+            [4.0 * K, s2 * kernel._d2corr_dlog_lengthscale2(u)],
+        ]
+        K_r = kernel.from_distances(r)
+        got = [
+            [kernel.gradients(X), kernel.gradients_from_distances(r, K_r)],
+            [kernel.second_derivatives(X), kernel.second_derivatives_from_distances(r, K_r)],
+        ]
+        for want, pair in zip(expected, got):
+            for derivatives in pair:
+                assert [d.tobytes() for d in derivatives] == [w.tobytes() for w in want]
+
+
 class TestSpectralMoments:
     def test_se_value(self):
         assert SquaredExponential(lengthscale=2.0).second_spectral_moment() == pytest.approx(0.25)

@@ -194,3 +194,56 @@ class TestOnlineFiltering:
             assert np.array_equal(applied.distribution.samples, filtered.distribution.samples)
             assert applied.error_bound == filtered.error_bound
             assert applied.udf_calls == filtered.udf_calls
+
+
+class TestBandMemo:
+    """The band is solved once per tuple box and kernel, not per re-check."""
+
+    def test_one_solve_per_tuple_and_a_fresh_one_after_theta_moves(
+        self, quadratic_udf, monkeypatch
+    ):
+        import pickle
+
+        import repro.core.olgapro as olgapro_module
+
+        solves = []
+        solve = olgapro_module.band_z_value
+
+        def counting(kernel, box, **kwargs):
+            solves.append(box)
+            return solve(kernel, box, **kwargs)
+
+        monkeypatch.setattr(olgapro_module, "band_z_value", counting)
+        udf = quadratic_udf.with_simulated_eval_time(0.0)
+        processor = small_processor(udf, epsilon=0.1, retraining_policy=NeverRetrain())
+        rechecks = [0]
+        bound_from_inference = processor._bound_from_inference
+
+        def counted(*args):
+            rechecks[0] += 1
+            return bound_from_inference(*args)
+
+        monkeypatch.setattr(processor, "_bound_from_inference", counted)
+        for mean in (-1.0, 0.5, 1.5):
+            before = len(solves)
+            processor.process(Gaussian(mean, 0.3))
+            assert len(solves) == before + 1
+        assert rechecks[0] > len(solves), "no refinement re-check to memoise"
+
+        box = solves[-1]
+        m = processor.mc_samples()
+        means, stds = np.zeros(m), np.full(m, 0.1)
+        memoised = processor._band[1]
+        processor._bound_from_inference(means, stds, box, m)
+        assert len(solves) == 3
+        gp = processor.emulator.gp
+        gp.set_hyperparameters(gp.kernel.theta + np.array([0.0, 0.5]))
+        processor._bound_from_inference(means, stds, box, m)
+        assert len(solves) == 4
+        assert processor._band[1].z_value != memoised.z_value
+        assert processor._band[1] == solve(
+            gp.kernel, box, alpha=processor.band_alpha, method=processor.band_method,
+            n_points=m,
+        )
+        # Shard payloads pickle the processor, memo included.
+        assert pickle.loads(pickle.dumps(processor._band)) == processor._band

@@ -9,8 +9,8 @@ optimisation of Section 3.4 is unconstrained.
 Each kernel exposes, in addition to evaluation:
 
 * ``gradients``   — ``dK/dtheta_j`` for the marginal-likelihood gradient,
-* ``second_derivatives`` — ``d^2K/dtheta_j^2`` for the Newton-step retraining
-  heuristic of Section 5.3, and
+* ``second_derivatives_from_distances`` — ``d^2K/dtheta_j^2`` for the
+  Newton-step retraining heuristic of Section 5.3, and
 * ``second_spectral_moment`` — the variance of the derivative of the
   standardised process, needed by the Euler-characteristic approximation of
   the simultaneous confidence band (Section 4.2).
@@ -40,6 +40,12 @@ def pairwise_sq_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     sq = sq1 + sq2
     sq -= 2.0 * X1 @ X2.T
     return np.maximum(sq, 0.0, out=sq)
+
+
+def pairwise_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Matrix of Euclidean distances between rows of ``X1`` and ``X2``."""
+    sq = pairwise_sq_dists(X1, X2)
+    return np.sqrt(sq, out=sq)
 
 
 class Kernel(abc.ABC):
@@ -84,11 +90,10 @@ class Kernel(abc.ABC):
     def __call__(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``.
 
-        Squared distances, their square root, then :meth:`from_distances`,
-        every step writing into the distances' array.
+        :func:`pairwise_dists`, then :meth:`from_distances` writing into
+        the distances' array.
         """
-        r = pairwise_sq_dists(X1, X2)
-        np.sqrt(r, out=r)
+        r = pairwise_dists(X1, X2)
         return self.from_distances(r, out=r)
 
     def from_distances(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,13 +123,8 @@ class Kernel(abc.ABC):
 
     def gradients(self, X: np.ndarray) -> list[np.ndarray]:
         """``[dK/d(log sigma_f), dK/d(log l)]`` evaluated at ``K(X, X)``."""
-        r = np.sqrt(pairwise_sq_dists(X, X))
+        r = pairwise_dists(X, X)
         return self.gradients_from_distances(r, self.from_distances(r))
-
-    def second_derivatives(self, X: np.ndarray) -> list[np.ndarray]:
-        """``[d2K/d(log sigma_f)^2, d2K/d(log l)^2]`` at ``K(X, X)``."""
-        r = np.sqrt(pairwise_sq_dists(X, X))
-        return self.second_derivatives_from_distances(r, self.from_distances(r))
 
     def gradients_from_distances(self, r: np.ndarray, K: np.ndarray) -> list[np.ndarray]:
         """:meth:`gradients` from the distances ``r`` and ``K = from_distances(r)``."""
@@ -134,7 +134,8 @@ class Kernel(abc.ABC):
     def second_derivatives_from_distances(
         self, r: np.ndarray, K: np.ndarray
     ) -> list[np.ndarray]:
-        """:meth:`second_derivatives` from ``r`` and ``K = from_distances(r)``."""
+        """``[d2K/d(log sigma_f)^2, d2K/d(log l)^2]`` from the distances ``r``
+        and ``K = from_distances(r)``."""
         u = r / self.lengthscale
         return [4.0 * K, self.signal_std**2 * self._d2corr_dlog_lengthscale2(u)]
 

@@ -10,13 +10,15 @@ Two concerns are centralised here:
   blocked variant absorbs ``k`` new points at once in ``O(n^2 k)``, which is
   what batched execution uses when several training points arrive together.
 
-Every explicit inverse goes through :func:`inverse_from_cholesky`, which
-calls LAPACK's ``trtrs`` directly: the two triangular solves
-``scipy.linalg.solve_triangular`` would make, with the same flags, operands
-and memory order (so bitwise its result), without its per-call validation
-layer.  At the tens of points an emulator holds, that layer costs more than
-the solves: an inverse took 29 / 33 µs through it and 7 / 12 µs direct at
-n = 5 / 20 (one BLAS thread, x86-64).
+Every Cholesky solve, explicit inverses included, goes through
+:func:`solve_cholesky`, which calls LAPACK's ``trtrs`` directly: the two
+triangular solves ``scipy.linalg.solve_triangular`` would make, with the
+same flags, operands and memory order (so bitwise its result), without its
+per-call validation layer.  At the tens of points an emulator holds, that
+layer costs more than the solves: an inverse took 29 / 33 µs through it and
+7 / 12 µs direct at n = 5 / 20, and the ``sharded`` perfbench workload's
+``op_b_ms`` read 12.54 → 11.83 ms with the direct call (median of 10
+seed-matched pairs, 9 won; one BLAS thread on a 2-core x86-64 host).
 """
 
 from __future__ import annotations
@@ -79,28 +81,28 @@ def stacked_jittered_cholesky(
 
 
 def solve_cholesky(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = b`` given the lower Cholesky factor ``L``."""
-    from scipy.linalg import solve_triangular
+    """Solve ``(L L^T) x = b`` given the lower Cholesky factor ``L``.
 
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    ``L^{-T} (L^{-1} b)``: the two ``trtrs`` calls
+    ``scipy.linalg.solve_triangular`` makes for a C- or F-ordered factor, so
+    bitwise its result, raising as it does: ``ValueError`` on a non-finite
+    operand, ``LinAlgError`` on a zero on the diagonal.  ``b`` is copied,
+    not overwritten; the result is F-ordered, as LAPACK returns it.
+    """
+    L = np.asarray(L, dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    if x.size == 0:
+        return x
+    _require_finite(L)
+    _require_finite(x)
+    x = _triangular_solve(L, x, lower=True)
+    _require_finite(x)
+    return _triangular_solve(L.T, x, lower=False)
 
 
 def inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``L L^T`` (needed for incremental updates).
-
-    ``L^{-T} (L^{-1} I)``, solved as :func:`solve_cholesky` solves it for a
-    C- or F-ordered factor, and raising as it does: ``ValueError`` on a
-    non-finite operand, ``LinAlgError`` on a zero on the diagonal.  The
-    result is F-ordered, as LAPACK returns it.
-    """
-    L = np.asarray(L, dtype=float)
-    if L.shape[0] == 0:
-        return np.empty((0, 0))
-    _require_finite(L)
-    y = _triangular_solve(L, np.eye(L.shape[0], order="F"), lower=True)
-    _require_finite(y)
-    return _triangular_solve(L.T, y, lower=False)
+    """Explicit inverse of ``L L^T`` (needed for incremental updates)."""
+    return solve_cholesky(L, np.eye(np.shape(L)[0], order="F"))
 
 
 def _require_finite(a: np.ndarray) -> None:

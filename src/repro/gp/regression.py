@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import DEFAULT_JITTER
 from repro.exceptions import GPError, NotTrainedError
-from repro.gp.kernels import Kernel, SquaredExponential, pairwise_sq_dists
+from repro.gp.kernels import Kernel, SquaredExponential, pairwise_dists
 from repro.gp.linalg import (
     block_inverse_update,
     block_inverse_update_multi,
@@ -496,10 +496,6 @@ class GaussianProcess:
         self._require_trained()
         return _likelihood_gradient(self._alpha, self._K_inv, self.kernel.gradients(self._X))
 
-    def log_marginal_likelihood_hessian_diag(self) -> np.ndarray:
-        """Per-hyperparameter second derivatives ``d^2 L / d theta_j^2``."""
-        return self.log_marginal_likelihood_derivatives()[1]
-
     def log_marginal_likelihood_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian diagonal of the log marginal likelihood.
 
@@ -507,7 +503,7 @@ class GaussianProcess:
         one distance matrix and one correlation evaluation.
         """
         self._require_trained()
-        r = np.sqrt(pairwise_sq_dists(self._X, self._X))
+        r = pairwise_dists(self._X, self._X)
         K = self.kernel.from_distances(r)
         grads = self.kernel.gradients_from_distances(r, K)
         seconds = self.kernel.second_derivatives_from_distances(r, K)
@@ -522,7 +518,7 @@ class GaussianProcess:
         """``theta -> (-log L, -gradient)`` on the training set, for an optimiser.
 
         ``distances`` are the training inputs' Euclidean distances,
-        ``sqrt(pairwise_sq_dists(X, X))``: a fit computes them once, since
+        ``pairwise_dists(X, X)``: a fit computes them once, since
         ``theta`` does not move them.  Each evaluation builds ``K`` once on a
         clone of the kernel and factorises it through :meth:`_factorise`,
         giving bitwise what :meth:`set_hyperparameters` followed by

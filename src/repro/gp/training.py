@@ -30,7 +30,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.exceptions import GPError
-from repro.gp.kernels import pairwise_sq_dists
+from repro.gp.kernels import pairwise_dists, pairwise_sq_dists
 from repro.gp.regression import GaussianProcess
 
 #: Fallback bounds (log space) used when no data-driven bounds are available.
@@ -49,7 +49,7 @@ def hyperparameter_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, flo
     removes that mode without affecting sensible optima.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _bounds_from_distances(np.sqrt(pairwise_sq_dists(X, X)), y)
+    return _bounds_from_distances(pairwise_dists(X, X), y)
 
 
 def _bounds_from_distances(
@@ -162,13 +162,8 @@ def newton_step(gp: GaussianProcess, max_step: float = 2.0) -> np.ndarray:
     return gp.kernel.theta + step
 
 
-def _training_distances(gp: GaussianProcess) -> np.ndarray:
-    X = gp.X_train
-    return np.sqrt(pairwise_sq_dists(X, X))
-
-
 def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
-    distances = _training_distances(gp)
+    distances = pairwise_dists(gp.X_train, gp.X_train)
     objective = gp.likelihood_objective(distances)
     bounds = _bounds_from_distances(distances, gp.y_train)
     theta0 = np.clip(
@@ -196,10 +191,13 @@ def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
 def _fit_gradient_ascent(
     gp: GaussianProcess, max_iterations: int, learning_rate: float, tolerance: float
 ) -> TrainingResult:
-    objective = gp.likelihood_objective(_training_distances(gp))
+    objective = gp.likelihood_objective(pairwise_dists(gp.X_train, gp.X_train))
     theta = gp.kernel.theta
     best_ll = gp.log_marginal_likelihood()
     gradient = gp.log_marginal_likelihood_gradient()
+    # The warm start's inverse may have been grown incrementally; every
+    # theta the objective evaluated was factorised from scratch.
+    factorised = False
     step = learning_rate
     iterations = 0
     converged = False
@@ -213,15 +211,18 @@ def _fit_gradient_ascent(
             theta = proposal
             best_ll = -negative_ll
             gradient = -negative_gradient
+            factorised = True
             step = min(step * 1.2, 1.0)
         else:
-            # Backtrack: shrink the step and read the gradient again at the
-            # previous hyperparameters, freshly factorised.
+            # Backtrack: shrink the step, keeping the gradient at theta once
+            # it comes from a factorisation from scratch.
             step *= 0.5
             if step < 1e-6:
                 converged = True
                 break
-            gradient = -objective(theta)[1]
+            if not factorised:
+                gradient = -objective(theta)[1]
+                factorised = True
     gp.set_hyperparameters(theta)
     return TrainingResult(
         theta=theta,

@@ -70,13 +70,25 @@ class TestSolvers:
 
 
 class TestInverseFromCholeskyIdentity:
-    """The LAPACK-direct inverse is the two ``solve_triangular`` calls, bit
-    for bit, and fails as they do."""
+    """The LAPACK-direct solve and inverse are the two ``solve_triangular``
+    calls, bit for bit, and fail as they do."""
 
     @staticmethod
-    def _via_solve_triangular(L: np.ndarray) -> np.ndarray:
-        y = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    def _via_solve_triangular(L: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        y = solve_triangular(L, np.eye(L.shape[0]) if b is None else b, lower=True)
         return solve_triangular(L.T, y, lower=False)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_solve_bitwise_equal_and_leaves_b(self, order, columns):
+        rng = np.random.default_rng(11)
+        L = np.asarray(np.linalg.cholesky(random_spd(9, seed=9)), order=order)
+        b = rng.normal(size=9 if columns is None else (9, columns))
+        kept = b.copy()
+        got = solve_cholesky(L, b)
+        assert got.shape == b.shape
+        assert got.tobytes() == self._via_solve_triangular(L, b).tobytes()
+        assert b.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 130])

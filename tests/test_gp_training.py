@@ -8,7 +8,7 @@ from scipy import optimize
 
 import repro.gp.regression as regression
 from repro.exceptions import GPError
-from repro.gp.kernels import Matern32, Matern52, SquaredExponential
+from repro.gp.kernels import Matern32, Matern52, SquaredExponential, pairwise_sq_dists
 from repro.gp.regression import GaussianProcess
 from repro.gp.training import (
     fit_hyperparameters,
@@ -161,6 +161,32 @@ def _oracle_fit(gp: GaussianProcess) -> tuple[np.ndarray, list[np.ndarray]]:
     return result.x, evaluated
 
 
+def _oracle_gradient_fit(gp: GaussianProcess, learning_rate: float) -> tuple[np.ndarray, float]:
+    """Backtracking gradient ascent on a mutating objective: every proposal
+    and every backtrack is set on the model, and each iteration reads the
+    gradient off it."""
+    theta = gp.kernel.theta
+    best_ll = gp.log_marginal_likelihood()
+    step = learning_rate
+    for _ in range(100):
+        gradient = gp.log_marginal_likelihood_gradient()
+        if float(np.max(np.abs(gradient))) < 1e-5:
+            break
+        proposal = np.clip(theta + step * gradient, -10.0, 10.0)
+        gp.set_hyperparameters(proposal)
+        new_ll = gp.log_marginal_likelihood()
+        if new_ll > best_ll:
+            theta, best_ll = proposal, new_ll
+            step = min(step * 1.2, 1.0)
+        else:
+            gp.set_hyperparameters(theta)
+            step *= 0.5
+            if step < 1e-6:
+                break
+    gp.set_hyperparameters(theta)
+    return theta, best_ll
+
+
 def _warm_twins(kernel_type, n: int) -> tuple[GaussianProcess, GaussianProcess]:
     """Two identical models whose inverse was last grown incrementally."""
     rng = np.random.default_rng(n)
@@ -207,12 +233,27 @@ class TestFitIdentity:
         # The model moves once, to the optimum.
         assert gp.version == version + 1
 
+    @pytest.mark.parametrize("kernel_type", [SquaredExponential, Matern32, Matern52])
+    @pytest.mark.parametrize("learning_rate", [0.1, 5.0])
+    def test_gradient_ascent_matches_the_mutating_objective(self, kernel_type, learning_rate):
+        gp, oracle = _warm_twins(kernel_type, 20)
+        version = gp.version
+        result = fit_hyperparameters(gp, method="gradient", learning_rate=learning_rate)
+        expected_theta, expected_ll = _oracle_gradient_fit(oracle, learning_rate)
+        assert result.theta.tobytes() == expected_theta.tobytes()
+        assert _model_state(gp)[:5] == _model_state(oracle)[:5]
+        assert result.log_likelihood == expected_ll
+        assert gp.version == version + 1
+        # A backtrack refactorises only at the incrementally grown warm start.
+        assert gp.op_counts["cholesky"] < oracle.op_counts["cholesky"]
+
     def test_newton_probe_matches_separate_derivatives(self):
         gp, _ = _warm_twins(Matern52, 20)
         gradient, hessian = gp.log_marginal_likelihood_derivatives()
         assert gradient.tobytes() == gp.log_marginal_likelihood_gradient().tobytes()
         grads = gp.kernel.gradients(gp.X_train)
-        seconds = gp.kernel.second_derivatives(gp.X_train)
+        r = np.sqrt(pairwise_sq_dists(gp.X_train, gp.X_train))
+        seconds = gp.kernel.second_derivatives_from_distances(r, gp.kernel(gp.X_train, gp.X_train))
         expected = regression._likelihood_hessian_diag(
             gp.K_inv, gp.y_train - gp.mean_offset, grads, seconds
         )

@@ -33,6 +33,7 @@ from repro.bench.experiments_profiles import (
     profile3_error_allocation,
 )
 from repro.bench.experiments_serving import serving_load, serving_report
+from repro.bench.experiments_startup import startup_cost, startup_report
 from repro.bench.experiments_synthetic import (
     expt1_local_inference,
     expt2_online_tuning,
@@ -65,6 +66,8 @@ __all__ = [
     "auto_plan_report",
     "serving_load",
     "serving_report",
+    "startup_cost",
+    "startup_report",
     "fault_injection",
     "faults_report",
     "profile1_function_fitting",

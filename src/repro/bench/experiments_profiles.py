@@ -60,8 +60,7 @@ def profile1_function_fitting(
             train_values = udf.with_simulated_eval_time(0.0).evaluate_batch(train_points)
             gp = GaussianProcess()
             gp.fit(train_points, train_values)
-            gp.set_hyperparameters(initial_hyperparameters(train_points, train_values))
-            fit_hyperparameters(gp)
+            fit_hyperparameters(gp, start=initial_hyperparameters(train_points, train_values))
             predictions = gp.predict_mean(test_points)
             relative_error = np.abs(predictions - true_values) / np.maximum(np.abs(true_values), 1e-9)
             table.add_row(

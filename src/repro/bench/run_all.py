@@ -17,8 +17,9 @@ CI smoke
 --------
 ``--smoke`` walks :data:`SMOKE`, one entry per experiment (batched
 pipeline at three shapes, shared learning, parallel scaling, async
-overlap, pipeline, transports, auto-planner, serving, fault injection),
-and runs each computation once.  The gp parallel-scaling sweep is the
+overlap, pipeline, transports, auto-planner, serving, fault injection,
+and the ungated start-up cost of ``import repro``), and runs each
+computation once.  The gp parallel-scaling sweep is the
 shared-learning run's serial and ``discard`` rows; an identity between two
 spellings of one executor state — ``async_inflight=1``,
 ``pipeline_lookahead=1`` or a window-1 transport against the serial plan,
@@ -93,6 +94,7 @@ from repro.bench.experiments_parallel import (
 )
 from repro.bench.experiments_pipeline import pipeline_report, udf_pipeline
 from repro.bench.experiments_serving import serving_load, serving_report
+from repro.bench.experiments_startup import startup_cost, startup_report
 from repro.bench.harness import ExperimentTable
 
 #: Scaled-down parameter overrides, mirroring the pytest-benchmark wrappers.
@@ -285,6 +287,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "auto_plan": auto_plan,
     "serving": serving_load,
     "fault_injection": fault_injection,
+    "startup": startup_cost,
 }
 
 
@@ -526,6 +529,8 @@ SMOKE: tuple[SmokeEntry, ...] = (
             "fired": "a mode injected no faults: its recovery check is vacuous",
         },
     ),
+    SmokeEntry("startup", startup_cost, ({"trials": 5},), startup_report,
+               headlines=("import_s", "peak_rss_mb")),
 )
 
 

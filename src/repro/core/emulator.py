@@ -202,10 +202,9 @@ class GPEmulator:
         """Maximum-likelihood refit of the kernel hyperparameters (§3.4)."""
         if self.gp.n_training == 0:
             raise GPError("cannot retrain an emulator with no training data")
-        self.gp.set_hyperparameters(
-            initial_hyperparameters(self.gp.X_train, self.gp.y_train)
+        fit_hyperparameters(
+            self.gp, start=initial_hyperparameters(self.gp.X_train, self.gp.y_train)
         )
-        fit_hyperparameters(self.gp)
         self._trained_hyperparameters = True
 
     # -- inference --------------------------------------------------------------------

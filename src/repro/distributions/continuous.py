@@ -6,6 +6,12 @@ The paper's default workload uses Gaussian-distributed uncertain attributes
 delegating to ``scipy.stats`` objects at sampling time, keeping the hot
 sampling path on ``numpy.random.Generator`` which is considerably faster for
 the per-tuple sample counts (thousands) the algorithms require.
+
+``scipy.special`` is imported at module level (the Gaussian CDF and
+quantile need it, and the engine loads it anyway).  ``scipy.stats`` is
+imported inside :class:`Gamma`'s ``pdf`` / ``cdf`` / ``ppf`` and
+:class:`TruncatedGaussian`'s constructor, the only places that use it, so
+``import repro`` does not pay for it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.distributions.base import UnivariateDistribution
 from repro.exceptions import DistributionError
@@ -165,14 +171,20 @@ class Gamma(UnivariateDistribution):
         return self.shape * self.scale**2
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         x = np.asarray(x, dtype=float) - self.shift
         return stats.gamma.pdf(x, a=self.shape, scale=self.scale)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         x = np.asarray(x, dtype=float) - self.shift
         return stats.gamma.cdf(x, a=self.shape, scale=self.scale)
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         q = np.asarray(q, dtype=float)
         return self.shift + stats.gamma.ppf(q, a=self.shape, scale=self.scale)
 
@@ -190,6 +202,8 @@ class TruncatedGaussian(UnivariateDistribution):
     """
 
     def __init__(self, mu: float, sigma: float, low: float, high: float):
+        from scipy import stats
+
         if sigma <= 0:
             raise DistributionError(f"sigma must be positive, got {sigma}")
         if high <= low:

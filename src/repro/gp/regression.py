@@ -240,10 +240,8 @@ class GaussianProcess:
         if X.shape[0] == 0:
             raise GPError("cannot fit a GP on zero training points")
         with self._update_lock:
-            self._X = X.copy()
-            self._y = y.copy()
-            self._recompute()
-            self._version += 1
+            X, y = X.copy(), y.copy()
+            self._commit(X, y, *self._fresh_state(X, y), adds_since_refresh=0)
         return self
 
     def add_point(self, x: np.ndarray, y: float) -> None:
@@ -259,28 +257,9 @@ class GaussianProcess:
         with self._update_lock:
             k_new = self.kernel(self._X, x.reshape(1, -1)).ravel()
             k_self = float(self.kernel.diag(x.reshape(1, -1))[0]) + self.effective_noise()
-            try:
-                new_inv = block_inverse_update(self._K_inv, k_new, k_self)
-            except GPError:
-                # Degenerate update (duplicate point); fall back to a full refit
-                # which applies escalating jitter.
-                self._X = np.vstack([self._X, x])
-                self._y = np.append(self._y, y)
-                self._recompute()
-                self._version += 1
-                return
-            self._X = np.vstack([self._X, x])
-            self._y = np.append(self._y, y)
-            self._K_inv = symmetrize(new_inv)
-            self.op_counts["rank1_update"] += 1
-            # Keep the existing offset for incremental updates; it is refreshed on
-            # the next full recompute.
-            self._alpha = self._K_inv @ (self._y - self._offset)
-            self._log_det = None  # recomputed lazily when the likelihood is needed
-            self._adds_since_refresh += 1
-            if self._adds_since_refresh >= self.refresh_every:
-                self._recompute()
-            self._version += 1
+            self._grow(
+                x, y, lambda: block_inverse_update(self._K_inv, k_new, k_self), "rank1_update"
+            )
 
     def add_points(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
         """Add ``k`` training points in one blocked ``O(n^2 k)`` update.
@@ -312,24 +291,47 @@ class GaussianProcess:
         with self._update_lock:
             K_cross = self.kernel(self._X, X_new)
             K_block = self.kernel(X_new, X_new) + self.effective_noise() * np.eye(X_new.shape[0])
-            try:
-                new_inv = block_inverse_update_multi(self._K_inv, K_cross, K_block)
-            except GPError:
-                self._X = np.vstack([self._X, X_new])
-                self._y = np.append(self._y, y_new)
-                self._recompute()
-                self._version += 1
-                return
-            self._X = np.vstack([self._X, X_new])
-            self._y = np.append(self._y, y_new)
-            self._K_inv = symmetrize(new_inv)
-            self.op_counts["block_update"] += 1
-            self._alpha = self._K_inv @ (self._y - self._offset)
-            self._log_det = None
-            self._adds_since_refresh += X_new.shape[0]
-            if self._adds_since_refresh >= self.refresh_every:
-                self._recompute()
-            self._version += 1
+            self._grow(
+                X_new,
+                y_new,
+                lambda: block_inverse_update_multi(self._K_inv, K_cross, K_block),
+                "block_update",
+            )
+
+    def _grow(
+        self,
+        X_new: np.ndarray,
+        y_new: np.ndarray | float,
+        update: Callable[[], np.ndarray],
+        counter: str,
+    ) -> None:
+        """Commit the training set grown by ``X_new`` / ``y_new`` (§5.2).
+
+        ``update()`` returns the grown ``K^{-1}``.  A degenerate update
+        (duplicate or linearly dependent points) raises :class:`GPError` and
+        falls back to a full refit, which applies escalating jitter; every
+        ``refresh_every`` added points also refit from scratch.  The grown
+        state is built in locals and committed with the version bump at the
+        end, so a refit that raises leaves the model, its version included,
+        as it was.
+        """
+        X = np.vstack([self._X, X_new])
+        y = np.append(self._y, y_new)
+        try:
+            new_inv = update()
+        except GPError:
+            new_inv = None
+        else:
+            self.op_counts[counter] += 1
+        adds = self._adds_since_refresh + (y.shape[0] - self._y.shape[0])
+        if new_inv is None or adds >= self.refresh_every:
+            self._commit(X, y, *self._fresh_state(X, y), adds_since_refresh=0)
+            return
+        K_inv = symmetrize(new_inv)
+        # The offset is kept for incremental updates and refreshed on the
+        # next full refit; log|K| is recomputed lazily when the likelihood
+        # is needed.
+        self._commit(X, y, K_inv, K_inv @ (y - self._offset), None, self._offset, adds)
 
     def set_hyperparameters(self, theta: np.ndarray) -> None:
         """Set kernel hyperparameters (log space) and refit the matrices.
@@ -341,11 +343,14 @@ class GaussianProcess:
         with self._update_lock:
             kernel = self.kernel.clone()
             kernel.theta = np.asarray(theta, dtype=float)
-            if self._X is not None:
-                self._recompute(kernel)
+            if self._X is None:
+                self.kernel.__dict__.update(kernel.__dict__)
+                self._version += 1
+                return
+            state = self._fresh_state(self._X, self._y, kernel)
             # In place: components hold references to the live kernel.
             self.kernel.__dict__.update(kernel.__dict__)
-            self._version += 1
+            self._commit(self._X, self._y, *state, adds_since_refresh=0)
 
     # -- state snapshot / rollback -------------------------------------------------
     @property
@@ -392,17 +397,13 @@ class GaussianProcess:
         # that was captured.
         with self._update_lock:
             self.kernel.__dict__.update(state.kernel.clone().__dict__)
-            self._X = state.X
-            self._y = state.y
-            self._offset = state.offset
-            self._K_inv = state.K_inv
-            self._alpha = state.alpha
-            self._log_det = state.log_det
-            self._adds_since_refresh = state.adds_since_refresh
             # The version moves *forward*: a rollback is itself a mutation, so
             # fences captured before the rolled-back step must not silently
             # match the post-rollback state.
-            self._version += 1
+            self._commit(
+                state.X, state.y, state.K_inv, state.alpha, state.log_det, state.offset,
+                state.adds_since_refresh,
+            )
 
     # -- prediction ----------------------------------------------------------------
     def predict(
@@ -527,7 +528,7 @@ class GaussianProcess:
         model (only ``op_counts`` counts the factorisation).
         """
         self._require_trained()
-        centred = self._y - self._centre()
+        centred = self._y - self._centre(self._y)
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             kernel = self.kernel.clone()
@@ -556,15 +557,15 @@ class GaussianProcess:
     def _noise_under(self, kernel: Kernel) -> float:
         return max(self.noise_variance, 1e-7 * kernel.signal_std**2)
 
-    def _centre(self) -> float:
-        return float(np.mean(self._y)) if self.center_targets else 0.0
+    def _centre(self, y: np.ndarray) -> float:
+        return float(np.mean(y)) if self.center_targets else 0.0
 
     def _factorise(
         self, K: np.ndarray, kernel: Kernel, centred: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """``(K^{-1}, alpha, log|K|)`` of ``K`` (built by ``kernel``) plus its noise.
 
-        The one factorisation behind a full recompute and every likelihood
+        The one factorisation behind a refit from scratch and every likelihood
         evaluation of a fit.  It counts an ``op_counts["cholesky"]`` and
         assigns nothing else on the model.
         """
@@ -574,18 +575,33 @@ class GaussianProcess:
         K_inv = inverse_from_cholesky(L)
         return K_inv, K_inv @ centred, log_det_from_cholesky(L)
 
-    def _recompute(self, kernel: Optional[Kernel] = None) -> None:
-        """Refactorise from scratch, under ``kernel`` (default: the live one).
+    def _fresh_state(
+        self, X: np.ndarray, y: np.ndarray, kernel: Optional[Kernel] = None
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """``(K^{-1}, alpha, log|K|, offset)`` of a refit from scratch on ``X``, ``y``.
 
-        The factor state moves only once the factorisation succeeded.
+        Under ``kernel`` (default: the live one); assigns nothing on the model.
         """
         kernel = self.kernel if kernel is None else kernel
-        offset = self._centre()
-        self._K_inv, self._alpha, self._log_det = self._factorise(
-            kernel(self._X, self._X), kernel, self._y - offset
-        )
+        offset = self._centre(y)
+        return (*self._factorise(kernel(X, X), kernel, y - offset), offset)
+
+    def _commit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        K_inv: np.ndarray,
+        alpha: np.ndarray,
+        log_det: Optional[float],
+        offset: float,
+        adds_since_refresh: int,
+    ) -> None:
+        """Install a complete model state and move :attr:`version` once."""
+        self._X, self._y = X, y
+        self._K_inv, self._alpha, self._log_det = K_inv, alpha, log_det
         self._offset = offset
-        self._adds_since_refresh = 0
+        self._adds_since_refresh = adds_since_refresh
+        self._version += 1
 
     def _refresh_log_det(self) -> None:
         K = self.kernel(self._X, self._X) + self.effective_noise() * np.eye(self._X.shape[0])

@@ -25,6 +25,7 @@ evaluated ``theta`` on the model and reading its likelihood would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import optimize
@@ -113,6 +114,7 @@ def fit_hyperparameters(
     max_iterations: int = 100,
     learning_rate: float = 0.1,
     tolerance: float = 1e-5,
+    start: Optional[np.ndarray] = None,
 ) -> TrainingResult:
     """Maximise the log marginal likelihood of ``gp`` in place.
 
@@ -125,15 +127,24 @@ def fit_hyperparameters(
         ``"lbfgs"`` (default) uses scipy's L-BFGS-B with the analytic
         gradient; ``"gradient"`` performs plain gradient ascent with a
         backtracking step size, mirroring the paper's description.
+    start:
+        Log-space ``theta`` to start from instead of the model's own.  The
+        fit runs bitwise as if ``gp.set_hyperparameters(start)`` had been
+        called first, without that call's factorisation and version move.
     """
     if gp.n_training == 0:
         raise GPError("cannot train a GP without training data")
     if method not in ("lbfgs", "gradient"):
         raise GPError(f"unknown training method {method!r}")
 
+    if start is not None:
+        # Round-trip through a kernel, as set_hyperparameters stores it.
+        kernel = gp.kernel.clone()
+        kernel.theta = np.asarray(start, dtype=float)
+        start = kernel.theta
     if method == "lbfgs":
-        return _fit_lbfgs(gp, max_iterations)
-    return _fit_gradient_ascent(gp, max_iterations, learning_rate, tolerance)
+        return _fit_lbfgs(gp, max_iterations, start)
+    return _fit_gradient_ascent(gp, max_iterations, learning_rate, tolerance, start)
 
 
 def gradient_step(gp: GaussianProcess, learning_rate: float = 0.1) -> np.ndarray:
@@ -162,12 +173,14 @@ def newton_step(gp: GaussianProcess, max_step: float = 2.0) -> np.ndarray:
     return gp.kernel.theta + step
 
 
-def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
+def _fit_lbfgs(
+    gp: GaussianProcess, max_iterations: int, start: Optional[np.ndarray]
+) -> TrainingResult:
     distances = pairwise_dists(gp.X_train, gp.X_train)
     objective = gp.likelihood_objective(distances)
     bounds = _bounds_from_distances(distances, gp.y_train)
     theta0 = np.clip(
-        gp.kernel.theta,
+        gp.kernel.theta if start is None else start,
         [b[0] for b in bounds],
         [b[1] for b in bounds],
     )
@@ -189,15 +202,24 @@ def _fit_lbfgs(gp: GaussianProcess, max_iterations: int) -> TrainingResult:
 
 
 def _fit_gradient_ascent(
-    gp: GaussianProcess, max_iterations: int, learning_rate: float, tolerance: float
+    gp: GaussianProcess,
+    max_iterations: int,
+    learning_rate: float,
+    tolerance: float,
+    start: Optional[np.ndarray],
 ) -> TrainingResult:
     objective = gp.likelihood_objective(pairwise_dists(gp.X_train, gp.X_train))
-    theta = gp.kernel.theta
-    best_ll = gp.log_marginal_likelihood()
-    gradient = gp.log_marginal_likelihood_gradient()
-    # The warm start's inverse may have been grown incrementally; every
-    # theta the objective evaluated was factorised from scratch.
-    factorised = False
+    if start is None:
+        theta = gp.kernel.theta
+        best_ll = gp.log_marginal_likelihood()
+        gradient = gp.log_marginal_likelihood_gradient()
+    else:
+        theta = start
+        negative_ll, negative_gradient = objective(theta)
+        best_ll, gradient = -negative_ll, -negative_gradient
+    # The model's own warm start may have an incrementally grown inverse;
+    # every theta the objective evaluated was factorised from scratch.
+    factorised = start is not None
     step = learning_rate
     iterations = 0
     converged = False

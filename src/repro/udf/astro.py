@@ -12,6 +12,10 @@ expects.
 
 Cosmological conventions: flat universe with matter density ``omega_m``,
 dark-energy density ``1 - omega_m``, Hubble constant ``h0`` in km/s/Mpc.
+
+``scipy.integrate`` is imported inside the three integrals that use it, so
+importing this module (and ``repro``) does not load it; the first UDF call
+does.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from repro.exceptions import UDFError
 from repro.udf.base import UDF
@@ -80,6 +83,8 @@ class Cosmology:
             # dt = da / (a H(a)); H(a)/H0 = sqrt(Om a^-3 + OL)
             return 1.0 / (a * math.sqrt(self.omega_m / a**3 + self.omega_lambda))
 
+        from scipy import integrate
+
         upper = 1.0 / (1.0 + z)
         value, _ = integrate.quad(integrand, 0.0, upper, limit=200)
         return self.hubble_time_gyr * value
@@ -88,6 +93,8 @@ class Cosmology:
         """Line-of-sight comoving distance (Mpc) to redshift ``z``."""
         if z < 0:
             raise UDFError(f"redshift must be non-negative, got {z}")
+        from scipy import integrate
+
         value, _ = integrate.quad(lambda zp: 1.0 / self.efunc(zp), 0.0, z, limit=200)
         return self.hubble_distance_mpc * value
 
@@ -103,6 +110,8 @@ class Cosmology:
             raise UDFError(f"redshift must be non-negative, got {z}")
         if z == 0:
             return 0.0
+        from scipy import integrate
+
         grid = np.linspace(0.0, z, n_steps)
         integrand = 1.0 / np.sqrt(self.omega_m * (1.0 + grid) ** 3 + self.omega_lambda)
         value = float(integrate.simpson(integrand, x=grid))

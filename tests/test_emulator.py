@@ -15,6 +15,7 @@ from repro.distributions.continuous import Gaussian
 from repro.distributions.multivariate import IndependentJoint
 from repro.engine import ExecutionPlan, UDFExecutionEngine
 from repro.exceptions import GPError, NotTrainedError, UDFError
+from repro.gp.training import fit_hyperparameters, initial_hyperparameters
 from repro.index.bounding_box import BoundingBox
 from repro.index.rtree import RTree
 from repro.udf.base import UDF
@@ -167,6 +168,27 @@ class TestGPEmulator:
         truth = X_test.ravel() ** 2 + 1.0
         assert np.max(np.abs(means - truth)) < 0.1
         assert np.all(stds >= 0)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_retrain_starts_from_the_heuristic_without_factorising_it(self, f1_udf, n):
+        twins = []
+        for _ in range(2):
+            emulator = GPEmulator(f1_udf.with_simulated_eval_time(0.0))
+            emulator.train_initial(n, random_state=n, optimize_hyperparameters=False)
+            twins.append(emulator)
+        emulator, oracle = twins
+        version, choleskies = emulator.gp.version, emulator.gp.op_counts["cholesky"]
+        emulator.retrain()
+        # The former spelling: set the heuristic start on the model, then fit.
+        gp = oracle.gp
+        gp.set_hyperparameters(initial_hyperparameters(gp.X_train, gp.y_train))
+        fit_hyperparameters(gp)
+        for name in ("K_inv", "alpha"):
+            assert getattr(emulator.gp, name).tobytes() == getattr(gp, name).tobytes()
+        assert emulator.gp.kernel.theta.tobytes() == gp.kernel.theta.tobytes()
+        assert emulator.gp.op_counts["cholesky"] == gp.op_counts["cholesky"] - 1
+        assert emulator.gp.op_counts["cholesky"] > choleskies
+        assert emulator.gp.version == version + 1
 
     def test_retrain_requires_data(self, f1_udf):
         with pytest.raises(GPError):

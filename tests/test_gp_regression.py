@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import GPError, NotTrainedError
 from repro.gp.kernels import Matern52, SquaredExponential
+from repro.gp import regression
 from repro.gp.regression import GaussianProcess
 
 
@@ -174,3 +175,111 @@ class TestPosteriorSampling:
         samples = gp.sample_posterior(X, n_samples=20, random_state=1)
         # At training points the posterior is pinned to the observations.
         assert np.max(np.abs(samples - y)) < 0.05
+
+
+def _full_state(gp: GaussianProcess) -> tuple:
+    """Every array and scalar of the model's state, as bytes, plus its version."""
+    return (
+        gp.X_train.tobytes(),
+        gp.y_train.tobytes(),
+        gp.K_inv.tobytes(),
+        gp.alpha.tobytes(),
+        np.float64(gp.mean_offset).tobytes(),
+        repr(gp._log_det),
+        gp._adds_since_refresh,
+        gp.version,
+    )
+
+
+def _add(gp: GaussianProcess, method: str, X: np.ndarray, y: np.ndarray) -> None:
+    if method == "add_point":
+        gp.add_point(X[0], float(y[0]))
+    else:
+        gp.add_points(X, y)
+
+
+_UPDATES = {"add_point": "block_inverse_update", "add_points": "block_inverse_update_multi"}
+
+
+class TestFailedAdd:
+    """An add whose refit raises leaves the model, version included, as it was."""
+
+    @staticmethod
+    def _model(refresh_every: int = 64) -> tuple[GaussianProcess, np.ndarray, np.ndarray]:
+        X, y = make_training_data(n=9, seed=4)
+        gp = GaussianProcess(refresh_every=refresh_every).fit(X[:6], y[:6])
+        return gp, X[6:], y[6:]
+
+    @staticmethod
+    def _fail(monkeypatch, name: str) -> None:
+        def failing(*args, **kwargs):
+            raise GPError(f"injected failure in {name}")
+
+        monkeypatch.setattr(regression, name, failing)
+
+    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    def test_failed_update_with_failed_fallback_changes_nothing(self, method, monkeypatch):
+        gp, X_new, y_new = self._model()
+        before = _full_state(gp)
+        X_test = np.linspace(0.0, 5.0, 7).reshape(-1, 1)
+        expected = gp.predict(X_test)
+        with monkeypatch.context() as patch:
+            self._fail(patch, _UPDATES[method])
+            self._fail(patch, "jittered_cholesky")
+            with pytest.raises(GPError, match="jittered_cholesky"):
+                _add(gp, method, X_new, y_new)
+        assert _full_state(gp) == before
+        mean, std = gp.predict(X_test)
+        assert mean.tobytes() == expected[0].tobytes()
+        assert std.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    def test_failed_refresh_changes_nothing(self, method, monkeypatch):
+        gp, X_new, y_new = self._model(refresh_every=1)
+        before = _full_state(gp)
+        with monkeypatch.context() as patch:
+            self._fail(patch, "jittered_cholesky")
+            with pytest.raises(GPError, match="jittered_cholesky"):
+                _add(gp, method, X_new, y_new)
+        assert _full_state(gp) == before
+        gp.predict(X_new)
+
+    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    def test_update_that_raises_otherwise_propagates_and_changes_nothing(
+        self, method, monkeypatch
+    ):
+        gp, X_new, y_new = self._model()
+        before = _full_state(gp)
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, _UPDATES[method], broken)
+            with pytest.raises(FloatingPointError):
+                _add(gp, method, X_new, y_new)
+        assert _full_state(gp) == before
+
+    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    def test_fallback_commits_a_fresh_fit_and_moves_the_version_once(
+        self, method, monkeypatch
+    ):
+        gp, X_new, y_new = self._model()
+        version = gp.version
+        n = 1 if method == "add_point" else len(y_new)
+        self._fail(monkeypatch, _UPDATES[method])
+        _add(gp, method, X_new, y_new)
+        fresh = GaussianProcess().fit(gp.X_train, gp.y_train)
+        assert gp.n_training == 6 + n
+        assert _full_state(gp)[:7] == _full_state(fresh)[:7]
+        assert gp.version == version + 1
+
+    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    def test_refresh_commits_a_fresh_fit_and_moves_the_version_once(self, method):
+        gp, X_new, y_new = self._model(refresh_every=1)
+        version, updates = gp.version, dict(gp.op_counts)
+        _add(gp, method, X_new, y_new)
+        fresh = GaussianProcess().fit(gp.X_train, gp.y_train)
+        assert _full_state(gp)[:7] == _full_state(fresh)[:7]
+        assert gp.version == version + 1
+        assert gp.op_counts["cholesky"] == updates["cholesky"] + 1

@@ -247,6 +247,25 @@ class TestFitIdentity:
         # A backtrack refactorises only at the incrementally grown warm start.
         assert gp.op_counts["cholesky"] < oracle.op_counts["cholesky"]
 
+    @pytest.mark.parametrize("kernel_type", [SquaredExponential, Matern32, Matern52])
+    @pytest.mark.parametrize("method", ["lbfgs", "gradient"])
+    def test_start_matches_setting_it_first(self, kernel_type, method):
+        gp, oracle = _warm_twins(kernel_type, 20)
+        start = initial_hyperparameters(gp.X_train, gp.y_train)
+        version = gp.version
+        result = fit_hyperparameters(gp, method=method, start=start)
+
+        oracle.set_hyperparameters(start)
+        expected = fit_hyperparameters(oracle, method=method)
+        assert result.theta.tobytes() == expected.theta.tobytes()
+        assert result.log_likelihood == expected.log_likelihood
+        assert _model_state(gp)[:5] == _model_state(oracle)[:5]
+        # L-BFGS spends no factorisation at the start; gradient ascent
+        # spends the one setting it would, and then no backtrack refactorises.
+        saved = oracle.op_counts["cholesky"] - gp.op_counts["cholesky"]
+        assert saved == 1 if method == "lbfgs" else saved >= 0
+        assert gp.version == version + 1
+
     def test_newton_probe_matches_separate_derivatives(self):
         gp, _ = _warm_twins(Matern52, 20)
         gradient, hessian = gp.log_marginal_likelihood_derivatives()

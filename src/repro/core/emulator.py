@@ -22,7 +22,7 @@ from repro.distributions.base import Distribution
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.exceptions import GPError, UDFError
 from repro.gp.kernels import Kernel, SquaredExponential
-from repro.gp.regression import GaussianProcess, GPStateSnapshot
+from repro.gp.regression import GaussianProcess, GPState
 from repro.gp.training import fit_hyperparameters, initial_hyperparameters
 from repro.index.bounding_box import BoundingBox
 from repro.rng import RandomState, as_generator
@@ -41,7 +41,7 @@ class EmulatorSnapshot:
     hyperparameters while believing a retrain already happened.
     """
 
-    gp_state: GPStateSnapshot
+    gp_state: Optional[GPState]
     trained_hyperparameters: bool
 
 
@@ -119,7 +119,7 @@ class GPEmulator:
 
         ``fence``, when given, must be the :meth:`snapshot` the observations
         were *selected against*: if the model mutated since that snapshot was
-        taken (its GP state version moved on), the absorb raises
+        taken (the GP committed another state), the absorb raises
         :class:`~repro.exceptions.GPError` instead of silently applying
         observations chosen for a state that no longer exists.  This is the
         guard the async pipeline relies on — results completing out of order
@@ -136,10 +136,10 @@ class GPEmulator:
             )
         if X.shape[0] != y.shape[0]:
             raise UDFError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
-        if fence is not None and fence.gp_state.version != self.gp.version:
+        if fence is not None and fence.gp_state is not self.gp.snapshot():
             raise GPError(
-                "stale snapshot fence: the model mutated since the snapshot "
-                f"(version {fence.gp_state.version} -> {self.gp.version}); "
+                "stale snapshot fence: the model committed another state since the "
+                f"snapshot (now version {self.gp.version}); "
                 "the observations were selected against a state that no longer exists"
             )
         self.gp.add_points(X, y)

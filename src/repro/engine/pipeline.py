@@ -63,11 +63,10 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.emulator import EmulatorSnapshot
 from repro.core.olgapro import OLGAPRO, ChunkPrologue, ChunkStage, select_top_k_distinct
 from repro.engine.async_exec import AsyncEvaluationDriver
 from repro.engine.transport import EvaluationTransport
-from repro.gp.regression import GaussianProcess
+from repro.gp.regression import GaussianProcess, GPState
 from repro.udf.base import UDF
 
 
@@ -166,23 +165,22 @@ class SpeculativeValuePool:
             future.exception()
 
 
-def _gp_view(gp: GaussianProcess, fence: EmulatorSnapshot) -> GaussianProcess:
-    """Read-only clone of ``gp`` frozen at ``fence``.
+def _gp_view(gp: GaussianProcess, state: GPState) -> GaussianProcess:
+    """A private model over ``state``, configured like ``gp``.
 
-    O(1): :meth:`~repro.gp.regression.GaussianProcess.restore` rebinds the
-    snapshot's shared buffers (the GP never mutates arrays in place), so the
-    view reproduces the fenced state bitwise without copying, and stays
+    O(1): the view commits ``state``'s fields, sharing its read-only arrays
+    instead of copying them, so it reproduces the state bitwise and stays
     consistent however the live model evolves — this is what lets a walk
     run on a pool thread while the coordinating thread keeps refining
     earlier tuples.
     """
     view = GaussianProcess(
-        kernel=gp.kernel.clone(),
+        kernel=state.kernel.clone(),
         noise_variance=gp.noise_variance,
         refresh_every=gp.refresh_every,
         center_targets=gp.center_targets,
     )
-    view.restore(fence.gp_state)
+    view.restore(state)
     return view
 
 
@@ -308,8 +306,8 @@ class SpeculationStage(ChunkStage):
         depth = min(depth, self.olgapro.max_points_per_tuple)
         if depth == 0:
             return
-        emulator = self.olgapro.emulator
-        view = _gp_view(emulator.gp, emulator.snapshot())
+        gp = self.olgapro.emulator.gp
+        view = _gp_view(gp, gp.snapshot())
         self._walks.append(self._stage_pool.submit(self._walk, view, j, depth))
 
     def _walk(self, view: GaussianProcess, j: int, depth: int) -> None:

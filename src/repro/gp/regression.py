@@ -13,7 +13,8 @@ numerical stability (UDFs are deterministic, so this acts as jitter).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,55 +33,66 @@ from repro.gp.linalg import (
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Cap on the per-version local-inverse memo
-#: (:meth:`GaussianProcess.local_inverse`), in summed matrix elements (8 MB of
-#: float64); oldest entries are evicted, a larger inverse is never filed.
+#: Cap on each state's local-inverse memo (:attr:`GPState.local_inverses`),
+#: in summed matrix elements (8 MB of float64); oldest entries are evicted, a
+#: larger inverse is never filed.
 #: Elements, not entries, because entry counts do not bound memory.  Measured
 #: (per-tuple ``process``, 200 samples, 500 tuples after 60 of warm-up):
-#: quiet F1 / F3 streams look up one subset per model version — the whole
-#: 57..128-point training set, 26..131 KB, up to 239 lookups per version —
+#: quiet F1 / F3 streams look up one subset per model state — the whole
+#: 57..128-point training set, 26..131 KB, up to 239 lookups per state —
 #: while F4 at its 2 000-point ceiling looks up a different 278..1 988-point
 #: subset on each of the 36 calls of its longest quiet run: no hits, and up
 #: to 31.6 MB per inverse, which this cap declines to hold.
 _LOCAL_INVERSE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class GPStateSnapshot:
-    """Frozen copy of a GP's trained state (§5.2 speculative tuning support).
+@dataclass(frozen=True, eq=False)
+class GPState:
+    """One trained GP state, as a value (§5.2).
 
-    Captures everything :meth:`GaussianProcess.restore` needs to roll the
-    model back after a speculative multi-point addition overshoots: the
-    training data, the incrementally maintained inverse factorization, the
-    weight vector, and the kernel hyperparameters.  The arrays are *shared*
-    with the model rather than copied — :class:`GaussianProcess` only ever
-    rebinds its arrays (vstack / append / fresh inverse), never mutates them
-    in place, so a snapshot stays valid however the live model evolves, and
-    restoring rebinds the exact original buffers (bitwise-identical
-    predictions, no copy cost).
+    Everything :class:`GaussianProcess` predicts from.  The model holds one
+    and replaces it whole on every mutation, so :meth:`~GaussianProcess.snapshot`
+    returns it and :meth:`~GaussianProcess.restore` commits its fields again: a
+    speculative step that overshoots rolls back with no copy and no
+    factorization, to bitwise the predictions it had.  The arrays are
+    read-only, so a state stays valid however the live model evolves.
     """
 
-    X: Optional[np.ndarray]
-    y: Optional[np.ndarray]
+    X: np.ndarray
+    y: np.ndarray
     offset: float
-    K_inv: Optional[np.ndarray]
-    alpha: Optional[np.ndarray]
+    K_inv: np.ndarray
+    alpha: np.ndarray
+    #: ``log|K|``, or ``None`` after an incremental add until the likelihood
+    #: first needs it: :meth:`GaussianProcess.log_marginal_likelihood` then
+    #: factorises ``K`` once and fills it in — the one field written after
+    #: construction, from ``None`` to the value it stands for.
     log_det: Optional[float]
     adds_since_refresh: int
     #: A clone of the kernel, preserving hyperparameters in natural space —
     #: round-tripping through the log-space ``theta`` vector would perturb
-    #: them by an ulp and break bitwise restore.
+    #: them by an ulp and break bitwise restore.  Never mutated.
     kernel: Kernel
-    #: The model's :attr:`GaussianProcess.version` at capture time.  Callers
-    #: that absorb observations selected *against* this snapshot can pass it
-    #: as a fence: if the model mutated in between, the absorb is rejected
-    #: instead of silently applying against a different base state.
-    version: int = 0
+    #: The model's :attr:`GaussianProcess.version` while this state is the
+    #: committed one: each successor takes its predecessor's plus one, and a
+    #: restore commits a state under the model's next version.
+    version: int
+    #: ``{subset key: inverse}`` — see :meth:`GaussianProcess.local_inverse`.
+    #: Derived from the fields, so it does not cross a pickle.
+    local_inverses: dict[bytes, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def n_training(self) -> int:
-        """Number of training points captured in this snapshot."""
-        return 0 if self.X is None else int(self.X.shape[0])
+    def __post_init__(self) -> None:
+        for array in (self.X, self.y, self.K_inv, self.alpha):
+            array.setflags(write=False)
+
+    def __reduce__(self):
+        """Pickle as a constructor call: arrays come back read-only, memos empty."""
+        return GPState, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    @cached_property
+    def target_range(self) -> float:
+        """Width ``max(y) - min(y)`` of the training targets, reduced once per state."""
+        return float(np.max(self.y) - np.min(self.y))
 
 
 class GaussianProcess:
@@ -120,19 +132,12 @@ class GaussianProcess:
         self.refresh_every = int(refresh_every)
         self.center_targets = bool(center_targets)
 
-        self._X: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
-        self._offset = 0.0
-        self._K_inv: Optional[np.ndarray] = None
-        self._alpha: Optional[np.ndarray] = None
-        self._log_det: Optional[float] = None
-        self._adds_since_refresh = 0
-        #: Monotone state-version counter, bumped by every mutation (fit,
-        #: point additions, hyperparameter changes, restore).  Snapshots
-        #: record it so deferred absorbs can *fence* on "unchanged since the
-        #: snapshot" — see :meth:`snapshot` and
-        #: :meth:`repro.core.emulator.GPEmulator.absorb_observations`.
-        self._version = 0
+        #: The trained model, ``None`` while untrained.  Every mutation —
+        #: :meth:`fit`, :meth:`add_point`, :meth:`add_points`,
+        #: :meth:`set_hyperparameters`, :meth:`restore` — reads it once under
+        #: the update lock, builds its successor in locals and commits it with
+        #: one assignment, so a mutation that raises leaves it as it was.
+        self._state: Optional[GPState] = None
         #: Serialises mutations: the async refinement pipeline keeps all GP
         #: updates on the coordinating thread by design, but the lock makes
         #: an accidental concurrent absorb corrupt nothing.
@@ -142,20 +147,12 @@ class GaussianProcess:
         #: and O(n^2 k) blocked inverse updates.  The speculative tuning tests
         #: and benchmarks read these to quantify refinement-loop savings.
         self.op_counts: dict[str, int] = {"cholesky": 0, "rank1_update": 0, "block_update": 0}
-        #: ``(version, {subset key: inverse})`` — see :meth:`local_inverse`.
-        self._local_inverses: tuple[int, dict[bytes, np.ndarray]] = (0, {})
-        #: ``(version, width)`` — see :meth:`target_range`.
-        self._target_range: tuple[int, float] = (-1, 0.0)
 
     # -- pickling ----------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle support: the update lock is process-local and not picklable.
-
-        The local-inverse memo is derived state and stays behind as well.
-        """
+        """Pickle support: the update lock is process-local and not picklable."""
         state = dict(self.__dict__)
         del state["_update_lock"]
-        state["_local_inverses"] = (self._version, {})
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -166,63 +163,46 @@ class GaussianProcess:
     # -- training-set accessors -------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotone counter identifying the current model state.
+        """Counter identifying the current model state (0 while untrained).
 
-        Every mutation — :meth:`fit`, :meth:`add_point`, :meth:`add_points`,
-        :meth:`set_hyperparameters`, :meth:`restore` — increments it, so two
+        Every mutation of a trained model moves it forward by one, so two
         equal readings bracket a window in which the model was untouched.
         """
-        return self._version
+        return 0 if self._state is None else self._state.version
 
     @property
     def n_training(self) -> int:
         """Number of training points currently in the model."""
-        return 0 if self._X is None else int(self._X.shape[0])
+        return 0 if self._state is None else int(self._state.X.shape[0])
 
     @property
     def X_train(self) -> np.ndarray:
         """Training inputs with shape ``(n, d)``."""
-        self._require_trained()
-        return self._X.copy()
+        return self._trained().X.copy()
 
     @property
     def y_train(self) -> np.ndarray:
         """Training targets with shape ``(n,)``."""
-        self._require_trained()
-        return self._y.copy()
+        return self._trained().y.copy()
 
     def target_range(self) -> float:
-        """Width ``max(y) - min(y)`` of the training targets, reduced once per :attr:`version`."""
-        self._require_trained()
-        version, width = self._target_range
-        if version != self._version:
-            version = self._version
-            width = float(np.max(self._y) - np.min(self._y))
-            self._target_range = (version, width)
-        return width
+        """Width ``max(y) - min(y)`` of the training targets, reduced once per state."""
+        return self._trained().target_range
 
     @property
     def alpha(self) -> np.ndarray:
         """The weight vector ``K^{-1} (y - offset)`` used for O(n) mean prediction (§5.1)."""
-        self._require_trained()
-        return self._alpha.copy()
+        return self._trained().alpha.copy()
 
     @property
     def mean_offset(self) -> float:
         """Constant added back to every mean prediction (0 when not centering)."""
-        return self._offset
+        return 0.0 if self._state is None else self._state.offset
 
     @property
     def K_inv(self) -> np.ndarray:
         """Inverse of the (noise-augmented) training covariance matrix."""
-        self._require_trained()
-        return self._K_inv.copy()
-
-    @property
-    def dimension(self) -> int:
-        """Input dimensionality of the modelled function."""
-        self._require_trained()
-        return int(self._X.shape[1])
+        return self._trained().K_inv.copy()
 
     # -- fitting -----------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
@@ -240,35 +220,28 @@ class GaussianProcess:
         if X.shape[0] == 0:
             raise GPError("cannot fit a GP on zero training points")
         with self._update_lock:
-            X, y = X.copy(), y.copy()
-            self._commit(X, y, *self._fresh_state(X, y), adds_since_refresh=0)
+            self._state = self._refit(X.copy(), y.copy(), self.kernel.clone(), self.version + 1)
         return self
 
     def add_point(self, x: np.ndarray, y: float) -> None:
         """Add one training point, updating ``K^{-1}`` incrementally (§5.2)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._X is None:
-            self.fit(x.reshape(1, -1), np.array([y]))
-            return
-        if x.shape != (self._X.shape[1],):
-            raise GPError(
-                f"point has shape {x.shape}, expected ({self._X.shape[1]},)"
-            )
         with self._update_lock:
-            k_new = self.kernel(self._X, x.reshape(1, -1)).ravel()
-            k_self = float(self.kernel.diag(x.reshape(1, -1))[0]) + self.effective_noise()
-            self._grow(
-                x, y, lambda: block_inverse_update(self._K_inv, k_new, k_self), "rank1_update"
-            )
+            state = self._state
+            if state is not None and x.shape != (state.X.shape[1],):
+                raise GPError(
+                    f"point has shape {x.shape}, expected ({state.X.shape[1]},)"
+                )
+            self.add_points(x.reshape(1, -1), np.array([y]))
 
     def add_points(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
         """Add ``k`` training points in one blocked ``O(n^2 k)`` update.
 
         Generalises :meth:`add_point`: the inverse covariance matrix absorbs
         the whole block at once via the Schur-complement identity instead of
-        ``k`` successive rank-1 updates.  A rank-deficient block (duplicate
-        or linearly dependent points) falls back to a full refit, which
-        applies escalating jitter.
+        ``k`` successive rank-1 updates (one row takes the rank-1 update).  A
+        rank-deficient block (duplicate or linearly dependent points) falls
+        back to a full refit, which applies escalating jitter.
         """
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         y_new = np.asarray(y_new, dtype=float).ravel()
@@ -278,79 +251,73 @@ class GaussianProcess:
             )
         if X_new.shape[0] == 0:
             return
-        if self._X is None:
-            self.fit(X_new, y_new)
-            return
-        if X_new.shape[1] != self._X.shape[1]:
-            raise GPError(
-                f"points have {X_new.shape[1]} columns, expected {self._X.shape[1]}"
-            )
-        if X_new.shape[0] == 1:
-            self.add_point(X_new[0], float(y_new[0]))
-            return
         with self._update_lock:
-            K_cross = self.kernel(self._X, X_new)
-            K_block = self.kernel(X_new, X_new) + self.effective_noise() * np.eye(X_new.shape[0])
-            self._grow(
-                X_new,
-                y_new,
-                lambda: block_inverse_update_multi(self._K_inv, K_cross, K_block),
-                "block_update",
-            )
+            state = self._state
+            if state is None:
+                self.fit(X_new, y_new)
+                return
+            if X_new.shape[1] != state.X.shape[1]:
+                raise GPError(
+                    f"points have {X_new.shape[1]} columns, expected {state.X.shape[1]}"
+                )
+            self._grow(state, X_new, y_new)
 
-    def _grow(
-        self,
-        X_new: np.ndarray,
-        y_new: np.ndarray | float,
-        update: Callable[[], np.ndarray],
-        counter: str,
-    ) -> None:
-        """Commit the training set grown by ``X_new`` / ``y_new`` (§5.2).
+    def _grow(self, state: GPState, X_new: np.ndarray, y_new: np.ndarray) -> None:
+        """Commit ``state``'s successor: its training set grown by the rows ``X_new`` (§5.2).
 
-        ``update()`` returns the grown ``K^{-1}``.  A degenerate update
-        (duplicate or linearly dependent points) raises :class:`GPError` and
-        falls back to a full refit, which applies escalating jitter; every
-        ``refresh_every`` added points also refit from scratch.  The grown
-        state is built in locals and committed with the version bump at the
-        end, so a refit that raises leaves the model, its version included,
-        as it was.
+        ``K^{-1}`` grows by a rank-1 update for one row and by one blocked
+        update for several.  A degenerate update (duplicate or linearly
+        dependent points) raises :class:`GPError` and falls back to a full
+        refit, which applies escalating jitter; every ``refresh_every`` added
+        points also refit from scratch.  Either way the successor is built in
+        locals and committed at the end, so a refit that raises leaves the
+        model, its version included, as it was.
         """
-        X = np.vstack([self._X, X_new])
-        y = np.append(self._y, y_new)
+        kernel, k = state.kernel, X_new.shape[0]
+        noise = self._noise_under(kernel)
+        K_cross = kernel(state.X, X_new)
+        if k == 1:
+            counter, update = "rank1_update", block_inverse_update
+            K_cross, K_block = K_cross.ravel(), float(kernel.diag(X_new)[0]) + noise
+        else:
+            counter, update = "block_update", block_inverse_update_multi
+            K_block = kernel(X_new, X_new) + noise * np.eye(k)
         try:
-            new_inv = update()
+            new_inv = update(state.K_inv, K_cross, K_block)
         except GPError:
             new_inv = None
         else:
             self.op_counts[counter] += 1
-        adds = self._adds_since_refresh + (y.shape[0] - self._y.shape[0])
+        X = np.vstack([state.X, X_new])
+        y = np.append(state.y, y_new)
+        adds = state.adds_since_refresh + k
         if new_inv is None or adds >= self.refresh_every:
-            self._commit(X, y, *self._fresh_state(X, y), adds_since_refresh=0)
+            self._state = self._refit(X, y, kernel, state.version + 1)
             return
         K_inv = symmetrize(new_inv)
         # The offset is kept for incremental updates and refreshed on the
-        # next full refit; log|K| is recomputed lazily when the likelihood
-        # is needed.
-        self._commit(X, y, K_inv, K_inv @ (y - self._offset), None, self._offset, adds)
+        # next full refit; log|K| is filled in when the likelihood needs it.
+        self._state = GPState(
+            X, y, state.offset, K_inv, K_inv @ (y - state.offset), None, adds,
+            kernel, state.version + 1,
+        )
 
     def set_hyperparameters(self, theta: np.ndarray) -> None:
         """Set kernel hyperparameters (log space) and refit the matrices.
 
         The new state is computed on a clone of the kernel and committed
         only once its factorisation succeeds: a failure leaves the
-        hyperparameters, ``K^{-1}``, α and :attr:`version` as they were.
+        hyperparameters and the state, version included, as they were.
         """
         with self._update_lock:
             kernel = self.kernel.clone()
             kernel.theta = np.asarray(theta, dtype=float)
-            if self._X is None:
-                self.kernel.__dict__.update(kernel.__dict__)
-                self._version += 1
-                return
-            state = self._fresh_state(self._X, self._y, kernel)
+            state = self._state
+            if state is not None:
+                state = self._refit(state.X, state.y, kernel, state.version + 1)
             # In place: components hold references to the live kernel.
             self.kernel.__dict__.update(kernel.__dict__)
-            self._commit(self._X, self._y, *state, adds_since_refresh=0)
+            self._state = state
 
     # -- state snapshot / rollback -------------------------------------------------
     @property
@@ -363,47 +330,32 @@ class GaussianProcess:
         """
         return int(sum(self.op_counts.values()))
 
-    def snapshot(self) -> GPStateSnapshot:
-        """Capture the current trained state for a later :meth:`restore`.
+    def snapshot(self) -> Optional[GPState]:
+        """The committed state (``None`` while untrained), for a later :meth:`restore`.
 
-        O(1): the snapshot shares the model's (never-mutated-in-place)
-        arrays instead of copying them, and spends no factorization work —
-        the point of the speculative tuning loop is to save factorizations,
-        so rolling back must not spend one.
+        O(1) and free of factorization work — the point of the speculative
+        tuning loop is to save factorizations, so rolling back must not
+        spend one.
         """
-        return GPStateSnapshot(
-            X=self._X,
-            y=self._y,
-            offset=self._offset,
-            K_inv=self._K_inv,
-            alpha=self._alpha,
-            log_det=self._log_det,
-            adds_since_refresh=self._adds_since_refresh,
-            kernel=self.kernel.clone(),
-            version=self._version,
-        )
+        return self._state
 
-    def restore(self, state: GPStateSnapshot) -> None:
-        """Roll the model back to a previously captured snapshot.
+    def restore(self, state: Optional[GPState]) -> None:
+        """Roll the model back to a state :meth:`snapshot` returned.
 
-        Restores the training data, factorization, weight vector and kernel
-        hyperparameters without recomputing anything.  Operation counters are
-        deliberately *not* rolled back: they account for work performed, and
-        a rolled-back speculative step still performed its update.
+        Commits ``state``'s fields — its arrays, factorization and kernel
+        hyperparameters, nothing recomputed — as a new state under the
+        model's next :attr:`version`: a rollback is itself a mutation, so
+        fences captured before the rolled-back step must not match it.
+        ``None`` un-trains the model.  Operation counters are deliberately
+        *not* rolled back: they account for work performed, and a
+        rolled-back speculative step still performed its update.
         """
-        # Mutate the live kernel in place (components hold references to it)
-        # with natural-space values from the snapshot's clone, and rebind the
-        # snapshot's shared buffers — the restored state is bitwise the state
-        # that was captured.
         with self._update_lock:
-            self.kernel.__dict__.update(state.kernel.clone().__dict__)
-            # The version moves *forward*: a rollback is itself a mutation, so
-            # fences captured before the rolled-back step must not silently
-            # match the post-rollback state.
-            self._commit(
-                state.X, state.y, state.K_inv, state.alpha, state.log_det, state.offset,
-                state.adds_since_refresh,
-            )
+            if state is not None:
+                # In place: components hold references to the live kernel.
+                self.kernel.__dict__.update(state.kernel.__dict__)
+                state = replace(state, version=self.version + 1)
+            self._state = state
 
     # -- prediction ----------------------------------------------------------------
     def predict(
@@ -414,15 +366,15 @@ class GaussianProcess:
         Implements Eq. (2): ``m = K(X, X*) K(X*, X*)^{-1} f*`` and
         ``Sigma = K(X, X) - K(X, X*) K(X*, X*)^{-1} K(X*, X)`` (diagonal only).
         """
-        self._require_trained()
+        state = self._trained()
         X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
-        K_star = self.kernel(X_test, self._X)
-        mean = K_star @ self._alpha + self._offset
+        K_star = state.kernel(X_test, state.X)
+        mean = K_star @ state.alpha + state.offset
         if not return_std:
             return mean
         # Only the marginal variances are needed by the framework.
-        tmp = K_star @ self._K_inv
-        var = self.kernel.diag(X_test) - np.sum(tmp * K_star, axis=1)
+        tmp = K_star @ state.K_inv
+        var = state.kernel.diag(X_test) - np.sum(tmp * K_star, axis=1)
         var = np.maximum(var, 0.0)
         return mean, np.sqrt(var)
 
@@ -431,25 +383,24 @@ class GaussianProcess:
 
         The ``O(l^3)`` step of local inference (§5.1).  It depends only on
         the model state and the subset, and a warm model serves long runs
-        of tuples from one state, so the inverses are memoised per
-        :attr:`version`: any mutation drops them all, and an inverse is
-        filed only if the version read the same before and after it was
-        built.  The returned array is shared between callers and read-only.
+        of tuples from one state, so the inverses are memoised on the state
+        (:attr:`GPState.local_inverses`): a mutation commits a state with an
+        empty memo, and an inverse built from one state is filed on that
+        state, whatever the model committed meanwhile.  The returned array is
+        shared between callers and read-only.
         """
-        self._require_trained()
-        version = self._version
-        if self._local_inverses[0] != version:
-            self._local_inverses = (version, {})
-        memo = self._local_inverses[1]
+        state = self._trained()
+        memo = state.local_inverses
         key = selected.tobytes()
         inverse = memo.get(key)
         if inverse is None:
-            X_local = self._X[selected]
-            K_local = self.kernel(X_local, X_local)
-            L, _ = jittered_cholesky(K_local + self.effective_noise() * np.eye(selected.size))
+            X_local = state.X[selected]
+            K_local = state.kernel(X_local, X_local)
+            noise = self._noise_under(state.kernel)
+            L, _ = jittered_cholesky(K_local + noise * np.eye(selected.size))
             inverse = inverse_from_cholesky(L)
             inverse.setflags(write=False)
-            if self._version == version and inverse.size <= _LOCAL_INVERSE_CAP:
+            if inverse.size <= _LOCAL_INVERSE_CAP:
                 held = sum(entry.size for entry in memo.values())
                 while held + inverse.size > _LOCAL_INVERSE_CAP:
                     held -= memo.pop(next(iter(memo))).size
@@ -458,9 +409,9 @@ class GaussianProcess:
 
     def predict_mean(self, X_test: np.ndarray) -> np.ndarray:
         """Posterior mean only — ``O(n)`` per test point via the cached alpha."""
-        self._require_trained()
+        state = self._trained()
         X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
-        return self.kernel(X_test, self._X) @ self._alpha + self._offset
+        return state.kernel(X_test, state.X) @ state.alpha + state.offset
 
     def sample_posterior(
         self, X_test: np.ndarray, n_samples: int = 1, random_state=None
@@ -473,11 +424,11 @@ class GaussianProcess:
         """
         from repro.rng import as_generator
 
-        self._require_trained()
+        state = self._trained()
         X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
-        K_star = self.kernel(X_test, self._X)
-        mean = K_star @ self._alpha + self._offset
-        cov = self.kernel(X_test, X_test) - K_star @ self._K_inv @ K_star.T
+        K_star = state.kernel(X_test, state.X)
+        mean = K_star @ state.alpha + state.offset
+        cov = state.kernel(X_test, X_test) - K_star @ state.K_inv @ K_star.T
         cov = symmetrize(cov)
         L, _ = jittered_cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
         rng = as_generator(random_state)
@@ -487,15 +438,13 @@ class GaussianProcess:
     # -- marginal likelihood and derivatives ------------------------------------------
     def log_marginal_likelihood(self) -> float:
         """``log p(y | X, theta)`` for the current hyperparameters (§3.4)."""
-        self._require_trained()
-        if self._log_det is None:
-            self._refresh_log_det()
-        return _log_likelihood(self._y - self._offset, self._alpha, self._log_det)
+        state = self._trained()
+        return _log_likelihood(state.y - state.offset, state.alpha, self._log_det(state))
 
     def log_marginal_likelihood_gradient(self) -> np.ndarray:
         """Gradient of the log marginal likelihood w.r.t. ``kernel.theta``."""
-        self._require_trained()
-        return _likelihood_gradient(self._alpha, self._K_inv, self.kernel.gradients(self._X))
+        state = self._trained()
+        return _likelihood_gradient(state.alpha, state.K_inv, state.kernel.gradients(state.X))
 
     def log_marginal_likelihood_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian diagonal of the log marginal likelihood.
@@ -503,14 +452,14 @@ class GaussianProcess:
         What the Newton-step retraining heuristic (Section 5.3) reads, from
         one distance matrix and one correlation evaluation.
         """
-        self._require_trained()
-        r = pairwise_dists(self._X, self._X)
-        K = self.kernel.from_distances(r)
-        grads = self.kernel.gradients_from_distances(r, K)
-        seconds = self.kernel.second_derivatives_from_distances(r, K)
+        state = self._trained()
+        r = pairwise_dists(state.X, state.X)
+        K = state.kernel.from_distances(r)
+        grads = state.kernel.gradients_from_distances(r, K)
+        seconds = state.kernel.second_derivatives_from_distances(r, K)
         return (
-            _likelihood_gradient(self._alpha, self._K_inv, grads),
-            _likelihood_hessian_diag(self._K_inv, self._y - self._offset, grads, seconds),
+            _likelihood_gradient(state.alpha, state.K_inv, grads),
+            _likelihood_hessian_diag(state.K_inv, state.y - state.offset, grads, seconds),
         )
 
     def likelihood_objective(
@@ -527,8 +476,8 @@ class GaussianProcess:
         :meth:`log_marginal_likelihood_gradient` give, without touching the
         model (only ``op_counts`` counts the factorisation).
         """
-        self._require_trained()
-        centred = self._y - self._centre(self._y)
+        y = self._trained().y
+        centred = y - self._centre(y)
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             kernel = self.kernel.clone()
@@ -560,57 +509,44 @@ class GaussianProcess:
     def _centre(self, y: np.ndarray) -> float:
         return float(np.mean(y)) if self.center_targets else 0.0
 
+    def _cholesky(self, K: np.ndarray, kernel: Kernel) -> np.ndarray:
+        """Cholesky factor of ``K`` (built by ``kernel``) plus its noise; counted."""
+        K = K + self._noise_under(kernel) * np.eye(K.shape[0])
+        self.op_counts["cholesky"] += 1
+        L, _ = jittered_cholesky(K)
+        return L
+
     def _factorise(
         self, K: np.ndarray, kernel: Kernel, centred: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """``(K^{-1}, alpha, log|K|)`` of ``K`` (built by ``kernel``) plus its noise.
 
         The one factorisation behind a refit from scratch and every likelihood
-        evaluation of a fit.  It counts an ``op_counts["cholesky"]`` and
-        assigns nothing else on the model.
+        evaluation of a fit; it assigns nothing on the model.
         """
-        K = K + self._noise_under(kernel) * np.eye(K.shape[0])
-        self.op_counts["cholesky"] += 1
-        L, _ = jittered_cholesky(K)
+        L = self._cholesky(K, kernel)
         K_inv = inverse_from_cholesky(L)
         return K_inv, K_inv @ centred, log_det_from_cholesky(L)
 
-    def _fresh_state(
-        self, X: np.ndarray, y: np.ndarray, kernel: Optional[Kernel] = None
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """``(K^{-1}, alpha, log|K|, offset)`` of a refit from scratch on ``X``, ``y``.
-
-        Under ``kernel`` (default: the live one); assigns nothing on the model.
-        """
-        kernel = self.kernel if kernel is None else kernel
+    def _refit(self, X: np.ndarray, y: np.ndarray, kernel: Kernel, version: int) -> GPState:
+        """The state a refit from scratch on ``X``, ``y`` under ``kernel`` commits."""
         offset = self._centre(y)
-        return (*self._factorise(kernel(X, X), kernel, y - offset), offset)
+        K_inv, alpha, log_det = self._factorise(kernel(X, X), kernel, y - offset)
+        return GPState(X, y, offset, K_inv, alpha, log_det, 0, kernel, version)
 
-    def _commit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        K_inv: np.ndarray,
-        alpha: np.ndarray,
-        log_det: Optional[float],
-        offset: float,
-        adds_since_refresh: int,
-    ) -> None:
-        """Install a complete model state and move :attr:`version` once."""
-        self._X, self._y = X, y
-        self._K_inv, self._alpha, self._log_det = K_inv, alpha, log_det
-        self._offset = offset
-        self._adds_since_refresh = adds_since_refresh
-        self._version += 1
+    def _log_det(self, state: GPState) -> float:
+        """``state.log_det``, filled in by one counted Cholesky of its ``K`` on first need."""
+        with self._update_lock:
+            if state.log_det is None:
+                L = self._cholesky(state.kernel(state.X, state.X), state.kernel)
+                object.__setattr__(state, "log_det", log_det_from_cholesky(L))
+        return state.log_det
 
-    def _refresh_log_det(self) -> None:
-        K = self.kernel(self._X, self._X) + self.effective_noise() * np.eye(self._X.shape[0])
-        L, _ = jittered_cholesky(K)
-        self._log_det = log_det_from_cholesky(L)
-
-    def _require_trained(self) -> None:
-        if self._X is None:
+    def _trained(self) -> GPState:
+        state = self._state
+        if state is None:
             raise NotTrainedError("the GP has no training data yet")
+        return state
 
     def __repr__(self) -> str:
         return (

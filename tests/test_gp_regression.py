@@ -107,14 +107,27 @@ class TestIncrementalUpdates:
         with pytest.raises(GPError):
             gp.add_point(np.array([1.0]), 0.0)
 
+    def test_state_arrays_are_read_only(self):
+        X, y = make_training_data(n=10, seed=3)
+        gp = GaussianProcess().fit(X[:8], y[:8])
+        gp.add_points(X[8:], y[8:])
+        state = gp.snapshot()
+        for array in (state.X, state.y, state.K_inv, state.alpha):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # The public accessors hand out writable copies.
+        for array in (gp.X_train, gp.y_train, gp.K_inv, gp.alpha):
+            array[0] = 0.0
+        assert np.array_equal(state.X, X)
+
     def test_periodic_refresh(self):
         gp = GaussianProcess(refresh_every=5)
         rng = np.random.default_rng(3)
         for i in range(12):
             gp.add_point(rng.uniform(0, 5, size=1), float(i))
         assert gp.n_training == 12
-        # After the refresh the internal counter is reset.
-        assert gp._adds_since_refresh < 5
+        # After the refresh the committed state's counter is reset.
+        assert gp.snapshot().adds_since_refresh < 5
 
 
 class TestLikelihood:
@@ -126,6 +139,21 @@ class TestLikelihood:
         sign, logdet = np.linalg.slogdet(K)
         expected = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet - 6 * np.log(2 * np.pi)
         assert gp.log_marginal_likelihood() == pytest.approx(expected, rel=1e-6)
+
+    def test_log_det_after_an_add_is_one_counted_factorisation(self):
+        X, y = make_training_data(n=11, seed=4)
+        gp = GaussianProcess().fit(X[:10], y[:10])
+        gp.add_point(X[10], y[10])
+        assert gp.snapshot().log_det is None
+        choleskies = gp.op_counts["cholesky"]
+        first = gp.log_marginal_likelihood()
+        assert gp.op_counts["cholesky"] == choleskies + 1
+        assert gp.log_marginal_likelihood() == first
+        assert gp.op_counts["cholesky"] == choleskies + 1
+        # Bitwise the factorisation of the whole noise-augmented K.
+        K = gp.kernel(X, X) + gp.effective_noise() * np.eye(11)
+        L, _ = regression.jittered_cholesky(K)
+        assert gp.snapshot().log_det == regression.log_det_from_cholesky(L)
 
     def test_gradient_matches_finite_differences(self):
         X, y = make_training_data(n=15, seed=5)
@@ -178,31 +206,47 @@ class TestPosteriorSampling:
 
 
 def _full_state(gp: GaussianProcess) -> tuple:
-    """Every array and scalar of the model's state, as bytes, plus its version."""
+    """Every array and scalar of the model's state, as bytes, plus its version
+    and the live kernel's hyperparameters."""
+    state = gp.snapshot()
     return (
         gp.X_train.tobytes(),
         gp.y_train.tobytes(),
         gp.K_inv.tobytes(),
         gp.alpha.tobytes(),
         np.float64(gp.mean_offset).tobytes(),
-        repr(gp._log_det),
-        gp._adds_since_refresh,
+        repr(state.log_det),
+        state.adds_since_refresh,
         gp.version,
+        gp.kernel.theta.tobytes(),
     )
 
 
-def _add(gp: GaussianProcess, method: str, X: np.ndarray, y: np.ndarray) -> None:
+def _mutate(gp: GaussianProcess, method: str, X: np.ndarray, y: np.ndarray) -> None:
     if method == "add_point":
         gp.add_point(X[0], float(y[0]))
-    else:
+    elif method == "add_points":
         gp.add_points(X, y)
+    elif method == "fit":
+        gp.fit(np.vstack([gp.X_train, X]), np.append(gp.y_train, y))
+    else:
+        gp.set_hyperparameters(gp.kernel.theta + 0.1)
 
 
 _UPDATES = {"add_point": "block_inverse_update", "add_points": "block_inverse_update_multi"}
+_REFITS = ["jittered_cholesky", "inverse_from_cholesky"]
+#: Every mutator with every LAPACK-backed helper it calls (an add reaches
+#: the refit helpers through its periodic refresh).
+_MUTATOR_HELPERS = [
+    *[("fit", helper) for helper in _REFITS],
+    *[(method, helper) for method in _UPDATES for helper in [_UPDATES[method], *_REFITS]],
+    *[("set_hyperparameters", helper) for helper in _REFITS],
+]
 
 
 class TestFailedAdd:
-    """An add whose refit raises leaves the model, version included, as it was."""
+    """A mutation whose update or refit raises leaves the model, version included,
+    as it was."""
 
     @staticmethod
     def _model(refresh_every: int = 64) -> tuple[GaussianProcess, np.ndarray, np.ndarray]:
@@ -227,7 +271,7 @@ class TestFailedAdd:
             self._fail(patch, _UPDATES[method])
             self._fail(patch, "jittered_cholesky")
             with pytest.raises(GPError, match="jittered_cholesky"):
-                _add(gp, method, X_new, y_new)
+                _mutate(gp, method, X_new, y_new)
         assert _full_state(gp) == before
         mean, std = gp.predict(X_test)
         assert mean.tobytes() == expected[0].tobytes()
@@ -240,25 +284,31 @@ class TestFailedAdd:
         with monkeypatch.context() as patch:
             self._fail(patch, "jittered_cholesky")
             with pytest.raises(GPError, match="jittered_cholesky"):
-                _add(gp, method, X_new, y_new)
+                _mutate(gp, method, X_new, y_new)
         assert _full_state(gp) == before
         gp.predict(X_new)
 
-    @pytest.mark.parametrize("method", ["add_point", "add_points"])
+    @pytest.mark.parametrize("method, helper", _MUTATOR_HELPERS)
     def test_update_that_raises_otherwise_propagates_and_changes_nothing(
-        self, method, monkeypatch
+        self, method, helper, monkeypatch
     ):
-        gp, X_new, y_new = self._model()
-        before = _full_state(gp)
+        gp, X_new, y_new = self._model(refresh_every=1 if helper in _REFITS else 64)
+        state, before = gp.snapshot(), _full_state(gp)
+        X_test = np.linspace(0.0, 5.0, 7).reshape(-1, 1)
+        expected = gp.predict(X_test)
 
         def broken(*args, **kwargs):
-            raise FloatingPointError("injected")
+            raise FloatingPointError(f"injected in {helper}")
 
         with monkeypatch.context() as patch:
-            patch.setattr(regression, _UPDATES[method], broken)
-            with pytest.raises(FloatingPointError):
-                _add(gp, method, X_new, y_new)
+            patch.setattr(regression, helper, broken)
+            with pytest.raises(FloatingPointError, match=helper):
+                _mutate(gp, method, X_new, y_new)
+        assert gp.snapshot() is state
         assert _full_state(gp) == before
+        mean, std = gp.predict(X_test)
+        assert mean.tobytes() == expected[0].tobytes()
+        assert std.tobytes() == expected[1].tobytes()
 
     @pytest.mark.parametrize("method", ["add_point", "add_points"])
     def test_fallback_commits_a_fresh_fit_and_moves_the_version_once(
@@ -268,7 +318,7 @@ class TestFailedAdd:
         version = gp.version
         n = 1 if method == "add_point" else len(y_new)
         self._fail(monkeypatch, _UPDATES[method])
-        _add(gp, method, X_new, y_new)
+        _mutate(gp, method, X_new, y_new)
         fresh = GaussianProcess().fit(gp.X_train, gp.y_train)
         assert gp.n_training == 6 + n
         assert _full_state(gp)[:7] == _full_state(fresh)[:7]
@@ -278,7 +328,7 @@ class TestFailedAdd:
     def test_refresh_commits_a_fresh_fit_and_moves_the_version_once(self, method):
         gp, X_new, y_new = self._model(refresh_every=1)
         version, updates = gp.version, dict(gp.op_counts)
-        _add(gp, method, X_new, y_new)
+        _mutate(gp, method, X_new, y_new)
         fresh = GaussianProcess().fit(gp.X_train, gp.y_train)
         assert _full_state(gp)[:7] == _full_state(fresh)[:7]
         assert gp.version == version + 1

@@ -135,7 +135,7 @@ def _model_state(gp: GaussianProcess) -> tuple:
         np.array([gp.kernel.signal_std, gp.kernel.lengthscale]).tobytes(),
         gp.K_inv.tobytes(),
         gp.alpha.tobytes(),
-        np.float64(gp._log_det).tobytes(),
+        np.float64(gp.snapshot().log_det).tobytes(),
         np.float64(gp.mean_offset).tobytes(),
         gp.version,
     )

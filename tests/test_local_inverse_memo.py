@@ -1,8 +1,9 @@
-"""Contract of the per-model-version local-inverse memo on the stock path.
+"""Contract of the per-state local-inverse memo on the stock path.
 
 :meth:`repro.gp.regression.GaussianProcess.local_inverse` keeps the ``O(l^3)``
-inverse :meth:`LocalInferenceEngine.predict` needs for as long as the model's
-``version`` stands still.  What must hold: every mutation recomputes, an
+inverse :meth:`LocalInferenceEngine.predict` needs on the committed
+:class:`~repro.gp.regression.GPState`, for as long as the model commits no
+other.  What must hold: every mutation recomputes, an
 unmoved model factorises once, the memo changes no number, nothing of it
 crosses a pickle, and it stays under its cap.
 """
@@ -193,9 +194,10 @@ def test_the_memo_changes_no_number_where_blas_switches_kernels(function, n_trai
     _assert_memo_free_equal(gp, [s for samples in sample_sets for s in (samples, samples)])
 
 
-def test_a_version_that_moves_during_the_build_files_nothing(monkeypatch):
+def test_a_build_across_a_mutation_files_on_the_state_it_read(monkeypatch):
     gp, rng = _model()
     selected = np.arange(10)
+    state = gp.snapshot()
     original = regression.inverse_from_cholesky
 
     def mutating(L):
@@ -204,25 +206,33 @@ def test_a_version_that_moves_during_the_build_files_nothing(monkeypatch):
         return original(L)
 
     monkeypatch.setattr(regression, "inverse_from_cholesky", mutating)
-    gp.local_inverse(selected)
-    assert gp._local_inverses[1] == {}
+    built = gp.local_inverse(selected)
+    assert gp.snapshot() is not state
+    assert gp.snapshot().local_inverses == {}
+    assert state.local_inverses == {selected.tobytes(): built}
+    # ... and what it filed is the inverse of the rows it was built from.
+    X_local = state.X[selected]
+    K_local = gp.kernel(X_local, X_local) + gp.effective_noise() * np.eye(selected.size)
+    direct = linalg.inverse_from_cholesky(linalg.jittered_cholesky(K_local)[0])
+    assert np.array_equal(built, direct)
 
 
 def test_pickles_carry_no_entries():
     gp, rng = _model()
     _predict(gp, _samples(rng))
-    assert len(gp._local_inverses[1]) == 1
+    assert len(gp.snapshot().local_inverses) == 1
     copy = pickle.loads(pickle.dumps(gp))
-    assert copy._local_inverses == (gp.version, {})
-    assert len(gp._local_inverses[1]) == 1  # pickling leaves the original's alone
+    assert copy.version == gp.version
+    assert copy.snapshot().local_inverses == {}
+    assert len(gp.snapshot().local_inverses) == 1  # pickling leaves the original's alone
 
     udf = reference_function("F1")
     processor = OLGAPRO(udf, AccuracyRequirement(0.2, 0.05), n_samples=64, random_state=0)
     for dist in input_stream(workload_for_udf(udf), 3, random_state=np.random.default_rng(1)):
         processor.process(dist)
-    assert processor.emulator.gp._local_inverses[1]
+    assert processor.emulator.gp.snapshot().local_inverses
     shipped = pickle.loads(pickle.dumps(processor))
-    assert shipped.emulator.gp._local_inverses[1] == {}
+    assert shipped.emulator.gp.snapshot().local_inverses == {}
 
 
 def test_the_cap_holds_on_a_quiet_stream(monkeypatch, factorisations):
@@ -236,7 +246,7 @@ def test_the_cap_holds_on_a_quiet_stream(monkeypatch, factorisations):
         # Runs of neighbouring tuples, as a scan over clustered data produces.
         samples = rng.normal(loc=centres[(i // 10) % 6], scale=0.05, size=(40, 2))
         subsets.add(_predict(gp, samples).selected_indices.tobytes())
-        memo = gp._local_inverses[1]
+        memo = gp.snapshot().local_inverses
         assert sum(entry.size for entry in memo.values()) <= cap
     assert gp.version == version
     assert len(subsets) > 3, "the stream never had to evict"

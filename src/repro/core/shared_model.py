@@ -19,8 +19,12 @@ shared model**:
 - :class:`SharedModelManager` / :func:`serve_shared_store` — a lightweight
   model-server endpoint for process-pool shards: the authoritative store
   lives in a manager process and workers exchange rows through a picklable
-  proxy.  Thread-level consumers (pipeline walks, the serving layer) use
-  the store object directly.
+  proxy.  Each process runs one server, forked by its first shared query
+  and kept for later ones (replaced if it died, never inherited by a forked
+  child, shut down at interpreter exit); each query takes a fresh store
+  from it, which the server drops when the query's last proxy is gone.
+  Thread-level consumers (pipeline walks, the serving layer) use the store
+  object directly.
 
 Values absorbed from the store are never re-charged to the UDF — the
 learner that evaluated them already paid — so exact charge accounting is
@@ -30,6 +34,7 @@ it.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from multiprocessing.managers import BaseManager
@@ -359,15 +364,30 @@ class SharedModelManager(BaseManager):
 
 SharedModelManager.register("SharedEmulatorStore", SharedEmulatorStore)
 
+_server_lock = threading.Lock()
+#: ``(pid, manager)`` of this process's model server, once one has started.
+_server: Optional[tuple[int, SharedModelManager]] = None
 
-def serve_shared_store() -> "tuple[SharedModelManager, SharedEmulatorStore]":
-    """Start a model-server process and return ``(manager, store_proxy)``.
 
-    The proxy behaves like a :class:`SharedEmulatorStore` and survives
-    pickling into pool workers.  Callers own the manager's lifetime:
-    ``manager.shutdown()`` when the run completes.
+def serve_shared_store() -> SharedEmulatorStore:
+    """A fresh store proxy on this process's model server.
+
+    The first call forks the server; later calls reuse it, and a call that
+    finds it dead starts a replacement.  A forked child never reuses its
+    parent's server.  The proxy behaves like a :class:`SharedEmulatorStore`
+    and survives pickling into pool workers; the server drops the store
+    once the last proxy to it is gone, and the server itself shuts down at
+    interpreter exit through the finalizer :mod:`multiprocessing` registers
+    when it starts.
     """
-    manager = SharedModelManager()
-    manager.start()
-    store = manager.SharedEmulatorStore()  # type: ignore[attr-defined]
-    return manager, store
+    global _server
+    with _server_lock:
+        if _server is not None and _server[0] == os.getpid():
+            try:
+                return _server[1].SharedEmulatorStore()  # type: ignore[attr-defined]
+            except (OSError, EOFError):  # the server died: reap it, start anew
+                _server[1].shutdown()
+        manager = SharedModelManager()
+        manager.start()
+        _server = (os.getpid(), manager)
+        return manager.SharedEmulatorStore()  # type: ignore[attr-defined]

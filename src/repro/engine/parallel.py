@@ -15,10 +15,11 @@ shards trivially.  :class:`ParallelExecutor` therefore
    so the payload is the training rows and the model) — together with the
    shard's :class:`~repro.engine.plan.ExecutionPlan` (the plan with its
    sharding fields cleared) as the snapshot every worker starts from,
-3. resolves that plan inside a
-   :class:`concurrent.futures.ProcessPoolExecutor` worker, one executor per
-   shard, each shard drawing from its own :func:`~repro.rng.spawn_keyed`
-   random stream, and
+3. resolves that plan inside a worker of a
+   :class:`concurrent.futures.ProcessPoolExecutor`, one executor per shard,
+   each shard drawing from its own :func:`~repro.rng.spawn_keyed` random
+   stream — the pool is forked once per worker count and kept warm between
+   queries (see *Process lifetime* below), and
 4. merges shard outputs (always in shard order) back into the parent; what
    the workers *learned* follows the *merge policy*.
 
@@ -35,11 +36,13 @@ Merge policies
     ``(seed, batch_size)`` — invariant to the worker count.
 ``"shared"``
     The **live shared model**: instead of every worker relearning the
-    emulator from scratch, a
-    :class:`~repro.core.shared_model.SharedEmulatorStore` is served from a
-    model-server endpoint on the parent
-    (:func:`~repro.core.shared_model.serve_shared_store`), seeded with the
-    parent's current training matrix.  Each worker binds an
+    emulator from scratch, the query takes a fresh
+    :class:`~repro.core.shared_model.SharedEmulatorStore` from the
+    process's model server
+    (:func:`~repro.core.shared_model.serve_shared_store`, started by the
+    first shared query and kept for later ones), seeded with the parent's
+    current training matrix and released when the query ends.  Each
+    worker binds an
     :class:`~repro.core.shared_model.EmulatorSync` to its private emulator:
     a cold worker seeds itself from the store (the *first* worker pays for
     the one initial design, the rest absorb it for zero UDF calls), and
@@ -63,6 +66,19 @@ keyed shard streams; see :mod:`repro.rng` for the full contract.  Worker
 failures — a UDF raising inside the black box, an unpicklable engine, or a
 crashed pool process — surface as :class:`~repro.exceptions.QueryError`.
 
+Process lifetime
+----------------
+Forking a pool costs a copy of the interpreter per worker plus the
+copy-on-write faults the children then take, so pools outlive queries: a
+query takes an idle pool of ``workers`` processes (forking one only when
+none is idle) and gives it back when its round ends.  Two concurrent
+queries each run on a pool of their own; at most one idle pool per worker
+count is kept, and any extra is shut down.  A pool whose worker died is
+shut down, never given back, so a retry round always forks a fresh one.
+Pools belong to the process that forked them — a forked child starts with
+none — and close at interpreter exit.  Nothing a shard computes depends on
+which process runs it: each shard reads only the query's pickled snapshot.
+
 Hiding UDF latency inside a shard
 ---------------------------------
 Sharding overlaps *whole shards* across processes; with a black box whose
@@ -81,8 +97,10 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+import threading
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from multiprocessing import util as mp_util
 from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 from repro.core.filtering import SelectionPredicate
@@ -113,6 +131,73 @@ def default_worker_count(scale: float = 1.0) -> int:
     to keep the CPUs busy.
     """
     return max(1, round((os.cpu_count() or 1) * scale))
+
+
+class _IdlePools:
+    """The process pools kept warm between sharded queries.
+
+    At most one idle pool per worker count.  :meth:`take` hands a query an
+    idle pool, forking a new one when none is idle (or a concurrent query
+    holds it); :meth:`give_back` keeps it for the next query unless a pool
+    of that size is already idle or a worker of it died.  The pools belong
+    to the process that forked them: a forked child sees none of its
+    parent's.  :mod:`concurrent.futures` closes them at interpreter exit; a
+    :mod:`multiprocessing` child exits through ``os._exit`` after joining
+    its children instead, so :meth:`close` is also registered as a
+    multiprocessing exit finalizer — without it such a child would wait on
+    its idle workers forever.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pid: Optional[int] = None
+        self._idle: dict[int, ProcessPoolExecutor] = {}
+
+    def _own(self) -> None:
+        """Forget another process's pools; register the exit close once (lock held)."""
+        if self._pid != os.getpid():
+            self._pid, self._idle = os.getpid(), {}
+            # Above the priority (10) at which each pool's call queue stops
+            # its feeder thread: shutting down after that would leave the
+            # workers' stop sentinels unsent.
+            mp_util.Finalize(None, self.close, exitpriority=20)
+
+    def take(self, workers: int) -> ProcessPoolExecutor:
+        """An idle pool of ``workers`` processes, or a newly forked one."""
+        with self._lock:
+            self._own()
+            pool = self._idle.pop(workers, None)
+        if pool is not None and not _broken(pool):
+            return pool
+        if pool is not None:  # a worker died while the pool sat idle
+            pool.shutdown()
+        return ProcessPoolExecutor(max_workers=workers)
+
+    def give_back(self, workers: int, pool: ProcessPoolExecutor) -> None:
+        """Keep an idle, healthy ``pool`` for the next query; shut it down otherwise."""
+        if not _broken(pool):
+            with self._lock:
+                self._own()
+                if workers not in self._idle:
+                    self._idle[workers] = pool
+                    return
+        pool.shutdown()
+
+    def close(self) -> None:
+        """Shut down every idle pool of this process."""
+        with self._lock:
+            pools = list(self._idle.values()) if self._pid == os.getpid() else []
+            self._idle = {}
+        for pool in pools:
+            pool.shutdown()
+
+
+def _broken(pool: ProcessPoolExecutor) -> bool:
+    """Whether a worker of ``pool`` died: such a pool accepts no more work."""
+    return bool(pool._broken)  # type: ignore[attr-defined]
+
+
+_POOLS = _IdlePools()
 
 
 @dataclass
@@ -170,10 +255,15 @@ def _run_shard(
             max_training_points=int(olgapro.max_training_points),
             timings=executor.timings,
         )
-    if predicate is None:
-        outputs = executor.compute_batch(udf, list(distributions))
-    else:
-        outputs = executor.compute_batch_with_predicate(udf, list(distributions), predicate)
+    try:
+        if predicate is None:
+            outputs = executor.compute_batch(udf, list(distributions))
+        else:
+            outputs = executor.compute_batch_with_predicate(udf, list(distributions), predicate)
+    finally:
+        if olgapro is not None:
+            # The worker outlives the shard: drop its hold on the query's store.
+            olgapro.model_sync = None
     return ShardResult(
         shard_index=shard_index,
         outputs=outputs,
@@ -229,7 +319,7 @@ class ParallelExecutor:
     """
 
     def __init__(self, engine: UDFExecutionEngine, plan: "ExecutionPlan"):
-        """Bind the engine and the plan; no pool is created until a compute call."""
+        """Bind the engine and the plan; no pool is taken until a compute call."""
         self.engine = engine
         self.plan = plan
         self.workers = plan.workers
@@ -300,7 +390,7 @@ class ParallelExecutor:
         self, udf: UDF, distributions: list[Distribution], predicate
     ) -> list[ComputedOutput]:
         if not distributions:
-            # An empty relation is a legal query input: no pool is spun up
+            # An empty relation is a legal query input: no pool is taken
             # and no shard runs.  The shards' chunk executor, run on no
             # input (no side effects), reports the (zero) phase set a shard
             # would, so timing consumers never miss a phase.
@@ -324,12 +414,13 @@ class ParallelExecutor:
                 f"(snapshot for worker processes): {exc}"
             ) from exc
 
-        shared_manager = None
         shared_store = None
         if self.merge == "shared" and self.engine.strategy != "mc":
             from repro.core.shared_model import serve_shared_store
 
-            shared_manager, shared_store = serve_shared_store()
+            # A fresh store on the process's model server; the last proxy to
+            # it goes when this call returns, and the server drops the store.
+            shared_store = serve_shared_store()
             olgapro = self.engine.olgapro_for(udf, create=False)
             emulator = olgapro.emulator if olgapro is not None else None
             if emulator is not None and emulator.n_training:
@@ -340,43 +431,39 @@ class ParallelExecutor:
                 if emulator._trained_hyperparameters:
                     shared_store.publish_hyperparameters(emulator.gp.kernel.theta)
 
-        try:
-            shards = list(iter_batches(distributions, self.batch_size))
-            results_by_shard: dict[int, ShardResult] = {}
-            retry = self.plan.retry
-            shard_attempts = 1 if retry is None else int(retry.shard_attempts)
-            pending = list(range(len(shards)))
-            attempt = 0
-            while pending:
-                attempt += 1
-                crashed = self._run_round(
-                    pending, shards, payload, base_seed, predicate, results_by_shard,
-                    shared_store,
+        shards = list(iter_batches(distributions, self.batch_size))
+        results_by_shard: dict[int, ShardResult] = {}
+        retry = self.plan.retry
+        shard_attempts = 1 if retry is None else int(retry.shard_attempts)
+        pending = list(range(len(shards)))
+        attempt = 0
+        while pending:
+            attempt += 1
+            crashed = self._run_round(
+                pending, shards, payload, base_seed, predicate, results_by_shard,
+                shared_store,
+            )
+            if crashed and attempt >= shard_attempts:
+                raise self._shard_failure(
+                    crashed[0],
+                    len(distributions),
+                    base_seed,
+                    f"worker process died and the shard still failed after "
+                    f"{attempt} attempt(s) (pool crash; raise "
+                    f"retry.shard_attempts to re-execute the shard more times)",
                 )
-                if crashed and attempt >= shard_attempts:
-                    raise self._shard_failure(
-                        crashed[0],
-                        len(distributions),
-                        base_seed,
-                        f"worker process died and the shard still failed after "
-                        f"{attempt} attempt(s) (pool crash; raise "
-                        f"retry.shard_attempts to re-execute the shard more times)",
-                    )
-                pending = crashed
+            pending = crashed
 
-            outputs: list[ComputedOutput] = []
-            results = [results_by_shard[i] for i in range(len(shards))]  # shard order
-            for result in results:
-                outputs.extend(result.outputs)
-                self.timings.merge(result.timings)
-                udf.absorb_charges(result.udf_calls, result.udf_real_time)
-            self.last_merged_points = 0
-            self.last_dropped_points = 0
-            if self.merge == "shared":
-                self._refresh_parent_from_store(udf, shared_store)
-        finally:
-            if shared_manager is not None:
-                shared_manager.shutdown()
+        outputs: list[ComputedOutput] = []
+        results = [results_by_shard[i] for i in range(len(shards))]  # shard order
+        for result in results:
+            outputs.extend(result.outputs)
+            self.timings.merge(result.timings)
+            udf.absorb_charges(result.udf_calls, result.udf_real_time)
+        self.last_merged_points = 0
+        self.last_dropped_points = 0
+        if self.merge == "shared":
+            self._refresh_parent_from_store(udf, shared_store)
         return outputs
 
     def _run_round(
@@ -398,48 +485,53 @@ class ParallelExecutor:
         *in-process* failure (a UDF raising inside the black box) is not
         retryable at shard granularity — the per-call retry policy already
         ran inside the worker — and raises a typed
-        :class:`~repro.exceptions.ShardFailureError` immediately.  Each
-        round uses a fresh pool: a crashed :class:`ProcessPoolExecutor` is
-        permanently broken and cannot accept resubmissions.
+        :class:`~repro.exceptions.ShardFailureError` immediately, once the
+        round's other shards are cancelled or done.  The round takes a warm
+        pool and gives it back idle; a pool that reported a crash is shut
+        down instead, because a broken :class:`ProcessPoolExecutor` accepts
+        no resubmissions — so a retry round always forks a fresh one.
         """
         n_tuples = sum(len(shard) for shard in shards)
         crashed: list[int] = []
+        futures: dict = {}
+        pool = _POOLS.take(self.workers)
         try:
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
-                futures = {
-                    i: pool.submit(
-                        _run_shard, payload, i, shards[i], base_seed, predicate,
-                        shared_store,
-                    )
-                    for i in pending
-                }
-                try:
-                    for i, future in futures.items():
-                        try:
-                            results_by_shard[i] = future.result()
-                        except BrokenExecutor:
-                            # The pool is dead: this shard (and every other
-                            # still-outstanding one, which fails the same
-                            # way) goes back to the recovery loop.
-                            crashed.append(i)
-                        except QueryError:
-                            raise
-                        except Exception as exc:  # ReproError from the black box included
-                            raise self._shard_failure(
-                                i, n_tuples, base_seed, exc
-                            ) from exc
-                except QueryError:
-                    # Fail fast: drop every shard still queued so the typed
-                    # error is not delayed behind the remaining real-cost UDF
-                    # work (the with-block's shutdown waits for running ones).
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-        except QueryError:
-            raise
+            futures = {
+                i: pool.submit(
+                    _run_shard, payload, i, shards[i], base_seed, predicate, shared_store,
+                )
+                for i in pending
+            }
+            try:
+                for i, future in futures.items():
+                    try:
+                        results_by_shard[i] = future.result()
+                    except BrokenExecutor:
+                        # The pool is dead: this shard (and every other
+                        # still-outstanding one, which fails the same way)
+                        # goes back to the recovery loop.
+                        crashed.append(i)
+                    except QueryError:
+                        raise
+                    except Exception as exc:  # ReproError from the black box included
+                        raise self._shard_failure(i, n_tuples, base_seed, exc) from exc
+            except QueryError:
+                # Fail fast: drop this round's shards still queued, so the
+                # typed error is not delayed behind the remaining real-cost
+                # UDF work, and wait out the ones already running.
+                for future in futures.values():
+                    future.cancel()
+                wait(futures.values())
+                raise
         except BrokenExecutor:
-            # The crash surfaced at pool shutdown rather than through a
-            # future: everything not yet collected goes back to the loop.
+            # The pool broke while shards were being submitted: everything
+            # not yet collected goes back to the loop.
             crashed = [i for i in pending if i not in results_by_shard]
+        finally:
+            if all(future.done() for future in futures.values()):
+                _POOLS.give_back(self.workers, pool)
+            else:  # interrupted mid-round: the pool is not idle
+                pool.shutdown(wait=False, cancel_futures=True)
         return crashed
 
     def _shard_failure(

@@ -9,16 +9,29 @@ Contracts under test (see :mod:`repro.engine.parallel` and :mod:`repro.rng`):
 * ``"discard"`` leaves the parent model untouched, ``"shared"`` warms it
   from the live store;
 * worker failures — black-box exceptions, unpicklable state, dead pool
-  processes — surface as typed :class:`~repro.exceptions.QueryError`\\ s.
+  processes — surface as typed :class:`~repro.exceptions.QueryError`\\ s;
+* worker pools and the model server outlive a query: later queries run on
+  the same processes (concurrent ones on pools of their own) with outputs
+  unchanged, a dead server is replaced, and nothing outlives the process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.core import shared_model
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.filtering import SelectionPredicate
 from repro.engine import (
@@ -26,6 +39,7 @@ from repro.engine import (
     Query,
     UDFExecutionEngine,
     generate_galaxy_relation,
+    parallel,
 )
 from repro.exceptions import QueryError
 from repro.udf.base import UDF
@@ -116,8 +130,9 @@ def test_workers_1_discard_restores_an_existing_model():
 # workers >= 2: shard invariance and merge policies
 # ---------------------------------------------------------------------------
 
-def _sharded_run(workers, merge="discard", batch_size=4, **kwargs):
-    udf, engine, dists = _fixture("gp", **kwargs)
+def _sharded_run(workers, merge="discard", batch_size=4, udf=None, **kwargs):
+    fixture_udf, engine, dists = _fixture("gp", **kwargs)
+    udf = fixture_udf if udf is None else udf
     executor = ExecutionPlan(
         workers=workers, batch_size=batch_size, merge=merge, parallel_seed=99
     ).resolve(engine)
@@ -458,3 +473,183 @@ def test_unpicklable_udf_surfaces_as_query_error():
     executor = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1).resolve(engine)
     with pytest.raises(QueryError, match="picklable"):
         executor.compute_batch(udf, dists)
+
+
+# ---------------------------------------------------------------------------
+# Warm processes: the worker pool and the model server outlive a query
+# ---------------------------------------------------------------------------
+
+def _assert_bitwise(a_outputs, b_outputs):
+    assert len(a_outputs) == len(b_outputs)
+    for i, (a, b) in enumerate(zip(a_outputs, b_outputs)):
+        assert np.array_equal(a.distribution.samples, b.distribution.samples), i
+        assert a.error_bound == b.error_bound, i
+        assert a.existence_probability == b.existence_probability, i
+
+
+class _RecordPid:
+    """A two-input black box that leaves the id of each process calling it in a folder."""
+
+    def __init__(self, folder: str) -> None:
+        self.folder = folder
+
+    def __call__(self, x):
+        Path(self.folder, str(os.getpid())).touch()
+        return float(np.sin(x[0]) + np.cos(x[1]))
+
+
+def _shard_pids(tmp_path, name, merge):
+    """The pids the shards of one ``workers=2`` query ran on."""
+    folder = tmp_path / name
+    folder.mkdir()
+    udf = UDF(_RecordPid(str(folder)), dimension=2, name="pid-recorder",
+              domain=(np.zeros(2), np.full(2, 10.0)))
+    _sharded_run(workers=2, merge=merge, udf=udf)
+    return {int(path.name) for path in folder.iterdir()}
+
+
+def _server_pid():
+    return shared_model._server[1]._process.pid
+
+
+def test_consecutive_queries_run_on_the_same_workers_and_server(tmp_path):
+    discard = _shard_pids(tmp_path, "discard", "discard")
+    shared = _shard_pids(tmp_path, "shared", "shared")
+    server = vars(shared_model).get("_server")
+    again = _shard_pids(tmp_path, "again", "shared")
+    # Three queries of three shards each, all on the pool's two workers.
+    assert len(discard | shared | again) <= 2
+    assert discard | shared | again <= set(parallel._POOLS._idle[2]._processes)
+    assert os.getpid() not in discard | shared | again
+    assert shared_model._server is server
+    assert server[1]._process.is_alive()
+
+
+def test_discard_on_warm_processes_matches_freshly_forked_ones():
+    # Warm the pool on other work first: a different merge, seed and stream.
+    _sharded_run(workers=2, merge="shared", seed=5, stream_seed=6)
+    warm, _, _, _ = _sharded_run(workers=2)
+    parallel._POOLS.close()
+    cold, _, _, _ = _sharded_run(workers=2)
+    _assert_bitwise(warm, cold)
+
+
+def test_concurrent_queries_take_pools_of_their_own(monkeypatch):
+    seeds = (31, 32)
+    sequential = {seed: _sharded_run(workers=2, seed=seed)[0] for seed in seeds}
+    taken = []
+    both_asking = threading.Barrier(len(seeds), timeout=30)
+    take = parallel._POOLS.take
+
+    def take_together(workers):
+        both_asking.wait()  # neither query holds a pool yet
+        pool = take(workers)
+        taken.append(pool)
+        return pool
+
+    monkeypatch.setattr(parallel._POOLS, "take", take_together)
+    concurrent = {}
+
+    def run(seed):
+        concurrent[seed] = _sharded_run(workers=2, seed=seed)[0]
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert len(taken) == 2 and taken[0] is not taken[1]
+    for seed in seeds:
+        _assert_bitwise(concurrent[seed], sequential[seed])
+    # One of the two pools is kept idle, the other was shut down.
+    assert parallel._POOLS._idle[2] in taken
+    assert sum(pool._processes is None for pool in taken) == 1
+
+
+def test_a_dead_model_server_is_replaced_by_the_next_shared_query():
+    _sharded_run(workers=2, merge="shared")
+    dead = shared_model._server[1]._process
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=10)
+    assert not dead.is_alive()
+    outputs, engine, udf, executor = _sharded_run(workers=2, merge="shared")
+    assert len(outputs) == 10
+    assert executor.last_merged_points > 0  # the parent absorbed the new server's store
+    assert _server_pid() != dead.pid
+
+
+def test_the_model_server_drops_each_query_store():
+    shared_model.serve_shared_store()  # the server is up; its store is dropped again
+    manager = shared_model._server[1]
+    baseline = manager._number_of_objects()
+    for seed in (41, 42, 43):
+        _sharded_run(workers=2, merge="shared", seed=seed)
+    # A worker drops its proxy just after it reports back.
+    deadline = time.monotonic() + 10
+    while manager._number_of_objects() != baseline and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert manager._number_of_objects() == baseline
+
+
+def _child_query(queue):
+    _sharded_run(workers=2, merge="shared")
+    queue.put((set(parallel._POOLS._idle[2]._processes), _server_pid()))
+
+
+def test_a_forked_child_forks_its_own_workers_and_server():
+    _sharded_run(workers=2, merge="shared")
+    parent_pool = set(parallel._POOLS._idle[2]._processes)
+    parent_server = _server_pid()
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_child_query, args=(queue,))
+    child.start()
+    child_pool, child_server = queue.get(timeout=120)
+    # The child exits, closing the pool and the server it forked.
+    child.join(timeout=30)
+    assert child.exitcode == 0
+    assert not child_pool & parent_pool
+    assert child_server != parent_server
+
+
+_ONE_SHARED_QUERY = """
+import time
+import numpy as np
+from repro.core.accuracy import AccuracyRequirement
+from repro.engine import ExecutionPlan, UDFExecutionEngine
+from repro.udf.synthetic import reference_function
+from repro.workloads.generators import input_stream, workload_for_udf
+
+udf = reference_function("F3", simulated_eval_time=0.0)
+engine = UDFExecutionEngine("gp", requirement=AccuracyRequirement(0.15, 0.05),
+                            random_state=3, n_samples=150)
+dists = list(input_stream(workload_for_udf(udf), 8, np.random.default_rng(3)))
+engine.compute_with_plan(udf, dists, ExecutionPlan(batch_size=4, workers=2, merge="shared"))
+print(time.time(), flush=True)
+"""
+
+
+def test_a_process_leaves_nothing_running_at_exit():
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    # A session of its own, so its process group holds it and all it forked.
+    process = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(_ONE_SHARED_QUERY)], env=env,
+        stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        # Stdout reaches EOF only once every process holding it is gone.
+        stdout, _ = process.communicate(timeout=120)
+        returned_at = float(stdout.split()[-1])
+        assert process.returncode == 0
+        assert time.time() - returned_at < 10
+        with pytest.raises(ProcessLookupError):
+            os.killpg(process.pid, 0)
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.communicate()

@@ -619,6 +619,17 @@ def test_dead_worker_without_retry_raises_shard_failure(tmp_path):
         executor.compute_batch(udf, _dists(udf, n_tuples=8))
 
 
+def test_the_query_after_a_worker_crash_runs_on_a_fresh_pool(tmp_path):
+    flag = str(tmp_path / "crashed-once")
+    udf = _crash_udf(flag)
+    plan = ExecutionPlan(workers=2, batch_size=4, parallel_seed=1)
+    with pytest.raises(QueryError, match="worker process died"):
+        plan.resolve(_engine(n_samples=150)).compute_batch(udf, _dists(udf, n_tuples=8))
+    assert os.path.exists(flag)  # the black box computes from now on
+    outputs = plan.resolve(_engine(n_samples=150)).compute_batch(udf, _dists(udf, n_tuples=8))
+    assert len(outputs) == 8
+
+
 def _exploding(x):
     raise RuntimeError("black box exploded")
 

@@ -276,20 +276,19 @@ def test_one_chunk_exchanges_at_every_tuple_boundary(knobs):
 # ---------------------------------------------------------------------------
 
 def test_manager_endpoint_serves_a_store_proxy():
-    manager, store = serve_shared_store()
-    try:
-        X = _rows(3)
-        assert store.append(X, _f(X)) == 3
-        version, remote_X, remote_y = store.fetch_since(0)
-        assert version == 3
-        assert np.array_equal(remote_X, X)
-        assert np.array_equal(remote_y, _f(X))
-        assert store.claim_initialization() is True
-        assert store.claim_initialization() is False
-        # A sync works identically through the proxy.
-        emulator = _emulator()
-        sync = EmulatorSync(store, emulator)
-        _, absorbed = sync.sync()
-        assert absorbed == 3
-    finally:
-        manager.shutdown()
+    store = serve_shared_store()
+    X = _rows(3)
+    assert store.append(X, _f(X)) == 3
+    version, remote_X, remote_y = store.fetch_since(0)
+    assert version == 3
+    assert np.array_equal(remote_X, X)
+    assert np.array_equal(remote_y, _f(X))
+    assert store.claim_initialization() is True
+    assert store.claim_initialization() is False
+    # A sync works identically through the proxy.
+    emulator = _emulator()
+    sync = EmulatorSync(store, emulator)
+    _, absorbed = sync.sync()
+    assert absorbed == 3
+    # Every call serves a fresh store from the same server.
+    assert serve_shared_store().current_version() == 0

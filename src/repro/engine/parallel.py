@@ -18,7 +18,7 @@ shards trivially.  :class:`ParallelExecutor` therefore
 3. resolves that plan inside a worker of a
    :class:`concurrent.futures.ProcessPoolExecutor`, one executor per shard,
    each shard drawing from its own :func:`~repro.rng.spawn_keyed` random
-   stream — the pool is forked once per worker count and kept warm between
+   stream — the pool is forked once per pool size and kept warm between
    queries (see *Process lifetime* below), and
 4. merges shard outputs (always in shard order) back into the parent; what
    the workers *learned* follows the *merge policy*.
@@ -70,14 +70,24 @@ Process lifetime
 ----------------
 Forking a pool costs a copy of the interpreter per worker plus the
 copy-on-write faults the children then take, so pools outlive queries: a
-query takes an idle pool of ``workers`` processes (forking one only when
-none is idle) and gives it back when its round ends.  Two concurrent
-queries each run on a pool of their own; at most one idle pool per worker
-count is kept, and any extra is shut down.  A pool whose worker died is
-shut down, never given back, so a retry round always forks a fresh one.
-Pools belong to the process that forked them — a forked child starts with
-none — and close at interpreter exit.  Nothing a shard computes depends on
-which process runs it: each shard reads only the query's pickled snapshot.
+query takes an idle pool that runs its shards ``min(workers, shards)`` at a
+time (forking one of that many processes only when none fits) and gives it
+back when its round ends.  Two concurrent queries each run on a pool of
+their own; at most one idle pool per pool size is kept, and any extra is
+shut down.  A pool whose worker died is shut down, never given back, and a
+retry round runs on a freshly forked pool.  Pools belong to the process
+that forked them — a forked child starts with none — and close at
+interpreter exit.  Idle pools are shut down before any pool or the model
+server is forked, so only the pools of concurrently running queries ever
+run beside a fork.
+
+A warm worker runs the modules as they were when its pool was forked;
+each shard reads the query's pickled snapshot, but a pickle refers to
+functions and classes by module and name.  A query whose pickles name
+``__main__`` — a script's or a notebook's own UDF, which may have been
+defined or redefined since — therefore runs on a freshly forked pool.
+Changes made after a fork to other modules (a monkeypatch), to
+``os.environ`` or to ``sys.path`` do not reach that pool's workers.
 
 Hiding UDF latency inside a shard
 ---------------------------------
@@ -136,58 +146,62 @@ def default_worker_count(scale: float = 1.0) -> int:
 class _IdlePools:
     """The process pools kept warm between sharded queries.
 
-    At most one idle pool per worker count.  :meth:`take` hands a query an
-    idle pool, forking a new one when none is idle (or a concurrent query
-    holds it); :meth:`give_back` keeps it for the next query unless a pool
-    of that size is already idle or a worker of it died.  The pools belong
-    to the process that forked them: a forked child sees none of its
-    parent's.  :mod:`concurrent.futures` closes them at interpreter exit; a
-    :mod:`multiprocessing` child exits through ``os._exit`` after joining
-    its children instead, so :meth:`close` is also registered as a
-    multiprocessing exit finalizer — without it such a child would wait on
-    its idle workers forever.
+    At most one idle pool per pool size.  :meth:`take` hands a query an
+    idle pool that runs its shards as many at a time as a pool of exactly
+    its size would, or forks a new one sized to the shards; :meth:`give_back`
+    keeps it for the next query unless a pool of that size is already idle
+    or a worker of it died.  Every fork happens once the idle pools are shut
+    down, so no pool thread of this module runs beside it: the threads a
+    forked child loses cannot hold a lock it needs.  A forked child starts
+    with no pools (see :func:`_forget_parent_pools`).  :mod:`concurrent.futures`
+    closes the pools at interpreter exit; a :mod:`multiprocessing` child exits
+    through ``os._exit`` after joining its children instead, so :meth:`close`
+    is also registered as a multiprocessing exit finalizer — without it such
+    a child would wait on its idle workers forever.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pid: Optional[int] = None
         self._idle: dict[int, ProcessPoolExecutor] = {}
+        self._finalizer: Optional[mp_util.Finalize] = None
 
-    def _own(self) -> None:
-        """Forget another process's pools; register the exit close once (lock held)."""
-        if self._pid != os.getpid():
-            self._pid, self._idle = os.getpid(), {}
-            # Above the priority (10) at which each pool's call queue stops
-            # its feeder thread: shutting down after that would leave the
-            # workers' stop sentinels unsent.
-            mp_util.Finalize(None, self.close, exitpriority=20)
+    def take(self, workers: int, shards: int, fresh: bool = False) -> ProcessPoolExecutor:
+        """A pool that runs ``shards`` shards ``min(workers, shards)`` at a time.
 
-    def take(self, workers: int) -> ProcessPoolExecutor:
-        """An idle pool of ``workers`` processes, or a newly forked one."""
+        An idle pool when one fits (the smallest); otherwise, or when
+        ``fresh`` is set, a newly forked pool of ``min(workers, shards)``
+        processes.
+        """
+        need = min(workers, shards)
         with self._lock:
-            self._own()
-            pool = self._idle.pop(workers, None)
+            fits = [] if fresh else [size for size in self._idle if min(size, shards) == need]
+            pool = self._idle.pop(min(fits)) if fits else None
         if pool is not None and not _broken(pool):
             return pool
         if pool is not None:  # a worker died while the pool sat idle
             pool.shutdown()
-        return ProcessPoolExecutor(max_workers=workers)
+        self.close()
+        return ProcessPoolExecutor(max_workers=need)
 
-    def give_back(self, workers: int, pool: ProcessPoolExecutor) -> None:
+    def give_back(self, pool: ProcessPoolExecutor) -> None:
         """Keep an idle, healthy ``pool`` for the next query; shut it down otherwise."""
+        size = pool._max_workers  # type: ignore[attr-defined]
         if not _broken(pool):
             with self._lock:
-                self._own()
-                if workers not in self._idle:
-                    self._idle[workers] = pool
+                if size not in self._idle:
+                    if self._finalizer is None:
+                        # Above the priority (10) at which each pool's call
+                        # queue stops its feeder thread: shutting down after
+                        # that would leave the workers' stop sentinels unsent.
+                        self._finalizer = mp_util.Finalize(None, self.close, exitpriority=20)
+                    self._idle[size] = pool
                     return
         pool.shutdown()
 
     def close(self) -> None:
-        """Shut down every idle pool of this process."""
+        """Shut down every idle pool."""
         with self._lock:
-            pools = list(self._idle.values()) if self._pid == os.getpid() else []
-            self._idle = {}
+            pools, self._idle = list(self._idle.values()), {}
         for pool in pools:
             pool.shutdown()
 
@@ -198,6 +212,23 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
 
 
 _POOLS = _IdlePools()
+
+
+def _forget_parent_pools() -> None:
+    """In a forked child: start with no pools, and never close the parent's.
+
+    The child's copies of the parent's pools drive the parent's workers, and
+    the lock may have been held by a thread the child does not have.  Under
+    a bare ``os.fork`` the parent's exit finalizer is inherited too; it is
+    cancelled so the child's exit leaves the parent's pools alone.
+    """
+    global _POOLS
+    if _POOLS._finalizer is not None:
+        _POOLS._finalizer.cancel()
+    _POOLS = _IdlePools()
+
+
+os.register_at_fork(after_in_child=_forget_parent_pools)
 
 
 @dataclass
@@ -216,18 +247,20 @@ class ShardResult:
 def _run_shard(
     payload: bytes,
     shard_index: int,
-    distributions: Sequence[Distribution],
+    inputs: bytes,
     base_seed: int,
-    predicate: Optional[SelectionPredicate],
     shared_store=None,
 ) -> ShardResult:
     """Pool-worker entry point: one shard through its resolved plan.
 
-    Unpickles a private copy of the engine snapshot, switches it onto the
-    shard's keyed random stream, and resolves the shipped shard plan
-    against it — exactly the executor the serial path would run for the
-    same knobs.  Runs in a separate process — everything touched here is a
-    copy, and everything returned is picked up by the parent.
+    Unpickles a private copy of the engine snapshot (``payload``: the
+    engine, the UDF and the shard plan) and the shard's ``inputs`` (its
+    input distributions and the selection predicate, or ``None``), switches
+    the engine onto the shard's keyed random stream, and resolves the
+    shipped shard plan against it — exactly the executor the serial path
+    would run for the same knobs.  Runs in a separate process — everything
+    touched here is a copy, and everything returned is picked up by the
+    parent.
 
     ``shared_store`` (a :class:`~repro.core.shared_model.SharedEmulatorStore`
     proxy, ``merge="shared"`` only) binds the shard's emulator to the live
@@ -237,6 +270,7 @@ def _run_shard(
     everything other shards already paid for.
     """
     engine, udf, plan = pickle.loads(payload)
+    distributions, predicate = pickle.loads(inputs)
     engine.reseed(spawn_keyed(base_seed, shard_index))
     calls_before = udf.call_count
     real_before = udf.real_time
@@ -406,21 +440,33 @@ class ParallelExecutor:
         base_seed = self.plan.parallel_seed
         if base_seed is None:
             base_seed = derive_seed(self.engine._rng)
+        shards = list(iter_batches(distributions, self.batch_size))
         try:
             payload = pickle.dumps((self.engine, udf, self.plan.inner()))
+            inputs = [pickle.dumps((shard, predicate)) for shard in shards]
         except Exception as exc:
             raise QueryError(
-                "parallel execution requires a picklable engine and UDF "
+                "parallel execution requires a picklable engine, UDF and inputs "
                 f"(snapshot for worker processes): {exc}"
             ) from exc
+        # A warm worker holds the modules as they were when its pool was
+        # forked, and a pickle names every function and class it refers to
+        # by module.  A name in ``__main__`` — a script's or a notebook's own
+        # UDF — may have been defined or redefined since, so such a query
+        # runs on a freshly forked pool.  (A false match costs one fork.)
+        fresh = any(b"__main__" in blob for blob in (payload, *inputs))
 
         shared_store = None
         if self.merge == "shared" and self.engine.strategy != "mc":
-            from repro.core.shared_model import serve_shared_store
+            from repro.core import shared_model
 
+            if shared_model._server is None:
+                # This call forks the model server: fork it beside no idle
+                # pool's threads, as every pool is forked.
+                _POOLS.close()
             # A fresh store on the process's model server; the last proxy to
             # it goes when this call returns, and the server drops the store.
-            shared_store = serve_shared_store()
+            shared_store = shared_model.serve_shared_store()
             olgapro = self.engine.olgapro_for(udf, create=False)
             emulator = olgapro.emulator if olgapro is not None else None
             if emulator is not None and emulator.n_training:
@@ -431,7 +477,6 @@ class ParallelExecutor:
                 if emulator._trained_hyperparameters:
                     shared_store.publish_hyperparameters(emulator.gp.kernel.theta)
 
-        shards = list(iter_batches(distributions, self.batch_size))
         results_by_shard: dict[int, ShardResult] = {}
         retry = self.plan.retry
         shard_attempts = 1 if retry is None else int(retry.shard_attempts)
@@ -440,8 +485,8 @@ class ParallelExecutor:
         while pending:
             attempt += 1
             crashed = self._run_round(
-                pending, shards, payload, base_seed, predicate, results_by_shard,
-                shared_store,
+                pending, inputs, len(distributions), payload, base_seed, results_by_shard,
+                shared_store, fresh=fresh or attempt > 1,
             )
             if crashed and attempt >= shard_attempts:
                 raise self._shard_failure(
@@ -469,12 +514,13 @@ class ParallelExecutor:
     def _run_round(
         self,
         pending: list[int],
-        shards: list[list[Distribution]],
+        inputs: list[bytes],
+        n_tuples: int,
         payload: bytes,
         base_seed: int,
-        predicate,
         results_by_shard: dict[int, "ShardResult"],
         shared_store=None,
+        fresh: bool = False,
     ) -> list[int]:
         """One pool round over ``pending`` shard indices.
 
@@ -487,19 +533,18 @@ class ParallelExecutor:
         ran inside the worker — and raises a typed
         :class:`~repro.exceptions.ShardFailureError` immediately, once the
         round's other shards are cancelled or done.  The round takes a warm
-        pool and gives it back idle; a pool that reported a crash is shut
-        down instead, because a broken :class:`ProcessPoolExecutor` accepts
-        no resubmissions — so a retry round always forks a fresh one.
+        pool that runs ``min(workers, len(pending))`` shards at a time (a
+        fresh one when ``fresh`` is set) and gives it back idle; a pool that
+        reported a crash is shut down instead, because a broken
+        :class:`ProcessPoolExecutor` accepts no resubmissions — and a retry
+        round is run with ``fresh`` set, on a newly forked pool.
         """
-        n_tuples = sum(len(shard) for shard in shards)
         crashed: list[int] = []
         futures: dict = {}
-        pool = _POOLS.take(self.workers)
+        pool = _POOLS.take(self.workers, len(pending), fresh)
         try:
             futures = {
-                i: pool.submit(
-                    _run_shard, payload, i, shards[i], base_seed, predicate, shared_store,
-                )
+                i: pool.submit(_run_shard, payload, i, inputs[i], base_seed, shared_store)
                 for i in pending
             }
             try:
@@ -529,7 +574,7 @@ class ParallelExecutor:
             crashed = [i for i in pending if i not in results_by_shard]
         finally:
             if all(future.done() for future in futures.values()):
-                _POOLS.give_back(self.workers, pool)
+                _POOLS.give_back(pool)
             else:  # interrupted mid-round: the pool is not idle
                 pool.shutdown(wait=False, cancel_futures=True)
         return crashed

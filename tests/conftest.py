@@ -14,6 +14,7 @@ from hypothesis import settings
 from repro.core.emulator import GPEmulator
 from repro.distributions.continuous import Gaussian
 from repro.distributions.multivariate import IndependentJoint
+from repro.engine import parallel
 from repro.udf.base import UDF
 from repro.udf.synthetic import reference_function
 
@@ -22,6 +23,22 @@ from repro.udf.synthetic import reference_function
 # its own, allowed-to-fail CI job (``--hypothesis-profile=default``).
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def _patches_reach_shard_workers(request):
+    """A test that patches runs its sharded queries on pools forked under its patches.
+
+    A warm shard worker keeps the modules as they were when its pool was
+    forked, so such a test starts and ends with no idle pool: its patches
+    reach its workers, and no worker keeps them for later tests.
+    """
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    parallel._POOLS.close()
+    yield
+    parallel._POOLS.close()
 
 
 @pytest.fixture

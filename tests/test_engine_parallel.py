@@ -12,7 +12,9 @@ Contracts under test (see :mod:`repro.engine.parallel` and :mod:`repro.rng`):
   processes — surface as typed :class:`~repro.exceptions.QueryError`\\ s;
 * worker pools and the model server outlive a query: later queries run on
   the same processes (concurrent ones on pools of their own) with outputs
-  unchanged, a dead server is replaced, and nothing outlives the process.
+  unchanged, a pool has no more workers than its query runs shards at once,
+  a script's own UDFs run as defined at query time, a dead server is
+  replaced, and nothing outlives the process.
 """
 
 from __future__ import annotations
@@ -509,10 +511,12 @@ def _shard_pids(tmp_path, name, merge):
 
 
 def _server_pid():
-    return shared_model._server[1]._process.pid
+    return shared_model._server._process.pid
 
 
 def test_consecutive_queries_run_on_the_same_workers_and_server(tmp_path):
+    # Idle pools are shut down before the server is forked: start it first.
+    shared_model.serve_shared_store()
     discard = _shard_pids(tmp_path, "discard", "discard")
     shared = _shard_pids(tmp_path, "shared", "shared")
     server = vars(shared_model).get("_server")
@@ -522,7 +526,19 @@ def test_consecutive_queries_run_on_the_same_workers_and_server(tmp_path):
     assert discard | shared | again <= set(parallel._POOLS._idle[2]._processes)
     assert os.getpid() not in discard | shared | again
     assert shared_model._server is server
-    assert server[1]._process.is_alive()
+    assert server._process.is_alive()
+
+
+def test_a_query_forks_no_more_workers_than_it_runs_shards_at_once():
+    parallel._POOLS.close()
+    before = set(multiprocessing.active_children())
+    _sharded_run(workers=4, batch_size=10)  # ten tuples: one shard
+    assert len(set(multiprocessing.active_children()) - before) == 1
+    # Three shards two at a time do not fit a pool of one: it is shut down
+    # before a pool of two is forked.
+    _sharded_run(workers=2)
+    assert set(parallel._POOLS._idle) == {2}
+    assert len(set(multiprocessing.active_children()) - before) == 2
 
 
 def test_discard_on_warm_processes_matches_freshly_forked_ones():
@@ -541,9 +557,9 @@ def test_concurrent_queries_take_pools_of_their_own(monkeypatch):
     both_asking = threading.Barrier(len(seeds), timeout=30)
     take = parallel._POOLS.take
 
-    def take_together(workers):
+    def take_together(*args):
         both_asking.wait()  # neither query holds a pool yet
-        pool = take(workers)
+        pool = take(*args)
         taken.append(pool)
         return pool
 
@@ -569,7 +585,7 @@ def test_concurrent_queries_take_pools_of_their_own(monkeypatch):
 
 def test_a_dead_model_server_is_replaced_by_the_next_shared_query():
     _sharded_run(workers=2, merge="shared")
-    dead = shared_model._server[1]._process
+    dead = shared_model._server._process
     os.kill(dead.pid, signal.SIGKILL)
     dead.join(timeout=10)
     assert not dead.is_alive()
@@ -581,7 +597,7 @@ def test_a_dead_model_server_is_replaced_by_the_next_shared_query():
 
 def test_the_model_server_drops_each_query_store():
     shared_model.serve_shared_store()  # the server is up; its store is dropped again
-    manager = shared_model._server[1]
+    manager = shared_model._server
     baseline = manager._number_of_objects()
     for seed in (41, 42, 43):
         _sharded_run(workers=2, merge="shared", seed=seed)
@@ -613,6 +629,59 @@ def test_a_forked_child_forks_its_own_workers_and_server():
     assert child_server != parent_server
 
 
+def _script_env():
+    """The environment of a child interpreter that imports this checkout's ``repro``."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+_REDEFINED_MAIN_UDF = """
+import hashlib
+import numpy as np
+from repro.core.accuracy import AccuracyRequirement
+from repro.engine import ExecutionPlan, UDFExecutionEngine, parallel
+from repro.udf.base import UDF
+from repro.workloads.generators import input_stream, workload_for_udf
+
+def digest(func):
+    udf = UDF(func, dimension=2, name="script-udf", domain=(np.zeros(2), np.full(2, 10.0)))
+    engine = UDFExecutionEngine("gp", requirement=AccuracyRequirement(0.15, 0.05),
+                                random_state=3, n_samples=150)
+    dists = list(input_stream(workload_for_udf(udf), 8, np.random.default_rng(3)))
+    plan = ExecutionPlan(batch_size=4, workers=2, parallel_seed=7)
+    outputs = engine.compute_with_plan(udf, dists, plan).outputs
+    return hashlib.sha256(b"".join(o.distribution.samples.tobytes() for o in outputs)).hexdigest()
+
+def f(x):
+    return float(np.sin(x[0]) + np.cos(x[1]))
+
+first = digest(f)
+
+def g(x):  # defined after the first query's pool was forked
+    return float(np.sin(x[0]) * np.cos(x[1]))
+
+def f(x):  # redefined under the same name
+    return float(np.cos(x[0]) + np.sin(x[1]))
+
+warm = [digest(g), digest(f)]
+parallel._POOLS.close()
+print(first, *warm, digest(g), digest(f))
+"""
+
+
+def test_a_script_s_own_udfs_run_as_defined_at_query_time():
+    process = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_REDEFINED_MAIN_UDF)], env=_script_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert process.returncode == 0, process.stderr
+    first, warm_g, warm_f, fresh_g, fresh_f = process.stdout.split()
+    assert (warm_g, warm_f) == (fresh_g, fresh_f)
+    assert warm_f != first  # the redefinition is what ran
+
+
 _ONE_SHARED_QUERY = """
 import time
 import numpy as np
@@ -631,12 +700,9 @@ print(time.time(), flush=True)
 
 
 def test_a_process_leaves_nothing_running_at_exit():
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     # A session of its own, so its process group holds it and all it forked.
     process = subprocess.Popen(
-        [sys.executable, "-c", textwrap.dedent(_ONE_SHARED_QUERY)], env=env,
+        [sys.executable, "-c", textwrap.dedent(_ONE_SHARED_QUERY)], env=_script_env(),
         stdout=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:

@@ -95,7 +95,8 @@ def _apply_with_envelopes(plan, envelopes):
     payload = pickle.dumps((engine, udf, plan.inner()))
     replayed = []
     for index, shard in enumerate(iter_batches(dists, plan.chunk_size)):
-        replayed += _run_shard(payload, index, shard, plan.parallel_seed, None).outputs
+        inputs = pickle.dumps((shard, None))
+        replayed += _run_shard(payload, index, inputs, plan.parallel_seed).outputs
     for pooled, local in zip(outputs, replayed):
         assert np.array_equal(pooled.distribution.samples, local.distribution.samples)
     return outputs, list(envelopes)

@@ -31,6 +31,7 @@ re-inference, quarantine recompute and speculative estimate runs it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,6 +47,8 @@ from repro.gp.linalg import jittered_cholesky  # noqa: F401
 from repro.gp.regression import GaussianProcess
 from repro.index.bounding_box import BoundingBox
 from repro.index.rtree import RTree
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,8 @@ class LocalInferenceEngine:
         # approximation, whose error is bounded by γ), plus the GP's constant
         # mean offset.  Variance: exact GP variance of the local model.
         means = K_star @ alpha[selected] + gp.mean_offset
-        projected = K_star @ gp.local_inverse(selected)
+        inverse = gp.local_inverse(selected)
+        projected = np.matmul(K_star, inverse, out=_product_buffer(K_star.shape[0], selected.size))
         np.multiply(projected, K_star, out=projected)
         variances = np.maximum(gp.kernel.diag(samples) - np.sum(projected, axis=1), 0.0)
         return LocalInferenceResult(
@@ -282,6 +286,14 @@ class LocalInferenceEngine:
         many points as the last rejected one keeps the same points and is
         rejected again without the matvec — as is an empty set, which is
         never accepted.  The row indices are materialised on acceptance only.
+
+        A level is first put to one *witness* sample: row 0, then the row
+        that carried the last full matvec's γ.  If that row's omitted weight
+        alone exceeds Γ by more than the rounding of either sum can explain,
+        the full matvec would reject the level too, so it is skipped; any
+        other level is decided by the full matvec.  Only rejections are
+        short-cut and a rejected level's γ is never reported, so the result
+        is the full schedule's bit for bit.
         """
         if self.bound_method != "exact":
             return self._expand_radius(
@@ -289,6 +301,8 @@ class LocalInferenceEngine:
             )
         n = alpha.size
         radius = 0.5 * gp.kernel.lengthscale
+        bar = self.gamma_threshold * (1.0 + 1e-9)
+        witness = 0
         rejected = 0  # size of the last kept set whose γ exceeded Γ
         for _ in range(self.max_expansions):
             kept = distances <= radius
@@ -296,12 +310,49 @@ class LocalInferenceEngine:
             if count == n:
                 break
             if count != rejected:
-                gamma = float(np.max(np.abs(K_rows @ np.where(kept, 0.0, alpha))))
-                if gamma <= self.gamma_threshold:
-                    return np.flatnonzero(kept), gamma, radius
+                omitted = np.where(kept, 0.0, alpha)
+                row = K_rows[witness]
+                # A sum of n products is within n·u·Σ|k_l α_l| of exact in any
+                # order, so the witness and the matvec differ by less than
+                # ``slack`` on this row.
+                slack = 2.0 * (n + 1) * _EPS * float(np.abs(row) @ np.abs(omitted))
+                if abs(float(row @ omitted)) <= bar + slack:
+                    contributions = np.abs(_omitted_at_samples(K_rows, omitted))
+                    gamma = float(np.max(contributions))
+                    if gamma <= self.gamma_threshold:
+                        return np.flatnonzero(kept), gamma, radius
+                    witness = int(np.argmax(contributions))
                 rejected = count
             radius *= self.expansion_factor
         return np.arange(n), 0.0, radius
+
+
+#: Per-thread workspace for :meth:`LocalInferenceEngine.predict`'s variance
+#: product, the one (samples × subset) temporary besides ``K_rows``.  Two
+#: such blocks freed together at the end of every tuple pushed the heap's
+#: top past glibc's dynamic trim threshold (twice the largest block it has
+#: mapped), so each tuple handed the pages back and faulted them in again:
+#: 50–170 minor faults per warm_scan tuple against 2–3 with the product in
+#: reused memory.  Blocks above the cap are allocated as usual, so a thread
+#: keeps at most the cap's 2 MB.
+_PRODUCT_WORKSPACE = threading.local()
+_PRODUCT_WORKSPACE_CAP = 1 << 18
+
+
+def _product_buffer(rows: int, cols: int) -> Optional[np.ndarray]:
+    """A ``(rows, cols)`` view of this thread's workspace, or ``None`` above the cap."""
+    size = rows * cols
+    if size > _PRODUCT_WORKSPACE_CAP:
+        return None
+    buffer = getattr(_PRODUCT_WORKSPACE, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _PRODUCT_WORKSPACE.buffer = np.empty(size)
+    return buffer[:size].reshape(rows, cols)
+
+
+def _omitted_at_samples(K_rows: np.ndarray, omitted_alpha: np.ndarray) -> np.ndarray:
+    """Every sample's omitted contribution ``K_rows @ omitted_alpha``: one full matvec."""
+    return K_rows @ omitted_alpha
 
 
 class BatchKernelCache:

@@ -6,6 +6,15 @@ points to Matérn kernels for less smooth UDFs.  Hyperparameters are handled
 in log space throughout (``theta = [log sigma_f, log l]``) so that the MLE
 optimisation of Section 3.4 is unconstrained.
 
+Two evaluation routes build a covariance block.  ``kernel(X1, X2)`` — the
+prediction blocks, one per tuple — takes ``-u^2 / 2`` from one GEMM on
+centred, lengthscale-scaled operands (:func:`neg_half_sq_scaled_dists`).
+``kernel.from_distances(pairwise_dists(X1, X2))`` is the route every
+training block takes (the fit's objective, refits, incremental updates,
+log-dets, local inverses): a fit evaluates one distance matrix under many
+hyperparameters, so the factorised matrices must be the objective's
+evaluations bit for bit.  The two agree to rounding, not bitwise.
+
 Each kernel exposes, in addition to evaluation:
 
 * ``gradients``   — ``dK/dtheta_j`` for the marginal-likelihood gradient,
@@ -48,6 +57,45 @@ def pairwise_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def neg_half_sq_scaled_dists(X1: np.ndarray, X2: np.ndarray, lengthscale: float) -> np.ndarray:
+    """``-|x1 - x2|^2 / (2 l^2)`` for every pair of rows, from one GEMM.
+
+    Both operands are centred on ``X2``'s mean and divided by ``l``; the
+    augmented columns ``[a; -|a|^2/2; 1]`` and ``[b; 1; -|b|^2/2]`` then
+    give ``a.b - |a|^2/2 - |b|^2/2`` in one matrix product, clamped at 0
+    above.  Centring keeps the rounding near ``eps * rho^2`` for points
+    within ``rho`` lengthscales of ``X2``'s mean, wherever the points sit.
+    """
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+    d = X1.shape[1]
+    if X2.shape[1] != d:
+        raise GPError(f"dimension mismatch: {d} vs {X2.shape[1]} columns")
+    centre = X2.mean(axis=0)[:, None] if X2.shape[0] else np.zeros((d, 1))
+    # Operands stored transposed, (d + 2) contiguous rows each: filling
+    # rows is several times cheaper than filling strided columns.
+    A, B = np.empty((d + 2, X1.shape[0])), np.empty((d + 2, X2.shape[0]))
+    for X, T, norm, one in ((X1, A, d, d + 1), (X2, B, d + 1, d)):
+        a = np.subtract(X.T, centre, out=T[:d])
+        np.divide(a, lengthscale, out=a)
+        np.einsum("ij,ij->j", a, a, out=T[norm])
+        T[norm] *= -0.5
+        T[one] = 1.0
+    return _clamp_above(A.T @ B, 0.0)
+
+
+def _clamp_above(a: np.ndarray, limit: float) -> np.ndarray:
+    """``np.minimum(a, limit, out=a)`` for arrays almost never above ``limit``.
+
+    A comparison pass, and a write only where one exceeds it: about half
+    the time of ``np.minimum``, which writes every element.
+    """
+    over = a > limit
+    if over.any():
+        a[over] = limit
+    return a
+
+
 class Kernel(abc.ABC):
     """Stationary covariance function with log-space hyperparameters."""
 
@@ -68,6 +116,7 @@ class Kernel(abc.ABC):
 
     @theta.setter
     def theta(self, value: Sequence[float]) -> None:
+        """Set ``signal_std`` and ``lengthscale`` from ``[log sigma_f, log l]``."""
         value = np.asarray(value, dtype=float)
         if value.shape != (2,):
             raise GPError(f"theta must have shape (2,), got {value.shape}")
@@ -88,13 +137,19 @@ class Kernel(abc.ABC):
         """
 
     def __call__(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``.
+        """Covariance matrix ``K[i, j] = k(X1[i], X2[j])``, every entry in ``[0, sigma_f^2]``.
 
-        :func:`pairwise_dists`, then :meth:`from_distances` writing into
-        the distances' array.
+        The prediction route: :func:`neg_half_sq_scaled_dists`, then the
+        correlation in the product's own array.  Within rounding of
+        ``from_distances(pairwise_dists(X1, X2))``, the training route.
         """
-        r = pairwise_dists(X1, X2)
-        return self.from_distances(r, out=r)
+        return self._from_neg_half_sq(neg_half_sq_scaled_dists(X1, X2, self.lengthscale))
+
+    def _from_neg_half_sq(self, E: np.ndarray) -> np.ndarray:
+        """Overwrite ``E = -u^2 / 2`` (``u = r / l``) with the covariance."""
+        u = np.sqrt(np.multiply(E, -2.0, out=E), out=E)
+        corr = _clamp_above(self._correlate(u), 1.0)
+        return np.multiply(corr, self.signal_std**2, out=corr)
 
     def from_distances(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Covariance matrix from the Euclidean distances ``r``.
@@ -165,6 +220,9 @@ class SquaredExponential(Kernel):
         np.multiply(u, -0.5, out=u)
         return np.exp(u, out=u)
 
+    def _from_neg_half_sq(self, E: np.ndarray) -> np.ndarray:
+        return np.multiply(np.exp(E, out=E), self.signal_std**2, out=E)
+
     def _dcorr_dlog_lengthscale(self, u: np.ndarray) -> np.ndarray:
         return u**2 * np.exp(-0.5 * u**2)
 
@@ -173,6 +231,7 @@ class SquaredExponential(Kernel):
         return (u2**2 - 2.0 * u2) * np.exp(-0.5 * u2)
 
     def second_spectral_moment(self) -> float:
+        """``1 / l^2``."""
         return 1.0 / self.lengthscale**2
 
 
@@ -198,6 +257,7 @@ class Matern32(Kernel):
         return v**2 * (v - 2.0) * np.exp(-v)
 
     def second_spectral_moment(self) -> float:
+        """``3 / l^2``."""
         return 3.0 / self.lengthscale**2
 
 
@@ -226,6 +286,7 @@ class Matern52(Kernel):
         return v**2 * (v**2 - 2.0 * v - 2.0) / 3.0 * np.exp(-v)
 
     def second_spectral_moment(self) -> float:
+        """``5 / (3 l^2)``."""
         return 5.0 / (3.0 * self.lengthscale**2)
 
 

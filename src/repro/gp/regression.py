@@ -275,13 +275,13 @@ class GaussianProcess:
         """
         kernel, k = state.kernel, X_new.shape[0]
         noise = self._noise_under(kernel)
-        K_cross = kernel(state.X, X_new)
+        K_cross = _training_block(kernel, state.X, X_new)
         if k == 1:
             counter, update = "rank1_update", block_inverse_update
             K_cross, K_block = K_cross.ravel(), float(kernel.diag(X_new)[0]) + noise
         else:
             counter, update = "block_update", block_inverse_update_multi
-            K_block = kernel(X_new, X_new) + noise * np.eye(k)
+            K_block = _training_block(kernel, X_new, X_new) + noise * np.eye(k)
         try:
             new_inv = update(state.K_inv, K_cross, K_block)
         except GPError:
@@ -395,7 +395,7 @@ class GaussianProcess:
         inverse = memo.get(key)
         if inverse is None:
             X_local = state.X[selected]
-            K_local = state.kernel(X_local, X_local)
+            K_local = _training_block(state.kernel, X_local, X_local)
             noise = self._noise_under(state.kernel)
             L, _ = jittered_cholesky(K_local + noise * np.eye(selected.size))
             inverse = inverse_from_cholesky(L)
@@ -531,14 +531,16 @@ class GaussianProcess:
     def _refit(self, X: np.ndarray, y: np.ndarray, kernel: Kernel, version: int) -> GPState:
         """The state a refit from scratch on ``X``, ``y`` under ``kernel`` commits."""
         offset = self._centre(y)
-        K_inv, alpha, log_det = self._factorise(kernel(X, X), kernel, y - offset)
+        K = _training_block(kernel, X, X)
+        K_inv, alpha, log_det = self._factorise(K, kernel, y - offset)
         return GPState(X, y, offset, K_inv, alpha, log_det, 0, kernel, version)
 
     def _log_det(self, state: GPState) -> float:
         """``state.log_det``, filled in by one counted Cholesky of its ``K`` on first need."""
         with self._update_lock:
             if state.log_det is None:
-                L = self._cholesky(state.kernel(state.X, state.X), state.kernel)
+                K = _training_block(state.kernel, state.X, state.X)
+                L = self._cholesky(K, state.kernel)
                 object.__setattr__(state, "log_det", log_det_from_cholesky(L))
         return state.log_det
 
@@ -552,6 +554,17 @@ class GaussianProcess:
         return (
             f"GaussianProcess(kernel={self.kernel!r}, n_training={self.n_training})"
         )
+
+
+def _training_block(kernel: Kernel, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """``kernel(X1, X2)`` on the training route, ``from_distances(pairwise_dists(...))``.
+
+    Every factorised block is built this way, as :meth:`GaussianProcess.likelihood_objective`
+    builds its ``K``, so a fit's optimum and the refit at it agree bit for bit
+    (``kernel(X1, X2)`` itself, the prediction route, agrees only to rounding).
+    """
+    r = pairwise_dists(X1, X2)
+    return kernel.from_distances(r, out=r)
 
 
 def _log_likelihood(centred: np.ndarray, alpha: np.ndarray, log_det: float) -> float:

@@ -272,7 +272,7 @@ class TestFitIdentity:
         assert gradient.tobytes() == gp.log_marginal_likelihood_gradient().tobytes()
         grads = gp.kernel.gradients(gp.X_train)
         r = np.sqrt(pairwise_sq_dists(gp.X_train, gp.X_train))
-        seconds = gp.kernel.second_derivatives_from_distances(r, gp.kernel(gp.X_train, gp.X_train))
+        seconds = gp.kernel.second_derivatives_from_distances(r, gp.kernel.from_distances(r))
         expected = regression._likelihood_hessian_diag(
             gp.K_inv, gp.y_train - gp.mean_offset, grads, seconds
         )

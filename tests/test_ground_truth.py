@@ -20,8 +20,11 @@ outputs are held against the real output distribution instead: a
 * A dropped tuple's true existence probability is below the predicate's
   threshold θ: online filtering never drops a tuple the predicate keeps.
 
-Two regimes: a warm F1 model (ε = 0.12), where most tuples commit their
-first bound, and cold F4 models (ε = 0.2), where every tuple refines.
+Three regimes: a warm F1 model (ε = 0.12), where most tuples commit their
+first bound; cold F3 models (ε = 0.15), the function and accuracy of
+perfbench's ``cold_slow_udf``, ``sharded`` and ``serve_open_loop`` queries,
+which converge while they learn; and cold F4 models (ε = 0.2), where every
+tuple refines.
 """
 
 from __future__ import annotations
@@ -56,7 +59,11 @@ PLANS = {
 }
 
 #: ``function: (epsilon, warm-up tuples, queried tuples)``.
-REGIMES = {"warm-F1": ("F1", 0.12, 48, 32), "cold-F4": ("F4", 0.2, 0, 8)}
+REGIMES = {
+    "warm-F1": ("F1", 0.12, 48, 32),
+    "cold-F3": ("F3", 0.15, 0, 16),
+    "cold-F4": ("F4", 0.2, 0, 8),
+}
 
 
 def _true_range_lambda(udf) -> float:

@@ -133,8 +133,9 @@ class TestFromDistances:
         expected = kernel.signal_std**2 * kernel._correlate(r / kernel.lengthscale)
         assert kernel.from_distances(r).tobytes() == expected.tobytes()
         assert r.tobytes() == kept.tobytes()  # not consumed without out=
-        assert kernel(X1, X2).tobytes() == expected.tobytes()
         assert pairwise_dists(X1, X2).tobytes() == kept.tobytes()
+        # The prediction route (one GEMM) agrees to rounding, not bitwise.
+        assert np.max(np.abs(kernel(X1, X2) - expected)) <= 1e-13 * kernel.signal_std**2
 
     def test_derivatives(self, kernel_cls, rng):
         X = rng.uniform(0, 3, size=(8, 2))

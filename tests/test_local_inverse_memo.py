@@ -22,7 +22,7 @@ from repro.core.accuracy import AccuracyRequirement
 from repro.core.emulator import GPEmulator
 from repro.core.local_inference import LocalInferenceEngine
 from repro.core.olgapro import OLGAPRO
-from repro.gp.kernels import SquaredExponential
+from repro.gp.kernels import SquaredExponential, pairwise_dists
 from repro.gp.regression import GaussianProcess
 from repro.udf.synthetic import reference_function
 from repro.workloads.generators import input_stream, workload_for_udf
@@ -129,7 +129,8 @@ def test_the_memo_changes_no_number():
         samples = _samples(rng)
         selected = _predict(gp, samples).selected_indices
         X_local = gp.X_train[selected]
-        K_local = gp.kernel(X_local, X_local) + gp.effective_noise() * np.eye(selected.size)
+        K_local = gp.kernel.from_distances(pairwise_dists(X_local, X_local))
+        K_local += gp.effective_noise() * np.eye(selected.size)
         direct = linalg.inverse_from_cholesky(linalg.jittered_cholesky(K_local)[0])
         assert np.array_equal(gp.local_inverse(selected), direct)
         assert not gp.local_inverse(selected).flags.writeable
@@ -212,7 +213,8 @@ def test_a_build_across_a_mutation_files_on_the_state_it_read(monkeypatch):
     assert state.local_inverses == {selected.tobytes(): built}
     # ... and what it filed is the inverse of the rows it was built from.
     X_local = state.X[selected]
-    K_local = gp.kernel(X_local, X_local) + gp.effective_noise() * np.eye(selected.size)
+    K_local = gp.kernel.from_distances(pairwise_dists(X_local, X_local))
+    K_local += gp.effective_noise() * np.eye(selected.size)
     direct = linalg.inverse_from_cholesky(linalg.jittered_cholesky(K_local)[0])
     assert np.array_equal(built, direct)
 

@@ -9,7 +9,9 @@ straightforward spellings live here as the oracles:
 * ``_augmented_grid`` + ``_sweep_on_grid``: the ``np.unique`` / five-
   ``searchsorted`` sweep, verbatim as it stood in ``repro.core.error_bounds``;
 * ``_allocating_kernel``: ``signal_std**2 * corr(sqrt(sq) / lengthscale)``
-  with a fresh matrix per step;
+  with a fresh matrix per step, the oracle of the training route's one
+  buffer (``kernel(X1, X2)`` itself is the one-GEMM prediction route,
+  ``tests/test_properties_kernels.py``);
 * the ``_expand_radius`` schedule with a ``flatnonzero`` and a γ matvec at
   every level.
 """
@@ -31,7 +33,7 @@ from repro.core.error_bounds import (
 from repro.core.local_inference import LocalInferenceEngine
 from repro.distributions.empirical import EmpiricalDistribution
 from repro.gp.kernels import Matern32, Matern52, SquaredExponential
-from repro.gp.regression import GaussianProcess
+from repro.gp.regression import GaussianProcess, _training_block
 from repro.index.bounding_box import BoundingBox
 
 
@@ -218,9 +220,9 @@ class TestOneBufferKernelMatchesTheAllocatingSpelling:
                               lengthscale=float(rng.uniform(0.2, 3.0)))
         X1 = rng.uniform(0.0, 10.0, size=(shape[0], d))
         X2 = rng.uniform(0.0, 10.0, size=(shape[1], d))
-        assert np.array_equal(kernel(X1, X2), _allocating_kernel(kernel, X1, X2))
+        assert np.array_equal(_training_block(kernel, X1, X2), _allocating_kernel(kernel, X1, X2))
         # A training block against itself: zero distances on the diagonal.
-        assert np.array_equal(kernel(X2, X2), _allocating_kernel(kernel, X2, X2))
+        assert np.array_equal(_training_block(kernel, X2, X2), _allocating_kernel(kernel, X2, X2))
 
     @given(st.sampled_from([SquaredExponential, Matern32, Matern52]),
            st.integers(min_value=0, max_value=10_000),
@@ -231,13 +233,14 @@ class TestOneBufferKernelMatchesTheAllocatingSpelling:
         kernel = kernel_class(signal_std=signal_std, lengthscale=lengthscale)
         X1 = rng.normal(size=(int(rng.integers(1, 40)), 2)) * 5.0
         X2 = np.vstack([X1[:3], rng.normal(size=(int(rng.integers(1, 20)), 2)) * 5.0])
-        assert np.array_equal(kernel(X1, X2), _allocating_kernel(kernel, X1, X2))
+        assert np.array_equal(_training_block(kernel, X1, X2), _allocating_kernel(kernel, X1, X2))
 
     def test_evaluation_leaves_its_inputs_alone(self):
         kernel = SquaredExponential(1.5, 0.7)
         X = np.random.default_rng(1).normal(size=(6, 2))
         before = X.copy()
         kernel(X, X)
+        _training_block(kernel, X, X)
         kernel.gradients(X)
         assert np.array_equal(X, before)
 

@@ -18,8 +18,9 @@ shards trivially.  :class:`ParallelExecutor` therefore
 3. resolves that plan inside a worker of a
    :class:`concurrent.futures.ProcessPoolExecutor`, one executor per shard,
    each shard drawing from its own :func:`~repro.rng.spawn_keyed` random
-   stream — the pool is forked once per pool size and kept warm between
-   queries (see *Process lifetime* below), and
+   stream — a worker runs up to :data:`SHARDS_PER_PROCESS` shards at once
+   on threads of its own, and the pool is forked once per pool size and
+   kept warm between queries (see *Process lifetime* below), and
 4. merges shard outputs (always in shard order) back into the parent; what
    the workers *learned* follows the *merge policy*.
 
@@ -70,16 +71,19 @@ Process lifetime
 ----------------
 Forking a pool costs a copy of the interpreter per worker plus the
 copy-on-write faults the children then take, so pools outlive queries: a
-query takes an idle pool that runs its shards ``min(workers, shards)`` at a
-time (forking one of that many processes only when none fits) and gives it
-back when its round ends.  Two concurrent queries each run on a pool of
-their own; at most one idle pool per pool size is kept, and any extra is
-shut down.  A pool whose worker died is shut down, never given back, and a
-retry round runs on a freshly forked pool.  Pools belong to the process
-that forked them — a forked child starts with none — and close at
-interpreter exit.  Idle pools are shut down before any pool or the model
-server is forked, so only the pools of concurrently running queries ever
-run beside a fork.
+query takes an idle pool of ``min(workers, shards)`` processes (forking one
+only when none fits) and gives it back when its round ends.  Each worker
+runs its shards on a thread pool of :data:`SHARDS_PER_PROCESS` threads that
+lives as long as the worker, so the per-thread state a shard warms — the
+blocking UDF path's event loop, the inference workspace — serves the next
+query too; a forked child starts with no such threads.  Two concurrent
+queries each run on a pool of their own; at most one idle pool per pool
+size is kept, and any extra is shut down.  A pool whose worker died is
+shut down, never given back, and a retry round runs on a freshly forked
+pool.  Pools belong to the process that forked them — a forked child
+starts with none — and close at interpreter exit.  Idle pools are shut
+down before any pool or the model server is forked, so only the pools of
+concurrently running queries ever run beside a fork.
 
 A warm worker runs the modules as they were when its pool was forked;
 each shard reads the query's pickled snapshot, but a pickle refers to
@@ -89,18 +93,23 @@ defined or redefined since — therefore runs on a freshly forked pool.
 Changes made after a fork to other modules (a monkeypatch), to
 ``os.environ`` or to ``sys.path`` do not reach that pool's workers.
 
-Hiding UDF latency inside a shard
----------------------------------
-Sharding overlaps *whole shards* across processes; with a black box whose
-per-call latency dominates, each worker still sleeps through its own
-refinement loop.  ``async_inflight`` / ``pipeline_lookahead`` in the plan
-apply *inside* every shard (overlapped refinement windows, cross-tuple
-pipelining), and ``workers=default_worker_count(2.0)`` raises the pool size
-above the core count so latency-bound workers do not leave CPUs idle.
-Both preserve the determinism contract above (the async pipeline is
-completion-order invariant), but shard outputs then follow the async
-refinement trajectory, which differs numerically from the serial batched
-one at ``async_inflight > 1``.
+Hiding UDF latency
+------------------
+A shard sleeps through every black-box call of its refinement loop, so one
+shard at a time leaves its core mostly idle when per-call latency
+dominates.  A round therefore submits each worker a contiguous *group* of
+shards — ``max(min(workers, shards), ⌈shards / SHARDS_PER_PROCESS⌉)``
+groups of near-equal size, so every process gets work before any doubles
+up — and the worker runs the group's shards at once on its threads: one
+shard's GP work fills another's UDF waits.  Each shard still unpickles its
+own snapshot and draws from its own keyed stream, so only the order in
+which shards run changes: ``"discard"`` outputs and UDF calls are those of
+one shard at a time, bit for bit.  ``async_inflight`` /
+``pipeline_lookahead`` in the plan apply *inside* every shard (overlapped
+refinement windows, cross-tuple pipelining); they preserve the determinism
+contract above (the async pipeline is completion-order invariant), but
+shard outputs then follow the async refinement trajectory, which differs
+numerically from the serial batched one at ``async_inflight > 1``.
 """
 
 from __future__ import annotations
@@ -108,7 +117,8 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures.process import _ExceptionWithTraceback
 from dataclasses import dataclass
 from multiprocessing import util as mp_util
 from typing import TYPE_CHECKING, Literal, Optional, Sequence
@@ -130,17 +140,27 @@ MergePolicy = Literal["discard", "shared"]
 MERGE_POLICIES: tuple[str, ...] = ("discard", "shared")
 
 
-def default_worker_count(scale: float = 1.0) -> int:
-    """The core count scaled by ``scale``, floored at one worker.
+#: Shards one pool worker runs at once.  A shard behind a millisecond-latency
+#: black box keeps its core only about 40 % busy — the rest is UDF waits —
+#: so about three shards fill a core, and a fourth covers their GIL waits.
+#: Every shard in flight holds its own unpickled snapshot, so this also
+#: bounds the snapshots a worker holds.  Two workers on two cores, eight
+#: 8-tuple shards at 2 ms a call: 385–410 ms a query four at a time, 460 at
+#: three (three groups: one worker runs two in turn), 490 at two and 740
+#: one at a time.
+SHARDS_PER_PROCESS = 4
+
+
+def default_worker_count() -> int:
+    """The core count, floored at one worker.
 
     A plan has no "default worker count" spelling (``workers=None`` means
-    *unsharded*), so callers that want one shard per core write
-    ``ExecutionPlan(workers=default_worker_count())``.  With
-    UDF-latency-bound shards a worker spends most of its time sleeping in
-    the black box; ``default_worker_count(2.0)`` runs two shards per core
-    to keep the CPUs busy.
+    *unsharded*), so callers that want one worker process per core write
+    ``ExecutionPlan(workers=default_worker_count())``.  Latency-bound
+    shards need no more processes than cores: each worker already runs
+    :data:`SHARDS_PER_PROCESS` shards at once.
     """
-    return max(1, round((os.cpu_count() or 1) * scale))
+    return max(1, os.cpu_count() or 1)
 
 
 class _IdlePools:
@@ -214,18 +234,24 @@ def _broken(pool: ProcessPoolExecutor) -> bool:
 _POOLS = _IdlePools()
 
 
+#: In a pool worker: the threads its shards run on (see :func:`_run_shards`).
+_SHARD_THREADS: Optional[ThreadPoolExecutor] = None
+
+
 def _forget_parent_pools() -> None:
     """In a forked child: start with no pools, and never close the parent's.
 
     The child's copies of the parent's pools drive the parent's workers, and
     the lock may have been held by a thread the child does not have.  Under
     a bare ``os.fork`` the parent's exit finalizer is inherited too; it is
-    cancelled so the child's exit leaves the parent's pools alone.
+    cancelled so the child's exit leaves the parent's pools alone.  The
+    parent's shard threads do not exist in the child either.
     """
-    global _POOLS
+    global _POOLS, _SHARD_THREADS
     if _POOLS._finalizer is not None:
         _POOLS._finalizer.cancel()
     _POOLS = _IdlePools()
+    _SHARD_THREADS = None
 
 
 os.register_at_fork(after_in_child=_forget_parent_pools)
@@ -251,16 +277,18 @@ def _run_shard(
     base_seed: int,
     shared_store=None,
 ) -> ShardResult:
-    """Pool-worker entry point: one shard through its resolved plan.
+    """One shard through its resolved plan, on a pool worker's shard thread.
 
     Unpickles a private copy of the engine snapshot (``payload``: the
     engine, the UDF and the shard plan) and the shard's ``inputs`` (its
     input distributions and the selection predicate, or ``None``), switches
     the engine onto the shard's keyed random stream, and resolves the
     shipped shard plan against it — exactly the executor the serial path
-    would run for the same knobs.  Runs in a separate process — everything
-    touched here is a copy, and everything returned is picked up by the
-    parent.
+    would run for the same knobs.  Runs in a separate process, beside the
+    other shards of its group (:func:`_run_shards`) — everything touched
+    here is this shard's own copy, so its outputs and its UDF-cost deltas
+    are what it would report running alone, and everything returned is
+    picked up by the parent.
 
     ``shared_store`` (a :class:`~repro.core.shared_model.SharedEmulatorStore`
     proxy, ``merge="shared"`` only) binds the shard's emulator to the live
@@ -305,6 +333,52 @@ def _run_shard(
         udf_calls=udf.call_count - calls_before,
         udf_real_time=udf.real_time - real_before,
     )
+
+
+def _run_shards(
+    payload: bytes,
+    items: list[tuple[int, bytes]],
+    base_seed: int,
+    shared_store=None,
+) -> list:
+    """Pool-worker entry point: a group of shards, run at once.
+
+    ``items`` are ``(shard_index, inputs)`` pairs; each runs through
+    :func:`_run_shard` on the worker's shard threads, which are started on
+    first use and kept for the worker's life.  Returns one outcome per item,
+    in order: the shard's :class:`ShardResult`, or the exception it raised,
+    wrapped as a process pool wraps a task's exception so that it reaches
+    the parent with the worker's traceback as its cause — the parent
+    attributes a failure to the shard that raised it.
+    """
+    global _SHARD_THREADS
+    if _SHARD_THREADS is None:
+        _SHARD_THREADS = ThreadPoolExecutor(SHARDS_PER_PROCESS, thread_name_prefix="repro-shard")
+    futures = [
+        _SHARD_THREADS.submit(_run_shard, payload, i, inputs, base_seed, shared_store)
+        for i, inputs in items
+    ]
+    outcomes = []
+    for future in futures:
+        error = future.exception()
+        if error is None:
+            outcomes.append(future.result())
+            continue
+        try:
+            pickle.dumps(error)
+        except Exception as why:  # sent as it is, it would fail the whole group's report
+            error = RuntimeError(f"{error!r}, which cannot be sent back: {why}").with_traceback(
+                error.__traceback__
+            )
+        outcomes.append(_ExceptionWithTraceback(error, error.__traceback__))
+    return outcomes
+
+
+def _groups(pending: list[int], count: int) -> list[list[int]]:
+    """``pending`` cut into ``count`` contiguous runs whose sizes differ by at most one."""
+    size, extra = divmod(len(pending), count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [pending[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class ParallelExecutor:
@@ -524,56 +598,67 @@ class ParallelExecutor:
     ) -> list[int]:
         """One pool round over ``pending`` shard indices.
 
-        Completed shards land in ``results_by_shard``; the indices whose
-        worker process died (a :class:`BrokenExecutor` crash — retryable,
-        because re-running a shard under the same ``spawn_keyed`` stream is
-        bit-identical) are returned for the caller's recovery loop.  Every
-        *in-process* failure (a UDF raising inside the black box) is not
-        retryable at shard granularity — the per-call retry policy already
-        ran inside the worker — and raises a typed
-        :class:`~repro.exceptions.ShardFailureError` immediately, once the
-        round's other shards are cancelled or done.  The round takes a warm
-        pool that runs ``min(workers, len(pending))`` shards at a time (a
-        fresh one when ``fresh`` is set) and gives it back idle; a pool that
-        reported a crash is shut down instead, because a broken
-        :class:`ProcessPoolExecutor` accepts no resubmissions — and a retry
-        round is run with ``fresh`` set, on a newly forked pool.
+        The round cuts ``pending`` into contiguous groups — at least one per
+        pool process, and at most :data:`SHARDS_PER_PROCESS` shards in each
+        — and submits one :func:`_run_shards` task per group.  Completed
+        shards land in ``results_by_shard``; the indices of every group
+        whose worker process died (a :class:`BrokenExecutor` crash —
+        retryable, because re-running a shard under the same
+        ``spawn_keyed`` stream is bit-identical) are returned for the
+        caller's recovery loop.  Every *in-process* failure (a UDF raising
+        inside the black box) is not retryable at shard granularity — the
+        per-call retry policy already ran inside the worker — and raises a
+        typed :class:`~repro.exceptions.ShardFailureError` naming the lowest
+        failing shard, once the round's other groups are cancelled or done.
+        The round takes a warm pool of ``min(workers, len(pending))``
+        processes (a fresh one when ``fresh`` is set) and gives it back
+        idle; a pool that reported a crash is shut down instead, because a
+        broken :class:`ProcessPoolExecutor` accepts no resubmissions — and a
+        retry round is run with ``fresh`` set, on a newly forked pool.
         """
+        need = min(self.workers, len(pending))
+        groups = _groups(pending, max(need, -(-len(pending) // SHARDS_PER_PROCESS)))
         crashed: list[int] = []
-        futures: dict = {}
+        futures: list = []
         pool = _POOLS.take(self.workers, len(pending), fresh)
         try:
-            futures = {
-                i: pool.submit(_run_shard, payload, i, inputs[i], base_seed, shared_store)
-                for i in pending
-            }
+            for group in groups:
+                items = [(i, inputs[i]) for i in group]
+                futures.append(pool.submit(_run_shards, payload, items, base_seed, shared_store))
             try:
-                for i, future in futures.items():
+                # Groups are contiguous and collected in order, so the first
+                # failure met is the lowest failing shard of those that ran.
+                for group, future in zip(groups, futures):
                     try:
-                        results_by_shard[i] = future.result()
+                        outcomes = future.result()
                     except BrokenExecutor:
-                        # The pool is dead: this shard (and every other
+                        # The pool is dead: this group (and every other
                         # still-outstanding one, which fails the same way)
                         # goes back to the recovery loop.
-                        crashed.append(i)
-                    except QueryError:
-                        raise
-                    except Exception as exc:  # ReproError from the black box included
-                        raise self._shard_failure(i, n_tuples, base_seed, exc) from exc
+                        crashed.extend(group)
+                        continue
+                    except Exception as exc:  # the group's task itself failed
+                        raise self._shard_failure(group[0], n_tuples, base_seed, exc) from exc
+                    for i, outcome in zip(group, outcomes):
+                        if isinstance(outcome, QueryError):
+                            raise outcome
+                        if isinstance(outcome, BaseException):  # the black box's ReproErrors too
+                            raise self._shard_failure(i, n_tuples, base_seed, outcome) from outcome
+                        results_by_shard[i] = outcome
             except QueryError:
-                # Fail fast: drop this round's shards still queued, so the
+                # Fail fast: drop this round's groups still queued, so the
                 # typed error is not delayed behind the remaining real-cost
                 # UDF work, and wait out the ones already running.
-                for future in futures.values():
+                for future in futures:
                     future.cancel()
-                wait(futures.values())
+                wait(futures)
                 raise
         except BrokenExecutor:
-            # The pool broke while shards were being submitted: everything
+            # The pool broke while groups were being submitted: everything
             # not yet collected goes back to the loop.
             crashed = [i for i in pending if i not in results_by_shard]
         finally:
-            if all(future.done() for future in futures.values()):
+            if all(future.done() for future in futures):
                 _POOLS.give_back(pool)
             else:  # interrupted mid-round: the pool is not idle
                 pool.shutdown(wait=False, cancel_futures=True)

@@ -412,11 +412,12 @@ def test_parallel_workers_1_with_async_matches_async_executor():
     _assert_identical_outputs(direct, serial_path)
 
 
-def test_default_worker_count_scales_the_core_count():
+def test_default_worker_count_is_the_core_count():
     import os
 
-    doubled = default_worker_count(2.0)
-    assert doubled == max(1, round((os.cpu_count() or 1) * 2.0))
-    assert doubled >= default_worker_count()
+    cores = default_worker_count()
+    assert cores == max(1, os.cpu_count() or 1)
+    with pytest.raises(TypeError):
+        default_worker_count(2.0)  # no scale: each worker already runs several shards at once
     _, engine, _ = _fixture(n_tuples=1)
-    assert ExecutionPlan(workers=doubled).resolve(engine).workers == doubled
+    assert ExecutionPlan(workers=cores).resolve(engine).workers == cores

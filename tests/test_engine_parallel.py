@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -529,6 +530,103 @@ def test_consecutive_queries_run_on_the_same_workers_and_server(tmp_path):
     assert server._process.is_alive()
 
 
+class _RecordCalls:
+    """A sleeping two-input black box that logs the process, thread and interval of each call."""
+
+    def __init__(self, folder: str) -> None:
+        self.folder = folder
+
+    def __call__(self, x):
+        start = time.monotonic()
+        time.sleep(2e-3)
+        thread = threading.current_thread()
+        with open(Path(self.folder, f"{os.getpid()}-{thread.native_id}"), "a") as log:
+            log.write(f"{start!r} {time.monotonic()!r} {thread.name}\n")
+        return float(np.sin(x[0]) + np.cos(x[1]))
+
+
+def _logged_calls(tmp_path, name, n_tuples, batch_size):
+    """``{(pid, thread id): (thread name, [(start, end), ...])}`` of one ``workers=2`` query."""
+    folder = tmp_path / name
+    folder.mkdir()
+    udf = UDF(_RecordCalls(str(folder)), dimension=2, name="call-recorder",
+              domain=(np.zeros(2), np.full(2, 10.0)))
+    _sharded_run(workers=2, udf=udf, n_tuples=n_tuples, batch_size=batch_size)
+    calls = {}
+    for path in folder.iterdir():
+        pid, thread = map(int, path.name.split("-"))
+        lines = [line.split() for line in path.read_text().splitlines()]
+        calls[pid, thread] = (lines[0][2], [(float(a), float(b)) for a, b, _ in lines])
+    return calls
+
+
+def _most_in_flight(intervals):
+    """The most intervals open at one instant."""
+    events = sorted([(a, 1) for a, _ in intervals] + [(b, -1) for _, b in intervals])
+    open_now = most = 0
+    for _, step in events:
+        open_now += step
+        most = max(most, open_now)
+    return most
+
+
+def test_a_worker_runs_shards_of_one_query_at_overlapping_times(tmp_path):
+    # Four shards on two workers: each worker runs two of them at once.
+    calls = _logged_calls(tmp_path, "overlap", n_tuples=16, batch_size=4)
+    assert len({pid for pid, _ in calls}) == 2
+    overlapping = set()
+    for (pid, thread), (_, intervals) in calls.items():
+        for (other_pid, other), (_, others) in calls.items():
+            if other_pid == pid and other != thread and any(
+                a < d and c < b for a, b in intervals for c, d in others
+            ):
+                overlapping.add(pid)
+    assert overlapping
+
+
+def test_a_forty_shard_query_runs_at_most_s_shards_at_once_in_each_of_two_workers(tmp_path):
+    calls = _logged_calls(tmp_path, "forty", n_tuples=40, batch_size=1)
+    pids = {pid for pid, _ in calls}
+    assert len(pids) == 2
+    assert pids <= set(parallel._POOLS._idle[2]._processes)
+    for pid in pids:
+        threads = [thread for thread in calls if thread[0] == pid]
+        # A shard runs on one thread, and a thread runs one shard at a time.
+        assert 1 < len(threads) <= parallel.SHARDS_PER_PROCESS
+        assert _most_in_flight(
+            [interval for thread in threads for interval in calls[thread][1]]
+        ) <= parallel.SHARDS_PER_PROCESS
+
+
+def test_discard_shards_run_at_once_match_shards_run_one_at_a_time(monkeypatch):
+    """Each shard keeps its own snapshot and stream: only the order shards run in changes."""
+    interval = sys.getswitchinterval()
+    # The pools forked below inherit the short interval: their shard
+    # threads interleave as finely as the interpreter lets them.
+    sys.setswitchinterval(1e-5)
+    try:
+        together, _, udf_together, _ = _sharded_run(workers=2, n_tuples=12, batch_size=2)
+        monkeypatch.setattr(parallel, "SHARDS_PER_PROCESS", 1)
+        parallel._POOLS.close()
+        alone, _, udf_alone, _ = _sharded_run(workers=2, n_tuples=12, batch_size=2)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_bitwise(together, alone)
+    assert [o.udf_calls for o in together] == [o.udf_calls for o in alone]
+    assert udf_together.call_count == udf_alone.call_count
+    assert udf_together.real_time > 0.0 and udf_alone.real_time > 0.0
+
+
+def test_consecutive_queries_run_their_shards_on_the_same_worker_threads(tmp_path):
+    # Two groups of SHARDS_PER_PROCESS shards: each worker starts all its threads.
+    n_tuples = 2 * 2 * parallel.SHARDS_PER_PROCESS
+    first = _logged_calls(tmp_path, "first", n_tuples=n_tuples, batch_size=2)
+    second = _logged_calls(tmp_path, "second", n_tuples=n_tuples, batch_size=2)
+    assert set(second) <= set(first)
+    names = {name for name, _ in [*first.values(), *second.values()]}
+    assert all(name.startswith("repro-shard") for name in names)
+
+
 def test_a_query_forks_no_more_workers_than_it_runs_shards_at_once():
     parallel._POOLS.close()
     before = set(multiprocessing.active_children())
@@ -627,6 +725,31 @@ def test_a_forked_child_forks_its_own_workers_and_server():
     assert child.exitcode == 0
     assert not child_pool & parent_pool
     assert child_server != parent_server
+
+
+def _child_runs_shards(queue, payload, items):
+    queue.put([outcome.shard_index for outcome in parallel._run_shards(payload, items, 7)])
+
+
+def test_a_forked_child_starts_its_own_shard_threads():
+    udf, engine, dists = _fixture("gp", n_tuples=4)
+    payload = pickle.dumps((engine, udf, ExecutionPlan(batch_size=2)))
+    items = [(i, pickle.dumps((dists[2 * i:2 * i + 2], None))) for i in range(2)]
+    parallel._run_shards(payload, items, 7)  # this process now has idle shard threads
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_child_runs_shards, args=(queue, payload, items))
+    child.start()
+    try:
+        # The parent's threads do not exist in the child: work handed to
+        # them would wait forever.
+        assert queue.get(timeout=60) == [0, 1]
+        child.join(timeout=30)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
+        parallel._SHARD_THREADS.shutdown()
+        parallel._SHARD_THREADS = None
 
 
 def _script_env():

@@ -43,6 +43,8 @@ import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
+from repro.distributions.continuous import Gaussian
+from repro.distributions.multivariate import IndependentJoint
 from repro.engine import (
     TRANSPORTS,
     VERDICT_DEGRADED,
@@ -628,6 +630,88 @@ def test_the_query_after_a_worker_crash_runs_on_a_fresh_pool(tmp_path):
     assert os.path.exists(flag)  # the black box computes from now on
     outputs = plan.resolve(_engine(n_samples=150)).compute_batch(udf, _dists(udf, n_tuples=8))
     assert len(outputs) == 8
+
+
+class _CrashMidGroup:
+    """Kill the worker process on its ``crash_at``-th call, once; compute otherwise.
+
+    The call count is per process (a class attribute: every shard of a
+    group unpickles its own copy of the UDF), so the process dies while
+    the other shards of its group are still running; the flag file makes
+    every later process compute normally.
+    """
+
+    calls = 0
+
+    def __init__(self, flag_path: str, crash_at: int) -> None:
+        self.flag_path, self.crash_at = flag_path, crash_at
+
+    def __call__(self, x):
+        type(self).calls += 1
+        if type(self).calls >= self.crash_at and not os.path.exists(self.flag_path):
+            with open(self.flag_path, "w"):
+                pass
+            os._exit(13)
+        time.sleep(1e-3)
+        return float(np.sin(x[0]) + np.cos(x[1]))
+
+
+def test_a_crash_mid_group_retries_bitwise_a_clean_run(tmp_path):
+    flag = str(tmp_path / "crashed-once")
+
+    def run():
+        udf = UDF(_CrashMidGroup(flag, crash_at=10), dimension=2, name="crash-mid-group",
+                  domain=(np.zeros(2), np.full(2, 10.0)))
+        # Eight shards on two workers: two groups, every shard of a group in flight.
+        executor = ExecutionPlan(
+            workers=2, batch_size=2, parallel_seed=1, retry=RetryPolicy(shard_attempts=2)
+        ).resolve(_engine(n_samples=150))
+        return executor.compute_batch(udf, _dists(udf, n_tuples=16))
+
+    recovered = run()  # a worker dies on its tenth call; its group is re-run
+    assert os.path.exists(flag)
+    clean = run()  # the flag stands: nothing crashes
+    _assert_outputs_identical(clean, recovered)
+
+
+class _HoldingALock(UDFError):
+    """A typed black-box error (passed on unwrapped) that cannot be sent back: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_far_out(x):
+    if x[0] > 50.0:
+        raise RuntimeError("black box exploded far out")
+    return float(np.sin(x[0]) + np.cos(x[1]))
+
+
+def _raise_unpicklable_far_out(x):
+    if x[0] > 50.0:
+        raise _HoldingALock("black box exploded far out")
+    return float(np.sin(x[0]) + np.cos(x[1]))
+
+
+@pytest.mark.parametrize("black_box", [_raise_far_out, _raise_unpicklable_far_out],
+                         ids=["picklable", "unpicklable"])
+def test_the_lowest_failing_shard_is_named_also_inside_a_group(black_box):
+    udf = UDF(black_box, dimension=2, name="far-out",
+              domain=(np.zeros(2), np.full(2, 200.0)))
+    # Four 2-tuple shards on two workers run as groups [0, 1] and [2, 3];
+    # shards 1 and 3 — the second of each group — hold the far-out tuples.
+    centres = [1.0, 2.0, 100.0, 110.0, 3.0, 4.0, 120.0, 130.0]
+    dists = [IndependentJoint([Gaussian(c, 0.5), Gaussian(1.0, 0.5)]) for c in centres]
+    engine = UDFExecutionEngine(strategy="mc", requirement=REQUIREMENT, random_state=3,
+                                n_samples=50)
+    executor = ExecutionPlan(workers=2, batch_size=2, parallel_seed=5).resolve(engine)
+    with pytest.raises(ShardFailureError, match="far out") as excinfo:
+        executor.compute_batch(udf, dists)
+    message = str(excinfo.value)
+    assert "parallel shard 1 failed" in message
+    assert "tuples 2..3 of 8" in message
+    assert "spawn_key=1" in message
 
 
 def _exploding(x):

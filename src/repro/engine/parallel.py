@@ -19,8 +19,9 @@ shards trivially.  :class:`ParallelExecutor` therefore
    :class:`concurrent.futures.ProcessPoolExecutor`, one executor per shard,
    each shard drawing from its own :func:`~repro.rng.spawn_keyed` random
    stream — a worker runs up to :data:`SHARDS_PER_PROCESS` shards at once
-   on threads of its own, and the pool is forked once per pool size and
-   kept warm between queries (see *Process lifetime* below), and
+   on threads of its own when the black box keeps shards waiting (see
+   *Hiding UDF latency* below), and the pool is forked once per pool size
+   and kept warm between queries (see *Process lifetime*), and
 4. merges shard outputs (always in shard order) back into the parent; what
    the workers *learned* follows the *merge policy*.
 
@@ -65,7 +66,9 @@ shard plan on the parent engine — numerically identical to the serial
 path, same random stream, same model evolution.  ``workers >= 2`` uses the
 keyed shard streams; see :mod:`repro.rng` for the full contract.  Worker
 failures — a UDF raising inside the black box, an unpicklable engine, or a
-crashed pool process — surface as :class:`~repro.exceptions.QueryError`.
+crashed pool process — surface as :class:`~repro.exceptions.QueryError`;
+a shard's failure reaches the parent once the other shards its worker runs
+beside it have finished.
 
 Process lifetime
 ----------------
@@ -74,16 +77,17 @@ copy-on-write faults the children then take, so pools outlive queries: a
 query takes an idle pool of ``min(workers, shards)`` processes (forking one
 only when none fits) and gives it back when its round ends.  Each worker
 runs its shards on a thread pool of :data:`SHARDS_PER_PROCESS` threads that
-lives as long as the worker, so the per-thread state a shard warms — the
-blocking UDF path's event loop, the inference workspace — serves the next
-query too; a forked child starts with no such threads.  Two concurrent
-queries each run on a pool of their own; at most one idle pool per pool
-size is kept, and any extra is shut down.  A pool whose worker died is
-shut down, never given back, and a retry round runs on a freshly forked
-pool.  Pools belong to the process that forked them — a forked child
-starts with none — and close at interpreter exit.  Idle pools are shut
-down before any pool or the model server is forked, so only the pools of
-concurrently running queries ever run beside a fork.
+lives as long as the worker — also when it runs one shard at a time — so
+the per-thread state a shard warms — the blocking UDF path's event loop,
+the inference workspace — serves the next query too; a forked child
+starts with no such threads.  Two concurrent queries each run on a pool of
+their own; at most one idle pool per pool size is kept, and any extra is
+shut down.  A pool whose worker died is shut down, never given back, and a
+retry round runs on a freshly forked pool.  Pools belong to the process
+that forked them — a forked child starts with none — and close at
+interpreter exit.  Idle pools are shut down before any pool or the model
+server is forked, so only the pools of concurrently running queries ever
+run beside a fork.
 
 A warm worker runs the modules as they were when its pool was forked;
 each shard reads the query's pickled snapshot, but a pickle refers to
@@ -95,16 +99,25 @@ Changes made after a fork to other modules (a monkeypatch), to
 
 Hiding UDF latency
 ------------------
-A shard sleeps through every black-box call of its refinement loop, so one
-shard at a time leaves its core mostly idle when per-call latency
-dominates.  A round therefore submits each worker a contiguous *group* of
-shards — ``max(min(workers, shards), ⌈shards / SHARDS_PER_PROCESS⌉)``
-groups of near-equal size, so every process gets work before any doubles
-up — and the worker runs the group's shards at once on its threads: one
-shard's GP work fills another's UDF waits.  Each shard still unpickles its
-own snapshot and draws from its own keyed stream, so only the order in
-which shards run changes: ``"discard"`` outputs and UDF calls are those of
-one shard at a time, bit for bit.  ``async_inflight`` /
+A shard sleeps through every black-box call of its refinement loop that
+waits — on a service, on I/O, on a sleep — so one shard at a time leaves
+its core idle for as long as the calls wait.  A round therefore submits
+each worker a contiguous *group* of up to ``S`` shards —
+``max(min(workers, shards), ⌈shards / S⌉)`` groups of near-equal size, so
+every process gets work before any doubles up — and the worker runs the
+group's shards at once on its threads: one shard's GP work fills another's
+UDF waits.  ``S`` follows what the sharded queries of the same UDF name
+measured (:func:`shards_per_process`), each averaged with the estimate
+before it: the share of a shard's time its
+thread was on the CPU rather than waiting inside black-box calls
+(:attr:`~repro.udf.base.UDF.waited_time`).  A black box that computes
+in-process, or only charges a simulated cost, keeps its shards on the CPU,
+and more shards per process would only contend for the interpreter lock:
+such a UDF — and any UDF's first sharded query — runs one shard at a time
+per worker.  Each shard still unpickles its own snapshot and draws from its
+own keyed stream, so only the order in which shards run changes:
+``"discard"`` outputs and UDF calls are those of one shard at a time, bit
+for bit, whatever ``S`` is.  ``async_inflight`` /
 ``pipeline_lookahead`` in the plan apply *inside* every shard (overlapped
 refinement windows, cross-tuple pipelining); they preserve the determinism
 contract above (the async pipeline is completion-order invariant), but
@@ -114,10 +127,15 @@ numerically from the serial batched one at ``async_inflight > 1``.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import threading
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+# CPython-private, but the very wrapper a process pool puts around a task's
+# exception: it pickles the worker's traceback text along and rebuilds it
+# as the exception's cause in the parent.
 from concurrent.futures.process import _ExceptionWithTraceback
 from dataclasses import dataclass
 from multiprocessing import util as mp_util
@@ -140,15 +158,47 @@ MergePolicy = Literal["discard", "shared"]
 MERGE_POLICIES: tuple[str, ...] = ("discard", "shared")
 
 
-#: Shards one pool worker runs at once.  A shard behind a millisecond-latency
-#: black box keeps its core only about 40 % busy — the rest is UDF waits —
-#: so about three shards fill a core, and a fourth covers their GIL waits.
-#: Every shard in flight holds its own unpickled snapshot, so this also
-#: bounds the snapshots a worker holds.  Two workers on two cores, eight
-#: 8-tuple shards at 2 ms a call: 385–410 ms a query four at a time, 460 at
-#: three (three groups: one worker runs two in turn), 490 at two and 740
-#: one at a time.
+#: Most shards one pool worker runs at once, and the threads it keeps for
+#: them.  Every shard in flight holds its own unpickled snapshot, so this
+#: also bounds the snapshots a worker holds.  A shard behind a 2 ms sleeping
+#: black box keeps its thread on the CPU about 45 % of the time; two workers
+#: on two cores, eight 8-tuple shards of such a UDF: 385–415 ms a query four
+#: at a time, 440–460 at three, 490–520 at two and 740–775 one at a time.
 SHARDS_PER_PROCESS = 4
+
+#: Share of a worker's time its core may sit idle because every shard it
+#: runs waits on the black box at once (see :func:`shards_per_process`).
+#: Shared-merge shards of a 2 ms sleeping UDF measure busy 0.47–0.61 and run
+#: fastest four at a time; shards that never wait measure 0.97–1.0.
+IDLE_TARGET = 0.05
+
+#: Per UDF name: the share of its shards' time its sharded queries measured
+#: on the CPU, against waiting inside black-box calls — each query's share
+#: averaged with the estimate before it, so one slow query moves it half
+#: way.  Kept for the process, as the warm pools are: a query often comes
+#: with a fresh engine and a fresh copy of its UDF, and the name is what the
+#: engine keys a UDF's model by too.  Only the speed of a later query
+#: depends on it.
+_BUSY_SHARE: dict[str, float] = {}
+
+
+def shards_per_process(busy: Optional[float]) -> int:
+    """Shards a worker runs at once when each is on the CPU ``busy`` of its time.
+
+    ``S`` shards whose waits fall independently leave the core idle
+    ``(1 - busy) ** S`` of the time; this is the least ``S`` that brings
+    that to :data:`IDLE_TARGET`, capped at :data:`SHARDS_PER_PROCESS`.  A
+    shard that never waits (``busy`` 1) runs alone — more would only
+    contend for the interpreter lock: eight shards of a UDF charging a
+    simulated 2 ms a call took 302 ms a query one at a time and 356 four at
+    a time (medians of 10 seeds).  ``None`` (nothing measured yet) is one
+    at a time as well.
+    """
+    if busy is None or busy >= 1.0 - IDLE_TARGET:
+        return 1
+    if busy <= 0.0:
+        return SHARDS_PER_PROCESS
+    return min(SHARDS_PER_PROCESS, math.ceil(math.log(IDLE_TARGET) / math.log(1.0 - busy)))
 
 
 def default_worker_count() -> int:
@@ -157,8 +207,8 @@ def default_worker_count() -> int:
     A plan has no "default worker count" spelling (``workers=None`` means
     *unsharded*), so callers that want one worker process per core write
     ``ExecutionPlan(workers=default_worker_count())``.  Latency-bound
-    shards need no more processes than cores: each worker already runs
-    :data:`SHARDS_PER_PROCESS` shards at once.
+    shards need no more processes than cores: each worker runs up to
+    :data:`SHARDS_PER_PROCESS` of them at once.
     """
     return max(1, os.cpu_count() or 1)
 
@@ -268,6 +318,9 @@ class ShardResult:
     #: UDF cost deltas, credited back to the parent UDF's accounting.
     udf_calls: int
     udf_real_time: float
+    udf_waited_time: float
+    #: CPU seconds of the shard's thread (see :func:`shards_per_process`).
+    cpu_time: float
 
 
 def _run_shard(
@@ -286,9 +339,11 @@ def _run_shard(
     shipped shard plan against it — exactly the executor the serial path
     would run for the same knobs.  Runs in a separate process, beside the
     other shards of its group (:func:`_run_shards`) — everything touched
-    here is this shard's own copy, so its outputs and its UDF-cost deltas
-    are what it would report running alone, and everything returned is
-    picked up by the parent.
+    here is this shard's own copy, so its outputs and UDF calls are what it
+    would report running alone, and everything returned is picked up by the
+    parent.  Its UDF real time and phase timings are wall-clock that
+    overlaps the other shards of the group: a call, or a phase, also counts
+    the time it waits for the interpreter lock while sibling shards run.
 
     ``shared_store`` (a :class:`~repro.core.shared_model.SharedEmulatorStore`
     proxy, ``merge="shared"`` only) binds the shard's emulator to the live
@@ -297,11 +352,13 @@ def _run_shard(
     publishes to — the store at tuple boundaries instead of relearning
     everything other shards already paid for.
     """
+    cpu_before = time.thread_time()
     engine, udf, plan = pickle.loads(payload)
     distributions, predicate = pickle.loads(inputs)
     engine.reseed(spawn_keyed(base_seed, shard_index))
     calls_before = udf.call_count
     real_before = udf.real_time
+    waited_before = udf.waited_time
 
     executor = plan.resolve(engine)
     olgapro = engine.olgapro_for(udf) if shared_store is not None else None
@@ -332,6 +389,8 @@ def _run_shard(
         timings=dict(executor.timings.seconds),
         udf_calls=udf.call_count - calls_before,
         udf_real_time=udf.real_time - real_before,
+        udf_waited_time=udf.waited_time - waited_before,
+        cpu_time=time.thread_time() - cpu_before,
     )
 
 
@@ -345,11 +404,12 @@ def _run_shards(
 
     ``items`` are ``(shard_index, inputs)`` pairs; each runs through
     :func:`_run_shard` on the worker's shard threads, which are started on
-    first use and kept for the worker's life.  Returns one outcome per item,
-    in order: the shard's :class:`ShardResult`, or the exception it raised,
-    wrapped as a process pool wraps a task's exception so that it reaches
-    the parent with the worker's traceback as its cause — the parent
-    attributes a failure to the shard that raised it.
+    first use and kept for the worker's life.  Returns, once every shard of
+    the group is done, one outcome per item, in order: the shard's
+    :class:`ShardResult`, or the exception it raised, wrapped as a process
+    pool wraps a task's exception so that it reaches the parent with the
+    worker's traceback as its cause — the parent attributes a failure to
+    the shard that raised it.
     """
     global _SHARD_THREADS
     if _SHARD_THREADS is None:
@@ -555,12 +615,13 @@ class ParallelExecutor:
         retry = self.plan.retry
         shard_attempts = 1 if retry is None else int(retry.shard_attempts)
         pending = list(range(len(shards)))
+        per_process = shards_per_process(_BUSY_SHARE.get(udf.name))
         attempt = 0
         while pending:
             attempt += 1
             crashed = self._run_round(
                 pending, inputs, len(distributions), payload, base_seed, results_by_shard,
-                shared_store, fresh=fresh or attempt > 1,
+                shared_store, fresh=fresh or attempt > 1, per_process=per_process,
             )
             if crashed and attempt >= shard_attempts:
                 raise self._shard_failure(
@@ -578,7 +639,13 @@ class ParallelExecutor:
         for result in results:
             outputs.extend(result.outputs)
             self.timings.merge(result.timings)
-            udf.absorb_charges(result.udf_calls, result.udf_real_time)
+            udf.absorb_charges(result.udf_calls, result.udf_real_time, result.udf_waited_time)
+        cpu = sum(result.cpu_time for result in results)
+        waited = sum(result.udf_waited_time for result in results)
+        if cpu + waited > 0.0:
+            busy = cpu / (cpu + waited)
+            before = _BUSY_SHARE.get(udf.name, busy)
+            _BUSY_SHARE[udf.name] = (before + busy) / 2
         self.last_merged_points = 0
         self.last_dropped_points = 0
         if self.merge == "shared":
@@ -595,12 +662,13 @@ class ParallelExecutor:
         results_by_shard: dict[int, "ShardResult"],
         shared_store=None,
         fresh: bool = False,
+        per_process: int = 1,
     ) -> list[int]:
         """One pool round over ``pending`` shard indices.
 
         The round cuts ``pending`` into contiguous groups — at least one per
-        pool process, and at most :data:`SHARDS_PER_PROCESS` shards in each
-        — and submits one :func:`_run_shards` task per group.  Completed
+        pool process, and at most ``per_process`` shards in each — and
+        submits one :func:`_run_shards` task per group.  Completed
         shards land in ``results_by_shard``; the indices of every group
         whose worker process died (a :class:`BrokenExecutor` crash —
         retryable, because re-running a shard under the same
@@ -609,7 +677,8 @@ class ParallelExecutor:
         inside the black box) is not retryable at shard granularity — the
         per-call retry policy already ran inside the worker — and raises a
         typed :class:`~repro.exceptions.ShardFailureError` naming the lowest
-        failing shard, once the round's other groups are cancelled or done.
+        failing shard, once the rest of its group and the round's other
+        running groups are done and its queued groups cancelled.
         The round takes a warm pool of ``min(workers, len(pending))``
         processes (a fresh one when ``fresh`` is set) and gives it back
         idle; a pool that reported a crash is shut down instead, because a
@@ -617,7 +686,7 @@ class ParallelExecutor:
         retry round is run with ``fresh`` set, on a newly forked pool.
         """
         need = min(self.workers, len(pending))
-        groups = _groups(pending, max(need, -(-len(pending) // SHARDS_PER_PROCESS)))
+        groups = _groups(pending, max(need, -(-len(pending) // per_process)))
         crashed: list[int] = []
         futures: list = []
         pool = _POOLS.take(self.workers, len(pending), fresh)
@@ -648,7 +717,9 @@ class ParallelExecutor:
             except QueryError:
                 # Fail fast: drop this round's groups still queued, so the
                 # typed error is not delayed behind the remaining real-cost
-                # UDF work, and wait out the ones already running.
+                # UDF work, and wait out the ones already running.  (The
+                # failing shard's own group ran to its end: a worker reports
+                # a group at once.)
                 for future in futures:
                     future.cancel()
                 wait(futures)

@@ -82,6 +82,7 @@ class UDF:
 
         self._call_count = 0
         self._real_time = 0.0
+        self._waited_time = 0.0
         #: Guards the charge counters: worker threads of the async pipeline
         #: evaluate points concurrently and each completion charges through
         #: :meth:`_charge`, so the read-modify-write must be atomic.
@@ -125,6 +126,7 @@ class UDF:
         self._charge_lock = threading.Lock()
         self.__dict__.setdefault("_retry_policy", None)
         self.__dict__.setdefault("_retries_used", 0)
+        self.__dict__.setdefault("_waited_time", 0.0)
 
     # -- instrumentation ---------------------------------------------------------
     @property
@@ -136,6 +138,20 @@ class UDF:
     def real_time(self) -> float:
         """Actual wall-clock seconds spent inside the black box."""
         return self._real_time
+
+    @property
+    def waited_time(self) -> float:
+        """Part of :attr:`real_time` the calls spent off their thread's CPU.
+
+        Each call's wall-clock minus the CPU time its thread used meanwhile:
+        a black box that sleeps or waits on a service or on I/O leaves its
+        thread idle for that long, one that computes in-process does not —
+        unless the thread is preempted mid-call on an oversubscribed
+        machine, which reads as waiting too.  A coroutine's awaits share
+        their thread with other coroutines, whose CPU time counts against
+        it, so an :class:`AsyncUDF`'s waits read low.
+        """
+        return self._waited_time
 
     @property
     def charged_time(self) -> float:
@@ -159,11 +175,15 @@ class UDF:
         with self._charge_lock:
             return self._max_inflight
 
-    def _charge(self, calls: int, seconds: float) -> None:
-        """Atomically credit ``calls`` evaluations costing ``seconds`` wall-clock."""
+    def _charge(self, calls: int, seconds: float, waited: float = 0.0) -> None:
+        """Atomically credit ``calls`` evaluations costing ``seconds`` wall-clock.
+
+        ``waited`` of those seconds were spent off the thread's CPU.
+        """
         with self._charge_lock:
             self._call_count += calls
             self._real_time += seconds
+            self._waited_time += max(0.0, waited)
 
     def _enter_flight(self) -> None:
         with self._charge_lock:
@@ -190,9 +210,10 @@ class UDF:
         with self._charge_lock:
             self._call_count = 0
             self._real_time = 0.0
+            self._waited_time = 0.0
             self._max_inflight = self._inflight
 
-    def absorb_charges(self, calls: int, real_time: float) -> None:
+    def absorb_charges(self, calls: int, real_time: float, waited_time: float = 0.0) -> None:
         """Credit evaluations performed by an external copy of this UDF.
 
         Parallel workers evaluate pickled *copies* whose counters advance in
@@ -200,9 +221,9 @@ class UDF:
         the paper's cost model (total UDF calls, charged time) stays accurate
         under sharded execution.
         """
-        if calls < 0 or real_time < 0:
+        if calls < 0 or real_time < 0 or waited_time < 0:
             raise UDFError("absorbed charges must be non-negative")
-        self._charge(int(calls), float(real_time))
+        self._charge(int(calls), float(real_time), float(waited_time))
 
     # -- retry machinery -----------------------------------------------------------
     @property
@@ -304,7 +325,7 @@ class UDF:
         Failed attempts charge nothing, so a run that recovers via retries
         reports the same ``call_count`` as the fault-free run.
         """
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.thread_time()
         try:
             if self.vectorized:
                 value = self._func(x.reshape(1, -1))
@@ -315,10 +336,15 @@ class UDF:
             raise
         except Exception as exc:  # noqa: BLE001 - black-box code can raise anything
             raise UDFError(f"{self.name}: evaluation failed at {x!r}: {exc}") from exc
-        self._charge(1, time.perf_counter() - start)
+        self._charge_elapsed(1, start, cpu_start)
         if not np.isfinite(value):
             raise UDFError(f"{self.name}: evaluation returned non-finite value {value}")
         return value
+
+    def _charge_elapsed(self, calls: int, start: float, cpu_start: float) -> None:
+        """Charge ``calls`` that began at ``perf_counter`` / ``thread_time`` readings."""
+        elapsed = time.perf_counter() - start
+        self._charge(calls, elapsed, elapsed - (time.thread_time() - cpu_start))
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the UDF at every row of ``X`` (shape ``(m, d)``)."""
@@ -352,7 +378,7 @@ class UDF:
         The typed-passthrough twin of :meth:`_call_validated`; failed
         attempts charge nothing.
         """
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.thread_time()
         try:
             values = np.asarray(self._func(X), dtype=float).ravel()
         except UDFError:
@@ -364,7 +390,7 @@ class UDF:
                 f"{self.name}: vectorised implementation returned {values.shape[0]} "
                 f"values for {X.shape[0]} inputs"
             )
-        self._charge(X.shape[0], time.perf_counter() - start)
+        self._charge_elapsed(X.shape[0], start, cpu_start)
         if not np.all(np.isfinite(values)):
             raise UDFError(f"{self.name}: batch evaluation returned non-finite values")
         return values
@@ -574,14 +600,14 @@ class AsyncUDF(UDF):
 
     async def _async_attempt(self, x: np.ndarray) -> float:
         """One awaited attempt: evaluate, charge, validate (typed passthrough)."""
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.thread_time()
         try:
             value = float(await self._coro_func(x))
         except UDFError:
             raise
         except Exception as exc:  # noqa: BLE001 - black-box code can raise anything
             raise UDFError(f"{self.name}: evaluation failed at {x!r}: {exc}") from exc
-        self._charge(1, time.perf_counter() - start)
+        self._charge_elapsed(1, start, cpu_start)
         if not np.isfinite(value):
             raise UDFError(f"{self.name}: evaluation returned non-finite value {value}")
         return value

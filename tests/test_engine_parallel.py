@@ -531,25 +531,29 @@ def test_consecutive_queries_run_on_the_same_workers_and_server(tmp_path):
 
 
 class _RecordCalls:
-    """A sleeping two-input black box that logs the process, thread and interval of each call."""
+    """A two-input black box that logs the process, thread and interval of each call.
 
-    def __init__(self, folder: str) -> None:
-        self.folder = folder
+    It sleeps ``wait`` seconds a call, or, at 0, only computes.
+    """
+
+    def __init__(self, folder: str, wait: float = 2e-3) -> None:
+        self.folder, self.wait = folder, wait
 
     def __call__(self, x):
         start = time.monotonic()
-        time.sleep(2e-3)
+        if self.wait:
+            time.sleep(self.wait)
         thread = threading.current_thread()
         with open(Path(self.folder, f"{os.getpid()}-{thread.native_id}"), "a") as log:
             log.write(f"{start!r} {time.monotonic()!r} {thread.name}\n")
         return float(np.sin(x[0]) + np.cos(x[1]))
 
 
-def _logged_calls(tmp_path, name, n_tuples, batch_size):
+def _logged_calls(tmp_path, name, n_tuples, batch_size, wait=2e-3):
     """``{(pid, thread id): (thread name, [(start, end), ...])}`` of one ``workers=2`` query."""
     folder = tmp_path / name
     folder.mkdir()
-    udf = UDF(_RecordCalls(str(folder)), dimension=2, name="call-recorder",
+    udf = UDF(_RecordCalls(str(folder), wait), dimension=2, name=f"call-recorder-{wait:g}",
               domain=(np.zeros(2), np.full(2, 10.0)))
     _sharded_run(workers=2, udf=udf, n_tuples=n_tuples, batch_size=batch_size)
     calls = {}
@@ -570,7 +574,26 @@ def _most_in_flight(intervals):
     return most
 
 
+@pytest.fixture
+def all_shards_at_once(monkeypatch):
+    """Every worker runs as many shards at once as it may, whatever the UDF measured."""
+    monkeypatch.setattr(parallel, "shards_per_process", lambda busy: parallel.SHARDS_PER_PROCESS)
+
+
+def test_shards_per_process_fills_the_core_behind_waiting_shards():
+    assert parallel.shards_per_process(None) == 1  # nothing measured yet
+    assert parallel.shards_per_process(1.0) == 1  # never waits
+    assert parallel.shards_per_process(0.96) == 1
+    assert parallel.shards_per_process(0.85) == 2  # 0.15 ** 2 idle
+    assert parallel.shards_per_process(0.7) == 3  # 0.3 ** 3
+    assert parallel.shards_per_process(0.6) == parallel.SHARDS_PER_PROCESS
+    assert parallel.shards_per_process(0.0) == parallel.SHARDS_PER_PROCESS
+
+
 def test_a_worker_runs_shards_of_one_query_at_overlapping_times(tmp_path):
+    # The first query of a UDF measures how long its calls keep a shard
+    # waiting; the next runs that many more shards at once in each worker.
+    _logged_calls(tmp_path, "first", n_tuples=16, batch_size=4)
     # Four shards on two workers: each worker runs two of them at once.
     calls = _logged_calls(tmp_path, "overlap", n_tuples=16, batch_size=4)
     assert len({pid for pid, _ in calls}) == 2
@@ -584,7 +607,50 @@ def test_a_worker_runs_shards_of_one_query_at_overlapping_times(tmp_path):
     assert overlapping
 
 
-def test_a_forty_shard_query_runs_at_most_s_shards_at_once_in_each_of_two_workers(tmp_path):
+def _group_sizes(monkeypatch):
+    """The sizes of the shard groups the next rounds submit, as they are cut."""
+    sizes = []
+    cut = parallel._groups
+
+    def spy(pending, count):
+        groups = cut(pending, count)
+        sizes.append([len(group) for group in groups])
+        return groups
+
+    monkeypatch.setattr(parallel, "_groups", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("wait, together", [(2e-3, True), (0.0, False)],
+                         ids=["sleeping", "computing"])
+def test_shards_run_at_once_only_behind_a_black_box_that_waits(tmp_path, monkeypatch,
+                                                               wait, together):
+    first = _logged_calls(tmp_path, "first", n_tuples=16, batch_size=2, wait=wait)
+    busy = parallel._BUSY_SHARE[f"call-recorder-{wait:g}"]
+    assert (parallel.shards_per_process(busy) > 1) is together
+    sizes = _group_sizes(monkeypatch)
+    second = _logged_calls(tmp_path, "second", n_tuples=16, batch_size=2, wait=wait)
+    assert first and second
+    assert (max(sizes[0]) > 1) is together
+    assert sum(sizes[0]) == 8
+    if not together:
+        for pid in {pid for pid, _ in second}:
+            assert _most_in_flight(
+                [call for (p, _), (_, calls) in second.items() if p == pid for call in calls]
+            ) == 1
+
+
+def test_a_black_box_that_only_charges_a_simulated_cost_runs_one_shard_at_a_time(monkeypatch):
+    _sharded_run(workers=2, n_tuples=16, batch_size=2)
+    assert parallel.shards_per_process(parallel._BUSY_SHARE["F1"]) == 1
+    sizes = _group_sizes(monkeypatch)
+    _sharded_run(workers=2, n_tuples=16, batch_size=2)
+    assert sizes == [[1] * 8]
+
+
+def test_a_forty_shard_query_runs_at_most_s_shards_at_once_in_each_of_two_workers(
+    tmp_path, all_shards_at_once
+):
     calls = _logged_calls(tmp_path, "forty", n_tuples=40, batch_size=1)
     pids = {pid for pid, _ in calls}
     assert len(pids) == 2
@@ -605,8 +671,11 @@ def test_discard_shards_run_at_once_match_shards_run_one_at_a_time(monkeypatch):
     # threads interleave as finely as the interpreter lets them.
     sys.setswitchinterval(1e-5)
     try:
+        parallel._POOLS.close()
+        all_at_once = parallel.SHARDS_PER_PROCESS
+        monkeypatch.setattr(parallel, "shards_per_process", lambda busy: all_at_once)
         together, _, udf_together, _ = _sharded_run(workers=2, n_tuples=12, batch_size=2)
-        monkeypatch.setattr(parallel, "SHARDS_PER_PROCESS", 1)
+        monkeypatch.setattr(parallel, "shards_per_process", lambda busy: 1)
         parallel._POOLS.close()
         alone, _, udf_alone, _ = _sharded_run(workers=2, n_tuples=12, batch_size=2)
     finally:
@@ -617,7 +686,9 @@ def test_discard_shards_run_at_once_match_shards_run_one_at_a_time(monkeypatch):
     assert udf_together.real_time > 0.0 and udf_alone.real_time > 0.0
 
 
-def test_consecutive_queries_run_their_shards_on_the_same_worker_threads(tmp_path):
+def test_consecutive_queries_run_their_shards_on_the_same_worker_threads(
+    tmp_path, all_shards_at_once
+):
     # Two groups of SHARDS_PER_PROCESS shards: each worker starts all its threads.
     n_tuples = 2 * 2 * parallel.SHARDS_PER_PROCESS
     first = _logged_calls(tmp_path, "first", n_tuples=n_tuples, batch_size=2)

@@ -55,6 +55,7 @@ from repro.engine import (
     ThreadPoolTransport,
     UDFExecutionEngine,
     generate_galaxy_relation,
+    parallel,
 )
 from repro.exceptions import (
     CircuitOpenError,
@@ -656,7 +657,13 @@ class _CrashMidGroup:
         return float(np.sin(x[0]) + np.cos(x[1]))
 
 
-def test_a_crash_mid_group_retries_bitwise_a_clean_run(tmp_path):
+@pytest.fixture
+def all_shards_at_once(monkeypatch):
+    """Every worker runs as many shards at once as it may, whatever the UDF measured."""
+    monkeypatch.setattr(parallel, "shards_per_process", lambda busy: parallel.SHARDS_PER_PROCESS)
+
+
+def test_a_crash_mid_group_retries_bitwise_a_clean_run(tmp_path, all_shards_at_once):
     flag = str(tmp_path / "crashed-once")
 
     def run():
@@ -696,7 +703,7 @@ def _raise_unpicklable_far_out(x):
 
 @pytest.mark.parametrize("black_box", [_raise_far_out, _raise_unpicklable_far_out],
                          ids=["picklable", "unpicklable"])
-def test_the_lowest_failing_shard_is_named_also_inside_a_group(black_box):
+def test_the_lowest_failing_shard_is_named_also_inside_a_group(black_box, all_shards_at_once):
     udf = UDF(black_box, dimension=2, name="far-out",
               domain=(np.zeros(2), np.full(2, 200.0)))
     # Four 2-tuple shards on two workers run as groups [0, 1] and [2, 3];

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ class TestInstrumentation:
         udf.reset_counters()
         assert udf.call_count == 0
         assert udf.real_time == 0.0
+        assert udf.waited_time == 0.0
+
+    def test_waited_time_is_the_time_calls_spend_off_the_cpu(self):
+        def sleeping(x):
+            time.sleep(0.02)
+            return 1.0
+
+        def spinning(X):
+            end = time.thread_time() + 0.02 * len(X)
+            while time.thread_time() < end:
+                pass
+            return np.ones(len(X))
+
+        asleep = UDF(sleeping, dimension=1)
+        busy = UDF(spinning, dimension=1, vectorized=True)
+        for _ in range(3):
+            asleep(np.array([0.0]))
+        busy.evaluate_batch(np.zeros((3, 1)))
+        assert 0.9 * asleep.real_time <= asleep.waited_time <= asleep.real_time
+        assert busy.real_time >= 0.06
+        assert busy.waited_time < 0.5 * busy.real_time
 
     def test_charged_time_includes_simulated_cost(self):
         udf = UDF(lambda x: 1.0, dimension=1, simulated_eval_time=0.5)
@@ -126,9 +149,10 @@ class TestAbsorbCharges:
     def test_credits_external_evaluations(self):
         udf = UDF(lambda x: float(x[0]), dimension=1)
         udf(np.array([1.0]))
-        udf.absorb_charges(5, 0.25)
+        udf.absorb_charges(5, 0.25, 0.125)
         assert udf.call_count == 6
         assert udf.real_time >= 0.25
+        assert udf.waited_time >= 0.125
 
     def test_rejects_negative_charges(self):
         udf = UDF(lambda x: float(x[0]), dimension=1)
@@ -136,6 +160,8 @@ class TestAbsorbCharges:
             udf.absorb_charges(-1, 0.0)
         with pytest.raises(UDFError):
             udf.absorb_charges(0, -0.5)
+        with pytest.raises(UDFError):
+            udf.absorb_charges(0, 0.0, -0.5)
 
 
 class TestInFlightGauges:
